@@ -35,6 +35,10 @@ def vscale(c, x: Sequence) -> Vec:
     return tuple(Q(c) * a for a in x)
 
 
+class InvariantError(ArithmeticError):
+    """An exact computation broke a property the theory guarantees, such as integrality."""
+
+
 class SingularMatrixError(ValueError):
     pass
 

@@ -10,20 +10,25 @@ y = t1(1).  Its filtered integer points count C_{lam mu}^{nu}: a 2D lattice
 point only counts when the two eliminated parameters are integers as well,
 which for B2 is the statement that sigma lies in the root lattice.
 
-All geometry (vertex enumeration, areas, lattice scans) is exact rational.
+All geometry is exact.  A polygon keeps its half-planes as Fractions, and
+works on one integer copy of them: each row scaled by the positive lcm of its
+denominators.  Lattice scans take their row bounds from integer divmod,
+vertices come from Cramer's rule in integers, and boundedness is memoized on
+the primitive integer normals.  Vertices and areas are returned as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
-from math import ceil, floor, gcd
+from functools import cached_property, lru_cache
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
 from .rootsys import RootSystem, Weight, build_root_system
 
 Point = tuple[Q, Q]
+Row = tuple[int, int, int, bool]
 
 
 class UnboundedPolygonError(ValueError):
@@ -62,15 +67,6 @@ class HalfPlane:
         return HalfPlane(self.a, self.b, self.c * Q(s), self.strict, self.label)
 
 
-def _line_intersection(h1: HalfPlane, h2: HalfPlane) -> Point | None:
-    det = h1.a * h2.b - h2.a * h1.b
-    if det == 0:
-        return None
-    x = (h1.c * h2.b - h2.c * h1.b) / det
-    y = (h1.a * h2.c - h2.a * h1.c) / det
-    return (x, y)
-
-
 def _convex_hull(points: list[Point]) -> list[Point]:
     """Andrew's monotone chain; exact; returns a CCW cycle without repeats."""
     pts = sorted(set(points))
@@ -97,6 +93,34 @@ def _convex_hull(points: list[Point]) -> list[Point]:
     return hull
 
 
+def _least_at_least(r: int, a: int, strict: bool) -> int:
+    """Least integer t with a*t >= r (> r when strict), for a > 0."""
+    q, m = divmod(r, a)
+    return q + 1 if (strict or m) else q
+
+
+def _greatest_at_least(r: int, a: int, strict: bool) -> int:
+    """Greatest integer t with a*t >= r (> r when strict), for a < 0."""
+    q, m = divmod(r, a)  # q = floor(r / a); m == 0 iff a divides r
+    return q - 1 if (strict and m == 0) else q
+
+
+@lru_cache(maxsize=256)
+def _normals_bounded(normals: tuple[tuple[int, int], ...]) -> bool:
+    """Whether half-planes with these inward normals always cut out a bounded region.
+
+    A nonzero recession direction, if any, lies along one of the boundary
+    lines, so only the directions (-b, a) and (b, -a) need testing.
+    """
+    if not normals:
+        return False
+    for a, b in normals:
+        for dx, dy in ((-b, a), (b, -a)):
+            if all(g * dx + h * dy >= 0 for g, h in normals):
+                return False
+    return True
+
+
 class RationalPolygon:
     """Intersection of rational half-planes with a derived vertex cycle.
 
@@ -111,24 +135,49 @@ class RationalPolygon:
         self.elim = None if elim is None else (Q(elim[0]), Q(elim[1]))
 
     # -- geometry ----------------------------------------------------------
-    def is_bounded(self) -> bool:
-        if not self.halfplanes:
-            return False
+    @cached_property
+    def _rows(self) -> tuple[Row, ...]:
+        """Each half-plane as integers (A, B, C, strict): A*x + B*y >= C (> C when strict).
+
+        A row is the half-plane times the positive lcm of the denominators of
+        a, b and c, read off numerators and denominators.
+        """
+        rows = []
         for h in self.halfplanes:
-            for d in ((-h.b, h.a), (h.b, -h.a)):
-                if all(g.a * d[0] + g.b * d[1] >= 0 for g in self.halfplanes):
-                    return False
-        return True
+            a, b, c = h.a, h.b, h.c
+            d = lcm(a.denominator, b.denominator, c.denominator)
+            rows.append((
+                a.numerator * (d // a.denominator),
+                b.numerator * (d // b.denominator),
+                c.numerator * (d // c.denominator),
+                h.strict,
+            ))
+        return tuple(rows)
+
+    def is_bounded(self) -> bool:
+        normals = []
+        for A, B, _, _ in self._rows:
+            g = gcd(A, B)
+            normals.append((A // g, B // g))
+        return _normals_bounded(tuple(normals))
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
-        hs = self.halfplanes
+        """Pairwise line intersections by Cramer's rule, kept when in the closure."""
+        rows = self._rows
         pts: list[Point] = []
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                p = _line_intersection(hs[i], hs[j])
-                if p is not None and all(h.holds(p, closure=True) for h in hs):
-                    pts.append(p)
+        for i, (A1, B1, C1, _) in enumerate(rows):
+            for A2, B2, C2, _ in rows[i + 1:]:
+                det = A1 * B2 - A2 * B1
+                if det == 0:
+                    continue
+                xn = C1 * B2 - C2 * B1
+                yn = A1 * C2 - A2 * C1
+                if det < 0:
+                    det, xn, yn = -det, -xn, -yn
+                # (xn/det, yn/det) lies in the closure iff A*xn + B*yn >= C*det
+                if all(A * xn + B * yn >= C * det for A, B, C, _ in rows):
+                    pts.append((Q(xn, det), Q(yn, det)))
         return tuple(_convex_hull(pts))
 
     @cached_property
@@ -170,44 +219,38 @@ class RationalPolygon:
             return True
         return self.elim[0].denominator == 1 and self.elim[1].denominator == 1
 
-    def _y_bounds(self) -> tuple[Q, Q]:
-        los = [h.c / h.b for h in self.halfplanes if h.a == 0 and h.b > 0]
-        his = [h.c / h.b for h in self.halfplanes if h.a == 0 and h.b < 0]
-        if los and his:
-            return max(los), min(his)
-        v = self.vertices
-        if not v:
-            return Q(1), Q(0)
-        ys = [p[1] for p in v]
-        return min(ys), max(ys)
+    def _y_bounds(self, strict_all: bool) -> tuple[int, int]:
+        """Integer y range (ylo, yhi) of the scan; ylo > yhi when the polygon is empty.
+
+        Rows with A = 0 bound y alone and are applied here, with their
+        strictness; without such rows on both sides the vertices bound y too.
+        """
+        zero = [(B, C, strict or strict_all) for A, B, C, strict in self._rows if A == 0]
+        los = [_least_at_least(C, B, strict) for B, C, strict in zero if B > 0]
+        his = [_greatest_at_least(C, B, strict) for B, C, strict in zero if B < 0]
+        if not (los and his):
+            if not self.vertices:
+                return 1, 0
+            ys = [p[1] for p in self.vertices]
+            los.append(ceil(min(ys)))
+            his.append(floor(max(ys)))
+        return max(los), min(his)
 
     def _row_counts(self, strict_all: bool) -> Iterable[tuple[int, int, int]]:
-        """Yield (y, xlo, xhi) for integer rows; honors per-constraint strictness."""
+        """Yield (y, xlo, xhi) for integer rows; honors per-constraint strictness.
+
+        Boundedness guarantees rows with A > 0 and rows with A < 0, so every
+        scanned y gets both an x lower and an x upper bound.
+        """
         if not self.is_bounded():
             raise UnboundedPolygonError("lattice scan of an unbounded region")
-        ylo, yhi = self._y_bounds()
-        if ylo > yhi:
-            return
-        for y in range(ceil(ylo), floor(yhi) + 1):
-            lo, hi = None, None
-            feasible = True
-            for h in self.halfplanes:
-                strict = strict_all or h.strict
-                rhs = h.c - h.b * y
-                if h.a == 0:
-                    ok = (-rhs > 0) if strict else (-rhs >= 0)
-                    if not ok:
-                        feasible = False
-                        break
-                elif h.a > 0:
-                    bound = rhs / h.a
-                    v = floor(bound) + 1 if (strict and bound.denominator == 1) else ceil(bound)
-                    lo = v if lo is None else max(lo, v)
-                else:
-                    bound = rhs / h.a
-                    v = ceil(bound) - 1 if (strict and bound.denominator == 1) else floor(bound)
-                    hi = v if hi is None else min(hi, v)
-            if feasible and lo is not None and hi is not None and lo <= hi:
+        ylo, yhi = self._y_bounds(strict_all)
+        lower = [(A, B, C, strict or strict_all) for A, B, C, strict in self._rows if A > 0]
+        upper = [(A, B, C, strict or strict_all) for A, B, C, strict in self._rows if A < 0]
+        for y in range(ylo, yhi + 1):
+            lo = max(_least_at_least(C - B * y, A, strict) for A, B, C, strict in lower)
+            hi = min(_greatest_at_least(C - B * y, A, strict) for A, B, C, strict in upper)
+            if lo <= hi:
                 yield (y, lo, hi)
 
     def lattice_count(self, integrality_filter: bool = True, strict_all: bool = False) -> int:

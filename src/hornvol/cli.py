@@ -17,11 +17,11 @@ import json
 import sys
 from fractions import Fraction as Q
 
+from ._exact import InvariantError
 from .bzpolytope import (
     bz_polygon_b2,
     degeneracy_info,
     lattice_point_count,
-    boundary_interior_counts,
     pick_relation_check,
 )
 from .covolume import covolume_markdown, covolume_report, covolume_table
@@ -88,16 +88,20 @@ def cmd_lr(args) -> int:
     lam, mu, nu = (
         _int_weight(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
     )
-    methods = ["klimyk", "steinberg", "bz"] if args.method == "all" else [args.method]
+    is_b2 = (rs.family, rs.rank) == ("B", 2)
+    if args.method == "all":
+        methods = ["klimyk", "steinberg", "bz"] if is_b2 else ["klimyk", "steinberg"]
+    else:
+        methods = [args.method]
+    if "bz" in methods and not is_b2:
+        raise CliError("the bz method is only available for B2")
     values = {}
     for m in methods:
         if m == "klimyk":
             values[m] = lr_klimyk(rs, lam, mu, nu)
         elif m == "steinberg":
             values[m] = lr_steinberg(rs, lam, mu, nu)
-        elif m == "bz":
-            if not (rs.family, rs.rank) == ("B", 2):
-                raise CliError("the bz method is only available for B2")
+        else:
             values[m] = lattice_point_count(bz_polygon_b2(lam, mu, nu))
     agree = len(set(values.values())) == 1
     if args.format == "json":
@@ -150,10 +154,9 @@ def cmd_volume(args) -> int:
         payload["polygon"] = {"degeneracy": str(degen), **P.to_json_dict()}
         if degen.kind == "Full":
             pick = pick_relation_check(P)
-            b, i = boundary_interior_counts(P)
             payload["polygon"]["lattice_points"] = pick.count
-            payload["polygon"]["boundary_points"] = b
-            payload["polygon"]["interior_points"] = i
+            payload["polygon"]["boundary_points"] = pick.boundary
+            payload["polygon"]["interior_points"] = pick.interior
             payload["polygon"]["pick_p"] = str(pick.p) if pick.p is not None else None
     if args.format == "json":
         _emit_json(payload, sys.stdout)
@@ -179,6 +182,8 @@ def _gamma_basis_pair(token: str, basis: str) -> tuple[Q, Q]:
 
 
 def cmd_grid(args) -> int:
+    if args.res < 1:
+        raise CliError("--res must be >= 1")
     alpha = _gamma_basis_pair(args.alpha, args.basis)
     beta = _gamma_basis_pair(args.beta, args.basis)
     poly = horn_polygon(alpha, beta)
@@ -346,6 +351,8 @@ def cmd_sample(args) -> int:
 
     if args.n_samples < 1:
         raise CliError("N must be >= 1")
+    if args.bins < 1:
+        raise CliError("--bins must be >= 1")
     prefix = args.out
     if args.mode == "b2":
         alpha = _gamma_basis_pair(args.alpha, args.basis)
@@ -478,6 +485,10 @@ def main(argv=None) -> int:
     except (CliError, UnsupportedAlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        # an internal exact check failed: a disagreement, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from ._exact import det_bareiss, det_fraction, dot
+from ._exact import InvariantError, det_bareiss, det_fraction, dot
 from .rootsys import RootSystem, build_root_system
 
 
@@ -59,7 +59,8 @@ def gram_delta(rs: RootSystem) -> int:
     m = len(A)
     G = [[(1 if a == b else 0) + sum(A[a][i] * A[b][i] for i in range(rs.rank)) for b in range(m)] for a in range(m)]
     d = det_bareiss(G)
-    assert d >= 1
+    if d < 1:
+        raise InvariantError(f"Gram determinant {d} of {rs.family}{rs.rank} is below 1")
     return d
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from ._exact import dot
+from ._exact import InvariantError, dot
 from .rootsys import (
     RootSystem,
     UnsupportedAlgebraError,
@@ -55,6 +55,13 @@ def _dynkin_int(rs: RootSystem, w) -> tuple[int, ...]:
     if not all(x.denominator == 1 for x in a):
         raise ValueError(f"{a} is not an integral weight")
     return tuple(int(x) for x in a)
+
+
+def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
+    """Return acc; a negative signed sum is a defect, never a multiplicity."""
+    if acc < 0:
+        raise InvariantError(f"{method} sum {acc} < 0 for {lam}, {mu}, {nu}")
+    return acc
 
 
 def _check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
@@ -157,7 +164,8 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) 
         wrho = tuple(a + b for a, b in zip(ortho, rho_o))
         den = lamrho2 - dot(wrho, wrho)
         val = 2 * num / den
-        assert val.denominator == 1 and val > 0, (lam, dyn, val)
+        if val.denominator != 1 or val <= 0:
+            raise InvariantError(f"Freudenthal multiplicity {val} of {dyn} in V{lam} is not a positive integer")
         mult[dyn] = int(val)
 
     entries: dict[tuple[int, ...], int] = {}
@@ -250,8 +258,7 @@ def lr_klimyk(rs: RootSystem, lam, mu, nu, max_dim: int = DEFAULT_DIM_CAP) -> in
         dom, sign = reflect_to_dominant(rs, x)
         if sign and dom == target:
             acc += sign * m
-    assert acc >= 0, (lam, mu, nu, acc)
-    return acc
+    return _checked_multiplicity(acc, "Klimyk", lam, mu, nu)
 
 
 def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) -> dict[tuple[int, ...], int]:
@@ -274,7 +281,8 @@ def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) ->
             nu = tuple(v - 1 for v in dom)
             acc[nu] = acc.get(nu, 0) + sign * m
     out = {k: v for k, v in acc.items() if v != 0}
-    assert all(v > 0 for v in out.values())
+    for nu, v in out.items():
+        _checked_multiplicity(v, "Klimyk", lam, mu, nu)
     return out
 
 
@@ -318,7 +326,8 @@ def _b2_weyl_mats_uv() -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
         e2 = w.act_root((Q(0), Q(1)))     # image of u = 0, v = 1
         m11, m21 = 2 * e1[0], e1[1]
         m12, m22 = 2 * e2[0], e2[1]
-        assert all(x.denominator == 1 for x in (m11, m12, m21, m22))
+        if any(x.denominator != 1 for x in (m11, m12, m21, m22)):
+            raise InvariantError(f"B2 Weyl element {w} is not integral on doubled simple-root coordinates")
         out.append((w.sign, (int(m11), int(m12), int(m21), int(m22))))
     return tuple(out)
 
@@ -333,9 +342,7 @@ def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
     if (rs.family, rs.rank) == ("B", 2):
-        acc = _lr_steinberg_b2(lam, mu, nu)
-        assert acc >= 0, (lam, mu, nu, acc)
-        return acc
+        return _checked_multiplicity(_lr_steinberg_b2(lam, mu, nu), "Steinberg", lam, mu, nu)
     W = weyl_group(rs)
     lam_rb = rs.dynkin_to_root(tuple(v + 1 for v in lam))
     mu_rb = rs.dynkin_to_root(tuple(v + 1 for v in mu))
@@ -350,8 +357,7 @@ def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
                 p = kostant_partition(rs, Weight(sigma, "root"))
                 if p:
                     acc += s1 * s2 * p
-    assert acc >= 0, (lam, mu, nu, acc)
-    return acc
+    return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
 def kostant_table(rs: RootSystem, box: tuple[int, ...]):
@@ -406,8 +412,7 @@ def lr_steinberg_table(rs: RootSystem, lam, mu, nu) -> int:
             sigma = tuple(x + y - z for x, y, z in zip(a, b, off_rb))
             if all(v.denominator == 1 and 0 <= v for v in sigma):
                 acc += s1 * s2 * int(table[tuple(int(v) for v in sigma)])
-    assert acc >= 0, (lam, mu, nu, acc)
-    return acc
+    return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
 def lr_triple(rs: RootSystem, lam, mu, kappa, nu, max_dim: int = DEFAULT_DIM_CAP) -> int:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from ._exact import Vec, dot, qvec, solve_in_span, solve_square, vadd, vscale
+from ._exact import InvariantError, Vec, dot, qvec, solve_in_span, solve_square, vadd, vscale
 
 CLASSICAL = ("A", "B", "C", "D")
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
@@ -495,7 +495,8 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
         num *= dot(alpha, lam_rho)
         den *= dot(alpha, rho)
     d = num / den
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InvariantError(f"Weyl dimension {d} of {a} is not an integer")
     return int(d)
 
 
@@ -526,7 +527,8 @@ def kappa_constants(rs: RootSystem) -> KappaG:
     K = Q(1)
     for alpha in rs.positive_roots:
         K *= theta2 / dot(alpha, alpha)
-    assert K.denominator == 1
+    if K.denominator != 1:
+        raise InvariantError(f"ratio factor K = {K} of {rs.family}{rs.rank} is not an integer")
     scale = Q(2) / theta2
     delta_norm = delta_g(rs, Weight(rs.rho_ortho, "ortho")) * scale ** rs.n_positive
     return KappaG(prefactor=1 / delta_norm, two_pi_exponent=rs.n_positive, K=int(K))

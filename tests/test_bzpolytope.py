@@ -1,13 +1,17 @@
 import itertools
 from fractions import Fraction as Q
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornvol.bzpolytope import (
     DegeneratePolygonError,
     HalfPlane,
     RationalPolygon,
     UnboundedPolygonError,
+    _convex_hull,
     boundary_interior_counts,
     bz_polygon_b2,
     degeneracy_info,
@@ -15,7 +19,7 @@ from hornvol.bzpolytope import (
     pick_relation_check,
     polygon_area,
 )
-from hornvol.multiplicity import lr_klimyk
+from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system, is_compatible
 
 B2 = build_root_system("B", 2)
@@ -196,3 +200,110 @@ def test_json_serialization():
     assert d["dim"] == 2
     assert len(d["halfplanes"]) == 12
     assert ["3", "2"] in d["vertices"]
+
+
+# ---------------------------------------------------------------------------
+# properties: the integer row scan and vertex enumeration against Fractions
+
+
+def rationals(lo: int, hi: int):
+    """Rationals p/q with q <= 6 and lo <= p/q <= hi."""
+    return st.integers(1, 6).flatmap(lambda q: st.builds(Q, st.integers(lo * q, hi * q), st.just(q)))
+
+
+coefficient = st.one_of(st.just(Q(0)), rationals(-4, 4))
+
+
+@st.composite
+def cuts(draw):
+    a, b = draw(coefficient), draw(coefficient)
+    if a == 0 and b == 0:
+        b = Q(1)
+    return HalfPlane(a, b, draw(rationals(-20, 20)), strict=draw(st.booleans()))
+
+
+@st.composite
+def boxed_systems(draw):
+    """A box written as four scaled half-planes plus up to five random cuts, shuffled."""
+    x0, y0 = draw(rationals(-6, 6)), draw(rationals(-6, 6))
+    x1, y1 = x0 + draw(rationals(0, 8)), y0 + draw(rationals(0, 8))
+    k = draw(rationals(1, 3))
+    box = [
+        HalfPlane(k, 0, k * x0, strict=draw(st.booleans())),
+        HalfPlane(-k, 0, -k * x1, strict=draw(st.booleans())),
+        HalfPlane(0, k, k * y0, strict=draw(st.booleans())),
+        HalfPlane(0, -k, -k * y1, strict=draw(st.booleans())),
+    ]
+    hps = draw(st.permutations(box + draw(st.lists(cuts(), max_size=5))))
+    elim = draw(st.sampled_from([None, (Q(3), Q(-2)), (Q(1, 2), Q(4))]))
+    return RationalPolygon(hps, elim), (x0, x1, y0, y1)
+
+
+def brute_force_count(P: RationalPolygon, box, strict_all: bool) -> int:
+    if P.elim is not None and any(v.denominator != 1 for v in P.elim):
+        return 0
+    x0, x1, y0, y1 = box
+    points = [(Q(x), Q(y)) for x in range(floor(x0), ceil(x1) + 1) for y in range(floor(y0), ceil(y1) + 1)]
+    if strict_all:
+        return sum(all(h.value(p) > 0 for h in P.halfplanes) for p in points)
+    return sum(all(h.holds(p) for h in P.halfplanes) for p in points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_systems())
+def test_lattice_count_matches_brute_force(system):
+    P, box = system
+    assert P.is_bounded()
+    assert P.lattice_count() == brute_force_count(P, box, strict_all=False)
+    assert P.lattice_count(strict_all=True) == brute_force_count(P, box, strict_all=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_systems())
+def test_vertices_are_the_extreme_line_intersections(system):
+    P, _ = system
+    hs = P.halfplanes
+    corners = []
+    for g, h in itertools.combinations(hs, 2):
+        det = g.a * h.b - h.a * g.b
+        if det:
+            p = ((g.c * h.b - h.c * g.b) / det, (g.a * h.c - h.a * g.c) / det)
+            if all(k.holds(p, closure=True) for k in hs):
+                corners.append(p)
+    assert P.vertices == tuple(_convex_hull(corners))
+    for v in P.vertices:
+        assert sum(1 for h in hs if h.value(v) == 0) >= 2
+        assert all(h.value(v) >= 0 for h in hs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(*[st.integers(0, 12)] * 6),
+    st.integers(1, 6),
+)
+def test_bz_count_matches_steinberg_under_dilation(labels, s):
+    lam, mu, nu = labels[0:2], labels[2:4], labels[4:6]
+    stretched = [tuple(s * v for v in w) for w in (lam, mu, nu)]
+    expected = lr_steinberg(B2, *stretched)
+    assert lattice_point_count(bz_polygon_b2(*stretched)) == expected
+    assert lattice_point_count(bz_polygon_b2(lam, mu, nu).dilate(s)) == expected
+
+
+@st.composite
+def unbounded_systems(draw):
+    """Half-planes whose inward normals all make a non-negative product with one direction d."""
+    dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 1), (3, -2)]))
+    hps = []
+    for h in draw(st.lists(cuts(), min_size=1, max_size=6)):
+        if h.a * dx + h.b * dy < 0:
+            h = HalfPlane(-h.a, -h.b, h.c, h.strict)
+        hps.append(h)
+    return RationalPolygon(hps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unbounded_systems(), st.booleans())
+def test_unbounded_systems_raise(P, strict_all):
+    assert not P.is_bounded()
+    with pytest.raises(UnboundedPolygonError):
+        P.lattice_count(strict_all=strict_all)

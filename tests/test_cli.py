@@ -26,6 +26,24 @@ def test_lr_non_compatible_triple(capsys):
     assert "klimyk: 0" in out and "steinberg: 0" in out and "bz: 0" in out
 
 
+def test_lr_all_uses_the_methods_of_the_algebra(capsys):
+    rc, out = run(capsys, "lr", "B3", "1,1,2", "1,1,2", "1,1,2")
+    assert rc == 0
+    assert out.splitlines() == ["klimyk: 20", "steinberg: 20", "agree: yes"]
+
+
+def test_internal_invariant_failure_exits_1(monkeypatch, capsys):
+    import hornvol.cli as cli
+    from hornvol._exact import InvariantError
+
+    def broken(*args):
+        raise InvariantError("Klimyk sum -1 < 0")
+
+    monkeypatch.setattr(cli, "lr_klimyk", broken)
+    assert main(["lr", "B2", "1,0", "1,0", "2,0"]) == 1
+    assert capsys.readouterr().err == "error: Klimyk sum -1 < 0\n"
+
+
 def test_lr_trivial_factor(capsys):
     rc, out = run(capsys, "lr", "B2", "0,0", "3,4", "3,4", "--method", "klimyk")
     assert rc == 0
@@ -117,6 +135,13 @@ def test_grid_dynkin_basis(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("res", ["0", "-3"])
+def test_grid_rejects_res_below_one(tmp_path, capsys, res):
+    rc = main(["grid", "17,4", "15,9", "--res", res, "--csv", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --res")
+
+
 def test_covolume_family_column(capsys):
     rc, out = run(capsys, "covolume", "--family", "B", "--max-rank", "8")
     assert rc == 0
@@ -133,6 +158,13 @@ def test_covolume_a1(capsys):
 def test_sample_rejects_zero_n(capsys):
     rc, _ = run(capsys, "sample", "so2", "-N", "0")
     assert rc == 2
+
+
+@pytest.mark.parametrize("mode", ["b2", "so2"])
+def test_sample_rejects_bins_below_one(tmp_path, capsys, mode):
+    rc = main(["sample", mode, "-N", "100", "--bins", "0", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --bins")
 
 
 def test_sample_so2_files(tmp_path, capsys):
