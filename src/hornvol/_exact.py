@@ -8,8 +8,8 @@ elimination and Bareiss are more than adequate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
-from math import factorial
 from typing import Sequence
 
 Vec = tuple[Q, ...]
@@ -65,16 +65,11 @@ def solve_square(A: Sequence[Sequence], b: Sequence) -> list[Q]:
     return [M[i][n] for i in range(n)]
 
 
-class UnderdeterminedSystemError(ValueError):
-    pass
-
-
-def solve_in_span(vectors: Sequence[Sequence], target: Sequence, require_unique: bool = False) -> list[Q]:
+def solve_in_span(vectors: Sequence[Sequence], target: Sequence) -> list[Q]:
     """Coefficients c with sum c_i vectors[i] = target, or raise if outside the span.
 
     The system may be overdetermined (more coordinates than vectors); exact
-    consistency of the leftover equations is enforced.  With require_unique,
-    a rank-deficient system raises instead of zero-filling free coefficients.
+    consistency of the leftover equations is enforced.
     """
     m = len(vectors)          # unknowns
     n = len(target)           # equations
@@ -94,8 +89,6 @@ def solve_in_span(vectors: Sequence[Sequence], target: Sequence, require_unique:
                 M[r] = [vr - f * vc for vr, vc in zip(M[r], M[row])]
         pivots.append(col)
         row += 1
-    if require_unique and len(pivots) < m:
-        raise UnderdeterminedSystemError(f"rank {len(pivots)} < {m} unknowns")
     for r in range(row, n):
         if M[r][m] != 0:
             raise InconsistentSystemError("target not in span")
@@ -160,11 +153,6 @@ def det_fraction(A: Sequence[Sequence]) -> Q:
 Poly2 = dict
 
 
-def p2_const(c) -> Poly2:
-    c = Q(c)
-    return {(0, 0): c} if c else {}
-
-
 def p2_add(p: Poly2, q: Poly2) -> Poly2:
     out = dict(p)
     for k, v in q.items():
@@ -214,55 +202,42 @@ def p2_linear(a, b, c) -> Poly2:
     return out
 
 
-def p2_pow(p: Poly2, n: int) -> Poly2:
-    out = p2_const(1)
-    for _ in range(n):
-        out = p2_mul(out, p)
-    return out
-
-
-def p2_subst(p: Poly2, px: Poly2, py: Poly2) -> Poly2:
-    """Substitute x -> px(u, v), y -> py(u, v)."""
-    deg_x = max((i for (i, _) in p), default=0)
-    deg_y = max((j for (_, j) in p), default=0)
-    xpows = [p2_const(1)]
-    for _ in range(deg_x):
-        xpows.append(p2_mul(xpows[-1], px))
-    ypows = [p2_const(1)]
-    for _ in range(deg_y):
-        ypows.append(p2_mul(ypows[-1], py))
-    out: Poly2 = {}
-    for (i, j), c in p.items():
-        out = p2_add(out, p2_scale(c, p2_mul(xpows[i], ypows[j])))
-    return out
-
-
-def p2_integrate_triangle(p: Poly2, v0, v1, v2) -> Q:
-    """Exact integral of p over the triangle (v0, v1, v2).
-
-    Maps the reference triangle {u, v >= 0, u+v <= 1} affinely onto the
-    triangle and uses  \\int u^a v^b = a! b! / (a+b+2)!.
-    """
-    (x0, y0), (x1, y1), (x2, y2) = (qvec(v0), qvec(v1), qvec(v2))
-    jac = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if jac == 0:
-        return Q(0)
-    px = p2_add(p2_const(x0), p2_linear(x1 - x0, x2 - x0, 0))
-    py = p2_add(p2_const(y0), p2_linear(y1 - y0, y2 - y0, 0))
-    q = p2_subst(p, px, py)
-    total = sum(
-        (c * Q(factorial(a) * factorial(b), factorial(a + b + 2)) for (a, b), c in q.items()),
-        Q(0),
-    )
-    return abs(jac) * total
-
-
 def p2_integrate_polygon(p: Poly2, vertices: Sequence) -> Q:
-    """Exact integral of p over a convex polygon given by its vertex cycle."""
-    if len(vertices) < 3:
+    """Exact integral of p over a simple polygon given by its vertex cycle.
+
+    Green's theorem gives every monomial moment as a sum over the edges
+    (x_k, y_k) -> (x_{k+1}, y_{k+1}):
+
+        int x^i y^j = sum_k c_k sum_{a<=i, b<=j} C(a+b, b) C(i+j-a-b, j-b)
+                      x_k^a x_{k+1}^(i-a) y_k^b y_{k+1}^(j-b)
+                      / ((i+j+2) (i+j+1) C(i+j, i))
+
+    with c_k = x_k y_{k+1} - x_{k+1} y_k.  The vertices are scaled to
+    integers by the lcm of their denominators, so each moment is one integer
+    sum; the sign of the shoelace area fixes the orientation.
+    """
+    n = len(vertices)
+    if n < 3 or not p:
         return Q(0)
-    v0 = vertices[0]
-    return sum(
-        (p2_integrate_triangle(p, v0, vertices[i], vertices[i + 1]) for i in range(1, len(vertices) - 1)),
-        Q(0),
-    )
+    pts = [qvec(v) for v in vertices]
+    scale = math.lcm(*(v.denominator for pt in pts for v in pt))
+    X = [int(x * scale) for x, _ in pts]
+    Y = [int(y * scale) for _, y in pts]
+    cross = [X[k] * Y[(k + 1) % n] - X[(k + 1) % n] * Y[k] for k in range(n)]
+    area2 = sum(cross)
+    if area2 == 0:
+        return Q(0)
+    deg = max(max(i, j) for i, j in p)
+    xs = [[v**e for e in range(deg + 1)] for v in X]
+    ys = [[v**e for e in range(deg + 1)] for v in Y]
+    edges = [(xs[k], xs[(k + 1) % n], ys[k], ys[(k + 1) % n]) for k in range(n)]
+    total = Q(0)
+    for (i, j), c in p.items():
+        m = i + j
+        weights = [(a, b, math.comb(a + b, b) * math.comb(m - a - b, j - b))
+                   for a in range(i + 1) for b in range(j + 1)]
+        s = 0
+        for ck, (xa, xb, ya, yb) in zip(cross, edges):
+            s += ck * sum(w * xa[a] * xb[i - a] * ya[b] * yb[j - b] for a, b, w in weights)
+        total += c * Q(s, (m + 2) * (m + 1) * math.comb(m, i) * scale ** (m + 2))
+    return total if area2 > 0 else -total

@@ -271,8 +271,13 @@ class RationalPolygon:
 
 
 def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
-    """Clip a convex CCW vertex cycle against a*x + b*y >= c (Sutherland-Hodgman)."""
-    a, b, c = Q(a), Q(b), Q(c)
+    """Clip a convex CCW vertex cycle against a*x + b*y >= c (Sutherland-Hodgman).
+
+    Exact arguments give exact vertices.  Float arguments stay floats, so a
+    float caller pays for no Fraction arithmetic.
+    """
+    if not any(isinstance(v, float) for v in (a, b, c)):
+        a, b, c = Q(a), Q(b), Q(c)  # keeps t below exact when everything is an int
     out: list[Point] = []
     n = len(vertices)
     for i in range(n):
@@ -292,17 +297,6 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return tuple(dedup)
-
-
-def cell_area(vertices: Sequence[Point]) -> Q:
-    if len(vertices) < 3:
-        return Q(0)
-    s = Q(0)
-    for i in range(len(vertices)):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % len(vertices)]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2
 
 
 def cell_centroid(vertices: Sequence[Point]) -> Point:

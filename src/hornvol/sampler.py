@@ -168,6 +168,7 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
         pw = piecewise_analyze_b2(alpha, beta)
     scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
     ex, ey = edges
+    fx, fy = ex.tolist(), ey.tolist()    # Python floats: clip_cell stays in float arithmetic
     probs = np.zeros((len(ex) - 1, len(ey) - 1))
     for cell in pw.cells:
         dens = p2_scale(scale, p2_mul({(3, 1): Q(1), (1, 3): Q(-1)}, cell.poly))
@@ -178,13 +179,13 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
         i0, i1 = np.searchsorted(ex, min(cxs)) - 1, np.searchsorted(ex, max(cxs))
         j0, j1 = np.searchsorted(ey, min(cys)) - 1, np.searchsorted(ey, max(cys))
         for i in range(max(i0, 0), min(i1, len(ex) - 1)):
-            strip = clip_cell(verts, 1.0, 0.0, ex[i])
-            strip = clip_cell(strip, -1.0, 0.0, -ex[i + 1])
+            strip = clip_cell(verts, 1.0, 0.0, fx[i])
+            strip = clip_cell(strip, -1.0, 0.0, -fx[i + 1])
             if len(strip) < 3:
                 continue
             for j in range(max(j0, 0), min(j1, len(ey) - 1)):
-                piece = clip_cell(strip, 0.0, 1.0, ey[j])
-                piece = clip_cell(piece, 0.0, -1.0, -ey[j + 1])
+                piece = clip_cell(strip, 0.0, 1.0, fy[j])
+                piece = clip_cell(piece, 0.0, -1.0, -fy[j + 1])
                 if len(piece) < 3:
                     continue
                 probs[i, j] += _float_polygon_integral(fdens, piece)

@@ -2,9 +2,10 @@
 
 * exact Weyl-sum evaluation of J on the gamma-plane,
 * Horn polygon membership and the candidate singular lines,
-* piecewise-quadratic cell analysis with wall-jump classification,
+* piecewise-quadratic cell analysis, each cell's quadratic read off the
+  Weyl sum, with wall-jump classification,
 * the two J-LR relations and the c_kappa / c-hat_kappa coefficients,
-* the Horn PDF with its exact normalization integral,
+* the Horn PDF with its exact normalization integral by polygon moments,
 * the SO(2) real-symmetric closed form.
 
 Arguments named alpha/beta/gamma are pairs of rationals in the orthonormal
@@ -27,15 +28,11 @@ from ._exact import (
     p2_scale,
     p2_sub,
     qvec,
-    solve_in_span,
-    InconsistentSystemError,
-    UnderdeterminedSystemError,
 )
 from .bzpolytope import (
     HalfPlane,
     RationalPolygon,
     bz_polygon_b2,
-    cell_area,
     cell_centroid,
     clip_cell,
 )
@@ -298,7 +295,8 @@ class Wall:
 
     classification is one of:
       'inactive'            zero jump across an internal wall
-      'quadratic-ramp'      internal jump of the form +-(1/2) Delta^2
+      'quadratic-ramp'      internal jump (m/2) Delta^2, 0 < |m| <= the number
+                            of candidate lines merged into the wall's line
       'boundary-quadratic'  outer Horn facet, cell quadratic equals (1/2) Delta^2
       'boundary-linear'     dashed chamber wall, quadratic vanishes on the line
       'violation'           anything else (must not occur)
@@ -309,7 +307,7 @@ class Wall:
     segment: tuple[Pair, Pair]
     cells: tuple[int, ...]       # adjacent cell indices (1 for boundary walls)
     classification: str
-    jump_sign: int = 0           # sign of the (1/2) Delta^2 term, 0 if none
+    jump_sign: int = 0           # m of an (m/2) Delta^2 ramp or facet, 0 if none
 
 
 @dataclass(frozen=True)
@@ -373,62 +371,70 @@ def _point_in_cell(verts, p: Pair, strict: bool) -> bool:
     return True
 
 
-def _cell_targets(verts) -> list[Pair]:
-    """Vertices, edge midpoints and edge quarter-points of a cell, in order."""
-    n = len(verts)
-    out = list(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        out.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        out.append(((3 * p[0] + q[0]) / 4, (3 * p[1] + q[1]) / 4))
-    return out
+def _weyl_terms(alpha: Pair, beta: Pair) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The terms of the j_b2 Weyl sum as (scale, ((x0, y0, eps), ...)).
 
-
-def _fit_points(verts) -> tuple[list[Pair], list[Pair]]:
-    """(fitting points, verification points), all strictly inside the cell.
-
-    Rays from the centroid toward vertices alone can be rank-deficient (a
-    parallelogram's vertex rays are its two diagonals), so edge midpoints
-    and quarter points are included, and the verification set hugs the
-    boundary where a missed singular line would clip a cell.
+    Each term contributes eps * sign(x + y) * (4x|x| - 4y|y| - 2d|d|) / 32 with
+    x = (x0 - scale*g1)/scale, y = (y0 - scale*g2)/scale and d = x - y.  Pairs
+    of Weyl elements that give the same (x0, y0) are merged; terms whose
+    signs cancel are dropped.
     """
-    g = cell_centroid(verts)
-    targets = _cell_targets(verts)
-    fit: list[Pair] = [g]
-    for t in (Q(1, 2), Q(3, 4), Q(1, 4)):
-        for v in targets:
-            fit.append((g[0] + t * (v[0] - g[0]), g[1] + t * (v[1] - g[1])))
-    verify: list[Pair] = []
-    for t in (Q(9, 10), Q(19, 20), Q(2, 3)):
-        for v in targets:
-            verify.append((g[0] + t * (v[0] - g[0]), g[1] + t * (v[1] - g[1])))
-    seen = set(fit)
-    verify = [p for p in verify if p not in seen]
-    return list(dict.fromkeys(fit)), list(dict.fromkeys(verify))
+    scale = math.lcm(*(v.denominator for v in (*alpha, *beta)))
+    ia1, ia2 = (int(v * scale) for v in alpha)
+    ib1, ib2 = (int(v * scale) for v in beta)
+    eps: dict[tuple[int, int], int] = {}
+    for swap, s1, s2, e1 in _B2W:
+        wa1, wa2 = (ia2, ia1) if swap else (ia1, ia2)
+        for swap2, t1, t2, e2 in _B2W:
+            wb1, wb2 = (ib2, ib1) if swap2 else (ib1, ib2)
+            key = (s1 * wa1 + t1 * wb1, s2 * wa2 + t2 * wb2)
+            eps[key] = eps.get(key, 0) + e1 * e2
+    return scale, tuple((x0, y0, e) for (x0, y0), e in eps.items() if e)
 
 
-def _fit_quadratic(verts, fn) -> tuple[Q, ...]:
-    """Exact 6-coefficient quadratic matching fn on interior points of a cell.
+def _sign_over(level: int, lo: int, hi: int) -> int:
+    """The sign of level - t for t in [lo, hi] (lo < hi), or raise if it changes."""
+    if level >= hi:
+        return 1
+    if level <= lo:
+        return -1
+    raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
 
-    Fits a full-rank subset of interior points and verifies on the rest,
-    including points close to every edge and corner; any mismatch means the
-    cell straddles a change of determination (a missed singular line).
+
+def _cell_quadratic(terms: tuple[int, tuple], verts) -> tuple[Q, ...]:
+    """The six coefficients of J on a convex cell, read off the Weyl sum.
+
+    Each term is one quadratic wherever its linear forms x, y, x - y and
+    x + y keep one sign.  These forms are linear in gamma and the cell is
+    convex, so their range over the cell is spanned by the vertices; when
+    every form keeps its sign there, J equals the summed quadratic on the
+    whole closed cell (on x + y = 0 both the term and its quadratic vanish).
+    Otherwise PiecewiseFitError is raised.  All sums run in integers.
     """
-    fit_pts, verify_pts = _fit_points(verts)
-    rows = [(Q(1), x, y, x * x, x * y, y * y) for x, y in fit_pts]
-    vals = [fn(p) for p in fit_pts]
-    cols = [tuple(r[k] for r in rows) for k in range(6)]
-    try:
-        coeffs = tuple(solve_in_span(cols, vals, require_unique=True))
-    except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-        raise PiecewiseFitError(f"no unique quadratic fits cell with centroid {cell_centroid(verts)}") from exc
-    poly = {k: c for k, c in zip(_QUAD_KEYS, coeffs) if c}
-    for p in verify_pts:
-        if p2_eval(poly, *p) != fn(p):
-            raise PiecewiseFitError(f"quadratic fit fails off-sample at {p}")
-    return coeffs
+    scale, table = terms
+    vscale = math.lcm(scale, *(v.denominator for p in verts for v in p))
+    m = vscale // scale
+    vs = [(int(x * vscale), int(y * vscale)) for x, y in verts]
+    # values of g1, g2, g1 - g2 and g1 + g2 at the vertices
+    forms = list(zip(*((u, v, u - v, u + v) for u, v in vs)))
+    lx, ly, ld, lt = map(min, forms)
+    hx, hy, hd, ht = map(max, forms)
+    c0 = cx = cy = cxx = cxy = cyy = 0
+    for x0, y0, e in table:
+        d0 = x0 - y0
+        sx = _sign_over(x0 * m, lx, hx)
+        sy = _sign_over(y0 * m, ly, hy)
+        sd = _sign_over(d0 * m, ld, hd)
+        k = e * _sign_over((x0 + y0) * m, lt, ht)
+        # k * (4 sx x^2 - 4 sy y^2 - 2 sd d^2), expanded in (g1, g2)
+        c0 += k * (4 * sx * x0 * x0 - 4 * sy * y0 * y0 - 2 * sd * d0 * d0)
+        cx += k * (4 * sd * d0 - 8 * sx * x0)
+        cy += k * (8 * sy * y0 - 4 * sd * d0)
+        cxx += k * (4 * sx - 2 * sd)
+        cxy += k * 4 * sd
+        cyy += k * (-4 * sy - 2 * sd)
+    return (Q(c0, 32 * scale * scale), Q(cx, 32 * scale), Q(cy, 32 * scale),
+            Q(cxx, 32), Q(cxy, 32), Q(cyy, 32))
 
 
 def _edge_line(p: Pair, q: Pair) -> tuple[str, Q] | None:
@@ -463,11 +469,14 @@ def _overlap_1d(seg1, seg2):
 
 
 def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
-    """Partition the Horn polygon by the candidate lines and fit J on each cell.
+    """Partition the Horn polygon by the candidate lines and read J off each cell.
 
     Inputs are swapped if needed so that |beta1 - alpha2| >= |alpha1 - beta2|.
-    Raises PiecewiseFitError if some cell carries no single quadratic, which
-    would signal a missed singular line.
+    Each cell's quadratic is summed from the Weyl terms of j_b2 (see
+    _cell_quadratic); a term whose linear forms change sign between the
+    cell's vertices raises PiecewiseFitError, which would signal a missed
+    singular line.  Internal walls are classified by the jump of the
+    quadratics across them (see Wall).
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     _check_regular_ordered(alpha, beta)
@@ -484,19 +493,20 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
         a, b = ln.normal
         new: list[tuple[Pair, ...]] = []
         for cell in cells:
-            plus = clip_cell(cell, a, b, ln.level)
-            minus = clip_cell(cell, -a, -b, -ln.level)
-            if cell_area(plus) > 0 and cell_area(minus) > 0:
-                new.extend((plus, minus))
+            vals = [a * p[0] + b * p[1] for p in cell]
+            if min(vals) < ln.level < max(vals):
+                new.extend((clip_cell(cell, a, b, ln.level), clip_cell(cell, -a, -b, -ln.level)))
             else:
                 new.append(cell)
         cells = new
 
-    fn = lambda p: j_b2(alpha, beta, p)
-    fitted = tuple(QuadCell(tuple(c), _fit_quadratic(c, fn)) for c in cells)
+    terms = _weyl_terms(alpha, beta)
+    fitted = tuple(QuadCell(tuple(c), _cell_quadratic(terms, c)) for c in cells)
 
     # classify every maximal wall piece
     walls: list[Wall] = []
+    sources = {(ln.kind, ln.level): ln.source.count(",") + 1 for ln in lines}
+    centroids = [cell.centroid() for cell in fitted]
     # collect, per (kind, level), the edges of each cell lying on that line
     line_edges: dict[tuple[str, Q], list[tuple[int, tuple[Pair, Pair]]]] = {}
     for idx, cell in enumerate(fitted):
@@ -514,27 +524,20 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
         # axis used to parametrize positions along the line
         axis = (lambda s: s[1]) if kind == "g1" else (lambda s: s[0])
         sq = SingularLine(kind, level, "").delta_squared()
+        sides = [_side_of(centroids[ci], a, b, level) for ci, _ in entries]
         matched: set[int] = set()
         for i in range(len(entries)):
             ci, (p1, q1) = entries[i]
-            side_i = _side_of(fitted[ci].vertices, a, b, level)
             for j in range(i + 1, len(entries)):
                 cj, (p2, q2) = entries[j]
-                if _side_of(fitted[cj].vertices, a, b, level) == side_i:
+                if sides[j] == sides[i]:
                     continue
                 ov = _overlap_1d((axis(p1), axis(q1)), (axis(p2), axis(q2)))
                 if ov is None:
                     continue
-                hi, lo = (ci, cj) if side_i > 0 else (cj, ci)
+                hi, lo = (ci, cj) if sides[i] > 0 else (cj, ci)
                 diff = p2_sub(fitted[hi].poly, fitted[lo].poly)
-                if not diff:
-                    cls, sign = "inactive", 0
-                elif diff == p2_scale(Q(1, 2), sq):
-                    cls, sign = "quadratic-ramp", 1
-                elif diff == p2_scale(Q(-1, 2), sq):
-                    cls, sign = "quadratic-ramp", -1
-                else:
-                    cls, sign = "violation", 0
+                cls, sign = _jump_class(diff, sq, sources.get((kind, level), 1))
                 seg = _clip_segment_on_line(kind, level, ov)
                 walls.append(Wall(kind, level, seg, (hi, lo), cls, sign))
                 matched.add(i)
@@ -560,10 +563,25 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     )
 
 
-def _side_of(verts, a, b, level) -> int:
-    g = cell_centroid(verts)
+def _side_of(g: Pair, a, b, level) -> int:
     v = a * g[0] + b * g[1] - level
     return 1 if v > 0 else (-1 if v < 0 else 0)
+
+
+def _jump_class(diff: Poly2, sq: Poly2, sources: int) -> tuple[str, int]:
+    """Classify the jump diff of the cell quadratics across a line with Delta^2 = sq.
+
+    Each of the `sources` coincident candidate lines merged into the line
+    jumps by +-(1/2) Delta^2 or not at all, so a legal jump is (m/2) Delta^2
+    with m an integer and 0 < |m| <= sources.
+    """
+    if not diff:
+        return "inactive", 0
+    key = (2, 0) if (2, 0) in sq else (0, 2)    # every Delta^2 has a pure square term
+    m = 2 * diff.get(key, 0) / sq[key]
+    if m.denominator == 1 and 0 < abs(m) <= sources and diff == p2_scale(m / 2, sq):
+        return "quadratic-ramp", int(m)
+    return "violation", 0
 
 
 def _clip_segment_on_line(kind: str, level: Q, span: tuple[Q, Q]) -> tuple[Pair, Pair]:
@@ -725,7 +743,12 @@ def pdf_b2(alpha, beta, gamma) -> Q:
 
 
 def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None) -> Q:
-    """Exact integral of the PDF over the Horn polygon (fan triangulation per cell)."""
+    """Exact integral of the PDF over the Horn polygon.
+
+    Each cell contributes the integral of Delta(gamma) times its quadratic,
+    a polynomial of degree 6, by closed-form polygon moments
+    (p2_integrate_polygon).
+    """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
         pw = piecewise_analyze_b2(alpha, beta)

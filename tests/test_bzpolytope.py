@@ -14,6 +14,7 @@ from hornvol.bzpolytope import (
     _convex_hull,
     boundary_interior_counts,
     bz_polygon_b2,
+    clip_cell,
     degeneracy_info,
     lattice_point_count,
     pick_relation_check,
@@ -192,6 +193,19 @@ def test_vertices_satisfy_two_halfplanes_with_equality():
         tight = sum(1 for h in P.halfplanes if h.value(v) == 0)
         assert tight >= 2
         assert all(h.value(v) >= 0 for h in P.halfplanes)
+
+
+def test_clip_cell_keeps_exact_and_float_arithmetic():
+    tri = ((0, 0), (3, 0), (0, 3))
+    exact = clip_cell(tri, 1, 0, 1)
+    assert exact == ((1, 0), (3, 0), (1, 2))
+    assert all(isinstance(v, (int, Q)) for p in exact for v in p)
+    # int-only crossings: t = 1/3 must not become a float
+    assert clip_cell(((0, 0), (1, 0), (0, 3)), 0, 1, 1) == ((Q(2, 3), 1), (0, 3), (0, 1))
+    assert clip_cell(tri, 1, 0, Q(1, 2))[0] == (Q(1, 2), 0)
+    floats = clip_cell([(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 1.0, 0.0, 1.0)
+    assert floats == ((1.0, 0.0), (3.0, 0.0), (1.0, 2.0))
+    assert all(type(v) is float for p in floats for v in p)
 
 
 def test_json_serialization():

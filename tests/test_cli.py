@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -208,11 +209,17 @@ def test_bad_algebra_and_weights(capsys):
         ("ehrhart_5634210.json", ["ehrhart", "B2", "5,6", "3,4", "2,10"]),
         ("lr_563464.json", ["lr", "B2", "5,6", "3,4", "6,4", "--format", "json"]),
         ("covolume_g2.json", ["covolume", "--family", "G2", "--format", "json"]),
+        ("grid_cells_174_159.json", ["grid", "17,4", "15,9", "--csv", os.devnull, "--cells", "{cells}"]),
+        ("grid_cells_153_178.json", ["grid", "15,3", "17,8", "--csv", os.devnull, "--cells", "{cells}"]),
     ],
 )
-def test_golden_outputs(capsys, name, argv):
-    rc, out = run(capsys, *argv)
+def test_golden_outputs(capsys, tmp_path, name, argv):
+    cells = tmp_path / "cells.json"
+    rc, out = run(capsys, *(str(cells) if a == "{cells}" else a for a in argv))
     assert rc == 0
+    if cells.exists():
+        out = cells.read_text()
+        assert out == (GOLDEN / name).read_text()
     got = json.loads(out)
     assert got["schema_version"] == 1
     expected = json.loads((GOLDEN / name).read_text())

@@ -3,15 +3,21 @@ from fractions import Fraction as Q
 
 import math
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hornvol._exact import p2_add, p2_eval, p2_scale, p2_sub
-from hornvol.bzpolytope import bz_polygon_b2
+from hornvol._exact import p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
+from hornvol.bzpolytope import _convex_hull, bz_polygon_b2
 from hornvol.ehrhart import leading_coefficient, stretching_quasi_polynomial
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system
 from hornvol.volume import (
     IncompatibleTripleError,
     NotShiftableError,
+    PiecewiseFitError,
     SingularLine,
+    _cell_quadratic,
+    _jump_class,
+    _weyl_terms,
     b2_dynkin_to_ortho,
     c_kappa_via_kissinger,
     c1_wall_discrepancies,
@@ -35,6 +41,21 @@ from hornvol.volume import (
 
 B2 = build_root_system("B", 2)
 RHO = (Q(3, 2), Q(1, 2))
+
+
+@st.composite
+def regular_half_pairs(draw):
+    """(alpha, beta), each k/2-valued with 10 >= x1 > x2 > 0."""
+
+    def point():
+        hi = draw(st.integers(2, 20))
+        return (Q(hi, 2), Q(draw(st.integers(1, hi - 1)), 2))
+
+    return point(), point()
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+rational_points = st.tuples(rationals, rationals)
 
 
 # -- direct evaluation ---------------------------------------------------------
@@ -196,6 +217,72 @@ def test_piecewise_cells_reproduce_j(pw_left):
             assert p2_eval(pw_left.cells[i].poly, *p) == j_b2(pw_left.alpha, pw_left.beta, p)
 
 
+@settings(max_examples=30, deadline=None)
+@given(regular_half_pairs(), st.randoms(use_true_random=False))
+def test_cell_quadratics_equal_j_on_closed_cells(pair, rng):
+    alpha, beta = pair
+    pw = piecewise_analyze_b2(alpha, beta)
+    for cell in pw.cells:
+        verts = cell.vertices
+        points = [cell.centroid()]
+        for _ in range(2):
+            # a random convex combination; zero weights land on edges and vertices
+            w = [rng.randint(0, 3) for _ in verts]
+            if sum(w):
+                points.append(tuple(sum(wk * v[c] for wk, v in zip(w, verts)) / sum(w) for c in (0, 1)))
+            k = rng.randrange(len(verts))
+            p, q = verts[k], verts[(k + 1) % len(verts)]
+            t = Q(rng.randint(0, 8), 8)
+            points.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        for g in points:
+            assert p2_eval(cell.poly, *g) == j_b2(pw.alpha, pw.beta, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(regular_half_pairs())
+def test_pdf_normalization_on_random_pairs(pair):
+    assert pdf_normalization_integral(*pair) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(regular_half_pairs())
+def test_unsplit_horn_polygon_is_not_one_cell(pair):
+    alpha, beta = pair
+    with pytest.raises(PiecewiseFitError):
+        _cell_quadratic(_weyl_terms(alpha, beta), horn_polygon(alpha, beta).vertices)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [((Q(11, 2), Q(3, 2)), (5, 2)), ((9, 4), (7, 2)), ((12, 5), (10, 3))],
+)
+def test_coincident_lines_jump_by_their_multiplicity(alpha, beta):
+    pw = piecewise_analyze_b2(alpha, beta)
+    assert pw.violations() == []
+    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in pw.lines}
+    merged = [w for w in pw.walls if abs(w.jump_sign) > 1]
+    assert merged
+    for w in merged:
+        assert w.classification == "quadratic-ramp"
+        assert abs(w.jump_sign) <= sources[(w.kind, w.level)]
+
+
+def test_tampered_jumps_are_violations():
+    pw = piecewise_analyze_b2((Q(11, 2), Q(3, 2)), (5, 2))
+    line = next(l for l in pw.lines if l.source.count(",") == 2)
+    sq = line.delta_squared()
+    assert _jump_class(p2_scale(Q(3, 2), sq), sq, 3) == ("quadratic-ramp", 3)
+    assert _jump_class(p2_scale(Q(-2, 2), sq), sq, 3) == ("quadratic-ramp", -2)
+    # beyond the number of merged sources
+    assert _jump_class(p2_scale(Q(4, 2), sq), sq, 3) == ("violation", 0)
+    assert _jump_class(p2_scale(Q(2, 2), sq), sq, 1) == ("violation", 0)
+    # not an integer multiple of Delta^2 / 2
+    assert _jump_class(p2_scale(Q(3, 4), sq), sq, 3) == ("violation", 0)
+    # not a multiple of Delta^2 at all
+    assert _jump_class(p2_add(p2_scale(Q(1, 2), sq), {(1, 0): Q(1)}), sq, 3) == ("violation", 0)
+    assert _jump_class({(0, 2): Q(1, 2)}, SingularLine("g1", Q(3), "").delta_squared(), 3) == ("violation", 0)
+
+
 def test_piecewise_wall_classes(pw_left):
     kinds = {w.classification for w in pw_left.walls}
     assert "quadratic-ramp" in kinds
@@ -255,6 +342,52 @@ def test_detected_nonanalyticities_lie_on_candidate_lines(pw_left):
     for w in pw_left.walls:
         if w.classification == "quadratic-ramp" and w.jump_sign != 0:
             assert (w.kind, w.level) in candidates
+
+
+def _fan_integral(p, verts):
+    """Reference integral: fan triangulation, each triangle mapped onto the
+    reference triangle, where int u^a v^b = a! b! / (a+b+2)!."""
+    total = Q(0)
+    x0, y0 = verts[0]
+    for (x1, y1), (x2, y2) in zip(verts[1:], verts[2:]):
+        jac = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        px = p2_linear(x1 - x0, x2 - x0, x0)
+        py = p2_linear(y1 - y0, y2 - y0, y0)
+        for (i, j), c in p.items():
+            q = {(0, 0): Q(1)}
+            for factor in [px] * i + [py] * j:
+                q = p2_mul(q, factor)
+            ref = sum(d * Q(math.factorial(a) * math.factorial(b), math.factorial(a + b + 2))
+                      for (a, b), d in q.items())
+            total += abs(jac) * c * ref
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(rational_points, min_size=3, max_size=8),
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda k: sum(k) <= 6),
+        rationals,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+def test_polygon_moments_match_fan_triangulation(points, poly, clockwise):
+    hull = _convex_hull(points)
+    if clockwise:
+        hull = hull[::-1]
+    expected = _fan_integral(poly, hull) if len(hull) >= 3 else Q(0)
+    assert p2_integrate_polygon(poly, hull) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_points, rational_points, rational_points, st.fractions(min_value=Q(1, 6), max_value=6, max_denominator=6))
+def test_j_symmetric_and_homogeneous(alpha, beta, gamma, s):
+    base = j_b2(alpha, beta, gamma)
+    assert j_b2(beta, alpha, gamma) == base
+    scaled = [(s * x, s * y) for x, y in (alpha, beta, gamma)]
+    assert j_b2(*scaled) == s * s * base
 
 
 # -- J-LR relations -----------------------------------------------------------
