@@ -25,7 +25,7 @@ from .bzpolytope import (
     pick_relation_check,
 )
 from .covolume import covolume_markdown, covolume_report, covolume_table
-from .ehrhart import leading_coefficient, stretching_quasi_polynomial
+from .ehrhart import NoDefaultPeriodError, leading_coefficient, stretching_quasi_polynomial
 from .multiplicity import lr_klimyk, lr_steinberg
 from .rootsys import build_root_system, is_compatible, UnsupportedAlgebraError
 from .volume import (
@@ -298,9 +298,10 @@ def cmd_ehrhart(args) -> int:
     )
     if not is_compatible(rs, lam, mu, nu):
         raise CliError(f"triple {lam}, {mu}, {nu} is not compatible (lam+mu-nu not in the root lattice)")
-    quasi, samples = stretching_quasi_polynomial(
-        rs, lam, mu, nu, period=args.period, smax=args.smax
-    )
+    try:
+        quasi, samples = stretching_quasi_polynomial(rs, lam, mu, nu, period=args.period, smax=args.smax)
+    except NoDefaultPeriodError as exc:
+        raise CliError(f"{exc}; pass --period") from exc
     payload = {
         "algebra": args.algebra,
         "lam": lam, "mu": mu, "nu": nu,
@@ -345,7 +346,7 @@ def cmd_sample(args) -> int:
         chi_square_vs_pdf,
         ks_distance_so2,
         sample_b2_spectrum,
-        sample_so2_symmetric,
+        so2_histogram,
         so2_samples,
     )
 
@@ -382,8 +383,9 @@ def cmd_sample(args) -> int:
         ok = hist.samples_outside_support == 0 and summary.p_value > 1e-3
     else:
         a12, b12 = Q(args.alpha12), Q(args.beta12)
-        hist = sample_so2_symmetric(a12, b12, args.n_samples, args.seed, bins=args.bins)
-        ks = ks_distance_so2(so2_samples(a12, b12, args.n_samples, args.seed), a12, b12)
+        samples = so2_samples(a12, b12, args.n_samples, args.seed)
+        hist = so2_histogram(samples, a12, b12, args.seed, bins=args.bins)
+        ks = ks_distance_so2(samples, a12, b12)
         edges = hist.edges[0]
         with open(prefix + ".csv", "w", newline="") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": args.n_samples,

@@ -28,6 +28,10 @@ class LeadingCoefficientError(ValueError):
     pass
 
 
+class NoDefaultPeriodError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """period and, per residue class mod period, coefficients (c0, ..., cd)."""
@@ -118,8 +122,14 @@ def reciprocity_check(quasi: QuasiPolynomial, P: RationalPolygon) -> bool:
 
 def default_period(rs: RootSystem) -> int:
     # stretching quasi-polynomials of compatible triples are genuine
-    # polynomials for A_r and have period at most 2 for B/C/D
-    return 1 if rs.family == "A" else 2
+    # polynomials for A_r and have period at most 2 for B/C/D; for G2 the
+    # period is larger (2, 3 and 4 all misfit (1,1)^3), so the exceptional
+    # algebras get no default
+    if rs.family == "A":
+        return 1
+    if rs.family in ("B", "C", "D"):
+        return 2
+    raise NoDefaultPeriodError(f"no default period for {rs.family}")
 
 
 def _default_lr(rs: RootSystem):

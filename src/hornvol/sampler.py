@@ -1,20 +1,24 @@
 """Monte Carlo cross-validation of the B2 Horn PDF and the SO(2) closed form.
 
 This is the only floating-point module.  B2 samples are spectra of
-g1 A g1^T + g2 B g2^T for Haar-random g1, g2 in SO(5) and block-diagonal
-skew matrices A, B; the two nonnegative block frequencies come out of the
-eigenvalues of the positive-semidefinite matrix -M^2, which avoids complex
-eigensolvers.  Histograms are deterministic given (N, seed).
+A + g B g^T for one Haar-random g in SO(5) per sample and block-diagonal
+skew matrices A, B: the spectrum of g1 A g1^T + g2 B g2^T is that of
+A + (g1^T g2) B (g1^T g2)^T, and g1^T g2 is again Haar.  The two block
+frequencies of the 5 x 5 skew matrix M = A + g B g^T solve a quadratic:
+gamma1^2 + gamma2^2 is the sum of the squared upper entries of M, and
+gamma1^2 gamma2^2 is the sum of the squared Pfaffians of its five 4 x 4
+principal minors.  Histograms are deterministic given (N, seed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
 
-from ._exact import p2_mul, p2_scale
+from ._exact import p2_mul
 from .bzpolytope import clip_cell
 from .volume import (
     delta_b2,
@@ -47,22 +51,50 @@ class HornHistogram:
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """A batch of Haar-distributed SO(n) matrices (QR with sign-fixed diagonal)."""
-    g = rng.standard_normal((size, n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("...ii->...i", r))
-    d[d == 0] = 1.0
-    q = q * d[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0, :, -1] *= -1.0
+    """A batch of Haar-distributed SO(n) matrices.
+
+    The Q factor of a Gaussian matrix with positive R diagonal (Mezzadri,
+    Notices AMS 54, 2007), by Gram-Schmidt run twice over the columns of the
+    whole batch at once; the last column of each matrix with determinant -1
+    is negated.
+    """
+    # column j of every matrix is the contiguous (n, size) block q[j]
+    q = rng.standard_normal((size, n, n)).transpose(2, 1, 0).copy()
+    for j in range(n):
+        v = q[j]
+        if j:
+            basis = q[:j]
+            for _ in range(2):
+                v -= np.einsum("kib,kb->ib", basis, np.einsum("kib,ib->kb", basis, v))
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    q = q.transpose(2, 1, 0)
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
-def _skew_block(a1: float, a2: float) -> np.ndarray:
-    m = np.zeros((5, 5))
-    m[0, 1], m[1, 0] = a1, -a1
-    m[2, 3], m[3, 2] = a2, -a2
-    return m
+# the ten upper entries (i, j), i < j, of a 5 x 5 skew matrix, and the index
+# quadruples of its five 4 x 4 principal minors
+_UPPER = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+_MINORS = [tuple(i for i in range(5) if i != k) for k in range(5)]
+
+
+def b2_frequencies(alpha, beta, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies gamma1 >= gamma2 >= 0 of A + g B g^T for a batch of g in SO(5).
+
+    A and B carry the blocks (x1, x2) of alpha and beta in the planes (0, 1)
+    and (2, 3), so only the first four columns of g enter.
+    """
+    (a1, a2), (b1, b2) = (tuple(float(v) for v in w) for w in (alpha, beta))
+    c0, c1, c2, c3 = (g[:, :, k] for k in range(4))
+    m = {(i, j): b1 * (c0[:, i] * c1[:, j] - c1[:, i] * c0[:, j])
+         + b2 * (c2[:, i] * c3[:, j] - c3[:, i] * c2[:, j]) for i, j in _UPPER}
+    m[0, 1] += a1
+    m[2, 3] += a2
+    p = sum(v * v for v in m.values())
+    q = sum((m[a, b] * m[c, d] - m[a, c] * m[b, d] + m[a, d] * m[b, c]) ** 2 for a, b, c, d in _MINORS)
+    s1 = (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0
+    # q / s1 rather than the difference of p and s1, which cancels
+    return np.sqrt(s1), np.sqrt(np.minimum(q / s1, s1))
 
 
 def sample_b2_pairs(alpha, beta, n_samples: int, seed: int, chunk: int = 50_000) -> np.ndarray:
@@ -72,20 +104,13 @@ def sample_b2_pairs(alpha, beta, n_samples: int, seed: int, chunk: int = 50_000)
         raise ValueError("n_samples >= 1 required")
     if not (alpha[0] > alpha[1] > 0 and beta[0] > beta[1] > 0):
         raise ValueError("alpha and beta must be regular ordered: x1 > x2 > 0")
-    A = _skew_block(float(alpha[0]), float(alpha[1]))
-    B = _skew_block(float(beta[0]), float(beta[1]))
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, 2))
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        g1 = haar_orthogonal(rng, 5, m)
-        g2 = haar_orthogonal(rng, 5, m)
-        M = g1 @ A @ g1.transpose(0, 2, 1) + g2 @ B @ g2.transpose(0, 2, 1)
-        S = -M @ M
-        ev = np.linalg.eigvalsh(S)  # ascending: ~0, g2^2, g2^2, g1^2, g1^2
-        out[done:done + m, 0] = np.sqrt(np.maximum(ev[:, 4], 0.0))
-        out[done:done + m, 1] = np.sqrt(np.maximum(ev[:, 2], 0.0))
+        g = haar_orthogonal(rng, 5, m)
+        out[done:done + m, 0], out[done:done + m, 1] = b2_frequencies(alpha, beta, g)
         done += m
     return out
 
@@ -121,8 +146,8 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
     )
 
 
-def sample_so2_symmetric(alpha12, beta12, n_samples: int, seed: int, bins: int = 100) -> HornHistogram:
-    """Histogram of gamma12 = sqrt(a^2 + b^2 + 2ab cos 2phi), phi uniform."""
+def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
+    """N samples of gamma12 = sqrt(a^2 + b^2 + 2ab cos 2phi), phi uniform."""
     a, b = float(alpha12), float(beta12)
     if a <= 0 or b <= 0:
         raise ValueError("alpha12, beta12 must be positive")
@@ -130,111 +155,88 @@ def sample_so2_symmetric(alpha12, beta12, n_samples: int, seed: int, bins: int =
         raise ValueError("n_samples >= 1 required")
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-    g = np.sqrt(a * a + b * b + 2 * a * b * np.cos(2 * phi))
+    return np.sqrt(a * a + b * b + 2 * a * b * np.cos(2 * phi))
+
+
+def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 100) -> HornHistogram:
+    """Histogram of SO(2) samples (drawn with seed) over the support of their law."""
     lo, hi = (float(v) for v in so2_support(alpha12, beta12))
     edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(np.clip(g, lo, hi), bins=edges)
-    outside = int(np.count_nonzero((g < lo - MEMBERSHIP_TOL) | (g > hi + MEMBERSHIP_TOL)))
+    counts, _ = np.histogram(np.clip(samples, lo, hi), bins=edges)
+    outside = int(np.count_nonzero((samples < lo - MEMBERSHIP_TOL) | (samples > hi + MEMBERSHIP_TOL)))
     return HornHistogram(
         edges=(edges,),
         counts=counts,
-        sample_count=n_samples,
+        sample_count=len(samples),
         rng_seed=seed,
         samples_outside_support=outside,
-        sample_min=(float(g.min()),),
-        sample_max=(float(g.max()),),
+        sample_min=(float(samples.min()),),
+        sample_max=(float(samples.max()),),
     )
 
 
-def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
-    a, b = float(alpha12), float(beta12)
-    rng = np.random.default_rng(seed)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-    return np.sqrt(a * a + b * b + 2 * a * b * np.cos(2 * phi))
+def sample_so2_symmetric(alpha12, beta12, n_samples: int, seed: int, bins: int = 100) -> HornHistogram:
+    """Histogram of N fresh so2_samples."""
+    return so2_histogram(so2_samples(alpha12, beta12, n_samples, seed), alpha12, beta12, seed, bins)
 
 
 # ---------------------------------------------------------------------------
 # Analytic-vs-empirical comparisons
 
 
+# 4-point Gauss-Legendre rule on [-1, 1], exact up to degree 7
+_GL4_NODES = np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526])
+_GL4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538])
+
+
 def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None = None) -> np.ndarray:
     """Exact-polynomial PDF mass of each histogram bin (floating output).
 
-    Clips every piecewise-quadratic cell against each grid bin and integrates
-    the degree-6 density polynomial in floats; the only error is roundoff.
+    On each cell the density f is a degree-6 polynomial.  With
+    F = int_0^x f dx, Green's theorem gives the mass of a region as the
+    counterclockwise line integral of F dy round its boundary, on which the
+    horizontal bin edges drop out.  So each cell is clipped only to the grid
+    columns, and every non-horizontal edge of each strip is integrated over
+    each y band it crosses by 4-point Gauss-Legendre, exact because F has
+    degree 7 along an edge.  The only error is roundoff.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
         pw = piecewise_analyze_b2(alpha, beta)
     scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
     ex, ey = edges
-    fx, fy = ex.tolist(), ey.tolist()    # Python floats: clip_cell stays in float arithmetic
+    fx = ex.tolist()    # Python floats: clip_cell stays in float arithmetic
+    band_lo, band_hi = ey[:-1], ey[1:]
     probs = np.zeros((len(ex) - 1, len(ey) - 1))
     for cell in pw.cells:
-        dens = p2_scale(scale, p2_mul({(3, 1): Q(1), (1, 3): Q(-1)}, cell.poly))
-        fdens = {k: float(v) for k, v in dens.items()}
+        dens = p2_mul({(3, 1): scale, (1, 3): -scale}, cell.poly)
+        F = [(i + 1, j, float(c / (i + 1))) for (i, j), c in dens.items()]
         verts = [(float(x), float(y)) for x, y in cell.vertices]
         cxs = [v[0] for v in verts]
-        cys = [v[1] for v in verts]
         i0, i1 = np.searchsorted(ex, min(cxs)) - 1, np.searchsorted(ex, max(cxs))
-        j0, j1 = np.searchsorted(ey, min(cys)) - 1, np.searchsorted(ey, max(cys))
+        cols, segs = [], []
         for i in range(max(i0, 0), min(i1, len(ex) - 1)):
             strip = clip_cell(verts, 1.0, 0.0, fx[i])
             strip = clip_cell(strip, -1.0, 0.0, -fx[i + 1])
             if len(strip) < 3:
                 continue
-            for j in range(max(j0, 0), min(j1, len(ey) - 1)):
-                piece = clip_cell(strip, 0.0, 1.0, fy[j])
-                piece = clip_cell(piece, 0.0, -1.0, -fy[j + 1])
-                if len(piece) < 3:
-                    continue
-                probs[i, j] += _float_polygon_integral(fdens, piece)
-    return probs
-
-
-def _float_polygon_integral(poly: dict, verts) -> float:
-    total = 0.0
-    x0, y0 = verts[0]
-    for k in range(1, len(verts) - 1):
-        x1, y1 = verts[k]
-        x2, y2 = verts[k + 1]
-        jac = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if jac == 0:
+            for p, q in zip(strip, strip[1:] + strip[:1]):
+                if p[1] != q[1]:
+                    cols.append(i)
+                    segs.append((*p, *q))
+        if not segs:
             continue
-        # 7-point degree-5 rule is not exact for degree 6; use a degree-7
-        # 13-point symmetric rule instead (Gauss points on the triangle)
-        total += abs(jac) * _triangle_quad(poly, (x0, y0), (x1, y1), (x2, y2))
-    return total
-
-
-# 13-point degree-7 rule on the reference triangle (barycentric, weight/2)
-_TRI13 = [
-    (1 / 3, 1 / 3, -0.149570044467682 / 2),
-    (0.479308067841920, 0.260345966079040, 0.175615257433208 / 2),
-    (0.260345966079040, 0.479308067841920, 0.175615257433208 / 2),
-    (0.260345966079040, 0.260345966079040, 0.175615257433208 / 2),
-    (0.869739794195568, 0.065130102902216, 0.053347235608838 / 2),
-    (0.065130102902216, 0.869739794195568, 0.053347235608838 / 2),
-    (0.065130102902216, 0.065130102902216, 0.053347235608838 / 2),
-    (0.048690315425316, 0.312865496004874, 0.077113760890257 / 2),
-    (0.312865496004874, 0.048690315425316, 0.077113760890257 / 2),
-    (0.048690315425316, 0.638444188569810, 0.077113760890257 / 2),
-    (0.638444188569810, 0.048690315425316, 0.077113760890257 / 2),
-    (0.312865496004874, 0.638444188569810, 0.077113760890257 / 2),
-    (0.638444188569810, 0.312865496004874, 0.077113760890257 / 2),
-]
-
-
-def _triangle_quad(poly: dict, p0, p1, p2) -> float:
-    acc = 0.0
-    for u, v, w in _TRI13:
-        x = p0[0] + u * (p1[0] - p0[0]) + v * (p2[0] - p0[0])
-        y = p0[1] + u * (p1[1] - p0[1]) + v * (p2[1] - p0[1])
-        val = 0.0
-        for (i, j), c in poly.items():
-            val += c * x**i * y**j
-        acc += w * val
-    return acc
+        x0, y0, x1, y1 = np.array(segs).T
+        # each edge's part in each band, y running from lo to hi
+        lo = np.clip(y0[:, None], band_lo, band_hi)
+        hi = np.clip(y1[:, None], band_lo, band_hi)
+        e, j = np.nonzero(lo != hi)
+        mid, half = (hi[e, j] + lo[e, j]) / 2, (hi[e, j] - lo[e, j]) / 2
+        y = mid[:, None] + half[:, None] * _GL4_NODES
+        x = x0[e, None] + (y - y0[e, None]) * ((x1 - x0) / (y1 - y0))[e, None]
+        vals = sum(c * x**a * y**b for a, b, c in F)
+        np.add.at(probs, (np.array(cols)[e], j), half * (vals @ _GL4_WEIGHTS))
+    return probs
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,7 @@ class ChiSquareSummary:
 def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, min_expected: float = 20.0,
                       pw: PiecewiseQuadratic | None = None) -> ChiSquareSummary:
     """Pearson chi-square of the 2-D histogram against the analytic PDF."""
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
 
     probs = expected_bin_probabilities(alpha, beta, hist.edges, pw)
     N = hist.sample_count
@@ -268,7 +270,7 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, min_expected: float = 20
     return ChiSquareSummary(
         statistic=stat,
         dof=dof,
-        p_value=float(chi2.sf(stat, dof)),
+        p_value=float(chdtrc(dof, stat)) if dof > 0 else math.nan,
         bins_used=k,
         pooled_expected=pooled_E,
         pooled_observed=pooled_O,

@@ -193,6 +193,11 @@ def test_sample_b2_files(tmp_path, capsys):
     assert rows[1] == "gamma1_center,gamma2_center,count,density"
 
 
+def test_ehrhart_exceptional_algebra_needs_a_period(capsys):
+    assert main(["ehrhart", "G2", "1,1", "1,1", "1,1"]) == 2
+    assert capsys.readouterr().err == "error: no default period for G2; pass --period\n"
+
+
 def test_bad_algebra_and_weights(capsys):
     assert run(capsys, "lr", "Q9", "1,0", "1,0", "1,0")[0] == 2
     assert run(capsys, "lr", "B2", "1", "1,0", "1,0")[0] == 2

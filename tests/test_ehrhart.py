@@ -7,7 +7,9 @@ from hornvol.ehrhart import (
     InconsistentSamplesError,
     InsufficientSamplesError,
     LeadingCoefficientError,
+    NoDefaultPeriodError,
     QuasiPolynomial,
+    default_period,
     fit_quasi_polynomial,
     leading_coefficient,
     reciprocity_check,
@@ -17,6 +19,17 @@ from hornvol.multiplicity import lr_klimyk
 from hornvol.rootsys import build_root_system
 
 B2 = build_root_system("B", 2)
+
+
+@pytest.mark.parametrize("family,rank,period", [("A", 3, 1), ("B", 2, 2), ("C", 3, 2), ("D", 4, 2)])
+def test_default_period_classical(family, rank, period):
+    assert default_period(build_root_system(family, rank)) == period
+
+
+@pytest.mark.parametrize("family", ["G2", "F4", "E6"])
+def test_default_period_refuses_exceptional(family):
+    with pytest.raises(NoDefaultPeriodError, match=f"no default period for {family}"):
+        default_period(build_root_system(family))
 
 
 def test_fit_563456():

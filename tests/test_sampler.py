@@ -3,8 +3,15 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hornvol._exact import p2_integrate_polygon, p2_mul
+from hornvol.bzpolytope import clip_cell
 from hornvol.sampler import (
+    _GL4_NODES,
+    _GL4_WEIGHTS,
+    b2_frequencies,
     chi_square_vs_pdf,
     expected_bin_probabilities,
     haar_orthogonal,
@@ -15,7 +22,7 @@ from hornvol.sampler import (
     sample_so2_symmetric,
     so2_samples,
 )
-from hornvol.volume import j_so2_symmetric, so2_support
+from hornvol.volume import delta_b2, j_so2_symmetric, piecewise_analyze_b2, so2_support
 
 
 def test_haar_matrices_are_special_orthogonal():
@@ -28,6 +35,78 @@ def test_haar_first_entry_second_moment():
     g = haar_orthogonal(np.random.default_rng(2), 5, 40_000)
     m = float((g[:, 0, 0] ** 2).mean())
     assert abs(m - 0.2) < 0.01
+
+
+def qr_haar_reference(rng, n, size):
+    """Haar SO(n) by LAPACK QR with the sign-fixed R diagonal and the det fix."""
+    g = rng.standard_normal((size, n, n))
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.einsum("...ii->...i", r))
+    d[d == 0] = 1.0
+    q = q * d[:, None, :]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_matches_sign_fixed_qr_on_the_same_draw(seed):
+    g = haar_orthogonal(np.random.default_rng(seed), 5, 2000)
+    assert np.abs(g - qr_haar_reference(np.random.default_rng(seed), 5, 2000)).max() < 1e-12
+
+
+def skew_block(x1, x2):
+    m = np.zeros((5, 5))
+    m[0, 1], m[1, 0] = x1, -x1
+    m[2, 3], m[3, 2] = x2, -x2
+    return m
+
+
+@st.composite
+def regular_pair(draw):
+    hi = draw(st.integers(2, 40))
+    return (Q(hi, 2), Q(draw(st.integers(1, hi - 1)), 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_pair(), regular_pair(), st.integers(0, 2**32 - 1))
+def test_closed_form_frequencies_match_eigvalsh(alpha, beta, seed):
+    g = haar_orthogonal(np.random.default_rng(seed), 5, 200)
+    M = skew_block(*map(float, alpha)) + g @ skew_block(*map(float, beta)) @ g.transpose(0, 2, 1)
+    ev = np.linalg.eigvalsh(-M @ M)  # ascending: ~0, g2^2, g2^2, g1^2, g1^2
+    g1, g2 = b2_frequencies(alpha, beta, g)
+    tol = 1e-9 * float(alpha[0] + beta[0])
+    assert np.abs(g1 - np.sqrt(np.maximum(ev[:, 4], 0.0))).max() < tol
+    assert np.abs(g2 - np.sqrt(np.maximum(ev[:, 2], 0.0))).max() < tol
+    assert (g1 >= g2).all() and (g2 >= 0).all()
+
+
+def exact_bin_masses(alpha, beta, edges):
+    """Each bin's PDF mass: exact clipping of every cell and exact polygon moments."""
+    pw = piecewise_analyze_b2(alpha, beta)
+    scale = Q(3, 2) / (abs(delta_b2(pw.alpha)) * abs(delta_b2(pw.beta)))
+    ex, ey = ([Q(v) for v in e] for e in edges)
+    out = np.zeros((len(ex) - 1, len(ey) - 1))
+    for cell in pw.cells:
+        dens = p2_mul({(3, 1): scale, (1, 3): -scale}, cell.poly)
+        for i in range(len(ex) - 1):
+            strip = clip_cell(clip_cell(cell.vertices, 1, 0, ex[i]), -1, 0, -ex[i + 1])
+            for j in range(len(ey) - 1):
+                piece = clip_cell(clip_cell(strip, 0, 1, ey[j]), 0, -1, -ey[j + 1])
+                out[i, j] += float(p2_integrate_polygon(dens, piece))
+    return out
+
+
+@pytest.mark.parametrize("alpha,beta", [((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2))])
+def test_bin_masses_match_exact_reference(alpha, beta):
+    edges = sample_b2_spectrum(alpha, beta, 10, seed=1, bins=6).edges
+    probs = expected_bin_probabilities(alpha, beta, edges)
+    assert np.abs(probs - exact_bin_masses(alpha, beta, edges)).max() < 1e-12
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_7():
+    for k in range(8):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(_GL4_WEIGHTS @ _GL4_NODES**k) - exact) < 1e-15
 
 
 def test_determinism():
@@ -68,6 +147,23 @@ def test_chi_square_small_run():
     assert summary.dof > 100
 
 
+def test_chi_square_p_value_is_the_chi2_survival_function():
+    from scipy.stats import chi2
+
+    hist = sample_b2_spectrum((15, 3), (17, 8), 20_000, seed=6, bins=20)
+    summary = chi_square_vs_pdf(hist, (15, 3), (17, 8))
+    assert summary.dof > 10
+    assert summary.p_value == float(chi2.sf(summary.statistic, summary.dof))
+
+
+def test_chi_square_without_degrees_of_freedom_is_nan():
+    # 100 samples on 40 x 40 bins: every bin is pooled, one class, dof 0
+    hist = sample_b2_spectrum((17, 4), (15, 9), 100, seed=9)
+    summary = chi_square_vs_pdf(hist, (17, 4), (15, 9))
+    assert summary.dof == 0
+    assert math.isnan(summary.p_value)
+
+
 def test_expected_probabilities_sum_to_one():
     hist = sample_b2_spectrum((17, 4), (15, 9), 100, seed=8, bins=20)
     probs = expected_bin_probabilities((17, 4), (15, 9), hist.edges)
@@ -96,6 +192,15 @@ def test_so2_density_matches_closed_form_midrange():
         g = mids[k]
         analytic = math.pi * math.sqrt(g / 2.0) * j_so2_symmetric(1, 2, Q(g).limit_denominator(10**9))
         assert abs(dens[k] - analytic) / analytic < 0.08
+
+
+def test_so2_samples_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        so2_samples(0, 2, 10, seed=1)
+    with pytest.raises(ValueError):
+        so2_samples(1, -2, 10, seed=1)
+    with pytest.raises(ValueError):
+        so2_samples(1, 2, 0, seed=1)
 
 
 def test_so2_ks_distance():
