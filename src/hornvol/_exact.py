@@ -27,10 +27,6 @@ def vadd(x: Sequence, y: Sequence) -> Vec:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vsub(x: Sequence, y: Sequence) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vscale(c, x: Sequence) -> Vec:
     return tuple(Q(c) * a for a in x)
 

@@ -60,7 +60,7 @@ def gram_delta(rs: RootSystem) -> int:
     G = [[(1 if a == b else 0) + sum(A[a][i] * A[b][i] for i in range(rs.rank)) for b in range(m)] for a in range(m)]
     d = det_bareiss(G)
     if d < 1:
-        raise InvariantError(f"Gram determinant {d} of {rs.family}{rs.rank} is below 1")
+        raise InvariantError(f"Gram determinant {d} of {rs.name} is below 1")
     return d
 
 
@@ -123,9 +123,8 @@ def covolume_markdown(reports: list[CovolumeReport]) -> str:
     ]
     for rep in reports:
         rs = build_root_system(rep.family, rep.rank)
-        name = f"{rep.family}{rep.rank}" if rep.family in "ABCD" else rep.family
         lines.append(
-            f"| {name} | {rs.n_positive} | {rs.n_positive - rs.rank} | {rep.delta_gram} "
+            f"| {rs.name} | {rs.n_positive} | {rs.n_positive - rs.rank} | {rep.delta_gram} "
             f"| {rep.delta_formula} | {rep.table1_value} | {'yes' if rep.agree else 'NO'} |"
         )
     return "\n".join(lines) + "\n"

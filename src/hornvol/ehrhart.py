@@ -134,8 +134,8 @@ def default_period(rs: RootSystem) -> int:
 
 def _default_lr(rs: RootSystem):
     # stretched weight systems outgrow the Freudenthal size guard quickly;
-    # the Steinberg routes have no such limit (integer fast path for B2,
-    # batched Kostant table elsewhere)
+    # the Steinberg routes have no such limit (closed-form Kostant function
+    # for B2, batched Kostant table elsewhere)
     if (rs.family, rs.rank) == ("B", 2):
         from .multiplicity import lr_steinberg
 

@@ -3,7 +3,9 @@
 * Freudenthal recursion for full weight systems,
 * the Racah-Speiser / Klimyk algorithm (reflect the shifted weight into the
   dominant chamber, drop walls, apply the sign),
-* the Steinberg formula over the Kostant partition function.
+* the Steinberg formula: one integer double Weyl sum over the Kostant
+  partition function, looked up by closed form or recursion
+  (lr_steinberg) or in a batch numpy table (lr_steinberg_table).
 
 All arithmetic is exact; weights enter and leave as Dynkin labels.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
 
 from ._exact import InvariantError, dot
 from .rootsys import (
@@ -22,7 +26,7 @@ from .rootsys import (
     build_root_system,
     reflect_to_dominant,
     weyl_dimension,
-    weyl_group,
+    weyl_elements,
 )
 
 DEFAULT_DIM_CAP = 10**6
@@ -50,13 +54,6 @@ class WeightMultiplicityTable:
         return self.entries.get(tuple(w), 0)
 
 
-def _dynkin_int(rs: RootSystem, w) -> tuple[int, ...]:
-    a = rs.dynkin(w)
-    if not all(x.denominator == 1 for x in a):
-        raise ValueError(f"{a} is not an integral weight")
-    return tuple(int(x) for x in a)
-
-
 def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
     """Return acc; a negative signed sum is a defect, never a multiplicity."""
     if acc < 0:
@@ -65,7 +62,16 @@ def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
 
 
 def _check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
-    a = _dynkin_int(rs, w)
+    # int labels, the common case, skip the Fraction round trip of rs.dynkin
+    if not isinstance(w, Weight) and all(type(x) is int for x in w):
+        a = tuple(w)
+    else:
+        a = rs.dynkin(w)
+        if not all(x.denominator == 1 for x in a):
+            raise ValueError(f"{a} is not an integral weight")
+        a = tuple(int(x) for x in a)
+    if len(a) != rs.rank:
+        raise ValueError(f"{a} needs {rs.rank} Dynkin labels")
     if any(x < 0 for x in a):
         raise ValueError(f"{a} is not dominant")
     return a
@@ -191,7 +197,6 @@ def freudenthal_weights(rs: RootSystem, lam, max_dim: int = DEFAULT_DIM_CAP) -> 
 def _kostant_rec(family: str, rank: int, i: int, vec: tuple[int, ...]) -> int:
     if all(v == 0 for v in vec):
         return 1
-    rs = build_root_system(family, rank)
     roots = _kostant_roots(family, rank)
     if i == len(roots):
         return 0
@@ -229,16 +234,31 @@ def kostant_partition(rs: RootSystem, sigma, basis: str = "dynkin") -> int:
     Returns 0 when sigma is not in the root lattice (or has a negative
     simple-root coordinate).
     """
-    w = sigma if isinstance(sigma, Weight) else Weight(tuple(sigma), basis)
-    rb = rs.to_basis(w, "root").coords
-    if any(v.denominator != 1 for v in rb):
-        return 0
-    vec = tuple(int(v) for v in rb)
+    if basis == "root" and not isinstance(sigma, Weight) and all(type(v) is int for v in sigma):
+        vec = tuple(sigma)
+    else:
+        w = sigma if isinstance(sigma, Weight) else Weight(tuple(sigma), basis)
+        rb = rs.to_basis(w, "root").coords
+        if any(v.denominator != 1 for v in rb):
+            return 0
+        vec = tuple(int(v) for v in rb)
     if any(v < 0 for v in vec):
         return 0
     if rs.family == "B" and rs.rank == 2:
         return kostant_partition_b2(*vec)
     return _kostant_rec(rs.family, rs.rank, 0, vec)
+
+
+def _kostant_lookup(rs: RootSystem):
+    """The Kostant function of rs, called as P(*simple_root_coords) with ints.
+
+    The B2 closed form directly, elsewhere kostant_partition (and through it
+    the recursion); both are read from the module globals when this runs, so
+    a rebinding of either takes effect.
+    """
+    if (rs.family, rs.rank) == ("B", 2):
+        return kostant_partition_b2
+    return lambda *vec: kostant_partition(rs, vec, "root")
 
 
 # ---------------------------------------------------------------------------
@@ -286,77 +306,86 @@ def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) ->
     return out
 
 
-def _lr_steinberg_b2(lam, mu, nu) -> int:
-    """Integer-only Steinberg evaluation for B2 (hot path for exhaustive sweeps)."""
-    signs_mats = _b2_weyl_mats_uv()
-    def uv(a, b):
-        return (2 * a + b, a + b)
-    lu, lv = uv(lam[0] + 1, lam[1] + 1)
-    mu_, mv = uv(mu[0] + 1, mu[1] + 1)
-    tu, tv = uv(nu[0] + 2, nu[1] + 2)
-    wl = [(s, m11 * lu + m12 * lv, m21 * lu + m22 * lv) for s, (m11, m12, m21, m22) in signs_mats]
-    wm = [(s, m11 * mu_ + m12 * mv, m21 * mu_ + m22 * mv) for s, (m11, m12, m21, m22) in signs_mats]
-    acc = 0
-    part = kostant_partition_b2
-    for s1, u1, v1 in wl:
-        for s2, u2, v2 in wm:
-            u = u1 + u2 - tu
-            if u < 0 or (u & 1):
-                continue
-            v = v1 + v2 - tv
-            if v < 0:
-                continue
-            p = part(u // 2, v)
-            if p:
-                acc += s1 * s2 * p
-    return acc
+@lru_cache(maxsize=None)
+def _root_scale(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, columns of the matrix with rows d * omega_i in simple-root coordinates).
 
-
-@lru_cache(maxsize=1)
-def _b2_weyl_mats_uv() -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
-    """B2 Weyl group on doubled simple-root coordinates (u, v) = (2 c1, c2).
-
-    Returns (sign, (m11, m12, m21, m22)) with u' = m11 u + m12 v and
-    v' = m21 u + m22 v; the doubling makes every entry an integer.
+    d is the lcm of the denominators of the fundamental weights, so the
+    columns are integers.
     """
-    rs = build_root_system("B", 2)
+    fw = build_root_system(family, rank).fundamental_weights_rb
+    d = lcm(*(v.denominator for row in fw for v in row))
+    return d, tuple(zip(*(tuple(int(v * d) for v in row) for row in fw)))
+
+
+def _scaled_root(cols: tuple[tuple[int, ...], ...], labels) -> tuple[int, ...]:
+    """Simple-root coordinates, scaled by d, of the weight with these Dynkin labels."""
+    return tuple(sum(map(mul, labels, col)) for col in cols)
+
+
+@lru_cache(maxsize=256)
+def _weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(eps(w), w(lam + rho) - (lam + rho)) for every Weyl element w.
+
+    The shifts lie in the root lattice and, lam + rho being dominant, have
+    nonpositive simple-root coordinates.  They are computed on coordinates
+    scaled by d, where the integer Weyl matrices act exactly, and divided
+    back; they are sorted by their first coordinate, largest first.
+    """
+    d, cols = _root_scale(family, rank)
+    x = _scaled_root(cols, [v + 1 for v in lam])
     out = []
-    for w in weyl_group(rs):
-        e1 = w.act_root((Q(1, 2), Q(0)))  # image of u = 1, v = 0
-        e2 = w.act_root((Q(0), Q(1)))     # image of u = 0, v = 1
-        m11, m21 = 2 * e1[0], e1[1]
-        m12, m22 = 2 * e2[0], e2[1]
-        if any(x.denominator != 1 for x in (m11, m12, m21, m22)):
-            raise InvariantError(f"B2 Weyl element {w} is not integral on doubled simple-root coordinates")
-        out.append((w.sign, (int(m11), int(m12), int(m21), int(m22))))
-    return tuple(out)
+    for w in weyl_elements((family, rank)):
+        shift = [sum(map(mul, row, x)) - xi for row, xi in zip(w.matrix, x)]
+        if any(v % d for v in shift):
+            raise InvariantError(f"Weyl shift {shift}/{d} of {lam} is not in the root lattice")
+        out.append((w.sign, tuple(v // d for v in shift)))
+    return tuple(sorted(out, key=lambda t: -t[1][0]))
+
+
+def _steinberg_sum(rs: RootSystem, lam, mu, nu, kostant_for) -> int:
+    """sum_{w, w'} eps(w) eps(w') P(w(lam + rho) + w'(mu + rho) - nu - 2 rho), in integers.
+
+    The argument of P is top plus the Weyl shifts of lam and mu, where
+    top = lam + mu - nu; its root-lattice membership is tested once, on
+    coordinates scaled by d.  The shifts are nonpositive, so every argument
+    is bounded by top: kostant_for(top) supplies P only when top >= 0, and P
+    is called only at nonnegative arguments.
+    """
+    d, cols = _root_scale(rs.family, rs.rank)
+    top = _scaled_root(cols, [a + b - c for a, b, c in zip(lam, mu, nu)])
+    if any(v % d for v in top):
+        return 0
+    top = tuple(v // d for v in top)
+    if min(top) < 0:
+        return 0
+    kostant = kostant_for(top)
+    right = _weyl_shifts(rs.family, rs.rank, mu)
+    acc = 0
+    for s1, a in _weyl_shifts(rs.family, rs.rank, lam):
+        a = tuple(map(add, a, top))
+        if min(a) < 0:
+            continue
+        for s2, b in right:
+            if a[0] + b[0] < 0:
+                break  # right is sorted by first coordinate: so is every later pair
+            sigma = tuple(map(add, a, b))
+            if min(sigma) >= 0:
+                acc += s1 * s2 * kostant(*sigma)
+    return acc
 
 
 def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
     """C_{lam mu}^{nu} by the Steinberg formula.
 
     sum_{w, w'} eps(w) eps(w') P(w(lam + rho) + w'(mu + rho) - nu - 2 rho)
-    with P the Kostant partition function.
+    with P the Kostant partition function (closed form for B2, recursion
+    elsewhere).
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
-    if (rs.family, rs.rank) == ("B", 2):
-        return _checked_multiplicity(_lr_steinberg_b2(lam, mu, nu), "Steinberg", lam, mu, nu)
-    W = weyl_group(rs)
-    lam_rb = rs.dynkin_to_root(tuple(v + 1 for v in lam))
-    mu_rb = rs.dynkin_to_root(tuple(v + 1 for v in mu))
-    off_rb = rs.dynkin_to_root(tuple(v + 2 for v in nu))
-    wl = [(w.sign, w.act_root(lam_rb)) for w in W]
-    wm = [(w.sign, w.act_root(mu_rb)) for w in W]
-    acc = 0
-    for s1, a in wl:
-        for s2, b in wm:
-            sigma = tuple(x + y - z for x, y, z in zip(a, b, off_rb))
-            if all(v.denominator == 1 and v >= 0 for v in sigma):
-                p = kostant_partition(rs, Weight(sigma, "root"))
-                if p:
-                    acc += s1 * s2 * p
+    acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _kostant_lookup(rs))
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
@@ -388,30 +417,14 @@ def kostant_table(rs: RootSystem, box: tuple[int, ...]):
 def lr_steinberg_table(rs: RootSystem, lam, mu, nu) -> int:
     """Steinberg's formula backed by a batch Kostant table.
 
-    Same contract as lr_steinberg; worthwhile when the box of partition
-    arguments is large (stretched B3 triples).  Every queried sigma is
-    bounded componentwise by the identity-Weyl-element one.
+    Same contract and Weyl sum as lr_steinberg; worthwhile when the box of
+    partition arguments is large (stretched B3 triples).  The table covers
+    [0, lam + mu - nu], which bounds every queried argument.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
-    lam_rb = rs.dynkin_to_root(tuple(v + 1 for v in lam))
-    mu_rb = rs.dynkin_to_root(tuple(v + 1 for v in mu))
-    off_rb = rs.dynkin_to_root(tuple(v + 2 for v in nu))
-    top = tuple(x + y - z for x, y, z in zip(lam_rb, mu_rb, off_rb))
-    if not all(v.denominator == 1 and v >= 0 for v in top):
-        return 0
-    box = tuple(int(v) for v in top)
-    table = kostant_table(rs, box)
-    W = weyl_group(rs)
-    wl = [(w.sign, w.act_root(lam_rb)) for w in W]
-    wm = [(w.sign, w.act_root(mu_rb)) for w in W]
-    acc = 0
-    for s1, a in wl:
-        for s2, b in wm:
-            sigma = tuple(x + y - z for x, y, z in zip(a, b, off_rb))
-            if all(v.denominator == 1 and 0 <= v for v in sigma):
-                acc += s1 * s2 * int(table[tuple(int(v) for v in sigma)])
+    acc = _steinberg_sum(rs, lam, mu, nu, lambda top: kostant_table(rs, top).item)
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 

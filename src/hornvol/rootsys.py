@@ -1,4 +1,4 @@
-"""Root systems, Weyl groups and exact basis conversions.
+"""Root systems, integer Weyl groups and exact basis conversions.
 
 Every classical family A, B, C, D (arbitrary rank) and the five exceptional
 algebras are realized with exact rational coordinates in an ambient
@@ -16,7 +16,8 @@ volume-function formulas of this package are stated.  Quantities that
 depend on the overall scale of the inner product (`kappa_g`) are rescaled
 internally to the convention <theta, theta> = 2 for a long root theta and
 say so in their docstrings; ratios (Weyl dimensions, Cartan integers) are
-scale-free.
+scale-free.  Weyl group elements are integer matrices on simple-root
+coordinates, built from the Cartan integers.
 """
 
 from __future__ import annotations
@@ -186,6 +187,11 @@ class RootSystem:
 
     # -- derived quantities ------------------------------------------------
     @property
+    def name(self) -> str:
+        """The algebra's name: 'B4', 'G2' (classical families carry the rank)."""
+        return f"{self.family}{self.rank}" if self.family in CLASSICAL else self.family
+
+    @property
     def n_positive(self) -> int:
         return len(self.positive_roots)
 
@@ -348,9 +354,9 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as an exact matrix on simple-root coordinates."""
+    """A Weyl group element as an integer matrix on simple-root coordinates."""
 
-    matrix: tuple[tuple[Q, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
     sign: int
     label: str = ""
 
@@ -359,8 +365,12 @@ class WeylElement:
         return tuple(dot(row, c) for row in self.matrix)
 
 
-def _identity_matrix(n: int) -> tuple[tuple[Q, ...], ...]:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
@@ -369,15 +379,10 @@ def identity_element(rs: RootSystem) -> WeylElement:
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i acting on simple-root coordinates: c'_i = c_i - sum_j C[j][i] c_j."""
-    n = rs.rank
-    rows = []
-    for k in range(n):
-        row = [Q(1) if k == j else Q(0) for j in range(n)]
-        if k == i:
-            for j in range(n):
-                row[j] -= Q(rs.cartan_matrix[j][i])
-        rows.append(tuple(row))
-    return WeylElement(tuple(rows), -1, f"s{i + 1}")
+    rows = [list(row) for row in _identity_matrix(rs.rank)]
+    for j in range(rs.rank):
+        rows[i][j] -= rs.cartan_matrix[j][i]
+    return WeylElement(tuple(map(tuple, rows)), -1, f"s{i + 1}")
 
 
 def weyl_element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -385,7 +390,7 @@ def weyl_element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for i in word:
         s = simple_reflection(rs, i)
         w = WeylElement(
-            tuple(tuple(dot(row, [s.matrix[k][j] for k in range(rs.rank)]) for j in range(rs.rank)) for row in w.matrix),
+            _matmul(w.matrix, s.matrix),
             w.sign * s.sign,
             (w.label + "." if w.label != "e" else "") + s.label,
         )
@@ -405,10 +410,7 @@ def weyl_elements(rs_key: tuple[str, int]) -> tuple[WeylElement, ...]:
         for mat in frontier:
             sign, label = seen[mat]
             for g in gens:
-                prod = tuple(
-                    tuple(sum((g.matrix[i][k] * mat[k][j] for k in range(n)), Q(0)) for j in range(n))
-                    for i in range(n)
-                )
+                prod = _matmul(g.matrix, mat)
                 if prod not in seen:
                     seen[prod] = (sign * g.sign, g.label + ("" if label == "e" else "." + label))
                     new.append(prod)
@@ -420,29 +422,35 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     return weyl_elements((rs.family, rs.rank))
 
 
+#: the B2 Weyl group on orthonormal pairs: (swap, sign1, sign2) -> eps for
+#: an optional swap of the two coordinates followed by sign flips
+B2_SIGNED_PERMUTATIONS = {
+    (swap, s1, s2): (-1 if swap else 1) * s1 * s2
+    for swap in (False, True)
+    for s1 in (1, -1)
+    for s2 in (1, -1)
+}
+
+
 def b2_weyl_element(swap: bool, sign1: int, sign2: int) -> WeylElement:
-    """B2 element acting on orthonormal pairs by optional swap then sign flips."""
-    rs = build_root_system("B", 2)
-    images = []
-    for alpha in rs.simple_roots:
-        a, b = alpha
+    """B2 element acting on orthonormal pairs by optional swap then sign flips.
+
+    Its columns are the images of alpha1 = e1 - e2 and alpha2 = e2 in
+    simple-root coordinates, where (x1, x2) = x1 alpha1 + (x1 + x2) alpha2.
+    """
+    eps = B2_SIGNED_PERMUTATIONS[(bool(swap), sign1, sign2)]
+    cols = []
+    for a, b in ((1, -1), (0, 1)):
         if swap:
             a, b = b, a
-        images.append((sign1 * a, sign2 * b))
-    cols = [rs.ortho_to_root(v) for v in images]
-    mat = tuple(tuple(cols[j][i] for j in range(2)) for i in range(2))
-    eps = (-1 if swap else 1) * sign1 * sign2
-    return WeylElement(mat, eps, f"b2({int(swap)},{sign1:+d},{sign2:+d})")
+        a, b = sign1 * a, sign2 * b
+        cols.append((a, a + b))
+    return WeylElement(tuple(zip(*cols)), eps, f"b2({int(swap)},{sign1:+d},{sign2:+d})")
 
 
 def b2_weyl_table() -> tuple[WeylElement, ...]:
-    """The eight B2 Weyl elements in a fixed order."""
-    return tuple(
-        b2_weyl_element(swap, s1, s2)
-        for swap in (False, True)
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-    )
+    """The eight B2 Weyl elements in the order of B2_SIGNED_PERMUTATIONS."""
+    return tuple(b2_weyl_element(*key) for key in B2_SIGNED_PERMUTATIONS)
 
 
 def apply_weyl(rs: RootSystem, w: WeylElement, x) -> Weight:
@@ -528,7 +536,7 @@ def kappa_constants(rs: RootSystem) -> KappaG:
     for alpha in rs.positive_roots:
         K *= theta2 / dot(alpha, alpha)
     if K.denominator != 1:
-        raise InvariantError(f"ratio factor K = {K} of {rs.family}{rs.rank} is not an integer")
+        raise InvariantError(f"ratio factor K = {K} of {rs.name} is not an integer")
     scale = Q(2) / theta2
     delta_norm = delta_g(rs, Weight(rs.rho_ortho, "ortho")) * scale ** rs.n_positive
     return KappaG(prefactor=1 / delta_norm, two_pi_exponent=rs.n_positive, K=int(K))

@@ -41,8 +41,8 @@ from .ehrhart import (
     leading_coefficient,
     stretching_quasi_polynomial,
 )
-from .multiplicity import lr_steinberg_table, lr_triple
-from .rootsys import RootSystem, build_root_system, is_compatible
+from .multiplicity import lr_triple
+from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible
 
 Pair = tuple[Q, Q]
 
@@ -76,15 +76,6 @@ def _qpair(x) -> Pair:
 # ---------------------------------------------------------------------------
 # Direct evaluation of J
 
-#: the eight B2 Weyl elements as (swap, sign1, sign2, eps)
-_B2W = tuple(
-    (swap, s1, s2, (-1 if swap else 1) * s1 * s2)
-    for swap in (0, 1)
-    for s1 in (1, -1)
-    for s2 in (1, -1)
-)
-
-
 def j_b2(alpha, beta, gamma) -> Q:
     """Exact J(alpha, beta; gamma) for B2, orthonormal coordinates.
 
@@ -103,11 +94,11 @@ def j_b2(alpha, beta, gamma) -> Q:
     ib1, ib2 = int(b1 * scale), int(b2 * scale)
     ig1, ig2 = int(g1 * scale), int(g2 * scale)
     acc = 0
-    for swap, s1, s2, e1 in _B2W:
+    for (swap, s1, s2), e1 in B2_SIGNED_PERMUTATIONS.items():
         wa1, wa2 = (ia2, ia1) if swap else (ia1, ia2)
         wa1 *= s1
         wa2 *= s2
-        for swap2, t1, t2, e2 in _B2W:
+        for (swap2, t1, t2), e2 in B2_SIGNED_PERMUTATIONS.items():
             wb1, wb2 = (ib2, ib1) if swap2 else (ib1, ib2)
             x = wa1 + t1 * wb1 - ig1
             y = wa2 + t2 * wb2 - ig2
@@ -383,9 +374,9 @@ def _weyl_terms(alpha: Pair, beta: Pair) -> tuple[int, tuple[tuple[int, int, int
     ia1, ia2 = (int(v * scale) for v in alpha)
     ib1, ib2 = (int(v * scale) for v in beta)
     eps: dict[tuple[int, int], int] = {}
-    for swap, s1, s2, e1 in _B2W:
+    for (swap, s1, s2), e1 in B2_SIGNED_PERMUTATIONS.items():
         wa1, wa2 = (ia2, ia1) if swap else (ia1, ia2)
-        for swap2, t1, t2, e2 in _B2W:
+        for (swap2, t1, t2), e2 in B2_SIGNED_PERMUTATIONS.items():
             wb1, wb2 = (ib2, ib1) if swap2 else (ib1, ib2)
             key = (s1 * wa1 + t1 * wb1, s2 * wa2 + t2 * wb2)
             eps[key] = eps.get(key, 0) + e1 * e2
@@ -451,15 +442,6 @@ def _edge_line(p: Pair, q: Pair) -> tuple[str, Q] | None:
     if s == 1:
         return ("g1-g2", p[0] - p[1])
     return None
-
-
-def _cell_edges_on(verts, kind: str, level: Q):
-    a, b = _KINDS[kind]
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        if a * p[0] + b * p[1] == level and a * q[0] + b * q[1] == level:
-            yield (p, q)
 
 
 def _overlap_1d(seg1, seg2):
@@ -665,7 +647,7 @@ def kappa_coefficient_sets(rs: RootSystem) -> tuple[dict[tuple[int, ...], Q], di
             (0, 1, 1): Q(1, 2880),
         }
         return K, Khat
-    raise ValueError(f"no c_kappa table for {rs.family}{rs.rank}")
+    raise ValueError(f"no c_kappa table for {rs.name}")
 
 
 def j_lr_shifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
@@ -705,8 +687,7 @@ def kissinger_quasi_polynomial(
     nu = tuple(k + 1 for k in kappa)
     if period is None:
         period = 2 if rs.rank == 2 else 4
-    lr = None if rs.rank == 2 else lr_steinberg_table
-    return stretching_quasi_polynomial(rs, rho, rho, nu, period=period, degree=degree, lr=lr)
+    return stretching_quasi_polynomial(rs, rho, rho, nu, period=period, degree=degree)
 
 
 def c_kappa_via_kissinger(rs: RootSystem, kappa, period: int | None = None, degree: int | None = None) -> Q:
@@ -719,7 +700,7 @@ def c_kappa_via_kissinger(rs: RootSystem, kappa, period: int | None = None, degr
     K, Khat = kappa_coefficient_sets(rs)
     kap = tuple(int(v) for v in rs.dynkin(kappa))
     if kap not in K and kap not in Khat:
-        raise ValueError(f"{kap} is not in K or K-hat of {rs.family}{rs.rank}")
+        raise ValueError(f"{kap} is not in K or K-hat of {rs.name}")
     quasi, _ = kissinger_quasi_polynomial(rs, kap, period=period, degree=degree)
     return leading_coefficient(quasi, skip_zero_classes=True)
 
@@ -875,16 +856,3 @@ def j_so2_symmetric(alpha12, beta12, gamma12) -> float:
     num = a * b * g
     den = ((a + b) ** 2 - g * g) * (g * g - (a - b) ** 2)
     return 2 / math.pi**2 * math.sqrt(num / den)
-
-
-def so2_cdf(alpha12, beta12, gamma12: float) -> float:
-    """Distribution function of the spectral gap gamma12 for the SO(2) Horn measure."""
-    a, b = float(alpha12), float(beta12)
-    A = (a + b) ** 2
-    B = (a - b) ** 2
-    g2 = float(gamma12) ** 2
-    if g2 <= B:
-        return 0.0
-    if g2 >= A:
-        return 1.0
-    return (math.asin((2 * g2 - A - B) / (A - B)) + math.pi / 2) / math.pi

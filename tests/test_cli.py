@@ -76,6 +76,13 @@ def test_volume_rejects_incompatible_for_lr_route(capsys):
     assert rc == 2
 
 
+def test_volume_without_c_kappa_table_names_the_algebra_once(capsys):
+    assert main(["volume", "G2", "1,1", "1,1", "1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no c_kappa table for G2\n"
+    assert "G22" not in err
+
+
 def test_volume_b3_lr_and_ehrhart(capsys):
     rc, out = run(capsys, "volume", "B3", "1,1,2", "1,1,2", "1,1,2")
     assert rc == 0

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hornvol.multiplicity import (
     SizeGuardError,
@@ -20,6 +22,7 @@ from hornvol.rootsys import (
     UnsupportedAlgebraError,
     Weight,
     build_root_system,
+    is_compatible,
     weyl_dimension,
     weyl_group,
 )
@@ -127,6 +130,8 @@ def test_kostant_table_matches_pointwise():
     table = kostant_table(B3, box)
     for c in itertools.product(range(4), range(6), range(7)):
         assert int(table[c]) == kostant_partition(B3, Weight(c, "root"))
+        assert int(table[c]) == kostant_partition(B3, c, "root")
+    assert kostant_partition(B3, (1, -1, 0), "root") == 0
 
 
 # -- LR coefficients ----------------------------------------------------------
@@ -142,6 +147,16 @@ def test_steinberg_known_values():
     assert lr_steinberg(B2, (5, 6), (3, 4), (6, 4)) == 10
     assert lr_steinberg(B2, (5, 6), (3, 4), (0, 10)) == 3
     assert lr_steinberg(B2, (0, 0), (3, 4), (3, 4)) == 1
+
+
+def test_steinberg_label_checks():
+    assert lr_steinberg(B2, (Q(5), Q(6)), Weight((3, 4)), [6, 4]) == 10
+    with pytest.raises(ValueError):
+        lr_steinberg(B2, (5, 6, 0), (3, 4), (6, 4))
+    with pytest.raises(ValueError):
+        lr_steinberg_table(B2, (5, -1), (3, 4), (6, 4))
+    with pytest.raises(ValueError):
+        lr_steinberg(B2, (Q(1, 2), Q(0)), (3, 4), (6, 4))
 
 
 def test_saturation_failure_witness():
@@ -254,3 +269,38 @@ def test_g2_and_c3_agreement():
         mu = tuple(rng.randint(0, 1) for _ in range(3))
         nu = tuple(rng.randint(0, 2) for _ in range(3))
         assert lr_klimyk(c3, lam, mu, nu) == lr_steinberg_table(c3, lam, mu, nu)
+
+
+SMALL_ALGEBRAS = {
+    "A2": build_root_system("A", 2),
+    "B2": B2,
+    "B3": B3,
+    "C3": build_root_system("C", 3),
+    "G2": build_root_system("G2"),
+}
+
+
+@st.composite
+def small_triples(draw):
+    """(algebra, lam, mu, nu): labels <= 2 (<= 1 in rank 3); B2 dilated by s <= 6."""
+    name = draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))
+    rs = SMALL_ALGEBRAS[name]
+    labels = st.tuples(*[st.integers(0, 2 if rs.rank == 2 else 1)] * rs.rank)
+    s = draw(st.integers(1, 6)) if name == "B2" else 1
+    lam, mu, nu = (tuple(s * v for v in draw(labels)) for _ in range(3))
+    return name, lam, mu, nu
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_triples())
+@example(("B2", (0, 1), (0, 1), (0, 1)))
+@example(("B3", (0, 0, 1), (0, 0, 0), (0, 0, 0)))
+@example(("A2", (1, 0), (0, 0), (0, 1)))
+@example(("B2", (12, 12), (12, 12), (12, 12)))
+def test_steinberg_sum_matches_klimyk_and_table(triple):
+    name, lam, mu, nu = triple
+    rs = SMALL_ALGEBRAS[name]
+    c = lr_steinberg(rs, lam, mu, nu)
+    assert c == lr_klimyk(rs, lam, mu, nu) == lr_steinberg_table(rs, lam, mu, nu)
+    if not is_compatible(rs, lam, mu, nu):
+        assert c == 0

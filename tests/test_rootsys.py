@@ -145,6 +145,18 @@ def test_weyl_element_from_word():
     assert weyl_element_from_word(rs, ()).matrix == b2_weyl_element(False, 1, 1).matrix
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_weyl_matrices_are_integer(family, rank):
+    from hornvol.rootsys import simple_reflection, weyl_element_from_word
+
+    rs = build_root_system(family, rank)
+    elements = list(weyl_group(rs)) + [simple_reflection(rs, i) for i in range(rank)]
+    elements.append(weyl_element_from_word(rs, range(rank)))
+    if (family, rank) == ("B", 2):
+        elements.extend(b2_weyl_table())
+    assert all(type(x) is int for w in elements for row in w.matrix for x in row)
+
+
 def test_weyl_group_sizes():
     assert len(weyl_group(build_root_system("B", 3))) == 48
     assert len(weyl_group(build_root_system("A", 3))) == 24

@@ -96,6 +96,20 @@ def test_j_weyl_skew_invariance():
             assert j_b2(alpha, beta, wg) == w.sign * base
 
 
+def test_b2_weyl_table_and_j_b2_share_one_signed_permutation_table():
+    import hornvol.volume
+    from hornvol.rootsys import B2_SIGNED_PERMUTATIONS
+
+    assert hornvol.volume.B2_SIGNED_PERMUTATIONS is B2_SIGNED_PERMUTATIONS
+    table = b2_weyl_table()
+    assert len(table) == len(B2_SIGNED_PERMUTATIONS) == 8
+    x1, x2 = Q(3), Q(7)
+    for w, ((swap, s1, s2), eps) in zip(table, B2_SIGNED_PERMUTATIONS.items()):
+        y1, y2 = (x2, x1) if swap else (x1, x2)
+        assert apply_weyl(B2, w, Weight((x1, x2), "ortho")).coords == (s1 * y1, s2 * y2)
+        assert w.sign == eps
+
+
 def test_j_symmetric_in_alpha_beta():
     rng = random.Random(29)
     for _ in range(6):
