@@ -10,11 +10,12 @@ y = t1(1).  Its filtered integer points count C_{lam mu}^{nu}: a 2D lattice
 point only counts when the two eliminated parameters are integers as well,
 which for B2 is the statement that sigma lies in the root lattice.
 
-All geometry is exact.  A polygon keeps its half-planes as Fractions, and
-works on one integer copy of them: each row scaled by the positive lcm of its
-denominators.  Lattice scans take their row bounds from integer divmod,
-vertices come from Cramer's rule in integers, and boundedness is memoized on
-the primitive integer normals.  Vertices and areas are returned as Fractions.
+All geometry is exact and runs in integers.  A half-plane stores one integer
+row, its coefficients times the positive lcm of their denominators, and a
+polygon reads those rows.  Lattice scans take their row bounds from integer
+divmod, vertices come from Cramer's rule in integers, and boundedness is
+memoized on the integer normals.  Coefficients, vertices and areas
+are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import cached_property, lru_cache
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
-from .rootsys import RootSystem, Weight, build_root_system
 
 Point = tuple[Q, Q]
 Row = tuple[int, int, int, bool]
@@ -39,28 +39,46 @@ class DegeneratePolygonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HalfPlane:
-    """The constraint a*x + b*y >= c (or > c when strict)."""
+    """The constraint a*x + b*y >= c (or > c when strict), for ints or Fractions a, b, c.
 
-    a: Q
-    b: Q
-    c: Q
-    strict: bool = False
-    label: str = ""
+    Stored as one integer row (A, B, C) = den * (a, b, c), den > 0 the lcm of
+    the denominators of a, b and c; a, b and c are read back off the row.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Q(self.a))
-        object.__setattr__(self, "b", Q(self.b))
-        object.__setattr__(self, "c", Q(self.c))
-        if self.a == 0 and self.b == 0:
+    row: tuple[int, int, int]
+    den: int
+    strict: bool
+    label: str
+
+    def __init__(self, a, b, c, strict: bool = False, label: str = ""):
+        den = lcm(a.denominator, b.denominator, c.denominator)
+        row = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
+               c.numerator * (den // c.denominator))
+        if row[0] == 0 and row[1] == 0:
             raise ValueError("degenerate half-plane")
+        self.__dict__.update(row=row, den=den, strict=strict, label=label)  # frozen: bypass __setattr__
+
+    @property
+    def a(self) -> Q:
+        return Q(self.row[0], self.den)
+
+    @property
+    def b(self) -> Q:
+        return Q(self.row[1], self.den)
+
+    @property
+    def c(self) -> Q:
+        return Q(self.row[2], self.den)
 
     def value(self, p: Point) -> Q:
-        return self.a * p[0] + self.b * p[1] - self.c
+        A, B, C = self.row
+        return Q(A * p[0] + B * p[1] - C, self.den)
 
     def holds(self, p: Point, closure: bool = False) -> bool:
-        v = self.value(p)
+        A, B, C = self.row
+        v = A * p[0] + B * p[1] - C  # den * value(p), den > 0
         return v >= 0 if (closure or not self.strict) else v > 0
 
     def scaled(self, s) -> "HalfPlane":
@@ -110,7 +128,9 @@ def _normals_bounded(normals: tuple[tuple[int, int], ...]) -> bool:
     """Whether half-planes with these inward normals always cut out a bounded region.
 
     A nonzero recession direction, if any, lies along one of the boundary
-    lines, so only the directions (-b, a) and (b, -a) need testing.
+    lines, so only the directions (-b, a) and (b, -a) need testing.  The
+    answer ignores the normals' lengths; the BZ family has only a few
+    distinct tuples of them.
     """
     if not normals:
         return False
@@ -137,29 +157,11 @@ class RationalPolygon:
     # -- geometry ----------------------------------------------------------
     @cached_property
     def _rows(self) -> tuple[Row, ...]:
-        """Each half-plane as integers (A, B, C, strict): A*x + B*y >= C (> C when strict).
-
-        A row is the half-plane times the positive lcm of the denominators of
-        a, b and c, read off numerators and denominators.
-        """
-        rows = []
-        for h in self.halfplanes:
-            a, b, c = h.a, h.b, h.c
-            d = lcm(a.denominator, b.denominator, c.denominator)
-            rows.append((
-                a.numerator * (d // a.denominator),
-                b.numerator * (d // b.denominator),
-                c.numerator * (d // c.denominator),
-                h.strict,
-            ))
-        return tuple(rows)
+        """Each half-plane's integer row with its strictness: A*x + B*y >= C (> C when strict)."""
+        return tuple((*h.row, h.strict) for h in self.halfplanes)
 
     def is_bounded(self) -> bool:
-        normals = []
-        for A, B, _, _ in self._rows:
-            g = gcd(A, B)
-            normals.append((A // g, B // g))
-        return _normals_bounded(tuple(normals))
+        return _normals_bounded(tuple((A, B) for A, B, _, _ in self._rows))
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -311,42 +313,35 @@ def cell_centroid(vertices: Sequence[Point]) -> Point:
 # BZ polygon construction for B2
 
 
-def _dynkin_q(rs: RootSystem, w) -> tuple[Q, Q]:
-    a = rs.dynkin(w if isinstance(w, Weight) else Weight(tuple(w), "dynkin"))
-    return (a[0], a[1])
-
-
 def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     """Half-plane system of the B2 BZ polygon for a dominant rational triple.
 
-    An empty intersection is a legal result (dim metadata -1).
+    The labels are Dynkin labels, ints or Fractions.  An empty intersection
+    is a legal result (dim metadata -1).
     """
-    rs = build_root_system("B", 2)
-    l1, l2 = _dynkin_q(rs, lam)
-    m1, m2 = _dynkin_q(rs, mu)
-    n1, n2 = _dynkin_q(rs, nu)
-    for v in (l1, l2, m1, m2, n1, n2):
-        if v < 0:
-            raise ValueError("bz_polygon_b2 requires dominant weights")
+    (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
+    if min(l1, l2, m1, m2, n1, n2) < 0:
+        raise ValueError("bz_polygon_b2 requires dominant weights")
     s1d, s2d = l1 + m1 - n1, l2 + m2 - n2
-    # sigma in simple-root coordinates
-    sq1 = s1d + s2d / 2
+    # sigma = sq1 alpha1 + sq2 alpha2 in simple-root coordinates; with
+    # d1 = 2 sq1 only three offsets leave the labels' own arithmetic
+    d1 = 2 * s1d + s2d
     sq2 = s1d + s2d
     hps = [
         HalfPlane(1, 0, 0, label="t0(0) >= 0"),
         HalfPlane(0, 1, 0, label="t1(1) >= 0"),
         HalfPlane(-1, -2, -sq2, label="t0(1) >= 2 t1(1)"),
-        HalfPlane(1, -2, sq2 - 2 * sq1, label="2 t-1(1) >= t0(1)"),
+        HalfPlane(1, -2, sq2 - d1, label="2 t-1(1) >= t0(1)"),
         HalfPlane(0, -1, -l1, label="lam1 >= t1(1)"),
-        HalfPlane(1, -1, sq2 - sq1 - l1, label="lam1 >= t0(1) - t-1(1)"),
-        HalfPlane(1, 1, sq1 - l1, label="lam1 >= t-1(1) - t0(0)"),
+        HalfPlane(1, -1, Q(2 * (sq2 - l1) - d1, 2), label="lam1 >= t0(1) - t-1(1)"),
+        HalfPlane(1, 1, Q(d1 - 2 * l1, 2), label="lam1 >= t-1(1) - t0(0)"),
         HalfPlane(-1, 0, -l2, label="lam2 >= t0(0)"),
-        HalfPlane(-1, -1, sq1 - sq2 - m1, label="mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
+        HalfPlane(-1, -1, Q(d1 - 2 * (sq2 + m1), 2), label="mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
         HalfPlane(0, -1, -m1, label="mu1 >= t1(1)"),
-        HalfPlane(1, 0, 2 * sq2 - 2 * sq1 - m2, label="mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
+        HalfPlane(1, 0, 2 * sq2 - d1 - m2, label="mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
         HalfPlane(1, 2, sq2 - m2, label="mu2 >= t0(1) - 2 t1(1)"),
     ]
-    return RationalPolygon(hps, elim=(sq1, sq2))
+    return RationalPolygon(hps, elim=(Q(d1, 2), sq2))
 
 
 def lattice_point_count(P: RationalPolygon, integrality_filter: bool = True) -> int:

@@ -67,12 +67,6 @@ def parse_pair(token: str) -> tuple[Q, Q]:
     return (Q(parts[0]), Q(parts[1]))
 
 
-def _int_weight(w) -> tuple[int, ...]:
-    if any(v.denominator != 1 for v in w):
-        raise CliError(f"weight {w} must have integer Dynkin labels")
-    return tuple(int(v) for v in w)
-
-
 def _emit_json(payload: dict, stream) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     json.dump(payload, stream, indent=2, sort_keys=True)
@@ -86,7 +80,7 @@ def _emit_json(payload: dict, stream) -> None:
 def cmd_lr(args) -> int:
     rs = parse_algebra(args.algebra)
     lam, mu, nu = (
-        _int_weight(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
+        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
     )
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     if args.method == "all":
@@ -126,7 +120,7 @@ def cmd_volume(args) -> int:
     rs = parse_algebra(args.algebra)
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     lam, mu, nu = (
-        _int_weight(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
+        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
     )
     if args.route == "all":
         routes = ("direct", "lr", "ehrhart", "polytope") if is_b2 else ("lr", "ehrhart")
@@ -138,6 +132,11 @@ def cmd_volume(args) -> int:
         raise CliError("routes lr and ehrhart need a compatible triple")
     try:
         vr = volume_routes(lam, mu, nu, routes, rs=rs)
+    except NoDefaultPeriodError as exc:
+        raise CliError(
+            f"{exc}; volume has no --period, run "
+            f"'hornvol ehrhart {args.algebra} {args.lam} {args.mu} {args.nu} --period N'"
+        ) from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     values = vr.values()
@@ -147,6 +146,8 @@ def cmd_volume(args) -> int:
         "volume": {k: str(v) for k, v in values.items()},
         "agree": vr.agree(),
     }
+    if vr.skipped:
+        payload["skipped"] = vr.skipped
     degen = None
     if is_b2:
         P = bz_polygon_b2(lam, mu, nu)
@@ -163,6 +164,8 @@ def cmd_volume(args) -> int:
     else:
         for k, v in values.items():
             print(f"{k}: {v}")
+        for k, why in vr.skipped.items():
+            print(f"{k}: skipped ({why})")
         if degen is not None:
             print(f"degeneracy: {degen}")
         if len(values) > 1:
@@ -294,7 +297,7 @@ def _line_segment_in_polygon(ln, poly):
 def cmd_ehrhart(args) -> int:
     rs = parse_algebra(args.algebra)
     lam, mu, nu = (
-        _int_weight(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
+        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
     )
     if not is_compatible(rs, lam, mu, nu):
         raise CliError(f"triple {lam}, {mu}, {nu} is not compatible (lam+mu-nu not in the root lattice)")

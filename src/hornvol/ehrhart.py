@@ -148,7 +148,7 @@ def _default_lr(rs: RootSystem):
 def stretching_samples(rs: RootSystem, lam, mu, nu, s_values, lr=None) -> dict[int, int]:
     if lr is None:
         lr = _default_lr(rs)
-    lam, mu, nu = (tuple(int(v) for v in rs.dynkin(w)) for w in (lam, mu, nu))
+    lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
     out = {}
     for s in s_values:
         if s == 0:

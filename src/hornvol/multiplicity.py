@@ -7,19 +7,21 @@
   partition function, looked up by closed form or recursion
   (lr_steinberg) or in a batch numpy table (lr_steinberg_table).
 
-All arithmetic is exact; weights enter and leave as Dynkin labels.
+All arithmetic is in integers: weights enter and leave as Dynkin labels
+(read by `RootSystem.labels`), Freudenthal takes inner products from the
+integer half-norms on labels, and the Steinberg sum works on simple-root
+coordinates scaled by d through the integer map `RootSystem.root_scale`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
 from operator import add, mul
 
-from ._exact import InvariantError, dot
+from ._exact import InvariantError
 from .rootsys import (
+    NonDominantWeightError,
     RootSystem,
     UnsupportedAlgebraError,
     Weight,
@@ -62,18 +64,9 @@ def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
 
 
 def _check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
-    # int labels, the common case, skip the Fraction round trip of rs.dynkin
-    if not isinstance(w, Weight) and all(type(x) is int for x in w):
-        a = tuple(w)
-    else:
-        a = rs.dynkin(w)
-        if not all(x.denominator == 1 for x in a):
-            raise ValueError(f"{a} is not an integral weight")
-        a = tuple(int(x) for x in a)
-    if len(a) != rs.rank:
-        raise ValueError(f"{a} needs {rs.rank} Dynkin labels")
-    if any(x < 0 for x in a):
-        raise ValueError(f"{a} is not dominant")
+    a = rs.labels(w)
+    if min(a) < 0:
+        raise NonDominantWeightError(f"{a} is not dominant")
     return a
 
 
@@ -103,44 +96,42 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) 
     if dim > cap:
         raise SizeGuardError(f"dim V_{lam} = {dim} exceeds the cap {cap}")
 
-    lam_o = rs.ortho(Weight(lam, "dynkin"))
-    lam_norm2 = dot(lam_o, lam_o)
-    rho_o = rs.rho_ortho
-    lamrho = tuple(a + b for a, b in zip(lam_o, rho_o))
-    lamrho2 = dot(lamrho, lamrho)
-    simple_o = rs.simple_roots
-    simple_rows = rs.cartan_matrix
+    h = rs.half_norms
+    cart = rs.cartan_matrix
     n = rs.rank
 
-    # breadth-first closure of lambda - Q_+ pruned by |w|^2 <= |lambda|^2;
-    # keys are the offsets lambda - w in simple-root coordinates
+    # inner products in half-norm units on Dynkin labels, (w, alpha_i) = h_i w_i;
+    # breadth-first closure of lambda - Q_+ pruned by |w|^2 <= |lambda|^2,
+    # tracking t = |lambda|^2 - |w|^2; keys are the offsets lambda - w in
+    # simple-root coordinates
     zero = (0,) * n
-    cand: dict[tuple[int, ...], tuple[tuple[int, ...], tuple]] = {zero: (lam, lam_o)}
-    levels: dict[tuple[int, ...], int] = {zero: 0}
+    cand: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {zero: (lam, 0)}
     frontier = [zero]
     while frontier:
         new = []
         for off in frontier:
-            dyn, ortho = cand[off]
+            dyn, t = cand[off]
             for i in range(n):
                 off2 = tuple(off[j] + (1 if j == i else 0) for j in range(n))
                 if off2 in cand:
                     continue
-                ortho2 = tuple(a - b for a, b in zip(ortho, simple_o[i]))
-                if dot(ortho2, ortho2) > lam_norm2:
+                # |w - alpha_i|^2 = |w|^2 - 2 h_i w_i + 2 h_i
+                t2 = t + 2 * h[i] * (dyn[i] - 1)
+                if t2 < 0:
                     continue
-                dyn2 = tuple(dyn[j] - simple_rows[i][j] for j in range(n))
-                cand[off2] = (dyn2, ortho2)
-                levels[off2] = levels[off] + 1
+                cand[off2] = (tuple(dyn[j] - cart[i][j] for j in range(n)), t2)
                 new.append(off2)
         frontier = new
 
-    dominants = sorted(
-        (off for off, (dyn, _) in cand.items() if all(x >= 0 for x in dyn)),
-        key=lambda off: levels[off],
-    )
-    pos_rb = rs.positive_roots_rb
-    pos_o = rs.positive_roots
+    # by level sum(off), so zero, the highest weight, comes first
+    dominants = sorted((off for off, (dyn, _) in cand.items() if min(dyn) >= 0), key=sum)
+    # per positive root alpha: simple-root coordinates, the coefficients of
+    # (., alpha) on Dynkin labels, and |alpha|^2
+    roots = []
+    for rb in rs.positive_roots_rb:
+        hc = tuple(map(mul, rb, h))
+        alpha = [sum(map(mul, rb, col)) for col in zip(*cart)]  # Dynkin labels of alpha
+        roots.append((rb, hc, sum(map(mul, hc, alpha))))
     mult: dict[tuple[int, ...], int] = {lam: 1}
 
     def mult_of(off: tuple[int, ...]) -> int:
@@ -148,12 +139,11 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) 
         dom, _ = reflect_to_dominant(rs, dyn)
         return mult.get(tuple(dom), 0)
 
-    for off in dominants:
-        if off == zero:
-            continue
-        dyn, ortho = cand[off]
-        num = Q(0)
-        for rb, alpha in zip(pos_rb, pos_o):
+    for off in dominants[1:]:
+        dyn, t = cand[off]
+        num = 0
+        for rb, hc, norm2 in roots:
+            w_alpha = sum(map(mul, hc, dyn))
             k = 1
             while True:
                 off_k = tuple(o - k * r for o, r in zip(off, rb))
@@ -162,17 +152,16 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) 
                 if off_k in cand:
                     m = mult_of(off_k)
                     if m:
-                        shifted = tuple(a + k * b for a, b in zip(ortho, alpha))
-                        num += m * dot(shifted, alpha)
+                        num += m * (w_alpha + k * norm2)  # m(w + k alpha) (w + k alpha, alpha)
                 k += 1
         if num == 0:
             continue
-        wrho = tuple(a + b for a, b in zip(ortho, rho_o))
-        den = lamrho2 - dot(wrho, wrho)
-        val = 2 * num / den
-        if val.denominator != 1 or val <= 0:
-            raise InvariantError(f"Freudenthal multiplicity {val} of {dyn} in V{lam} is not a positive integer")
-        mult[dyn] = int(val)
+        # |lambda + rho|^2 - |w + rho|^2 = t + 2 (lambda - w, rho)
+        den = t + 2 * sum(map(mul, off, h))
+        val, rem = divmod(2 * num, den)
+        if rem or val <= 0:
+            raise InvariantError(f"Freudenthal multiplicity {2 * num}/{den} of {dyn} in V{lam} is not a positive integer")
+        mult[dyn] = val
 
     entries: dict[tuple[int, ...], int] = {}
     for dyn, m in mult.items():
@@ -234,15 +223,11 @@ def kostant_partition(rs: RootSystem, sigma, basis: str = "dynkin") -> int:
     Returns 0 when sigma is not in the root lattice (or has a negative
     simple-root coordinate).
     """
-    if basis == "root" and not isinstance(sigma, Weight) and all(type(v) is int for v in sigma):
-        vec = tuple(sigma)
-    else:
+    if isinstance(sigma, Weight) or basis != "root":
         w = sigma if isinstance(sigma, Weight) else Weight(tuple(sigma), basis)
-        rb = rs.to_basis(w, "root").coords
-        if any(v.denominator != 1 for v in rb):
-            return 0
-        vec = tuple(int(v) for v in rb)
-    if any(v < 0 for v in vec):
+        sigma = rs.to_basis(w, "root").coords
+    vec = tuple(v.numerator for v in sigma)
+    if vec != tuple(sigma) or min(vec) < 0:  # off the root lattice, or not >= 0
         return 0
     if rs.family == "B" and rs.rank == 2:
         return kostant_partition_b2(*vec)
@@ -306,23 +291,6 @@ def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) ->
     return out
 
 
-@lru_cache(maxsize=None)
-def _root_scale(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, columns of the matrix with rows d * omega_i in simple-root coordinates).
-
-    d is the lcm of the denominators of the fundamental weights, so the
-    columns are integers.
-    """
-    fw = build_root_system(family, rank).fundamental_weights_rb
-    d = lcm(*(v.denominator for row in fw for v in row))
-    return d, tuple(zip(*(tuple(int(v * d) for v in row) for row in fw)))
-
-
-def _scaled_root(cols: tuple[tuple[int, ...], ...], labels) -> tuple[int, ...]:
-    """Simple-root coordinates, scaled by d, of the weight with these Dynkin labels."""
-    return tuple(sum(map(mul, labels, col)) for col in cols)
-
-
 @lru_cache(maxsize=256)
 def _weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(eps(w), w(lam + rho) - (lam + rho)) for every Weyl element w.
@@ -332,8 +300,9 @@ def _weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[in
     scaled by d, where the integer Weyl matrices act exactly, and divided
     back; they are sorted by their first coordinate, largest first.
     """
-    d, cols = _root_scale(family, rank)
-    x = _scaled_root(cols, [v + 1 for v in lam])
+    rs = build_root_system(family, rank)
+    d = rs.root_scale[0]
+    x = rs.scaled_root([v + 1 for v in lam])
     out = []
     for w in weyl_elements((family, rank)):
         shift = [sum(map(mul, row, x)) - xi for row, xi in zip(w.matrix, x)]
@@ -352,8 +321,8 @@ def _steinberg_sum(rs: RootSystem, lam, mu, nu, kostant_for) -> int:
     is bounded by top: kostant_for(top) supplies P only when top >= 0, and P
     is called only at nonnegative arguments.
     """
-    d, cols = _root_scale(rs.family, rs.rank)
-    top = _scaled_root(cols, [a + b - c for a, b, c in zip(lam, mu, nu)])
+    d = rs.root_scale[0]
+    top = rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)])
     if any(v % d for v in top):
         return 0
     top = tuple(v // d for v in top)

@@ -18,6 +18,12 @@ internally to the convention <theta, theta> = 2 for a long root theta and
 say so in their docstrings; ratios (Weyl dimensions, Cartan integers) are
 scale-free.  Weyl group elements are integer matrices on simple-root
 coordinates, built from the Cartan integers.
+
+The exact kernels work on integer Dynkin labels (`RootSystem.labels` reads
+them).  Two integer tables serve them: `root_scale`, (d, d C^-T), which maps
+labels to d times their simple-root coordinates, and `half_norms`, the
+simple-root half-lengths (alpha_i, alpha_i)/2 in units of the shortest one,
+which give inner products on labels: (x, alpha_i) = h_i x_i.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._exact import InvariantError, Vec, dot, qvec, solve_in_span, solve_square, vadd, vscale
@@ -50,7 +57,7 @@ class UnsupportedAlgebraError(ValueError):
 
 
 class NonDominantWeightError(ValueError):
-    pass
+    """Not a dominant integral weight: a negative or a non-integral Dynkin label."""
 
 
 def _canon_basis(basis: str) -> str:
@@ -183,7 +190,8 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     exponents: tuple[int, ...]
     dual_coxeter_number: int
-    fundamental_weights_rb: tuple[Vec, ...]  # omega_i in the simple-root basis
+    half_norms: tuple[int, ...]              # (alpha_i, alpha_i)/2, the shortest being 1
+    root_scale: tuple[int, tuple[tuple[int, ...], ...]]  # (d, d C^-T), integers
 
     # -- derived quantities ------------------------------------------------
     @property
@@ -207,12 +215,33 @@ class RootSystem:
             acc = vadd(acc, a)
         return vscale(Q(1, 2), acc)
 
-    # -- basis conversions ---------------------------------------------------
+    # -- labels and basis conversions ------------------------------------------
+    def labels(self, w) -> tuple[int, ...]:
+        """The integer Dynkin labels of w, a label sequence or a Weight in any basis.
+
+        Raises ValueError on a wrong number of labels and NonDominantWeightError
+        on a non-integral one.
+        """
+        a = tuple(self.dynkin(w) if isinstance(w, Weight) else w)
+        if len(a) != self.rank:
+            raise ValueError(f"{a} needs {self.rank} Dynkin labels")
+        labels = tuple(map(int, a))
+        if labels != a:  # int() truncated a non-integral label
+            raise NonDominantWeightError(f"({', '.join(map(str, a))}) is not an integral weight")
+        return labels
+
+    def scaled_root(self, a: Sequence) -> tuple:
+        """d times the simple-root coordinates of the weight with Dynkin labels a.
+
+        d = root_scale[0]; integer labels give integers, rational ones Fractions.
+        """
+        if len(a) != self.rank:
+            raise ValueError(f"{tuple(a)} needs {self.rank} Dynkin labels")
+        return tuple(sum(map(mul, row, a)) for row in self.root_scale[1])
+
     def dynkin_to_root(self, a: Sequence) -> Vec:
-        # a_j = sum_i c_i C[i][j]  =>  solve the transposed system
-        n = self.rank
-        At = [[Q(self.cartan_matrix[i][j]) for i in range(n)] for j in range(n)]
-        return tuple(solve_square(At, qvec(a)))
+        d = self.root_scale[0]
+        return tuple(Q(v, d) for v in self.scaled_root(a))
 
     def root_to_dynkin(self, c: Sequence) -> Vec:
         n = self.rank
@@ -254,11 +283,7 @@ class RootSystem:
     def dynkin(self, w) -> Vec:
         return self.to_basis(as_weight(w), "dynkin").coords
 
-    # -- predicates ----------------------------------------------------------
-    def is_dominant_integral(self, w) -> bool:
-        a = self.dynkin(w)
-        return all(x.denominator == 1 and x >= 0 for x in a)
-
+    # -- norms ---------------------------------------------------------------
     def long_norm2(self) -> Q:
         return max(dot(a, a) for a in self.positive_roots)
 
@@ -329,12 +354,11 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
     cartan = tuple(
         tuple(int(2 * dot(a, b) / dot(b, b)) for b in simple) for a in simple
     )
-    # fundamental weights in the simple-root basis: rows of (C^T)^{-1}
-    n = rank
-    fw = []
-    for i in range(n):
-        At = [[Q(cartan[k][j]) for k in range(n)] for j in range(n)]
-        fw.append(tuple(solve_square(At, [Q(1) if j == i else Q(0) for j in range(n)])))
+    norms = [dot(a, a) for a in simple]
+    # columns of C^-T: the fundamental weights in the simple-root basis
+    At = [[Q(cartan[k][j]) for k in range(rank)] for j in range(rank)]
+    inv = list(zip(*(solve_square(At, [int(j == i) for j in range(rank)]) for i in range(rank))))
+    d = lcm(*(v.denominator for row in inv for v in row))
     return RootSystem(
         family=family,
         rank=rank,
@@ -344,7 +368,8 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         cartan_matrix=cartan,
         exponents=_exponents(family, rank),
         dual_coxeter_number=_dual_coxeter(family, rank),
-        fundamental_weights_rb=tuple(fw),
+        half_norms=tuple(int(v / min(norms)) for v in norms),
+        root_scale=(d, tuple(tuple(int(v * d) for v in row) for row in inv)),
     )
 
 
@@ -491,21 +516,22 @@ def reflect_to_dominant(rs: RootSystem, a: Sequence) -> tuple[tuple, int]:
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
-    """dim V_lambda = prod_{alpha>0} <alpha, lambda+rho> / <alpha, rho>."""
-    a = rs.dynkin(lam)
-    if not all(x.denominator == 1 and x >= 0 for x in a):
-        raise NonDominantWeightError(f"{a} is not dominant integral")
-    lam_rho = rs.ortho(Weight(tuple(x + 1 for x in a), "dynkin"))
-    rho = rs.rho_ortho
-    num = Q(1)
-    den = Q(1)
-    for alpha in rs.positive_roots:
-        num *= dot(alpha, lam_rho)
-        den *= dot(alpha, rho)
-    d = num / den
-    if d.denominator != 1:
-        raise InvariantError(f"Weyl dimension {d} of {a} is not an integer")
-    return int(d)
+    """dim V_lambda = prod_{alpha>0} <alpha, lambda+rho> / <alpha, rho>.
+
+    In integers: <alpha, x> = sum_i c_i h_i x_i for alpha = sum_i c_i alpha_i
+    and x given by its Dynkin labels, h being the half-norms.
+    """
+    a = rs.labels(lam)
+    if min(a) < 0:
+        raise NonDominantWeightError(f"{a} is not dominant")
+    num = den = 1
+    for rb in rs.positive_roots_rb:
+        hc = tuple(map(mul, rb, rs.half_norms))
+        num *= sum(map(mul, hc, a)) + sum(hc)
+        den *= sum(hc)
+    if num % den:
+        raise InvariantError(f"Weyl dimension {num}/{den} of {a} is not an integer")
+    return num // den
 
 
 def delta_g(rs: RootSystem, x) -> Q:
@@ -588,10 +614,6 @@ def kappa_theta(theta, n: int) -> KappaTheta:
 
 
 def is_compatible(rs: RootSystem, lam, mu, nu) -> bool:
-    """True iff lambda + mu - nu lies in the root lattice."""
-    a = rs.dynkin(lam)
-    b = rs.dynkin(mu)
-    c = rs.dynkin(nu)
-    sigma = tuple(x + y - z for x, y, z in zip(a, b, c))
-    rb = rs.dynkin_to_root(sigma)
-    return all(v.denominator == 1 for v in rb)
+    """True iff lambda + mu - nu lies in the root lattice; labels may be rational."""
+    a, b, c = (rs.scaled_root(rs.dynkin(w)) for w in (lam, mu, nu))
+    return all((x + y - z) % rs.root_scale[0] == 0 for x, y, z in zip(a, b, c))

@@ -16,7 +16,7 @@ basis; lam/mu/nu are weights in Dynkin labels.  The B2 identification is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from ._exact import (
@@ -41,7 +41,7 @@ from .ehrhart import (
     leading_coefficient,
     stretching_quasi_polynomial,
 )
-from .multiplicity import lr_triple
+from .multiplicity import SizeGuardError, lr_triple
 from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible
 
 Pair = tuple[Q, Q]
@@ -669,7 +669,7 @@ def j_lr_unshifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
         rs = b2()
     if not is_compatible(rs, lam, mu, nu):
         raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
-    lam, mu, nu = (tuple(int(v) for v in rs.dynkin(w)) for w in (lam, mu, nu))
+    lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
     shifted = [tuple(v - 1 for v in w) for w in (lam, mu, nu)]
     if any(v < 0 for w in shifted for v in w):
         raise NotShiftableError("lam, mu, nu must all dominate rho")
@@ -682,7 +682,7 @@ def kissinger_quasi_polynomial(
     rs: RootSystem, kappa, period: int | None = None, degree: int | None = None
 ) -> tuple[QuasiPolynomial, dict[int, int]]:
     """Stretching quasi-polynomial of (s rho, s rho, s (kappa + rho))."""
-    kappa = tuple(int(v) for v in rs.dynkin(kappa))
+    kappa = rs.labels(kappa)
     rho = (1,) * rs.rank
     nu = tuple(k + 1 for k in kappa)
     if period is None:
@@ -698,7 +698,7 @@ def c_kappa_via_kissinger(rs: RootSystem, kappa, period: int | None = None, degr
     coefficient.
     """
     K, Khat = kappa_coefficient_sets(rs)
-    kap = tuple(int(v) for v in rs.dynkin(kappa))
+    kap = rs.labels(kappa)
     if kap not in K and kap not in Khat:
         raise ValueError(f"{kap} is not in K or K-hat of {rs.name}")
     quasi, _ = kissinger_quasi_polynomial(rs, kap, period=period, degree=degree)
@@ -752,9 +752,10 @@ class VolumeRoutes:
     lr: Q | None = None
     ehrhart: Q | None = None
     polytope: Q | None = None
+    skipped: dict[str, str] = field(default_factory=dict)  # route -> reason
 
     def values(self) -> dict[str, Q]:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        return {k: v for k, v in self.__dict__.items() if k != "skipped" and v is not None}
 
     def agree(self) -> bool:
         vals = set(self.values().values())
@@ -767,13 +768,15 @@ def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
 
     The direct and polytope routes are B2-specific; lr and ehrhart work for
     every algebra with a c_kappa table.  The lr route needs lam, mu, nu to
-    dominate rho; when explicitly asked for it raises, but under "all
-    routes" a non-shiftable triple just drops it.
+    dominate rho and weight systems within the Freudenthal size guard; when
+    explicitly asked for it raises, but next to other routes it is skipped
+    and the reason kept in `skipped`.
     """
     if rs is None:
         rs = b2()
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     out = {}
+    skipped = {}
     if "direct" in routes:
         if not is_b2:
             raise ValueError("the direct J evaluation is B2-specific")
@@ -781,9 +784,10 @@ def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
     if "lr" in routes:
         try:
             out["lr"] = j_lr_unshifted(lam, mu, nu, rs)
-        except NotShiftableError:
+        except (NotShiftableError, SizeGuardError) as exc:
             if routes == ("lr",):
                 raise
+            skipped["lr"] = str(exc)
     if "ehrhart" in routes:
         quasi, _ = stretching_quasi_polynomial(rs, lam, mu, nu)
         out["ehrhart"] = leading_coefficient(quasi, skip_zero_classes=True)
@@ -792,7 +796,7 @@ def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
             raise ValueError("the BZ polygon construction is B2-specific")
         P = bz_polygon_b2(lam, mu, nu)
         out["polytope"] = P.area() if P.dim == 2 else Q(0)
-    return VolumeRoutes(**out)
+    return VolumeRoutes(**out, skipped=skipped)
 
 
 def multiplicity_one_scaling_diagnostic(max_label: int = 4, smax: int = 5) -> list[tuple]:

@@ -1,16 +1,13 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
-Criteria marked slow (B3 kissinger coefficient, E7/E8 covolumes) run only
-with HORNVOL_SLOW_TESTS=1.
+Every criterion runs by default, the B3 kissinger coefficient and the E7/E8
+covolumes included.
 """
 
 import itertools
-import os
 import random
 import time
 from fractions import Fraction as Q
-
-import pytest
 
 from hornvol.bzpolytope import (
     boundary_interior_counts,
@@ -45,7 +42,6 @@ from hornvol.volume import (
 )
 
 B2 = build_root_system("B", 2)
-SLOW = os.environ.get("HORNVOL_SLOW_TESTS") == "1"
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -169,7 +165,6 @@ def test_criterion_05_coefficient_recovery():
     report(5, ok, "c_(0,0)=3/8 (3s^2/8+3s/4+1 even, 0 odd), c-hat_(0,1)=1/4, B2/B3 sum rules exact")
 
 
-@pytest.mark.skipif(not SLOW, reason="B3 c_(0,0,0) behind HORNVOL_SLOW_TESTS=1")
 def test_criterion_05_slow_b3_coefficient():
     t0 = time.time()
     b3 = build_root_system("B", 3)
@@ -181,7 +176,7 @@ def test_criterion_05_slow_b3_coefficient():
     ok &= quasi.class_is_zero(1) and quasi.class_is_zero(3)
     ok &= leading_coefficient(quasi, skip_zero_classes=True) == Q(241, 3072)
     elapsed = time.time() - t0
-    report(5, ok and elapsed < 1800, f"[slow] B3 c_(0,0,0) = 241/3072, both even-class polynomials verbatim ({elapsed:.0f}s)")
+    report(5, ok and elapsed < 1800, f"B3 c_(0,0,0) = 241/3072, both even-class polynomials verbatim ({elapsed:.0f}s)")
 
 
 def test_criterion_06_reciprocity_and_pick():
@@ -223,13 +218,12 @@ def test_criterion_07_covolumes():
            f"Gram = formula = table for A-D up to rank 8 and G2, F4, E6 ({len(reports)} cases, {elapsed:.1f}s)")
 
 
-@pytest.mark.skipif(not SLOW, reason="E7/E8 covolumes behind HORNVOL_SLOW_TESTS=1")
 def test_criterion_07_slow_e7_e8():
     e7 = covolume_report("E7")
     e8 = covolume_report("E8")
     ok = e7.agree and e7.delta_gram == 2**6 * 3**14
     ok &= e8.agree and e8.delta_gram == 2**8 * 3**8 * 5**8
-    report(7, ok, "[slow] E7 = 2^6 3^14 and E8 = 2^8 3^8 5^8 agree")
+    report(7, ok, "E7 = 2^6 3^14 and E8 = 2^8 3^8 5^8 agree")
 
 
 def test_criterion_08_piecewise_structure():

@@ -321,3 +321,64 @@ def test_unbounded_systems_raise(P, strict_all):
     assert not P.is_bounded()
     with pytest.raises(UnboundedPolygonError):
         P.lattice_count(strict_all=strict_all)
+
+
+# ---------------------------------------------------------------------------
+# properties: the integer half-plane row and the integer BZ construction
+
+
+def int_if_integral(v: Q):
+    return int(v) if v.denominator == 1 else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient, coefficient, rationals(-20, 20), st.booleans(), st.booleans(),
+       st.tuples(rationals(-10, 10), rationals(-10, 10)))
+def test_halfplane_row_round_trips(a, b, c, strict, as_ints, p):
+    if a == 0 and b == 0:
+        b = Q(1)
+    args = [int_if_integral(v) for v in (a, b, c)] if as_ints else [a, b, c]
+    h = HalfPlane(*args, strict=strict)
+    A, B, C = h.row
+    assert all(type(v) is int for v in (A, B, C, h.den)) and h.den > 0
+    assert (A, B, C) == (h.den * a, h.den * b, h.den * c)
+    assert (h.a, h.b, h.c) == (a, b, c)
+    assert h == HalfPlane(a, b, c, strict=strict)
+    assert h.scaled(Q(3, 2)).c == c * Q(3, 2)
+    v = a * p[0] + b * p[1] - c
+    assert h.value(p) == v
+    assert h.holds(p) == (v > 0 if strict else v >= 0)
+    assert h.holds(p, closure=True) == (v >= 0)
+
+
+def reference_bz_b2(lam, mu, nu):
+    """The 12 B2 BZ constraints (a, b, c) and sigma, built in Fractions from the labels."""
+    (l1, l2), (m1, m2), (n1, n2) = (tuple(Q(v) for v in w) for w in (lam, mu, nu))
+    s1d, s2d = l1 + m1 - n1, l2 + m2 - n2
+    sq1, sq2 = s1d + s2d / 2, s1d + s2d
+    rows = [
+        (1, 0, 0), (0, 1, 0), (-1, -2, -sq2), (1, -2, sq2 - 2 * sq1),
+        (0, -1, -l1), (1, -1, sq2 - sq1 - l1), (1, 1, sq1 - l1), (-1, 0, -l2),
+        (-1, -1, sq1 - sq2 - m1), (0, -1, -m1), (1, 0, 2 * sq2 - 2 * sq1 - m2), (1, 2, sq2 - m2),
+    ]
+    return [tuple(Q(v) for v in r) for r in rows], (sq1, sq2)
+
+
+def abc(P: RationalPolygon):
+    assert not any(h.strict for h in P.halfplanes)
+    return [(h.a, h.b, h.c) for h in P.halfplanes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals(0, 12), min_size=6, max_size=6), rationals(1, 4), st.booleans())
+def test_bz_polygon_matches_a_fraction_reference(labels, s, as_ints):
+    labels = [int_if_integral(v) for v in labels] if as_ints else labels
+    lam, mu, nu = labels[0:2], labels[2:4], labels[4:6]
+    rows, sigma = reference_bz_b2(lam, mu, nu)
+    P = bz_polygon_b2(lam, mu, nu)
+    assert abc(P) == rows and P.elim == sigma
+    stretched = [tuple(s * v for v in w) for w in (lam, mu, nu)]
+    rows_s, sigma_s = reference_bz_b2(*stretched)
+    assert [(a, b, c * s) for a, b, c in rows] == rows_s
+    for D in (P.dilate(s), bz_polygon_b2(*stretched)):
+        assert abc(D) == rows_s and D.elim == sigma_s

@@ -91,6 +91,42 @@ def test_volume_b3_lr_and_ehrhart(capsys):
     assert rc == 2
 
 
+def test_non_integral_labels_exit_2(capsys):
+    assert main(["lr", "B2", "1/2,0", "1,0", "1,0"]) == 2
+    assert capsys.readouterr().err == "error: (1/2, 0) is not an integral weight\n"
+
+
+def test_volume_skips_lr_beyond_the_size_guard(capsys):
+    rc, out = run(capsys, "volume", "B2", "40,40", "40,40", "40,40")
+    assert rc == 0
+    assert out.splitlines()[:4] == [
+        "direct: 600", "ehrhart: 600", "polytope: 600",
+        "lr: skipped (dim V_(39, 39) = 2560000 exceeds the cap 1000000)",
+    ]
+    assert "agree: yes" in out
+    rc, out = run(capsys, "volume", "B2", "40,40", "40,40", "40,40", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["skipped"] == {"lr": "dim V_(39, 39) = 2560000 exceeds the cap 1000000"}
+    assert sorted(payload["volume"]) == ["direct", "ehrhart", "polytope"]
+    assert main(["volume", "B2", "40,40", "40,40", "40,40", "--route", "lr"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_volume_reports_a_non_shiftable_lr_route_as_skipped(capsys):
+    rc, out = run(capsys, "volume", "B2", "0,3", "2,2", "2,3")
+    assert rc == 0
+    assert "lr: skipped (lam, mu, nu must all dominate rho)" in out.splitlines()
+
+
+def test_volume_ehrhart_route_without_default_period_points_to_ehrhart(capsys):
+    assert main(["volume", "G2", "1,1", "1,1", "1,1", "--route", "ehrhart"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no default period for G2; volume has no --period, "
+        "run 'hornvol ehrhart G2 1,1 1,1 1,1 --period N'\n"
+    )
+
+
 def test_grid_csv_and_svg(tmp_path, capsys):
     csv_path = tmp_path / "grid.csv"
     svg_path = tmp_path / "grid.svg"

@@ -1,7 +1,4 @@
-import os
 import random
-
-import pytest
 
 from hornvol._exact import det_bareiss
 from hornvol.covolume import (
@@ -13,9 +10,6 @@ from hornvol.covolume import (
     _nonsimple_in_simple_basis,
 )
 from hornvol.rootsys import build_root_system
-
-SLOW = os.environ.get("HORNVOL_SLOW_TESTS") == "1"
-
 
 def test_gram_examples():
     assert gram_delta(build_root_system("A", 2)) == 3
@@ -60,7 +54,6 @@ def test_markdown_table():
     assert "| G2 | 6 | 4 | 48 | 48 | 48 | yes |" in md
 
 
-@pytest.mark.skipif(not SLOW, reason="E7/E8 Gram determinants behind HORNVOL_SLOW_TESTS=1")
 def test_e7_e8_slow():
     e7 = covolume_report("E7")
     assert e7.delta_gram == 2**6 * 3**14 and e7.agree

@@ -14,6 +14,7 @@ from hornvol.ehrhart import (
     leading_coefficient,
     reciprocity_check,
     stretching_quasi_polynomial,
+    stretching_samples,
 )
 from hornvol.multiplicity import lr_klimyk
 from hornvol.rootsys import build_root_system
@@ -146,3 +147,12 @@ def test_empty_polytope_fit_is_zero():
     assert 0 not in samples
     assert all(quasi.evaluate(s) == 0 for s in range(1, 7))
     assert leading_coefficient(quasi, skip_zero_classes=True) == 0
+
+
+def test_non_integral_labels_are_refused():
+    # int() used to truncate (3/2, 2) to (1, 2)
+    with pytest.raises(ValueError, match="not an integral weight"):
+        stretching_samples(B2, (Q(3, 2), 2), (1, 2), (1, 2), [1, 2])
+    with pytest.raises(ValueError, match="not an integral weight"):
+        stretching_quasi_polynomial(B2, (Q(3, 2), 2), (1, 2), (1, 2))
+    assert stretching_samples(B2, (Q(1), 2), (1, 2), (1, 2), [1, 2]) == {1: 3, 2: 7}

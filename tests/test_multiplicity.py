@@ -304,3 +304,17 @@ def test_steinberg_sum_matches_klimyk_and_table(triple):
     assert c == lr_klimyk(rs, lam, mu, nu) == lr_steinberg_table(rs, lam, mu, nu)
     if not is_compatible(rs, lam, mu, nu):
         assert c == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.data())
+def test_freudenthal_sums_to_weyl_dimension_and_is_weyl_invariant(name, data):
+    rs = SMALL_ALGEBRAS[name]
+    lam = data.draw(st.tuples(*[st.integers(0, 4 if rs.rank == 2 else 2)] * rs.rank))
+    table = freudenthal_weights(rs, lam)
+    assert table.entries[lam] == 1
+    assert table.dimension() == weyl_dimension(rs, lam)
+    for w, m in table.entries.items():
+        for i in range(rs.rank):
+            reflected = tuple(w[j] - w[i] * rs.cartan_matrix[i][j] for j in range(rs.rank))
+            assert table.entries.get(reflected) == m

@@ -3,7 +3,10 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hornvol._exact import solve_square
 from hornvol.rootsys import (
     UnsupportedAlgebraError,
     Weight,
@@ -305,3 +308,60 @@ def test_basis_aliases():
     w = Weight((1, 2), "SimpleRoot")
     assert w.basis == "root"
     assert Weight((1, 2), "Orthonormal").basis == "ortho"
+
+
+# -- labels and the integer Dynkin-to-root map ---------------------------------
+
+
+def test_label_reader():
+    b2 = build_root_system("B", 2)
+    assert b2.labels((Q(5), 6)) == (5, 6)
+    assert all(type(v) is int for v in b2.labels((Q(5), Q(6))))
+    assert b2.labels(Weight((3, 4))) == (3, 4)
+    assert b2.labels(Weight((Q(3, 2), Q(1, 2)), "ortho")) == (1, 1)  # rho
+    assert b2.labels((-1, 2)) == (-1, 2)
+    with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+        b2.labels((1, 0, 7))
+    with pytest.raises(NonDominantWeightError, match="not an integral weight"):
+        b2.labels((Q(3, 2), 2))
+
+
+def test_label_count_is_checked():
+    b2 = build_root_system("B", 2)
+    with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+        is_compatible(b2, (5, 6, 0), (3, 4), (6, 4))
+    with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+        is_compatible(b2, (5, 6), (3, 4), (6,))
+    with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+        weyl_dimension(b2, (1, 0, 7))
+    with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+        b2.dynkin_to_root((1,))
+
+
+def reference_dynkin_to_root(rs, a):
+    """Solve a_j = sum_i c_i C[i][j] for the simple-root coordinates c."""
+    n = rs.rank
+    At = [[Q(rs.cartan_matrix[i][j]) for i in range(n)] for j in range(n)]
+    return tuple(solve_square(At, [Q(v) for v in a]))
+
+
+def rational_labels(rank: int):
+    label = st.integers(1, 3).flatmap(lambda q: st.builds(Q, st.integers(-9 * q, 9 * q), st.just(q)))
+    return st.lists(label, min_size=rank, max_size=rank).map(lambda a: tuple(int(v) if v.denominator == 1 else v for v in a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None)]),
+       st.data())
+def test_is_compatible_matches_a_solve_square_reference(algebra, data):
+    rs = build_root_system(*algebra)
+    lam, mu, nu = (data.draw(rational_labels(rs.rank)) for _ in range(3))
+    sigma = tuple(Q(x) + y - z for x, y, z in zip(lam, mu, nu))
+    expected = reference_dynkin_to_root(rs, sigma)
+    assert rs.dynkin_to_root(sigma) == expected
+    assert is_compatible(rs, lam, mu, nu) == all(v.denominator == 1 for v in expected)
+    # sigma = 0 and sigma = a root are always compatible
+    assert is_compatible(rs, lam, (0,) * rs.rank, lam)
+    root = data.draw(st.sampled_from(rs.positive_roots_rb))
+    alpha = tuple(sum(c * rs.cartan_matrix[i][j] for i, c in enumerate(root)) for j in range(rs.rank))
+    assert is_compatible(rs, lam, alpha, lam)

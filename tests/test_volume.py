@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hornvol._exact import p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2
 from hornvol.ehrhart import leading_coefficient, stretching_quasi_polynomial
-from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system
+from hornvol.multiplicity import SizeGuardError
+from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
 from hornvol.volume import (
     IncompatibleTripleError,
     NotShiftableError,
@@ -603,3 +604,25 @@ def test_so2_closed_form_value():
     val = j_so2_symmetric(1, 2, Q(2236067977499790, 10**15))
     expect = 2 / math.pi**2 * math.sqrt((1 * 2 * math.sqrt(5)) / ((9 - 5) * (5 - 1)))
     assert abs(val - expect) < 1e-6
+
+
+def test_non_integral_labels_are_refused():
+    # a compatible triple whose labels int() used to truncate to (2, 3), (1, 3), (3, 2)
+    lam, mu, nu = (Q(5, 2), 3), (Q(3, 2), 3), (3, 2)
+    assert is_compatible(B2, lam, mu, nu)
+    with pytest.raises(ValueError, match="not an integral weight"):
+        j_lr_unshifted(lam, mu, nu)
+    with pytest.raises(ValueError, match="not an integral weight"):
+        kissinger_quasi_polynomial(B2, (Q(1, 2), 0))
+    with pytest.raises(ValueError, match="not an integral weight"):
+        c_kappa_via_kissinger(B2, (Q(1, 2), 0))
+
+
+def test_lr_route_beyond_the_size_guard_is_skipped_next_to_others():
+    big = (40, 40)
+    vr = volume_routes(big, big, big, routes=("direct", "lr", "polytope"))
+    assert vr.values() == {"direct": 600, "polytope": 600}
+    assert "exceeds the cap" in vr.skipped["lr"]
+    with pytest.raises(SizeGuardError):
+        volume_routes(big, big, big, routes=("lr",))
+    assert volume_routes((4, 7), (5, 3), (2, 4)).skipped == {}
