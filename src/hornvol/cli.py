@@ -20,6 +20,7 @@ from fractions import Fraction as Q
 from ._exact import InvariantError
 from .bzpolytope import (
     bz_polygon_b2,
+    clip_cell,
     degeneracy_info,
     lattice_point_count,
     pick_relation_check,
@@ -27,7 +28,13 @@ from .bzpolytope import (
 from .covolume import covolume_markdown, covolume_report, covolume_table
 from .ehrhart import NoDefaultPeriodError, leading_coefficient, stretching_quasi_polynomial
 from .multiplicity import lr_klimyk, lr_steinberg
-from .rootsys import build_root_system, is_compatible, UnsupportedAlgebraError
+from .rootsys import (
+    CLASSICAL_MIN_RANK,
+    EXCEPTIONAL_RANK,
+    UnsupportedAlgebraError,
+    build_root_system,
+    is_compatible,
+)
 from .volume import (
     b2_dynkin_to_ortho,
     horn_polygon,
@@ -46,7 +53,7 @@ class CliError(Exception):
 
 def parse_algebra(token: str):
     token = token.strip().upper()
-    if token in ("E6", "E7", "E8", "F4", "G2"):
+    if token in EXCEPTIONAL_RANK:
         return build_root_system(token)
     if len(token) >= 2 and token[0] in "ABCD" and token[1:].isdigit():
         return build_root_system(token[0], int(token[1:]))
@@ -126,8 +133,6 @@ def cmd_volume(args) -> int:
         routes = ("direct", "lr", "ehrhart", "polytope") if is_b2 else ("lr", "ehrhart")
     else:
         routes = (args.route,)
-    if not is_b2 and any(r in ("direct", "polytope") for r in routes):
-        raise CliError("routes direct and polytope are B2-only")
     if any(r in ("lr", "ehrhart") for r in routes) and not is_compatible(rs, lam, mu, nu):
         raise CliError("routes lr and ehrhart need a compatible triple")
     try:
@@ -275,19 +280,9 @@ def _grid_svg(poly, lines, cell_diagram=None) -> str:
 
 
 def _line_segment_in_polygon(ln, poly):
-    hits = []
-    n = len(poly.vertices)
     a, b = ln.normal
-    for i in range(n):
-        p, q = poly.vertices[i], poly.vertices[(i + 1) % n]
-        vp, vq = ln.value(p), ln.value(q)
-        if vp == 0:
-            hits.append(p)
-        if (vp > 0 > vq) or (vp < 0 < vq):
-            t = vp / (vp - vq)
-            hits.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    hits = sorted(set(hits))
-    return (hits[0], hits[-1]) if len(hits) >= 2 else None
+    chord = clip_cell(clip_cell(poly.vertices, a, b, ln.level), -a, -b, -ln.level)
+    return (min(chord), max(chord)) if len(chord) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +318,15 @@ def cmd_ehrhart(args) -> int:
 def cmd_covolume(args) -> int:
     if args.family:
         fam = args.family.upper()
-        if fam in ("E6", "E7", "E8", "F4", "G2"):
+        if fam in EXCEPTIONAL_RANK:
             reports = [covolume_report(fam)]
-        else:
-            minimum = {"A": 1, "B": 2, "C": 2, "D": 3}.get(fam)
-            if minimum is None:
-                raise CliError(f"unknown family {args.family!r}")
+        elif fam in CLASSICAL_MIN_RANK:
+            minimum = CLASSICAL_MIN_RANK[fam]
+            if args.max_rank < minimum:
+                raise CliError(f"{fam}_r requires r >= {minimum}, but --max-rank is {args.max_rank}")
             reports = [covolume_report(fam, r) for r in range(minimum, args.max_rank + 1)]
+        else:
+            raise CliError(f"unknown family {args.family!r}")
     else:
         reports = covolume_table(max_rank=args.max_rank)
     ok = all(r.agree for r in reports)

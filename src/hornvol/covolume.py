@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from ._exact import InvariantError, det_bareiss, det_fraction, dot
-from .rootsys import RootSystem, build_root_system
+from .rootsys import CLASSICAL_MIN_RANK, RootSystem, build_root_system
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def covolume_report(family: str, rank: int | None = None) -> CovolumeReport:
 def covolume_table(families=("A", "B", "C", "D"), max_rank: int = 8, exceptional=("G2", "F4", "E6")) -> list[CovolumeReport]:
     """Reports for the classical families up to max_rank plus chosen exceptionals."""
     out = []
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}
     for fam in families:
-        for r in range(minimum[fam], max_rank + 1):
+        for r in range(CLASSICAL_MIN_RANK[fam], max_rank + 1):
             out.append(covolume_report(fam, r))
     for fam in exceptional:
         out.append(covolume_report(fam))

@@ -37,9 +37,10 @@ from typing import Iterable, Sequence
 
 from ._exact import InvariantError, Vec, dot, qvec, solve_in_span, solve_square, vadd, vscale
 
-CLASSICAL = ("A", "B", "C", "D")
+#: the classical families with their smallest rank, the exceptional ones with their rank
+CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
-FAMILIES = CLASSICAL + tuple(EXCEPTIONAL_RANK)
+FAMILIES = tuple(CLASSICAL_MIN_RANK) + tuple(EXCEPTIONAL_RANK)
 
 #: canonical basis names, with accepted aliases
 BASIS_ALIASES = {
@@ -197,7 +198,7 @@ class RootSystem:
     @property
     def name(self) -> str:
         """The algebra's name: 'B4', 'G2' (classical families carry the rank)."""
-        return f"{self.family}{self.rank}" if self.family in CLASSICAL else self.family
+        return f"{self.family}{self.rank}" if self.family in CLASSICAL_MIN_RANK else self.family
 
     @property
     def n_positive(self) -> int:
@@ -337,10 +338,10 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
             rank = fixed
         if rank != fixed:
             raise UnsupportedAlgebraError(f"{family} has rank {fixed}, not {rank}")
-    elif family in CLASSICAL:
+    elif family in CLASSICAL_MIN_RANK:
         if rank is None:
             raise UnsupportedAlgebraError(f"family {family} needs an explicit rank")
-        minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+        minimum = CLASSICAL_MIN_RANK[family]
         if rank < minimum:
             raise UnsupportedAlgebraError(f"{family}_r requires r >= {minimum}")
     else:

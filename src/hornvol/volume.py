@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from ._exact import (
+    InvariantError,
     Poly2,
     p2_eval,
     p2_integrate_polygon,
@@ -79,44 +80,36 @@ def _qpair(x) -> Pair:
 def j_b2(alpha, beta, gamma) -> Q:
     """Exact J(alpha, beta; gamma) for B2, orthonormal coordinates.
 
-    One Weyl sum is fixed to the identity and the result multiplied by 8;
-    sign(0) counts as 0, which only affects a measure-zero set and keeps the
-    function continuous.
+    Sums the merged Weyl terms of _weyl_terms in integers, with gamma scaled
+    by the lcm of their scale and its own denominators.  One Weyl sum is
+    fixed to the identity and the result multiplied by 8; sign(0) counts as
+    0, which only affects a measure-zero set and keeps the function
+    continuous.
     """
-    a1, a2 = _qpair(alpha)
-    b1, b2 = _qpair(beta)
+    scale, terms = _weyl_terms(_qpair(alpha), _qpair(beta))
     g1, g2 = _qpair(gamma)
-    scale = 1
-    for v in (a1, a2, b1, b2, g1, g2):
-        d = v.denominator
-        scale = scale * d // math.gcd(scale, d)
-    ia1, ia2 = int(a1 * scale), int(a2 * scale)
-    ib1, ib2 = int(b1 * scale), int(b2 * scale)
-    ig1, ig2 = int(g1 * scale), int(g2 * scale)
+    gscale = math.lcm(scale, g1.denominator, g2.denominator)
+    m = gscale // scale
+    ig1, ig2 = int(g1 * gscale), int(g2 * gscale)
     acc = 0
-    for (swap, s1, s2), e1 in B2_SIGNED_PERMUTATIONS.items():
-        wa1, wa2 = (ia2, ia1) if swap else (ia1, ia2)
-        wa1 *= s1
-        wa2 *= s2
-        for (swap2, t1, t2), e2 in B2_SIGNED_PERMUTATIONS.items():
-            wb1, wb2 = (ib2, ib1) if swap2 else (ib1, ib2)
-            x = wa1 + t1 * wb1 - ig1
-            y = wa2 + t2 * wb2 - ig2
-            tot = x + y
-            if tot == 0:
-                continue
-            d = x - y
-            f = 4 * x * abs(x) - 4 * y * abs(y) - 2 * d * abs(d)
-            if f == 0:
-                continue
-            acc += e1 * e2 * (f if tot > 0 else -f)
-    return Q(acc, 32 * scale * scale)
+    for x0, y0, e in terms:
+        x = x0 * m - ig1
+        y = y0 * m - ig2
+        d = x - y
+        f = 4 * x * abs(x) - 4 * y * abs(y) - 2 * d * abs(d)
+        if x + y > 0:
+            acc += e * f
+        elif x + y < 0:
+            acc -= e * f
+    return Q(acc, 32 * gscale * gscale)
 
 
 # ---------------------------------------------------------------------------
 # Horn polygon
 
 _DASHED = "chamber"
+#: the chamber walls g2 = 0 and g1 - g2 = 0 as (kind, level)
+_CHAMBER_WALLS = {("g2", 0), ("g1-g2", 0)}
 
 
 def _check_regular_ordered(alpha: Pair, beta: Pair) -> None:
@@ -282,7 +275,12 @@ class QuadCell:
 
 @dataclass(frozen=True)
 class Wall:
-    """A maximal straight piece of a cell boundary with its jump class.
+    """One cell edge with its jump class.
+
+    An internal wall is an edge that two cells share, with cells = (hi, lo)
+    and hi on the side where <normal, gamma> > level; its segment is the
+    sorted pair of endpoints.  A boundary wall is an edge of one cell, with
+    the segment in that cell's counter-clockwise direction.
 
     classification is one of:
       'inactive'            zero jump across an internal wall
@@ -428,26 +426,18 @@ def _cell_quadratic(terms: tuple[int, tuple], verts) -> tuple[Q, ...]:
             Q(cxx, 32), Q(cxy, 32), Q(cyy, 32))
 
 
-def _edge_line(p: Pair, q: Pair) -> tuple[str, Q] | None:
+def _edge_line(p: Pair, q: Pair) -> tuple[str, Q]:
+    """The (kind, level) of the candidate line that the cell edge p -> q lies on."""
     dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx == 0 and dy == 0:
-        return None
-    if dx == 0:
+    if dx == 0 and dy:
         return ("g1", p[0])
-    if dy == 0:
+    if dy == 0 and dx:
         return ("g2", p[1])
-    s = dy / dx
-    if s == -1:
+    if dy == -dx and dx:
         return ("g1+g2", p[0] + p[1])
-    if s == 1:
+    if dy == dx and dx:
         return ("g1-g2", p[0] - p[1])
-    return None
-
-
-def _overlap_1d(seg1, seg2):
-    lo = max(min(seg1), min(seg2))
-    hi = min(max(seg1), max(seg2))
-    return (lo, hi) if lo < hi else None
+    raise InvariantError(f"cell edge {p} -> {q} runs along none of the four line directions")
 
 
 def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
@@ -457,8 +447,13 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     Each cell's quadratic is summed from the Weyl terms of j_b2 (see
     _cell_quadratic); a term whose linear forms change sign between the
     cell's vertices raises PiecewiseFitError, which would signal a missed
-    singular line.  Internal walls are classified by the jump of the
-    quadratics across them (see Wall).
+    singular line.  Every line cuts the whole polygon, so two neighbouring
+    cells share whole edges: an edge that another cell runs the other way is
+    an internal wall, classified by the jump of the quadratics across it,
+    and any other edge is a boundary wall (see Wall).  Walls come line by
+    line in (kind, level) order, and on a line by lower cell index.  A line
+    that holds an edge of the convex Horn polygon supports it, so no line
+    carries walls of both types.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     _check_regular_ordered(alpha, beta)
@@ -485,59 +480,30 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     terms = _weyl_terms(alpha, beta)
     fitted = tuple(QuadCell(tuple(c), _cell_quadratic(terms, c)) for c in cells)
 
-    # classify every maximal wall piece
-    walls: list[Wall] = []
-    sources = {(ln.kind, ln.level): ln.source.count(",") + 1 for ln in lines}
-    centroids = [cell.centroid() for cell in fitted]
-    # collect, per (kind, level), the edges of each cell lying on that line
-    line_edges: dict[tuple[str, Q], list[tuple[int, tuple[Pair, Pair]]]] = {}
-    for idx, cell in enumerate(fitted):
-        n = len(cell.vertices)
-        for i in range(n):
-            p, q = cell.vertices[i], cell.vertices[(i + 1) % n]
-            ident = _edge_line(p, q)
-            if ident is None:
-                continue
-            line_edges.setdefault(ident, []).append((idx, (p, q)))
+    # every directed cell edge, and the edges on each line
+    owner: dict[tuple[Pair, Pair], int] = {}
+    line_edges: dict[tuple[str, Q], list[tuple[int, Pair, Pair]]] = {}
+    for idx, cell in enumerate(cells):
+        for p, q in zip(cell, cell[1:] + cell[:1]):
+            owner[p, q] = idx
+            line_edges.setdefault(_edge_line(p, q), []).append((idx, p, q))
 
-    dashed = {("g2", Q(0)), ("g1-g2", Q(0))}
-    for (kind, level), entries in sorted(line_edges.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    sources = {(ln.kind, ln.level): ln.source.count(",") + 1 for ln in lines}
+    walls: list[Wall] = []
+    for (kind, level), edges in sorted(line_edges.items()):
         a, b = _KINDS[kind]
-        # axis used to parametrize positions along the line
-        axis = (lambda s: s[1]) if kind == "g1" else (lambda s: s[0])
         sq = SingularLine(kind, level, "").delta_squared()
-        sides = [_side_of(centroids[ci], a, b, level) for ci, _ in entries]
-        matched: set[int] = set()
-        for i in range(len(entries)):
-            ci, (p1, q1) = entries[i]
-            for j in range(i + 1, len(entries)):
-                cj, (p2, q2) = entries[j]
-                if sides[j] == sides[i]:
-                    continue
-                ov = _overlap_1d((axis(p1), axis(q1)), (axis(p2), axis(q2)))
-                if ov is None:
-                    continue
-                hi, lo = (ci, cj) if sides[i] > 0 else (cj, ci)
+        for ci, p, q in edges:
+            cj = owner.get((q, p))
+            if cj is None:
+                cls, sign = _boundary_class(fitted[ci].poly, sq, (kind, level) in _CHAMBER_WALLS, p, q)
+                walls.append(Wall(kind, level, (p, q), (ci,), cls, sign))
+            elif ci < cj:
+                # the CCW cell ci lies left of p -> q
+                hi, lo = (ci, cj) if a * (p[1] - q[1]) + b * (q[0] - p[0]) > 0 else (cj, ci)
                 diff = p2_sub(fitted[hi].poly, fitted[lo].poly)
                 cls, sign = _jump_class(diff, sq, sources.get((kind, level), 1))
-                seg = _clip_segment_on_line(kind, level, ov)
-                walls.append(Wall(kind, level, seg, (hi, lo), cls, sign))
-                matched.add(i)
-                matched.add(j)
-        for i in range(len(entries)):
-            if i in matched:
-                continue
-            ci, seg = entries[i]
-            qpoly = fitted[ci].poly
-            if (kind, level) in dashed:
-                ok = _vanishes_on_line(qpoly, kind, level)
-                cls = "boundary-linear" if ok else "violation"
-                sign = 0
-            else:
-                ok = qpoly == p2_scale(Q(1, 2), sq)
-                cls = "boundary-quadratic" if ok else "violation"
-                sign = 1 if ok else 0
-            walls.append(Wall(kind, level, seg, (ci,), cls, sign))
+                walls.append(Wall(kind, level, tuple(sorted((p, q))), (hi, lo), cls, sign))
 
     return PiecewiseQuadratic(
         alpha=alpha, beta=beta, swapped=swapped,
@@ -545,9 +511,20 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     )
 
 
-def _side_of(g: Pair, a, b, level) -> int:
-    v = a * g[0] + b * g[1] - level
-    return 1 if v > 0 else (-1 if v < 0 else 0)
+def _boundary_class(poly: Poly2, sq: Poly2, chamber: bool, p: Pair, q: Pair) -> tuple[str, int]:
+    """Classify the cell quadratic on a boundary edge p -> q of a line with Delta^2 = sq.
+
+    On a chamber wall J vanishes: the quadratic must vanish at p, q and the
+    midpoint, hence on the whole line.  On an outer Horn facet it must equal
+    (1/2) Delta^2.
+    """
+    if chamber:
+        mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        if all(p2_eval(poly, *v) == 0 for v in (p, mid, q)):
+            return "boundary-linear", 0
+    elif poly == p2_scale(Q(1, 2), sq):
+        return "boundary-quadratic", 1
+    return "violation", 0
 
 
 def _jump_class(diff: Poly2, sq: Poly2, sources: int) -> tuple[str, int]:
@@ -564,30 +541,6 @@ def _jump_class(diff: Poly2, sq: Poly2, sources: int) -> tuple[str, int]:
     if m.denominator == 1 and 0 < abs(m) <= sources and diff == p2_scale(m / 2, sq):
         return "quadratic-ramp", int(m)
     return "violation", 0
-
-
-def _clip_segment_on_line(kind: str, level: Q, span: tuple[Q, Q]) -> tuple[Pair, Pair]:
-    lo, hi = span
-    if kind == "g1":
-        return ((level, lo), (level, hi))
-    if kind == "g2":
-        return ((lo, level), (hi, level))
-    if kind == "g1+g2":
-        return ((lo, level - lo), (hi, level - hi))
-    return ((lo, lo - level), (hi, hi - level))
-
-
-def _vanishes_on_line(poly: Poly2, kind: str, level: Q) -> bool:
-    # substitute the line parametrization and require the zero polynomial
-    if kind == "g1":
-        sub = lambda t: (level, t)
-    elif kind == "g2":
-        sub = lambda t: (t, level)
-    elif kind == "g1+g2":
-        sub = lambda t: (t, level - t)
-    else:
-        sub = lambda t: (t, t - level)
-    return all(p2_eval(poly, *sub(Q(t))) == 0 for t in (0, 1, 2, -1, 5))
 
 
 def c1_wall_discrepancies(pw: PiecewiseQuadratic, h: Q = Q(1, 10000)) -> list[tuple[Wall, Q]]:

@@ -87,8 +87,11 @@ def test_volume_b3_lr_and_ehrhart(capsys):
     rc, out = run(capsys, "volume", "B3", "1,1,2", "1,1,2", "1,1,2")
     assert rc == 0
     assert "lr: 7/24" in out and "ehrhart: 7/24" in out
-    rc, _ = run(capsys, "volume", "B3", "1,1,2", "1,1,2", "1,1,2", "--route", "polytope")
-    assert rc == 2
+    for route in ("direct", "polytope"):
+        capsys.readouterr()
+        assert main(["volume", "B3", "1,1,2", "1,1,2", "1,1,2", "--route", route]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "B2-specific" in err
 
 
 def test_non_integral_labels_exit_2(capsys):
@@ -199,6 +202,13 @@ def test_covolume_a1(capsys):
     assert "| A1 | 1 | 0 | 1 | 1 | 1 | yes |" in out
 
 
+def test_covolume_below_the_minimum_rank_exits_2(capsys):
+    assert main(["covolume", "--family", "B", "--max-rank", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: B_r requires r >= 2, but --max-rank is 1\n"
+
+
 def test_sample_rejects_zero_n(capsys):
     rc, _ = run(capsys, "sample", "so2", "-N", "0")
     assert rc == 2
@@ -259,14 +269,19 @@ def test_bad_algebra_and_weights(capsys):
         ("covolume_g2.json", ["covolume", "--family", "G2", "--format", "json"]),
         ("grid_cells_174_159.json", ["grid", "17,4", "15,9", "--csv", os.devnull, "--cells", "{cells}"]),
         ("grid_cells_153_178.json", ["grid", "15,3", "17,8", "--csv", os.devnull, "--cells", "{cells}"]),
+        ("grid_174_159.svg",
+         ["grid", "17,4", "15,9", "--csv", os.devnull, "--cells", "{cells}", "--svg", "{svg}"]),
     ],
 )
 def test_golden_outputs(capsys, tmp_path, name, argv):
-    cells = tmp_path / "cells.json"
-    rc, out = run(capsys, *(str(cells) if a == "{cells}" else a for a in argv))
+    files = {"{cells}": tmp_path / "cells.json", "{svg}": tmp_path / "grid.svg"}
+    rc, out = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert rc == 0
-    if cells.exists():
-        out = cells.read_text()
+    if name.endswith(".svg"):
+        assert files["{svg}"].read_bytes() == (GOLDEN / name).read_bytes()
+        return
+    if files["{cells}"].exists():
+        out = files["{cells}"].read_text()
         assert out == (GOLDEN / name).read_text()
     got = json.loads(out)
     assert got["schema_version"] == 1

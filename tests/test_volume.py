@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import math
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornvol._exact import p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
+from hornvol._exact import InvariantError, p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2
 from hornvol.ehrhart import leading_coefficient, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError
@@ -16,7 +17,9 @@ from hornvol.volume import (
     NotShiftableError,
     PiecewiseFitError,
     SingularLine,
+    _boundary_class,
     _cell_quadratic,
+    _edge_line,
     _jump_class,
     _weyl_terms,
     b2_dynkin_to_ortho,
@@ -25,6 +28,7 @@ from hornvol.volume import (
     delta_b2,
     four_prong_vertices,
     horn_contains_b2,
+    horn_halfplanes,
     horn_polygon,
     j_b2,
     j_lr_shifted,
@@ -81,20 +85,15 @@ def test_j_homogeneity():
     assert scaled == s**2 * base
 
 
-def test_j_weyl_skew_invariance():
-    rng = random.Random(23)
-    for _ in range(5):
-        pts = [
-            (Q(rng.randint(-9, 9), rng.randint(1, 4)), Q(rng.randint(-9, 9), rng.randint(1, 4)))
-            for _ in range(3)
-        ]
-        alpha, beta, gamma = pts
-        base = j_b2(alpha, beta, gamma)
-        for w in b2_weyl_table():
-            wa = apply_weyl(B2, w, Weight(alpha, "ortho")).coords
-            assert j_b2(wa, beta, gamma) == w.sign * base
-            wg = apply_weyl(B2, w, Weight(gamma, "ortho")).coords
-            assert j_b2(alpha, beta, wg) == w.sign * base
+@settings(max_examples=100, deadline=None)
+@given(rational_points, rational_points, rational_points)
+def test_j_weyl_skew_invariance(alpha, beta, gamma):
+    base = j_b2(alpha, beta, gamma)
+    for w in b2_weyl_table():
+        wa = apply_weyl(B2, w, Weight(alpha, "ortho")).coords
+        assert j_b2(wa, beta, gamma) == w.sign * base
+        wg = apply_weyl(B2, w, Weight(gamma, "ortho")).coords
+        assert j_b2(alpha, beta, wg) == w.sign * base
 
 
 def test_b2_weyl_table_and_j_b2_share_one_signed_permutation_table():
@@ -267,6 +266,39 @@ def test_unsplit_horn_polygon_is_not_one_cell(pair):
         _cell_quadratic(_weyl_terms(alpha, beta), horn_polygon(alpha, beta).vertices)
 
 
+@settings(max_examples=30, deadline=None)
+@given(regular_half_pairs())
+def test_walls_tile_the_cell_edges(pair):
+    pw = piecewise_analyze_b2(*pair)
+    edges = Counter(
+        (i, frozenset(e))
+        for i, c in enumerate(pw.cells)
+        for e in zip(c.vertices, c.vertices[1:] + c.vertices[:1])
+    )
+    # every cell edge lies in exactly one wall, and a wall is an edge of each of its cells
+    assert Counter((i, frozenset(w.segment)) for w in pw.walls for i in w.cells) == edges
+    assert set(edges.values()) == {1}
+    horn = horn_halfplanes(pw.alpha, pw.beta)
+    for w in pw.walls:
+        line = SingularLine(w.kind, w.level, "")
+        assert all(line.value(p) == 0 for p in w.segment)
+        if len(w.cells) == 2:
+            hi, lo = (pw.cells[i].centroid() for i in w.cells)
+            assert line.value(hi) > 0 > line.value(lo)
+        else:
+            # a boundary wall lies on a Horn inequality or a chamber wall
+            assert any(all(h.value(p) == 0 for p in w.segment) for h in horn)
+
+
+def test_an_edge_off_the_four_line_directions_raises():
+    p = (Q(1), Q(0))
+    assert _edge_line(p, (Q(1), Q(2))) == ("g1", 1)
+    assert _edge_line(p, (Q(0), Q(1))) == ("g1+g2", 1)
+    for q in ((Q(3), Q(1)), p):
+        with pytest.raises(InvariantError):
+            _edge_line(p, q)
+
+
 @pytest.mark.parametrize(
     "alpha,beta",
     [((Q(11, 2), Q(3, 2)), (5, 2)), ((9, 4), (7, 2)), ((12, 5), (10, 3))],
@@ -296,6 +328,16 @@ def test_tampered_jumps_are_violations():
     # not a multiple of Delta^2 at all
     assert _jump_class(p2_add(p2_scale(Q(1, 2), sq), {(1, 0): Q(1)}), sq, 3) == ("violation", 0)
     assert _jump_class({(0, 2): Q(1, 2)}, SingularLine("g1", Q(3), "").delta_squared(), 3) == ("violation", 0)
+
+
+def test_tampered_boundaries_are_violations():
+    sq = SingularLine("g2", Q(0), "").delta_squared()
+    p, q = (Q(1), Q(0)), (Q(3), Q(0))
+    assert _boundary_class({(0, 1): Q(2)}, sq, True, p, q) == ("boundary-linear", 0)
+    # (g1 - 1)(g1 - 3) vanishes at both ends of the chamber edge but not between them
+    assert _boundary_class({(2, 0): Q(1), (1, 0): Q(-4), (0, 0): Q(3)}, sq, True, p, q) == ("violation", 0)
+    assert _boundary_class(p2_scale(Q(1, 2), sq), sq, False, p, q) == ("boundary-quadratic", 1)
+    assert _boundary_class(sq, sq, False, p, q) == ("violation", 0)
 
 
 def test_piecewise_wall_classes(pw_left):
@@ -403,6 +445,20 @@ def test_j_symmetric_and_homogeneous(alpha, beta, gamma, s):
     assert j_b2(beta, alpha, gamma) == base
     scaled = [(s * x, s * y) for x, y in (alpha, beta, gamma)]
     assert j_b2(*scaled) == s * s * base
+
+
+dominant_labels = st.tuples(st.integers(0, 8), st.integers(0, 8))
+rational_labels = st.tuples(*[st.fractions(min_value=0, max_value=16, max_denominator=6)] * 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominant_labels, dominant_labels, rational_labels)
+def test_direct_equals_polytope_area_on_the_continuum(lam, mu, nu):
+    # J is the relative area of the BZ polygon at every rational nu, not only
+    # at the lattice triples of criterion 4
+    P = bz_polygon_b2(lam, mu, nu)
+    area = P.area() if P.dim == 2 else 0
+    assert j_b2(*(b2_dynkin_to_ortho(w) for w in (lam, mu, nu))) == area
 
 
 # -- J-LR relations -----------------------------------------------------------
