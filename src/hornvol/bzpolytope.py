@@ -13,9 +13,9 @@ which for B2 is the statement that sigma lies in the root lattice.
 All geometry is exact and runs in integers.  A half-plane stores one integer
 row, its coefficients times the positive lcm of their denominators, and a
 polygon reads those rows.  Lattice scans take their row bounds from integer
-divmod, vertices come from Cramer's rule in integers, and boundedness is
-memoized on the integer normals.  Coefficients, vertices and areas
-are returned as Fractions.
+divmod, vertices come from Cramer's rule in integers, boundedness is
+memoized on the integer normals, and a dilation scales the integer rows.
+Coefficients, vertices and areas are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -82,7 +82,19 @@ class HalfPlane:
         return v >= 0 if (closure or not self.strict) else v > 0
 
     def scaled(self, s) -> "HalfPlane":
-        return HalfPlane(self.a, self.b, self.c * Q(s), self.strict, self.label)
+        """The half-plane a*x + b*y >= s*c (> s*c when strict), for an int, Fraction or float s.
+
+        With s = p/q in lowest terms the row becomes (q*A, q*B, p*C) over
+        q*den, divided by gcd(q*den, q*A, q*B, p*C): the row and den the
+        constructor gives.
+        """
+        p, q = s.as_integer_ratio()
+        A, B, C = self.row
+        A, B, C, den = q * A, q * B, p * C, q * self.den
+        g = gcd(den, A, B, C)
+        h = object.__new__(HalfPlane)
+        h.__dict__.update(row=(A // g, B // g, C // g), den=den // g, strict=self.strict, label=self.label)
+        return h
 
 
 def _convex_hull(points: list[Point]) -> list[Point]:
@@ -210,6 +222,7 @@ class RationalPolygon:
         return abs(s) / 2
 
     def dilate(self, s) -> "RationalPolygon":
+        """The polygon scaled by s, row by row (HalfPlane.scaled)."""
         s = Q(s)
         elim = None if self.elim is None else (self.elim[0] * s, self.elim[1] * s)
         return RationalPolygon([h.scaled(s) for h in self.halfplanes], elim)

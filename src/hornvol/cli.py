@@ -328,6 +328,9 @@ def cmd_covolume(args) -> int:
         else:
             raise CliError(f"unknown family {args.family!r}")
     else:
+        minimum = min(CLASSICAL_MIN_RANK.values())
+        if args.max_rank < minimum:
+            raise CliError(f"--max-rank must be at least {minimum}, but is {args.max_rank}")
         reports = covolume_table(max_rank=args.max_rank)
     ok = all(r.agree for r in reports)
     if args.format == "json":

@@ -1,8 +1,8 @@
 """Stretching quasi-polynomials P(s) = C_{s lam, s mu}^{s nu} and their fits.
 
 A quasi-polynomial of period `period` stores one exact coefficient vector per
-residue class of s.  Fitting solves the per-class Vandermonde systems over
-the rationals; redundant samples must reproduce exactly, otherwise the
+residue class of s.  Fitting interpolates each class in integers over one
+common denominator; redundant samples must reproduce exactly, otherwise the
 declared degree or period is wrong and fitting fails loudly.
 """
 
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm, prod
 
-from ._exact import solve_square
+from . import multiplicity
 from .bzpolytope import RationalPolygon, boundary_interior_counts
 from .rootsys import RootSystem, polytope_degree
 
@@ -63,12 +64,37 @@ class QuasiPolynomial:
         }
 
 
-def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> QuasiPolynomial:
-    """Exact per-residue-class Vandermonde fit of integer samples.
+def _interpolate(pts: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(N, D) with N(x) / D the polynomial through the points, N integer, D > 0.
 
-    Raises InsufficientSamplesError when a class has fewer than degree+1
-    samples and InconsistentSamplesError when redundant samples do not lie on
-    the fitted polynomial (the signature of a wrong degree or period).
+    Lagrange interpolation over the common denominator D, the lcm of the
+    node products w_i = prod_{j != i} (s_i - s_j); N is listed from the
+    constant coefficient up.
+    """
+    nodes = [s for s, _ in pts]
+    weights = [prod(si - sj for sj in nodes if sj != si) for si in nodes]
+    D = lcm(*weights)
+    N = [0] * len(pts)
+    for (si, v), w in zip(pts, weights):
+        basis = [1]  # prod_{j != i} (x - s_j), constant coefficient first
+        for sj in nodes:
+            if sj != si:
+                basis = [a - sj * b for a, b in zip([0] + basis, basis + [0])]
+        f = v * (D // w)
+        for k, b in enumerate(basis):
+            N[k] += f * b
+    return N, D
+
+
+def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> QuasiPolynomial:
+    """Exact per-residue-class polynomial fit of integer samples.
+
+    Each class is interpolated through its degree+1 smallest s in integers
+    over one common denominator (see _interpolate); the remaining samples of
+    the class are checked against the fit.  Raises InsufficientSamplesError
+    when a class has fewer than degree+1 samples and InconsistentSamplesError
+    when redundant samples do not lie on the fitted polynomial (the signature
+    of a wrong degree or period).
     """
     if 0 in samples and samples[0] != 1:
         raise InconsistentSamplesError("s=0 must evaluate to 1 for a closed convex polytope")
@@ -79,17 +105,16 @@ def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> Q
             raise InsufficientSamplesError(
                 f"residue class {r} mod {period}: {len(pts)} samples for degree {degree}"
             )
-        base = pts[: degree + 1]
-        A = [[Q(s) ** k for k in range(degree + 1)] for s, _ in base]
-        b = [Q(v) for _, v in base]
-        cs = tuple(solve_square(A, b))
+        N, D = _interpolate(pts[: degree + 1])
         for s, v in pts[degree + 1:]:
-            got = sum((c * Q(s) ** k for k, c in enumerate(cs)), Q(0))
-            if got != v:
+            got = 0
+            for c in reversed(N):
+                got = got * s + c
+            if got != v * D:
                 raise InconsistentSamplesError(
-                    f"sample P({s}) = {v} clashes with fit {got} (class {r} mod {period})"
+                    f"sample P({s}) = {v} clashes with fit {Q(got, D)} (class {r} mod {period})"
                 )
-        coeffs[r] = cs
+        coeffs[r] = tuple(Q(c, D) for c in N)
     return QuasiPolynomial(period=period, coeffs=coeffs)
 
 
@@ -132,23 +157,35 @@ def default_period(rs: RootSystem) -> int:
     raise NoDefaultPeriodError(f"no default period for {rs.family}")
 
 
-def _default_lr(rs: RootSystem):
+def _default_lr(rs: RootSystem, lam, mu, nu, smax: int):
     # stretched weight systems outgrow the Freudenthal size guard quickly;
-    # the Steinberg routes have no such limit (closed-form Kostant function
-    # for B2, batched Kostant table elsewhere)
+    # the Steinberg routes have no such limit: the closed-form Kostant
+    # function for B2, elsewhere one Kostant table for every dilation.  The
+    # box floor(smax (lam + mu - nu)) in simple-root coordinates contains
+    # s (lam + mu - nu) for every s <= smax where that is a lattice point;
+    # with a negative coordinate, or a non-dominant weight, no dilation
+    # reaches a Kostant lookup.
     if (rs.family, rs.rank) == ("B", 2):
-        from .multiplicity import lr_steinberg
-
-        return lr_steinberg
-    from .multiplicity import lr_steinberg_table
-
-    return lr_steinberg_table
+        return multiplicity.lr_steinberg
+    d = rs.root_scale[0]
+    box = tuple(smax * v // d for v in rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)]))
+    table = multiplicity.kostant_table(rs, box) if min(box + lam + mu + nu) >= 0 else None
+    return lambda rs, lam, mu, nu: multiplicity.lr_steinberg_table(rs, lam, mu, nu, table=table)
 
 
 def stretching_samples(rs: RootSystem, lam, mu, nu, s_values, lr=None) -> dict[int, int]:
-    if lr is None:
-        lr = _default_lr(rs)
+    """C_{s lam, s mu}^{s nu} for every s in s_values, keyed in their order.
+
+    s = 0 gives 1.  Each other sample is lr(rs, s lam, s mu, s nu).  The
+    default lr is lr_steinberg for B2; for every other algebra it is
+    multiplicity.lr_steinberg_table on one Kostant table, built for the box
+    of the largest s and shared by every s.  The table is dropped when this
+    call returns.
+    """
     lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
+    s_values = list(s_values)
+    if lr is None:
+        lr = _default_lr(rs, lam, mu, nu, max(s_values, default=0))
     out = {}
     for s in s_values:
         if s == 0:

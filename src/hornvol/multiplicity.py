@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 
 from ._exact import InvariantError
 from .rootsys import (
@@ -383,32 +383,51 @@ def kostant_table(rs: RootSystem, box: tuple[int, ...]):
     return cnt
 
 
-def lr_steinberg_table(rs: RootSystem, lam, mu, nu) -> int:
+def _covering(table, top: tuple[int, ...]):
+    """table.item, after checking that the Kostant table's box contains top."""
+    if table.ndim != len(top) or any(t >= n for t, n in zip(top, table.shape)):
+        raise ValueError(f"a Kostant table of shape {table.shape} does not cover {top}")
+    return table.item
+
+
+def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
     """Steinberg's formula backed by a batch Kostant table.
 
     Same contract and Weyl sum as lr_steinberg; worthwhile when the box of
-    partition arguments is large (stretched B3 triples).  The table covers
-    [0, lam + mu - nu], which bounds every queried argument.
+    partition arguments is large (stretched B3 triples).  Every queried
+    argument lies in the box [0, lam + mu - nu] (simple-root coordinates).
+    Without `table` one kostant_table is built for that box; a caller that
+    evaluates many triples, such as the Ehrhart fit over dilations, passes
+    one `table` from kostant_table whose box contains all of theirs, and a
+    table that does not cover lam + mu - nu raises ValueError.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
-    acc = _steinberg_sum(rs, lam, mu, nu, lambda top: kostant_table(rs, top).item)
+    if table is None:
+        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: kostant_table(rs, top).item)
+    else:
+        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _covering(table, top))
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
 def lr_triple(rs: RootSystem, lam, mu, kappa, nu, max_dim: int = DEFAULT_DIM_CAP) -> int:
     """Three-fold multiplicity dim Hom(V_lam x V_mu x V_kappa -> V_nu).
 
-    Computed as sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}.
+    Computed as sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}, both factors by
+    Klimyk.  C_{tau kappa}^{nu} = 0 unless nu - tau is a weight of V_kappa,
+    so tau runs only over nu - omega, omega in the Freudenthal weight system
+    of V_kappa.
     """
     kappa = _check_dominant(rs, kappa)
     nu = _check_dominant(rs, nu)
+    pairs = tensor_decompose(rs, lam, mu, max_dim)
     if all(v == 0 for v in kappa):
-        return tensor_decompose(rs, lam, mu, max_dim).get(tuple(nu), 0)
+        return pairs.get(nu, 0)
     total = 0
-    for tau, c in tensor_decompose(rs, lam, mu, max_dim).items():
-        c2 = lr_klimyk(rs, tau, kappa, nu, max_dim)
-        if c2:
-            total += c * c2
+    for omega in freudenthal_weights(rs, kappa, max_dim).entries:
+        tau = tuple(map(sub, nu, omega))
+        c = pairs.get(tau)
+        if c:
+            total += c * lr_klimyk(rs, tau, kappa, nu, max_dim)
     return total

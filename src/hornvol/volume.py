@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from ._exact import (
     InvariantError,
@@ -360,13 +361,15 @@ def _point_in_cell(verts, p: Pair, strict: bool) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def _weyl_terms(alpha: Pair, beta: Pair) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """The terms of the j_b2 Weyl sum as (scale, ((x0, y0, eps), ...)).
 
     Each term contributes eps * sign(x + y) * (4x|x| - 4y|y| - 2d|d|) / 32 with
     x = (x0 - scale*g1)/scale, y = (y0 - scale*g2)/scale and d = x - y.  Pairs
     of Weyl elements that give the same (x0, y0) are merged; terms whose
-    signs cancel are dropped.
+    signs cancel are dropped.  Memoized per (alpha, beta), so the many j_b2
+    calls of one grid or wall check build the terms once.
     """
     scale = math.lcm(*(v.denominator for v in (*alpha, *beta)))
     ia1, ia2 = (int(v * scale) for v in alpha)

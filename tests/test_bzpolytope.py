@@ -382,3 +382,51 @@ def test_bz_polygon_matches_a_fraction_reference(labels, s, as_ints):
     assert [(a, b, c * s) for a, b, c in rows] == rows_s
     for D in (P.dilate(s), bz_polygon_b2(*stretched)):
         assert abc(D) == rows_s and D.elim == sigma_s
+
+
+# ---------------------------------------------------------------------------
+# properties: integer dilation against the Fraction constructor
+
+
+def fraction_dilation(P: RationalPolygon, s):
+    """P.dilate(s) as the Fraction constructor builds it: each c times s, elim times s."""
+    hps = [HalfPlane(h.a, h.b, h.c * Q(s), h.strict, h.label) for h in P.halfplanes]
+    elim = None if P.elim is None else (P.elim[0] * s, P.elim[1] * s)
+    return hps, elim
+
+
+def stored(hps):
+    return [(h.row, h.den, h.strict, h.label) for h in hps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals(0, 12), min_size=6, max_size=6), st.booleans())
+def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
+    labels = [int_if_integral(v) for v in labels] if as_ints else labels
+    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    for s in range(1, 7):
+        D = P.dilate(s)
+        hps, elim = fraction_dilation(P, s)
+        assert stored(D.halfplanes) == stored(hps)
+        assert D.elim == elim
+        assert D.lattice_count() == RationalPolygon(hps, elim).lattice_count()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cuts(), st.integers(-12, 12) | rationals(-6, 6))
+def test_scaling_reduces_the_row_like_the_constructor(h, s):
+    g = h.scaled(s)
+    assert stored([g]) == stored([HalfPlane(h.a, h.b, h.c * Q(s), h.strict, h.label)])
+    assert all(type(v) is int for v in (*g.row, g.den))
+    if Q(s).denominator in (1, 2, 4):  # exact as a float
+        assert stored([h.scaled(float(s))]) == stored([g])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals(0, 12), min_size=6, max_size=6), rationals(-6, 6))
+def test_rational_dilation_matches_the_fraction_constructor(labels, s):
+    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    D = P.dilate(s)
+    hps, elim = fraction_dilation(P, s)
+    assert stored(D.halfplanes) == stored(hps)
+    assert D.elim == elim

@@ -209,6 +209,15 @@ def test_covolume_below_the_minimum_rank_exits_2(capsys):
     assert err == "error: B_r requires r >= 2, but --max-rank is 1\n"
 
 
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_covolume_table_below_rank_one_exits_2(capsys, max_rank):
+    # without --family every classical family was dropped and only G2, F4, E6 printed
+    assert main(["covolume", "--max-rank", max_rank]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --max-rank must be at least 1, but is {max_rank}\n"
+
+
 def test_sample_rejects_zero_n(capsys):
     rc, _ = run(capsys, "sample", "so2", "-N", "0")
     assert rc == 2

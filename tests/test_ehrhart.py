@@ -1,7 +1,12 @@
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hornvol import multiplicity
+from hornvol._exact import solve_square
 from hornvol.bzpolytope import HalfPlane, RationalPolygon, bz_polygon_b2
 from hornvol.ehrhart import (
     InconsistentSamplesError,
@@ -16,10 +21,11 @@ from hornvol.ehrhart import (
     stretching_quasi_polynomial,
     stretching_samples,
 )
-from hornvol.multiplicity import lr_klimyk
+from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system
 
 B2 = build_root_system("B", 2)
+B3 = build_root_system("B", 3)
 
 
 @pytest.mark.parametrize("family,rank,period", [("A", 3, 1), ("B", 2, 2), ("C", 3, 2), ("D", 4, 2)])
@@ -156,3 +162,85 @@ def test_non_integral_labels_are_refused():
     with pytest.raises(ValueError, match="not an integral weight"):
         stretching_quasi_polynomial(B2, (Q(3, 2), 2), (1, 2), (1, 2))
     assert stretching_samples(B2, (Q(1), 2), (1, 2), (1, 2), [1, 2]) == {1: 3, 2: 7}
+
+
+# ---------------------------------------------------------------------------
+# the integer fit against a Vandermonde solve, and the shared Kostant table
+
+
+def vandermonde_fit(samples: dict[int, int], degree: int, period: int) -> QuasiPolynomial:
+    """Per-class fit by solve_square on a Fraction Vandermonde matrix, with the same checks."""
+    coeffs = {}
+    for r in range(period):
+        pts = sorted((s, v) for s, v in samples.items() if s % period == r)
+        base = pts[: degree + 1]
+        cs = tuple(solve_square([[Q(s) ** k for k in range(degree + 1)] for s, _ in base], [Q(v) for _, v in base]))
+        for s, v in pts[degree + 1:]:
+            got = sum((c * Q(s) ** k for k, c in enumerate(cs)), Q(0))
+            if got != v:
+                raise InconsistentSamplesError(f"sample P({s}) = {v} clashes with fit {got} (class {r} mod {period})")
+        coeffs[r] = cs
+    return QuasiPolynomial(period=period, coeffs=coeffs)
+
+
+@st.composite
+def integer_samples(draw):
+    """Samples of an integer-valued quasi-polynomial (binomial basis per class) at random s,
+    so the nodes need not be equally spaced, maybe with one redundant sample off."""
+    period, degree = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    smax = period * (degree + 4)
+    samples, redundant = {}, []
+    for r in range(period):
+        a = [draw(st.integers(-50, 50)) for _ in range(degree + 1)]
+        nodes = sorted(draw(st.sets(st.sampled_from(range(r, smax + 1, period)), min_size=degree + 1)))
+        if nodes[0] == 0:
+            a[0] = 1  # P(0) = 1, as the fit requires
+        samples.update({s: sum(ak * comb(s, k) for k, ak in enumerate(a)) for s in nodes})
+        redundant += nodes[degree + 1:]
+    if redundant and draw(st.booleans()):
+        samples[draw(st.sampled_from(redundant))] += draw(st.sampled_from([-2, -1, 1, 3]))
+    return samples, degree, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_samples())
+def test_integer_fit_matches_a_vandermonde_solve(case):
+    samples, degree, period = case
+    try:
+        expected = vandermonde_fit(samples, degree, period)
+    except InconsistentSamplesError as exc:
+        with pytest.raises(InconsistentSamplesError) as got:
+            fit_quasi_polynomial(samples, degree, period)
+        assert str(got.value) == str(exc)
+        return
+    assert fit_quasi_polynomial(samples, degree, period) == expected
+
+
+B3_TRIPLES = [
+    ((1, 1, 1), (1, 1, 1), (1, 1, 2)),
+    ((1, 0, 2), (0, 1, 1), (1, 1, 1)),
+    ((1, 1, 1), (1, 1, 2), (1, 1, 2)),   # lam + mu - nu off the root lattice: odd s give 0
+    ((0, 0, 1), (0, 0, 0), (2, 0, 0)),   # lam + mu - nu has a negative coordinate
+]
+
+
+@pytest.mark.parametrize("lam,mu,nu", B3_TRIPLES)
+def test_b3_samples_from_one_table_equal_the_recursion(lam, mu, nu, monkeypatch):
+    tables, calls = [], []
+    build, lookup = multiplicity.kostant_table, multiplicity.lr_steinberg_table
+    monkeypatch.setattr(multiplicity, "kostant_table", lambda *a: tables.append(a) or build(*a))
+    monkeypatch.setattr(multiplicity, "lr_steinberg_table", lambda *a, **k: calls.append(a) or lookup(*a, **k))
+    s_values = range(1, 7)
+    samples = stretching_samples(B3, lam, mu, nu, s_values)
+    for s in s_values:
+        assert samples[s] == lr_steinberg(B3, *(tuple(s * v for v in w) for w in (lam, mu, nu)))
+    assert len(calls) == len(s_values)
+    assert len(tables) == (0 if nu == (2, 0, 0) else 1)
+
+
+@pytest.mark.parametrize("lr", [None, lr_klimyk])
+def test_samples_accept_a_one_shot_iterator(lr):
+    lam, mu, nu = B3_TRIPLES[0]
+    expected = stretching_samples(B3, lam, mu, nu, [0, 1, 2], lr)
+    assert stretching_samples(B3, lam, mu, nu, iter([0, 1, 2]), lr) == expected
+    assert list(expected) == [0, 1, 2] and expected[0] == 1

@@ -318,3 +318,38 @@ def test_freudenthal_sums_to_weyl_dimension_and_is_weyl_invariant(name, data):
         for i in range(rs.rank):
             reflected = tuple(w[j] - w[i] * rs.cartan_matrix[i][j] for j in range(rs.rank))
             assert table.entries.get(reflected) == m
+
+
+# -- a caller's Kostant table and the tau range of lr_triple -------------------
+
+
+def test_a_table_that_does_not_cover_the_box_raises():
+    lam, mu, nu = (1, 2, 1), (2, 1, 1), (1, 1, 2)
+    box = tuple(int(v) for v in B3.dynkin_to_root([a + b - c for a, b, c in zip(lam, mu, nu)]))
+    expected = lr_steinberg(B3, lam, mu, nu)
+    assert lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(B3, box)) == expected
+    assert lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(B3, tuple(v + 2 for v in box))) == expected
+    for small in ((box[0] - 1, box[1], box[2]), (box[0], box[1], box[2] - 1), box[:2]):
+        with pytest.raises(ValueError, match="does not cover"):
+            lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(build_root_system("B", len(small)), small))
+    # off the root lattice no Kostant value is read, so no table is checked
+    assert lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table=kostant_table(B3, (0, 0, 0))) == 0
+
+
+def full_tau_sum(rs, lam, mu, kappa, nu) -> int:
+    """sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu} over every tau of the decomposition."""
+    return sum(c * lr_klimyk(rs, tau, kappa, nu) for tau, c in tensor_decompose(rs, lam, mu).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.data())
+def test_lr_triple_equals_the_full_tau_sum(name, data):
+    rs = SMALL_ALGEBRAS[name]
+    labels = st.tuples(*[st.integers(0, {"A2": 3, "B2": 3, "G2": 2}.get(name, 1))] * rs.rank)
+    lam, mu, kappa = (data.draw(labels) for _ in range(3))
+    if data.draw(st.booleans()):
+        nu = data.draw(labels)
+    else:  # nu from V_tau x V_kappa for some tau in V_lam x V_mu, so the sum is rarely 0
+        tau = data.draw(st.sampled_from(sorted(tensor_decompose(rs, lam, mu))))
+        nu = data.draw(st.sampled_from(sorted(tensor_decompose(rs, tau, kappa))))
+    assert lr_triple(rs, lam, mu, kappa, nu) == full_tau_sum(rs, lam, mu, kappa, nu)

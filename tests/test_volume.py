@@ -1,15 +1,16 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
 
 import math
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hornvol._exact import InvariantError, p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2
-from hornvol.ehrhart import leading_coefficient, stretching_quasi_polynomial
+from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
 from hornvol.volume import (
@@ -613,6 +614,34 @@ def test_route_identities_on_random_sweep():
             continue
         checked += 1
         assert volume_routes(lam, mu, nu).agree()
+
+
+@st.composite
+def compatible_b2_triples(draw):
+    """(lam, mu, nu) with labels 1..8 and lam + mu - nu in the root lattice."""
+    labels = st.integers(1, 8)
+    lam, mu = (draw(labels), draw(labels)), (draw(labels), draw(labels))
+    parity = (lam[1] + mu[1]) % 2
+    return lam, mu, (draw(labels), draw(st.sampled_from([v for v in range(1, 9) if v % 2 == parity])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compatible_b2_triples())
+def test_four_routes_agree_on_random_compatible_triples(triple):
+    vr = volume_routes(*triple)
+    assert not vr.skipped and len(vr.values()) == 4
+    assert vr.agree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 8)] * 4), st.data())
+def test_reciprocity_on_random_full_dimensional_triples(labels, data):
+    lam, mu = labels[0:2], labels[2:4]
+    full = [nu for nu in itertools.product(range(9), repeat=2) if bz_polygon_b2(lam, mu, nu).dim == 2]
+    assume(full)
+    nu = data.draw(st.sampled_from(full))
+    quasi, _ = stretching_quasi_polynomial(B2, lam, mu, nu)
+    assert reciprocity_check(quasi, bz_polygon_b2(lam, mu, nu))
 
 
 # -- PDF ------------------------------------------------------------------------
