@@ -288,11 +288,12 @@ class RationalPolygon:
 def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
     """Clip a convex CCW vertex cycle against a*x + b*y >= c (Sutherland-Hodgman).
 
-    Exact arguments give exact vertices.  Float arguments stay floats, so a
-    float caller pays for no Fraction arithmetic.
+    Exact arguments give exact vertices: each new coordinate is one exact
+    division, an int when it divides (so a cut of integer points stays on
+    the integer lattice wherever the crossing is a lattice point) and a
+    Fraction otherwise.  Float arguments stay floats, so a float caller pays
+    for no Fraction arithmetic.
     """
-    if not any(isinstance(v, float) for v in (a, b, c)):
-        a, b, c = Q(a), Q(b), Q(c)  # keeps t below exact when everything is an int
     out: list[Point] = []
     n = len(vertices)
     for i in range(n):
@@ -303,8 +304,13 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
         if vp >= 0:
             out.append(p)
         if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            d = vp - vq
+            if isinstance(d, float):
+                t = vp / d
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            else:
+                # p + vp/d (q - p) = (vp q - vq p)/d
+                out.append((_exact_div(vp * q[0] - vq * p[0], d), _exact_div(vp * q[1] - vq * p[1], d)))
     dedup: list[Point] = []
     for p in out:
         if not dedup or dedup[-1] != p:
@@ -312,6 +318,12 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return tuple(dedup)
+
+
+def _exact_div(num, d):
+    """num / d for ints or Fractions: an int when d divides num, else a Fraction."""
+    quo, rem = divmod(num, d)
+    return quo if rem == 0 else Q(num, d)
 
 
 def cell_centroid(vertices: Sequence[Point]) -> Point:

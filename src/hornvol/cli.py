@@ -487,7 +487,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, UnsupportedAlgebraError, ValueError) as exc:
+    except (CliError, UnsupportedAlgebraError, ValueError, OSError) as exc:
+        # OSError: an output path (--csv, --svg, --cells, --out) that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

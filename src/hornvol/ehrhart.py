@@ -94,8 +94,10 @@ def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> Q
     the class are checked against the fit.  Raises InsufficientSamplesError
     when a class has fewer than degree+1 samples and InconsistentSamplesError
     when redundant samples do not lie on the fitted polynomial (the signature
-    of a wrong degree or period).
+    of a wrong degree or period).  A period below 1 raises ValueError.
     """
+    if period < 1:
+        raise ValueError(f"the period must be at least 1, but is {period}")
     if 0 in samples and samples[0] != 1:
         raise InconsistentSamplesError("s=0 must evaluate to 1 for a closed convex polytope")
     coeffs: dict[int, tuple[Q, ...]] = {}

@@ -3,8 +3,11 @@
 This is the only floating-point module.  B2 samples are spectra of
 A + g B g^T for one Haar-random g in SO(5) per sample and block-diagonal
 skew matrices A, B: the spectrum of g1 A g1^T + g2 B g2^T is that of
-A + (g1^T g2) B (g1^T g2)^T, and g1^T g2 is again Haar.  The two block
-frequencies of the 5 x 5 skew matrix M = A + g B g^T solve a quadratic:
+A + (g1^T g2) B (g1^T g2)^T, and g1^T g2 is again Haar.  A and B live in
+the first four coordinates, so only the 5 x 4 frame of the first four
+columns of g is computed (haar_orthogonal with k = 4); the Gaussian draw is
+still the full 5 x 5 one, so samples do not depend on the frame width.  The
+two block frequencies of the 5 x 5 skew matrix M = A + g B g^T solve a quadratic:
 gamma1^2 + gamma2^2 is the sum of the squared upper entries of M, and
 gamma1^2 gamma2^2 is the sum of the squared Pfaffians of its five 4 x 4
 principal minors.  Histograms are deterministic given (N, seed).
@@ -50,17 +53,20 @@ class HornHistogram:
         return len(self.edges)
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """A batch of Haar-distributed SO(n) matrices.
+def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
+    """The first k columns of a batch of Haar-distributed SO(n) matrices.
 
     The Q factor of a Gaussian matrix with positive R diagonal (Mezzadri,
     Notices AMS 54, 2007), by Gram-Schmidt run twice over the columns of the
-    whole batch at once; the last column of each matrix with determinant -1
-    is negated.
+    whole batch at once.  Column j depends only on the first j + 1 Gaussian
+    columns, so the n x k frame is computed alone; the whole n x n Gaussian
+    batch is still drawn, so the random stream is the same for every k.  The
+    determinant fix negates the last column of each matrix with determinant
+    -1, so it applies only when k == n.
     """
     # column j of every matrix is the contiguous (n, size) block q[j]
-    q = rng.standard_normal((size, n, n)).transpose(2, 1, 0).copy()
-    for j in range(n):
+    q = rng.standard_normal((size, n, n))[:, :, :k].transpose(2, 1, 0).copy()
+    for j in range(k):
         v = q[j]
         if j:
             basis = q[:j]
@@ -68,7 +74,8 @@ def haar_orthogonal(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
                 v -= np.einsum("kib,kb->ib", basis, np.einsum("kib,ib->kb", basis, v))
         v /= np.sqrt(np.einsum("ib,ib->b", v, v))
     q = q.transpose(2, 1, 0)
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    if k == n:
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
@@ -109,7 +116,7 @@ def sample_b2_pairs(alpha, beta, n_samples: int, seed: int, chunk: int = 50_000)
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        g = haar_orthogonal(rng, 5, m)
+        g = haar_orthogonal(rng, 5, 4, m)
         out[done:done + m, 0], out[done:done + m, 1] = b2_frequencies(alpha, beta, g)
         done += m
     return out

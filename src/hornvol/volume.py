@@ -393,22 +393,22 @@ def _sign_over(level: int, lo: int, hi: int) -> int:
     raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
 
 
-def _cell_quadratic(terms: tuple[int, tuple], verts) -> tuple[Q, ...]:
+def _cell_quadratic(terms: tuple[int, tuple], verts, vscale: int) -> tuple[Q, ...]:
     """The six coefficients of J on a convex cell, read off the Weyl sum.
 
-    Each term is one quadratic wherever its linear forms x, y, x - y and
-    x + y keep one sign.  These forms are linear in gamma and the cell is
-    convex, so their range over the cell is spanned by the vertices; when
-    every form keeps its sign there, J equals the summed quadratic on the
-    whole closed cell (on x + y = 0 both the term and its quadratic vanish).
-    Otherwise PiecewiseFitError is raised.  All sums run in integers.
+    The cell's vertices are integer points, gamma scaled by vscale, a
+    multiple of the terms' scale.  Each term is one quadratic wherever its
+    linear forms x, y, x - y and x + y keep one sign.  These forms are
+    linear in gamma and the cell is convex, so their range over the cell is
+    spanned by the vertices; when every form keeps its sign there, J equals
+    the summed quadratic on the whole closed cell (on x + y = 0 both the
+    term and its quadratic vanish).  Otherwise PiecewiseFitError is raised.
+    All sums run in integers.
     """
     scale, table = terms
-    vscale = math.lcm(scale, *(v.denominator for p in verts for v in p))
     m = vscale // scale
-    vs = [(int(x * vscale), int(y * vscale)) for x, y in verts]
     # values of g1, g2, g1 - g2 and g1 + g2 at the vertices
-    forms = list(zip(*((u, v, u - v, u + v) for u, v in vs)))
+    forms = list(zip(*((u, v, u - v, u + v) for u, v in verts)))
     lx, ly, ld, lt = map(min, forms)
     hx, hy, hd, ht = map(max, forms)
     c0 = cx = cy = cxx = cxy = cyy = 0
@@ -443,10 +443,24 @@ def _edge_line(p: Pair, q: Pair) -> tuple[str, Q]:
     raise InvariantError(f"cell edge {p} -> {q} runs along none of the four line directions")
 
 
+def _on_lattice(v: Q, D: int) -> int:
+    """v * D, which must be an integer."""
+    n, r = divmod(v.numerator * D, v.denominator)
+    if r:
+        raise InvariantError(f"{v} is not on the lattice (1/{D}) Z")
+    return n
+
+
 def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     """Partition the Horn polygon by the candidate lines and read J off each cell.
 
     Inputs are swapped if needed so that |beta1 - alpha2| >= |alpha1 - beta2|.
+    Every cell vertex lies on two lines of the directions g1, g2, g1 + g2 and
+    g1 - g2 whose levels are multiples of 1/s, s the lcm of the denominators
+    of alpha and beta, so gamma scaled by D = 2s puts every vertex on the
+    integer lattice.  The cut (clip_cell on int points), the cell
+    quadratics and the wall bookkeeping all run on those integer points; the
+    vertices and wall levels become Fractions once, for the output.
     Each cell's quadratic is summed from the Weyl terms of j_b2 (see
     _cell_quadratic); a term whose linear forms change sign between the
     cell's vertices raises PiecewiseFitError, which would signal a missed
@@ -468,24 +482,28 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     horn = horn_polygon(alpha, beta)
     if horn.dim != 2:
         raise ValueError("Horn polygon is degenerate; alpha or beta not regular?")
-    cells: list[tuple[Pair, ...]] = [horn.vertices]
+    terms = _weyl_terms(alpha, beta)
+    D = 2 * terms[0]    # the lattice scale of the docstring
+    cells: list[tuple[tuple[int, int], ...]] = [
+        tuple((_on_lattice(x, D), _on_lattice(y, D)) for x, y in horn.vertices)]
     for ln in lines:
         a, b = ln.normal
-        new: list[tuple[Pair, ...]] = []
+        level = _on_lattice(ln.level, D)
+        new: list[tuple[tuple[int, int], ...]] = []
         for cell in cells:
-            vals = [a * p[0] + b * p[1] for p in cell]
-            if min(vals) < ln.level < max(vals):
-                new.extend((clip_cell(cell, a, b, ln.level), clip_cell(cell, -a, -b, -ln.level)))
+            vals = [a * x + b * y for x, y in cell]
+            if min(vals) < level < max(vals):
+                new.extend((clip_cell(cell, a, b, level), clip_cell(cell, -a, -b, -level)))
             else:
                 new.append(cell)
         cells = new
 
-    terms = _weyl_terms(alpha, beta)
-    fitted = tuple(QuadCell(tuple(c), _cell_quadratic(terms, c)) for c in cells)
+    point = {p: (Q(p[0], D), Q(p[1], D)) for cell in cells for p in cell}
+    fitted = tuple(QuadCell(tuple(point[p] for p in c), _cell_quadratic(terms, c, D)) for c in cells)
 
-    # every directed cell edge, and the edges on each line
-    owner: dict[tuple[Pair, Pair], int] = {}
-    line_edges: dict[tuple[str, Q], list[tuple[int, Pair, Pair]]] = {}
+    # every directed cell edge, and the edges on each line, all in lattice units
+    owner: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    line_edges: dict[tuple[str, int], list[tuple[int, tuple[int, int], tuple[int, int]]]] = {}
     for idx, cell in enumerate(cells):
         for p, q in zip(cell, cell[1:] + cell[:1]):
             owner[p, q] = idx
@@ -493,20 +511,22 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
 
     sources = {(ln.kind, ln.level): ln.source.count(",") + 1 for ln in lines}
     walls: list[Wall] = []
-    for (kind, level), edges in sorted(line_edges.items()):
+    for (kind, ilevel), edges in sorted(line_edges.items()):
         a, b = _KINDS[kind]
+        level = Q(ilevel, D)
         sq = SingularLine(kind, level, "").delta_squared()
         for ci, p, q in edges:
             cj = owner.get((q, p))
             if cj is None:
-                cls, sign = _boundary_class(fitted[ci].poly, sq, (kind, level) in _CHAMBER_WALLS, p, q)
-                walls.append(Wall(kind, level, (p, q), (ci,), cls, sign))
+                seg = point[p], point[q]
+                cls, sign = _boundary_class(fitted[ci].poly, sq, (kind, level) in _CHAMBER_WALLS, *seg)
+                walls.append(Wall(kind, level, seg, (ci,), cls, sign))
             elif ci < cj:
                 # the CCW cell ci lies left of p -> q
                 hi, lo = (ci, cj) if a * (p[1] - q[1]) + b * (q[0] - p[0]) > 0 else (cj, ci)
                 diff = p2_sub(fitted[hi].poly, fitted[lo].poly)
                 cls, sign = _jump_class(diff, sq, sources.get((kind, level), 1))
-                walls.append(Wall(kind, level, tuple(sorted((p, q))), (hi, lo), cls, sign))
+                walls.append(Wall(kind, level, tuple(point[v] for v in sorted((p, q))), (hi, lo), cls, sign))
 
     return PiecewiseQuadratic(
         alpha=alpha, beta=beta, swapped=swapped,

@@ -208,6 +208,56 @@ def test_clip_cell_keeps_exact_and_float_arithmetic():
     assert all(type(v) is float for p in floats for v in p)
 
 
+def reference_clip(vertices, a, b, c):
+    """Sutherland-Hodgman with the crossing p + t (q - p), t = vp / (vp - vq)."""
+    if not any(isinstance(v, float) for v in (a, b, c)):
+        a, b, c = Q(a), Q(b), Q(c)
+    out = []
+    for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+        vp = a * p[0] + b * p[1] - c
+        vq = a * q[0] + b * q[1] - c
+        if vp >= 0:
+            out.append(p)
+        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    dedup = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return tuple(dedup)
+
+
+coordinates = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=7),
+       st.integers(-2, 2), st.integers(-2, 2), coordinates)
+def test_clip_cell_matches_the_reference_on_exact_and_float_input(points, a, b, c):
+    poly = _convex_hull(points)
+    exact = clip_cell(poly, a, b, c)
+    assert exact == reference_clip(poly, a, b, c)
+    assert all(type(v) in (int, Q) for p in exact for v in p)
+    fpoly = [(float(x), float(y)) for x, y in poly]
+    args = (float(a), float(b), float(c))
+    # the float path is bitwise the reference's: repr tells -0.0 from 0.0
+    assert repr(clip_cell(fpoly, *args)) == repr(reference_clip(fpoly, *args))
+    # an int line with float vertices is float arithmetic too
+    assert repr(clip_cell(fpoly, a, b, 1)) == repr(reference_clip(fpoly, a, b, 1))
+
+
+def test_clip_cell_returns_ints_where_the_crossing_is_a_lattice_point():
+    square = ((0, 0), (4, 0), (4, 4), (0, 4))
+    assert clip_cell(square, 1, 1, 4) == ((4, 0), (4, 4), (0, 4))
+    cut = clip_cell(square, 1, 1, 3)
+    assert cut == ((3, 0), (4, 0), (4, 4), (0, 4), (0, 3))
+    assert all(type(v) is int for p in cut for v in p)
+    assert clip_cell(square, 2, 1, 3)[0] == (Q(3, 2), 0)
+
+
 def test_json_serialization():
     P = bz_polygon_b2((5, 6), (3, 4), (5, 6))
     d = P.to_json_dict()

@@ -189,6 +189,17 @@ def test_grid_rejects_res_below_one(tmp_path, capsys, res):
     assert capsys.readouterr().err.startswith("error: --res")
 
 
+@pytest.mark.parametrize("option", ["--csv", "--svg", "--cells"])
+def test_grid_unwritable_output_exits_2(tmp_path, capsys, option):
+    path = tmp_path / "missing" / "out"
+    argv = ["grid", "17,4", "15,9", "--res", "1", option, str(path)]
+    if option != "--csv":
+        argv += ["--csv", str(tmp_path / "g.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_covolume_family_column(capsys):
     rc, out = run(capsys, "covolume", "--family", "B", "--max-rank", "8")
     assert rc == 0
@@ -230,6 +241,14 @@ def test_sample_rejects_bins_below_one(tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: --bins")
 
 
+@pytest.mark.parametrize("mode", ["b2", "so2"])
+def test_sample_unwritable_output_exits_2(tmp_path, capsys, mode):
+    prefix = tmp_path / "missing" / "s"
+    assert main(["sample", mode, "-N", "100", "--out", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(prefix) in err
+
+
 def test_sample_so2_files(tmp_path, capsys):
     prefix = str(tmp_path / "so2")
     rc, out = run(capsys, "sample", "so2", "--alpha12", "1", "--beta12", "2",
@@ -258,6 +277,14 @@ def test_sample_b2_files(tmp_path, capsys):
 def test_ehrhart_exceptional_algebra_needs_a_period(capsys):
     assert main(["ehrhart", "G2", "1,1", "1,1", "1,1"]) == 2
     assert capsys.readouterr().err == "error: no default period for G2; pass --period\n"
+
+
+@pytest.mark.parametrize("period", ["0", "-2"])
+def test_ehrhart_period_below_one_exits_2(capsys, period):
+    assert main(["ehrhart", "B2", "1,2", "1,2", "1,2", "--period", period]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the period must be at least 1, but is {period}\n"
 
 
 def test_bad_algebra_and_weights(capsys):

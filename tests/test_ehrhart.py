@@ -133,6 +133,12 @@ def test_insufficient_samples():
         fit_quasi_polynomial({0: 1, 2: 32}, degree=2, period=2)
 
 
+@pytest.mark.parametrize("period", [0, -2])
+def test_period_below_one_is_refused(period):
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        fit_quasi_polynomial({0: 1, 1: 1, 2: 1}, degree=0, period=period)
+
+
 def test_zero_sample_must_be_one():
     with pytest.raises(InconsistentSamplesError):
         fit_quasi_polynomial({0: 7, 1: 1, 2: 1}, degree=0, period=1)

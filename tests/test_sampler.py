@@ -26,13 +26,13 @@ from hornvol.volume import delta_b2, j_so2_symmetric, piecewise_analyze_b2, so2_
 
 
 def test_haar_matrices_are_special_orthogonal():
-    g = haar_orthogonal(np.random.default_rng(1), 5, 500)
+    g = haar_orthogonal(np.random.default_rng(1), 5, 5, 500)
     assert np.abs(g @ g.transpose(0, 2, 1) - np.eye(5)).max() < 1e-12
     assert np.abs(np.linalg.det(g) - 1.0).max() < 1e-12
 
 
 def test_haar_first_entry_second_moment():
-    g = haar_orthogonal(np.random.default_rng(2), 5, 40_000)
+    g = haar_orthogonal(np.random.default_rng(2), 5, 5, 40_000)
     m = float((g[:, 0, 0] ** 2).mean())
     assert abs(m - 0.2) < 0.01
 
@@ -50,8 +50,52 @@ def qr_haar_reference(rng, n, size):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_haar_matches_sign_fixed_qr_on_the_same_draw(seed):
-    g = haar_orthogonal(np.random.default_rng(seed), 5, 2000)
+    g = haar_orthogonal(np.random.default_rng(seed), 5, 5, 2000)
     assert np.abs(g - qr_haar_reference(np.random.default_rng(seed), 5, 2000)).max() < 1e-12
+
+
+def full_haar_reference(rng, n, size):
+    """Haar SO(n) by batched Gram-Schmidt over all n columns, then the det fix."""
+    q = rng.standard_normal((size, n, n)).transpose(2, 1, 0).copy()
+    for j in range(n):
+        v = q[j]
+        if j:
+            basis = q[:j]
+            for _ in range(2):
+                v -= np.einsum("kib,kb->ib", basis, np.einsum("kib,ib->kb", basis, v))
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    q = q.transpose(2, 1, 0)
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_frame_is_the_leading_columns_of_the_full_matrix(seed):
+    frame = haar_orthogonal(np.random.default_rng(seed), 5, 4, 3000)
+    full = haar_orthogonal(np.random.default_rng(seed), 5, 5, 3000)
+    assert frame.shape == (3000, 5, 4)
+    assert np.array_equal(frame, full[..., :4])
+    assert np.array_equal(full, full_haar_reference(np.random.default_rng(seed), 5, 3000))
+
+
+def test_haar_frame_leaves_the_random_stream_where_the_full_draw_does():
+    rng_frame, rng_full = np.random.default_rng(5), np.random.default_rng(5)
+    haar_orthogonal(rng_frame, 5, 4, 100)
+    haar_orthogonal(rng_full, 5, 5, 100)
+    assert np.array_equal(rng_frame.standard_normal(10), rng_full.standard_normal(10))
+
+
+@pytest.mark.parametrize("alpha,beta", [((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2))])
+def test_b2_pairs_equal_the_full_matrix_reference(alpha, beta):
+    # 60,000 samples run in two chunks of the default 50,000, so the stream
+    # must also carry over between chunks
+    n, seed = 60_000, 23
+    rng = np.random.default_rng(seed)
+    ref = np.concatenate([
+        np.stack(b2_frequencies(alpha, beta, full_haar_reference(rng, 5, m)), axis=1)
+        for m in (50_000, 10_000)
+    ])
+    assert np.array_equal(sample_b2_pairs(alpha, beta, n, seed), ref)
 
 
 def skew_block(x1, x2):
@@ -70,7 +114,7 @@ def regular_pair(draw):
 @settings(max_examples=50, deadline=None)
 @given(regular_pair(), regular_pair(), st.integers(0, 2**32 - 1))
 def test_closed_form_frequencies_match_eigvalsh(alpha, beta, seed):
-    g = haar_orthogonal(np.random.default_rng(seed), 5, 200)
+    g = haar_orthogonal(np.random.default_rng(seed), 5, 5, 200)
     M = skew_block(*map(float, alpha)) + g @ skew_block(*map(float, beta)) @ g.transpose(0, 2, 1)
     ev = np.linalg.eigvalsh(-M @ M)  # ascending: ~0, g2^2, g2^2, g1^2, g1^2
     g1, g2 = b2_frequencies(alpha, beta, g)

@@ -2,14 +2,16 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from unittest import mock
 
 import math
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hornvol import volume
 from hornvol._exact import InvariantError, p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
-from hornvol.bzpolytope import _convex_hull, bz_polygon_b2
+from hornvol.bzpolytope import _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
@@ -263,8 +265,57 @@ def test_pdf_normalization_on_random_pairs(pair):
 @given(regular_half_pairs())
 def test_unsplit_horn_polygon_is_not_one_cell(pair):
     alpha, beta = pair
+    terms = _weyl_terms(alpha, beta)
+    D = 2 * terms[0]
+    verts = [(int(x * D), int(y * D)) for x, y in horn_polygon(alpha, beta).vertices]
     with pytest.raises(PiecewiseFitError):
-        _cell_quadratic(_weyl_terms(alpha, beta), horn_polygon(alpha, beta).vertices)
+        _cell_quadratic(terms, verts, D)
+
+
+@st.composite
+def regular_rational_pairs(draw):
+    """(alpha, beta), each with one denominator up to 6 and 8 >= x1 > x2 > 0."""
+
+    def point():
+        d = draw(st.integers(1, 6))
+        hi = draw(st.integers(2, 8 * d))
+        return (Q(hi, d), Q(draw(st.integers(1, hi - 1)), d))
+
+    return point(), point()
+
+
+def fraction_cut(alpha, beta):
+    """The Horn polygon cut by every candidate line, on Fraction vertices."""
+    cells = [horn_polygon(alpha, beta).vertices]
+    for ln in singular_lines_b2(alpha, beta):
+        a, b = ln.normal
+        new = []
+        for cell in cells:
+            vals = [a * p[0] + b * p[1] for p in cell]
+            if min(vals) < ln.level < max(vals):
+                new.extend((clip_cell(cell, a, b, ln.level), clip_cell(cell, -a, -b, -ln.level)))
+            else:
+                new.append(cell)
+        cells = new
+    return cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_rational_pairs())
+def test_lattice_cut_equals_the_fraction_cut(pair):
+    pieces = []
+
+    def recording_clip(*args):
+        pieces.append(clip_cell(*args))
+        return pieces[-1]
+
+    with mock.patch.object(volume, "clip_cell", recording_clip):
+        pw = piecewise_analyze_b2(*pair)
+    # the cut runs on integer points and never leaves the lattice
+    assert all(type(v) is int for cell in pieces for p in cell for v in p)
+    assert [c.vertices for c in pw.cells] == fraction_cut(pw.alpha, pw.beta)
+    assert all(type(v) is Q for c in pw.cells for p in c.vertices for v in p)
+    assert all(type(v) is Q for w in pw.walls for p in w.segment for v in (*p, w.level))
 
 
 @settings(max_examples=30, deadline=None)
