@@ -12,18 +12,23 @@ which for B2 is the statement that sigma lies in the root lattice.
 
 All geometry is exact and runs in integers.  A half-plane stores one integer
 row, its coefficients times the positive lcm of their denominators, and a
-polygon reads those rows.  Lattice scans take their row bounds from integer
-divmod, vertices come from Cramer's rule in integers, boundedness is
-memoized on the integer normals, and a dilation scales the integer rows.
-Coefficients, vertices and areas are returned as Fractions.
+polygon keeps only those rows.  The B2 BZ polygon fills the 12 offsets of
+one fixed template (normals, labels, strictness; always bounded) and hands
+the rows to the polygon without building a HalfPlane; a polygon builds its
+`halfplanes` from the rows only when something reads them.  Lattice scans
+split the rows once per polygon and take their row bounds from integer
+floor division, vertices come from Cramer's rule and an integer convex hull
+on one common denominator, areas from the integer shoelace sum, and a
+dilation scales the integer rows.  Coefficients, vertices and areas are
+returned as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
-from math import ceil, floor, gcd, lcm
+from functools import cached_property
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
 
@@ -82,29 +87,38 @@ class HalfPlane:
         return v >= 0 if (closure or not self.strict) else v > 0
 
     def scaled(self, s) -> "HalfPlane":
-        """The half-plane a*x + b*y >= s*c (> s*c when strict), for an int, Fraction or float s.
-
-        With s = p/q in lowest terms the row becomes (q*A, q*B, p*C) over
-        q*den, divided by gcd(q*den, q*A, q*B, p*C): the row and den the
-        constructor gives.
-        """
-        p, q = s.as_integer_ratio()
-        A, B, C = self.row
-        A, B, C, den = q * A, q * B, p * C, q * self.den
-        g = gcd(den, A, B, C)
-        h = object.__new__(HalfPlane)
-        h.__dict__.update(row=(A // g, B // g, C // g), den=den // g, strict=self.strict, label=self.label)
-        return h
+        """The half-plane a*x + b*y >= s*c (> s*c when strict), for an int, Fraction or float s."""
+        row, den = _scaled_row(self.row, self.den, *s.as_integer_ratio())
+        return _halfplane(row, den, self.strict, self.label)
 
 
-def _convex_hull(points: list[Point]) -> list[Point]:
-    """Andrew's monotone chain; exact; returns a CCW cycle without repeats."""
+def _halfplane(row: tuple[int, int, int], den: int, strict: bool, label: str) -> HalfPlane:
+    """The HalfPlane of an integer row already in the constructor's normal form."""
+    h = object.__new__(HalfPlane)
+    h.__dict__.update(row=row, den=den, strict=strict, label=label)
+    return h
+
+
+def _scaled_row(row: tuple[int, int, int], den: int, p: int, q: int) -> tuple[tuple[int, int, int], int]:
+    """The row and den of a*x + b*y >= (p/q)*c, for q > 0.
+
+    The row becomes (q*A, q*B, p*C) over q*den, divided by gcd(q*den, q*A,
+    q*B, p*C): the row and den the HalfPlane constructor gives.
+    """
+    A, B, C = row
+    A, B, C, den = q * A, q * B, p * C, q * den
+    g = gcd(den, A, B, C)
+    return (A // g, B // g, C // g), den // g
+
+
+def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Andrew's monotone chain on exact points; returns a CCW cycle without repeats."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
 
     def half(seq):
-        out: list[Point] = []
+        out: list[tuple[int, int]] = []
         for p in seq:
             while len(out) >= 2:
                 (x1, y1), (x2, y2) = out[-2], out[-1]
@@ -123,26 +137,23 @@ def _convex_hull(points: list[Point]) -> list[Point]:
     return hull
 
 
-def _least_at_least(r: int, a: int, strict: bool) -> int:
-    """Least integer t with a*t >= r (> r when strict), for a > 0."""
-    q, m = divmod(r, a)
-    return q + 1 if (strict or m) else q
+def _cramer_hull(points: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, cycle): the convex hull of the points (xn/det, yn/det), det > 0, scaled by D.
+
+    D > 0 is the lcm of the dets, so every point is an integer point over
+    D, and the hull, its order and its cross products are those of the
+    rational points.
+    """
+    D = lcm(*(det for _, _, det in points))
+    return D, _convex_hull([(xn * (D // det), yn * (D // det)) for xn, yn, det in points])
 
 
-def _greatest_at_least(r: int, a: int, strict: bool) -> int:
-    """Greatest integer t with a*t >= r (> r when strict), for a < 0."""
-    q, m = divmod(r, a)  # q = floor(r / a); m == 0 iff a divides r
-    return q - 1 if (strict and m == 0) else q
-
-
-@lru_cache(maxsize=256)
-def _normals_bounded(normals: tuple[tuple[int, int], ...]) -> bool:
+def _normals_bounded(normals: list[tuple[int, int]]) -> bool:
     """Whether half-planes with these inward normals always cut out a bounded region.
 
     A nonzero recession direction, if any, lies along one of the boundary
     lines, so only the directions (-b, a) and (b, -a) need testing.  The
-    answer ignores the normals' lengths; the BZ family has only a few
-    distinct tuples of them.
+    answer ignores the normals' lengths, so a dilation keeps it.
     """
     if not normals:
         return False
@@ -151,6 +162,44 @@ def _normals_bounded(normals: tuple[tuple[int, int], ...]) -> bool:
             if all(g * dx + h * dy >= 0 for g, h in normals):
                 return False
     return True
+
+
+def _split_rows(rows: Sequence[Row], strict_all: bool):
+    """The rows as integer bounds for a lattice scan: (ylo, yhi, xlo, xhi, lower, upper).
+
+    On integer points a strict A*x + B*y > C is A*x + B*y >= C + 1, so strict
+    rows (every row under strict_all) enter with C + 1.  Rows with A = 0
+    bound y alone and rows with B = 0 bound x alone: ylo, yhi, xlo and xhi
+    are the tightest of those bounds, -inf or inf where there is none.
+    lower and upper hold the other rows, with A > 0 and A < 0, as (A, B, C).
+    """
+    ylo = xlo = -inf
+    yhi = xhi = inf
+    lower, upper = [], []
+    for A, B, C, strict in rows:
+        if strict or strict_all:
+            C += 1
+        if A == 0:
+            if B > 0:
+                t = -(-C // B)
+                if t > ylo:
+                    ylo = t
+            else:
+                t = C // B
+                if t < yhi:
+                    yhi = t
+        elif B == 0:
+            if A > 0:
+                t = -(-C // A)
+                if t > xlo:
+                    xlo = t
+            else:
+                t = C // A
+                if t < xhi:
+                    xhi = t
+        else:
+            (lower if A > 0 else upper).append((A, B, C))
+    return ylo, yhi, xlo, xhi, lower, upper
 
 
 class RationalPolygon:
@@ -164,22 +213,53 @@ class RationalPolygon:
 
     def __init__(self, halfplanes: Sequence[HalfPlane], elim: tuple[Q, Q] | None = None):
         self.halfplanes = tuple(halfplanes)
-        self.elim = None if elim is None else (Q(elim[0]), Q(elim[1]))
+        self._set_rows(tuple((*h.row, h.strict) for h in self.halfplanes),
+                       tuple(h.den for h in self.halfplanes), tuple(h.label for h in self.halfplanes),
+                       None if elim is None else (Q(elim[0]), Q(elim[1])))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...],
+                   elim, bounded: bool) -> "RationalPolygon":
+        """A polygon of integer rows in HalfPlane normal form, whose boundedness is known.
+
+        `elim` is None or a pair of ints or Fractions.
+        """
+        P = object.__new__(cls)
+        P._set_rows(rows, dens, labels, elim)
+        P._bounded = bounded
+        return P
+
+    def _set_rows(self, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...], elim) -> None:
+        self._rows, self._dens, self._labels, self._elim = rows, dens, labels, elim
+        self._split = _split_rows(rows, False)  # the lattice scan's bounds, split once
+
+    @cached_property
+    def elim(self) -> tuple[Q, Q] | None:
+        return None if self._elim is None else (Q(self._elim[0]), Q(self._elim[1]))
+
+    @cached_property
+    def halfplanes(self) -> tuple[HalfPlane, ...]:
+        """The half-planes of a polygon made from rows, built on first read."""
+        return tuple(_halfplane((A, B, C), den, strict, label)
+                     for (A, B, C, strict), den, label in zip(self._rows, self._dens, self._labels))
 
     # -- geometry ----------------------------------------------------------
     @cached_property
-    def _rows(self) -> tuple[Row, ...]:
-        """Each half-plane's integer row with its strictness: A*x + B*y >= C (> C when strict)."""
-        return tuple((*h.row, h.strict) for h in self.halfplanes)
+    def _bounded(self) -> bool:
+        return _normals_bounded([(A, B) for A, B, _, _ in self._rows])
 
     def is_bounded(self) -> bool:
-        return _normals_bounded(tuple((A, B) for A, B, _, _ in self._rows))
+        return self._bounded
 
     @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        """Pairwise line intersections by Cramer's rule, kept when in the closure."""
+    def _vertex_cycle(self) -> tuple[int, list[tuple[int, int]]]:
+        """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0.
+
+        The candidates are pairwise line intersections by Cramer's rule, kept
+        when in the closure.
+        """
         rows = self._rows
-        pts: list[Point] = []
+        pts: list[tuple[int, int, int]] = []
         for i, (A1, B1, C1, _) in enumerate(rows):
             for A2, B2, C2, _ in rows[i + 1:]:
                 det = A1 * B2 - A2 * B1
@@ -190,20 +270,21 @@ class RationalPolygon:
                 if det < 0:
                     det, xn, yn = -det, -xn, -yn
                 # (xn/det, yn/det) lies in the closure iff A*xn + B*yn >= C*det
-                if all(A * xn + B * yn >= C * det for A, B, C, _ in rows):
-                    pts.append((Q(xn, det), Q(yn, det)))
-        return tuple(_convex_hull(pts))
+                for A, B, C, _ in rows:
+                    if A * xn + B * yn < C * det:
+                        break
+                else:
+                    pts.append((xn, yn, det))
+        return _cramer_hull(pts)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        D, cycle = self._vertex_cycle
+        return tuple((Q(x, D), Q(y, D)) for x, y in cycle)
 
     @cached_property
     def dim(self) -> int:
-        v = self.vertices
-        if not v:
-            return -1
-        if len(v) == 1:
-            return 0
-        if len(v) == 2:
-            return 1
-        return 2
+        return min(len(self._vertex_cycle[1]), 3) - 1
 
     def contains(self, p: Point, closure: bool = False, strict: bool = False) -> bool:
         if strict:
@@ -211,60 +292,58 @@ class RationalPolygon:
         return all(h.holds(p, closure=closure) for h in self.halfplanes)
 
     def area(self) -> Q:
-        v = self.vertices
+        D, v = self._vertex_cycle
         if len(v) < 3:
             return Q(0)
-        s = Q(0)
-        for i in range(len(v)):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % len(v)]
-            s += x1 * y2 - x2 * y1
-        return abs(s) / 2
+        s = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]))
+        return Q(abs(s), 2 * D * D)
 
     def dilate(self, s) -> "RationalPolygon":
-        """The polygon scaled by s, row by row (HalfPlane.scaled)."""
+        """The polygon scaled by s, row by row (as HalfPlane.scaled)."""
         s = Q(s)
-        elim = None if self.elim is None else (self.elim[0] * s, self.elim[1] * s)
-        return RationalPolygon([h.scaled(s) for h in self.halfplanes], elim)
+        p, q = s.numerator, s.denominator
+        rows, dens = [], []
+        for (A, B, C, strict), den in zip(self._rows, self._dens):
+            row, den = _scaled_row((A, B, C), den, p, q)
+            rows.append((*row, strict))
+            dens.append(den)
+        elim = None if self._elim is None else (self._elim[0] * s, self._elim[1] * s)
+        return RationalPolygon._from_rows(tuple(rows), tuple(dens), self._labels, elim, self._bounded)
 
     # -- lattice scans -------------------------------------------------------
     def _passes_filter(self) -> bool:
         """Integer (x, y) makes the eliminated parameters integral iff sigma is integral."""
-        if self.elim is None:
+        if self._elim is None:
             return True
-        return self.elim[0].denominator == 1 and self.elim[1].denominator == 1
-
-    def _y_bounds(self, strict_all: bool) -> tuple[int, int]:
-        """Integer y range (ylo, yhi) of the scan; ylo > yhi when the polygon is empty.
-
-        Rows with A = 0 bound y alone and are applied here, with their
-        strictness; without such rows on both sides the vertices bound y too.
-        """
-        zero = [(B, C, strict or strict_all) for A, B, C, strict in self._rows if A == 0]
-        los = [_least_at_least(C, B, strict) for B, C, strict in zero if B > 0]
-        his = [_greatest_at_least(C, B, strict) for B, C, strict in zero if B < 0]
-        if not (los and his):
-            if not self.vertices:
-                return 1, 0
-            ys = [p[1] for p in self.vertices]
-            los.append(ceil(min(ys)))
-            his.append(floor(max(ys)))
-        return max(los), min(his)
+        return self._elim[0].denominator == 1 and self._elim[1].denominator == 1
 
     def _row_counts(self, strict_all: bool) -> Iterable[tuple[int, int, int]]:
         """Yield (y, xlo, xhi) for integer rows; honors per-constraint strictness.
 
+        Without rows bounding y alone on both sides the vertices bound y too.
         Boundedness guarantees rows with A > 0 and rows with A < 0, so every
         scanned y gets both an x lower and an x upper bound.
         """
         if not self.is_bounded():
             raise UnboundedPolygonError("lattice scan of an unbounded region")
-        ylo, yhi = self._y_bounds(strict_all)
-        lower = [(A, B, C, strict or strict_all) for A, B, C, strict in self._rows if A > 0]
-        upper = [(A, B, C, strict or strict_all) for A, B, C, strict in self._rows if A < 0]
+        ylo, yhi, xlo, xhi, lower, upper = _split_rows(self._rows, True) if strict_all else self._split
+        if ylo == -inf or yhi == inf:
+            D, cycle = self._vertex_cycle
+            if not cycle:
+                return
+            ylo = max(ylo, -(-min(y for _, y in cycle) // D))
+            yhi = min(yhi, max(y for _, y in cycle) // D)
         for y in range(ylo, yhi + 1):
-            lo = max(_least_at_least(C - B * y, A, strict) for A, B, C, strict in lower)
-            hi = min(_greatest_at_least(C - B * y, A, strict) for A, B, C, strict in upper)
+            lo = xlo
+            for A, B, C in lower:
+                t = -((B * y - C) // A)  # least x with A*x >= C - B*y
+                if t > lo:
+                    lo = t
+            hi = xhi
+            for A, B, C in upper:
+                t = (C - B * y) // A  # greatest x with A*x >= C - B*y, A < 0
+                if t < hi:
+                    hi = t
             if lo <= hi:
                 yield (y, lo, hi)
 
@@ -338,11 +417,31 @@ def cell_centroid(vertices: Sequence[Point]) -> Point:
 # BZ polygon construction for B2
 
 
+# The 12 constraints a*x + b*y >= c of the B2 BZ polygon as (a, b, strict, label),
+# in the order bz_polygon_b2 gives their offsets c.
+_BZ_B2_TEMPLATE = (
+    (1, 0, False, "t0(0) >= 0"),
+    (0, 1, False, "t1(1) >= 0"),
+    (-1, -2, False, "t0(1) >= 2 t1(1)"),
+    (1, -2, False, "2 t-1(1) >= t0(1)"),
+    (0, -1, False, "lam1 >= t1(1)"),
+    (1, -1, False, "lam1 >= t0(1) - t-1(1)"),
+    (1, 1, False, "lam1 >= t-1(1) - t0(0)"),
+    (-1, 0, False, "lam2 >= t0(0)"),
+    (-1, -1, False, "mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
+    (0, -1, False, "mu1 >= t1(1)"),
+    (1, 0, False, "mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
+    (1, 2, False, "mu2 >= t0(1) - 2 t1(1)"),
+)
+_BZ_B2_LABELS = tuple(label for *_, label in _BZ_B2_TEMPLATE)
+
+
 def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     """Half-plane system of the B2 BZ polygon for a dominant rational triple.
 
     The labels are Dynkin labels, ints or Fractions.  An empty intersection
-    is a legal result (dim metadata -1).
+    is a legal result (dim metadata -1).  The rows are those HalfPlane
+    would store for the 12 constraints of _BZ_B2_TEMPLATE.
     """
     (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
     if min(l1, l2, m1, m2, n1, n2) < 0:
@@ -352,21 +451,19 @@ def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     # d1 = 2 sq1 only three offsets leave the labels' own arithmetic
     d1 = 2 * s1d + s2d
     sq2 = s1d + s2d
-    hps = [
-        HalfPlane(1, 0, 0, label="t0(0) >= 0"),
-        HalfPlane(0, 1, 0, label="t1(1) >= 0"),
-        HalfPlane(-1, -2, -sq2, label="t0(1) >= 2 t1(1)"),
-        HalfPlane(1, -2, sq2 - d1, label="2 t-1(1) >= t0(1)"),
-        HalfPlane(0, -1, -l1, label="lam1 >= t1(1)"),
-        HalfPlane(1, -1, Q(2 * (sq2 - l1) - d1, 2), label="lam1 >= t0(1) - t-1(1)"),
-        HalfPlane(1, 1, Q(d1 - 2 * l1, 2), label="lam1 >= t-1(1) - t0(0)"),
-        HalfPlane(-1, 0, -l2, label="lam2 >= t0(0)"),
-        HalfPlane(-1, -1, Q(d1 - 2 * (sq2 + m1), 2), label="mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
-        HalfPlane(0, -1, -m1, label="mu1 >= t1(1)"),
-        HalfPlane(1, 0, 2 * sq2 - d1 - m2, label="mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
-        HalfPlane(1, 2, sq2 - m2, label="mu2 >= t0(1) - 2 t1(1)"),
-    ]
-    return RationalPolygon(hps, elim=(Q(d1, 2), sq2))
+    twice = (0, 0, -2 * sq2, 2 * (sq2 - d1), -2 * l1, 2 * (sq2 - l1) - d1, d1 - 2 * l1, -2 * l2,
+             d1 - 2 * (sq2 + m1), -2 * m1, 2 * (2 * sq2 - d1 - m2), 2 * (sq2 - m2))  # 2c per row
+    rows, dens = [], []
+    for (a, b, strict, _), k in zip(_BZ_B2_TEMPLATE, twice):
+        # c = n / (2 d) with n / d = k in lowest terms: den is 2 d when n is odd, else d
+        n, d = k.numerator, k.denominator
+        if n & 1:
+            d *= 2
+        else:
+            n >>= 1
+        rows.append((a * d, b * d, n, strict))
+        dens.append(d)
+    return RationalPolygon._from_rows(tuple(rows), tuple(dens), _BZ_B2_LABELS, (_exact_div(d1, 2), sq2), True)
 
 
 def lattice_point_count(P: RationalPolygon, integrality_filter: bool = True) -> int:

@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from fractions import Fraction as Q
+from functools import cache
 
 from ._exact import InvariantError
 from .bzpolytope import (
@@ -419,7 +420,9 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hornvol parser, built once per process: parsing never changes it."""
     ap = argparse.ArgumentParser(prog="hornvol", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction as Q
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from hornvol.bzpolytope import (
     HalfPlane,
     RationalPolygon,
     UnboundedPolygonError,
-    _convex_hull,
+    _cramer_hull,
     boundary_interior_counts,
     bz_polygon_b2,
     clip_cell,
@@ -230,6 +230,32 @@ def reference_clip(vertices, a, b, c):
     return tuple(dedup)
 
 
+def fraction_hull(points):
+    """Andrew's monotone chain on Fraction (or int) points: the CCW hull cycle without repeats."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                (x1, y1), (x2, y2) = out[-2], out[-1]
+                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:  # all collinear
+        return [pts[0], pts[-1]]
+    return hull
+
+
 coordinates = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6))
 
 
@@ -237,7 +263,7 @@ coordinates = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value
 @given(st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=7),
        st.integers(-2, 2), st.integers(-2, 2), coordinates)
 def test_clip_cell_matches_the_reference_on_exact_and_float_input(points, a, b, c):
-    poly = _convex_hull(points)
+    poly = fraction_hull(points)
     exact = clip_cell(poly, a, b, c)
     assert exact == reference_clip(poly, a, b, c)
     assert all(type(v) in (int, Q) for p in exact for v in p)
@@ -322,6 +348,30 @@ def test_lattice_count_matches_brute_force(system):
     assert P.lattice_count(strict_all=True) == brute_force_count(P, box, strict_all=True)
 
 
+@st.composite
+def hull_systems(draw):
+    """The edges of the hull of random rational points as half-planes (no axis rows needed), and the box."""
+    point = st.tuples(rationals(-6, 6), rationals(-6, 6))
+    hull = fraction_hull(draw(st.lists(point, min_size=3, max_size=7)))
+    if len(hull) < 3:
+        hull = [(Q(0), Q(0)), (Q(5, 2), Q(1, 3)), (Q(1), Q(7, 2))]
+    hps = []
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        a, b = p[1] - q[1], q[0] - p[0]  # inward normal of the CCW edge p -> q
+        hps.append(HalfPlane(a, b, a * p[0] + b * p[1], strict=draw(st.booleans())))
+    xs, ys = [x for x, _ in hull], [y for _, y in hull]
+    return RationalPolygon(hps), (min(xs), max(xs), min(ys), max(ys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_systems())
+def test_lattice_count_of_hull_systems_matches_brute_force(system):
+    # y ranges from the vertices wherever rows with A = 0 do not bound y on both sides
+    P, box = system
+    assert P.lattice_count() == brute_force_count(P, box, strict_all=False)
+    assert P.lattice_count(strict_all=True) == brute_force_count(P, box, strict_all=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(boxed_systems())
 def test_vertices_are_the_extreme_line_intersections(system):
@@ -334,7 +384,7 @@ def test_vertices_are_the_extreme_line_intersections(system):
             p = ((g.c * h.b - h.c * g.b) / det, (g.a * h.c - h.a * g.c) / det)
             if all(k.holds(p, closure=True) for k in hs):
                 corners.append(p)
-    assert P.vertices == tuple(_convex_hull(corners))
+    assert P.vertices == tuple(fraction_hull(corners))
     for v in P.vertices:
         assert sum(1 for h in hs if h.value(v) == 0) >= 2
         assert all(h.value(v) >= 0 for h in hs)
@@ -371,6 +421,8 @@ def test_unbounded_systems_raise(P, strict_all):
     assert not P.is_bounded()
     with pytest.raises(UnboundedPolygonError):
         P.lattice_count(strict_all=strict_all)
+    with pytest.raises(UnboundedPolygonError):
+        P.dilate(2).lattice_count(strict_all=strict_all)
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +532,159 @@ def test_rational_dilation_matches_the_fraction_constructor(labels, s):
     hps, elim = fraction_dilation(P, s)
     assert stored(D.halfplanes) == stored(hps)
     assert D.elim == elim
+
+
+# ---------------------------------------------------------------------------
+# properties: the template BZ polygon and the integer hull against the
+# 12-HalfPlane builder and the Fraction hull
+
+
+def halfplane_bz_b2(lam, mu, nu) -> RationalPolygon:
+    """The B2 BZ polygon built from 12 HalfPlanes, as bz_polygon_b2 built it before the template."""
+    (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
+    s1d, s2d = l1 + m1 - n1, l2 + m2 - n2
+    d1 = 2 * s1d + s2d
+    sq2 = s1d + s2d
+    hps = [
+        HalfPlane(1, 0, 0, label="t0(0) >= 0"),
+        HalfPlane(0, 1, 0, label="t1(1) >= 0"),
+        HalfPlane(-1, -2, -sq2, label="t0(1) >= 2 t1(1)"),
+        HalfPlane(1, -2, sq2 - d1, label="2 t-1(1) >= t0(1)"),
+        HalfPlane(0, -1, -l1, label="lam1 >= t1(1)"),
+        HalfPlane(1, -1, Q(2 * (sq2 - l1) - d1, 2), label="lam1 >= t0(1) - t-1(1)"),
+        HalfPlane(1, 1, Q(d1 - 2 * l1, 2), label="lam1 >= t-1(1) - t0(0)"),
+        HalfPlane(-1, 0, -l2, label="lam2 >= t0(0)"),
+        HalfPlane(-1, -1, Q(d1 - 2 * (sq2 + m1), 2), label="mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
+        HalfPlane(0, -1, -m1, label="mu1 >= t1(1)"),
+        HalfPlane(1, 0, 2 * sq2 - d1 - m2, label="mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
+        HalfPlane(1, 2, sq2 - m2, label="mu2 >= t0(1) - 2 t1(1)"),
+    ]
+    return RationalPolygon(hps, elim=(Q(d1, 2), sq2))
+
+
+def fraction_vertices(hps) -> tuple:
+    """Vertices as Fraction line intersections in the closure, through the Fraction hull."""
+    pts = []
+    for g, h in itertools.combinations(hps, 2):
+        A1, B1, C1 = g.row
+        A2, B2, C2 = h.row
+        det = A1 * B2 - A2 * B1
+        if det:
+            p = (Q(C1 * B2 - C2 * B1, det), Q(A1 * C2 - A2 * C1, det))
+            if all(k.holds(p, closure=True) for k in hps):
+                pts.append(p)
+    return tuple(fraction_hull(pts))
+
+
+def fraction_area(vertices) -> Q:
+    if len(vertices) < 3:
+        return Q(0)
+    s = sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1])), Q(0))
+    return abs(s) / 2
+
+
+def every_field(hps):
+    return [(h.a, h.b, h.c, h.row, h.den, h.strict, h.label) for h in hps]
+
+
+def box_count(hps, elim, xmax, ymax, filtered: bool, strict_all: bool) -> int:
+    """Integer points of [0, xmax] x [0, ymax] in every half-plane (strictly, with strict_all)."""
+    if filtered and any(v.denominator != 1 for v in elim):
+        return 0
+    points = [(x, y) for x in range(floor(xmax) + 1) for y in range(floor(ymax) + 1)]
+    if strict_all:
+        return sum(all(h.value(p) > 0 for h in hps) for p in points)
+    return sum(all(h.holds(p) for h in hps) for p in points)
+
+
+halves = st.integers(0, 24).map(lambda k: Q(k, 2))
+label_sets = st.one_of(st.lists(st.integers(0, 12), min_size=6, max_size=6),
+                       st.lists(halves, min_size=6, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_sets)
+def test_template_polygon_matches_the_halfplane_builder(labels):
+    lam, mu, nu = labels[0:2], labels[2:4], labels[4:6]
+    P = bz_polygon_b2(lam, mu, nu)
+    R = halfplane_bz_b2(lam, mu, nu)
+    assert every_field(P.halfplanes) == every_field(R.halfplanes)
+    assert P.elim == R.elim and all(type(v) is Q for v in P.elim)
+    assert P.is_bounded()
+    vertices = fraction_vertices(R.halfplanes)
+    assert P.vertices == vertices and all(type(v) is Q for p in P.vertices for v in p)
+    assert P.dim == min(len(vertices), 3) - 1
+    assert P.area() == fraction_area(vertices) and type(P.area()) is Q
+    # x = t0(0) <= lam2 and y = t1(1) <= lam1 bound the polygon
+    for filtered, strict_all in ((True, False), (False, False), (True, True), (False, True)):
+        expected = box_count(R.halfplanes, R.elim, lam[1], lam[0], filtered, strict_all)
+        assert P.lattice_count(filtered, strict_all) == expected
+    assert lattice_point_count(P, integrality_filter=False) == box_count(
+        R.halfplanes, R.elim, lam[1], lam[0], False, False)
+    assert boundary_interior_counts(P) == boundary_interior_counts(R)
+    assert boundary_interior_counts(P, False) == boundary_interior_counts(R, False)
+    for s in range(7):
+        D = P.dilate(s)
+        hps, elim = fraction_dilation(R, s)
+        assert every_field(D.halfplanes) == every_field(hps)
+        assert D.elim == elim
+        assert D.vertices == fraction_vertices(hps)
+        assert D.lattice_count() == box_count(hps, elim, s * lam[1], s * lam[0], True, False)
+
+
+def test_counting_a_bz_polygon_builds_no_halfplane(monkeypatch):
+    import hornvol.bzpolytope as bz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HalfPlane was built")
+
+    triples = [((5, 6), (3, 4), (5, 6)), ((4, 7), (5, 3), (2, 4)), ((1, 1), (1, 1), (1, 1))]
+    expected = [(lattice_point_count(R), R.area(), lattice_point_count(R.dilate(2)))
+                for R in (halfplane_bz_b2(*t) for t in triples)]
+    monkeypatch.setattr(bz, "_halfplane", refuse)
+    monkeypatch.setattr(bz.HalfPlane, "__init__", refuse)
+    for t, (count, area, count2) in zip(triples, expected):
+        P = bz_polygon_b2(*t)
+        assert (lattice_point_count(P), P.area(), lattice_point_count(P.dilate(2))) == (count, area, count2)
+    monkeypatch.undo()
+    assert len(P.halfplanes) == 12
+
+
+@st.composite
+def rational_point_sets(draw):
+    """Point sets with duplicates, collinear runs and sets of at most two points among them."""
+    point = st.tuples(rationals(-6, 6), rationals(-6, 6))
+    kind = draw(st.sampled_from(["any", "collinear", "few"]))
+    if kind == "collinear":
+        (x0, y0), (dx, dy) = draw(point), draw(point)
+        pts = [(x0 + t * dx, y0 + t * dy) for t in draw(st.lists(rationals(-3, 3), min_size=1, max_size=8))]
+    else:
+        pts = draw(st.lists(point, max_size=2 if kind == "few" else 9))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_point_sets(), st.data())
+def test_integer_hull_matches_the_fraction_hull(points, data):
+    # each point as a Cramer triple (x det, y det, det) with det any positive multiple of its denominators
+    triples = []
+    for x, y in points:
+        det = lcm(x.denominator, y.denominator) * data.draw(st.integers(1, 4))
+        triples.append((int(x * det), int(y * det), det))
+    D, cycle = _cramer_hull(triples)
+    assert D > 0 and all(type(v) is int for p in cycle for v in p)
+    assert [(Q(x, D), Q(y, D)) for x, y in cycle] == fraction_hull(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxed_systems(), st.integers(-3, 6) | rationals(-6, 6))
+def test_dilating_a_system_matches_the_fraction_constructor(system, s):
+    # strict rows, labels and elim survive the row-by-row scaling
+    P, _ = system
+    D = P.dilate(s)
+    hps, elim = fraction_dilation(P, s)
+    assert stored(D.halfplanes) == stored(hps)
+    assert D.elim == elim
+    assert D.lattice_count(strict_all=False) == RationalPolygon(hps, elim).lattice_count()

@@ -45,6 +45,37 @@ def test_internal_invariant_failure_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: Klimyk sum -1 < 0\n"
 
 
+def test_the_cached_parser_prints_what_fresh_parsers_print(capsys):
+    import hornvol.cli as cli
+
+    calls = [
+        ["lr", "B2", "1,0", "1,0", "2,0"],
+        ["volume", "B2", "4,7", "5,3", "2,4", "--format", "json"],
+        ["lr", "B2", "1,0", "1,0", "2,0", "--method", "nope"],  # argparse error, exit 2
+        ["covolume", "--max-rank", "3"],
+        ["lr", "B2", "1,0", "1,0", "2,0", "--method", "klimyk"],
+        ["lr", "B2", "1,0", "1,0", "2,0"],
+    ]
+
+    def outcomes(fresh: bool):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            seen.append((rc, *capsys.readouterr()))
+        return seen
+
+    reference = outcomes(fresh=True)
+    assert [rc for rc, _, _ in reference] == [0, 0, 2, 0, 0, 0]
+    assert "invalid choice: 'nope'" in reference[2][2]
+    assert outcomes(fresh=False) == reference
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_lr_trivial_factor(capsys):
     rc, out = run(capsys, "lr", "B2", "0,0", "3,4", "3,4", "--method", "klimyk")
     assert rc == 0

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from fractions import Fraction as Q
 
@@ -184,8 +183,6 @@ def test_algorithms_agree_small_sweep():
                 assert td.get(nu, 0) == lr_steinberg(B2, lam, mu, nu)
 
 
-@pytest.mark.skipif(os.environ.get("HORNVOL_SLOW_TESTS") != "1",
-                    reason="exhaustive labels <= 10 sweep behind HORNVOL_SLOW_TESTS=1")
 def test_algorithms_agree_exhaustive_to_ten():
     # three-way agreement over every compatible triple with labels <= 10
     # (labels <= 8 run unconditionally in the acceptance suite)
