@@ -405,14 +405,6 @@ def _exact_div(num, d):
     return quo if rem == 0 else Q(num, d)
 
 
-def cell_centroid(vertices: Sequence[Point]) -> Point:
-    n = len(vertices)
-    return (
-        sum((p[0] for p in vertices), Q(0)) / n,
-        sum((p[1] for p in vertices), Q(0)) / n,
-    )
-
-
 # ---------------------------------------------------------------------------
 # BZ polygon construction for B2
 

@@ -21,9 +21,9 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from ._exact import p2_mul
 from .bzpolytope import clip_cell
 from .volume import (
+    _QUAD_KEYS,
     delta_b2,
     horn_halfplanes,
     horn_polygon,
@@ -205,7 +205,9 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     horizontal bin edges drop out.  So each cell is clipped only to the grid
     columns, and every non-horizontal edge of each strip is integrated over
     each y band it crosses by 4-point Gauss-Legendre, exact because F has
-    degree 7 along an edge.  The only error is roundoff.
+    degree 7 along an edge.  Each coefficient of F is one integer ratio off
+    the cell's lattice form (see QuadCell), rounded once.  The only error is
+    roundoff.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
@@ -216,9 +218,16 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     band_lo, band_hi = ey[:-1], ey[1:]
     probs = np.zeros((len(ex) - 1, len(ey) - 1))
     for cell in pw.cells:
-        dens = p2_mul({(3, 1): scale, (1, 3): -scale}, cell.poly)
-        F = [(i + 1, j, float(c / (i + 1))) for (i, j), c in dens.items()]
-        verts = [(float(x), float(y)) for x, y in cell.vertices]
+        D = cell.D
+        den = scale.denominator * 32 * D * D
+        # x^3 y - x y^3 times J, whose x^i y^j coefficient is q_ij D^(i+j) / (32 D^2)
+        dens: dict[tuple[int, int], int] = {}
+        for sign, a, b in ((1, 3, 1), (-1, 1, 3)):
+            for (i, j), c in zip(_QUAD_KEYS, cell.q):
+                if c:
+                    dens[a + i, b + j] = dens.get((a + i, b + j), 0) + sign * c * D ** (i + j)
+        F = [(i + 1, j, scale.numerator * n / (den * (i + 1))) for (i, j), n in dens.items() if n]
+        verts = [(x / D, y / D) for x, y in cell.lattice]
         cxs = [v[0] for v in verts]
         i0, i1 = np.searchsorted(ex, min(cxs)) - 1, np.searchsorted(ex, max(cxs))
         cols, segs = [], []

@@ -5,7 +5,7 @@
 * piecewise-quadratic cell analysis, each cell's quadratic read off the
   Weyl sum, with wall-jump classification,
 * the two J-LR relations and the c_kappa / c-hat_kappa coefficients,
-* the Horn PDF with its exact normalization integral by polygon moments,
+* the Horn PDF with its exact normalization integral, one integer per cell,
 * the SO(2) real-symmetric closed form.
 
 Arguments named alpha/beta/gamma are pairs of rationals in the orthonormal
@@ -18,24 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from ._exact import (
-    InvariantError,
-    Poly2,
-    p2_eval,
-    p2_integrate_polygon,
-    p2_linear,
-    p2_mul,
-    p2_scale,
-    p2_sub,
-    qvec,
-)
+from ._exact import InvariantError, qvec
 from .bzpolytope import (
     HalfPlane,
     RationalPolygon,
     bz_polygon_b2,
-    cell_centroid,
     clip_cell,
 )
 from .ehrhart import (
@@ -109,7 +98,7 @@ def j_b2(alpha, beta, gamma) -> Q:
 # Horn polygon
 
 _DASHED = "chamber"
-#: the chamber walls g2 = 0 and g1 - g2 = 0 as (kind, level)
+#: the chamber walls g2 = 0 and g1 - g2 = 0 as (kind, level), level 0 at every scale
 _CHAMBER_WALLS = {("g2", 0), ("g1-g2", 0)}
 
 
@@ -174,14 +163,14 @@ class SingularLine:
     def normal(self) -> tuple[int, int]:
         return _KINDS[self.kind]
 
-    def delta_squared(self) -> Poly2:
-        """Delta^2 with Delta the normalized signed distance to the line."""
+    def delta_squared(self) -> dict[tuple[int, int], Q]:
+        """Delta^2, Delta the normalized signed distance to the line, as {(i, j): coefficient of x^i y^j}."""
         a, b = self.normal
-        lin = p2_linear(a, b, -self.level)
-        sq = p2_mul(lin, lin)
-        if self.kind in ("g1+g2", "g1-g2"):
-            sq = p2_scale(Q(1, 2), sq)
-        return sq
+        k = Q(1, 2) if a and b else Q(1)    # a diagonal normal has length sqrt 2
+        c = -self.level
+        sq = {(1, 0): 2 * k * a * c, (0, 1): 2 * k * b * c, (0, 0): k * c * c,
+              (2, 0): k * a * a, (1, 1): 2 * k * a * b, (0, 2): k * b * b}
+        return {key: v for key, v in sq.items() if v}
 
     def value(self, p: Pair) -> Q:
         a, b = self.normal
@@ -263,15 +252,33 @@ _QUAD_KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 @dataclass(frozen=True)
 class QuadCell:
-    vertices: tuple[Pair, ...]
-    coeffs: tuple[Q, ...]        # (1, x, y, x^2, xy, y^2) coefficients
+    """One cell of the cut in lattice form: gamma = P / D puts its CCW vertices
+    on the integer points `lattice`, and q = (q0, qx, qy, qxx, qxy, qyy) holds
+    the integer coefficients of q(P) = 32 D^2 J(P / D) (128 s^2 J(P / D) at
+    D = 2s).  The Fraction `vertices` and `coeffs` (of J in gamma, for 1, g1,
+    g2, g1^2, g1 g2, g2^2) are derived from them for output and tests.
+    """
+
+    D: int
+    lattice: tuple[tuple[int, int], ...]
+    q: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            ints = (self.D, *self.q, *(v for x, y in self.lattice for v in (x, y)))
+        except (TypeError, ValueError):
+            ints = (None,)
+        if any(type(v) is not int for v in ints) or self.D < 1 or len(self.q) != 6 or len(self.lattice) < 3:
+            raise InvariantError("a cell needs a scale D >= 1, three or more integer points and six integer numerators")
+
+    @cached_property
+    def vertices(self) -> tuple[Pair, ...]:
+        return tuple((Q(x, self.D), Q(y, self.D)) for x, y in self.lattice)
 
     @property
-    def poly(self) -> Poly2:
-        return {k: c for k, c in zip(_QUAD_KEYS, self.coeffs) if c}
-
-    def centroid(self) -> Pair:
-        return cell_centroid(self.vertices)
+    def coeffs(self) -> tuple[Q, ...]:
+        den = 32 * self.D * self.D
+        return tuple(Q(c * self.D ** (i + j), den) for (i, j), c in zip(_QUAD_KEYS, self.q))
 
 
 @dataclass(frozen=True)
@@ -317,12 +324,6 @@ class PiecewiseQuadratic:
             if _point_in_cell(c.vertices, p, strict=False):
                 return i
         return None
-
-    def evaluate(self, p: Pair) -> Q:
-        i = self.cell_at(p)
-        if i is None:
-            return Q(0)
-        return p2_eval(self.cells[i].poly, *p)
 
     def to_json_dict(self) -> dict:
         """Cell diagram as JSON polygon lists (the CLI's SVG emitter draws these)."""
@@ -393,17 +394,17 @@ def _sign_over(level: int, lo: int, hi: int) -> int:
     raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
 
 
-def _cell_quadratic(terms: tuple[int, tuple], verts, vscale: int) -> tuple[Q, ...]:
-    """The six coefficients of J on a convex cell, read off the Weyl sum.
+def _cell_quadratic(terms: tuple[int, tuple], verts, vscale: int) -> tuple[int, ...]:
+    """The lattice form q of J on a convex cell, read off the Weyl sum.
 
-    The cell's vertices are integer points, gamma scaled by vscale, a
-    multiple of the terms' scale.  Each term is one quadratic wherever its
-    linear forms x, y, x - y and x + y keep one sign.  These forms are
-    linear in gamma and the cell is convex, so their range over the cell is
-    spanned by the vertices; when every form keeps its sign there, J equals
-    the summed quadratic on the whole closed cell (on x + y = 0 both the
-    term and its quadratic vanish).  Otherwise PiecewiseFitError is raised.
-    All sums run in integers.
+    The cell's vertices are integer points P = vscale gamma, vscale a
+    multiple of the terms' scale, and q(P) = 32 vscale^2 J(P / vscale) (see
+    QuadCell).  Each term is one quadratic wherever its linear forms x, y,
+    x - y and x + y keep one sign.  These forms are linear in gamma and the
+    cell is convex, so their range over the cell is spanned by the vertices;
+    when every form keeps its sign there, J equals the summed quadratic on
+    the whole closed cell (on x + y = 0 both the term and its quadratic
+    vanish).  Otherwise PiecewiseFitError is raised.  All sums run in integers.
     """
     scale, table = terms
     m = vscale // scale
@@ -418,15 +419,14 @@ def _cell_quadratic(terms: tuple[int, tuple], verts, vscale: int) -> tuple[Q, ..
         sy = _sign_over(y0 * m, ly, hy)
         sd = _sign_over(d0 * m, ld, hd)
         k = e * _sign_over((x0 + y0) * m, lt, ht)
-        # k * (4 sx x^2 - 4 sy y^2 - 2 sd d^2), expanded in (g1, g2)
+        # k * (4 sx x^2 - 4 sy y^2 - 2 sd d^2), expanded in (scale g1, scale g2)
         c0 += k * (4 * sx * x0 * x0 - 4 * sy * y0 * y0 - 2 * sd * d0 * d0)
         cx += k * (4 * sd * d0 - 8 * sx * x0)
         cy += k * (8 * sy * y0 - 4 * sd * d0)
         cxx += k * (4 * sx - 2 * sd)
         cxy += k * 4 * sd
         cyy += k * (-4 * sy - 2 * sd)
-    return (Q(c0, 32 * scale * scale), Q(cx, 32 * scale), Q(cy, 32 * scale),
-            Q(cxx, 32), Q(cxy, 32), Q(cyy, 32))
+    return (c0 * m * m, cx * m, cy * m, cxx, cxy, cyy)
 
 
 def _edge_line(p: Pair, q: Pair) -> tuple[str, Q]:
@@ -459,8 +459,8 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     g1 - g2 whose levels are multiples of 1/s, s the lcm of the denominators
     of alpha and beta, so gamma scaled by D = 2s puts every vertex on the
     integer lattice.  The cut (clip_cell on int points), the cell
-    quadratics and the wall bookkeeping all run on those integer points; the
-    vertices and wall levels become Fractions once, for the output.
+    quadratics (QuadCell's lattice form) and the wall classes all run in
+    integers; only wall levels and segments become Fractions, for output.
     Each cell's quadratic is summed from the Weyl terms of j_b2 (see
     _cell_quadratic); a term whose linear forms change sign between the
     cell's vertices raises PiecewiseFitError, which would signal a missed
@@ -486,9 +486,11 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     D = 2 * terms[0]    # the lattice scale of the docstring
     cells: list[tuple[tuple[int, int], ...]] = [
         tuple((_on_lattice(x, D), _on_lattice(y, D)) for x, y in horn.vertices)]
+    sources: dict[tuple[str, int], int] = {}     # candidate lines merged into each line
     for ln in lines:
         a, b = ln.normal
         level = _on_lattice(ln.level, D)
+        sources[ln.kind, level] = ln.source.count(",") + 1
         new: list[tuple[tuple[int, int], ...]] = []
         for cell in cells:
             vals = [a * x + b * y for x, y in cell]
@@ -497,9 +499,7 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
             else:
                 new.append(cell)
         cells = new
-
-    point = {p: (Q(p[0], D), Q(p[1], D)) for cell in cells for p in cell}
-    fitted = tuple(QuadCell(tuple(point[p] for p in c), _cell_quadratic(terms, c, D)) for c in cells)
+    fitted = tuple(QuadCell(D, c, _cell_quadratic(terms, c, D)) for c in cells)
 
     # every directed cell edge, and the edges on each line, all in lattice units
     owner: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
@@ -509,23 +509,22 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
             owner[p, q] = idx
             line_edges.setdefault(_edge_line(p, q), []).append((idx, p, q))
 
-    sources = {(ln.kind, ln.level): ln.source.count(",") + 1 for ln in lines}
+    point = {p: (Q(p[0], D), Q(p[1], D)) for cell in cells for p in cell}
     walls: list[Wall] = []
     for (kind, ilevel), edges in sorted(line_edges.items()):
         a, b = _KINDS[kind]
         level = Q(ilevel, D)
-        sq = SingularLine(kind, level, "").delta_squared()
+        unit = _half_delta_squared(a, b, ilevel)
         for ci, p, q in edges:
             cj = owner.get((q, p))
             if cj is None:
-                seg = point[p], point[q]
-                cls, sign = _boundary_class(fitted[ci].poly, sq, (kind, level) in _CHAMBER_WALLS, *seg)
-                walls.append(Wall(kind, level, seg, (ci,), cls, sign))
+                cls, sign = _boundary_class(fitted[ci].q, unit, (kind, ilevel) in _CHAMBER_WALLS, p, q)
+                walls.append(Wall(kind, level, (point[p], point[q]), (ci,), cls, sign))
             elif ci < cj:
                 # the CCW cell ci lies left of p -> q
                 hi, lo = (ci, cj) if a * (p[1] - q[1]) + b * (q[0] - p[0]) > 0 else (cj, ci)
-                diff = p2_sub(fitted[hi].poly, fitted[lo].poly)
-                cls, sign = _jump_class(diff, sq, sources.get((kind, level), 1))
+                diff = tuple(u - v for u, v in zip(fitted[hi].q, fitted[lo].q))
+                cls, sign = _jump_class(diff, unit, sources.get((kind, ilevel), 1))
                 walls.append(Wall(kind, level, tuple(point[v] for v in sorted((p, q))), (hi, lo), cls, sign))
 
     return PiecewiseQuadratic(
@@ -534,35 +533,47 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     )
 
 
-def _boundary_class(poly: Poly2, sq: Poly2, chamber: bool, p: Pair, q: Pair) -> tuple[str, int]:
-    """Classify the cell quadratic on a boundary edge p -> q of a line with Delta^2 = sq.
+def _half_delta_squared(a: int, b: int, level: int) -> tuple[int, ...]:
+    """(1/2) Delta^2 of the line a Px + b Py = level in lattice form (see QuadCell):
+    k (a Px + b Py - level)^2, k = 16 on g1 and g2 lines and 8 on g1 +- g2 lines."""
+    k = 8 if a and b else 16
+    return (k * level * level, -2 * k * a * level, -2 * k * b * level, k * a * a, 2 * k * a * b, k * b * b)
 
-    On a chamber wall J vanishes: the quadratic must vanish at p, q and the
-    midpoint, hence on the whole line.  On an outer Horn facet it must equal
-    (1/2) Delta^2.
+
+def _q_at(q: tuple[int, ...], x: int, y: int, w: int = 1) -> int:
+    """w^2 q(P / w) at P = (x, y), so a midpoint is evaluated at w = 2 in integers."""
+    return (q[0] * w + q[1] * x + q[2] * y) * w + (q[3] * x + q[4] * y) * x + q[5] * y * y
+
+
+def _boundary_class(q: tuple[int, ...], unit: tuple[int, ...], chamber: bool,
+                    p: tuple[int, int], r: tuple[int, int]) -> tuple[str, int]:
+    """Classify the lattice form q of a cell on its boundary edge p -> r.
+
+    unit is (1/2) Delta^2 of the edge's line in lattice form.  On a chamber
+    wall J vanishes: q must vanish at p, r and the midpoint, hence on the
+    whole line.  On an outer Horn facet q must equal unit.
     """
     if chamber:
-        mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-        if all(p2_eval(poly, *v) == 0 for v in (p, mid, q)):
+        if _q_at(q, *p) == 0 == _q_at(q, *r) and _q_at(q, p[0] + r[0], p[1] + r[1], 2) == 0:
             return "boundary-linear", 0
-    elif poly == p2_scale(Q(1, 2), sq):
+    elif q == unit:
         return "boundary-quadratic", 1
     return "violation", 0
 
 
-def _jump_class(diff: Poly2, sq: Poly2, sources: int) -> tuple[str, int]:
-    """Classify the jump diff of the cell quadratics across a line with Delta^2 = sq.
+def _jump_class(diff: tuple[int, ...], unit: tuple[int, ...], sources: int) -> tuple[str, int]:
+    """Classify the jump diff = q_hi - q_lo of the lattice forms across a line.
 
-    Each of the `sources` coincident candidate lines merged into the line
-    jumps by +-(1/2) Delta^2 or not at all, so a legal jump is (m/2) Delta^2
-    with m an integer and 0 < |m| <= sources.
+    unit is (1/2) Delta^2 of the line in lattice form.  Each of the `sources`
+    coincident candidate lines merged into the line jumps by +-unit or not at
+    all, so a legal jump is m unit with m an integer and 0 < |m| <= sources.
     """
-    if not diff:
+    if not any(diff):
         return "inactive", 0
-    key = (2, 0) if (2, 0) in sq else (0, 2)    # every Delta^2 has a pure square term
-    m = 2 * diff.get(key, 0) / sq[key]
-    if m.denominator == 1 and 0 < abs(m) <= sources and diff == p2_scale(m / 2, sq):
-        return "quadratic-ramp", int(m)
+    key = 3 if unit[3] else 5    # every unit has a pure square term
+    m, r = divmod(diff[key], unit[key])
+    if not r and 0 < abs(m) <= sources and diff == tuple(m * u for u in unit):
+        return "quadratic-ramp", m
     return "violation", 0
 
 
@@ -702,20 +713,50 @@ def pdf_b2(alpha, beta, gamma) -> Q:
 def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None) -> Q:
     """Exact integral of the PDF over the Horn polygon.
 
-    Each cell contributes the integral of Delta(gamma) times its quadratic,
-    a polynomial of degree 6, by closed-form polygon moments
-    (p2_integrate_polygon).
+    In lattice form (see QuadCell) Delta(gamma) J(gamma) dgamma is
+    Delta(P) q(P) dP / (32 D^8); each cell's integral is one integer over a
+    fixed denominator (_delta_moment), and one Fraction is made at the end.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
         pw = piecewise_analyze_b2(alpha, beta)
-    scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
-    vandermonde = {(3, 1): Q(1), (1, 3): Q(-1)}  # x^3 y - x y^3 = Delta(gamma)
-    total = Q(0)
-    for cell in pw.cells:
-        integrand = p2_scale(scale, p2_mul(vandermonde, cell.poly))
-        total += p2_integrate_polygon(integrand, cell.vertices)
-    return total
+    total = sum(_delta_moment(c.lattice, c.q) for c in pw.cells)
+    D = pw.cells[0].D
+    return Q(3 * total, 2 * _MOMENT_DEN * 32 * D**8) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+
+
+#: 7-point closed Newton-Cotes weights on [0, 1], over 840; exact to degree 7
+_NC7 = (41, 216, 27, 272, 27, 216, 41)
+#: lcm of the denominators (m + 2)(m + 1) C(m, i), m = i + j, of the lattice
+#: polygon moments of x^i y^j in Delta q (i, j >= 1, m = 4, 5, 6)
+_MOMENT_DEN = 3360
+
+
+def _delta_moment(lattice, q: tuple[int, ...]) -> int:
+    """_MOMENT_DEN times the integral of Delta(P) q(P) over a CCW lattice polygon.
+
+    By Euler's identity the degree-m part f_m of Delta q has int_P f_m =
+    sum_k c_k int_0^1 f_m(p_k + t e_k) dt / (m + 2) over the edges p_k -> p_k
+    + e_k, c_k = p_k x e_k.  The 7-point Newton-Cotes rule is exact there, on
+    integer nodes 6 p_k + j e_k where f_m is 6^m times its value; weighting
+    f_m by 56 * 6^6 / ((m + 2) 6^m) makes the sum 840 * 56 * 6^6 int_P Delta q,
+    one integer, which must be a multiple of 840 * 56 * 6^6 / _MOMENT_DEN;
+    a remainder raises InvariantError.
+    """
+    # the degree weights 336, 48, 7 on the constant, linear and square parts of q
+    k0, kx, ky, kxx, kxy, kyy = (k * c for k, c in zip((336, 48, 48, 7, 7, 7), q))
+    total = 0
+    for (x0, y0), (x1, y1) in zip(lattice, lattice[1:] + lattice[:1]):
+        acc = 0
+        for j, w in enumerate(_NC7):
+            x, y = 6 * x0 + j * (x1 - x0), 6 * y0 + j * (y1 - y0)
+            acc += w * x * y * (x * x - y * y) * (k0 + (kx + kxx * x + kxy * y) * x + (ky + kyy * y) * y)
+        total += (x0 * y1 - x1 * y0) * acc
+    den = 840 * 56 * 6**6 // _MOMENT_DEN
+    moment, r = divmod(total, den)
+    if r:
+        raise InvariantError(f"the Newton-Cotes sum {total} is not a multiple of its fixed denominator {den}")
+    return moment
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornvol._exact import p2_integrate_polygon, p2_mul
+from hornvol._exact import p2_integrate_polygon
 from hornvol.bzpolytope import clip_cell
 from hornvol.sampler import (
     _GL4_NODES,
@@ -22,7 +22,8 @@ from hornvol.sampler import (
     sample_so2_symmetric,
     so2_samples,
 )
-from hornvol.volume import delta_b2, j_so2_symmetric, piecewise_analyze_b2, so2_support
+from hornvol.volume import _QUAD_KEYS, delta_b2, j_so2_symmetric, piecewise_analyze_b2, so2_support
+from poly2 import p2_mul
 
 
 def test_haar_matrices_are_special_orthogonal():
@@ -131,7 +132,8 @@ def exact_bin_masses(alpha, beta, edges):
     ex, ey = ([Q(v) for v in e] for e in edges)
     out = np.zeros((len(ex) - 1, len(ey) - 1))
     for cell in pw.cells:
-        dens = p2_mul({(3, 1): scale, (1, 3): -scale}, cell.poly)
+        poly = {k: c for k, c in zip(_QUAD_KEYS, cell.coeffs) if c}
+        dens = p2_mul({(3, 1): scale, (1, 3): -scale}, poly)
         for i in range(len(ex) - 1):
             strip = clip_cell(clip_cell(cell.vertices, 1, 0, ex[i]), -1, 0, -ex[i + 1])
             for j in range(len(ey) - 1):

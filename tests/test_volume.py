@@ -10,19 +10,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hornvol import volume
-from hornvol._exact import InvariantError, p2_add, p2_eval, p2_integrate_polygon, p2_linear, p2_mul, p2_scale, p2_sub
+from hornvol._exact import InvariantError, p2_eval, p2_integrate_polygon
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
 from hornvol.volume import (
+    _CHAMBER_WALLS,
+    _QUAD_KEYS,
     IncompatibleTripleError,
     NotShiftableError,
     PiecewiseFitError,
+    QuadCell,
     SingularLine,
     _boundary_class,
     _cell_quadratic,
+    _delta_moment,
     _edge_line,
+    _half_delta_squared,
     _jump_class,
     _weyl_terms,
     b2_dynkin_to_ortho,
@@ -46,6 +51,7 @@ from hornvol.volume import (
     so2_support,
     volume_routes,
 )
+from poly2 import p2_add, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
 RHO = (Q(3, 2), Q(1, 2))
@@ -201,7 +207,27 @@ def test_four_prong_identity():
         assert p2_add(g1, g2) == p2_add(gp, gm)
 
 
+
+def test_delta_squared_is_the_squared_normalized_distance():
+    for kind in ("g1", "g2", "g1+g2", "g1-g2"):
+        for level in (Q(0), Q(7, 3), Q(-5)):
+            line = SingularLine(kind, level, "")
+            a, b = line.normal
+            lin = p2_linear(a, b, -level)
+            assert line.delta_squared() == p2_scale(Q(1, a * a + b * b), p2_mul(lin, lin))
+
+
 # -- piecewise analysis -----------------------------------------------------------
+
+
+def poly(cell):
+    """A cell's quadratic as a Poly2 dict, read off its Fraction coeffs."""
+    return {k: c for k, c in zip(_QUAD_KEYS, cell.coeffs) if c}
+
+
+def centroid(cell):
+    verts = cell.vertices
+    return tuple(sum((v[c] for v in verts), Q(0)) / len(verts) for c in (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +257,7 @@ def test_piecewise_cells_reproduce_j(pw_left):
         p = (Q(rng.randint(40, 260), 8), Q(rng.randint(0, 152), 8))
         i = pw_left.cell_at(p)
         if i is not None:
-            assert p2_eval(pw_left.cells[i].poly, *p) == j_b2(pw_left.alpha, pw_left.beta, p)
+            assert p2_eval(poly(pw_left.cells[i]), *p) == j_b2(pw_left.alpha, pw_left.beta, p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +267,7 @@ def test_cell_quadratics_equal_j_on_closed_cells(pair, rng):
     pw = piecewise_analyze_b2(alpha, beta)
     for cell in pw.cells:
         verts = cell.vertices
-        points = [cell.centroid()]
+        points = [centroid(cell)]
         for _ in range(2):
             # a random convex combination; zero weights land on edges and vertices
             w = [rng.randint(0, 3) for _ in verts]
@@ -252,13 +278,80 @@ def test_cell_quadratics_equal_j_on_closed_cells(pair, rng):
             t = Q(rng.randint(0, 8), 8)
             points.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         for g in points:
-            assert p2_eval(cell.poly, *g) == j_b2(pw.alpha, pw.beta, g)
+            assert p2_eval(poly(cell), *g) == j_b2(pw.alpha, pw.beta, g)
 
 
 @settings(max_examples=30, deadline=None)
 @given(regular_half_pairs())
 def test_pdf_normalization_on_random_pairs(pair):
     assert pdf_normalization_integral(*pair) == 1
+
+
+_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (-1, -1), (-1, 1)]
+
+
+@st.composite
+def lattice_polygons(draw):
+    """CCW convex integer polygons: boxes clipped by lines of the four cell
+    directions, triangles, and boxes with extra vertices on their edges."""
+    shape = draw(st.sampled_from(["clipped box", "triangle", "collinear"]))
+    x0, y0, w, h = (draw(st.integers(lo, 8)) for lo in (-8, -8, 1, 1))
+    if shape == "triangle":
+        pts = [(draw(st.integers(-8, 8)), draw(st.integers(-8, 8))) for _ in range(3)]
+        (ax, ay), (bx, by), (cx, cy) = pts
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        assume(cross)
+        return tuple(pts if cross > 0 else pts[::-1])
+    if shape == "collinear":
+        box = ((x0, y0), (x0 + 2 * w, y0), (x0 + 2 * w, y0 + 2 * h), (x0, y0 + 2 * h))
+        out = []
+        for p, q in zip(box, box[1:] + box[:1]):
+            out.append(p)
+            if draw(st.booleans()):
+                out.append(((p[0] + q[0]) // 2, (p[1] + q[1]) // 2))
+        return tuple(out)
+    poly = ((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h))
+    for a, b in draw(st.lists(st.sampled_from(_DIRECTIONS), max_size=3)):
+        vals = [a * x + b * y for x, y in poly]
+        clipped = clip_cell(poly, a, b, draw(st.integers(min(vals), max(vals))))
+        if len(clipped) >= 3 and all(type(v) is int for p in clipped for v in p):
+            poly = clipped
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_polygons(), st.lists(st.integers(-60, 60), min_size=6, max_size=6))
+def test_delta_moment_equals_the_polygon_moments(lattice, q):
+    delta_q = p2_mul({(3, 1): Q(1), (1, 3): Q(-1)}, {k: Q(c) for k, c in zip(_QUAD_KEYS, q) if c})
+    assert Q(_delta_moment(lattice, tuple(q)), 3360) == p2_integrate_polygon(delta_q, lattice)
+
+
+def test_a_newton_cotes_sum_off_its_denominator_raises():
+    lattice, q = ((1, 1), (3, 1), (1, 2)), (1, 2, 3, 4, 5, 6)
+    _delta_moment(lattice, q)
+    with mock.patch.object(volume, "_NC7", (41, 216, 27, 273, 27, 216, 41)):
+        with pytest.raises(InvariantError):
+            _delta_moment(lattice, q)
+
+
+def test_a_cell_without_lattice_data_raises():
+    tri = ((0, 0), (2, 0), (0, 2))
+    cell = QuadCell(2, tri, (128, 0, 0, 0, 0, 0))
+    assert cell.vertices == ((0, 0), (1, 0), (0, 1)) and cell.coeffs == (1, 0, 0, 0, 0, 0)
+    zero = (0,) * 6
+    for D, lattice, q in [
+        (2, (), zero),
+        (2, tri[:2], zero),
+        (2, ((Q(0), Q(0)), (2, 0), (0, 2)), zero),
+        (2, ((0, 0, 0), (2, 0), (0, 2)), zero),
+        (2, None, zero),
+        (2, tri, (Q(1, 2), 0, 0, 0, 0, 0)),
+        (2, tri, zero[:5]),
+        (0, tri, zero),
+        (Q(2), tri, zero),
+    ]:
+        with pytest.raises(InvariantError):
+            QuadCell(D, lattice, q)
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,7 +428,7 @@ def test_walls_tile_the_cell_edges(pair):
         line = SingularLine(w.kind, w.level, "")
         assert all(line.value(p) == 0 for p in w.segment)
         if len(w.cells) == 2:
-            hi, lo = (pw.cells[i].centroid() for i in w.cells)
+            hi, lo = (centroid(pw.cells[i]) for i in w.cells)
             assert line.value(hi) > 0 > line.value(lo)
         else:
             # a boundary wall lies on a Horn inequality or a chamber wall
@@ -366,30 +459,157 @@ def test_coincident_lines_jump_by_their_multiplicity(alpha, beta):
         assert abs(w.jump_sign) <= sources[(w.kind, w.level)]
 
 
+def lattice_form(p, D):
+    """The lattice form 32 D^2 p(P / D) of a Fraction quadratic (see QuadCell)."""
+    out = tuple(p.get(key, Q(0)) * 32 * D ** (2 - sum(key)) for key in _QUAD_KEYS)
+    assert all(v.denominator == 1 for v in out)
+    return tuple(int(v) for v in out)
+
+
+# The Fraction classifiers the lattice-form ones replaced, kept as references.
+def fraction_boundary_class(p, sq, chamber, a, b):
+    if chamber:
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        if all(p2_eval(p, *v) == 0 for v in (a, mid, b)):
+            return "boundary-linear", 0
+    elif p == p2_scale(Q(1, 2), sq):
+        return "boundary-quadratic", 1
+    return "violation", 0
+
+
+def fraction_jump_class(diff, sq, sources):
+    if not diff:
+        return "inactive", 0
+    key = (2, 0) if (2, 0) in sq else (0, 2)
+    m = 2 * diff.get(key, 0) / sq[key]
+    if m.denominator == 1 and 0 < abs(m) <= sources and diff == p2_scale(m / 2, sq):
+        return "quadratic-ramp", int(m)
+    return "violation", 0
+
+
+def assert_jump_class(diff, line, sources, D, expected):
+    unit = _half_delta_squared(*line.normal, int(line.level * D))
+    assert _jump_class(lattice_form(diff, D), unit, sources) == expected
+    assert fraction_jump_class(diff, line.delta_squared(), sources) == expected
+
+
 def test_tampered_jumps_are_violations():
     pw = piecewise_analyze_b2((Q(11, 2), Q(3, 2)), (5, 2))
+    D = pw.cells[0].D
     line = next(l for l in pw.lines if l.source.count(",") == 2)
     sq = line.delta_squared()
-    assert _jump_class(p2_scale(Q(3, 2), sq), sq, 3) == ("quadratic-ramp", 3)
-    assert _jump_class(p2_scale(Q(-2, 2), sq), sq, 3) == ("quadratic-ramp", -2)
+    assert_jump_class(p2_scale(Q(3, 2), sq), line, 3, D, ("quadratic-ramp", 3))
+    assert_jump_class(p2_scale(Q(-2, 2), sq), line, 3, D, ("quadratic-ramp", -2))
     # beyond the number of merged sources
-    assert _jump_class(p2_scale(Q(4, 2), sq), sq, 3) == ("violation", 0)
-    assert _jump_class(p2_scale(Q(2, 2), sq), sq, 1) == ("violation", 0)
+    assert_jump_class(p2_scale(Q(4, 2), sq), line, 3, D, ("violation", 0))
+    assert_jump_class(p2_scale(Q(2, 2), sq), line, 1, D, ("violation", 0))
     # not an integer multiple of Delta^2 / 2
-    assert _jump_class(p2_scale(Q(3, 4), sq), sq, 3) == ("violation", 0)
+    assert_jump_class(p2_scale(Q(3, 4), sq), line, 3, D, ("violation", 0))
     # not a multiple of Delta^2 at all
-    assert _jump_class(p2_add(p2_scale(Q(1, 2), sq), {(1, 0): Q(1)}), sq, 3) == ("violation", 0)
-    assert _jump_class({(0, 2): Q(1, 2)}, SingularLine("g1", Q(3), "").delta_squared(), 3) == ("violation", 0)
+    assert_jump_class(p2_add(p2_scale(Q(1, 2), sq), {(1, 0): Q(1)}), line, 3, D, ("violation", 0))
+    assert_jump_class({(0, 2): Q(1, 2)}, SingularLine("g1", Q(3), ""), 3, D, ("violation", 0))
 
 
 def test_tampered_boundaries_are_violations():
-    sq = SingularLine("g2", Q(0), "").delta_squared()
+    line = SingularLine("g2", Q(0), "")
+    sq = line.delta_squared()
     p, q = (Q(1), Q(0)), (Q(3), Q(0))
-    assert _boundary_class({(0, 1): Q(2)}, sq, True, p, q) == ("boundary-linear", 0)
-    # (g1 - 1)(g1 - 3) vanishes at both ends of the chamber edge but not between them
-    assert _boundary_class({(2, 0): Q(1), (1, 0): Q(-4), (0, 0): Q(3)}, sq, True, p, q) == ("violation", 0)
-    assert _boundary_class(p2_scale(Q(1, 2), sq), sq, False, p, q) == ("boundary-quadratic", 1)
-    assert _boundary_class(sq, sq, False, p, q) == ("violation", 0)
+    D = 2
+    unit = _half_delta_squared(0, 1, 0)
+    ends = [(int(v[0] * D), int(v[1] * D)) for v in (p, q)]
+    for f, chamber, expected in [
+        ({(0, 1): Q(2)}, True, ("boundary-linear", 0)),
+        # (g1 - 1)(g1 - 3) vanishes at both ends of the chamber edge but not between them
+        ({(2, 0): Q(1), (1, 0): Q(-4), (0, 0): Q(3)}, True, ("violation", 0)),
+        (p2_scale(Q(1, 2), sq), False, ("boundary-quadratic", 1)),
+        (sq, False, ("violation", 0)),
+    ]:
+        assert _boundary_class(lattice_form(f, D), unit, chamber, *ends) == expected
+        assert fraction_boundary_class(f, sq, chamber, p, q) == expected
+
+
+@st.composite
+def regular_third_pairs(draw):
+    """(alpha, beta), each with one denominator 1-3 and numerators up to 20."""
+
+    def point():
+        d = draw(st.integers(1, 3))
+        hi = draw(st.integers(2, 20))
+        return (Q(hi, d), Q(draw(st.integers(1, hi - 1)), d))
+
+    return point(), point()
+
+
+def assert_walls_match_the_fraction_classifier(pw):
+    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in pw.lines}
+    for w in pw.walls:
+        sq = SingularLine(w.kind, w.level, "").delta_squared()
+        if len(w.cells) == 2:
+            hi, lo = w.cells
+            diff = p2_sub(poly(pw.cells[hi]), poly(pw.cells[lo]))
+            expected = fraction_jump_class(diff, sq, sources.get((w.kind, w.level), 1))
+        else:
+            chamber = (w.kind, w.level) in _CHAMBER_WALLS
+            expected = fraction_boundary_class(poly(pw.cells[w.cells[0]]), sq, chamber, *w.segment)
+        assert (w.classification, w.jump_sign) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_third_pairs())
+def test_lattice_wall_classes_match_the_fraction_classifier(pair):
+    assert_walls_match_the_fraction_classifier(piecewise_analyze_b2(*pair))
+
+
+def test_tampered_cells_classify_like_the_fraction_classifier():
+    alpha, beta = (17, 4), (15, 9)
+    pw = piecewise_analyze_b2(alpha, beta)
+    D = pw.cells[0].D
+    original = volume._cell_quadratic
+    chamber = [w for w in pw.walls if w.classification == "boundary-linear"]
+    assert chamber
+    for w in chamber:
+        target = pw.cells[w.cells[0]].lattice
+        (px, py), _ = ((int(x * D), int(y * D)) for x, y in w.segment)
+        # Px + Py - (px + py) vanishes at the wall's first end and nowhere else on it
+        bump = (-(px + py), 1, 1, 0, 0, 0)
+
+        def tampered(terms, verts, vscale):
+            q = original(terms, verts, vscale)
+            return tuple(a + b for a, b in zip(q, bump)) if tuple(verts) == target else q
+
+        with mock.patch.object(volume, "_cell_quadratic", tampered):
+            bad = piecewise_analyze_b2(alpha, beta)
+        assert next(v for v in bad.walls if v.segment == w.segment).classification == "violation"
+        assert_walls_match_the_fraction_classifier(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["g1", "g2", "g1+g2", "g1-g2"]),
+    st.integers(-6, 6),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+    st.integers(1, 3),
+    st.integers(-4, 4),
+    st.integers(1, 4),
+)
+def test_lattice_classifiers_match_the_fraction_ones_on_tampered_forms(kind, level, D, m, noise, sources, t0, dt):
+    """A multiple of the unit, the same plus noise, and a form vanishing on the line."""
+    a, b = SingularLine(kind, Q(0), "").normal
+    unit = _half_delta_squared(a, b, level)
+    u0, ux, uy = noise[:3]
+    vanishing = (-level * u0, a * u0 - level * ux, b * u0 - level * uy, a * ux, a * uy + b * ux, b * uy)
+    sq = SingularLine(kind, Q(level, D), "").delta_squared()
+    # two lattice points on the line a x + b y = level
+    start = (level, t0) if b == 0 else (t0, level) if a == 0 else (t0, (level - t0) * b)
+    ends = [(start[0] + s * b, start[1] - s * a) for s in (0, dt)]
+    pts = [(Q(x, D), Q(y, D)) for x, y in ends]
+    for f in (tuple(m * u for u in unit), tuple(m * u + e for u, e in zip(unit, noise)), vanishing):
+        p = {key: Q(c, 32 * D ** (2 - sum(key))) for key, c in zip(_QUAD_KEYS, f) if c}
+        assert _jump_class(f, unit, sources) == fraction_jump_class(p, sq, sources)
+        for chamber in (True, False):
+            assert _boundary_class(f, unit, chamber, *ends) == fraction_boundary_class(p, sq, chamber, *pts)
 
 
 def test_piecewise_wall_classes(pw_left):
@@ -400,7 +620,7 @@ def test_piecewise_wall_classes(pw_left):
     for w in pw_left.walls:
         if w.classification == "quadratic-ramp":
             hi, lo = w.cells
-            diff = p2_sub(pw_left.cells[hi].poly, pw_left.cells[lo].poly)
+            diff = p2_sub(poly(pw_left.cells[hi]), poly(pw_left.cells[lo]))
             expected = p2_scale(Q(w.jump_sign, 2), SingularLine(w.kind, w.level, "").delta_squared())
             assert diff == expected
 
@@ -420,9 +640,9 @@ def test_piecewise_jumps_telescope_around_loops(pw_left):
             break
         other = nxt.cells[0] if nxt.cells[1] == cur else nxt.cells[1]
         seen.add(tuple(sorted(nxt.cells)))
-        acc = p2_add(acc, p2_sub(cells[other].poly, cells[cur].poly))
+        acc = p2_add(acc, p2_sub(poly(cells[other]), poly(cells[cur])))
         cur = other
-    acc = p2_add(acc, p2_sub(cells[chain[0]].poly, cells[cur].poly))
+    acc = p2_add(acc, p2_sub(poly(cells[chain[0]]), poly(cells[cur])))
     assert acc == {}
 
 
@@ -441,9 +661,9 @@ def test_dashed_walls_vanish_linearly(pw_left):
         cell = pw_left.cells[w.cells[0]]
         (p, q) = w.segment
         mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-        assert p2_eval(cell.poly, *mid) == 0
+        assert p2_eval(poly(cell), *mid) == 0
         # normal derivative generically nonzero: the vanishing is linear, not quadratic
-        assert cell.poly != {}
+        assert poly(cell) != {}
 
 
 def test_detected_nonanalyticities_lie_on_candidate_lines(pw_left):
