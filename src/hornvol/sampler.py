@@ -21,9 +21,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from .bzpolytope import clip_cell
 from .volume import (
-    _QUAD_KEYS,
     delta_b2,
     horn_halfplanes,
     horn_polygon,
@@ -123,10 +121,26 @@ def sample_b2_pairs(alpha, beta, n_samples: int, seed: int, chunk: int = 50_000)
 
 
 def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Vectorized Horn-polygon membership with a floating tolerance."""
-    ok = np.ones_like(g1, dtype=bool)
+    """Vectorized Horn-polygon membership with a floating tolerance.
+
+    Every half-plane a g1 + b g2 >= c of horn_halfplanes bounds one of the
+    forms g1, g2, g1 + g2 and g1 - g2 from below or above.  The four forms
+    are computed once, and each is compared only with its largest lower and
+    smallest upper bound: a half-plane's test rounds (a g1 + b g2) - c, and
+    rounding is monotone, so the half-plane with the largest c on a normal
+    fails whenever another on it does, and the result equals that of testing
+    all fourteen.
+    """
+    largest: dict[tuple[int, int], Q] = {}
     for h in horn_halfplanes(alpha, beta):
-        ok &= float(h.a) * g1 + float(h.b) * g2 - float(h.c) >= -tol
+        largest[h.a, h.b] = max(largest.get((h.a, h.b), h.c), h.c)
+    forms = {(1, 0): g1, (0, 1): g2, (1, 1): g1 + g2, (1, -1): g1 - g2}
+    ok = np.ones_like(g1, dtype=bool)
+    for (a, b), c in largest.items():
+        if (a, b) in forms:
+            ok &= forms[a, b] - float(c) >= -tol
+        else:
+            ok &= float(-c) - forms[-a, -b] >= -tol
     return ok
 
 
@@ -148,8 +162,10 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
         sample_count=n_samples,
         rng_seed=seed,
         samples_outside_support=int(np.count_nonzero(~inside)),
-        sample_min=tuple(pairs.min(axis=0)),
-        sample_max=tuple(pairs.max(axis=0)),
+        # one reduction per column: an axis-0 reduction of the (N, 2) array
+        # runs its inner loop over rows of two and takes ten times as long
+        sample_min=(pairs[:, 0].min(), pairs[:, 1].min()),
+        sample_max=(pairs[:, 0].max(), pairs[:, 1].max()),
     )
 
 
@@ -196,63 +212,145 @@ _GL4_NODES = np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848
 _GL4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538])
 
 
+def _poly_mul(p: dict, r: dict) -> dict:
+    """The product of two polynomials stored as {(i, j): coefficient of u^i v^j}."""
+    out: dict = {}
+    for (a, b), s in p.items():
+        for (c, d), t in r.items():
+            k = (a + c, b + d)
+            out[k] = out[k] + s * t if k in out else s * t
+    return out
+
+
+def _local_antiderivatives(cells, scale: Q) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's origin o, its first vertex, and the density's antiderivative about it.
+
+    Returns o, shape (cells, 2), and c, shape (8, 8, cells), such that
+    F(u, v) = sum c[a, b] u^a v^b = int_0^u f(o + (s, v)) ds, f the density
+    scale Delta(gamma) J(gamma) on the cell.  In lattice form (see QuadCell),
+    P = D o + (U, V), f is scale / (32 D^6) times h(U, V) = Delta(P) q(P),
+    an integer polynomial: q and Delta are expanded about D o in Python ints,
+    all cells at once, and each coefficient of F is one int / int ratio,
+    rounded once.  About o the values of F stay of the order of the cell's
+    mass; about the gamma origin they grow with the coordinates, 15 or more
+    on some pairs, and cancel in the sums.
+    """
+    D = cells[0].D
+    X, Y = (np.array([c.lattice[0][k] for c in cells], dtype=object) for k in (0, 1))
+    q0, qx, qy, qxx, qxy, qyy = np.array([c.q for c in cells], dtype=object).T
+    h = {(0, 0): q0 + (qx + qxx * X + qxy * Y) * X + (qy + qyy * Y) * Y,
+         (1, 0): qx + 2 * qxx * X + qxy * Y, (0, 1): qy + qxy * X + 2 * qyy * Y,
+         (2, 0): qxx, (1, 1): qxy, (0, 2): qyy}
+    # Delta(P) = Px Py (Px^2 - Py^2), Px = X + U and Py = Y + V
+    for factor in ({(0, 0): X * Y, (1, 0): Y, (0, 1): X, (1, 1): 1},
+                   {(0, 0): X * X - Y * Y, (1, 0): 2 * X, (0, 1): -2 * Y, (2, 0): 1, (0, 2): -1}):
+        h = _poly_mul(h, factor)
+    coef = np.zeros((8, 8, len(cells)))
+    for (a, b), n in h.items():
+        coef[a + 1, b] = n * scale.numerator / (scale.denominator * 32 * (a + 1) * D ** (6 - a - b))
+    return np.array([c.lattice[0] for c in cells], dtype=float) / D, coef
+
+
+def _index_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every k in [lo[i], hi[i]), i ascending."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(lo)), n)
+    return owner, np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
 def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None = None) -> np.ndarray:
     """Exact-polynomial PDF mass of each histogram bin (floating output).
 
-    On each cell the density f is a degree-6 polynomial.  With
-    F = int_0^x f dx, Green's theorem gives the mass of a region as the
-    counterclockwise line integral of F dy round its boundary, on which the
-    horizontal bin edges drop out.  So each cell is clipped only to the grid
-    columns, and every non-horizontal edge of each strip is integrated over
-    each y band it crosses by 4-point Gauss-Legendre, exact because F has
-    degree 7 along an edge.  Each coefficient of F is one integer ratio off
-    the cell's lattice form (see QuadCell), rounded once.  The only error is
-    roundoff.
+    On each cell the density f is a degree-6 polynomial.  With F an
+    antiderivative of f in x, Green's theorem gives the mass of a region as
+    the counterclockwise line integral of F dy round its boundary.  A cell's
+    part in one grid column is bounded by the cell's edges, cut at the
+    column lines, and by the vertical chords where a column line crosses the
+    cell, run up for the column on the left and down for the one on the
+    right; horizontal edges and bin edges drop out of F dy.  All edges with
+    dy != 0 and all chords of all cells are cut at the grid lines they
+    cross, found by searchsorted, and every piece, which lies in one bin, is
+    integrated by 4-point Gauss-Legendre in one pass, exact because F has
+    degree 7 along a line.  F is one coefficient array per cell about its
+    own origin (see _local_antiderivatives), rounded once from the integer
+    cell form, so the only error is roundoff.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
         pw = piecewise_analyze_b2(alpha, beta)
     scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
     ex, ey = edges
-    fx = ex.tolist()    # Python floats: clip_cell stays in float arithmetic
-    band_lo, band_hi = ey[:-1], ey[1:]
-    probs = np.zeros((len(ex) - 1, len(ey) - 1))
-    for cell in pw.cells:
-        D = cell.D
-        den = scale.denominator * 32 * D * D
-        # x^3 y - x y^3 times J, whose x^i y^j coefficient is q_ij D^(i+j) / (32 D^2)
-        dens: dict[tuple[int, int], int] = {}
-        for sign, a, b in ((1, 3, 1), (-1, 1, 3)):
-            for (i, j), c in zip(_QUAD_KEYS, cell.q):
-                if c:
-                    dens[a + i, b + j] = dens.get((a + i, b + j), 0) + sign * c * D ** (i + j)
-        F = [(i + 1, j, scale.numerator * n / (den * (i + 1))) for (i, j), n in dens.items() if n]
-        verts = [(x / D, y / D) for x, y in cell.lattice]
-        cxs = [v[0] for v in verts]
-        i0, i1 = np.searchsorted(ex, min(cxs)) - 1, np.searchsorted(ex, max(cxs))
-        cols, segs = [], []
-        for i in range(max(i0, 0), min(i1, len(ex) - 1)):
-            strip = clip_cell(verts, 1.0, 0.0, fx[i])
-            strip = clip_cell(strip, -1.0, 0.0, -fx[i + 1])
-            if len(strip) < 3:
-                continue
-            for p, q in zip(strip, strip[1:] + strip[:1]):
-                if p[1] != q[1]:
-                    cols.append(i)
-                    segs.append((*p, *q))
-        if not segs:
-            continue
-        x0, y0, x1, y1 = np.array(segs).T
-        # each edge's part in each band, y running from lo to hi
-        lo = np.clip(y0[:, None], band_lo, band_hi)
-        hi = np.clip(y1[:, None], band_lo, band_hi)
-        e, j = np.nonzero(lo != hi)
-        mid, half = (hi[e, j] + lo[e, j]) / 2, (hi[e, j] - lo[e, j]) / 2
-        y = mid[:, None] + half[:, None] * _GL4_NODES
-        x = x0[e, None] + (y - y0[e, None]) * ((x1 - x0) / (y1 - y0))[e, None]
-        vals = sum(c * x**a * y**b for a, b, c in F)
-        np.add.at(probs, (np.array(cols)[e], j), half * (vals @ _GL4_WEIGHTS))
-    return probs
+    origin, coef = _local_antiderivatives(pw.cells, scale)
+    D = pw.cells[0].D
+    # every cell edge p -> r, cell by cell
+    rows = [(i, *p, *r) for i, c in enumerate(pw.cells) for p, r in zip(c.lattice, c.lattice[1:] + c.lattice[:1])]
+    cell, px, py, rx, ry = np.array(rows, dtype=float).T
+    cell = cell.astype(np.intp)
+    px, py, rx, ry = px / D, py / D, rx / D, ry / D
+
+    # the chords: each column line strictly inside a cell's x range, from the
+    # cell's lower boundary (there the largest line of an edge running right)
+    # to its upper boundary (the smallest line of an edge running left)
+    klo = np.searchsorted(ex, [min(x for x, _ in c.lattice) / D for c in pw.cells], "right")
+    khi = np.searchsorted(ex, [max(x for x, _ in c.lattice) / D for c in pw.cells], "left")
+    ccell, ck = _index_ranges(klo, khi)
+    slanted = np.flatnonzero(rx != px)
+    e, k = _index_ranges(klo[cell[slanted]], khi[cell[slanted]])
+    e = slanted[e]
+    y_at = py[e] + (ex[k] - px[e]) * ((ry[e] - py[e]) / (rx[e] - px[e]))
+    chord = np.cumsum(khi - klo)[cell[e]] - khi[cell[e]] + k
+    ylo, yhi = np.full(len(ck), -np.inf), np.full(len(ck), np.inf)
+    right = rx[e] > px[e]
+    np.maximum.at(ylo, chord[right], y_at[right])
+    np.minimum.at(yhi, chord[~right], y_at[~right])
+
+    # segments: the edges with dy != 0, then the chords (running up); a
+    # vertical one lies in the column on its cell's side, left of its line
+    # when it runs up and right when it runs down
+    s = np.flatnonzero(ry != py)
+    n_edges = len(s)
+    scell = np.r_[cell[s], ccell]
+    x0, y0 = np.r_[px[s], ex[ck]], np.r_[py[s], ylo]
+    x1, y1 = np.r_[rx[s], ex[ck]], np.r_[ry[s], yhi]
+    dx, dy = x1 - x0, y1 - y0
+    left = np.r_[(rx == px)[s] & (ry > py)[s], np.ones(len(ck), dtype=bool)]
+    # each segment's crossings with the grid lines, as parameters t in (0, 1)
+    sx, kx = _index_ranges(np.searchsorted(ex, np.minimum(x0, x1), "right"),
+                           np.searchsorted(ex, np.maximum(x0, x1), "left"))
+    sy, ky = _index_ranges(np.searchsorted(ey, np.minimum(y0, y1), "right"),
+                           np.searchsorted(ey, np.maximum(y0, y1), "left"))
+    every = np.arange(len(x0))
+    owner = np.r_[every, every, sx, sy]
+    t = np.r_[np.zeros(len(x0)), np.ones(len(x0)), (ex[kx] - x0[sx]) / dx[sx], (ey[ky] - y0[sy]) / dy[sy]]
+    order = np.lexsort((t, owner))
+    owner, t = owner[order], t[order]
+    cut = np.flatnonzero(owner[1:] == owner[:-1])
+    seg = owner[cut]
+    mid, half = (t[cut + 1] + t[cut]) / 2, (t[cut + 1] - t[cut]) / 2
+
+    # the bin of each piece
+    xm, ym = x0[seg] + mid * dx[seg], y0[seg] + mid * dy[seg]
+    col = np.where(left[seg], np.searchsorted(ex, xm, "left"), np.searchsorted(ex, xm, "right")) - 1
+    band = np.searchsorted(ey, ym, "right") - 1
+    nx, ny = len(ex) - 1, len(ey) - 1
+    col, band = np.clip(col, 0, nx - 1), np.clip(band, 0, ny - 1)
+
+    # F dy by Gauss-Legendre on each piece, F in its cell's local coordinates
+    tn = mid[:, None] + half[:, None] * _GL4_NODES
+    pc = scell[seg]
+    u = (x0[seg] - origin[pc, 0])[:, None] + tn * dx[seg, None]
+    v = (y0[seg] - origin[pc, 1])[:, None] + tn * dy[seg, None]
+    F = 0.0
+    for a in range(7, 0, -1):
+        p = coef[a, 7 - a][pc, None]
+        for b in range(6 - a, -1, -1):
+            p = p * v + coef[a, b][pc, None]
+        F = (F + p) * u
+    mass = (F @ _GL4_WEIGHTS) * half * dy[seg]
+    # a chord also bounds the column on its right, run down
+    ch = seg >= n_edges
+    idx = np.r_[col * ny + band, (col[ch] + 1) * ny + band[ch]]
+    return np.bincount(idx, weights=np.r_[mass, -mass[ch]], minlength=nx * ny).reshape(nx, ny)
 
 
 @dataclass(frozen=True)

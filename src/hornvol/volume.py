@@ -385,48 +385,46 @@ def _weyl_terms(alpha: Pair, beta: Pair) -> tuple[int, tuple[tuple[int, int, int
     return scale, tuple((x0, y0, e) for (x0, y0), e in eps.items() if e)
 
 
-def _sign_over(level: int, lo: int, hi: int) -> int:
-    """The sign of level - t for t in [lo, hi] (lo < hi), or raise if it changes."""
-    if level >= hi:
-        return 1
-    if level <= lo:
-        return -1
-    raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
+def _cell_quadratics(terms: tuple[int, tuple], cells, vscale: int) -> list[tuple[int, ...]]:
+    """The lattice forms q of J on convex cells, read off the Weyl sum in one array pass.
 
-
-def _cell_quadratic(terms: tuple[int, tuple], verts, vscale: int) -> tuple[int, ...]:
-    """The lattice form q of J on a convex cell, read off the Weyl sum.
-
-    The cell's vertices are integer points P = vscale gamma, vscale a
+    The cells' vertices are integer points P = vscale gamma, vscale a
     multiple of the terms' scale, and q(P) = 32 vscale^2 J(P / vscale) (see
     QuadCell).  Each term is one quadratic wherever its linear forms x, y,
-    x - y and x + y keep one sign.  These forms are linear in gamma and the
-    cell is convex, so their range over the cell is spanned by the vertices;
-    when every form keeps its sign there, J equals the summed quadratic on
-    the whole closed cell (on x + y = 0 both the term and its quadratic
-    vanish).  Otherwise PiecewiseFitError is raised.  All sums run in integers.
+    x - y and x + y keep one sign; their range over a convex cell is spanned
+    by its vertices, so one (cells, terms, 4) comparison of the levels where
+    they vanish with each cell's ranges gives every sign, and a form that
+    changes sign inside a cell raises PiecewiseFitError.  Otherwise J equals
+    the summed quadratic on the whole closed cell (on x + y = 0 both the term
+    and its quadratic vanish), and the six sums are integer reductions, in
+    int64 when 10 top^2 sum|eps| (top the largest |level| or vertex form)
+    bounds every entry below 2^63 and on Python ints (dtype object) if not.
     """
+    import numpy as np
+
     scale, table = terms
     m = vscale // scale
-    # values of g1, g2, g1 - g2 and g1 + g2 at the vertices
-    forms = list(zip(*((u, v, u - v, u + v) for u, v in verts)))
-    lx, ly, ld, lt = map(min, forms)
-    hx, hy, hd, ht = map(max, forms)
-    c0 = cx = cy = cxx = cxy = cyy = 0
-    for x0, y0, e in table:
-        d0 = x0 - y0
-        sx = _sign_over(x0 * m, lx, hx)
-        sy = _sign_over(y0 * m, ly, hy)
-        sd = _sign_over(d0 * m, ld, hd)
-        k = e * _sign_over((x0 + y0) * m, lt, ht)
-        # k * (4 sx x^2 - 4 sy y^2 - 2 sd d^2), expanded in (scale g1, scale g2)
-        c0 += k * (4 * sx * x0 * x0 - 4 * sy * y0 * y0 - 2 * sd * d0 * d0)
-        cx += k * (4 * sd * d0 - 8 * sx * x0)
-        cy += k * (8 * sy * y0 - 4 * sd * d0)
-        cxx += k * (4 * sx - 2 * sd)
-        cxy += k * 4 * sd
-        cyy += k * (-4 * sy - 2 * sd)
-    return (c0 * m * m, cx * m, cy * m, cxx, cxy, cyy)
+    # the levels of g1, g2, g1 - g2 and g1 + g2 where each term's forms vanish,
+    # and each cell's range of those forms
+    levels = [(x0 * m, y0 * m, (x0 - y0) * m, (x0 + y0) * m) for x0, y0, _ in table]
+    forms = [list(zip(*((u, v, u - v, u + v) for u, v in c))) for c in cells]
+    lo, hi = ([tuple(map(f, r)) for r in forms] for f in (min, max))
+    eps = [e for _, _, e in table]
+    top = max(abs(v) for rows in (levels, lo, hi) for row in rows for v in row)
+    dtype = np.int64 if 10 * top * top * sum(map(abs, eps)) < 2**63 else object
+    L = np.array(levels, dtype=dtype)
+    above, below = L >= np.array(hi, dtype=dtype)[:, None], L <= np.array(lo, dtype=dtype)[:, None]
+    if not (above | below).all():
+        raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
+    s = np.where(above, 1, -1)
+    # k sx, k sy and k sd per (cell, term), k = eps sign(x + y), against the
+    # expansion of k (4 sx x^2 - 4 sy y^2 - 2 sd d^2) in (vscale g1, vscale g2)
+    kx, ky, kd = (s[:, :, 3] * np.array(eps) * s[:, :, f] for f in range(3))
+    lx, ly, ld, _ = L.T
+    sx, sy, sd = kx.sum(1), ky.sum(1), kd.sum(1)
+    q = np.stack([kx @ (4 * lx * lx) - ky @ (4 * ly * ly) - kd @ (2 * ld * ld), kd @ (4 * ld) - kx @ (8 * lx),
+                  ky @ (8 * ly) - kd @ (4 * ld), 4 * sx - 2 * sd, 4 * sd, -4 * sy - 2 * sd], axis=1)
+    return [tuple(c) for c in q.tolist()]
 
 
 def _edge_line(p: Pair, q: Pair) -> tuple[str, Q]:
@@ -461,16 +459,16 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     integer lattice.  The cut (clip_cell on int points), the cell
     quadratics (QuadCell's lattice form) and the wall classes all run in
     integers; only wall levels and segments become Fractions, for output.
-    Each cell's quadratic is summed from the Weyl terms of j_b2 (see
-    _cell_quadratic); a term whose linear forms change sign between the
-    cell's vertices raises PiecewiseFitError, which would signal a missed
-    singular line.  Every line cuts the whole polygon, so two neighbouring
-    cells share whole edges: an edge that another cell runs the other way is
-    an internal wall, classified by the jump of the quadratics across it,
-    and any other edge is a boundary wall (see Wall).  Walls come line by
-    line in (kind, level) order, and on a line by lower cell index.  A line
-    that holds an edge of the convex Horn polygon supports it, so no line
-    carries walls of both types.
+    The quadratics of all cells are summed from the Weyl terms of j_b2 in
+    one array pass (see _cell_quadratics); a term whose linear forms change
+    sign between a cell's vertices raises PiecewiseFitError, which would
+    signal a missed singular line.  Every line cuts the whole polygon, so
+    two neighbouring cells share whole edges: an edge that another cell runs
+    the other way is an internal wall, classified by the jump of the
+    quadratics across it, and any other edge is a boundary wall (see Wall).
+    Walls come line by line in (kind, level) order, and on a line by lower
+    cell index.  A line that holds an edge of the convex Horn polygon
+    supports it, so no line carries walls of both types.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     _check_regular_ordered(alpha, beta)
@@ -499,7 +497,7 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
             else:
                 new.append(cell)
         cells = new
-    fitted = tuple(QuadCell(D, c, _cell_quadratic(terms, c, D)) for c in cells)
+    fitted = tuple(QuadCell(D, c, q) for c, q in zip(cells, _cell_quadratics(terms, cells, D)))
 
     # every directed cell edge, and the edges on each line, all in lattice units
     owner: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hornvol._exact import p2_integrate_polygon
 from hornvol.bzpolytope import clip_cell
 from hornvol.sampler import (
+    MEMBERSHIP_TOL,
     _GL4_NODES,
     _GL4_WEIGHTS,
     b2_frequencies,
@@ -22,8 +23,17 @@ from hornvol.sampler import (
     sample_so2_symmetric,
     so2_samples,
 )
-from hornvol.volume import _QUAD_KEYS, delta_b2, j_so2_symmetric, piecewise_analyze_b2, so2_support
+from hornvol.volume import (
+    _QUAD_KEYS,
+    delta_b2,
+    horn_halfplanes,
+    horn_polygon,
+    j_so2_symmetric,
+    piecewise_analyze_b2,
+    so2_support,
+)
 from poly2 import p2_mul
+from test_volume import regular_third_pairs
 
 
 def test_haar_matrices_are_special_orthogonal():
@@ -142,11 +152,24 @@ def exact_bin_masses(alpha, beta, edges):
     return out
 
 
-@pytest.mark.parametrize("alpha,beta", [((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2))])
+@pytest.mark.parametrize("alpha,beta", [
+    ((17, 4), (15, 9)),
+    ((Q(11, 2), Q(3, 2)), (5, 2)),
+    # cells at g1 up to 15, where a density antiderivative about the gamma origin cancels
+    ((13, 12), (Q(3, 2), Q(1, 2))),
+])
 def test_bin_masses_match_exact_reference(alpha, beta):
     edges = sample_b2_spectrum(alpha, beta, 10, seed=1, bins=6).edges
     probs = expected_bin_probabilities(alpha, beta, edges)
     assert np.abs(probs - exact_bin_masses(alpha, beta, edges)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_third_pairs(), st.integers(2, 6))
+def test_bin_masses_match_exact_reference_on_random_pairs(pair, bins):
+    edges = sample_b2_spectrum(*pair, 10, seed=1, bins=bins).edges
+    probs = expected_bin_probabilities(*pair, edges)
+    assert np.abs(probs - exact_bin_masses(*pair, edges)).max() < 1e-12
 
 
 def test_gauss_legendre_rule_is_exact_to_degree_7():
@@ -160,6 +183,38 @@ def test_determinism():
     h2 = sample_b2_spectrum((17, 4), (15, 9), 2000, seed=7)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 2000
+
+
+def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
+    """Horn membership by one float test per half-plane of horn_halfplanes."""
+    ok = np.ones_like(g1, dtype=bool)
+    for h in horn_halfplanes(alpha, beta):
+        ok &= float(h.a) * g1 + float(h.b) * g2 - float(h.c) >= -tol
+    return ok
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ((17, 4), (15, 9)), ((15, 3), (17, 8)), ((Q(11, 2), Q(3, 2)), (5, 2)), ((9, 4), (7, 2)), ((12, 5), (10, 3)),
+    ((13, 12), (Q(3, 2), Q(1, 2))), ((Q(7, 3), Q(1, 3)), (Q(20, 3), Q(19, 3))),
+])
+def test_membership_equals_the_half_plane_loop(alpha, beta):
+    pairs = sample_b2_pairs(alpha, beta, 3000, seed=31)
+    # points on every Horn edge, and just inside and outside the tolerance band
+    verts = [tuple(map(float, v)) for v in horn_polygon(alpha, beta).vertices]
+    on_edges = []
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        n = np.array([y1 - y0, x0 - x1]) / math.hypot(x1 - x0, y1 - y0)
+        for t in np.linspace(0.0, 1.0, 7):
+            p = np.array([x0 + t * (x1 - x0), y0 + t * (y1 - y0)])
+            for k in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
+                on_edges += [p + k * MEMBERSHIP_TOL * n, p - k * MEMBERSHIP_TOL * n]
+    g = np.concatenate([pairs, np.array(on_edges)])
+    # jitter by a few ulps, so that the band's edge is hit from both sides
+    g = np.concatenate([g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
+    got = horn_contains_float(alpha, beta, g[:, 0], g[:, 1])
+    ref = horn_contains_reference(alpha, beta, g[:, 0], g[:, 1])
+    assert np.array_equal(got, ref)
+    assert got.any() and not got.all()
 
 
 def test_samples_inside_horn_polygon():

@@ -24,7 +24,7 @@ from hornvol.volume import (
     QuadCell,
     SingularLine,
     _boundary_class,
-    _cell_quadratic,
+    _cell_quadratics,
     _delta_moment,
     _edge_line,
     _half_delta_squared,
@@ -362,7 +362,9 @@ def test_unsplit_horn_polygon_is_not_one_cell(pair):
     D = 2 * terms[0]
     verts = [(int(x * D), int(y * D)) for x, y in horn_polygon(alpha, beta).vertices]
     with pytest.raises(PiecewiseFitError):
-        _cell_quadratic(terms, verts, D)
+        cell_quadratic_reference(terms, verts, D)
+    with pytest.raises(PiecewiseFitError):
+        _cell_quadratics(terms, [verts], D)
 
 
 @st.composite
@@ -564,7 +566,7 @@ def test_tampered_cells_classify_like_the_fraction_classifier():
     alpha, beta = (17, 4), (15, 9)
     pw = piecewise_analyze_b2(alpha, beta)
     D = pw.cells[0].D
-    original = volume._cell_quadratic
+    original = volume._cell_quadratics
     chamber = [w for w in pw.walls if w.classification == "boundary-linear"]
     assert chamber
     for w in chamber:
@@ -573,14 +575,80 @@ def test_tampered_cells_classify_like_the_fraction_classifier():
         # Px + Py - (px + py) vanishes at the wall's first end and nowhere else on it
         bump = (-(px + py), 1, 1, 0, 0, 0)
 
-        def tampered(terms, verts, vscale):
-            q = original(terms, verts, vscale)
-            return tuple(a + b for a, b in zip(q, bump)) if tuple(verts) == target else q
+        def tampered(terms, cells, vscale):
+            qs = original(terms, cells, vscale)
+            return [tuple(a + b for a, b in zip(q, bump)) if tuple(c) == target else q for c, q in zip(cells, qs)]
 
-        with mock.patch.object(volume, "_cell_quadratic", tampered):
+        with mock.patch.object(volume, "_cell_quadratics", tampered):
             bad = piecewise_analyze_b2(alpha, beta)
         assert next(v for v in bad.walls if v.segment == w.segment).classification == "violation"
         assert_walls_match_the_fraction_classifier(bad)
+
+
+def sign_over(level: int, lo: int, hi: int) -> int:
+    """The sign of level - t for t in [lo, hi] (lo < hi), or raise if it changes."""
+    if level >= hi:
+        return 1
+    if level <= lo:
+        return -1
+    raise PiecewiseFitError("a term of the Weyl sum changes sign inside a cell")
+
+
+def cell_quadratic_reference(terms, verts, vscale):
+    """The lattice form q of J on one convex cell, one Weyl term at a time in Python ints.
+
+    The per-cell loop _cell_quadratics replaces: each term's four linear
+    forms must keep one sign over the cell's vertices, and the term's
+    quadratic k (4 sx x^2 - 4 sy y^2 - 2 sd d^2) is expanded in (scale g1,
+    scale g2) and summed.
+    """
+    scale, table = terms
+    m = vscale // scale
+    forms = list(zip(*((u, v, u - v, u + v) for u, v in verts)))
+    lx, ly, ld, lt = map(min, forms)
+    hx, hy, hd, ht = map(max, forms)
+    c0 = cx = cy = cxx = cxy = cyy = 0
+    for x0, y0, e in table:
+        d0 = x0 - y0
+        sx = sign_over(x0 * m, lx, hx)
+        sy = sign_over(y0 * m, ly, hy)
+        sd = sign_over(d0 * m, ld, hd)
+        k = e * sign_over((x0 + y0) * m, lt, ht)
+        c0 += k * (4 * sx * x0 * x0 - 4 * sy * y0 * y0 - 2 * sd * d0 * d0)
+        cx += k * (4 * sd * d0 - 8 * sx * x0)
+        cy += k * (8 * sy * y0 - 4 * sd * d0)
+        cxx += k * (4 * sx - 2 * sd)
+        cxy += k * 4 * sd
+        cyy += k * (-4 * sy - 2 * sd)
+    return (c0 * m * m, cx * m, cy * m, cxx, cxy, cyy)
+
+
+def assert_cell_forms_match_the_reference(alpha, beta):
+    pw = piecewise_analyze_b2(alpha, beta)
+    terms = _weyl_terms(pw.alpha, pw.beta)
+    lattices = [c.lattice for c in pw.cells]
+    kernel = _cell_quadratics(terms, lattices, pw.cells[0].D)
+    assert kernel == [c.q for c in pw.cells]
+    assert kernel == [cell_quadratic_reference(terms, v, pw.cells[0].D) for v in lattices]
+    assert all(type(v) is int for q in kernel for v in q)
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_third_pairs())
+def test_cell_kernel_equals_the_per_cell_reference(pair):
+    assert_cell_forms_match_the_reference(*pair)
+
+
+def test_cell_kernel_past_the_int64_bound_runs_on_python_ints():
+    # scale ~ 4e9: every level (term entry times D / scale = 2) fits in int64,
+    # but the squared levels in the constant coefficient do not, so int64
+    # sums would wrap
+    alpha = (Q(7 * 65521 + 3, 65521), Q(2 * 65521 + 5, 65521))
+    beta = (Q(5 * 65519 + 7, 65519), Q(3 * 65519 + 1, 65519))
+    _, table = assert_cell_forms_match_the_reference(alpha, beta)
+    top = 2 * max(abs(v) for x0, y0, _ in table for v in (x0 + y0, x0 - y0, x0, y0))
+    assert top < 2**63 <= 4 * top * top
 
 
 @settings(max_examples=300, deadline=None)
