@@ -159,19 +159,27 @@ def default_period(rs: RootSystem) -> int:
     raise NoDefaultPeriodError(f"no default period for {rs.family}")
 
 
-def _default_lr(rs: RootSystem, lam, mu, nu, smax: int):
+def _default_lr(rs: RootSystem, lam, mu, nu, s_values):
     # stretched weight systems outgrow the Freudenthal size guard quickly;
     # the Steinberg routes have no such limit: the closed-form Kostant
-    # function for B2, elsewhere one Kostant table for every dilation.  The
-    # box floor(smax (lam + mu - nu)) in simple-root coordinates contains
-    # s (lam + mu - nu) for every s <= smax where that is a lattice point;
-    # with a negative coordinate, or a non-dominant weight, no dilation
-    # reaches a Kostant lookup.
+    # function for B2, elsewhere the Kostant values of every dilation from
+    # one kostant_values sweep.  Running _steinberg_sum with a lookup that
+    # records its argument collects them: the sum's pruning reads no value.
+    # With a non-dominant weight nothing is collected, and lr_steinberg_table
+    # raises before it reads the empty mapping.
     if (rs.family, rs.rank) == ("B", 2):
         return multiplicity.lr_steinberg
-    d = rs.root_scale[0]
-    box = tuple(smax * v // d for v in rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)]))
-    table = multiplicity.kostant_table(rs, box) if min(box + lam + mu + nu) >= 0 else None
+    points: set[tuple[int, ...]] = set()
+
+    def record(*sigma):
+        points.add(sigma)
+        return 0
+
+    if min(lam + mu + nu) >= 0:
+        for s in s_values:
+            sl, sm, sn = (tuple(s * v for v in w) for w in (lam, mu, nu))
+            multiplicity._steinberg_sum(rs, sl, sm, sn, lambda top: record)
+    table = multiplicity.kostant_values(rs, points) if points else {}
     return lambda rs, lam, mu, nu: multiplicity.lr_steinberg_table(rs, lam, mu, nu, table=table)
 
 
@@ -180,14 +188,14 @@ def stretching_samples(rs: RootSystem, lam, mu, nu, s_values, lr=None) -> dict[i
 
     s = 0 gives 1.  Each other sample is lr(rs, s lam, s mu, s nu).  The
     default lr is lr_steinberg for B2; for every other algebra it is
-    multiplicity.lr_steinberg_table on one Kostant table, built for the box
-    of the largest s and shared by every s.  The table is dropped when this
-    call returns.
+    multiplicity.lr_steinberg_table on the Kostant values that the Steinberg
+    sums of all the dilations read, computed up front by one
+    kostant_values sweep and dropped when this call returns.
     """
     lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
     s_values = list(s_values)
     if lr is None:
-        lr = _default_lr(rs, lam, mu, nu, max(s_values, default=0))
+        lr = _default_lr(rs, lam, mu, nu, s_values)
     out = {}
     for s in s_values:
         if s == 0:

@@ -5,7 +5,8 @@
   dominant chamber, drop walls, apply the sign),
 * the Steinberg formula: one integer double Weyl sum over the Kostant
   partition function, looked up by closed form or recursion
-  (lr_steinberg) or in a batch numpy table (lr_steinberg_table).
+  (lr_steinberg) or in a batch from one numpy slab sweep
+  (lr_steinberg_table).
 
 All arithmetic is in integers: weights enter and leave as Dynkin labels
 (read by `RootSystem.labels`), Freudenthal takes inner products from the
@@ -358,48 +359,123 @@ def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
-def kostant_table(rs: RootSystem, box: tuple[int, ...]):
-    """Kostant partition values on the whole box [0, box] as an int64 array.
+#: every stored Kostant value stays below this bound, so the int64 sum of
+#: two of them cannot wrap before the check on the new slab catches it
+KOSTANT_BOUND = 2**62
 
-    Coin-change accumulation per positive root, sequential along the root's
-    first nonzero coordinate so repeated use of the same root is counted.
-    Guarded against int64 overflow (values here stay far below 2**62).
+
+def _kostant_slabs(roots, box: tuple[int, ...]):
+    """Yield the partition counts over `roots` on [0, box], one slab per first coordinate.
+
+    roots are nonzero tuples of nonnegative ints.  Those with first
+    coordinate 0 span the slab a = 0 alone: their (rank-1)-dimensional
+    table G comes from the same sweep one dimension lower.  Each root
+    (r0, r') with r0 >= 1 is one coin-change stage, and stage k holds slab
+    a as S_k[a] = S_{k-1}[a] + S_k[a - r0] shifted by r', starting from
+    S_0[0] = G and S_0[a] = 0 for a > 0; a ring of the last max r0 slabs
+    per stage is all the sweep keeps.  Every new slab is checked against
+    KOSTANT_BOUND.  Slabs are shared between stages and never written
+    after they are yielded, so the caller must not write to them.
     """
     import numpy as np
 
-    shape = tuple(b + 1 for b in box)
-    cnt = np.zeros(shape, dtype=np.int64)
-    cnt[(0,) * rs.rank] = 1
-    for root in rs.positive_roots_rb:
-        j = next(k for k, v in enumerate(root) if v > 0)
-        dst_rest = tuple(slice(root[k], None) for k in range(rs.rank) if k != j)
-        src_rest = tuple(slice(0, shape[k] - root[k]) for k in range(rs.rank) if k != j)
-        for c in range(root[j], shape[j]):
-            dst = tuple(c if k == j else dst_rest[k - (k > j)] for k in range(rs.rank))
-            src = tuple(c - root[j] if k == j else src_rest[k - (k > j)] for k in range(rs.rank))
-            cnt[dst] += cnt[src]
-        if cnt.max() >= 2**62:
-            raise OverflowError("Kostant table exceeds the int64 safety bound")
-    return cnt
+    rest = box[1:]
+    base = _kostant_grid([r[1:] for r in roots if r[0] == 0], rest)
+    zero = np.zeros_like(base)
+    # a root whose shift r' leaves the slab adds nothing on [0, box]
+    stages = [
+        (r[0], tuple(slice(v, None) for v in r[1:]), tuple(slice(0, b + 1 - v) for v, b in zip(r[1:], rest)))
+        for r in roots if r[0] > 0 and all(v <= b for v, b in zip(r[1:], rest))
+    ]
+    depth = max((r0 for r0, _, _ in stages), default=1)
+    ring = [[None] * depth for _ in stages]
+    for a in range(box[0] + 1):
+        slab = base if a == 0 else zero
+        for (r0, dst, src), kept in zip(stages, ring):
+            if a >= r0:
+                slab = slab.copy()
+                slab[dst] += kept[(a - r0) % depth][src]
+                if slab.max() >= KOSTANT_BOUND:
+                    raise OverflowError(f"a Kostant value on the box {box} reaches the int64 safety bound 2**62")
+            kept[a % depth] = slab
+        yield slab
+
+
+def _kostant_grid(roots, box: tuple[int, ...]):
+    """The partition counts over `roots` on the whole box [0, box], stacked from _kostant_slabs."""
+    import numpy as np
+
+    if not box:
+        return np.ones((), dtype=np.int64)
+    out = np.empty(tuple(b + 1 for b in box), dtype=np.int64)
+    for a, slab in enumerate(_kostant_slabs(roots, box)):
+        out[a] = slab
+    return out
+
+
+def kostant_table(rs: RootSystem, box: tuple[int, ...]):
+    """Kostant partition values on the whole box [0, box] as an int64 array.
+
+    The slabs of one sweep along the first simple-root coordinate (see
+    _kostant_slabs), stacked; overflow is checked on every slab.
+    """
+    return _kostant_grid(rs.positive_roots_rb, tuple(box))
+
+
+def kostant_values(rs: RootSystem, points) -> dict[tuple[int, ...], int]:
+    """{p: P(p)} for every point p of `points`, in simple-root coordinates.
+
+    One sweep of the box spanned by the points (see _kostant_slabs) keeps
+    only their entries, so memory is a few slabs, not the box.  Points need
+    rs.rank nonnegative int coordinates; an empty set gives {}.
+    """
+    points = set(map(tuple, points))
+    by_first: dict[int, list[tuple[int, ...]]] = {}
+    for p in points:
+        if len(p) != rs.rank or min(p) < 0:
+            raise ValueError(f"{p} is not a point of the nonnegative cone in rank {rs.rank}")
+        by_first.setdefault(p[0], []).append(p)
+    if not points:
+        return {}
+    out = {}
+    box = tuple(map(max, zip(*points)))
+    for a, slab in enumerate(_kostant_slabs(rs.positive_roots_rb, box)):
+        for p in by_first.get(a, ()):
+            out[p] = slab.item(p[1:])
+    return out
 
 
 def _covering(table, top: tuple[int, ...]):
-    """table.item, after checking that the Kostant table's box contains top."""
+    """The lookup P(*sigma) of a Kostant table, after checking that it covers top.
+
+    A numpy table from kostant_table must contain the box [0, top]; a
+    mapping from kostant_values is read point by point, and a point that it
+    lacks raises ValueError.
+    """
+    if isinstance(table, dict):
+        def value(*sigma):
+            if sigma not in table:
+                raise ValueError(f"the Kostant values do not cover {sigma}")
+            return table[sigma]
+
+        return value
     if table.ndim != len(top) or any(t >= n for t, n in zip(top, table.shape)):
         raise ValueError(f"a Kostant table of shape {table.shape} does not cover {top}")
     return table.item
 
 
 def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
-    """Steinberg's formula backed by a batch Kostant table.
+    """Steinberg's formula backed by a batch of Kostant values.
 
     Same contract and Weyl sum as lr_steinberg; worthwhile when the box of
     partition arguments is large (stretched B3 triples).  Every queried
     argument lies in the box [0, lam + mu - nu] (simple-root coordinates).
-    Without `table` one kostant_table is built for that box; a caller that
-    evaluates many triples, such as the Ehrhart fit over dilations, passes
-    one `table` from kostant_table whose box contains all of theirs, and a
-    table that does not cover lam + mu - nu raises ValueError.
+    Without `table` one kostant_table is built for that box.  A caller that
+    evaluates many triples passes `table`: either a kostant_table whose box
+    contains lam + mu - nu, or the {point: value} mapping of kostant_values
+    holding every argument the sum reads, as the Ehrhart fit does for all
+    its dilations at once.  A table that does not cover them raises
+    ValueError.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)

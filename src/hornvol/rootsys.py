@@ -615,6 +615,17 @@ def kappa_theta(theta, n: int) -> KappaTheta:
 
 
 def is_compatible(rs: RootSystem, lam, mu, nu) -> bool:
-    """True iff lambda + mu - nu lies in the root lattice; labels may be rational."""
-    a, b, c = (rs.scaled_root(rs.dynkin(w)) for w in (lam, mu, nu))
+    """True iff lambda + mu - nu lies in the root lattice; labels may be rational.
+
+    Integer label sequences go straight through the integer map scaled_root;
+    Weights and rational labels are read by dynkin first.
+    """
+    def scaled(w) -> tuple:
+        if not isinstance(w, Weight):
+            w = tuple(w)
+            if all(isinstance(v, int) for v in w):
+                return rs.scaled_root(w)
+        return rs.scaled_root(rs.dynkin(w))
+
+    a, b, c = (scaled(w) for w in (lam, mu, nu))
     return all((x + y - z) % rs.root_scale[0] == 0 for x, y, z in zip(a, b, c))

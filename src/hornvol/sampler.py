@@ -144,6 +144,21 @@ def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float 
     return ok
 
 
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """searchsorted(edges, x, "right") - 1 on x in [edges[0], edges[-1]], the last bin closed.
+
+    This is np.histogram2d's binning.  edges come from np.linspace, so the
+    index estimated from the uniform step is off by at most one bin, and
+    one comparison with the real edge on each side corrects it.
+    """
+    n = len(edges) - 1
+    k = ((x - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
+    np.clip(k, 0, n - 1, out=k)
+    k -= x < edges[k]
+    k += x >= edges[k + 1]
+    return np.minimum(k, n - 1, out=k)
+
+
 def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -> HornHistogram:
     """Histogram of the B2 Horn measure over the bounding box of the Horn polygon."""
     alpha, beta = _qpair(alpha), _qpair(beta)
@@ -154,8 +169,9 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
     ys = [float(v[1]) for v in poly.vertices]
     ex = np.linspace(min(xs), max(xs), bins + 1)
     ey = np.linspace(min(ys), max(ys), bins + 1)
-    clipped = np.clip(pairs[:, 0], ex[0], ex[-1]), np.clip(pairs[:, 1], ey[0], ey[-1])
-    counts, _, _ = np.histogram2d(clipped[0], clipped[1], bins=(ex, ey))
+    ix = _bin_index(np.clip(pairs[:, 0], ex[0], ex[-1]), ex)
+    iy = _bin_index(np.clip(pairs[:, 1], ey[0], ey[-1]), ey)
+    counts = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
     return HornHistogram(
         edges=(ex, ey),
         counts=counts,

@@ -507,7 +507,11 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
             owner[p, q] = idx
             line_edges.setdefault(_edge_line(p, q), []).append((idx, p, q))
 
-    point = {p: (Q(p[0], D), Q(p[1], D)) for cell in cells for p in cell}
+    # walls use every distinct vertex (each starts a directed edge) and read
+    # them as Fractions: one per distinct lattice coordinate
+    vertices = {p for p, _ in owner}
+    frac = {v: Q(v, D) for v in {v for p in vertices for v in p}}
+    point = {p: (frac[p[0]], frac[p[1]]) for p in vertices}
     walls: list[Wall] = []
     for (kind, ilevel), edges in sorted(line_edges.items()):
         a, b = _KINDS[kind]

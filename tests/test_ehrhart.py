@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as Q
 from math import comb
 
@@ -232,8 +233,9 @@ B3_TRIPLES = [
 
 @pytest.mark.parametrize("lam,mu,nu", B3_TRIPLES)
 def test_b3_samples_from_one_table_equal_the_recursion(lam, mu, nu, monkeypatch):
-    tables, calls = [], []
-    build, lookup = multiplicity.kostant_table, multiplicity.lr_steinberg_table
+    sweeps, tables, calls = [], [], []
+    values, build, lookup = multiplicity.kostant_values, multiplicity.kostant_table, multiplicity.lr_steinberg_table
+    monkeypatch.setattr(multiplicity, "kostant_values", lambda *a: sweeps.append(a) or values(*a))
     monkeypatch.setattr(multiplicity, "kostant_table", lambda *a: tables.append(a) or build(*a))
     monkeypatch.setattr(multiplicity, "lr_steinberg_table", lambda *a, **k: calls.append(a) or lookup(*a, **k))
     s_values = range(1, 7)
@@ -241,7 +243,19 @@ def test_b3_samples_from_one_table_equal_the_recursion(lam, mu, nu, monkeypatch)
     for s in s_values:
         assert samples[s] == lr_steinberg(B3, *(tuple(s * v for v in w) for w in (lam, mu, nu)))
     assert len(calls) == len(s_values)
-    assert len(tables) == (0 if nu == (2, 0, 0) else 1)
+    assert len(sweeps) == (0 if nu == (2, 0, 0) else 1)
+    assert tables == []
+
+
+def test_the_largest_b3_fit_keeps_no_whole_box_table():
+    # the s = 14 box of this triple is 99 x 155 x 169 int64 entries, 20.7 MB
+    tracemalloc.start()
+    try:
+        stretching_samples(B3, (2, 2, 2), (2, 2, 1), (1, 1, 1), range(1, 15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("lr", [None, lr_klimyk])

@@ -2,15 +2,18 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hornvol import multiplicity
 from hornvol.multiplicity import (
     SizeGuardError,
     freudenthal_weights,
     kostant_partition,
     kostant_table,
+    kostant_values,
     lr_klimyk,
     lr_steinberg,
     lr_steinberg_table,
@@ -131,6 +134,91 @@ def test_kostant_table_matches_pointwise():
         assert int(table[c]) == kostant_partition(B3, Weight(c, "root"))
         assert int(table[c]) == kostant_partition(B3, c, "root")
     assert kostant_partition(B3, (1, -1, 0), "root") == 0
+
+
+@pytest.mark.parametrize("box", [(2, 0, 2, 0), (2, 3, 2, 1), (3, 3, 2, 2)])
+def test_f4_table_on_a_box_narrower_than_a_root(box):
+    # F4 has roots with coordinates 3 and 4, wider than these boxes
+    f4 = build_root_system("F4")
+    table = kostant_table(f4, box)
+    for c in itertools.product(*(range(b + 1) for b in box)):
+        assert int(table[c]) == kostant_partition(f4, c, "root")
+
+
+def kostant_table_reference(rs, box):
+    """The Kostant values on [0, box] by coin change over the whole box, one root at a time.
+
+    For each positive root, cnt[c] += cnt[c - root] runs sequentially along
+    the root's first nonzero coordinate, so repeated use of a root is counted.
+    """
+    shape = tuple(b + 1 for b in box)
+    cnt = np.zeros(shape, dtype=np.int64)
+    cnt[(0,) * rs.rank] = 1
+    for root in rs.positive_roots_rb:
+        j = next(k for k, v in enumerate(root) if v > 0)
+        dst_rest = tuple(slice(root[k], None) for k in range(rs.rank) if k != j)
+        src_rest = tuple(slice(0, max(shape[k] - root[k], 0)) for k in range(rs.rank) if k != j)
+        for c in range(root[j], shape[j]):
+            dst = tuple(c if k == j else dst_rest[k - (k > j)] for k in range(rs.rank))
+            src = tuple(c - root[j] if k == j else src_rest[k - (k > j)] for k in range(rs.rank))
+            cnt[dst] += cnt[src]
+    return cnt
+
+
+KERNEL_ALGEBRAS = {name: build_root_system(*name) for name in (("A", 1), ("A", 2), ("B", 3), ("C", 3), ("G2", None))}
+
+
+@st.composite
+def algebra_and_box(draw):
+    rs = KERNEL_ALGEBRAS[draw(st.sampled_from(sorted(KERNEL_ALGEBRAS, key=str)))]
+    return rs, tuple(draw(st.lists(st.integers(0, 7), min_size=rs.rank, max_size=rs.rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_box())
+@example((KERNEL_ALGEBRAS["G2", None], (0, 0)))
+@example((KERNEL_ALGEBRAS["G2", None], (7, 0)))
+@example((KERNEL_ALGEBRAS["G2", None], (0, 7)))
+@example((KERNEL_ALGEBRAS["B", 3], (0, 6, 0)))
+@example((KERNEL_ALGEBRAS["A", 1], (0,)))
+def test_slab_sweep_equals_the_per_root_reference(case):
+    rs, box = case
+    got = kostant_table(rs, box)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, kostant_table_reference(rs, box))
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_and_box(), st.data())
+def test_kostant_values_equal_table_lookups(case, data):
+    rs, box = case
+    table = kostant_table(rs, box)
+    point = st.tuples(*(st.integers(0, b) for b in box))
+    points = data.draw(st.lists(point, max_size=12))
+    got = kostant_values(rs, iter(points))
+    assert got == {p: int(table[p]) for p in points}
+    assert all(type(v) is int for v in got.values())
+
+
+def test_kostant_values_of_no_points_is_empty_and_bad_points_raise():
+    assert kostant_values(B3, []) == {}
+    assert kostant_values(B3, set()) == {}
+    with pytest.raises(ValueError, match="nonnegative cone"):
+        kostant_values(B3, [(1, 2)])
+    with pytest.raises(ValueError, match="nonnegative cone"):
+        kostant_values(B3, [(1, 2, 3), (0, -1, 0)])
+
+
+def test_a_lowered_bound_makes_the_sweep_raise(monkeypatch):
+    box = (4, 6, 8)
+    top = int(kostant_table(B3, box).max())
+    monkeypatch.setattr(multiplicity, "KOSTANT_BOUND", top)
+    with pytest.raises(OverflowError, match="safety bound"):
+        kostant_table(B3, box)
+    with pytest.raises(OverflowError, match="safety bound"):
+        kostant_values(B3, [box])
+    monkeypatch.setattr(multiplicity, "KOSTANT_BOUND", top + 1)
+    assert kostant_values(B3, [box])[box] == int(kostant_table_reference(B3, box)[box])
 
 
 # -- LR coefficients ----------------------------------------------------------
@@ -331,6 +419,14 @@ def test_a_table_that_does_not_cover_the_box_raises():
             lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(build_root_system("B", len(small)), small))
     # off the root lattice no Kostant value is read, so no table is checked
     assert lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table=kostant_table(B3, (0, 0, 0))) == 0
+    assert lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table={}) == 0
+    # a kostant_values mapping must hold every point the sum reads
+    full = kostant_table(B3, box)
+    points = {p: int(full[p]) for p in itertools.product(*(range(b + 1) for b in box))}
+    assert lr_steinberg_table(B3, lam, mu, nu, table=points) == expected
+    del points[box]
+    with pytest.raises(ValueError, match="do not cover"):
+        lr_steinberg_table(B3, lam, mu, nu, table=points)
 
 
 def full_tau_sum(rs, lam, mu, kappa, nu) -> int:

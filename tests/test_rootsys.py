@@ -365,3 +365,20 @@ def test_is_compatible_matches_a_solve_square_reference(algebra, data):
     root = data.draw(st.sampled_from(rs.positive_roots_rb))
     alpha = tuple(sum(c * rs.cartan_matrix[i][j] for i, c in enumerate(root)) for j in range(rs.rank))
     assert is_compatible(rs, lam, alpha, lam)
+
+
+def is_compatible_through_fractions(rs, lam, mu, nu) -> bool:
+    """is_compatible with every weight read as Fraction labels by rs.dynkin."""
+    a, b, c = (rs.scaled_root(rs.dynkin(w)) for w in (lam, mu, nu))
+    return all((x + y - z) % rs.root_scale[0] == 0 for x, y, z in zip(a, b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("A", 2), ("B", 2), ("B", 3), ("G2", None)]), st.data())
+def test_integer_labels_agree_with_the_fraction_path(algebra, data):
+    rs = build_root_system(*algebra)
+    integer = st.tuples(*[st.integers(-12, 12)] * rs.rank)
+    label = st.one_of(integer, rational_labels(rs.rank), integer.map(Weight),
+                      integer.map(lambda a: tuple(map(Q, a))))
+    lam, mu, nu = (data.draw(label) for _ in range(3))
+    assert is_compatible(rs, lam, mu, nu) == is_compatible_through_fractions(rs, lam, mu, nu)

@@ -12,6 +12,7 @@ from hornvol.sampler import (
     MEMBERSHIP_TOL,
     _GL4_NODES,
     _GL4_WEIGHTS,
+    _bin_index,
     b2_frequencies,
     chi_square_vs_pdf,
     expected_bin_probabilities,
@@ -183,6 +184,29 @@ def test_determinism():
     h2 = sample_b2_spectrum((17, 4), (15, 9), 2000, seed=7)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 2000
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2)), ((13, 12), (Q(3, 2), Q(1, 2))),
+    ((Q(7, 3), Q(1, 3)), (Q(20, 3), Q(19, 3))),
+])
+@pytest.mark.parametrize("bins", [1, 2, 6, 40])
+def test_histogram_equals_histogram2d(alpha, beta, bins):
+    h = sample_b2_spectrum(alpha, beta, 3000, seed=17, bins=bins)
+    pairs = sample_b2_pairs(alpha, beta, 3000, seed=17)
+    ex, ey = h.edges
+    clipped = np.clip(pairs[:, 0], ex[0], ex[-1]), np.clip(pairs[:, 1], ey[0], ey[-1])
+    ref, _, _ = np.histogram2d(*clipped, bins=(ex, ey))
+    assert h.counts.dtype == ref.dtype == np.float64
+    assert np.array_equal(h.counts, ref)
+    # every edge, one ulp either side, and the clip extremes of the samples
+    for edges in (ex, ey):
+        x = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                            pairs.ravel(), [-np.inf, np.inf, 0.0, 1e300]])
+        x = np.clip(x, edges[0], edges[-1])
+        expected = np.searchsorted(edges, x, "right") - 1
+        expected[x == edges[-1]] = bins - 1
+        assert np.array_equal(_bin_index(x, edges), expected)
 
 
 def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
