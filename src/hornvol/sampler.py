@@ -5,23 +5,27 @@ A + g B g^T for one Haar-random g in SO(5) per sample and block-diagonal
 skew matrices A, B: the spectrum of g1 A g1^T + g2 B g2^T is that of
 A + (g1^T g2) B (g1^T g2)^T, and g1^T g2 is again Haar.  A and B live in
 the first four coordinates, so only the 5 x 4 frame of the first four
-columns of g is computed (haar_orthogonal with k = 4); the Gaussian draw is
+columns of g is computed (haar_frame with k = 4); the Gaussian draw is
 still the full 5 x 5 one, so samples do not depend on the frame width.  The
 two block frequencies of the 5 x 5 skew matrix M = A + g B g^T solve a quadratic:
 gamma1^2 + gamma2^2 is the sum of the squared upper entries of M, and
 gamma1^2 gamma2^2 is the sum of the squared Pfaffians of its five 4 x 4
-principal minors.  Histograms are deterministic given (N, seed).
+principal minors.  B2 samples go from draw to histogram CHUNK at a time, so
+memory does not grow with N, and the chunk size changes no bit.  Histograms
+are deterministic given (N, seed).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
 
 from .volume import (
+    _check_regular_ordered,
     delta_b2,
     horn_halfplanes,
     horn_polygon,
@@ -32,6 +36,8 @@ from .volume import (
 )
 
 MEMBERSHIP_TOL = 1e-9
+# most B2 samples per chunk: a chunk's Gaussian draw is CHUNK x 25 doubles, 0.8 MB
+CHUNK = 4096
 
 
 @dataclass
@@ -51,19 +57,15 @@ class HornHistogram:
         return len(self.edges)
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
-    """The first k columns of a batch of Haar-distributed SO(n) matrices.
+def haar_frame(z: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of the Q factor, with positive R diagonal, of each z[b].
 
-    The Q factor of a Gaussian matrix with positive R diagonal (Mezzadri,
-    Notices AMS 54, 2007), by Gram-Schmidt run twice over the columns of the
-    whole batch at once.  Column j depends only on the first j + 1 Gaussian
-    columns, so the n x k frame is computed alone; the whole n x n Gaussian
-    batch is still drawn, so the random stream is the same for every k.  The
-    determinant fix negates the last column of each matrix with determinant
-    -1, so it applies only when k == n.
+    Gram-Schmidt run twice over the columns of the whole batch at once.
+    Column j depends only on the first j + 1 columns of z, so the n x k frame
+    is computed alone, and the batch size changes no bit.
     """
     # column j of every matrix is the contiguous (n, size) block q[j]
-    q = rng.standard_normal((size, n, n))[:, :, :k].transpose(2, 1, 0).copy()
+    q = z[:, :, :k].transpose(2, 1, 0).copy()
     for j in range(k):
         v = q[j]
         if j:
@@ -71,7 +73,18 @@ def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.n
             for _ in range(2):
                 v -= np.einsum("kib,kb->ib", basis, np.einsum("kib,ib->kb", basis, v))
         v /= np.sqrt(np.einsum("ib,ib->b", v, v))
-    q = q.transpose(2, 1, 0)
+    return q.transpose(2, 1, 0)
+
+
+def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
+    """The first k columns of a batch of Haar-distributed SO(n) matrices.
+
+    The haar_frame of a Gaussian batch (Mezzadri, Notices AMS 54, 2007).
+    The whole n x n Gaussian batch is drawn, so the random stream is the
+    same for every k.  The determinant fix negates the last column of each
+    matrix with determinant -1, so it applies only when k == n.
+    """
+    q = haar_frame(rng.standard_normal((size, n, n)), k)
     if k == n:
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
@@ -102,22 +115,52 @@ def b2_frequencies(alpha, beta, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(s1), np.sqrt(np.minimum(q / s1, s1))
 
 
-def sample_b2_pairs(alpha, beta, n_samples: int, seed: int, chunk: int = 50_000) -> np.ndarray:
-    """Sorted spectra (gamma1 >= gamma2 >= 0) of N random SO(5) orbit sums."""
+def _b2_chunks(alpha, beta, n_samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(gamma1, gamma2) of N samples from default_rng(seed), in equal chunks of at most CHUNK.
+
+    The arguments are checked on the call, before any draw.
+    """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
-    if not (alpha[0] > alpha[1] > 0 and beta[0] > beta[1] > 0):
-        raise ValueError("alpha and beta must be regular ordered: x1 > x2 > 0")
+    _check_regular_ordered(alpha, beta)
     rng = np.random.default_rng(seed)
+    # k equal chunks: one of a single sample, whose einsum reductions round
+    # unlike a batch's, arises only for N = 1
+    k = -(-n_samples // CHUNK)
+    sizes = (n_samples * (i + 1) // k - n_samples * i // k for i in range(k))
+    return (b2_frequencies(alpha, beta, haar_frame(rng.standard_normal((m, 5, 5)), 4)) for m in sizes)
+
+
+def sample_b2_pairs(alpha, beta, n_samples: int, seed: int) -> np.ndarray:
+    """Sorted spectra (gamma1 >= gamma2 >= 0) of N random SO(5) orbit sums, shape (N, 2)."""
+    chunks = _b2_chunks(alpha, beta, n_samples, seed)
     out = np.empty((n_samples, 2))
     done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        g = haar_orthogonal(rng, 5, 4, m)
-        out[done:done + m, 0], out[done:done + m, 1] = b2_frequencies(alpha, beta, g)
-        done += m
+    for g1, g2 in chunks:
+        out[done:done + len(g1), 0], out[done:done + len(g1), 1] = g1, g2
+        done += len(g1)
     return out
+
+
+def _horn_bounds(alpha, beta) -> dict[tuple[int, int], float]:
+    """The largest c of the half-planes a g1 + b g2 >= c on each normal (a, b), as a float."""
+    largest: dict[tuple[int, int], Q] = {}
+    for h in horn_halfplanes(alpha, beta):
+        largest[h.a, h.b] = max(largest.get((h.a, h.b), h.c), h.c)
+    return {normal: float(c) for normal, c in largest.items()}
+
+
+def _inside(bounds: dict[tuple[int, int], float], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
+    forms = {(1, 0): g1, (0, 1): g2, (1, 1): g1 + g2, (1, -1): g1 - g2}
+    ok = np.ones_like(g1, dtype=bool)
+    for (a, b), c in bounds.items():
+        if (a, b) in forms:
+            ok &= forms[a, b] - c >= -tol
+        else:
+            # float(-c) is -float(c): rounding to nearest is symmetric
+            ok &= -c - forms[-a, -b] >= -tol
+    return ok
 
 
 def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -131,17 +174,7 @@ def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float 
     fails whenever another on it does, and the result equals that of testing
     all fourteen.
     """
-    largest: dict[tuple[int, int], Q] = {}
-    for h in horn_halfplanes(alpha, beta):
-        largest[h.a, h.b] = max(largest.get((h.a, h.b), h.c), h.c)
-    forms = {(1, 0): g1, (0, 1): g2, (1, 1): g1 + g2, (1, -1): g1 - g2}
-    ok = np.ones_like(g1, dtype=bool)
-    for (a, b), c in largest.items():
-        if (a, b) in forms:
-            ok &= forms[a, b] - float(c) >= -tol
-        else:
-            ok &= float(-c) - forms[-a, -b] >= -tol
-    return ok
+    return _inside(_horn_bounds(alpha, beta), g1, g2, tol)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -159,29 +192,39 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.minimum(k, n - 1, out=k)
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ValueError("bins >= 1 required")
+
+
 def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -> HornHistogram:
-    """Histogram of the B2 Horn measure over the bounding box of the Horn polygon."""
-    alpha, beta = _qpair(alpha), _qpair(beta)
-    pairs = sample_b2_pairs(alpha, beta, n_samples, seed)
-    inside = horn_contains_float(alpha, beta, pairs[:, 0], pairs[:, 1])
+    """Histogram of the B2 Horn measure over the bounding box of the Horn polygon, chunk by chunk."""
+    _check_bins(bins)
+    chunks = _b2_chunks(alpha, beta, n_samples, seed)
     poly = horn_polygon(alpha, beta)
     xs = [float(v[0]) for v in poly.vertices]
     ys = [float(v[1]) for v in poly.vertices]
     ex = np.linspace(min(xs), max(xs), bins + 1)
     ey = np.linspace(min(ys), max(ys), bins + 1)
-    ix = _bin_index(np.clip(pairs[:, 0], ex[0], ex[-1]), ex)
-    iy = _bin_index(np.clip(pairs[:, 1], ey[0], ey[-1]), ey)
-    counts = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
+    bounds = _horn_bounds(alpha, beta)
+    counts = np.zeros(bins * bins, dtype=np.intp)
+    outside = 0
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for g1, g2 in chunks:
+        outside += len(g1) - int(np.count_nonzero(_inside(bounds, g1, g2, MEMBERSHIP_TOL)))
+        ix = _bin_index(np.clip(g1, ex[0], ex[-1]), ex)
+        iy = _bin_index(np.clip(g2, ey[0], ey[-1]), ey)
+        counts += np.bincount(ix * bins + iy, minlength=bins * bins)
+        np.minimum(lo, (g1.min(), g2.min()), out=lo)
+        np.maximum(hi, (g1.max(), g2.max()), out=hi)
     return HornHistogram(
         edges=(ex, ey),
-        counts=counts,
+        counts=counts.reshape(bins, bins).astype(np.float64),
         sample_count=n_samples,
         rng_seed=seed,
-        samples_outside_support=int(np.count_nonzero(~inside)),
-        # one reduction per column: an axis-0 reduction of the (N, 2) array
-        # runs its inner loop over rows of two and takes ten times as long
-        sample_min=(pairs[:, 0].min(), pairs[:, 1].min()),
-        sample_max=(pairs[:, 0].max(), pairs[:, 1].max()),
+        samples_outside_support=outside,
+        sample_min=tuple(lo),
+        sample_max=tuple(hi),
     )
 
 
@@ -199,6 +242,7 @@ def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
 
 def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 100) -> HornHistogram:
     """Histogram of SO(2) samples (drawn with seed) over the support of their law."""
+    _check_bins(bins)
     lo, hi = (float(v) for v in so2_support(alpha12, beta12))
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(np.clip(samples, lo, hi), bins=edges)
@@ -216,6 +260,7 @@ def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 1
 
 def sample_so2_symmetric(alpha12, beta12, n_samples: int, seed: int, bins: int = 100) -> HornHistogram:
     """Histogram of N fresh so2_samples."""
+    _check_bins(bins)
     return so2_histogram(so2_samples(alpha12, beta12, n_samples, seed), alpha12, beta12, seed, bins)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from hornvol._exact import p2_integrate_polygon
 from hornvol.bzpolytope import clip_cell
+from hornvol import sampler
 from hornvol.sampler import (
+    CHUNK,
     MEMBERSHIP_TOL,
     _GL4_NODES,
     _GL4_WEIGHTS,
@@ -22,6 +25,7 @@ from hornvol.sampler import (
     sample_b2_pairs,
     sample_b2_spectrum,
     sample_so2_symmetric,
+    so2_histogram,
     so2_samples,
 )
 from hornvol.volume import (
@@ -97,17 +101,18 @@ def test_haar_frame_leaves_the_random_stream_where_the_full_draw_does():
     assert np.array_equal(rng_frame.standard_normal(10), rng_full.standard_normal(10))
 
 
+def b2_pairs_reference(alpha, beta, n, seed):
+    """The (n, 2) spectra of sample_b2_pairs, from one full-matrix Haar batch of all n samples."""
+    return np.stack(b2_frequencies(alpha, beta, full_haar_reference(np.random.default_rng(seed), 5, n)), axis=1)
+
+
 @pytest.mark.parametrize("alpha,beta", [((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2))])
 def test_b2_pairs_equal_the_full_matrix_reference(alpha, beta):
-    # 60,000 samples run in two chunks of the default 50,000, so the stream
-    # must also carry over between chunks
-    n, seed = 60_000, 23
-    rng = np.random.default_rng(seed)
-    ref = np.concatenate([
-        np.stack(b2_frequencies(alpha, beta, full_haar_reference(rng, 5, m)), axis=1)
-        for m in (50_000, 10_000)
-    ])
-    assert np.array_equal(sample_b2_pairs(alpha, beta, n, seed), ref)
+    # the sampler draws at most CHUNK samples at a time and the reference all
+    # n in one batch, so the stream must carry over between chunks, and no
+    # chunk may round unlike a batch (one of a single sample does)
+    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
+        assert np.array_equal(sample_b2_pairs(alpha, beta, n, 23), b2_pairs_reference(alpha, beta, n, 23)), n
 
 
 def skew_block(x1, x2):
@@ -191,14 +196,22 @@ def test_determinism():
     ((Q(7, 3), Q(1, 3)), (Q(20, 3), Q(19, 3))),
 ])
 @pytest.mark.parametrize("bins", [1, 2, 6, 40])
-def test_histogram_equals_histogram2d(alpha, beta, bins):
-    h = sample_b2_spectrum(alpha, beta, 3000, seed=17, bins=bins)
-    pairs = sample_b2_pairs(alpha, beta, 3000, seed=17)
+def test_histogram_equals_histogram2d(alpha, beta, bins, monkeypatch):
+    # a negative tolerance counts a band inside every Horn edge as outside,
+    # so the outside count summed over the chunks is not trivially 0
+    tol = -0.05 * float(alpha[1] + beta[1])
+    monkeypatch.setattr(sampler, "MEMBERSHIP_TOL", tol)
+    n = 3 * CHUNK + 7
+    h = sample_b2_spectrum(alpha, beta, n, seed=17, bins=bins)
+    pairs = b2_pairs_reference(alpha, beta, n, 17)
     ex, ey = h.edges
     clipped = np.clip(pairs[:, 0], ex[0], ex[-1]), np.clip(pairs[:, 1], ey[0], ey[-1])
     ref, _, _ = np.histogram2d(*clipped, bins=(ex, ey))
     assert h.counts.dtype == ref.dtype == np.float64
     assert np.array_equal(h.counts, ref)
+    outside = np.count_nonzero(~horn_contains_reference(alpha, beta, pairs[:, 0], pairs[:, 1], tol))
+    assert 0 < h.samples_outside_support == outside < n
+    assert h.sample_min == tuple(pairs.min(axis=0)) and h.sample_max == tuple(pairs.max(axis=0))
     # every edge, one ulp either side, and the clip extremes of the samples
     for edges in (ex, ey):
         x = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
@@ -248,13 +261,43 @@ def test_samples_inside_horn_polygon():
     assert (pairs[:, 0] >= pairs[:, 1]).all() and (pairs[:, 1] >= 0).all()
 
 
-def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        sample_b2_pairs((17, 4), (15, 9), 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_b2_pairs((4, 17), (15, 9), 10, seed=1)
+def no_draw(*args, **kwargs):
+    raise AssertionError("a random generator was made")
+
+
+def test_rejects_bad_arguments(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for sample in (sample_b2_pairs, sample_b2_spectrum):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_samples >= 1"):
+                sample((17, 4), (15, 9), n, seed=1)
+        with pytest.raises(ValueError, match="regular ordered"):
+            sample((4, 17), (15, 9), 10, seed=1)
     with pytest.raises(ValueError):
         sample_so2_symmetric(0, 2, 10, seed=1)
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_rejects_bins_below_one_before_drawing(bins, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="bins >= 1 required"):
+        sample_b2_spectrum((17, 4), (15, 9), 10, seed=1, bins=bins)
+    with pytest.raises(ValueError, match="bins >= 1 required"):
+        sample_so2_symmetric(1, 2, 10, seed=1, bins=bins)
+    with pytest.raises(ValueError, match="bins >= 1 required"):
+        so2_histogram(np.array([1.5, 2.0]), 1, 2, seed=1, bins=bins)
+
+
+def test_b2_spectrum_memory_does_not_grow_with_n():
+    # one Gaussian batch of all 200,000 samples would be 40 MB, and their
+    # (N, 2) spectra 3.2 MB
+    tracemalloc.start()
+    try:
+        sample_b2_spectrum((17, 4), (15, 9), 200_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_alpha_beta_symmetry_of_histograms():
