@@ -121,27 +121,6 @@ def det_bareiss(A: Sequence[Sequence[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def det_fraction(A: Sequence[Sequence]) -> Q:
-    """Exact determinant over the rationals (Gaussian elimination)."""
-    n = len(A)
-    M = [[Q(v) for v in row] for row in A]
-    det = Q(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, n):
-            if M[r][k] != 0:
-                f = M[r][k] * inv
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[k])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # Bivariate polynomials with exact rational coefficients.
 # Represented as {(i, j): coeff} for the monomial x^i y^j.

@@ -86,11 +86,6 @@ class HalfPlane:
         v = A * p[0] + B * p[1] - C  # den * value(p), den > 0
         return v >= 0 if (closure or not self.strict) else v > 0
 
-    def scaled(self, s) -> "HalfPlane":
-        """The half-plane a*x + b*y >= s*c (> s*c when strict), for an int, Fraction or float s."""
-        row, den = _scaled_row(self.row, self.den, *s.as_integer_ratio())
-        return _halfplane(row, den, self.strict, self.label)
-
 
 def _halfplane(row: tuple[int, int, int], den: int, strict: bool, label: str) -> HalfPlane:
     """The HalfPlane of an integer row already in the constructor's normal form."""
@@ -299,7 +294,7 @@ class RationalPolygon:
         return Q(abs(s), 2 * D * D)
 
     def dilate(self, s) -> "RationalPolygon":
-        """The polygon scaled by s, row by row (as HalfPlane.scaled)."""
+        """The polygon scaled by s, row by row: each c becomes s*c."""
         s = Q(s)
         p, q = s.numerator, s.denominator
         rows, dens = [], []
@@ -370,8 +365,7 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
     Exact arguments give exact vertices: each new coordinate is one exact
     division, an int when it divides (so a cut of integer points stays on
     the integer lattice wherever the crossing is a lattice point) and a
-    Fraction otherwise.  Float arguments stay floats, so a float caller pays
-    for no Fraction arithmetic.
+    Fraction otherwise.
     """
     out: list[Point] = []
     n = len(vertices)
@@ -383,13 +377,9 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
         if vp >= 0:
             out.append(p)
         if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            # p + vp/d (q - p) = (vp q - vq p)/d
             d = vp - vq
-            if isinstance(d, float):
-                t = vp / d
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-            else:
-                # p + vp/d (q - p) = (vp q - vq p)/d
-                out.append((_exact_div(vp * q[0] - vq * p[0], d), _exact_div(vp * q[1] - vq * p[1], d)))
+            out.append((_exact_div(vp * q[0] - vq * p[0], d), _exact_div(vp * q[1] - vq * p[1], d)))
     dedup: list[Point] = []
     for p in out:
         if not dedup or dedup[-1] != p:

@@ -61,18 +61,30 @@ def parse_algebra(token: str):
     raise CliError(f"cannot parse algebra {token!r} (expected e.g. B2, A3, G2)")
 
 
+def _rational(token: str) -> Q:
+    try:
+        return Q(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"cannot parse {token!r} as a rational") from exc
+
+
 def parse_weight(token: str, rank: int) -> tuple[Q, ...]:
     parts = token.split(",")
     if len(parts) != rank:
         raise CliError(f"weight {token!r} needs {rank} comma-separated labels")
-    return tuple(Q(p) for p in parts)
+    return tuple(_rational(p) for p in parts)
 
 
 def parse_pair(token: str) -> tuple[Q, Q]:
     parts = token.split(",")
     if len(parts) != 2:
         raise CliError(f"{token!r}: expected two comma-separated rationals")
-    return (Q(parts[0]), Q(parts[1]))
+    return (_rational(parts[0]), _rational(parts[1]))
+
+
+def parse_triple(rs, args) -> tuple[tuple[int, ...], ...]:
+    """args.lam, args.mu and args.nu as integer Dynkin labels of rs."""
+    return tuple(rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu))
 
 
 def _emit_json(payload: dict, stream) -> None:
@@ -87,9 +99,7 @@ def _emit_json(payload: dict, stream) -> None:
 
 def cmd_lr(args) -> int:
     rs = parse_algebra(args.algebra)
-    lam, mu, nu = (
-        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
-    )
+    lam, mu, nu = parse_triple(rs, args)
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     if args.method == "all":
         methods = ["klimyk", "steinberg", "bz"] if is_b2 else ["klimyk", "steinberg"]
@@ -127,9 +137,7 @@ def cmd_lr(args) -> int:
 def cmd_volume(args) -> int:
     rs = parse_algebra(args.algebra)
     is_b2 = (rs.family, rs.rank) == ("B", 2)
-    lam, mu, nu = (
-        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
-    )
+    lam, mu, nu = parse_triple(rs, args)
     if args.route == "all":
         routes = ("direct", "lr", "ehrhart", "polytope") if is_b2 else ("lr", "ehrhart")
     else:
@@ -292,9 +300,7 @@ def _line_segment_in_polygon(ln, poly):
 
 def cmd_ehrhart(args) -> int:
     rs = parse_algebra(args.algebra)
-    lam, mu, nu = (
-        rs.labels(parse_weight(t, rs.rank)) for t in (args.lam, args.mu, args.nu)
-    )
+    lam, mu, nu = parse_triple(rs, args)
     if not is_compatible(rs, lam, mu, nu):
         raise CliError(f"triple {lam}, {mu}, {nu} is not compatible (lam+mu-nu not in the root lattice)")
     try:
@@ -364,6 +370,9 @@ def cmd_sample(args) -> int:
         beta = _gamma_basis_pair(args.beta, args.basis)
         hist = sample_b2_spectrum(alpha, beta, args.n_samples, args.seed, bins=args.bins)
         summary = chi_square_vs_pdf(hist, alpha, beta)
+        if summary.dof < 1:
+            raise CliError(f"-N {args.n_samples} samples on --bins {args.bins} leave the chi-square "
+                           f"test {summary.dof} degrees of freedom; raise -N or lower --bins")
         ex, ey = hist.edges
         with open(prefix + ".csv", "w", newline="") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": args.n_samples,
@@ -386,7 +395,7 @@ def cmd_sample(args) -> int:
         }
         ok = hist.samples_outside_support == 0 and summary.p_value > 1e-3
     else:
-        a12, b12 = Q(args.alpha12), Q(args.beta12)
+        a12, b12 = _rational(args.alpha12), _rational(args.beta12)
         samples = so2_samples(a12, b12, args.n_samples, args.seed)
         hist = so2_histogram(samples, a12, b12, args.seed, bins=args.bins)
         ks = ks_distance_so2(samples, a12, b12)

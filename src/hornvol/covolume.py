@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from ._exact import InvariantError, det_bareiss, det_fraction, dot
+from ._exact import InvariantError, det_bareiss, dot
 from .rootsys import CLASSICAL_MIN_RANK, RootSystem, build_root_system
 
 
@@ -66,7 +66,7 @@ def gram_delta(rs: RootSystem) -> int:
 
 def formula_delta(rs: RootSystem) -> Q:
     """(h_dual)^r / det(Cartan) * prod over simple roots of <theta,theta>/<alpha_i,alpha_i>."""
-    detC = det_fraction(rs.cartan_matrix)
+    detC = det_bareiss(rs.cartan_matrix)
     theta2 = rs.long_norm2()
     ratios = Q(1)
     for a in rs.simple_roots:

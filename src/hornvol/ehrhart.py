@@ -183,19 +183,17 @@ def _default_lr(rs: RootSystem, lam, mu, nu, s_values):
     return lambda rs, lam, mu, nu: multiplicity.lr_steinberg_table(rs, lam, mu, nu, table=table)
 
 
-def stretching_samples(rs: RootSystem, lam, mu, nu, s_values, lr=None) -> dict[int, int]:
+def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
     """C_{s lam, s mu}^{s nu} for every s in s_values, keyed in their order.
 
-    s = 0 gives 1.  Each other sample is lr(rs, s lam, s mu, s nu).  The
-    default lr is lr_steinberg for B2; for every other algebra it is
-    multiplicity.lr_steinberg_table on the Kostant values that the Steinberg
-    sums of all the dilations read, computed up front by one
-    kostant_values sweep and dropped when this call returns.
+    s = 0 gives 1.  Each other sample is lr_steinberg for B2; for every
+    other algebra it is multiplicity.lr_steinberg_table on the Kostant
+    values that the Steinberg sums of all the dilations read, computed up
+    front by one kostant_values sweep and dropped when this call returns.
     """
     lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
     s_values = list(s_values)
-    if lr is None:
-        lr = _default_lr(rs, lam, mu, nu, s_values)
+    lr = _default_lr(rs, lam, mu, nu, s_values)
     out = {}
     for s in s_values:
         if s == 0:
@@ -214,24 +212,21 @@ def stretching_quasi_polynomial(
     mu,
     nu,
     period: int | None = None,
-    degree: int | None = None,
     smax: int | None = None,
-    lr=None,
 ) -> tuple[QuasiPolynomial, dict[int, int]]:
     """Fit P(s) = C_{s lam, s mu}^{s nu} from exact multiplicity evaluations.
 
-    Samples run over s = 0 .. period*(degree+1) by default (one redundancy
-    row per class).  s = 0 contributes its conventional value 1 only when
-    the polytope is nonempty, i.e. when some positive dilation has a nonzero
-    count.
+    The degree is that of the BZ polytope.  Samples run over
+    s = 0 .. period*(degree+1) by default (one redundancy row per class).
+    s = 0 contributes its conventional value 1 only when the polytope is
+    nonempty, i.e. when some positive dilation has a nonzero count.
     """
     if period is None:
         period = default_period(rs)
-    if degree is None:
-        degree = polytope_degree(rs.family, rs.rank)
+    degree = polytope_degree(rs.family, rs.rank)
     if smax is None:
         smax = period * (degree + 1)
-    samples = stretching_samples(rs, lam, mu, nu, range(1, smax + 1), lr)
+    samples = stretching_samples(rs, lam, mu, nu, range(1, smax + 1))
     if any(samples.values()):
         samples[0] = 1
     quasi = fit_quasi_polynomial(samples, degree=degree, period=period)

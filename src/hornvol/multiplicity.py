@@ -91,11 +91,11 @@ def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int,
 
 
 @lru_cache(maxsize=512)
-def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) -> WeightMultiplicityTable:
+def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightMultiplicityTable:
     rs = build_root_system(family, rank)
     dim = weyl_dimension(rs, lam)
-    if dim > cap:
-        raise SizeGuardError(f"dim V_{lam} = {dim} exceeds the cap {cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise SizeGuardError(f"dim V_{lam} = {dim} exceeds the cap {DEFAULT_DIM_CAP}")
 
     h = rs.half_norms
     cart = rs.cartan_matrix
@@ -171,12 +171,12 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...], cap: int) 
     return WeightMultiplicityTable(highest_weight=lam, entries=entries)
 
 
-def freudenthal_weights(rs: RootSystem, lam, max_dim: int = DEFAULT_DIM_CAP) -> WeightMultiplicityTable:
+def freudenthal_weights(rs: RootSystem, lam) -> WeightMultiplicityTable:
     """Weight system of V_lambda with multiplicities, by Freudenthal recursion."""
     if rs.family not in FREUDENTHAL_FAMILIES:
         raise UnsupportedAlgebraError(f"weight systems not supported for {rs.family}")
     lam = _check_dominant(rs, lam)
-    return _freudenthal_cached(rs.family, rs.rank, lam, max_dim)
+    return _freudenthal_cached(rs.family, rs.rank, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +251,11 @@ def _kostant_lookup(rs: RootSystem):
 # Littlewood-Richardson coefficients
 
 
-def lr_klimyk(rs: RootSystem, lam, mu, nu, max_dim: int = DEFAULT_DIM_CAP) -> int:
+def lr_klimyk(rs: RootSystem, lam, mu, nu) -> int:
     """C_{lam mu}^{nu} by Klimyk's formula over the weight system of V_mu."""
     lam = _check_dominant(rs, lam)
     nu = _check_dominant(rs, nu)
-    table = freudenthal_weights(rs, mu, max_dim)
+    table = freudenthal_weights(rs, mu)
     n = rs.rank
     target = tuple(v + 1 for v in nu)
     acc = 0
@@ -267,7 +267,7 @@ def lr_klimyk(rs: RootSystem, lam, mu, nu, max_dim: int = DEFAULT_DIM_CAP) -> in
     return _checked_multiplicity(acc, "Klimyk", lam, mu, nu)
 
 
-def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) -> dict[tuple[int, ...], int]:
+def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     """All nu with C_{lam mu}^{nu} != 0.
 
     Internally runs Klimyk over the weight system of the smaller factor
@@ -277,7 +277,7 @@ def tensor_decompose(rs: RootSystem, lam, mu, max_dim: int = DEFAULT_DIM_CAP) ->
     mu = _check_dominant(rs, mu)
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    table = freudenthal_weights(rs, mu, max_dim)
+    table = freudenthal_weights(rs, mu)
     n = rs.rank
     acc: dict[tuple[int, ...], int] = {}
     for tau, m in table.entries.items():
@@ -487,7 +487,7 @@ def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
-def lr_triple(rs: RootSystem, lam, mu, kappa, nu, max_dim: int = DEFAULT_DIM_CAP) -> int:
+def lr_triple(rs: RootSystem, lam, mu, kappa, nu) -> int:
     """Three-fold multiplicity dim Hom(V_lam x V_mu x V_kappa -> V_nu).
 
     Computed as sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}, both factors by
@@ -497,13 +497,13 @@ def lr_triple(rs: RootSystem, lam, mu, kappa, nu, max_dim: int = DEFAULT_DIM_CAP
     """
     kappa = _check_dominant(rs, kappa)
     nu = _check_dominant(rs, nu)
-    pairs = tensor_decompose(rs, lam, mu, max_dim)
+    pairs = tensor_decompose(rs, lam, mu)
     if all(v == 0 for v in kappa):
         return pairs.get(nu, 0)
     total = 0
-    for omega in freudenthal_weights(rs, kappa, max_dim).entries:
+    for omega in freudenthal_weights(rs, kappa).entries:
         tau = tuple(map(sub, nu, omega))
         c = pairs.get(tau)
         if c:
-            total += c * lr_klimyk(rs, tau, kappa, nu, max_dim)
+            total += c * lr_klimyk(rs, tau, kappa, nu)
     return total

@@ -258,12 +258,6 @@ def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 1
     )
 
 
-def sample_so2_symmetric(alpha12, beta12, n_samples: int, seed: int, bins: int = 100) -> HornHistogram:
-    """Histogram of N fresh so2_samples."""
-    _check_bins(bins)
-    return so2_histogram(so2_samples(alpha12, beta12, n_samples, seed), alpha12, beta12, seed, bins)
-
-
 # ---------------------------------------------------------------------------
 # Analytic-vs-empirical comparisons
 

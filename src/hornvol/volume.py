@@ -139,9 +139,7 @@ def horn_polygon(alpha, beta) -> RationalPolygon:
 
 def horn_contains_b2(alpha, beta, gamma) -> bool:
     """Membership of gamma in the closed Horn polygon (chamber included)."""
-    alpha, beta, gamma = _qpair(alpha), _qpair(beta), _qpair(gamma)
-    _check_regular_ordered(alpha, beta)
-    return all(h.holds(gamma) for h in horn_halfplanes(alpha, beta))
+    return horn_polygon(alpha, beta).contains(_qpair(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -667,19 +665,15 @@ def j_lr_unshifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
     return sum((c * lr_triple(rs, sl, sm, kap, sn) for kap, c in Khat.items()), Q(0))
 
 
-def kissinger_quasi_polynomial(
-    rs: RootSystem, kappa, period: int | None = None, degree: int | None = None
-) -> tuple[QuasiPolynomial, dict[int, int]]:
-    """Stretching quasi-polynomial of (s rho, s rho, s (kappa + rho))."""
+def kissinger_quasi_polynomial(rs: RootSystem, kappa) -> tuple[QuasiPolynomial, dict[int, int]]:
+    """Stretching quasi-polynomial of (s rho, s rho, s (kappa + rho)), period 2 for rank 2 and 4 above."""
     kappa = rs.labels(kappa)
     rho = (1,) * rs.rank
     nu = tuple(k + 1 for k in kappa)
-    if period is None:
-        period = 2 if rs.rank == 2 else 4
-    return stretching_quasi_polynomial(rs, rho, rho, nu, period=period, degree=degree)
+    return stretching_quasi_polynomial(rs, rho, rho, nu, period=2 if rs.rank == 2 else 4)
 
 
-def c_kappa_via_kissinger(rs: RootSystem, kappa, period: int | None = None, degree: int | None = None) -> Q:
+def c_kappa_via_kissinger(rs: RootSystem, kappa) -> Q:
     """c_kappa = J(rho, rho, kappa + rho), read off the stretched leading coefficient.
 
     Residue classes that vanish identically (the triple need not be
@@ -690,7 +684,7 @@ def c_kappa_via_kissinger(rs: RootSystem, kappa, period: int | None = None, degr
     kap = rs.labels(kappa)
     if kap not in K and kap not in Khat:
         raise ValueError(f"{kap} is not in K or K-hat of {rs.name}")
-    quasi, _ = kissinger_quasi_polynomial(rs, kap, period=period, degree=degree)
+    quasi, _ = kissinger_quasi_polynomial(rs, kap)
     return leading_coefficient(quasi, skip_zero_classes=True)
 
 
@@ -816,40 +810,6 @@ def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
         P = bz_polygon_b2(lam, mu, nu)
         out["polytope"] = P.area() if P.dim == 2 else Q(0)
     return VolumeRoutes(**out, skipped=skipped)
-
-
-def multiplicity_one_scaling_diagnostic(max_label: int = 4, smax: int = 5) -> list[tuple]:
-    """Sweep diagnostic for an open question: does C = 1 force C_s = 1 for B2?
-
-    Returns the list of (lam, mu, nu, s, C_s) with C_{lam mu}^{nu} = 1 but
-    C_{s lam, s mu}^{s nu} != 1.  A nonempty result is a reportable finding,
-    not a failure: e.g. (2,2), (2,2), (1,0) has C = 1 on a segment polygon of
-    relative length 1/2, whose doubled dilation holds two lattice points.
-    """
-    import itertools
-
-    from .multiplicity import lr_steinberg
-
-    rs = b2()
-    found = []
-    rng = range(max_label + 1)
-    for lam in itertools.product(rng, rng):
-        for mu in itertools.product(rng, rng):
-            for nu in itertools.product(rng, rng):
-                if (lam[1] + mu[1] - nu[1]) % 2:
-                    continue
-                if lr_steinberg(rs, lam, mu, nu) != 1:
-                    continue
-                for s in range(2, smax + 1):
-                    cs = lr_steinberg(
-                        rs,
-                        tuple(s * v for v in lam),
-                        tuple(s * v for v in mu),
-                        tuple(s * v for v in nu),
-                    )
-                    if cs != 1:
-                        found.append((lam, mu, nu, s, cs))
-    return found
 
 
 # ---------------------------------------------------------------------------

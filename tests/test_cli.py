@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -274,10 +276,57 @@ def test_sample_rejects_bins_below_one(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("mode", ["b2", "so2"])
 def test_sample_unwritable_output_exits_2(tmp_path, capsys, mode):
+    # 4 x 4 bins give 100 b2 samples a chi-square test, so the write is reached
     prefix = tmp_path / "missing" / "s"
-    assert main(["sample", mode, "-N", "100", "--out", str(prefix)]) == 2
+    assert main(["sample", mode, "-N", "100", "--bins", "4", "--out", str(prefix)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(prefix) in err
+
+
+def test_sample_b2_without_degrees_of_freedom_exits_2(tmp_path, capsys):
+    # 500 samples on 40 x 40 bins: no bin expects 20, so the chi-square has dof 0
+    prefix = tmp_path / "b2"
+    assert main(["sample", "b2", "-N", "500", "--out", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: ") and "-N 500" in err and "--bins 40" in err
+
+
+ZERO_DENOMINATORS = [
+    ["lr", "B2", "1/0,1", "1,1", "1,1"],
+    ["volume", "B2", "1,1", "1,1", "1/0,1"],
+    ["ehrhart", "B2", "1,1", "1,1", "1,0/0"],
+    ["grid", "17,4", "15/0,9"],
+    ["sample", "b2", "--alpha", "17,4", "--beta", "1/0,9"],
+    ["sample", "so2", "--alpha12", "1/0"],
+    ["sample", "so2", "--beta12", "2/0"],
+]
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATORS, ids=lambda a: "-".join(a))
+def test_zero_denominator_exits_2(tmp_path, capsys, argv):
+    assert main([*argv, *(["--out", str(tmp_path / "s")] if argv[0] == "sample" else [])]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: cannot parse ") and "/0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    *ZERO_DENOMINATORS,
+    ["grid", "17,4", "15,9", "--res", "0"],
+    ["sample", "b2", "--bins", "0"],
+    ["sample", "b2", "-N", "500"],
+], ids=lambda a: "-".join(a))
+def test_bad_input_exits_2_without_a_traceback_under_python_O(tmp_path, argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    if argv[0] == "sample":
+        argv = [*argv, "--out", str(tmp_path / "s")]
+    proc = subprocess.run([sys.executable, "-O", "-m", "hornvol.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_so2_files(tmp_path, capsys):

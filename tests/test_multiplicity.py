@@ -108,7 +108,7 @@ def test_weight_system_closed_under_weyl():
 
 def test_size_guard_and_family_guard():
     with pytest.raises(SizeGuardError):
-        freudenthal_weights(B2, (1, 1), max_dim=10)
+        freudenthal_weights(B2, (31, 31))  # dim 1,048,576 > DEFAULT_DIM_CAP
     with pytest.raises(UnsupportedAlgebraError):
         freudenthal_weights(build_root_system("E7"), (1, 0, 0, 0, 0, 0, 0))
 

@@ -24,7 +24,6 @@ from hornvol.sampler import (
     ks_distance_so2,
     sample_b2_pairs,
     sample_b2_spectrum,
-    sample_so2_symmetric,
     so2_histogram,
     so2_samples,
 )
@@ -274,7 +273,7 @@ def test_rejects_bad_arguments(monkeypatch):
         with pytest.raises(ValueError, match="regular ordered"):
             sample((4, 17), (15, 9), 10, seed=1)
     with pytest.raises(ValueError):
-        sample_so2_symmetric(0, 2, 10, seed=1)
+        so2_samples(0, 2, 10, seed=1)
 
 
 @pytest.mark.parametrize("bins", [0, -1])
@@ -282,8 +281,6 @@ def test_rejects_bins_below_one_before_drawing(bins, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(ValueError, match="bins >= 1 required"):
         sample_b2_spectrum((17, 4), (15, 9), 10, seed=1, bins=bins)
-    with pytest.raises(ValueError, match="bins >= 1 required"):
-        sample_so2_symmetric(1, 2, 10, seed=1, bins=bins)
     with pytest.raises(ValueError, match="bins >= 1 required"):
         so2_histogram(np.array([1.5, 2.0]), 1, 2, seed=1, bins=bins)
 
@@ -339,7 +336,7 @@ def test_expected_probabilities_sum_to_one():
 
 
 def test_so2_support_and_endpoint_mass():
-    hist = sample_so2_symmetric(1, 2, 50_000, seed=13)
+    hist = so2_histogram(so2_samples(1, 2, 50_000, seed=13), 1, 2, seed=13)
     lo, hi = so2_support(1, 2)
     assert hist.samples_outside_support == 0
     assert float(lo) <= hist.sample_min[0] and hist.sample_max[0] <= float(hi) + 1e-9
@@ -350,7 +347,7 @@ def test_so2_support_and_endpoint_mass():
 
 
 def test_so2_density_matches_closed_form_midrange():
-    hist = sample_so2_symmetric(1, 2, 400_000, seed=17, bins=80)
+    hist = so2_histogram(so2_samples(1, 2, 400_000, seed=17), 1, 2, seed=17, bins=80)
     edges = hist.edges[0]
     mids = (edges[:-1] + edges[1:]) / 2
     width = edges[1] - edges[0]

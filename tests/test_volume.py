@@ -997,14 +997,26 @@ def test_pdf_normalization_exact():
     assert pdf_normalization_integral((Q(11, 2), Q(3, 2)), (5, 2)) == 1
 
 
-def test_multiplicity_one_scaling_diagnostic_runs():
-    # an open question: never asserted, only reported
-    from hornvol.volume import multiplicity_one_scaling_diagnostic
+def test_multiplicity_one_fails_to_scale_only_on_segments():
+    # C = 1 need not give C_s = 1: (2,2), (2,2), (1,0) has C = 1 on a segment
+    # of relative length 1/2, whose doubled dilation holds two lattice points.
+    # Over labels <= 3 and s <= 4 every such case is a segment P, and C_s is
+    # the lattice count of sP.  C and C_s come from Steinberg, not the BZ count.
+    from hornvol.multiplicity import lr_steinberg
 
-    found = multiplicity_one_scaling_diagnostic(max_label=2, smax=3)
-    print(f"multiplicity-one scaling diagnostic: {len(found)} exception(s) found")
-    for item in found:
-        print("  finding:", item)
+    weights = list(itertools.product(range(4), repeat=2))
+    cases = 0
+    for lam, mu, nu in itertools.product(weights, repeat=3):
+        if (lam[1] + mu[1] - nu[1]) % 2 or lr_steinberg(B2, lam, mu, nu) != 1:
+            continue
+        for s in range(2, 5):
+            cs = lr_steinberg(B2, *(tuple(s * v for v in w) for w in (lam, mu, nu)))
+            if cs != 1:
+                cases += 1
+                P = bz_polygon_b2(lam, mu, nu)
+                assert P.dim == 1, (lam, mu, nu, s, cs)
+                assert cs == P.dilate(s).lattice_count(), (lam, mu, nu, s, cs)
+    assert cases == 477
 
 
 # -- SO(2) ----------------------------------------------------------------------
