@@ -281,10 +281,10 @@ class RationalPolygon:
     def dim(self) -> int:
         return min(len(self._vertex_cycle[1]), 3) - 1
 
-    def contains(self, p: Point, closure: bool = False, strict: bool = False) -> bool:
+    def contains(self, p: Point, strict: bool = False) -> bool:
         if strict:
             return all(h.value(p) > 0 for h in self.halfplanes)
-        return all(h.holds(p, closure=closure) for h in self.halfplanes)
+        return all(h.holds(p) for h in self.halfplanes)
 
     def area(self) -> Q:
         D, v = self._vertex_cycle

@@ -395,6 +395,11 @@ def cmd_sample(args) -> int:
         }
         ok = hist.samples_outside_support == 0 and summary.p_value > 1e-3
     else:
+        # KS critical value at significance 1e-3, never tighter than the 0.005
+        # bound used for N = 10^6 runs; at 1 or more it checks nothing
+        threshold = max(0.005, 1.949 / args.n_samples**0.5)
+        if threshold >= 1:
+            raise CliError(f"-N {args.n_samples}: KS threshold {threshold:.3f} is above any KS distance; raise -N")
         a12, b12 = _rational(args.alpha12), _rational(args.beta12)
         samples = so2_samples(a12, b12, args.n_samples, args.seed)
         hist = so2_histogram(samples, a12, b12, args.seed, bins=args.bins)
@@ -409,9 +414,6 @@ def cmd_sample(args) -> int:
                 c = int(hist.counts[i])
                 w.writerow([f"{(edges[i] + edges[i+1]) / 2:.6f}", c,
                             f"{c / (args.n_samples * (edges[i+1] - edges[i])):.8g}"])
-        # KS critical value at significance 1e-3, never tighter than the
-        # 0.005 bound used for N = 10^6 runs
-        threshold = max(0.005, 1.949 / args.n_samples**0.5)
         report = {
             "mode": "so2", "N": args.n_samples, "seed": args.seed,
             "support": [str(v) for v in (hist.sample_min[0], hist.sample_max[0])],

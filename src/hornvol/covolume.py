@@ -47,17 +47,16 @@ class CovolumeReport:
 
 
 def _nonsimple_in_simple_basis(rs: RootSystem) -> list[tuple[int, ...]]:
-    simple_keys = set()
-    for i in range(rs.rank):
-        simple_keys.add(tuple(1 if j == i else 0 for j in range(rs.rank)))
-    return [k for k in rs.positive_roots_rb if k not in simple_keys]
+    # a positive root's simple-basis coefficients are nonnegative integers, summing to 1 only on a simple root
+    return [k for k in rs.positive_roots_rb if sum(k) > 1]
 
 
 def gram_delta(rs: RootSystem) -> int:
-    """det(I + A A^T) with A the non-simple positive roots over the simple ones."""
+    """det(I + A A^T), A the non-simple positive roots over the simple ones, taken
+    as the rank-sized det(I + A^T A) by Sylvester's identity."""
     A = _nonsimple_in_simple_basis(rs)
-    m = len(A)
-    G = [[(1 if a == b else 0) + sum(A[a][i] * A[b][i] for i in range(rs.rank)) for b in range(m)] for a in range(m)]
+    r = rs.rank
+    G = [[(1 if i == j else 0) + sum(row[i] * row[j] for row in A) for j in range(r)] for i in range(r)]
     d = det_bareiss(G)
     if d < 1:
         raise InvariantError(f"Gram determinant {d} of {rs.name} is below 1")
@@ -104,15 +103,10 @@ def covolume_report(family: str, rank: int | None = None) -> CovolumeReport:
     )
 
 
-def covolume_table(families=("A", "B", "C", "D"), max_rank: int = 8, exceptional=("G2", "F4", "E6")) -> list[CovolumeReport]:
-    """Reports for the classical families up to max_rank plus chosen exceptionals."""
-    out = []
-    for fam in families:
-        for r in range(CLASSICAL_MIN_RANK[fam], max_rank + 1):
-            out.append(covolume_report(fam, r))
-    for fam in exceptional:
-        out.append(covolume_report(fam))
-    return out
+def covolume_table(max_rank: int = 8) -> list[CovolumeReport]:
+    """Reports for the classical families A-D up to max_rank, then G2, F4 and E6."""
+    classical = [covolume_report(fam, r) for fam in "ABCD" for r in range(CLASSICAL_MIN_RANK[fam], max_rank + 1)]
+    return classical + [covolume_report(fam) for fam in ("G2", "F4", "E6")]
 
 
 def covolume_markdown(reports: list[CovolumeReport]) -> str:

@@ -38,6 +38,8 @@ from .volume import (
 MEMBERSHIP_TOL = 1e-9
 # most B2 samples per chunk: a chunk's Gaussian draw is CHUNK x 25 doubles, 0.8 MB
 CHUNK = 4096
+# fewest expected samples of a chi-square bin; bins below it are pooled into one
+MIN_EXPECTED = 20.0
 
 
 @dataclass
@@ -418,8 +420,7 @@ class ChiSquareSummary:
     pooled_observed: float
 
 
-def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, min_expected: float = 20.0,
-                      pw: PiecewiseQuadratic | None = None) -> ChiSquareSummary:
+def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic | None = None) -> ChiSquareSummary:
     """Pearson chi-square of the 2-D histogram against the analytic PDF."""
     from scipy.special import chdtrc
 
@@ -427,12 +428,12 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, min_expected: float = 20
     N = hist.sample_count
     E = probs * N
     O = hist.counts
-    main = E >= min_expected
+    main = E >= MIN_EXPECTED
     stat = float(((O[main] - E[main]) ** 2 / E[main]).sum())
     pooled_E = float(E[~main].sum())
     pooled_O = float(O[~main].sum())
     k = int(main.sum())
-    if pooled_E > min_expected:
+    if pooled_E > MIN_EXPECTED:
         stat += (pooled_O - pooled_E) ** 2 / pooled_E
         k += 1
     dof = k - 1

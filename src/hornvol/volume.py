@@ -290,8 +290,8 @@ class Wall:
 
     classification is one of:
       'inactive'            zero jump across an internal wall
-      'quadratic-ramp'      internal jump (m/2) Delta^2, 0 < |m| <= the number
-                            of candidate lines merged into the wall's line
+      'quadratic-ramp'      internal jump (m/2) Delta^2, 0 < |m| <= the weight
+                            of the wall's line over 4 (see piecewise_analyze_b2)
       'boundary-quadratic'  outer Horn facet, cell quadratic equals (1/2) Delta^2
       'boundary-linear'     dashed chamber wall, quadratic vanishes on the line
       'violation'           anything else (must not occur)
@@ -312,7 +312,6 @@ class PiecewiseQuadratic:
     swapped: bool
     cells: tuple[QuadCell, ...]
     walls: tuple[Wall, ...]
-    lines: tuple[SingularLine, ...]
 
     def violations(self) -> list[Wall]:
         return [w for w in self.walls if w.classification == "violation"]
@@ -448,45 +447,50 @@ def _on_lattice(v: Q, D: int) -> int:
 
 
 def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
-    """Partition the Horn polygon by the candidate lines and read J off each cell.
+    """Partition the Horn polygon by the Weyl terms' lines and read J off each cell.
 
     Inputs are swapped if needed so that |beta1 - alpha2| >= |alpha1 - beta2|.
-    Every cell vertex lies on two lines of the directions g1, g2, g1 + g2 and
-    g1 - g2 whose levels are multiples of 1/s, s the lcm of the denominators
-    of alpha and beta, so gamma scaled by D = 2s puts every vertex on the
-    integer lattice.  The cut (clip_cell on int points), the cell
-    quadratics (QuadCell's lattice form) and the wall classes all run in
-    integers; only wall levels and segments become Fractions, for output.
-    The quadratics of all cells are summed from the Weyl terms of j_b2 in
-    one array pass (see _cell_quadratics); a term whose linear forms change
-    sign between a cell's vertices raises PiecewiseFitError, which would
-    signal a missed singular line.  Every line cuts the whole polygon, so
-    two neighbouring cells share whole edges: an edge that another cell runs
-    the other way is an internal wall, classified by the jump of the
-    quadratics across it, and any other edge is a boundary wall (see Wall).
-    Walls come line by line in (kind, level) order, and on a line by lower
-    cell index.  A line that holds an edge of the convex Horn polygon
-    supports it, so no line carries walls of both types.
+    Each term (x0, y0, eps) of _weyl_terms is smooth off g1 = x0, g2 = y0,
+    g1 + g2 = x0 + y0 and g1 - g2 = x0 - y0, all over the lcm s of the
+    denominators of alpha and beta; the cut runs over those lines that cross
+    the Horn polygon's interior, in (kind, level) order.  gamma scaled by
+    D = 2s puts every cell vertex on the integer lattice, so the cut
+    (clip_cell on int points), the cell quadratics (QuadCell's lattice form,
+    summed in one array pass by _cell_quadratics, whose PiecewiseFitError
+    stays as a safety check) and the wall classes run in integers; only wall
+    levels and segments become Fractions, for output.  Every line cuts the
+    whole polygon, so two neighbouring cells share whole edges: an edge that
+    another cell runs the other way is an internal wall, classified by the
+    jump of the quadratics across it, and any other edge is a boundary wall
+    (see Wall).  An internal wall's jump bound is its line's weight, the sum
+    of |eps| over the terms on it, over 4: tests check that this counts the
+    singular_lines_b2 candidates merged there.  Walls come line by line in
+    (kind, level) order, and on a line by lower cell index.  A line that
+    holds an edge of the convex Horn polygon supports it, so no line carries
+    walls of both types.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
-    _check_regular_ordered(alpha, beta)
     swapped = abs(beta[0] - alpha[1]) < abs(alpha[0] - beta[1])
     if swapped:
         alpha, beta = beta, alpha
 
-    lines = singular_lines_b2(alpha, beta)
-    horn = horn_polygon(alpha, beta)
+    horn = horn_polygon(alpha, beta)    # raises unless alpha and beta are regular ordered
     if horn.dim != 2:
         raise ValueError("Horn polygon is degenerate; alpha or beta not regular?")
     terms = _weyl_terms(alpha, beta)
     D = 2 * terms[0]    # the lattice scale of the docstring
     cells: list[tuple[tuple[int, int], ...]] = [
         tuple((_on_lattice(x, D), _on_lattice(y, D)) for x, y in horn.vertices)]
-    sources: dict[tuple[str, int], int] = {}     # candidate lines merged into each line
-    for ln in lines:
-        a, b = ln.normal
-        level = _on_lattice(ln.level, D)
-        sources[ln.kind, level] = ln.source.count(",") + 1
+    # each term's four lines at their lattice levels (D / s = 2), weighted by |eps|
+    weight: dict[tuple[str, int], int] = {}
+    for x0, y0, e in terms[1]:
+        for line in (("g1", 2 * x0), ("g2", 2 * y0), ("g1+g2", 2 * (x0 + y0)), ("g1-g2", 2 * (x0 - y0))):
+            weight[line] = weight.get(line, 0) + abs(e)
+    horn_forms = {kind: [a * x + b * y for x, y in cells[0]] for kind, (a, b) in _KINDS.items()}
+    for kind, level in sorted(weight):
+        if not min(horn_forms[kind]) < level < max(horn_forms[kind]):
+            continue    # the line misses the Horn polygon's interior, so it cuts no cell
+        a, b = _KINDS[kind]
         new: list[tuple[tuple[int, int], ...]] = []
         for cell in cells:
             vals = [a * x + b * y for x, y in cell]
@@ -524,13 +528,10 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
                 # the CCW cell ci lies left of p -> q
                 hi, lo = (ci, cj) if a * (p[1] - q[1]) + b * (q[0] - p[0]) > 0 else (cj, ci)
                 diff = tuple(u - v for u, v in zip(fitted[hi].q, fitted[lo].q))
-                cls, sign = _jump_class(diff, unit, sources.get((kind, ilevel), 1))
+                cls, sign = _jump_class(diff, unit, weight[kind, ilevel] // 4)
                 walls.append(Wall(kind, level, tuple(point[v] for v in sorted((p, q))), (hi, lo), cls, sign))
 
-    return PiecewiseQuadratic(
-        alpha=alpha, beta=beta, swapped=swapped,
-        cells=fitted, walls=tuple(walls), lines=tuple(lines),
-    )
+    return PiecewiseQuadratic(alpha=alpha, beta=beta, swapped=swapped, cells=fitted, walls=tuple(walls))
 
 
 def _half_delta_squared(a: int, b: int, level: int) -> tuple[int, ...]:
@@ -577,12 +578,13 @@ def _jump_class(diff: tuple[int, ...], unit: tuple[int, ...], sources: int) -> t
     return "violation", 0
 
 
-def c1_wall_discrepancies(pw: PiecewiseQuadratic, h: Q = Q(1, 10000)) -> list[tuple[Wall, Q]]:
+def c1_wall_discrepancies(pw: PiecewiseQuadratic) -> list[tuple[Wall, Q]]:
     """One-sided finite-difference gradient mismatch across each internal wall.
 
-    Uses exact rational steps along a quasi-unit normal; J is C1, so the
+    Uses exact rational steps h along a quasi-unit normal; J is C1, so the
     discrepancy should be of the order of h times the second-derivative jump.
     """
+    h = Q(1, 10000)
     out = []
     root2_inv = Q(7071, 10000)  # rational approximation of 1/sqrt(2)
     for wall in pw.walls:

@@ -39,6 +39,7 @@ from hornvol.volume import (
     kissinger_quasi_polynomial,
     pdf_normalization_integral,
     piecewise_analyze_b2,
+    singular_lines_b2,
 )
 
 B2 = build_root_system("B", 2)
@@ -211,7 +212,7 @@ def test_criterion_06_reciprocity_and_pick():
 
 def test_criterion_07_covolumes():
     t0 = time.time()
-    reports = covolume_table(max_rank=8, exceptional=("G2", "F4", "E6"))
+    reports = covolume_table(max_rank=8)
     bad = [r for r in reports if not r.agree]
     elapsed = time.time() - t0
     report(7, not bad and elapsed < 60,
@@ -234,11 +235,11 @@ def test_criterion_08_piecewise_structure():
         ok &= w.classification in ("quadratic-ramp", "inactive", "boundary-quadratic", "boundary-linear")
     # C1: one-sided finite-difference gradients agree within 10h
     h = Q(1, 10000)
-    disc = c1_wall_discrepancies(pw, h)
+    disc = c1_wall_discrepancies(pw)
     worst = max(d for _, d in disc)
     ok &= bool(disc) and worst <= 10 * h
     # every active non-analyticity lies on a candidate line of the reference list
-    candidates = {(l.kind, l.level) for l in pw.lines}
+    candidates = {(l.kind, l.level) for l in singular_lines_b2(pw.alpha, pw.beta)}
     for w in pw.walls:
         if w.classification == "quadratic-ramp" and w.jump_sign != 0:
             ok &= (w.kind, w.level) in candidates

@@ -292,6 +292,30 @@ def test_sample_b2_without_degrees_of_freedom_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "-N 500" in err and "--bins 40" in err
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_sample_so2_below_a_reachable_ks_threshold_exits_2(tmp_path, capsys, n):
+    # 1.949 / sqrt(N) >= 1 for N <= 3, and no KS distance exceeds 1
+    prefix = tmp_path / "so2"
+    assert main(["sample", "so2", "-N", n, "--out", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: ") and f"-N {n}" in err
+
+
+def test_sample_so2_from_four_samples_runs_the_check(tmp_path, capsys):
+    rc, out = run(capsys, "sample", "so2", "-N", "4", "--out", str(tmp_path / "so2"))
+    assert rc in (0, 1)
+    assert json.loads(out)["ks_threshold"] < 1
+
+
+def test_covolume_b_column_past_rank_eight(capsys):
+    rc, out = run(capsys, "covolume", "--family", "B", "--max-rank", "12", "--format", "json")
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert [r["rank"] for r in reports] == list(range(2, 13))
+    assert reports[-1]["delta_gram"] == 23**12
+
+
 ZERO_DENOMINATORS = [
     ["lr", "B2", "1/0,1", "1,1", "1,1"],
     ["volume", "B2", "1,1", "1,1", "1/0,1"],

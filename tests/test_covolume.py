@@ -9,7 +9,15 @@ from hornvol.covolume import (
     gram_delta,
     _nonsimple_in_simple_basis,
 )
-from hornvol.rootsys import build_root_system
+from hornvol.rootsys import CLASSICAL_MIN_RANK, build_root_system
+
+
+def gram_by_roots(rows, rank):
+    """The reference det(I_m + A A^T): one Gram row per non-simple positive root."""
+    m = len(rows)
+    return det_bareiss([[(1 if a == b else 0) + sum(rows[a][i] * rows[b][i] for i in range(rank)) for b in range(m)]
+                        for a in range(m)])
+
 
 def test_gram_examples():
     assert gram_delta(build_root_system("A", 2)) == 3
@@ -25,7 +33,7 @@ def test_formula_examples():
 
 
 def test_gram_equals_formula_equals_table():
-    for rep in covolume_table(max_rank=8, exceptional=("G2", "F4", "E6")):
+    for rep in covolume_table(max_rank=8):
         assert rep.agree, rep
 
 
@@ -41,12 +49,15 @@ def test_gram_independent_of_root_order():
     for _ in range(3):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        m = len(shuffled)
-        G = [
-            [(1 if a == b else 0) + sum(shuffled[a][i] * shuffled[b][i] for i in range(rs.rank)) for b in range(m)]
-            for a in range(m)
-        ]
-        assert det_bareiss(G) == gram_delta(rs)
+        assert gram_by_roots(shuffled, rs.rank) == gram_delta(rs)
+
+
+def test_rank_sized_gram_equals_the_root_by_root_determinant():
+    # Sylvester: det(I_m + A A^T) = det(I_r + A^T A)
+    systems = [build_root_system(fam, r) for fam, lo in CLASSICAL_MIN_RANK.items() for r in range(lo, 9)]
+    systems += [build_root_system(name) for name in ("G2", "F4", "E6", "E7", "E8")]
+    for rs in systems:
+        assert gram_by_roots(_nonsimple_in_simple_basis(rs), rs.rank) == gram_delta(rs), rs.name
 
 
 def test_markdown_table():

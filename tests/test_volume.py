@@ -453,7 +453,7 @@ def test_an_edge_off_the_four_line_directions_raises():
 def test_coincident_lines_jump_by_their_multiplicity(alpha, beta):
     pw = piecewise_analyze_b2(alpha, beta)
     assert pw.violations() == []
-    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in pw.lines}
+    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in singular_lines_b2(pw.alpha, pw.beta)}
     merged = [w for w in pw.walls if abs(w.jump_sign) > 1]
     assert merged
     for w in merged:
@@ -498,7 +498,7 @@ def assert_jump_class(diff, line, sources, D, expected):
 def test_tampered_jumps_are_violations():
     pw = piecewise_analyze_b2((Q(11, 2), Q(3, 2)), (5, 2))
     D = pw.cells[0].D
-    line = next(l for l in pw.lines if l.source.count(",") == 2)
+    line = next(l for l in singular_lines_b2(pw.alpha, pw.beta) if l.source.count(",") == 2)
     sq = line.delta_squared()
     assert_jump_class(p2_scale(Q(3, 2), sq), line, 3, D, ("quadratic-ramp", 3))
     assert_jump_class(p2_scale(Q(-2, 2), sq), line, 3, D, ("quadratic-ramp", -2))
@@ -542,8 +542,48 @@ def regular_third_pairs(draw):
     return point(), point()
 
 
+def term_line_weights(alpha, beta):
+    """{(kind, level): sum of |eps|} over the four lines each Weyl term is smooth off."""
+    scale, table = _weyl_terms(alpha, beta)
+    weight = Counter()
+    for x0, y0, e in table:
+        for kind, level in (("g1", x0), ("g2", y0), ("g1+g2", x0 + y0), ("g1-g2", x0 - y0)):
+            weight[kind, Q(level, scale)] += abs(e)
+    return weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_third_pairs())
+def test_the_hand_list_is_the_term_lines_across_the_horn_interior(pair):
+    alpha, beta = pair
+    horn = horn_polygon(alpha, beta).vertices
+
+    def crosses(kind, level):
+        vals = [SingularLine(kind, level, "").value(p) for p in horn]
+        return min(vals) < 0 < max(vals)
+
+    crossing = {key: w for key, w in term_line_weights(alpha, beta).items() if crosses(*key)}
+    hand = singular_lines_b2(alpha, beta, within_horn=True)
+    # the same lines, each carrying four terms' |eps| per candidate merged into it
+    assert crossing == {(l.kind, l.level): 4 * (l.source.count(",") + 1) for l in hand}
+
+
+def test_the_cut_reads_no_hand_list(monkeypatch):
+    pairs = [((17, 4), (15, 9)), ((15, 3), (17, 8)), ((Q(11, 2), Q(3, 2)), (5, 2)), ((10, 3), (10, 3))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hand list was read")
+
+    monkeypatch.setattr(volume, "singular_lines_b2", refuse)
+    analyses = [piecewise_analyze_b2(*pair) for pair in pairs]
+    monkeypatch.undo()
+    for pw in analyses:
+        assert pw.violations() == []
+        assert [c.vertices for c in pw.cells] == fraction_cut(pw.alpha, pw.beta)
+
+
 def assert_walls_match_the_fraction_classifier(pw):
-    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in pw.lines}
+    sources = {(l.kind, l.level): l.source.count(",") + 1 for l in singular_lines_b2(pw.alpha, pw.beta)}
     for w in pw.walls:
         sq = SingularLine(w.kind, w.level, "").delta_squared()
         if len(w.cells) == 2:
@@ -716,7 +756,7 @@ def test_piecewise_jumps_telescope_around_loops(pw_left):
 
 def test_piecewise_c1(pw_left):
     h = Q(1, 10000)
-    disc = c1_wall_discrepancies(pw_left, h)
+    disc = c1_wall_discrepancies(pw_left)
     assert disc
     assert all(d <= 10 * h for _, d in disc)
 
@@ -735,7 +775,7 @@ def test_dashed_walls_vanish_linearly(pw_left):
 
 
 def test_detected_nonanalyticities_lie_on_candidate_lines(pw_left):
-    candidates = {(l.kind, l.level) for l in pw_left.lines}
+    candidates = {(l.kind, l.level) for l in singular_lines_b2(pw_left.alpha, pw_left.beta)}
     for w in pw_left.walls:
         if w.classification == "quadratic-ramp" and w.jump_sign != 0:
             assert (w.kind, w.level) in candidates
