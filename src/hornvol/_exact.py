@@ -1,9 +1,11 @@
 """Exact rational linear algebra and bivariate polynomial integrals.
 
-Everything here works over `fractions.Fraction`; no floating point.  Matrices
-are tuples/lists of row sequences.  Sizes stay small (rank <= 8 for solves,
-up to 112x112 integer determinants for covolumes), so plain Gaussian
-elimination and Bareiss are more than adequate.
+Everything here works over `fractions.Fraction` or Python ints; no floating
+point.  Matrices are tuples/lists of row sequences.  `det_bareiss`, the one
+determinant kernel, takes the Cartan matrices and their minors and the
+rank-sized covolume Gram matrices.  `solve_square` and `solve_in_span` have
+no caller in the package; the benchmark's traced run (perfbench/layers.json)
+still wraps them.
 """
 
 from __future__ import annotations
@@ -126,11 +128,6 @@ def det_bareiss(A: Sequence[Sequence[int]]) -> int:
 # Represented as {(i, j): coeff} for the monomial x^i y^j.
 
 Poly2 = dict
-
-
-def p2_eval(p: Poly2, x, y) -> Q:
-    x, y = Q(x), Q(y)
-    return sum((c * x**i * y**j for (i, j), c in p.items()), Q(0))
 
 
 def p2_integrate_polygon(p: Poly2, vertices: Sequence) -> Q:

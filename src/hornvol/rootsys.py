@@ -16,26 +16,30 @@ volume-function formulas of this package are stated.  Quantities that
 depend on the overall scale of the inner product (`kappa_g`) are rescaled
 internally to the convention <theta, theta> = 2 for a long root theta and
 say so in their docstrings; ratios (Weyl dimensions, Cartan integers) are
-scale-free.  Weyl group elements are integer matrices on simple-root
-coordinates, built from the Cartan integers.
+scale-free.  Only the simple roots are realized; every other table comes
+from the integer Cartan matrix C.  The positive roots are stored once, in
+simple-root coordinates, closed under the simple reflections in integers
+(orthonormal coordinates are derived on demand), and Weyl group elements
+are integer matrices on simple-root coordinates.
 
 The exact kernels work on integer Dynkin labels (`RootSystem.labels` reads
 them).  Two integer tables serve them: `root_scale`, (d, d C^-T), which maps
-labels to d times their simple-root coordinates, and `half_norms`, the
-simple-root half-lengths (alpha_i, alpha_i)/2 in units of the shortest one,
-which give inner products on labels: (x, alpha_i) = h_i x_i.
+labels to d times their simple-root coordinates and comes from the cofactors
+of C over det C, and `half_norms`, the simple-root half-lengths
+(alpha_i, alpha_i)/2 in units of the shortest one, which give inner products
+on labels: (x, alpha_i) = h_i x_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
-from math import factorial, lcm
+from functools import cached_property, lru_cache
+from math import factorial, gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ._exact import InvariantError, Vec, dot, qvec, solve_in_span, solve_square, vadd, vscale
+from ._exact import InconsistentSystemError, InvariantError, Vec, det_bareiss, dot, qvec, vadd, vscale
 
 #: the classical families with their smallest rank, the exceptional ones with their rank
 CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -186,8 +190,7 @@ class RootSystem:
     family: str
     rank: int
     simple_roots: tuple[Vec, ...]
-    positive_roots: tuple[Vec, ...]          # orthonormal coordinates
-    positive_roots_rb: tuple[tuple[int, ...], ...]  # simple-root coordinates
+    positive_roots_rb: tuple[tuple[int, ...], ...]  # simple-root coordinates, by (height, key)
     cartan_matrix: tuple[tuple[int, ...], ...]
     exponents: tuple[int, ...]
     dual_coxeter_number: int
@@ -202,7 +205,12 @@ class RootSystem:
 
     @property
     def n_positive(self) -> int:
-        return len(self.positive_roots)
+        return len(self.positive_roots_rb)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Vec, ...]:
+        """The positive roots in orthonormal coordinates."""
+        return tuple(self.root_to_ortho(k) for k in self.positive_roots_rb)
 
     @property
     def weyl_vector(self) -> Weight:
@@ -211,10 +219,7 @@ class RootSystem:
 
     @property
     def rho_ortho(self) -> Vec:
-        acc = (Q(0),) * len(self.simple_roots[0])
-        for a in self.positive_roots:
-            acc = vadd(acc, a)
-        return vscale(Q(1, 2), acc)
+        return self.root_to_ortho(tuple(Q(sum(col), 2) for col in zip(*self.positive_roots_rb)))
 
     # -- labels and basis conversions ------------------------------------------
     def labels(self, w) -> tuple[int, ...]:
@@ -256,7 +261,11 @@ class RootSystem:
         return acc
 
     def ortho_to_root(self, x: Sequence) -> Vec:
-        return tuple(solve_in_span(self.simple_roots, qvec(x)))
+        """Simple-root coordinates of x; InconsistentSystemError off the root span."""
+        c = self.dynkin_to_root(self.ortho_to_dynkin(x))
+        if self.root_to_ortho(c) != qvec(x):
+            raise InconsistentSystemError(f"{tuple(x)} is not in the root span of {self.name}")
+        return c
 
     def ortho_to_dynkin(self, x: Sequence) -> Vec:
         x = qvec(x)
@@ -286,42 +295,44 @@ class RootSystem:
 
     # -- norms ---------------------------------------------------------------
     def long_norm2(self) -> Q:
-        return max(dot(a, a) for a in self.positive_roots)
+        """The squared length of a long root: every root is W-conjugate to a simple one."""
+        return max(dot(a, a) for a in self.simple_roots)
 
 
-def _positive_closure(simple: Sequence[Vec]) -> tuple[list[Vec], list[tuple[int, ...]]]:
-    """All positive roots by root-string closure over the simple roots."""
-    rank = len(simple)
-    norms = [dot(a, a) for a in simple]
-    pos: dict[tuple[int, ...], Vec] = {}
-    for i in range(rank):
-        key = tuple(1 if j == i else 0 for j in range(rank))
-        pos[key] = simple[i]
-    frontier = list(pos.items())
+def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All positive roots in simple-root coordinates, sorted by (height, key).
+
+    The simple roots closed under s_i k = k - <k, alpha_i^vee> alpha_i, with
+    <k, alpha_i^vee> = sum_j k_j C[j][i]; s_i permutes the positive roots other
+    than alpha_i, and each of them is reached from a simple root this way.
+    """
+    rank = len(cartan)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    frontier = simple
     while frontier:
-        new: list[tuple[tuple[int, ...], Vec]] = []
-        for key, vec in frontier:
+        new = []
+        for k in frontier:
             for i in range(rank):
-                # root string through `vec` in the alpha_i direction
-                p = 0
-                down = list(key)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in pos:
-                        break
-                    p += 1
-                pairing = 2 * dot(vec, simple[i]) / norms[i]
-                if p - pairing >= 1:
-                    up = list(key)
-                    up[i] += 1
-                    upk = tuple(up)
-                    if upk not in pos:
-                        cand = vadd(vec, simple[i])
-                        pos[upk] = cand
-                        new.append((upk, cand))
+                p = sum(kj * row[i] for kj, row in zip(k, cartan))
+                if p and k != simple[i]:
+                    image = k[:i] + (k[i] - p,) + k[i + 1:]
+                    if image not in seen:
+                        seen.add(image)
+                        new.append(image)
         frontier = new
-    keys = sorted(pos, key=lambda k: (sum(k), k))
-    return [pos[k] for k in keys], keys
+    return sorted(seen, key=lambda k: (sum(k), k))
+
+
+def _scaled_inverse_transpose(cartan: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d C^-T) for the least d > 0 that makes d C^-T integral: C^-T is the
+    cofactor matrix of C over det C, and both are divided by their common gcd."""
+    n = len(cartan)
+    cof = [[(-1) ** (i + j) * det_bareiss([row[:j] + row[j + 1:] for k, row in enumerate(cartan) if k != i])
+            for j in range(n)] for i in range(n)]
+    det = det_bareiss(cartan)
+    g = gcd(det, *(v for row in cof for v in row))
+    return det // g, tuple(tuple(v // g for v in row) for row in cof)
 
 
 @lru_cache(maxsize=None)
@@ -348,29 +359,22 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
 
     simple = _simple_roots(family, rank)
-    positive, keys = _positive_closure(simple)
-    expected = positive_root_count(family, rank)
-    if len(positive) != expected:
-        raise AssertionError(f"{family}{rank}: closure found {len(positive)} roots, expected {expected}")
-    cartan = tuple(
-        tuple(int(2 * dot(a, b) / dot(b, b)) for b in simple) for a in simple
-    )
     norms = [dot(a, a) for a in simple]
-    # columns of C^-T: the fundamental weights in the simple-root basis
-    At = [[Q(cartan[k][j]) for k in range(rank)] for j in range(rank)]
-    inv = list(zip(*(solve_square(At, [int(j == i) for j in range(rank)]) for i in range(rank))))
-    d = lcm(*(v.denominator for row in inv for v in row))
+    cartan = tuple(tuple(int(2 * dot(a, b) / nb) for b, nb in zip(simple, norms)) for a in simple)
+    keys = _positive_closure(cartan)
+    expected = positive_root_count(family, rank)
+    if len(keys) != expected:
+        raise InvariantError(f"{family}{rank}: closure found {len(keys)} roots, expected {expected}")
     return RootSystem(
         family=family,
         rank=rank,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
         positive_roots_rb=tuple(keys),
         cartan_matrix=cartan,
         exponents=_exponents(family, rank),
         dual_coxeter_number=_dual_coxeter(family, rank),
         half_norms=tuple(int(v / min(norms)) for v in norms),
-        root_scale=(d, tuple(tuple(int(v * d) for v in row) for row in inv)),
+        root_scale=_scaled_inverse_transpose(cartan),
     )
 
 
@@ -399,28 +403,12 @@ def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(_identity_matrix(rs.rank), 1, "e")
-
-
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i acting on simple-root coordinates: c'_i = c_i - sum_j C[j][i] c_j."""
     rows = [list(row) for row in _identity_matrix(rs.rank)]
     for j in range(rs.rank):
         rows[i][j] -= rs.cartan_matrix[j][i]
     return WeylElement(tuple(map(tuple, rows)), -1, f"s{i + 1}")
-
-
-def weyl_element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
-    w = identity_element(rs)
-    for i in word:
-        s = simple_reflection(rs, i)
-        w = WeylElement(
-            _matmul(w.matrix, s.matrix),
-            w.sign * s.sign,
-            (w.label + "." if w.label != "e" else "") + s.label,
-        )
-    return w
 
 
 @lru_cache(maxsize=None)

@@ -230,18 +230,6 @@ def singular_lines_b2(alpha, beta, within_horn: bool = False) -> list[SingularLi
     return sorted(lines, key=lambda l: (l.kind, l.level))
 
 
-def four_prong_vertices(alpha, beta) -> dict[str, Pair]:
-    """The four 4-fold intersection points I, J, K, L of the candidate lines."""
-    a1, a2 = _qpair(alpha)
-    b1, b2 = _qpair(beta)
-    return {
-        "I": (a1 + b2, abs(a2 - b1)),
-        "J": (a2 + b1, abs(a1 - b2)),
-        "K": (abs(b1 - a2), abs(a1 - b2)),
-        "L": (a2 + b2, abs(a1 - b1)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-quadratic analysis
 

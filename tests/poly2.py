@@ -2,12 +2,17 @@
 
 The tests build their references with it: a cell quadratic, Delta^2 of a
 line or a density as a dict, against the integer lattice forms of
-hornvol.volume.  hornvol._exact keeps p2_eval and p2_integrate_polygon.
+hornvol.volume.  hornvol._exact keeps p2_integrate_polygon.
 """
 
 from fractions import Fraction as Q
 
 from hornvol._exact import Poly2
+
+
+def p2_eval(p: Poly2, x, y) -> Q:
+    x, y = Q(x), Q(y)
+    return sum((c * x**i * y**j for (i, j), c in p.items()), Q(0))
 
 
 def p2_add(p: Poly2, q: Poly2) -> Poly2:

@@ -70,3 +70,9 @@ def test_e7_e8_slow():
     assert e7.delta_gram == 2**6 * 3**14 and e7.agree
     e8 = covolume_report("E8")
     assert e8.delta_gram == 2**8 * 3**8 * 5**8 and e8.agree
+
+
+def test_rank_thirty_gram_equals_formula_equals_table():
+    for family in ("B", "D"):
+        rep = covolume_report(family, 30)
+        assert rep.agree, rep

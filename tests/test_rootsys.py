@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornvol._exact import solve_square
+from hornvol import rootsys
+from hornvol._exact import InconsistentSystemError, InvariantError, dot, solve_square
 from hornvol.rootsys import (
     UnsupportedAlgebraError,
     Weight,
+    WeylElement,
+    _identity_matrix,
+    _matmul,
     apply_weyl,
     b2_weyl_element,
     b2_weyl_table,
@@ -20,6 +24,7 @@ from hornvol.rootsys import (
     kappa_theta,
     positive_root_count,
     polytope_degree,
+    simple_reflection,
     weyl_dimension,
     weyl_group,
     NonDominantWeightError,
@@ -34,11 +39,28 @@ ALL_ALGEBRAS = (
 )
 
 
-@pytest.mark.parametrize("family,rank", ALL_ALGEBRAS)
+@pytest.mark.parametrize("family,rank", ALL_ALGEBRAS + [("B", 30), ("D", 30)])
 def test_positive_root_counts_match_table(family, rank):
     rs = build_root_system(family, rank)
     assert rs.n_positive == positive_root_count(family, rank)
     assert rs.n_positive - rank == polytope_degree(family, rank)
+
+
+def test_closure_count_mismatch_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(rootsys, "positive_root_count", lambda family, rank: 5)
+    with pytest.raises(InvariantError, match="closure found 4 roots, expected 5"):
+        build_root_system.__wrapped__("B", 2)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G2", 2), ("F4", 4), ("E8", 8)])
+def test_positive_roots_are_the_orthonormal_images_of_the_keys(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(set(rs.positive_roots)) == rs.n_positive
+    for key, root in zip(rs.positive_roots_rb, rs.positive_roots):
+        assert rs.ortho_to_root(root) == key
+        # s_alpha maps the simple roots to roots: <alpha_i, alpha^vee> is an integer
+        assert all((2 * dot(a, root) / dot(root, root)).denominator == 1 for a in rs.simple_roots)
+    assert rs.long_norm2() == max(dot(a, a) for a in rs.positive_roots)
 
 
 def test_b2_positive_roots_and_rho():
@@ -69,8 +91,6 @@ def test_rho_has_unit_dynkin_labels():
 
 
 def test_cartan_matrix_definition():
-    from hornvol._exact import dot
-
     for family, rank in [("B", 2), ("G2", 2), ("F4", 4), ("C", 3)]:
         rs = build_root_system(family, rank)
         for i, a in enumerate(rs.simple_roots):
@@ -133,9 +153,20 @@ def test_b2_weyl_group_has_eight_elements_and_multiplicative_sign():
         assert w.sign**2 == 1
 
 
-def test_weyl_element_from_word():
-    from hornvol.rootsys import weyl_element_from_word
+def weyl_element_from_word(rs, word) -> WeylElement:
+    """The product s_{word[0]} s_{word[1]} ... as one integer matrix."""
+    w = WeylElement(_identity_matrix(rs.rank), 1, "e")
+    for i in word:
+        s = simple_reflection(rs, i)
+        w = WeylElement(
+            _matmul(w.matrix, s.matrix),
+            w.sign * s.sign,
+            (w.label + "." if w.label != "e" else "") + s.label,
+        )
+    return w
 
+
+def test_weyl_element_from_word():
     rs = build_root_system("B", 2)
     w = weyl_element_from_word(rs, (0, 1))  # s1 then s2
     assert w.sign == 1
@@ -150,8 +181,6 @@ def test_weyl_element_from_word():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
 def test_weyl_matrices_are_integer(family, rank):
-    from hornvol.rootsys import simple_reflection, weyl_element_from_word
-
     rs = build_root_system(family, rank)
     elements = list(weyl_group(rs)) + [simple_reflection(rs, i) for i in range(rank)]
     elements.append(weyl_element_from_word(rs, range(rank)))
@@ -304,6 +333,18 @@ def test_basis_round_trips(family, rank):
                 assert back.coords == coords
 
 
+def test_vectors_off_the_root_span_raise():
+    a3 = build_root_system("A", 3)
+    off = (1, 1, 1, 1)
+    with pytest.raises(InconsistentSystemError):
+        a3.ortho_to_root(off)
+    with pytest.raises(InconsistentSystemError):
+        a3.to_basis(Weight(off, "ortho"), "root")
+    with pytest.raises(InconsistentSystemError):
+        a3.to_basis(Weight(off, "ortho"), "dynkin")
+    assert a3.ortho_to_root((1, 0, 0, -1)) == (1, 1, 1)
+
+
 def test_basis_aliases():
     w = Weight((1, 2), "SimpleRoot")
     assert w.basis == "root"
@@ -343,6 +384,18 @@ def reference_dynkin_to_root(rs, a):
     n = rs.rank
     At = [[Q(rs.cartan_matrix[i][j]) for i in range(n)] for j in range(n)]
     return tuple(solve_square(At, [Q(v) for v in a]))
+
+
+@pytest.mark.parametrize("family,rank", ALL_ALGEBRAS)
+def test_dynkin_to_root_matches_a_solve_square_reference_on_unit_labels(family, rank):
+    rs = build_root_system(family, rank)
+    for i in range(rank):
+        unit = tuple(int(j == i) for j in range(rank))
+        assert rs.dynkin_to_root(unit) == reference_dynkin_to_root(rs, unit)
+    d, scaled = rs.root_scale
+    # d is the least scale that makes C^-T integral
+    assert all(type(v) is int for row in scaled for v in row)
+    assert gcd(d, *(v for row in scaled for v in row)) == 1
 
 
 def rational_labels(rank: int):

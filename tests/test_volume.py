@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hornvol import volume
-from hornvol._exact import InvariantError, p2_eval, p2_integrate_polygon
+from hornvol._exact import InvariantError, p2_integrate_polygon
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError
@@ -34,7 +34,6 @@ from hornvol.volume import (
     c_kappa_via_kissinger,
     c1_wall_discrepancies,
     delta_b2,
-    four_prong_vertices,
     horn_contains_b2,
     horn_halfplanes,
     horn_polygon,
@@ -51,7 +50,7 @@ from hornvol.volume import (
     so2_support,
     volume_routes,
 )
-from poly2 import p2_add, p2_linear, p2_mul, p2_scale, p2_sub
+from poly2 import p2_add, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
 RHO = (Q(3, 2), Q(1, 2))
@@ -181,6 +180,18 @@ def test_singular_line_levels():
     assert levels["g2"] == [2, 5, 8, 11, 13]
     assert levels["g1+g2"] == [11, 15, 19, 27, 37]
     assert levels["g1-g2"] == [3, 7, 11, 15, 19]
+
+
+def four_prong_vertices(alpha, beta) -> dict:
+    """The four 4-fold intersection points I, J, K, L of the candidate lines."""
+    a1, a2 = map(Q, alpha)
+    b1, b2 = map(Q, beta)
+    return {
+        "I": (a1 + b2, abs(a2 - b1)),
+        "J": (a2 + b1, abs(a1 - b2)),
+        "K": (abs(b1 - a2), abs(a1 - b2)),
+        "L": (a2 + b2, abs(a1 - b1)),
+    }
 
 
 def test_four_prong_vertices_lie_on_four_lines():
