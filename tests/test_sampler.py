@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornvol._exact import p2_integrate_polygon
+from hornvol._exact import InvariantError, p2_integrate_polygon
 from hornvol.bzpolytope import clip_cell
 from hornvol import sampler
 from hornvol.sampler import (
@@ -17,6 +17,7 @@ from hornvol.sampler import (
     _GL4_WEIGHTS,
     _bin_index,
     b2_frequencies,
+    chi2_sf,
     chi_square_vs_pdf,
     expected_bin_probabilities,
     haar_orthogonal,
@@ -312,13 +313,53 @@ def test_chi_square_small_run():
     assert summary.dof > 100
 
 
-def test_chi_square_p_value_is_the_chi2_survival_function():
+def assert_chi2_sf_close(dof, x):
+    """chi2_sf against scipy's chi2.sf: 1e-11 absolute, and 1e-9 relative where the reference is >= 1e-300.
+
+    Both bounds are stated in advance, not fitted to the observed error
+    (about 6e-13 absolute and 2e-12 relative over dof 1..1599).
+    """
     from scipy.stats import chi2
 
+    p, ref = chi2_sf(dof, x), float(chi2.sf(x, dof))
+    assert abs(p - ref) <= 1e-11, (dof, x, p, ref)
+    if ref >= 1e-300:
+        assert abs(p - ref) <= 1e-9 * ref, (dof, x, p, ref)
+
+
+def test_chi_square_p_value_is_the_chi2_survival_function():
     hist = sample_b2_spectrum((15, 3), (17, 8), 20_000, seed=6, bins=20)
     summary = chi_square_vs_pdf(hist, (15, 3), (17, 8))
     assert summary.dof > 10
-    assert summary.p_value == float(chi2.sf(summary.statistic, summary.dof))
+    assert summary.p_value == chi2_sf(summary.dof, summary.statistic)
+    assert_chi2_sf_close(summary.dof, summary.statistic)
+
+
+# dof up to 40^2 - 1, the most a default 40 x 40 histogram can have; x both
+# relative to dof (the body of the law) and absolute (far into the tail)
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 40**2 - 1), st.floats(0, 4), st.floats(0, 1e4))
+def test_chi2_sf_matches_scipy(dof, t, x):
+    assert_chi2_sf_close(dof, t * dof)
+    assert_chi2_sf_close(dof, x)
+
+
+def test_chi2_sf_edges_and_monotone():
+    for dof in (1, 2, 7, 163, 1599):
+        assert chi2_sf(dof, 0.0) == 1.0
+        for huge in (1e5 + 10 * dof, 1e300):
+            assert 0.0 <= chi2_sf(dof, huge) <= 1e-300
+        values = [chi2_sf(dof, x) for x in np.linspace(0, 4 * dof + 50, 400)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[0] == 1.0 and values[-1] < 1e-6
+
+
+def test_chi2_sf_without_convergence_raises(monkeypatch):
+    # two terms are far too few on both sides of a + 1: the series (x < dof + 2) and the continued fraction
+    monkeypatch.setattr(sampler, "GAMMA_MAX_TERMS", 2)
+    for x in (1500.0, 1700.0):
+        with pytest.raises(InvariantError):
+            chi2_sf(1599, x)
 
 
 def test_chi_square_without_degrees_of_freedom_is_nan():

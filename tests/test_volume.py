@@ -1070,6 +1070,30 @@ def test_multiplicity_one_fails_to_scale_only_on_segments():
     assert cases == 477
 
 
+def test_empty_multiplicity_on_nonempty_bz_polygon_is_a_saturated_point():
+    # A non-empty BZ polygon P with C = 0 holds no lattice point.  Over labels
+    # <= 5 every such P is a single point, and doubling the triple gives
+    # C_{2 lam, 2 mu}^{2 nu} > 0 (a factor-2 saturation), so P is non-empty
+    # exactly when C + C_2 > 0.  C and C_2 come from Steinberg, not the BZ count.
+    from hornvol.multiplicity import lr_steinberg
+
+    weights = list(itertools.product(range(6), repeat=2))
+    nonempty = empty_c = 0
+    for lam, mu, nu in itertools.product(weights, repeat=3):
+        if (lam[1] + mu[1] - nu[1]) % 2:
+            continue
+        P = bz_polygon_b2(lam, mu, nu)
+        if P.dim < 0:
+            continue
+        nonempty += 1
+        if lr_steinberg(B2, lam, mu, nu) == 0:
+            empty_c += 1
+            c2 = lr_steinberg(B2, *(tuple(2 * v for v in w) for w in (lam, mu, nu)))
+            assert P.dim == 0, (lam, mu, nu, P.dim)
+            assert c2 > 0, (lam, mu, nu, c2)
+    assert (nonempty, empty_c) == (14148, 165)
+
+
 # -- SO(2) ----------------------------------------------------------------------
 
 
