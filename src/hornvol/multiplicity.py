@@ -72,26 +72,36 @@ def _check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
 
 
 def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    cart = rs.cartan_matrix
-    n = rs.rank
+    """The Weyl orbit of `start` in Dynkin labels, closed under s_i a = a - a_i C[i]."""
     orbit = {start}
     frontier = [start]
     while frontier:
         new = []
         for a in frontier:
-            for i in range(n):
-                if a[i] == 0:
-                    continue
-                b = tuple(a[j] - a[i] * cart[i][j] for j in range(n))
-                if b not in orbit:
-                    orbit.add(b)
-                    new.append(b)
+            for ai, row in zip(a, rs.cartan_matrix):
+                if ai:
+                    b = tuple([x - ai * c for x, c in zip(a, row)])
+                    if b not in orbit:
+                        orbit.add(b)
+                        new.append(b)
         frontier = new
     return orbit
 
 
 @lru_cache(maxsize=512)
 def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightMultiplicityTable:
+    """The weight system of V_lam by Freudenthal's recursion, in dominant weights by level.
+
+    (|lam + rho|^2 - |mu + rho|^2) m(mu) = 2 sum_{alpha > 0} sum_{k >= 1}
+    m(mu + k alpha) (mu + k alpha, alpha) for each dominant mu = lam - off,
+    taken in increasing level sum(off).  The dominant representative of
+    mu + k alpha lies above mu + k alpha, so its level is below that of mu; it
+    was finished earlier, and its Weyl orbit already holds m(mu + k alpha).
+    Each finished dominant weight therefore puts its whole orbit into
+    `entries` at once, and every lookup is one dict read of labels.  The
+    alpha-string through a weight is unbroken, so it is walked up from mu
+    until the first weight that is not in `entries`.
+    """
     rs = build_root_system(family, rank)
     dim = weyl_dimension(rs, lam)
     if dim > DEFAULT_DIM_CAP:
@@ -99,62 +109,54 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightM
 
     h = rs.half_norms
     cart = rs.cartan_matrix
-    n = rs.rank
 
     # inner products in half-norm units on Dynkin labels, (w, alpha_i) = h_i w_i;
     # breadth-first closure of lambda - Q_+ pruned by |w|^2 <= |lambda|^2,
     # tracking t = |lambda|^2 - |w|^2; keys are the offsets lambda - w in
     # simple-root coordinates
-    zero = (0,) * n
+    zero = (0,) * rank
     cand: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {zero: (lam, 0)}
     frontier = [zero]
     while frontier:
         new = []
         for off in frontier:
             dyn, t = cand[off]
-            for i in range(n):
-                off2 = tuple(off[j] + (1 if j == i else 0) for j in range(n))
+            for i in range(rank):
+                off2 = off[:i] + (off[i] + 1,) + off[i + 1:]
                 if off2 in cand:
                     continue
                 # |w - alpha_i|^2 = |w|^2 - 2 h_i w_i + 2 h_i
                 t2 = t + 2 * h[i] * (dyn[i] - 1)
                 if t2 < 0:
                     continue
-                cand[off2] = (tuple(dyn[j] - cart[i][j] for j in range(n)), t2)
+                cand[off2] = (tuple(map(sub, dyn, cart[i])), t2)
                 new.append(off2)
         frontier = new
 
     # by level sum(off), so zero, the highest weight, comes first
     dominants = sorted((off for off, (dyn, _) in cand.items() if min(dyn) >= 0), key=sum)
-    # per positive root alpha: simple-root coordinates, the coefficients of
+    # per positive root alpha: its Dynkin labels, the coefficients of
     # (., alpha) on Dynkin labels, and |alpha|^2
     roots = []
     for rb in rs.positive_roots_rb:
         hc = tuple(map(mul, rb, h))
-        alpha = [sum(map(mul, rb, col)) for col in zip(*cart)]  # Dynkin labels of alpha
-        roots.append((rb, hc, sum(map(mul, hc, alpha))))
-    mult: dict[tuple[int, ...], int] = {lam: 1}
-
-    def mult_of(off: tuple[int, ...]) -> int:
-        dyn = cand[off][0]
-        dom, _ = reflect_to_dominant(rs, dyn)
-        return mult.get(tuple(dom), 0)
+        alpha = tuple([sum(map(mul, rb, col)) for col in zip(*cart)])
+        roots.append((alpha, hc, sum(map(mul, hc, alpha))))
+    entries = dict.fromkeys(_weyl_orbit_dynkin(rs, lam), 1)
 
     for off in dominants[1:]:
         dyn, t = cand[off]
         num = 0
-        for rb, hc, norm2 in roots:
-            w_alpha = sum(map(mul, hc, dyn))
-            k = 1
-            while True:
-                off_k = tuple(o - k * r for o, r in zip(off, rb))
-                if any(v < 0 for v in off_k):
+        for alpha, hc, norm2 in roots:
+            w = dyn
+            ip = sum(map(mul, hc, dyn))
+            while True:  # m(w + k alpha) (w + k alpha, alpha), k = 1, 2, ...
+                w = tuple(map(add, w, alpha))
+                m = entries.get(w)
+                if m is None:
                     break
-                if off_k in cand:
-                    m = mult_of(off_k)
-                    if m:
-                        num += m * (w_alpha + k * norm2)  # m(w + k alpha) (w + k alpha, alpha)
-                k += 1
+                ip += norm2
+                num += m * ip
         if num == 0:
             continue
         # |lambda + rho|^2 - |w + rho|^2 = t + 2 (lambda - w, rho)
@@ -162,12 +164,7 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightM
         val, rem = divmod(2 * num, den)
         if rem or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {2 * num}/{den} of {dyn} in V{lam} is not a positive integer")
-        mult[dyn] = val
-
-    entries: dict[tuple[int, ...], int] = {}
-    for dyn, m in mult.items():
-        for w in _weyl_orbit_dynkin(rs, dyn):
-            entries[w] = m
+        entries.update(dict.fromkeys(_weyl_orbit_dynkin(rs, dyn), val))
     return WeightMultiplicityTable(highest_weight=lam, entries=entries)
 
 
@@ -256,12 +253,11 @@ def lr_klimyk(rs: RootSystem, lam, mu, nu) -> int:
     lam = _check_dominant(rs, lam)
     nu = _check_dominant(rs, nu)
     table = freudenthal_weights(rs, mu)
-    n = rs.rank
-    target = tuple(v + 1 for v in nu)
+    shift = tuple([v + 1 for v in lam])
+    target = tuple([v + 1 for v in nu])
     acc = 0
     for tau, m in table.entries.items():
-        x = tuple(lam[i] + tau[i] + 1 for i in range(n))
-        dom, sign = reflect_to_dominant(rs, x)
+        dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
         if sign and dom == target:
             acc += sign * m
     return _checked_multiplicity(acc, "Klimyk", lam, mu, nu)
@@ -278,15 +274,13 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
     table = freudenthal_weights(rs, mu)
-    n = rs.rank
-    acc: dict[tuple[int, ...], int] = {}
+    shift = tuple([v + 1 for v in lam])
+    acc: dict[tuple[int, ...], int] = {}  # keyed by nu + rho
     for tau, m in table.entries.items():
-        x = tuple(lam[i] + tau[i] + 1 for i in range(n))
-        dom, sign = reflect_to_dominant(rs, x)
+        dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
         if sign:
-            nu = tuple(v - 1 for v in dom)
-            acc[nu] = acc.get(nu, 0) + sign * m
-    out = {k: v for k, v in acc.items() if v != 0}
+            acc[dom] = acc.get(dom, 0) + sign * m
+    out = {tuple([v - 1 for v in dom]): c for dom, c in acc.items() if c}
     for nu, v in out.items():
         _checked_multiplicity(v, "Klimyk", lam, mu, nu)
     return out

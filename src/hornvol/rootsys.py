@@ -480,24 +480,22 @@ def reflect_to_dominant(rs: RootSystem, a: Sequence) -> tuple[tuple, int]:
 
     Returns (dominant labels, sign).  Sign is 0 when the terminal weight lies
     on a chamber wall (some label 0), which is the drop rule of the
-    Racah-Speiser algorithm.
+    Racah-Speiser algorithm; otherwise it is eps(w) for the one Weyl element
+    w that maps a into the open chamber.  Each step reflects in the most
+    negative label, s_i a = a - a_i C[i], and raises a by -a_i alpha_i, so
+    the walk ends; the dominant image is unique, so the order of the steps
+    does not matter.  Raises ValueError on a wrong number of labels.
     """
+    if len(a) != rs.rank:
+        raise ValueError(f"{tuple(a)} needs {rs.rank} Dynkin labels")
     cart = rs.cartan_matrix
-    a = list(a)
-    n = rs.rank
     sign = 1
-    while True:
-        i = next((k for k in range(n) if a[k] < 0), None)
-        if i is None:
-            break
-        ai = a[i]
-        row = cart[i]
-        for j in range(n):
-            a[j] -= ai * row[j]
+    low = min(a)
+    while low < 0:
+        a = [x - low * c for x, c in zip(a, cart[a.index(low)])]
         sign = -sign
-    if any(v == 0 for v in a):
-        return tuple(a), 0
-    return tuple(a), sign
+        low = min(a)
+    return tuple(a), sign if low else 0
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,92 @@ def test_size_guard_and_family_guard():
         freudenthal_weights(build_root_system("E7"), (1, 0, 0, 0, 0, 0, 0))
 
 
+def _reflect_first_negative(cart, a):
+    """Dominant image of Dynkin labels a, always reflecting in the first negative label."""
+    a = list(a)
+    while (i := next((k for k, v in enumerate(a) if v < 0), None)) is not None:
+        ai = a[i]
+        a = [x - ai * c for x, c in zip(a, cart[i])]
+    return tuple(a)
+
+
+def freudenthal_reference(rs, lam):
+    """{Dynkin labels: multiplicity} of V_lam by Freudenthal, reflecting each lookup.
+
+    The same candidate set, level order and integer inner products as the
+    library, but m(mu + k alpha) is read at the dominant image of mu + k alpha
+    in a table of dominant weights, for every k while mu + k alpha <= lam,
+    and the orbits are expanded only at the end.
+    """
+    h, cart, n = rs.half_norms, rs.cartan_matrix, rs.rank
+    zero = (0,) * n
+    cand = {zero: (tuple(lam), 0)}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for off in frontier:
+            dyn, t = cand[off]
+            for i in range(n):
+                off2 = tuple(off[j] + (j == i) for j in range(n))
+                t2 = t + 2 * h[i] * (dyn[i] - 1)
+                if off2 not in cand and t2 >= 0:
+                    cand[off2] = (tuple(dyn[j] - cart[i][j] for j in range(n)), t2)
+                    new.append(off2)
+        frontier = new
+    dominants = sorted((off for off, (dyn, _) in cand.items() if min(dyn) >= 0), key=sum)
+    mult = {tuple(lam): 1}
+    for off in dominants[1:]:
+        dyn, t = cand[off]
+        num = 0
+        for rb in rs.positive_roots_rb:
+            hc = [r * hi for r, hi in zip(rb, h)]
+            alpha = [sum(r * cart[i][j] for i, r in enumerate(rb)) for j in range(n)]
+            k = 1
+            while min(o - k * r for o, r in zip(off, rb)) >= 0:
+                off_k = tuple(o - k * r for o, r in zip(off, rb))
+                if off_k in cand:
+                    m = mult.get(_reflect_first_negative(cart, cand[off_k][0]), 0)
+                    num += m * sum(c * (d + k * a) for c, d, a in zip(hc, dyn, alpha))
+                k += 1
+        if num:
+            den = t + 2 * sum(o * hi for o, hi in zip(off, h))
+            assert 2 * num % den == 0
+            mult[dyn] = 2 * num // den
+    entries = {}
+    for dyn, m in mult.items():
+        orbit, frontier = {dyn}, [dyn]
+        while frontier:
+            frontier = {tuple(a[j] - a[i] * cart[i][j] for j in range(n)) for a in frontier for i in range(n)} - orbit
+            orbit |= frontier
+        entries.update(dict.fromkeys(orbit, m))
+    return entries
+
+
+REFERENCE_ALGEBRAS = {name: build_root_system(*name) for name in (("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G2", None))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_ALGEBRAS, key=str)), st.data())
+def test_freudenthal_equals_the_per_lookup_reference(name, data):
+    rs = REFERENCE_ALGEBRAS[name]
+    lam = data.draw(st.tuples(*[st.integers(0, 9 if rs.rank == 2 else 3)] * rs.rank))
+    assert freudenthal_weights(rs, lam).entries == freudenthal_reference(rs, lam)
+
+
+@pytest.mark.parametrize("algebra, lam", [
+    (("D", 4), (1, 1, 0, 1)),
+    (("D", 4), (1, 1, 1, 1)),
+    (("F4", None), (1, 0, 0, 1)),
+    (("F4", None), (1, 1, 0, 0)),
+    (("B", 2), (20, 20)),
+])
+def test_freudenthal_equals_the_reference_on_larger_modules(algebra, lam):
+    rs = build_root_system(*algebra)
+    table = freudenthal_weights(rs, lam)
+    assert table.entries == freudenthal_reference(rs, lam)
+    assert table.dimension() == weyl_dimension(rs, lam)
+
+
 # -- Kostant partition function ----------------------------------------------
 
 

@@ -24,6 +24,7 @@ from hornvol.rootsys import (
     kappa_theta,
     positive_root_count,
     polytope_degree,
+    reflect_to_dominant,
     simple_reflection,
     weyl_dimension,
     weyl_group,
@@ -377,6 +378,9 @@ def test_label_count_is_checked():
         weyl_dimension(b2, (1, 0, 7))
     with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
         b2.dynkin_to_root((1,))
+    for bad in ((1, 2, 3), (-1,), ()):
+        with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
+            reflect_to_dominant(b2, bad)
 
 
 def reference_dynkin_to_root(rs, a):
@@ -435,3 +439,48 @@ def test_integer_labels_agree_with_the_fraction_path(algebra, data):
                       integer.map(lambda a: tuple(map(Q, a))))
     lam, mu, nu = (data.draw(label) for _ in range(3))
     assert is_compatible(rs, lam, mu, nu) == is_compatible_through_fractions(rs, lam, mu, nu)
+
+
+def weyl_images_reference(rs, a):
+    """(eps(w), Dynkin labels of w a) for every w of weyl_group(rs), through simple-root coordinates."""
+    d, cart, n = rs.root_scale[0], rs.cartan_matrix, rs.rank
+    c = rs.scaled_root(a)
+    out = []
+    for w in weyl_group(rs):
+        wc = [sum(m * x for m, x in zip(row, c)) for row in w.matrix]
+        scaled = [sum(wc[i] * cart[i][j] for i in range(n)) for j in range(n)]
+        assert all(v % d == 0 for v in scaled)
+        out.append((w.sign, tuple(v // d for v in scaled)))
+    return out
+
+
+DOMINANCE_ALGEBRAS = [("A", 2), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None)]
+
+
+@st.composite
+def labels_in_some_chamber(draw):
+    """(algebra, labels in [-12, 12]); half of them a wall point moved by simple reflections."""
+    rs = build_root_system(*draw(st.sampled_from(DOMINANCE_ALGEBRAS)))
+    a = list(draw(st.tuples(*[st.integers(-12, 12)] * rs.rank)))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rs.rank - 1))] = 0
+        for i in draw(st.lists(st.integers(0, rs.rank - 1), max_size=6)):
+            a = [x - a[i] * c for x, c in zip(a, rs.cartan_matrix[i])]
+        a = [max(-12, min(12, x)) for x in a]
+    return rs, tuple(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels_in_some_chamber())
+def test_reflect_to_dominant_matches_a_weyl_group_search(case):
+    rs, a = case
+    dominant = [(sign, b) for sign, b in weyl_images_reference(rs, a) if min(b) >= 0]
+    image = dominant[0][1]
+    assert all(b == image for _, b in dominant)  # one dominant image
+    if min(image) > 0:  # regular: one element maps a into the open chamber
+        assert len(dominant) == 1
+        expected = (image, dominant[0][0])
+    else:
+        expected = (image, 0)
+    assert reflect_to_dominant(rs, a) == expected
+    assert reflect_to_dominant(rs, list(a)) == expected

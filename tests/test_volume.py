@@ -13,7 +13,7 @@ from hornvol import volume
 from hornvol._exact import InvariantError, p2_integrate_polygon
 from hornvol.bzpolytope import _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
-from hornvol.multiplicity import SizeGuardError
+from hornvol.multiplicity import SizeGuardError, freudenthal_weights, lr_steinberg
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
 from hornvol.volume import (
     _CHAMBER_WALLS,
@@ -1053,8 +1053,6 @@ def test_multiplicity_one_fails_to_scale_only_on_segments():
     # of relative length 1/2, whose doubled dilation holds two lattice points.
     # Over labels <= 3 and s <= 4 every such case is a segment P, and C_s is
     # the lattice count of sP.  C and C_s come from Steinberg, not the BZ count.
-    from hornvol.multiplicity import lr_steinberg
-
     weights = list(itertools.product(range(4), repeat=2))
     cases = 0
     for lam, mu, nu in itertools.product(weights, repeat=3):
@@ -1075,8 +1073,6 @@ def test_empty_multiplicity_on_nonempty_bz_polygon_is_a_saturated_point():
     # <= 5 every such P is a single point, and doubling the triple gives
     # C_{2 lam, 2 mu}^{2 nu} > 0 (a factor-2 saturation), so P is non-empty
     # exactly when C + C_2 > 0.  C and C_2 come from Steinberg, not the BZ count.
-    from hornvol.multiplicity import lr_steinberg
-
     weights = list(itertools.product(range(6), repeat=2))
     nonempty = empty_c = 0
     for lam, mu, nu in itertools.product(weights, repeat=3):
@@ -1092,6 +1088,52 @@ def test_empty_multiplicity_on_nonempty_bz_polygon_is_a_saturated_point():
             assert P.dim == 0, (lam, mu, nu, P.dim)
             assert c2 > 0, (lam, mu, nu, c2)
     assert (nonempty, empty_c) == (14148, 165)
+
+
+def dominant_nus(lam, mu):
+    """The dominant nu in lam + (weights of V_mu).
+
+    A non-empty BZ polygon puts nu in lam + conv(W mu), whose points in the
+    root-lattice coset of lam + mu are lam plus the weights of V_mu, so every
+    compatible nu with a non-empty P is among these.
+    """
+    for tau in freudenthal_weights(B2, mu).entries:
+        nu = (lam[0] + tau[0], lam[1] + tau[1])
+        if min(nu) >= 0:
+            yield nu
+
+
+#: labels of lam and mu beyond the exhaustive ranges above; fixed in advance
+SATURATION_LABELS = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SATURATION_LABELS, SATURATION_LABELS)
+def test_multiplicity_one_fails_to_scale_only_on_segments_beyond_labels_three(lam, mu):
+    # the statement of the exhaustive test above, on every nu of a drawn
+    # (lam, mu) with labels <= 12; C and C_s come from Steinberg
+    for nu in dominant_nus(lam, mu):
+        if lr_steinberg(B2, lam, mu, nu) != 1:
+            continue
+        for s in range(2, 5):
+            cs = lr_steinberg(B2, *(tuple(s * v for v in w) for w in (lam, mu, nu)))
+            if cs != 1:
+                P = bz_polygon_b2(lam, mu, nu)
+                assert P.dim == 1, (lam, mu, nu, s, cs)
+                assert cs == P.dilate(s).lattice_count(), (lam, mu, nu, s, cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SATURATION_LABELS, SATURATION_LABELS)
+def test_empty_multiplicity_on_nonempty_bz_polygon_is_a_saturated_point_beyond_labels_five(lam, mu):
+    # the statement of the exhaustive test above, on every nu of a drawn
+    # (lam, mu) with labels <= 12; C and C_2 come from Steinberg
+    for nu in dominant_nus(lam, mu):
+        P = bz_polygon_b2(lam, mu, nu)
+        if P.dim >= 0 and lr_steinberg(B2, lam, mu, nu) == 0:
+            c2 = lr_steinberg(B2, *(tuple(2 * v for v in w) for w in (lam, mu, nu)))
+            assert P.dim == 0, (lam, mu, nu, P.dim)
+            assert c2 > 0, (lam, mu, nu, c2)
 
 
 # -- SO(2) ----------------------------------------------------------------------
