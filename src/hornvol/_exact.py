@@ -1,11 +1,12 @@
 """Exact rational linear algebra and bivariate polynomial integrals.
 
 Everything here works over `fractions.Fraction` or Python ints; no floating
-point.  Matrices are tuples/lists of row sequences.  `det_bareiss`, the one
-determinant kernel, takes the Cartan matrices and their minors and the
-rank-sized covolume Gram matrices.  `solve_square` and `solve_in_span` have
-no caller in the package; the benchmark's traced run (perfbench/layers.json)
-still wraps them.
+point.  Matrices are tuples/lists of row sequences.  `det_adj_bareiss`, the
+one elimination kernel, gives the determinant and the adjugate of a Cartan
+matrix; `det_bareiss` reads the determinant off it, for the Cartan matrices
+and the rank-sized covolume Gram matrices.  `solve_square` and
+`solve_in_span` have no caller in the package; the benchmark's traced run
+(perfbench/layers.json) still wraps them.
 """
 
 from __future__ import annotations
@@ -100,27 +101,40 @@ def solve_in_span(vectors: Sequence[Sequence], target: Sequence) -> list[Q]:
     return coeffs
 
 
-def det_bareiss(A: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+def det_adj_bareiss(A: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """(det A, adj A) of a square integer matrix; adj is None when det A = 0.
+
+    One fraction-free Gauss-Jordan elimination of [A | I] (Bareiss, Math.
+    Comp. 22, 1968): step k swaps a nonzero pivot p into row k and replaces
+    every other row r by (p r - r[k] row_k) / p', p' the previous pivot, a
+    division that is exact.  The row operations L make L A = d I, d the last
+    pivot, so L, the right block, is d A^-1; with s the sign of the row
+    swaps, d = s det A and L = s adj A.  A column without a pivot makes A
+    singular.
+    """
     n = len(A)
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    M = [[int(v) for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    sign = prev = 1
+    for k in range(n):
         if M[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
             if piv is None:
-                return 0
+                return 0, None
             M[k], M[piv] = M[piv], M[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+        pivot_row = M[k]
+        p = pivot_row[k]
+        for i, row in enumerate(M):
+            if i != k:
+                f = row[k]
+                M[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * v for v in row[n:]) for row in M)
+
+
+def det_bareiss(A: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix, read off det_adj_bareiss; 0 when A is singular."""
+    return det_adj_bareiss(A)[0]
 
 
 # ---------------------------------------------------------------------------

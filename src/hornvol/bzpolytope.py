@@ -207,6 +207,8 @@ class RationalPolygon:
     """
 
     def __init__(self, halfplanes: Sequence[HalfPlane], elim: tuple[Q, Q] | None = None):
+        """A polygon of arbitrary half-planes, kept for the tests' reference builders: the
+        package builds its polygons from integer row templates (bz_polygon_b2, horn_polygon)."""
         self.halfplanes = tuple(halfplanes)
         self._set_rows(tuple((*h.row, h.strict) for h in self.halfplanes),
                        tuple(h.den for h in self.halfplanes), tuple(h.label for h in self.halfplanes),

@@ -38,6 +38,7 @@ from .rootsys import (
 )
 from .volume import (
     b2_dynkin_to_ortho,
+    horn_contains_b2,
     horn_polygon,
     j_b2,
     pdf_b2,
@@ -216,7 +217,7 @@ def cmd_grid(args) -> int:
         for i in range(res + 1):
             for j in range(res + 1):
                 g = (x0 + (x1 - x0) * Q(i, res), y0 + (y1 - y0) * Q(j, res))
-                jval = j_b2(alpha, beta, g) if poly.contains(g) else Q(0)
+                jval = j_b2(alpha, beta, g) if horn_contains_b2(alpha, beta, g) else Q(0)
                 pval = pdf_b2(alpha, beta, g) if jval else Q(0)
                 writer.writerow([str(g[0]), str(g[1]), str(jval), str(pval)])
 

@@ -39,7 +39,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import Sequence
 
-from ._exact import InconsistentSystemError, InvariantError, Vec, det_bareiss, dot, qvec, vadd, vscale
+from ._exact import InconsistentSystemError, InvariantError, Vec, det_adj_bareiss, dot, qvec, vadd, vscale
 
 #: the classical families with their smallest rank, the exceptional ones with their rank
 CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -326,13 +326,13 @@ def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 def _scaled_inverse_transpose(cartan: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, d C^-T) for the least d > 0 that makes d C^-T integral: C^-T is the
-    cofactor matrix of C over det C, and both are divided by their common gcd."""
-    n = len(cartan)
-    cof = [[(-1) ** (i + j) * det_bareiss([row[:j] + row[j + 1:] for k, row in enumerate(cartan) if k != i])
-            for j in range(n)] for i in range(n)]
-    det = det_bareiss(cartan)
-    g = gcd(det, *(v for row in cof for v in row))
-    return det // g, tuple(tuple(v // g for v in row) for row in cof)
+    transposed adjugate of C over det C, both from one det_adj_bareiss pass,
+    and both are divided by their common gcd."""
+    det, adj = det_adj_bareiss(cartan)
+    if adj is None:
+        raise InvariantError("the Cartan matrix is singular")
+    g = gcd(det, *(v for row in adj for v in row))
+    return det // g, tuple(tuple(row[j] // g for row in adj) for j in range(len(adj)))
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,8 @@ from ._exact import InvariantError
 from .volume import (
     _check_regular_ordered,
     delta_b2,
-    horn_halfplanes,
     horn_polygon,
+    horn_slabs,
     piecewise_analyze_b2,
     so2_support,
     _qpair,
@@ -44,6 +44,10 @@ MIN_EXPECTED = 20.0
 # most terms of either incomplete gamma expansion; both need about 6 sqrt(dof)
 # (238 at dof 1599, 7,614 at dof 2 * 10^6), so this covers dof up to about 10^8
 GAMMA_MAX_TERMS = 100_000
+
+
+class UncoveredSupportError(ValueError):
+    """Histogram edges that leave part of the Horn polygon outside the grid."""
 
 
 @dataclass
@@ -149,38 +153,21 @@ def sample_b2_pairs(alpha, beta, n_samples: int, seed: int) -> np.ndarray:
     return out
 
 
-def _horn_bounds(alpha, beta) -> dict[tuple[int, int], float]:
-    """The largest c of the half-planes a g1 + b g2 >= c on each normal (a, b), as a float."""
-    largest: dict[tuple[int, int], Q] = {}
-    for h in horn_halfplanes(alpha, beta):
-        largest[h.a, h.b] = max(largest.get((h.a, h.b), h.c), h.c)
-    return {normal: float(c) for normal, c in largest.items()}
-
-
-def _inside(bounds: dict[tuple[int, int], float], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
-    forms = {(1, 0): g1, (0, 1): g2, (1, 1): g1 + g2, (1, -1): g1 - g2}
+def _inside(slabs: dict[str, tuple[Q, Q]], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
+    forms = {"g1": g1, "g2": g2, "g1+g2": g1 + g2, "g1-g2": g1 - g2}
     ok = np.ones_like(g1, dtype=bool)
-    for (a, b), c in bounds.items():
-        if (a, b) in forms:
-            ok &= forms[a, b] - c >= -tol
-        else:
-            # float(-c) is -float(c): rounding to nearest is symmetric
-            ok &= -c - forms[-a, -b] >= -tol
+    for kind, (lo, hi) in slabs.items():
+        ok &= (forms[kind] - float(lo) >= -tol) & (float(hi) - forms[kind] >= -tol)
     return ok
 
 
 def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Vectorized Horn-polygon membership with a floating tolerance.
 
-    Every half-plane a g1 + b g2 >= c of horn_halfplanes bounds one of the
-    forms g1, g2, g1 + g2 and g1 - g2 from below or above.  The four forms
-    are computed once, and each is compared only with its largest lower and
-    smallest upper bound: a half-plane's test rounds (a g1 + b g2) - c, and
-    rounding is monotone, so the half-plane with the largest c on a normal
-    fails whenever another on it does, and the result equals that of testing
-    all fourteen.
+    Each of the forms g1, g2, g1 + g2 and g1 - g2 may lie at most tol outside
+    its slab of horn_slabs, whose bounds are rounded to floats.
     """
-    return _inside(_horn_bounds(alpha, beta), g1, g2, tol)
+    return _inside(horn_slabs(alpha, beta), g1, g2, tol)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -212,12 +199,12 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
     ys = [float(v[1]) for v in poly.vertices]
     ex = np.linspace(min(xs), max(xs), bins + 1)
     ey = np.linspace(min(ys), max(ys), bins + 1)
-    bounds = _horn_bounds(alpha, beta)
+    slabs = horn_slabs(alpha, beta)
     counts = np.zeros(bins * bins, dtype=np.intp)
     outside = 0
     lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
     for g1, g2 in chunks:
-        outside += len(g1) - int(np.count_nonzero(_inside(bounds, g1, g2, MEMBERSHIP_TOL)))
+        outside += len(g1) - int(np.count_nonzero(_inside(slabs, g1, g2, MEMBERSHIP_TOL)))
         ix = _bin_index(np.clip(g1, ex[0], ex[-1]), ex)
         iy = _bin_index(np.clip(g2, ey[0], ey[-1]), ey)
         counts += np.bincount(ix * bins + iy, minlength=bins * bins)
@@ -335,19 +322,27 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     degree 7 along a line.  F is one coefficient array per cell about its
     own origin (see _local_antiderivatives), rounded once from the integer
     cell form, so the only error is roundoff.
+
+    The x edges must span the polygon's x range and the y edges its y range,
+    compared in floats (sample_b2_spectrum's edges run between the rounded
+    extremes); UncoveredSupportError is raised otherwise.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if pw is None:
         pw = piecewise_analyze_b2(alpha, beta)
-    scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
     ex, ey = edges
-    origin, coef = _local_antiderivatives(pw.cells, scale)
     D = pw.cells[0].D
     # every cell edge p -> r, cell by cell
     rows = [(i, *p, *r) for i, c in enumerate(pw.cells) for p, r in zip(c.lattice, c.lattice[1:] + c.lattice[:1])]
     cell, px, py, rx, ry = np.array(rows, dtype=float).T
     cell = cell.astype(np.intp)
     px, py, rx, ry = px / D, py / D, rx / D, ry / D
+    for axis, e, v in (("x", ex, px), ("y", ey, py)):
+        if not e[0] <= v.min() <= v.max() <= e[-1]:
+            raise UncoveredSupportError(f"the {axis} edges [{e[0]}, {e[-1]}] do not span the Horn polygon's "
+                                        f"{axis} range [{v.min()}, {v.max()}]")
+    scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+    origin, coef = _local_antiderivatives(pw.cells, scale)
 
     # the chords: each column line strictly inside a cell's x range, from the
     # cell's lower boundary (there the largest line of an edge running right)

@@ -21,12 +21,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
 from ._exact import InvariantError, qvec
-from .bzpolytope import (
-    HalfPlane,
-    RationalPolygon,
-    bz_polygon_b2,
-    clip_cell,
-)
+from .bzpolytope import RationalPolygon, bz_polygon_b2, clip_cell
 from .ehrhart import (
     QuasiPolynomial,
     leading_coefficient,
@@ -97,9 +92,11 @@ def j_b2(alpha, beta, gamma) -> Q:
 # ---------------------------------------------------------------------------
 # Horn polygon
 
-_DASHED = "chamber"
+#: line kinds and their gamma-plane normals
+_KINDS = {"g1": (1, 0), "g2": (0, 1), "g1+g2": (1, 1), "g1-g2": (1, -1)}
 #: the chamber walls g2 = 0 and g1 - g2 = 0 as (kind, level), level 0 at every scale
 _CHAMBER_WALLS = {("g2", 0), ("g1-g2", 0)}
+_HORN_LABELS = tuple(f"{kind} {side}" for kind in _KINDS for side in (">= lo", "<= hi"))
 
 
 def _check_regular_ordered(alpha: Pair, beta: Pair) -> None:
@@ -109,44 +106,40 @@ def _check_regular_ordered(alpha: Pair, beta: Pair) -> None:
         raise ValueError("alpha and beta must be regular ordered: x1 > x2 > 0")
 
 
-def horn_halfplanes(alpha, beta) -> list[HalfPlane]:
-    """The B2 Horn inequalities plus the chamber walls g1 >= g2 >= 0."""
+def horn_slabs(alpha, beta) -> dict[str, tuple[Q, Q]]:
+    """The Horn polygon as {kind: (lo, hi)}, the gamma with lo <= <normal, gamma> <= hi for every kind.
+
+    Each Horn inequality and chamber wall bounds one of the four forms of _KINDS; lo and hi are the tightest.
+    """
     a1, a2 = _qpair(alpha)
     b1, b2 = _qpair(beta)
-    hp = HalfPlane
-    return [
-        hp(1, 0, abs(a1 - b1), label="g1 >= |a1-b1|"),
-        hp(1, 0, abs(a2 - b2), label="g1 >= |a2-b2|"),
-        hp(-1, 0, -(a1 + b1), label="g1 <= a1+b1"),
-        hp(0, 1, a2 - b1, label="g2 >= a2-b1"),
-        hp(0, 1, b2 - a1, label="g2 >= b2-a1"),
-        hp(0, -1, -(a1 + b2), label="g2 <= a1+b2"),
-        hp(0, -1, -(a2 + b1), label="g2 <= a2+b1"),
-        hp(1, 1, abs(a1 - b1) + abs(a2 - b2), label="g1+g2 >= |a1-b1|+|a2-b2|"),
-        hp(-1, -1, -(a1 + a2 + b1 + b2), label="g1+g2 <= a1+a2+b1+b2"),
-        hp(1, -1, a1 - a2 - b1 - b2, label="g1-g2 >= a1-a2-b1-b2"),
-        hp(1, -1, b1 - b2 - a1 - a2, label="g1-g2 >= b1-b2-a1-a2"),
-        hp(-1, 1, -(a1 + b1 - abs(a2 - b2)), label="g1-g2 <= a1+b1-|a2-b2|"),
-        hp(0, 1, 0, label=f"{_DASHED} g2 >= 0"),
-        hp(1, -1, 0, label=f"{_DASHED} g1 >= g2"),
-    ]
+    _check_regular_ordered((a1, a2), (b1, b2))
+    d1, d2 = abs(a1 - b1), abs(a2 - b2)
+    return {
+        "g1": (max(d1, d2), a1 + b1),
+        "g2": (max(a2 - b1, b2 - a1, Q(0)), min(a1 + b2, a2 + b1)),
+        "g1+g2": (d1 + d2, a1 + a2 + b1 + b2),
+        "g1-g2": (max(a1 - a2 - b1 - b2, b1 - b2 - a1 - a2, Q(0)), a1 + b1 - d2),
+    }
 
 
 def horn_polygon(alpha, beta) -> RationalPolygon:
-    _check_regular_ordered(_qpair(alpha), _qpair(beta))
-    return RationalPolygon(horn_halfplanes(alpha, beta))
+    """The rows <normal, gamma> >= lo and <-normal, gamma> >= -hi of horn_slabs, in HalfPlane normal form."""
+    slabs = horn_slabs(alpha, beta)
+    bounds = [(s * a, s * b, s * c) for kind, (a, b) in _KINDS.items() for s, c in zip((1, -1), slabs[kind])]
+    rows = tuple((a * c.denominator, b * c.denominator, c.numerator, False) for a, b, c in bounds)
+    return RationalPolygon._from_rows(rows, tuple(c.denominator for *_, c in bounds), _HORN_LABELS, None, True)
 
 
 def horn_contains_b2(alpha, beta, gamma) -> bool:
     """Membership of gamma in the closed Horn polygon (chamber included)."""
-    return horn_polygon(alpha, beta).contains(_qpair(gamma))
+    g1, g2 = _qpair(gamma)
+    forms = {"g1": g1, "g2": g2, "g1+g2": g1 + g2, "g1-g2": g1 - g2}
+    return all(lo <= forms[kind] <= hi for kind, (lo, hi) in horn_slabs(alpha, beta).items())
 
 
 # ---------------------------------------------------------------------------
 # Singular lines
-
-#: line kinds and their gamma-plane normals
-_KINDS = {"g1": (1, 0), "g2": (0, 1), "g1+g2": (1, 1), "g1-g2": (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -564,37 +557,6 @@ def _jump_class(diff: tuple[int, ...], unit: tuple[int, ...], sources: int) -> t
     if not r and 0 < abs(m) <= sources and diff == tuple(m * u for u in unit):
         return "quadratic-ramp", m
     return "violation", 0
-
-
-def c1_wall_discrepancies(pw: PiecewiseQuadratic) -> list[tuple[Wall, Q]]:
-    """One-sided finite-difference gradient mismatch across each internal wall.
-
-    Uses exact rational steps h along a quasi-unit normal; J is C1, so the
-    discrepancy should be of the order of h times the second-derivative jump.
-    """
-    h = Q(1, 10000)
-    out = []
-    root2_inv = Q(7071, 10000)  # rational approximation of 1/sqrt(2)
-    for wall in pw.walls:
-        if len(wall.cells) != 2:
-            continue
-        (p, q) = wall.segment
-        a, b = _KINDS[wall.kind]
-        n = (Q(a), Q(b)) if wall.kind in ("g1", "g2") else (Q(a) * root2_inv, Q(b) * root2_inv)
-        for t in (Q(1, 2), Q(1, 3), Q(2, 3)):
-            m = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-            plus = (m[0] + h * n[0], m[1] + h * n[1])
-            minus = (m[0] - h * n[0], m[1] - h * n[1])
-            hi, lo = wall.cells
-            if _point_in_cell(pw.cells[hi].vertices, plus, True) and _point_in_cell(
-                pw.cells[lo].vertices, minus, True
-            ):
-                j0 = j_b2(pw.alpha, pw.beta, m)
-                d_plus = (j_b2(pw.alpha, pw.beta, plus) - j0) / h
-                d_minus = (j0 - j_b2(pw.alpha, pw.beta, minus)) / h
-                out.append((wall, abs(d_plus - d_minus)))
-                break
-    return out
 
 
 # ---------------------------------------------------------------------------

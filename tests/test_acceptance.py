@@ -30,7 +30,6 @@ from hornvol.rootsys import (
 )
 from hornvol.volume import (
     b2_dynkin_to_ortho,
-    c1_wall_discrepancies,
     horn_polygon,
     j_b2,
     j_lr_shifted,
@@ -41,6 +40,8 @@ from hornvol.volume import (
     piecewise_analyze_b2,
     singular_lines_b2,
 )
+
+from horn_reference import c1_wall_discrepancies
 
 B2 = build_root_system("B", 2)
 

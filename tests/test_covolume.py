@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction as Q
 
-from hornvol._exact import det_bareiss
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hornvol._exact import det_adj_bareiss, det_bareiss
 from hornvol.covolume import (
     covolume_report,
     covolume_table,
@@ -76,3 +80,54 @@ def test_rank_thirty_gram_equals_formula_equals_table():
     for family in ("B", "D"):
         rep = covolume_report(family, 30)
         assert rep.agree, rep
+
+
+def det_reference(A) -> Q:
+    """det A by Fraction Gaussian elimination with row swaps."""
+    n = len(A)
+    M = [[Q(v) for v in row] for row in A]
+    det = Q(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
+        if piv is None:
+            return Q(0)
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    return det
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of sizes 0-6, many with zero leading entries and some singular."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "zero leading entries", "singular"]))
+    if n and kind == "zero leading entries":
+        for i in range(draw(st.integers(1, n))):
+            A[i][0] = 0
+    elif n and kind == "singular":
+        # the last row an integer combination of the others (the zero row when n = 1)
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+        A[-1] = [sum(c * row[j] for c, row in zip(coeffs, A)) for j in range(n)]
+    return A
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_one_bareiss_pass_gives_the_determinant_and_the_adjugate(A):
+    det, adj = det_adj_bareiss(A)
+    assert det_bareiss(A) == det == det_reference(A)
+    n = len(A)
+    if det == 0:
+        assert adj is None
+        return
+    # A adj A = adj A A = det A I, which fixes adj A = det A A^-1
+    eye = [[det * (i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(A[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
+    assert [[sum(adj[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye

@@ -402,6 +402,12 @@ def test_dynkin_to_root_matches_a_solve_square_reference_on_unit_labels(family, 
     assert gcd(d, *(v for row in scaled for v in row)) == 1
 
 
+def test_a_singular_cartan_matrix_raises():
+    # the affine A1 Cartan matrix has determinant 0, so C^-T does not exist
+    with pytest.raises(InvariantError, match="singular"):
+        rootsys._scaled_inverse_transpose(((2, -2), (-2, 2)))
+
+
 def rational_labels(rank: int):
     label = st.integers(1, 3).flatmap(lambda q: st.builds(Q, st.integers(-9 * q, 9 * q), st.just(q)))
     return st.lists(label, min_size=rank, max_size=rank).map(lambda a: tuple(int(v) if v.denominator == 1 else v for v in a))

@@ -13,6 +13,7 @@ from hornvol import sampler
 from hornvol.sampler import (
     CHUNK,
     MEMBERSHIP_TOL,
+    UncoveredSupportError,
     _GL4_NODES,
     _GL4_WEIGHTS,
     _bin_index,
@@ -31,12 +32,12 @@ from hornvol.sampler import (
 from hornvol.volume import (
     _QUAD_KEYS,
     delta_b2,
-    horn_halfplanes,
     horn_polygon,
     j_so2_symmetric,
     piecewise_analyze_b2,
     so2_support,
 )
+from horn_reference import horn_contains_reference
 from poly2 import p2_mul
 from test_volume import regular_third_pairs
 
@@ -222,14 +223,6 @@ def test_histogram_equals_histogram2d(alpha, beta, bins, monkeypatch):
         assert np.array_equal(_bin_index(x, edges), expected)
 
 
-def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
-    """Horn membership by one float test per half-plane of horn_halfplanes."""
-    ok = np.ones_like(g1, dtype=bool)
-    for h in horn_halfplanes(alpha, beta):
-        ok &= float(h.a) * g1 + float(h.b) * g2 - float(h.c) >= -tol
-    return ok
-
-
 @pytest.mark.parametrize("alpha,beta", [
     ((17, 4), (15, 9)), ((15, 3), (17, 8)), ((Q(11, 2), Q(3, 2)), (5, 2)), ((9, 4), (7, 2)), ((12, 5), (10, 3)),
     ((13, 12), (Q(3, 2), Q(1, 2))), ((Q(7, 3), Q(1, 3)), (Q(20, 3), Q(19, 3))),
@@ -374,6 +367,25 @@ def test_expected_probabilities_sum_to_one():
     hist = sample_b2_spectrum((17, 4), (15, 9), 100, seed=8, bins=20)
     probs = expected_bin_probabilities((17, 4), (15, 9), hist.edges)
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def test_bin_masses_refuse_edges_that_do_not_span_the_horn_polygon():
+    alpha, beta = (17, 4), (15, 9)
+    pw = piecewise_analyze_b2(alpha, beta)
+    ex, ey = sample_b2_spectrum(alpha, beta, 1, seed=1).edges
+    # without the first x edge column 0 got a negative mass, without the first
+    # two y edges the mass below the grid was folded into row 0, and without
+    # the last x edge the bin sums failed to reshape
+    for edges in ((ex[1:], ey), (ex, ey[2:]), (ex[:-1], ey)):
+        with pytest.raises(UncoveredSupportError):
+            expected_bin_probabilities(alpha, beta, edges, pw)
+    # the law of a pair whose polygon reaches past the histogram's grid
+    hist = sample_b2_spectrum(alpha, beta, 2000, seed=1)
+    with pytest.raises(UncoveredSupportError):
+        chi_square_vs_pdf(hist, alpha, (Q(151, 10), 9))
+    # edges reaching past the polygon span it
+    wide = (np.linspace(ex[0] - 1, ex[-1] + 1, 31), np.linspace(ey[0] - 2, ey[-1] + 0.5, 17))
+    assert abs(expected_bin_probabilities(alpha, beta, wide, pw).sum() - 1.0) < 1e-9
 
 
 def test_so2_support_and_endpoint_mass():

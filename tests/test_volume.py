@@ -1,17 +1,20 @@
+import csv
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 from unittest import mock
 
 import math
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hornvol import volume
 from hornvol._exact import InvariantError, p2_integrate_polygon
-from hornvol.bzpolytope import _convex_hull, bz_polygon_b2, clip_cell
+from hornvol.bzpolytope import RationalPolygon, _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError, freudenthal_weights, lr_steinberg
 from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
@@ -32,11 +35,10 @@ from hornvol.volume import (
     _weyl_terms,
     b2_dynkin_to_ortho,
     c_kappa_via_kissinger,
-    c1_wall_discrepancies,
     delta_b2,
     horn_contains_b2,
-    horn_halfplanes,
     horn_polygon,
+    horn_slabs,
     j_b2,
     j_lr_shifted,
     j_lr_unshifted,
@@ -50,9 +52,11 @@ from hornvol.volume import (
     so2_support,
     volume_routes,
 )
+from horn_reference import c1_wall_discrepancies, horn_halfplanes
 from poly2 import p2_add, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
+GOLDEN = Path(__file__).parent / "golden"
 RHO = (Q(3, 2), Q(1, 2))
 
 
@@ -63,6 +67,18 @@ def regular_half_pairs(draw):
     def point():
         hi = draw(st.integers(2, 20))
         return (Q(hi, 2), Q(draw(st.integers(1, hi - 1)), 2))
+
+    return point(), point()
+
+
+@st.composite
+def regular_rational_pairs(draw):
+    """(alpha, beta), each with one denominator up to 6 and 8 >= x1 > x2 > 0."""
+
+    def point():
+        d = draw(st.integers(1, 6))
+        hi = draw(st.integers(2, 8 * d))
+        return (Q(hi, d), Q(draw(st.integers(1, hi - 1)), d))
 
     return point(), point()
 
@@ -168,6 +184,63 @@ def test_horn_polygon_is_support_of_j():
         checked += 1
         if not poly.contains(p):
             assert j_b2(alpha, beta, p) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_rational_pairs(), st.lists(rational_points, max_size=8))
+def test_slab_polygon_equals_the_fourteen_inequalities(pair, points):
+    reference = RationalPolygon(horn_halfplanes(*pair))
+    poly = horn_polygon(*pair)
+    assert poly.vertices == reference.vertices
+    assert poly.dim == reference.dim == 2
+    # each slab bound is the tightest half-plane on its side
+    slabs = horn_slabs(*pair)
+    for kind, (a, b) in volume._KINDS.items():
+        lo, hi = slabs[kind]
+        assert lo == max(h.c for h in reference.halfplanes if (h.a, h.b) == (a, b))
+        assert hi == min(-h.c for h in reference.halfplanes if (h.a, h.b) == (-a, -b))
+    for p in (*points, *reference.vertices):
+        assert horn_contains_b2(*pair, p) == reference.contains(p)
+
+
+def test_horn_paths_build_no_halfplane(monkeypatch, tmp_path):
+    import hornvol.bzpolytope as bz
+    from hornvol.cli import main
+    from hornvol.sampler import sample_b2_spectrum
+
+    alpha, beta = (17, 4), (15, 9)
+    reference = RationalPolygon(horn_halfplanes(alpha, beta))
+    points = [(Q(x, 4), Q(y, 4)) for x in range(0, 140, 7) for y in range(-4, 60, 5)]
+    pw = piecewise_analyze_b2(alpha, beta).to_json_dict()
+    hist = sample_b2_spectrum(alpha, beta, 600, seed=5)
+    # the grid of the parent's point loop: J wherever the half-plane polygon contains gamma
+    res = 6
+    xs, ys = ([v[k] for v in reference.vertices] for k in (0, 1))
+    rows = [["gamma1", "gamma2", "J", "pdf"]]
+    for i in range(res + 1):
+        for j in range(res + 1):
+            g = (min(xs) + (max(xs) - min(xs)) * Q(i, res), min(ys) + (max(ys) - min(ys)) * Q(j, res))
+            jval = j_b2(alpha, beta, g) if reference.contains(g) else Q(0)
+            rows.append([str(v) for v in (*g, jval, pdf_b2(alpha, beta, g) if jval else Q(0))])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HalfPlane was built")
+
+    monkeypatch.setattr(bz, "_halfplane", refuse)
+    monkeypatch.setattr(bz.HalfPlane, "__init__", refuse)
+    assert horn_polygon(alpha, beta).vertices == reference.vertices
+    assert [horn_contains_b2(alpha, beta, p) for p in points] == [reference.contains(p) for p in points]
+    assert piecewise_analyze_b2(alpha, beta).to_json_dict() == pw
+    again = sample_b2_spectrum(alpha, beta, 600, seed=5)
+    assert np.array_equal(again.counts, hist.counts) and again.samples_outside_support == 0
+    assert all(np.array_equal(e, f) for e, f in zip(again.edges, hist.edges))
+    out = {name: tmp_path / name for name in ("grid.csv", "grid.svg", "cells.json")}
+    assert main(["grid", "17,4", "15,9", "--res", str(res), "--csv", str(out["grid.csv"]),
+                 "--svg", str(out["grid.svg"]), "--cells", str(out["cells.json"])]) == 0
+    with open(out["grid.csv"], newline="") as fh:
+        assert list(csv.reader(fh)) == rows
+    assert out["grid.svg"].read_bytes() == (GOLDEN / "grid_174_159.svg").read_bytes()
+    assert out["cells.json"].read_bytes() == (GOLDEN / "grid_cells_174_159.json").read_bytes()
 
 
 # -- singular lines --------------------------------------------------------------
@@ -378,18 +451,6 @@ def test_unsplit_horn_polygon_is_not_one_cell(pair):
         _cell_quadratics(terms, [verts], D)
 
 
-@st.composite
-def regular_rational_pairs(draw):
-    """(alpha, beta), each with one denominator up to 6 and 8 >= x1 > x2 > 0."""
-
-    def point():
-        d = draw(st.integers(1, 6))
-        hi = draw(st.integers(2, 8 * d))
-        return (Q(hi, d), Q(draw(st.integers(1, hi - 1)), d))
-
-    return point(), point()
-
-
 def fraction_cut(alpha, beta):
     """The Horn polygon cut by every candidate line, on Fraction vertices."""
     cells = [horn_polygon(alpha, beta).vertices]
@@ -446,6 +507,26 @@ def test_walls_tile_the_cell_edges(pair):
         else:
             # a boundary wall lies on a Horn inequality or a chamber wall
             assert any(all(h.value(p) == 0 for p in w.segment) for h in horn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_rational_pairs())
+def test_quadratic_ramps_are_c1_at_both_lattice_endpoints(pair):
+    # a ramp's jump q_hi - q_lo is a quadratic; with its gradient vanishing at
+    # both ends of the wall it vanishes to first order on the whole line
+    pw = piecewise_analyze_b2(*pair)
+    ramps = [w for w in pw.walls if w.classification == "quadratic-ramp"]
+    assert ramps
+    for w in ramps:
+        hi, lo = (pw.cells[i] for i in w.cells)
+        c, cx, cy, cxx, cxy, cyy = (u - v for u, v in zip(hi.q, lo.q))
+        for p in w.segment:
+            x, y = (v * hi.D for v in p)
+            assert x.denominator == y.denominator == 1
+            x, y = int(x), int(y)
+            assert c + (cx + cxx * x + cxy * y) * x + (cy + cyy * y) * y == 0
+            assert cx + 2 * cxx * x + cxy * y == 0
+            assert cy + cxy * x + 2 * cyy * y == 0
 
 
 def test_an_edge_off_the_four_line_directions_raises():
