@@ -38,10 +38,11 @@ from .rootsys import (
 )
 from .volume import (
     b2_dynkin_to_ortho,
+    delta_b2,
     horn_contains_b2,
     horn_polygon,
     j_b2,
-    pdf_b2,
+    pdf_scale,
     singular_lines_b2,
     volume_routes,
 )
@@ -210,6 +211,7 @@ def cmd_grid(args) -> int:
     ys = [v[1] for v in poly.vertices]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     res = args.res
+    scale = pdf_scale(alpha, beta)
 
     def write_rows(fh):
         writer = csv.writer(fh)
@@ -218,7 +220,7 @@ def cmd_grid(args) -> int:
             for j in range(res + 1):
                 g = (x0 + (x1 - x0) * Q(i, res), y0 + (y1 - y0) * Q(j, res))
                 jval = j_b2(alpha, beta, g) if horn_contains_b2(alpha, beta, g) else Q(0)
-                pval = pdf_b2(alpha, beta, g) if jval else Q(0)
+                pval = scale * abs(delta_b2(g)) * jval
                 writer.writerow([str(g[0]), str(g[1]), str(jval), str(pval)])
 
     if args.csv == "-":

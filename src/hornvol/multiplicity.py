@@ -72,14 +72,21 @@ def _check_dominant(rs: RootSystem, w) -> tuple[int, ...]:
 
 
 def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The Weyl orbit of `start` in Dynkin labels, closed under s_i a = a - a_i C[i]."""
+    """The Weyl orbit of the dominant weight `start` in Dynkin labels.
+
+    Closed under s_i a = a - a_i C[i] for the positive labels a_i only.  That
+    reaches the whole orbit because `start` is dominant: every other weight
+    a of the orbit has a negative label a_i, and s_i a, which has the
+    positive label -a_i, lies above a and so is reached first.  Each pass
+    thus makes about half the reflections of the closure in every label.
+    """
     orbit = {start}
     frontier = [start]
     while frontier:
         new = []
         for a in frontier:
             for ai, row in zip(a, rs.cartan_matrix):
-                if ai:
+                if ai > 0:
                     b = tuple([x - ai * c for x, c in zip(a, row)])
                     if b not in orbit:
                         orbit.add(b)
@@ -92,9 +99,17 @@ def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int,
 def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightMultiplicityTable:
     """The weight system of V_lam by Freudenthal's recursion, in dominant weights by level.
 
+    The dominant weights of V_lam are exactly the dominant mu <= lam, and
+    each of them is reached from lam by subtracting one positive root at a
+    time through dominant weights only (Stembridge, The partial order of
+    dominant weights, Adv. Math. 136, 1998).  So a descent from lam that
+    keeps the dominant mu - alpha finds them all, keyed by the offset
+    off = lam - mu in simple-root coordinates.
+
     (|lam + rho|^2 - |mu + rho|^2) m(mu) = 2 sum_{alpha > 0} sum_{k >= 1}
-    m(mu + k alpha) (mu + k alpha, alpha) for each dominant mu = lam - off,
-    taken in increasing level sum(off).  The dominant representative of
+    m(mu + k alpha) (mu + k alpha, alpha) for each of them, taken in
+    increasing level sum(off); the left factor is (lam - mu, lam + mu + 2 rho)
+    = sum_i off_i h_i (lam_i + mu_i + 2).  The dominant representative of
     mu + k alpha lies above mu + k alpha, so its level is below that of mu; it
     was finished earlier, and its Weyl orbit already holds m(mu + k alpha).
     Each finished dominant weight therefore puts its whole orbit into
@@ -109,45 +124,36 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightM
 
     h = rs.half_norms
     cart = rs.cartan_matrix
-
     # inner products in half-norm units on Dynkin labels, (w, alpha_i) = h_i w_i;
-    # breadth-first closure of lambda - Q_+ pruned by |w|^2 <= |lambda|^2,
-    # tracking t = |lambda|^2 - |w|^2; keys are the offsets lambda - w in
-    # simple-root coordinates
-    zero = (0,) * rank
-    cand: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {zero: (lam, 0)}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for off in frontier:
-            dyn, t = cand[off]
-            for i in range(rank):
-                off2 = off[:i] + (off[i] + 1,) + off[i + 1:]
-                if off2 in cand:
-                    continue
-                # |w - alpha_i|^2 = |w|^2 - 2 h_i w_i + 2 h_i
-                t2 = t + 2 * h[i] * (dyn[i] - 1)
-                if t2 < 0:
-                    continue
-                cand[off2] = (tuple(map(sub, dyn, cart[i])), t2)
-                new.append(off2)
-        frontier = new
-
-    # by level sum(off), so zero, the highest weight, comes first
-    dominants = sorted((off for off, (dyn, _) in cand.items() if min(dyn) >= 0), key=sum)
-    # per positive root alpha: its Dynkin labels, the coefficients of
-    # (., alpha) on Dynkin labels, and |alpha|^2
+    # per positive root alpha: its simple-root coordinates, its Dynkin labels,
+    # the coefficients of (., alpha) on Dynkin labels, and |alpha|^2
     roots = []
     for rb in rs.positive_roots_rb:
         hc = tuple(map(mul, rb, h))
         alpha = tuple([sum(map(mul, rb, col)) for col in zip(*cart)])
-        roots.append((alpha, hc, sum(map(mul, hc, alpha))))
-    entries = dict.fromkeys(_weyl_orbit_dynkin(rs, lam), 1)
+        roots.append((rb, alpha, hc, sum(map(mul, hc, alpha))))
 
-    for off in dominants[1:]:
-        dyn, t = cand[off]
+    # every dominant mu <= lam, keyed by off = lam - mu (see the docstring)
+    dominant = {(0,) * rank: lam}
+    stack = [(0,) * rank]
+    while stack:
+        off = stack.pop()
+        dyn = dominant[off]
+        for rb, alpha, _, _ in roots:
+            low = tuple(map(sub, dyn, alpha))
+            if min(low) >= 0:
+                off2 = tuple(map(add, off, rb))
+                if off2 not in dominant:
+                    dominant[off2] = low
+                    stack.append(off2)
+
+    lam_2rho = tuple([v + 2 for v in lam])  # Dynkin labels of lam + 2 rho
+    entries = dict.fromkeys(_weyl_orbit_dynkin(rs, lam), 1)
+    # by level sum(off), so zero, the highest weight, comes first
+    for off in sorted(dominant, key=sum)[1:]:
+        dyn = dominant[off]
         num = 0
-        for alpha, hc, norm2 in roots:
+        for _, alpha, hc, norm2 in roots:
             w = dyn
             ip = sum(map(mul, hc, dyn))
             while True:  # m(w + k alpha) (w + k alpha, alpha), k = 1, 2, ...
@@ -157,10 +163,8 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightM
                     break
                 ip += norm2
                 num += m * ip
-        if num == 0:
-            continue
-        # |lambda + rho|^2 - |w + rho|^2 = t + 2 (lambda - w, rho)
-        den = t + 2 * sum(map(mul, off, h))
+        # |lam + rho|^2 - |mu + rho|^2 = sum_i off_i h_i (lam_i + mu_i + 2)
+        den = sum(map(mul, map(mul, off, h), map(add, lam_2rho, dyn)))
         val, rem = divmod(2 * num, den)
         if rem or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {2 * num}/{den} of {dyn} in V{lam} is not a positive integer")
@@ -481,23 +485,27 @@ def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
-def lr_triple(rs: RootSystem, lam, mu, kappa, nu) -> int:
-    """Three-fold multiplicity dim Hom(V_lam x V_mu x V_kappa -> V_nu).
+def tau_sum(rs: RootSystem, decomposition: dict[tuple[int, ...], int], kappa, nu) -> int:
+    """sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}, given decomposition = tensor_decompose(rs, lam, mu).
 
-    Computed as sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}, both factors by
-    Klimyk.  C_{tau kappa}^{nu} = 0 unless nu - tau is a weight of V_kappa,
-    so tau runs only over nu - omega, omega in the Freudenthal weight system
-    of V_kappa.
+    C_{tau kappa}^{nu} is by Klimyk, and it is 0 unless nu - tau is a weight
+    of V_kappa, so tau runs only over nu - omega, omega in the Freudenthal
+    weight system of V_kappa.  A caller that sums over several kappa for one
+    (lam, mu) decomposes once and passes the same decomposition each time.
     """
     kappa = _check_dominant(rs, kappa)
     nu = _check_dominant(rs, nu)
-    pairs = tensor_decompose(rs, lam, mu)
     if all(v == 0 for v in kappa):
-        return pairs.get(nu, 0)
+        return decomposition.get(nu, 0)
     total = 0
     for omega in freudenthal_weights(rs, kappa).entries:
         tau = tuple(map(sub, nu, omega))
-        c = pairs.get(tau)
+        c = decomposition.get(tau)
         if c:
             total += c * lr_klimyk(rs, tau, kappa, nu)
     return total
+
+
+def lr_triple(rs: RootSystem, lam, mu, kappa, nu) -> int:
+    """Three-fold multiplicity dim Hom(V_lam x V_mu x V_kappa -> V_nu), as the tau_sum of one decomposition."""
+    return tau_sum(rs, tensor_decompose(rs, lam, mu), kappa, nu)

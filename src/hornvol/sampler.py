@@ -27,9 +27,9 @@ import numpy as np
 from ._exact import InvariantError
 from .volume import (
     _check_regular_ordered,
-    delta_b2,
     horn_polygon,
     horn_slabs,
+    pdf_scale,
     piecewise_analyze_b2,
     so2_support,
     _qpair,
@@ -50,10 +50,19 @@ class UncoveredSupportError(ValueError):
     """Histogram edges that leave part of the Horn polygon outside the grid."""
 
 
+class HistogramPairError(ValueError):
+    """A histogram compared against the law of a pair it was not drawn for."""
+
+
 @dataclass
 class HornHistogram:
-    """Histogram of sampled spectra; 2-D for B2, 1-D for SO(2)."""
+    """Histogram of sampled spectra; 2-D for B2, 1-D for SO(2).
 
+    `pair` is the pair the samples were drawn for: (alpha, beta) as exact
+    pairs for B2, (alpha12, beta12) for SO(2).
+    """
+
+    pair: tuple
     edges: tuple[np.ndarray, ...]
     counts: np.ndarray
     sample_count: int
@@ -211,6 +220,7 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
         np.minimum(lo, (g1.min(), g2.min()), out=lo)
         np.maximum(hi, (g1.max(), g2.max()), out=hi)
     return HornHistogram(
+        pair=(_qpair(alpha), _qpair(beta)),
         edges=(ex, ey),
         counts=counts.reshape(bins, bins).astype(np.float64),
         sample_count=n_samples,
@@ -241,6 +251,7 @@ def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 1
     counts, _ = np.histogram(np.clip(samples, lo, hi), bins=edges)
     outside = int(np.count_nonzero((samples < lo - MEMBERSHIP_TOL) | (samples > hi + MEMBERSHIP_TOL)))
     return HornHistogram(
+        pair=(alpha12, beta12),
         edges=(edges,),
         counts=counts,
         sample_count=len(samples),
@@ -341,7 +352,7 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
         if not e[0] <= v.min() <= v.max() <= e[-1]:
             raise UncoveredSupportError(f"the {axis} edges [{e[0]}, {e[-1]}] do not span the Horn polygon's "
                                         f"{axis} range [{v.min()}, {v.max()}]")
-    scale = Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+    scale = pdf_scale(alpha, beta)
     origin, coef = _local_antiderivatives(pw.cells, scale)
 
     # the chords: each column line strictly inside a cell's x range, from the
@@ -461,8 +472,16 @@ class ChiSquareSummary:
 
 
 def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic | None = None) -> ChiSquareSummary:
-    """Pearson chi-square of the 2-D histogram against the analytic PDF."""
+    """Pearson chi-square of the 2-D histogram against the analytic PDF of (alpha, beta).
+
+    The bin masses refuse a pair whose polygon the histogram's edges do not
+    span (UncoveredSupportError); any other pair that the histogram was not
+    drawn for raises HistogramPairError.
+    """
     probs = expected_bin_probabilities(alpha, beta, hist.edges, pw)
+    pair = (_qpair(alpha), _qpair(beta))
+    if hist.pair != pair:
+        raise HistogramPairError(f"a histogram drawn for {hist.pair} cannot be tested against the law of {pair}")
     N = hist.sample_count
     E = probs * N
     O = hist.counts

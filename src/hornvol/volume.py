@@ -27,7 +27,7 @@ from .ehrhart import (
     leading_coefficient,
     stretching_quasi_polynomial,
 )
-from .multiplicity import SizeGuardError, lr_triple
+from .multiplicity import SizeGuardError, tau_sum, tensor_decompose
 from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible
 
 Pair = tuple[Q, Q]
@@ -599,7 +599,8 @@ def j_lr_shifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
     if not is_compatible(rs, lam, mu, nu):
         raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
     K, _ = kappa_coefficient_sets(rs)
-    return sum((c * lr_triple(rs, lam, mu, kap, nu) for kap, c in K.items()), Q(0))
+    decomposition = tensor_decompose(rs, lam, mu)
+    return sum((c * tau_sum(rs, decomposition, kap, nu) for kap, c in K.items()), Q(0))
 
 
 def j_lr_unshifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
@@ -614,7 +615,8 @@ def j_lr_unshifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
         raise NotShiftableError("lam, mu, nu must all dominate rho")
     _, Khat = kappa_coefficient_sets(rs)
     sl, sm, sn = shifted
-    return sum((c * lr_triple(rs, sl, sm, kap, sn) for kap, c in Khat.items()), Q(0))
+    decomposition = tensor_decompose(rs, sl, sm)
+    return sum((c * tau_sum(rs, decomposition, kap, sn) for kap, c in Khat.items()), Q(0))
 
 
 def kissinger_quasi_polynomial(rs: RootSystem, kappa) -> tuple[QuasiPolynomial, dict[int, int]]:
@@ -650,12 +652,17 @@ def delta_b2(x) -> Q:
     return x1 * x2 * (x1 * x1 - x2 * x2)
 
 
+def pdf_scale(alpha, beta) -> Q:
+    """(3/2) / (|Delta(alpha)| |Delta(beta)|): the Horn density at gamma is this times |Delta(gamma)| J."""
+    return Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+
+
 def pdf_b2(alpha, beta, gamma) -> Q:
     """Horn probability density (3/2) |Delta(gamma)| / (|Delta(alpha)| |Delta(beta)|) J."""
     j = j_b2(alpha, beta, gamma)
     if j == 0:
         return Q(0)
-    return Q(3, 2) * abs(delta_b2(gamma)) / (abs(delta_b2(alpha)) * abs(delta_b2(beta))) * j
+    return pdf_scale(alpha, beta) * abs(delta_b2(gamma)) * j
 
 
 def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None) -> Q:
@@ -670,7 +677,7 @@ def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None
         pw = piecewise_analyze_b2(alpha, beta)
     total = sum(_delta_moment(c.lattice, c.q) for c in pw.cells)
     D = pw.cells[0].D
-    return Q(3 * total, 2 * _MOMENT_DEN * 32 * D**8) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+    return pdf_scale(alpha, beta) * Q(total, _MOMENT_DEN * 32 * D**8)
 
 
 #: 7-point closed Newton-Cotes weights on [0, 1], over 840; exact to degree 7

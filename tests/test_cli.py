@@ -209,6 +209,30 @@ def test_grid_cell_diagram_export(tmp_path, capsys):
     assert svg_path.read_text().count('stroke="#bbbbbb"') == len(diagram["cells"])
 
 
+def test_grid_evaluates_j_once_per_point_of_the_horn_polygon(tmp_path, monkeypatch, capsys):
+    import hornvol.cli as cli
+    import hornvol.volume as volume
+
+    counts = {"j": 0, "inside": 0}
+    j_b2, contains = volume.j_b2, volume.horn_contains_b2
+
+    def counting_j(*args):
+        counts["j"] += 1
+        return j_b2(*args)
+
+    def counting_contains(*args):
+        inside = contains(*args)
+        counts["inside"] += inside
+        return inside
+
+    for module in (cli, volume):
+        monkeypatch.setattr(module, "j_b2", counting_j)
+    monkeypatch.setattr(cli, "horn_contains_b2", counting_contains)
+    assert main(["grid", "17,4", "15,9", "--csv", str(tmp_path / "g.csv")]) == 0
+    # 1,681 points, 1,225 of them in the polygon; the PDF reuses their J
+    assert counts == {"j": 1225, "inside": 1225}
+
+
 def test_grid_dynkin_basis(tmp_path, capsys):
     rc, _ = run(capsys, "grid", "13,8", "6,12", "--basis", "dynkin",
                 "--res", "4", "--csv", str(tmp_path / "g.csv"))
@@ -376,6 +400,19 @@ def test_sample_b2_files(tmp_path, capsys):
     assert report["chi_square"]["p_value"] > 1e-3
     rows = (tmp_path / "b2.csv").read_text().splitlines()
     assert rows[1] == "gamma1_center,gamma2_center,count,density"
+
+
+def test_sample_b2_on_a_histogram_of_another_pair_exits_2(tmp_path, monkeypatch, capsys):
+    import hornvol.sampler as sampler
+
+    draw = sampler.sample_b2_spectrum
+    # the histogram of (17, 4), (15, 9) tested against the law of (17, 4), (14.9, 9)
+    monkeypatch.setattr(sampler, "sample_b2_spectrum", lambda alpha, beta, *a, **k: draw((17, 4), (15, 9), *a, **k))
+    prefix = tmp_path / "b2"
+    assert main(["sample", "b2", "--beta", "149/10,9", "-N", "2000", "--bins", "6", "--out", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: a histogram drawn for ")
 
 
 def test_ehrhart_exceptional_algebra_needs_a_period(capsys):

@@ -13,6 +13,7 @@ from hornvol import sampler
 from hornvol.sampler import (
     CHUNK,
     MEMBERSHIP_TOL,
+    HistogramPairError,
     UncoveredSupportError,
     _GL4_NODES,
     _GL4_WEIGHTS,
@@ -386,6 +387,21 @@ def test_bin_masses_refuse_edges_that_do_not_span_the_horn_polygon():
     # edges reaching past the polygon span it
     wide = (np.linspace(ex[0] - 1, ex[-1] + 1, 31), np.linspace(ey[0] - 2, ey[-1] + 0.5, 17))
     assert abs(expected_bin_probabilities(alpha, beta, wide, pw).sum() - 1.0) < 1e-9
+
+
+def test_chi_square_refuses_a_histogram_of_another_pair():
+    alpha, beta = (17, 4), (15, 9)
+    hist = sample_b2_spectrum(alpha, beta, 40_000, seed=1)
+    assert hist.pair == ((17, 4), (15, 9))
+    # these polygons lie inside the histogram's grid, so the bin masses accept
+    # them, and the chi-square alone passes them (p = 0.283 and 0.183)
+    for other in ((Q(149, 10), 9), (Q(149, 10), Q(91, 10))):
+        with pytest.raises(HistogramPairError):
+            chi_square_vs_pdf(hist, alpha, other)
+    with pytest.raises(HistogramPairError):
+        chi_square_vs_pdf(hist, beta, alpha)
+    # the same pair in any exact spelling is the pair it was drawn for
+    assert chi_square_vs_pdf(hist, (Q(17), 4.0), (15, Q(18, 2))).dof > 0
 
 
 def test_so2_support_and_endpoint_mass():

@@ -1003,6 +1003,49 @@ def test_j_lr_unshifted_equals_direct_on_sweep():
         assert j_lr_unshifted(lam, mu, nu) == direct
 
 
+def criterion_4_triples():
+    """The two pinned triples and the 200 random ones of acceptance criterion 4."""
+    out = [((4, 7), (5, 3), (2, 4)), ((5, 6), (3, 4), (5, 6))]
+    rng = random.Random(2024)
+    while len(out) < 202:
+        lam = (rng.randint(1, 6), rng.randint(1, 6))
+        mu = (rng.randint(1, 6), rng.randint(1, 6))
+        nu = (rng.randint(1, 6), rng.randint(1, 6))
+        if (lam[1] + mu[1] - nu[1]) % 2 == 0:
+            out.append((lam, mu, nu))
+    return out
+
+
+def test_each_lr_relation_decomposes_once(monkeypatch):
+    from hornvol import multiplicity
+    from hornvol.multiplicity import lr_triple
+
+    decompose = multiplicity.tensor_decompose
+    calls = []
+
+    def counting(rs, lam, mu):
+        calls.append((lam, mu))
+        return decompose(rs, lam, mu)
+
+    B3 = build_root_system("B", 3)
+    cases = [(B2, t) for t in criterion_4_triples()] + [(B3, ((2, 2, 2),) * 3)]
+    for rs, (lam, mu, nu) in cases:
+        K, Khat = kappa_coefficient_sets(rs)
+        with monkeypatch.context() as m:
+            m.setattr(volume, "tensor_decompose", counting)
+            m.setattr(multiplicity, "tensor_decompose", counting)
+            calls.clear()
+            shifted = j_lr_shifted(lam, mu, nu, rs)
+            assert len(calls) == 1
+            calls.clear()
+            unshifted = j_lr_unshifted(lam, mu, nu, rs)
+            assert len(calls) == 1
+        # the sums of one lr_triple, and so one decomposition, per kappa
+        sl, sm, sn = (tuple(v - 1 for v in w) for w in (lam, mu, nu))
+        assert shifted == sum((c * lr_triple(rs, lam, mu, k, nu) for k, c in K.items()), Q(0))
+        assert unshifted == sum((c * lr_triple(rs, sl, sm, k, sn) for k, c in Khat.items()), Q(0))
+
+
 # -- c_kappa ---------------------------------------------------------------------
 
 
