@@ -6,11 +6,8 @@ module docstrings for conventions (bases, normalizations).
 
 from .rootsys import (
     RootSystem,
-    Weight,
     WeylElement,
     apply_weyl,
-    b2_weyl_element,
-    b2_weyl_table,
     build_root_system,
     delta_g,
     is_compatible,

@@ -344,8 +344,9 @@ class RationalPolygon:
             if lo <= hi:
                 yield (y, lo, hi)
 
-    def lattice_count(self, integrality_filter: bool = True, strict_all: bool = False) -> int:
-        if integrality_filter and not self._passes_filter():
+    def lattice_count(self, strict_all: bool = False) -> int:
+        """Integer points of the polygon (of its interior, under strict_all); 0 when elim is not integral."""
+        if not self._passes_filter():
             return 0
         return sum(hi - lo + 1 for _, lo, hi in self._row_counts(strict_all))
 
@@ -450,13 +451,13 @@ def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     return RationalPolygon._from_rows(tuple(rows), tuple(dens), _BZ_B2_LABELS, (_exact_div(d1, 2), sq2), True)
 
 
-def lattice_point_count(P: RationalPolygon, integrality_filter: bool = True) -> int:
+def lattice_point_count(P: RationalPolygon) -> int:
     """Integer points of P whose back-substituted BZ parameters are integral.
 
-    With integrality_filter=False this is the raw 2D lattice count
-    (diagnostic mode).
+    A polygon without elim has no eliminated parameters, so this is its raw
+    2D lattice count.
     """
-    return P.lattice_count(integrality_filter=integrality_filter)
+    return P.lattice_count()
 
 
 def polygon_area(P: RationalPolygon) -> Q:
@@ -474,13 +475,16 @@ def _segment_relative_length(v0: Point, v1: Point) -> Q:
     return Q(gcd(abs(ix), abs(iy)), den)
 
 
-def boundary_interior_counts(P: RationalPolygon, integrality_filter: bool = True) -> tuple[int, int]:
-    """(boundary, interior) lattice point counts; relative interior for dim < 2."""
-    if integrality_filter and not P._passes_filter():
+def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
+    """(boundary, interior) lattice point counts; relative interior for dim < 2.
+
+    Both are 0 when P has an elim that is not integral, as lattice_count.
+    """
+    if not P._passes_filter():
         return (0, 0)
-    total = P.lattice_count(integrality_filter)
+    total = P.lattice_count()
     if P.dim == 2:
-        interior = P.lattice_count(integrality_filter, strict_all=True)
+        interior = P.lattice_count(strict_all=True)
         return (total - interior, interior)
     if P.dim == 1:
         ends = sum(

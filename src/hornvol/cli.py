@@ -315,7 +315,7 @@ def cmd_ehrhart(args) -> int:
         "lam": lam, "mu": mu, "nu": nu,
         "samples": {str(s): v for s, v in sorted(samples.items())},
         "quasi_polynomial": quasi.to_json_dict(),
-        "leading_coefficient": str(leading_coefficient(quasi, skip_zero_classes=True)),
+        "leading_coefficient": str(leading_coefficient(quasi)),
     }
     _emit_json(payload, sys.stdout)
     return 0

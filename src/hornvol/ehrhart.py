@@ -120,18 +120,14 @@ def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> Q
     return QuasiPolynomial(period=period, coeffs=coeffs)
 
 
-def leading_coefficient(quasi: QuasiPolynomial, skip_zero_classes: bool = False) -> Q:
-    """The degree-d coefficient, required constant across residue classes.
+def leading_coefficient(quasi: QuasiPolynomial) -> Q:
+    """The degree-d coefficient, required constant across the nonzero residue classes.
 
-    With skip_zero_classes=True, residue classes that vanish identically
-    (count 0 at every dilation, as for non-compatible shifted triples) are
-    ignored.
+    Residue classes that vanish identically (count 0 at every dilation, as
+    for non-compatible shifted triples) are skipped; 0 when every class does.
+    Raises LeadingCoefficientError when the other classes disagree.
     """
-    leads = {}
-    for r, cs in quasi.coeffs.items():
-        if skip_zero_classes and all(c == 0 for c in cs):
-            continue
-        leads[r] = cs[-1]
+    leads = {r: cs[-1] for r, cs in quasi.coeffs.items() if not quasi.class_is_zero(r)}
     if not leads:
         return Q(0)
     vals = set(leads.values())

@@ -25,7 +25,6 @@ from .rootsys import (
     NonDominantWeightError,
     RootSystem,
     UnsupportedAlgebraError,
-    Weight,
     build_root_system,
     reflect_to_dominant,
     weyl_dimension,
@@ -219,15 +218,13 @@ def kostant_partition_b2(m: int, n: int) -> int:
     return total
 
 
-def kostant_partition(rs: RootSystem, sigma, basis: str = "dynkin") -> int:
+def kostant_partition(rs: RootSystem, sigma) -> int:
     """Number of decompositions of sigma into nonnegative integer sums of positive roots.
 
-    Returns 0 when sigma is not in the root lattice (or has a negative
-    simple-root coordinate).
+    sigma holds simple-root coordinates, ints or Fractions (`dynkin_to_root`
+    converts Dynkin labels).  Returns 0 when sigma is not in the root lattice
+    (a non-integral coordinate) or has a negative coordinate.
     """
-    if isinstance(sigma, Weight) or basis != "root":
-        w = sigma if isinstance(sigma, Weight) else Weight(tuple(sigma), basis)
-        sigma = rs.to_basis(w, "root").coords
     vec = tuple(v.numerator for v in sigma)
     if vec != tuple(sigma) or min(vec) < 0:  # off the root lattice, or not >= 0
         return 0
@@ -245,7 +242,7 @@ def _kostant_lookup(rs: RootSystem):
     """
     if (rs.family, rs.rank) == ("B", 2):
         return kostant_partition_b2
-    return lambda *vec: kostant_partition(rs, vec, "root")
+    return lambda *vec: kostant_partition(rs, vec)
 
 
 # ---------------------------------------------------------------------------

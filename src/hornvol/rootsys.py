@@ -1,4 +1,4 @@
-"""Root systems, integer Weyl groups and exact basis conversions.
+"""Root systems, integer Weyl groups and exact conversions between coordinates.
 
 Every classical family A, B, C, D (arbitrary rank) and the five exceptional
 algebras are realized with exact rational coordinates in an ambient
@@ -21,6 +21,13 @@ from the integer Cartan matrix C.  The positive roots are stored once, in
 simple-root coordinates, closed under the simple reflections in integers
 (orthonormal coordinates are derived on demand), and Weyl group elements
 are integer matrices on simple-root coordinates.
+
+A weight is a plain coordinate sequence, and the caller knows which
+coordinates it holds: Dynkin labels, simple-root coordinates or orthonormal
+coordinates.  `RootSystem` converts between them with one method per
+direction (`dynkin_to_root`, `root_to_dynkin`, `root_to_ortho`,
+`ortho_to_root`, `ortho_to_dynkin`), each refusing a sequence of the wrong
+length.
 
 The exact kernels work on integer Dynkin labels (`RootSystem.labels` reads
 them).  Two integer tables serve them: `root_scale`, (d, d C^-T), which maps
@@ -46,17 +53,6 @@ CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 FAMILIES = tuple(CLASSICAL_MIN_RANK) + tuple(EXCEPTIONAL_RANK)
 
-#: canonical basis names, with accepted aliases
-BASIS_ALIASES = {
-    "dynkin": "dynkin",
-    "root": "root",
-    "simpleroot": "root",
-    "simple_root": "root",
-    "ortho": "ortho",
-    "orthonormal": "ortho",
-}
-
-
 class UnsupportedAlgebraError(ValueError):
     pass
 
@@ -65,29 +61,12 @@ class NonDominantWeightError(ValueError):
     """Not a dominant integral weight: a negative or a non-integral Dynkin label."""
 
 
-def _canon_basis(basis: str) -> str:
-    try:
-        return BASIS_ALIASES[basis.lower()]
-    except KeyError:
-        raise ValueError(f"unknown basis {basis!r}") from None
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Exact rational coordinate vector with a declared basis."""
-
-    coords: Vec
-    basis: str = "dynkin"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", qvec(self.coords))
-        object.__setattr__(self, "basis", _canon_basis(self.basis))
-
-
-def as_weight(x, basis: str = "dynkin") -> Weight:
-    if isinstance(x, Weight):
-        return x
-    return Weight(tuple(x), basis)
+def _sized(x: Sequence, n: int, what: str) -> tuple:
+    """x as a tuple; ValueError unless it has n entries."""
+    x = tuple(x)
+    if len(x) != n:
+        raise ValueError(f"{x} needs {n} {what}")
+    return x
 
 
 def _simple_roots(family: str, rank: int) -> list[Vec]:
@@ -213,24 +192,22 @@ class RootSystem:
         return tuple(self.root_to_ortho(k) for k in self.positive_roots_rb)
 
     @property
-    def weyl_vector(self) -> Weight:
-        """rho, half the sum of the positive roots (Dynkin labels all 1)."""
-        return Weight((1,) * self.rank, "dynkin")
+    def ambient_dim(self) -> int:
+        """The number of orthonormal coordinates."""
+        return len(self.simple_roots[0])
 
     @property
     def rho_ortho(self) -> Vec:
         return self.root_to_ortho(tuple(Q(sum(col), 2) for col in zip(*self.positive_roots_rb)))
 
-    # -- labels and basis conversions ------------------------------------------
-    def labels(self, w) -> tuple[int, ...]:
-        """The integer Dynkin labels of w, a label sequence or a Weight in any basis.
+    # -- labels and coordinate conversions -------------------------------------
+    def labels(self, a: Sequence) -> tuple[int, ...]:
+        """The Dynkin labels a (ints or integral Fractions) as a tuple of ints.
 
         Raises ValueError on a wrong number of labels and NonDominantWeightError
         on a non-integral one.
         """
-        a = tuple(self.dynkin(w) if isinstance(w, Weight) else w)
-        if len(a) != self.rank:
-            raise ValueError(f"{a} needs {self.rank} Dynkin labels")
+        a = _sized(a, self.rank, "Dynkin labels")
         labels = tuple(map(int, a))
         if labels != a:  # int() truncated a non-integral label
             raise NonDominantWeightError(f"({', '.join(map(str, a))}) is not an integral weight")
@@ -250,13 +227,13 @@ class RootSystem:
         return tuple(Q(v, d) for v in self.scaled_root(a))
 
     def root_to_dynkin(self, c: Sequence) -> Vec:
-        n = self.rank
-        c = qvec(c)
-        return tuple(sum((c[i] * self.cartan_matrix[i][j] for i in range(n)), Q(0)) for j in range(n))
+        c = qvec(_sized(c, self.rank, "simple-root coordinates"))
+        return tuple(sum((ci * row[j] for ci, row in zip(c, self.cartan_matrix)), Q(0)) for j in range(self.rank))
 
     def root_to_ortho(self, c: Sequence) -> Vec:
-        acc = (Q(0),) * len(self.simple_roots[0])
-        for ci, alpha in zip(qvec(c), self.simple_roots):
+        c = qvec(_sized(c, self.rank, "simple-root coordinates"))
+        acc = (Q(0),) * self.ambient_dim
+        for ci, alpha in zip(c, self.simple_roots):
             acc = vadd(acc, vscale(ci, alpha))
         return acc
 
@@ -268,30 +245,8 @@ class RootSystem:
         return c
 
     def ortho_to_dynkin(self, x: Sequence) -> Vec:
-        x = qvec(x)
+        x = qvec(_sized(x, self.ambient_dim, "orthonormal coordinates"))
         return tuple(2 * dot(x, a) / dot(a, a) for a in self.simple_roots)
-
-    def to_basis(self, w: Weight, basis: str) -> Weight:
-        basis = _canon_basis(basis)
-        if w.basis == basis:
-            return w
-        if w.basis == "dynkin":
-            rb = self.dynkin_to_root(w.coords)
-        elif w.basis == "root":
-            rb = w.coords
-        else:
-            rb = self.ortho_to_root(w.coords)
-        if basis == "root":
-            return Weight(rb, "root")
-        if basis == "dynkin":
-            return Weight(self.root_to_dynkin(rb), "dynkin")
-        return Weight(self.root_to_ortho(rb), "ortho")
-
-    def ortho(self, w) -> Vec:
-        return self.to_basis(as_weight(w), "ortho").coords
-
-    def dynkin(self, w) -> Vec:
-        return self.to_basis(as_weight(w), "dynkin").coords
 
     # -- norms ---------------------------------------------------------------
     def long_norm2(self) -> Q:
@@ -388,7 +343,6 @@ class WeylElement:
 
     matrix: tuple[tuple[int, ...], ...]
     sign: int
-    label: str = ""
 
     def act_root(self, c: Sequence) -> Vec:
         c = qvec(c)
@@ -408,7 +362,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     rows = [list(row) for row in _identity_matrix(rs.rank)]
     for j in range(rs.rank):
         rows[i][j] -= rs.cartan_matrix[j][i]
-    return WeylElement(tuple(map(tuple, rows)), -1, f"s{i + 1}")
+    return WeylElement(tuple(map(tuple, rows)), -1)
 
 
 @lru_cache(maxsize=None)
@@ -417,19 +371,18 @@ def weyl_elements(rs_key: tuple[str, int]) -> tuple[WeylElement, ...]:
     rs = build_root_system(*rs_key)
     n = rs.rank
     gens = [simple_reflection(rs, i) for i in range(n)]
-    seen = {_identity_matrix(n): (1, "e")}
+    seen = {_identity_matrix(n): 1}
     frontier = [_identity_matrix(n)]
     while frontier:
         new = []
         for mat in frontier:
-            sign, label = seen[mat]
             for g in gens:
                 prod = _matmul(g.matrix, mat)
                 if prod not in seen:
-                    seen[prod] = (sign * g.sign, g.label + ("" if label == "e" else "." + label))
+                    seen[prod] = seen[mat] * g.sign
                     new.append(prod)
         frontier = new
-    return tuple(WeylElement(m, s, lab) for m, (s, lab) in seen.items())
+    return tuple(WeylElement(m, s) for m, s in seen.items())
 
 
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -446,33 +399,13 @@ B2_SIGNED_PERMUTATIONS = {
 }
 
 
-def b2_weyl_element(swap: bool, sign1: int, sign2: int) -> WeylElement:
-    """B2 element acting on orthonormal pairs by optional swap then sign flips.
+def apply_weyl(rs: RootSystem, w: WeylElement, x: Sequence) -> Vec:
+    """w . x for x in orthonormal coordinates, returned in orthonormal coordinates.
 
-    Its columns are the images of alpha1 = e1 - e2 and alpha2 = e2 in
-    simple-root coordinates, where (x1, x2) = x1 alpha1 + (x1 + x2) alpha2.
+    x must lie in the root span (InconsistentSystemError otherwise) and have
+    rs.ambient_dim coordinates (ValueError otherwise).
     """
-    eps = B2_SIGNED_PERMUTATIONS[(bool(swap), sign1, sign2)]
-    cols = []
-    for a, b in ((1, -1), (0, 1)):
-        if swap:
-            a, b = b, a
-        a, b = sign1 * a, sign2 * b
-        cols.append((a, a + b))
-    return WeylElement(tuple(zip(*cols)), eps, f"b2({int(swap)},{sign1:+d},{sign2:+d})")
-
-
-def b2_weyl_table() -> tuple[WeylElement, ...]:
-    """The eight B2 Weyl elements in the order of B2_SIGNED_PERMUTATIONS."""
-    return tuple(b2_weyl_element(*key) for key in B2_SIGNED_PERMUTATIONS)
-
-
-def apply_weyl(rs: RootSystem, w: WeylElement, x) -> Weight:
-    """w . x, returned in the basis x was given in."""
-    xw = as_weight(x, "ortho") if not isinstance(x, Weight) else x
-    rb = rs.to_basis(xw, "root").coords
-    out = Weight(w.act_root(rb), "root")
-    return rs.to_basis(out, xw.basis)
+    return rs.root_to_ortho(w.act_root(rs.ortho_to_root(x)))
 
 
 def reflect_to_dominant(rs: RootSystem, a: Sequence) -> tuple[tuple, int]:
@@ -521,9 +454,9 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return num // den
 
 
-def delta_g(rs: RootSystem, x) -> Q:
-    """prod_{alpha>0} <alpha, x> in the documented orthonormal realization."""
-    xo = rs.ortho(as_weight(x, "ortho") if not isinstance(x, Weight) else x)
+def delta_g(rs: RootSystem, x: Sequence) -> Q:
+    """prod_{alpha>0} <alpha, x> for x in orthonormal coordinates of the documented realization."""
+    xo = qvec(_sized(x, rs.ambient_dim, "orthonormal coordinates"))
     out = Q(1)
     for alpha in rs.positive_roots:
         out *= dot(alpha, xo)
@@ -551,7 +484,7 @@ def kappa_constants(rs: RootSystem) -> KappaG:
     if K.denominator != 1:
         raise InvariantError(f"ratio factor K = {K} of {rs.name} is not an integer")
     scale = Q(2) / theta2
-    delta_norm = delta_g(rs, Weight(rs.rho_ortho, "ortho")) * scale ** rs.n_positive
+    delta_norm = delta_g(rs, rs.rho_ortho) * scale ** rs.n_positive
     return KappaG(prefactor=1 / delta_norm, two_pi_exponent=rs.n_positive, K=int(K))
 
 
@@ -601,17 +534,6 @@ def kappa_theta(theta, n: int) -> KappaTheta:
 
 
 def is_compatible(rs: RootSystem, lam, mu, nu) -> bool:
-    """True iff lambda + mu - nu lies in the root lattice; labels may be rational.
-
-    Integer label sequences go straight through the integer map scaled_root;
-    Weights and rational labels are read by dynkin first.
-    """
-    def scaled(w) -> tuple:
-        if not isinstance(w, Weight):
-            w = tuple(w)
-            if all(isinstance(v, int) for v in w):
-                return rs.scaled_root(w)
-        return rs.scaled_root(rs.dynkin(w))
-
-    a, b, c = (scaled(w) for w in (lam, mu, nu))
+    """True iff lambda + mu - nu lies in the root lattice; the Dynkin labels are ints or Fractions."""
+    a, b, c = (rs.scaled_root(w) for w in (lam, mu, nu))
     return all((x + y - z) % rs.root_scale[0] == 0 for x, y, z in zip(a, b, c))

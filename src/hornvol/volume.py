@@ -639,7 +639,7 @@ def c_kappa_via_kissinger(rs: RootSystem, kappa) -> Q:
     if kap not in K and kap not in Khat:
         raise ValueError(f"{kap} is not in K or K-hat of {rs.name}")
     quasi, _ = kissinger_quasi_polynomial(rs, kap)
-    return leading_coefficient(quasi, skip_zero_classes=True)
+    return leading_coefficient(quasi)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +762,7 @@ def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
             skipped["lr"] = str(exc)
     if "ehrhart" in routes:
         quasi, _ = stretching_quasi_polynomial(rs, lam, mu, nu)
-        out["ehrhart"] = leading_coefficient(quasi, skip_zero_classes=True)
+        out["ehrhart"] = leading_coefficient(quasi)
     if "polytope" in routes:
         if not is_b2:
             raise ValueError("the BZ polygon construction is B2-specific")

@@ -104,11 +104,11 @@ def test_dominance_required():
 def test_integrality_filter():
     # compatible triple: counting is plain 2-D counting
     P = bz_polygon_b2((5, 6), (3, 4), (5, 6))
-    assert lattice_point_count(P, integrality_filter=False) == 10
-    # non-compatible triple: the filter kills every point, raw counting does not
+    assert lattice_point_count(RationalPolygon(P.halfplanes)) == lattice_point_count(P) == 10
+    # non-compatible triple: the filter kills every point; the same rows without elim do not
     P2 = bz_polygon_b2((1, 1), (1, 1), (1, 1))
-    assert lattice_point_count(P2) == 0
-    assert lattice_point_count(P2, integrality_filter=False) > 0
+    assert lattice_point_count(P2) == 0 and boundary_interior_counts(P2) == (0, 0)
+    assert lattice_point_count(RationalPolygon(P2.halfplanes)) > 0
 
 
 def test_count_matches_klimyk_and_zero_when_incompatible():
@@ -594,14 +594,19 @@ def test_template_polygon_matches_the_halfplane_builder(labels):
     assert P.vertices == vertices and all(type(v) is Q for p in P.vertices for v in p)
     assert P.dim == min(len(vertices), 3) - 1
     assert P.area() == fraction_area(vertices) and type(P.area()) is Q
-    # x = t0(0) <= lam2 and y = t1(1) <= lam1 bound the polygon
+    # x = t0(0) <= lam2 and y = t1(1) <= lam1 bound the polygon; the same rows
+    # without elim count with no integrality filter
+    raw = RationalPolygon(P.halfplanes)
+    assert raw.elim is None
+    expected = {}
     for filtered, strict_all in ((True, False), (False, False), (True, True), (False, True)):
-        expected = box_count(R.halfplanes, R.elim, lam[1], lam[0], filtered, strict_all)
-        assert P.lattice_count(filtered, strict_all) == expected
-    assert lattice_point_count(P, integrality_filter=False) == box_count(
-        R.halfplanes, R.elim, lam[1], lam[0], False, False)
+        expected[filtered, strict_all] = box_count(R.halfplanes, R.elim, lam[1], lam[0], filtered, strict_all)
+        assert (P if filtered else raw).lattice_count(strict_all) == expected[filtered, strict_all]
+    assert lattice_point_count(raw) == expected[False, False]
     assert boundary_interior_counts(P) == boundary_interior_counts(R)
-    assert boundary_interior_counts(P, False) == boundary_interior_counts(R, False)
+    if raw.dim == 2:
+        interior = expected[False, True]
+        assert boundary_interior_counts(raw) == (expected[False, False] - interior, interior)
     for s in range(7):
         D = P.dilate(s)
         hps, elim = fraction_dilation(R, s)

@@ -79,11 +79,18 @@ def test_leading_coefficients():
 
 
 def test_leading_coefficient_error_and_skip():
-    # shifted non-compatible triple: odd dilations vanish identically
+    # shifted non-compatible triple: the odd dilations vanish identically and are skipped
     quasi, _ = stretching_quasi_polynomial(B2, (1, 1), (1, 1), (1, 1))
+    assert quasi.class_is_zero(1) and not quasi.class_is_zero(0)
+    assert leading_coefficient(quasi) == Q(3, 8)
+    # two nonzero classes whose leading coefficients differ
+    varying = QuasiPolynomial(period=2, coeffs={0: (Q(1), Q(0), Q(1, 2)), 1: (Q(0), Q(1), Q(1, 4))})
+    with pytest.raises(LeadingCoefficientError, match="varies across classes"):
+        leading_coefficient(varying)
+    # a zero class next to them changes nothing, and a lone zero class gives 0
     with pytest.raises(LeadingCoefficientError):
-        leading_coefficient(quasi)
-    assert leading_coefficient(quasi, skip_zero_classes=True) == Q(3, 8)
+        leading_coefficient(QuasiPolynomial(period=3, coeffs={**varying.coeffs, 2: (Q(0),) * 3}))
+    assert leading_coefficient(QuasiPolynomial(period=1, coeffs={0: (Q(0),) * 3})) == 0
 
 
 def test_reciprocity_worked_examples():
@@ -159,7 +166,7 @@ def test_empty_polytope_fit_is_zero():
     quasi, samples = stretching_quasi_polynomial(B2, (0, 0), (0, 0), (2, 0))
     assert 0 not in samples
     assert all(quasi.evaluate(s) == 0 for s in range(1, 7))
-    assert leading_coefficient(quasi, skip_zero_classes=True) == 0
+    assert leading_coefficient(quasi) == 0
 
 
 def test_non_integral_labels_are_refused():

@@ -10,13 +10,10 @@ from hornvol import rootsys
 from hornvol._exact import InconsistentSystemError, InvariantError, dot, solve_square
 from hornvol.rootsys import (
     UnsupportedAlgebraError,
-    Weight,
     WeylElement,
     _identity_matrix,
     _matmul,
     apply_weyl,
-    b2_weyl_element,
-    b2_weyl_table,
     build_root_system,
     delta_g,
     is_compatible,
@@ -71,7 +68,7 @@ def test_b2_positive_roots_and_rho():
     assert roots == {(Q(1), Q(-1)), e2, e1, (Q(1), Q(1))}
     # rho = (3 alpha1 + 4 alpha2) / 2
     assert rs.dynkin_to_root((1, 1)) == (Q(3, 2), Q(2))
-    assert rs.ortho(rs.weyl_vector) == (Q(3, 2), Q(1, 2))
+    assert rs.root_to_ortho(rs.dynkin_to_root((1, 1))) == rs.rho_ortho == (Q(3, 2), Q(1, 2))
 
 
 def test_a1_smallest_case():
@@ -114,70 +111,63 @@ def test_exponents_sum_to_positive_count():
 # -- Weyl action -----------------------------------------------------------
 
 
+def weyl_element_from_word(rs, word) -> WeylElement:
+    """The product s_{word[0]} s_{word[1]} ... as one integer matrix."""
+    w = WeylElement(_identity_matrix(rs.rank), 1)
+    for i in word:
+        s = simple_reflection(rs, i)
+        w = WeylElement(_matmul(w.matrix, s.matrix), w.sign * s.sign)
+    return w
+
+
 def test_apply_weyl_identity():
     rs = build_root_system("B", 2)
-    w = b2_weyl_element(False, 1, 1)
+    w = next(w for w in weyl_group(rs) if w.matrix == _identity_matrix(2))
     assert w.sign == 1
-    x = Weight((Q(17), Q(4)), "ortho")
-    assert apply_weyl(rs, w, x).coords == (Q(17), Q(4))
+    assert apply_weyl(rs, w, (Q(17), Q(4))) == (Q(17), Q(4))
 
 
 def test_apply_weyl_swap_and_flip():
     rs = build_root_system("B", 2)
-    swap = b2_weyl_element(True, 1, 1)
+    swap = simple_reflection(rs, 0)  # the reflection in alpha1 = e1 - e2
     assert swap.sign == -1
-    assert apply_weyl(rs, swap, Weight((Q(3), Q(7)), "ortho")).coords == (Q(7), Q(3))
-    flip1 = b2_weyl_element(False, -1, 1)
+    assert apply_weyl(rs, swap, (Q(3), Q(7))) == (Q(7), Q(3))
+    flip2 = simple_reflection(rs, 1)  # the reflection in alpha2 = e2
+    assert apply_weyl(rs, flip2, (Q(3), Q(7))) == (Q(3), Q(-7))
+    flip1 = weyl_element_from_word(rs, (0, 1, 0))
     assert flip1.sign == -1
-    assert apply_weyl(rs, flip1, Weight((Q(3), Q(7)), "ortho")).coords == (Q(-3), Q(7))
+    assert apply_weyl(rs, flip1, (Q(3), Q(7))) == (Q(-3), Q(7))
 
 
 def test_b2_weyl_group_has_eight_elements_and_multiplicative_sign():
     rs = build_root_system("B", 2)
-    table = b2_weyl_table()
+    table = weyl_group(rs)
     assert len({w.matrix for w in table}) == 8
-    assert {w.matrix for w in table} == {w.matrix for w in weyl_group(rs)}
+    # on orthonormal pairs the eight elements are the eight signed permutations
+    images = {apply_weyl(rs, w, (3, 7)) for w in table}
+    assert images == {(s1 * y1, s2 * y2) for y1, y2 in ((3, 7), (7, 3)) for s1 in (1, -1) for s2 in (1, -1)}
     # sign is a homomorphism: eps(w w') = eps(w) eps(w')
-    by_matrix = {w.matrix: w.sign for w in table}
+    e1, e2 = (Q(1), Q(0)), (Q(0), Q(1))
     for w in table:
-        e1 = apply_weyl(rs, w, Weight((Q(1), Q(0)), "ortho")).coords
-        e2 = apply_weyl(rs, w, Weight((Q(0), Q(1)), "ortho")).coords
         for w2 in table:
-            f1 = apply_weyl(rs, w2, Weight(e1, "ortho")).coords
-            f2 = apply_weyl(rs, w2, Weight(e2, "ortho")).coords
-            prod = next(
-                u for u in table
-                if apply_weyl(rs, u, Weight((Q(1), Q(0)), "ortho")).coords == f1
-                and apply_weyl(rs, u, Weight((Q(0), Q(1)), "ortho")).coords == f2
-            )
+            f1 = apply_weyl(rs, w2, apply_weyl(rs, w, e1))
+            f2 = apply_weyl(rs, w2, apply_weyl(rs, w, e2))
+            prod = next(u for u in table if apply_weyl(rs, u, e1) == f1 and apply_weyl(rs, u, e2) == f2)
             assert prod.sign == w.sign * w2.sign
         assert w.sign**2 == 1
-
-
-def weyl_element_from_word(rs, word) -> WeylElement:
-    """The product s_{word[0]} s_{word[1]} ... as one integer matrix."""
-    w = WeylElement(_identity_matrix(rs.rank), 1, "e")
-    for i in word:
-        s = simple_reflection(rs, i)
-        w = WeylElement(
-            _matmul(w.matrix, s.matrix),
-            w.sign * s.sign,
-            (w.label + "." if w.label != "e" else "") + s.label,
-        )
-    return w
 
 
 def test_weyl_element_from_word():
     rs = build_root_system("B", 2)
     w = weyl_element_from_word(rs, (0, 1))  # s1 then s2
     assert w.sign == 1
-    x = Weight((Q(5), Q(2)), "ortho")
-    via_word = apply_weyl(rs, w, x).coords
+    x = (Q(5), Q(2))
+    via_word = apply_weyl(rs, w, x)
     s1 = weyl_element_from_word(rs, (0,))
     s2 = weyl_element_from_word(rs, (1,))
-    composed = apply_weyl(rs, s1, apply_weyl(rs, s2, x)).coords
+    composed = apply_weyl(rs, s1, apply_weyl(rs, s2, x))
     assert via_word == composed
-    assert weyl_element_from_word(rs, ()).matrix == b2_weyl_element(False, 1, 1).matrix
+    assert weyl_element_from_word(rs, ()).matrix == _identity_matrix(2)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
@@ -185,8 +175,6 @@ def test_weyl_matrices_are_integer(family, rank):
     rs = build_root_system(family, rank)
     elements = list(weyl_group(rs)) + [simple_reflection(rs, i) for i in range(rank)]
     elements.append(weyl_element_from_word(rs, range(rank)))
-    if (family, rank) == ("B", 2):
-        elements.extend(b2_weyl_table())
     assert all(type(x) is int for w in elements for row in w.matrix for x in row)
 
 
@@ -224,34 +212,33 @@ def test_weyl_dimension_rejects_non_dominant():
     with pytest.raises(NonDominantWeightError):
         weyl_dimension(b2, (-1, 0))
     with pytest.raises(NonDominantWeightError):
-        weyl_dimension(b2, Weight((Q(1, 2), Q(0)), "dynkin"))
+        weyl_dimension(b2, (Q(1, 2), Q(0)))
 
 
 def test_delta_vanishes_on_wall():
     b2 = build_root_system("B", 2)
-    assert delta_g(b2, Weight((Q(3), Q(3)), "ortho")) == 0
+    assert delta_g(b2, (Q(3), Q(3))) == 0
 
 
 def test_delta_reproduces_weyl_dimension():
     b2 = build_root_system("B", 2)
-    rho = Weight(b2.rho_ortho, "ortho")
-    lam_rho = Weight((Q(5, 2), Q(1, 2)), "ortho")  # (1,0) + rho
+    rho = b2.rho_ortho
+    lam_rho = (Q(5, 2), Q(1, 2))  # (1,0) + rho
     assert delta_g(b2, lam_rho) / delta_g(b2, rho) == weyl_dimension(b2, (1, 0)) == 5
 
 
 def test_delta_a2_rho():
     a2 = build_root_system("A", 2)
-    assert delta_g(a2, Weight(a2.rho_ortho, "ortho")) == 2
+    assert delta_g(a2, a2.rho_ortho) == 2
 
 
 def test_delta_skew_invariance():
     rs = build_root_system("B", 2)
     rng = random.Random(11)
     for _ in range(10):
-        x = Weight((Q(rng.randint(-20, 20), rng.randint(1, 7)),
-                    Q(rng.randint(-20, 20), rng.randint(1, 7))), "ortho")
+        x = (Q(rng.randint(-20, 20), rng.randint(1, 7)), Q(rng.randint(-20, 20), rng.randint(1, 7)))
         base = delta_g(rs, x)
-        for w in b2_weyl_table():
+        for w in weyl_group(rs):
             assert delta_g(rs, apply_weyl(rs, w, x)) == w.sign * base
 
 
@@ -303,7 +290,7 @@ def test_kappa_theta_matches_su_n():
         assert kt.rational == kg.prefactor
 
 
-# -- compatibility and bases -------------------------------------------------
+# -- compatibility and coordinate conversions ----------------------------------
 
 
 def test_compatibility_examples():
@@ -327,11 +314,15 @@ def test_basis_round_trips(family, rank):
     rng = random.Random(rank * 101 + ord(family[0]))
     for _ in range(5):
         coords = tuple(Q(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(rank))
-        for basis in ("dynkin", "root"):
-            w = Weight(coords, basis)
-            for via in ("ortho", "root", "dynkin"):
-                back = rs.to_basis(rs.to_basis(w, via), basis)
-                assert back.coords == coords
+        # coords as Dynkin labels
+        c = rs.dynkin_to_root(coords)
+        assert rs.root_to_dynkin(c) == coords
+        assert rs.ortho_to_dynkin(rs.root_to_ortho(c)) == coords
+        # coords as simple-root coordinates
+        x = rs.root_to_ortho(coords)
+        assert rs.ortho_to_root(x) == coords
+        assert rs.dynkin_to_root(rs.ortho_to_dynkin(x)) == coords
+        assert rs.dynkin_to_root(rs.root_to_dynkin(coords)) == coords
 
 
 def test_vectors_off_the_root_span_raise():
@@ -340,16 +331,30 @@ def test_vectors_off_the_root_span_raise():
     with pytest.raises(InconsistentSystemError):
         a3.ortho_to_root(off)
     with pytest.raises(InconsistentSystemError):
-        a3.to_basis(Weight(off, "ortho"), "root")
-    with pytest.raises(InconsistentSystemError):
-        a3.to_basis(Weight(off, "ortho"), "dynkin")
+        apply_weyl(a3, weyl_group(a3)[0], off)
     assert a3.ortho_to_root((1, 0, 0, -1)) == (1, 1, 1)
 
 
-def test_basis_aliases():
-    w = Weight((1, 2), "SimpleRoot")
-    assert w.basis == "root"
-    assert Weight((1, 2), "Orthonormal").basis == "ortho"
+LENGTH_CHECKED = {
+    "dynkin_to_root": (lambda rs, v: rs.dynkin_to_root(v), "rank", "Dynkin labels"),
+    "root_to_dynkin": (lambda rs, v: rs.root_to_dynkin(v), "rank", "simple-root coordinates"),
+    "root_to_ortho": (lambda rs, v: rs.root_to_ortho(v), "rank", "simple-root coordinates"),
+    "ortho_to_root": (lambda rs, v: rs.ortho_to_root(v), "ambient_dim", "orthonormal coordinates"),
+    "ortho_to_dynkin": (lambda rs, v: rs.ortho_to_dynkin(v), "ambient_dim", "orthonormal coordinates"),
+    "delta_g": (delta_g, "ambient_dim", "orthonormal coordinates"),
+    "apply_weyl": (lambda rs, v: apply_weyl(rs, weyl_group(rs)[-1], v), "ambient_dim", "orthonormal coordinates"),
+}
+
+
+@pytest.mark.parametrize("algebra", [("B", 2), ("A", 2)])
+@pytest.mark.parametrize("name", sorted(LENGTH_CHECKED))
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_conversions_refuse_a_wrong_length(name, algebra, extra):
+    rs = build_root_system(*algebra)
+    convert, size, what = LENGTH_CHECKED[name]
+    n = getattr(rs, size)
+    with pytest.raises(ValueError, match=f"needs {n} {what}"):
+        convert(rs, tuple(range(1, n + extra + 1)))
 
 
 # -- labels and the integer Dynkin-to-root map ---------------------------------
@@ -359,8 +364,7 @@ def test_label_reader():
     b2 = build_root_system("B", 2)
     assert b2.labels((Q(5), 6)) == (5, 6)
     assert all(type(v) is int for v in b2.labels((Q(5), Q(6))))
-    assert b2.labels(Weight((3, 4))) == (3, 4)
-    assert b2.labels(Weight((Q(3, 2), Q(1, 2)), "ortho")) == (1, 1)  # rho
+    assert b2.labels(b2.ortho_to_dynkin((Q(3, 2), Q(1, 2)))) == (1, 1)  # rho
     assert b2.labels((-1, 2)) == (-1, 2)
     with pytest.raises(ValueError, match="needs 2 Dynkin labels"):
         b2.labels((1, 0, 7))
@@ -431,8 +435,8 @@ def test_is_compatible_matches_a_solve_square_reference(algebra, data):
 
 
 def is_compatible_through_fractions(rs, lam, mu, nu) -> bool:
-    """is_compatible with every weight read as Fraction labels by rs.dynkin."""
-    a, b, c = (rs.scaled_root(rs.dynkin(w)) for w in (lam, mu, nu))
+    """is_compatible with every weight read as Fraction labels."""
+    a, b, c = (rs.scaled_root(tuple(map(Q, w))) for w in (lam, mu, nu))
     return all((x + y - z) % rs.root_scale[0] == 0 for x, y, z in zip(a, b, c))
 
 
@@ -441,8 +445,7 @@ def is_compatible_through_fractions(rs, lam, mu, nu) -> bool:
 def test_integer_labels_agree_with_the_fraction_path(algebra, data):
     rs = build_root_system(*algebra)
     integer = st.tuples(*[st.integers(-12, 12)] * rs.rank)
-    label = st.one_of(integer, rational_labels(rs.rank), integer.map(Weight),
-                      integer.map(lambda a: tuple(map(Q, a))))
+    label = st.one_of(integer, rational_labels(rs.rank), integer.map(lambda a: tuple(map(Q, a))))
     lam, mu, nu = (data.draw(label) for _ in range(3))
     assert is_compatible(rs, lam, mu, nu) == is_compatible_through_fractions(rs, lam, mu, nu)
 

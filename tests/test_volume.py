@@ -17,7 +17,7 @@ from hornvol._exact import InvariantError, p2_integrate_polygon
 from hornvol.bzpolytope import RationalPolygon, _convex_hull, bz_polygon_b2, clip_cell
 from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError, freudenthal_weights, lr_steinberg
-from hornvol.rootsys import Weight, apply_weyl, b2_weyl_table, build_root_system, is_compatible
+from hornvol.rootsys import B2_SIGNED_PERMUTATIONS, apply_weyl, build_root_system, is_compatible, weyl_group
 from hornvol.volume import (
     _CHAMBER_WALLS,
     _QUAD_KEYS,
@@ -113,25 +113,23 @@ def test_j_homogeneity():
 @given(rational_points, rational_points, rational_points)
 def test_j_weyl_skew_invariance(alpha, beta, gamma):
     base = j_b2(alpha, beta, gamma)
-    for w in b2_weyl_table():
-        wa = apply_weyl(B2, w, Weight(alpha, "ortho")).coords
-        assert j_b2(wa, beta, gamma) == w.sign * base
-        wg = apply_weyl(B2, w, Weight(gamma, "ortho")).coords
-        assert j_b2(alpha, beta, wg) == w.sign * base
+    for w in weyl_group(B2):
+        assert j_b2(apply_weyl(B2, w, alpha), beta, gamma) == w.sign * base
+        assert j_b2(alpha, beta, apply_weyl(B2, w, gamma)) == w.sign * base
 
 
-def test_b2_weyl_table_and_j_b2_share_one_signed_permutation_table():
-    import hornvol.volume
-    from hornvol.rootsys import B2_SIGNED_PERMUTATIONS
-
-    assert hornvol.volume.B2_SIGNED_PERMUTATIONS is B2_SIGNED_PERMUTATIONS
-    table = b2_weyl_table()
-    assert len(table) == len(B2_SIGNED_PERMUTATIONS) == 8
+def test_weyl_closure_acts_as_the_signed_permutation_table_of_j_b2():
+    assert volume.B2_SIGNED_PERMUTATIONS is B2_SIGNED_PERMUTATIONS
+    # each element of the Cartan closure is one signed permutation, with its sign
     x1, x2 = Q(3), Q(7)
-    for w, ((swap, s1, s2), eps) in zip(table, B2_SIGNED_PERMUTATIONS.items()):
-        y1, y2 = (x2, x1) if swap else (x1, x2)
-        assert apply_weyl(B2, w, Weight((x1, x2), "ortho")).coords == (s1 * y1, s2 * y2)
-        assert w.sign == eps
+    found = {}
+    for w in weyl_group(B2):
+        y1, y2 = apply_weyl(B2, w, (x1, x2))
+        swap = abs(y1) == x2
+        key = (swap, y1 / (x2 if swap else x1), y2 / (x1 if swap else x2))
+        assert B2_SIGNED_PERMUTATIONS[key] == w.sign
+        found[key] = w.sign
+    assert found == B2_SIGNED_PERMUTATIONS
 
 
 def test_j_symmetric_in_alpha_beta():
@@ -1105,7 +1103,7 @@ def test_shifted_identity_of_methods():
         P = bz_polygon_b2(*shifted_dyn)
         assert direct == (P.area() if P.dim == 2 else Q(0))
         quasi, _ = stretching_quasi_polynomial(B2, *shifted_dyn)
-        assert direct == leading_coefficient(quasi, skip_zero_classes=True)
+        assert direct == leading_coefficient(quasi)
 
 
 def test_b3_lr_and_ehrhart_routes_agree():
