@@ -25,7 +25,6 @@ from .multiplicity import (
     tensor_decompose,
 )
 from .bzpolytope import (
-    HalfPlane,
     RationalPolygon,
     boundary_interior_counts,
     bz_polygon_b2,
@@ -33,12 +32,12 @@ from .bzpolytope import (
     lattice_point_count,
     pick_relation_check,
     polygon_area,
+    reciprocity_check,
 )
 from .ehrhart import (
     QuasiPolynomial,
     fit_quasi_polynomial,
     leading_coefficient,
-    reciprocity_check,
     stretching_quasi_polynomial,
 )
 from .volume import (

@@ -10,12 +10,12 @@ y = t1(1).  Its filtered integer points count C_{lam mu}^{nu}: a 2D lattice
 point only counts when the two eliminated parameters are integers as well,
 which for B2 is the statement that sigma lies in the root lattice.
 
-All geometry is exact and runs in integers.  A half-plane stores one integer
-row, its coefficients times the positive lcm of their denominators, and a
-polygon keeps only those rows.  The B2 BZ polygon fills the 12 offsets of
-one fixed template (normals, labels, strictness; always bounded) and hands
-the rows to the polygon without building a HalfPlane; a polygon builds its
-`halfplanes` from the rows only when something reads them.  Lattice scans
+All geometry is exact and runs in integers.  A polygon keeps each of its
+constraints a*x + b*y >= c (> c when strict) as one integer row, the
+coefficients times den, the positive lcm of their denominators, and reads
+a, b and c back off the rows (`RationalPolygon.constraints`).  The B2 BZ
+polygon fills the 12 offsets of one fixed template (normals, labels,
+strictness; always bounded) and hands the rows to the polygon.  Lattice scans
 split the rows once per polygon and take their row bounds from integer
 floor division, vertices come from Cramer's rule and an integer convex hull
 on one common denominator, areas from the integer shoelace sum, and a
@@ -31,6 +31,8 @@ from functools import cached_property
 from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
+from .ehrhart import QuasiPolynomial, fit_quasi_polynomial
+
 
 Point = tuple[Q, Q]
 Row = tuple[int, int, int, bool]
@@ -44,61 +46,11 @@ class DegeneratePolygonError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False)
-class HalfPlane:
-    """The constraint a*x + b*y >= c (or > c when strict), for ints or Fractions a, b, c.
-
-    Stored as one integer row (A, B, C) = den * (a, b, c), den > 0 the lcm of
-    the denominators of a, b and c; a, b and c are read back off the row.
-    """
-
-    row: tuple[int, int, int]
-    den: int
-    strict: bool
-    label: str
-
-    def __init__(self, a, b, c, strict: bool = False, label: str = ""):
-        den = lcm(a.denominator, b.denominator, c.denominator)
-        row = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
-               c.numerator * (den // c.denominator))
-        if row[0] == 0 and row[1] == 0:
-            raise ValueError("degenerate half-plane")
-        self.__dict__.update(row=row, den=den, strict=strict, label=label)  # frozen: bypass __setattr__
-
-    @property
-    def a(self) -> Q:
-        return Q(self.row[0], self.den)
-
-    @property
-    def b(self) -> Q:
-        return Q(self.row[1], self.den)
-
-    @property
-    def c(self) -> Q:
-        return Q(self.row[2], self.den)
-
-    def value(self, p: Point) -> Q:
-        A, B, C = self.row
-        return Q(A * p[0] + B * p[1] - C, self.den)
-
-    def holds(self, p: Point, closure: bool = False) -> bool:
-        A, B, C = self.row
-        v = A * p[0] + B * p[1] - C  # den * value(p), den > 0
-        return v >= 0 if (closure or not self.strict) else v > 0
-
-
-def _halfplane(row: tuple[int, int, int], den: int, strict: bool, label: str) -> HalfPlane:
-    """The HalfPlane of an integer row already in the constructor's normal form."""
-    h = object.__new__(HalfPlane)
-    h.__dict__.update(row=row, den=den, strict=strict, label=label)
-    return h
-
-
 def _scaled_row(row: tuple[int, int, int], den: int, p: int, q: int) -> tuple[tuple[int, int, int], int]:
     """The row and den of a*x + b*y >= (p/q)*c, for q > 0.
 
     The row becomes (q*A, q*B, p*C) over q*den, divided by gcd(q*den, q*A,
-    q*B, p*C): the row and den the HalfPlane constructor gives.
+    q*B, p*C): the row and den the RationalPolygon constructor gives.
     """
     A, B, C = row
     A, B, C, den = q * A, q * B, p * C, q * den
@@ -198,7 +150,7 @@ def _split_rows(rows: Sequence[Row], strict_all: bool):
 
 
 class RationalPolygon:
-    """Intersection of rational half-planes with a derived vertex cycle.
+    """Intersection of rational constraints with a derived vertex cycle.
 
     `elim` carries the simple-root coordinates of sigma for BZ polygons, so
     lattice scans can demand integrality of the eliminated parameters.
@@ -206,18 +158,28 @@ class RationalPolygon:
     an empty intersection.
     """
 
-    def __init__(self, halfplanes: Sequence[HalfPlane], elim: tuple[Q, Q] | None = None):
-        """A polygon of arbitrary half-planes, kept for the tests' reference builders: the
-        package builds its polygons from integer row templates (bz_polygon_b2, horn_polygon)."""
-        self.halfplanes = tuple(halfplanes)
-        self._set_rows(tuple((*h.row, h.strict) for h in self.halfplanes),
-                       tuple(h.den for h in self.halfplanes), tuple(h.label for h in self.halfplanes),
-                       None if elim is None else (Q(elim[0]), Q(elim[1])))
+    def __init__(self, constraints: Iterable[tuple], elim: tuple[Q, Q] | None = None):
+        """The polygon of the constraints (a, b, c, strict, label): a*x + b*y >= c, or > c when strict.
+
+        a, b and c are ints or Fractions, and a = b = 0 raises ValueError.
+        Each constraint is stored as the integer row den * (a, b, c), den > 0
+        the lcm of the denominators of a, b and c.
+        """
+        rows, dens, labels = [], [], []
+        for a, b, c, strict, label in constraints:
+            den = lcm(a.denominator, b.denominator, c.denominator)
+            A, B, C = (v.numerator * (den // v.denominator) for v in (a, b, c))
+            if A == 0 and B == 0:
+                raise ValueError(f"degenerate constraint {label!r}: a = b = 0")
+            rows.append((A, B, C, strict))
+            dens.append(den)
+            labels.append(label)
+        self._set_rows(tuple(rows), tuple(dens), tuple(labels), None if elim is None else (Q(elim[0]), Q(elim[1])))
 
     @classmethod
     def _from_rows(cls, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...],
                    elim, bounded: bool) -> "RationalPolygon":
-        """A polygon of integer rows in HalfPlane normal form, whose boundedness is known.
+        """A polygon of integer rows in the constructor's normal form, whose boundedness is known.
 
         `elim` is None or a pair of ints or Fractions.
         """
@@ -234,10 +196,10 @@ class RationalPolygon:
     def elim(self) -> tuple[Q, Q] | None:
         return None if self._elim is None else (Q(self._elim[0]), Q(self._elim[1]))
 
-    @cached_property
-    def halfplanes(self) -> tuple[HalfPlane, ...]:
-        """The half-planes of a polygon made from rows, built on first read."""
-        return tuple(_halfplane((A, B, C), den, strict, label)
+    @property
+    def constraints(self) -> tuple[tuple[Q, Q, Q, bool, str], ...]:
+        """The constraints (a, b, c, strict, label) read off the rows; the constructor rebuilds P from them."""
+        return tuple((Q(A, den), Q(B, den), Q(C, den), strict, label)
                      for (A, B, C, strict), den, label in zip(self._rows, self._dens, self._labels))
 
     # -- geometry ----------------------------------------------------------
@@ -284,9 +246,9 @@ class RationalPolygon:
         return min(len(self._vertex_cycle[1]), 3) - 1
 
     def contains(self, p: Point, strict: bool = False) -> bool:
-        if strict:
-            return all(h.value(p) > 0 for h in self.halfplanes)
-        return all(h.holds(p) for h in self.halfplanes)
+        """Whether p meets every constraint: strictly under strict, else as each one's strictness says."""
+        x, y = p  # den > 0, so the row's sign at p is that of a*x + b*y - c
+        return all(A * x + B * y > C if s or strict else A * x + B * y >= C for A, B, C, s in self._rows)
 
     def area(self) -> Q:
         D, v = self._vertex_cycle
@@ -354,8 +316,8 @@ class RationalPolygon:
     def to_json_dict(self) -> dict:
         return {
             "halfplanes": [
-                {"a": str(h.a), "b": str(h.b), "c": str(h.c), "strict": h.strict, "label": h.label}
-                for h in self.halfplanes
+                {"a": str(a), "b": str(b), "c": str(c), "strict": strict, "label": label}
+                for a, b, c, strict, label in self.constraints
             ],
             "vertices": [[str(x), str(y)] for x, y in self.vertices],
             "dim": self.dim,
@@ -422,11 +384,12 @@ _BZ_B2_LABELS = tuple(label for *_, label in _BZ_B2_TEMPLATE)
 
 
 def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
-    """Half-plane system of the B2 BZ polygon for a dominant rational triple.
+    """The B2 BZ polygon of a dominant rational triple.
 
     The labels are Dynkin labels, ints or Fractions.  An empty intersection
-    is a legal result (dim metadata -1).  The rows are those HalfPlane
-    would store for the 12 constraints of _BZ_B2_TEMPLATE.
+    is a legal result (dim metadata -1).  The rows are those the
+    RationalPolygon constructor would store for the 12 constraints of
+    _BZ_B2_TEMPLATE.
     """
     (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
     if min(l1, l2, m1, m2, n1, n2) < 0:
@@ -542,8 +505,6 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     the dilations of P.  Violated assumptions (a non-constant sub-leading
     coefficient) are reported in `notes`, never raised.
     """
-    from .ehrhart import fit_quasi_polynomial  # local import, no cycle at module load
-
     if P.dim != 2:
         raise DegeneratePolygonError("pick_relation_check needs a dim-2 polygon")
     C = lattice_point_count(P)
@@ -571,3 +532,10 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     if odd_const != 2 * p - 1:
         notes.append(f"odd-class constant {odd_const} differs from 2p-1 = {2 * p - 1}")
     return PickReport(p, holds, C, V, b, i, L, tuple(notes))
+
+
+def reciprocity_check(quasi: QuasiPolynomial, P: RationalPolygon) -> bool:
+    """Ehrhart-Macdonald: Q(-1) = (-1)^dim * (interior count)."""
+    val = quasi.evaluate(-1)
+    _, interior = boundary_interior_counts(P)
+    return val == Q(-1) ** max(P.dim, 0) * interior

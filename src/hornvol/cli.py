@@ -37,6 +37,7 @@ from .rootsys import (
     is_compatible,
 )
 from .volume import (
+    ROUTES,
     b2_dynkin_to_ortho,
     delta_b2,
     horn_contains_b2,
@@ -141,7 +142,7 @@ def cmd_volume(args) -> int:
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     lam, mu, nu = parse_triple(rs, args)
     if args.route == "all":
-        routes = ("direct", "lr", "ehrhart", "polytope") if is_b2 else ("lr", "ehrhart")
+        routes = ROUTES if is_b2 else ("lr", "ehrhart")
     else:
         routes = (args.route,)
     if any(r in ("lr", "ehrhart") for r in routes) and not is_compatible(rs, lam, mu, nu):
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--route", choices=["direct", "lr", "ehrhart", "polytope", "all"], default="all")
+    p.add_argument("--route", choices=[*ROUTES, "all"], default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_volume)
 

@@ -13,7 +13,6 @@ from fractions import Fraction as Q
 from math import lcm, prod
 
 from . import multiplicity
-from .bzpolytope import RationalPolygon, boundary_interior_counts
 from .rootsys import RootSystem, polytope_degree
 
 
@@ -134,13 +133,6 @@ def leading_coefficient(quasi: QuasiPolynomial) -> Q:
     if len(vals) > 1:
         raise LeadingCoefficientError(f"leading coefficient varies across classes: {leads}")
     return vals.pop()
-
-
-def reciprocity_check(quasi: QuasiPolynomial, P: RationalPolygon) -> bool:
-    """Ehrhart-Macdonald: Q(-1) = (-1)^dim * (interior count)."""
-    val = quasi.evaluate(-1)
-    _, interior = boundary_interior_counts(P)
-    return val == Q(-1) ** max(P.dim, 0) * interior
 
 
 def default_period(rs: RootSystem) -> int:

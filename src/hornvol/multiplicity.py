@@ -223,9 +223,12 @@ def kostant_partition(rs: RootSystem, sigma) -> int:
 
     sigma holds simple-root coordinates, ints or Fractions (`dynkin_to_root`
     converts Dynkin labels).  Returns 0 when sigma is not in the root lattice
-    (a non-integral coordinate) or has a negative coordinate.
+    (a non-integral coordinate) or has a negative coordinate, and raises
+    ValueError unless sigma has rank coordinates.
     """
     vec = tuple(v.numerator for v in sigma)
+    if len(vec) != rs.rank:
+        raise ValueError(f"{tuple(sigma)} needs {rs.rank} simple-root coordinates")
     if vec != tuple(sigma) or min(vec) < 0:  # off the root lattice, or not >= 0
         return 0
     if rs.family == "B" and rs.rank == 2:

@@ -345,7 +345,7 @@ class WeylElement:
     sign: int
 
     def act_root(self, c: Sequence) -> Vec:
-        c = qvec(c)
+        c = qvec(_sized(c, len(self.matrix), "simple-root coordinates"))
         return tuple(dot(row, c) for row in self.matrix)
 
 

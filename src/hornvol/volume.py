@@ -124,7 +124,7 @@ def horn_slabs(alpha, beta) -> dict[str, tuple[Q, Q]]:
 
 
 def horn_polygon(alpha, beta) -> RationalPolygon:
-    """The rows <normal, gamma> >= lo and <-normal, gamma> >= -hi of horn_slabs, in HalfPlane normal form."""
+    """The rows <normal, gamma> >= lo and <-normal, gamma> >= -hi of horn_slabs, in RationalPolygon's normal form."""
     slabs = horn_slabs(alpha, beta)
     bounds = [(s * a, s * b, s * c) for kind, (a, b) in _KINDS.items() for s, c in zip((1, -1), slabs[kind])]
     rows = tuple((a * c.denominator, b * c.denominator, c.numerator, False) for a, b, c in bounds)
@@ -734,16 +734,22 @@ class VolumeRoutes:
         return len(vals) <= 1
 
 
-def volume_routes(lam, mu, nu, routes=("direct", "lr", "ehrhart", "polytope"),
-                  rs: RootSystem | None = None) -> VolumeRoutes:
+ROUTES = ("direct", "lr", "ehrhart", "polytope")
+
+
+def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> VolumeRoutes:
     """The BZ-polytope volume of a compatible triple by up to four routes.
 
+    routes is a nonempty choice from ROUTES; anything else raises ValueError.
     The direct and polytope routes are B2-specific; lr and ehrhart work for
     every algebra with a c_kappa table.  The lr route needs lam, mu, nu to
     dominate rho and weight systems within the Freudenthal size guard; when
     explicitly asked for it raises, but next to other routes it is skipped
     and the reason kept in `skipped`.
     """
+    routes = tuple(routes)  # so that a list ["lr"] is the lone lr route below, which raises
+    if not routes or not set(routes) <= set(ROUTES):
+        raise ValueError(f"routes {tuple(routes)} must be a nonempty choice from {', '.join(ROUTES)}")
     if rs is None:
         rs = b2()
     is_b2 = (rs.family, rs.rank) == ("B", 2)

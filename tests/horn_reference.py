@@ -2,56 +2,54 @@
 
 The package reads the Horn polygon off one four-slab table (volume.horn_slabs).
 The tests compare it with the fourteen inequalities stated one by one, as
-half-planes, and with a float membership test of each of them.  The
-finite-difference C1 check is criterion 8's measure of smoothness across the
-internal walls.
+(a, b, c, strict, label) constraints a*g1 + b*g2 >= c, and with a float
+membership test of each of them.  The finite-difference C1 check is
+criterion 8's measure of smoothness across the internal walls.
 """
 
 from fractions import Fraction as Q
 
 import numpy as np
 
-from hornvol.bzpolytope import HalfPlane
 from hornvol.sampler import MEMBERSHIP_TOL
 from hornvol.volume import _KINDS, PiecewiseQuadratic, Wall, _point_in_cell, _qpair, j_b2
 
 _DASHED = "chamber"
 
 
-def horn_halfplanes(alpha, beta) -> list[HalfPlane]:
-    """The B2 Horn inequalities plus the chamber walls g1 >= g2 >= 0."""
+def horn_constraints(alpha, beta) -> list[tuple]:
+    """The B2 Horn inequalities plus the chamber walls g1 >= g2 >= 0, as (a, b, c, strict, label)."""
     a1, a2 = _qpair(alpha)
     b1, b2 = _qpair(beta)
-    hp = HalfPlane
     return [
-        hp(1, 0, abs(a1 - b1), label="g1 >= |a1-b1|"),
-        hp(1, 0, abs(a2 - b2), label="g1 >= |a2-b2|"),
-        hp(-1, 0, -(a1 + b1), label="g1 <= a1+b1"),
-        hp(0, 1, a2 - b1, label="g2 >= a2-b1"),
-        hp(0, 1, b2 - a1, label="g2 >= b2-a1"),
-        hp(0, -1, -(a1 + b2), label="g2 <= a1+b2"),
-        hp(0, -1, -(a2 + b1), label="g2 <= a2+b1"),
-        hp(1, 1, abs(a1 - b1) + abs(a2 - b2), label="g1+g2 >= |a1-b1|+|a2-b2|"),
-        hp(-1, -1, -(a1 + a2 + b1 + b2), label="g1+g2 <= a1+a2+b1+b2"),
-        hp(1, -1, a1 - a2 - b1 - b2, label="g1-g2 >= a1-a2-b1-b2"),
-        hp(1, -1, b1 - b2 - a1 - a2, label="g1-g2 >= b1-b2-a1-a2"),
-        hp(-1, 1, -(a1 + b1 - abs(a2 - b2)), label="g1-g2 <= a1+b1-|a2-b2|"),
-        hp(0, 1, 0, label=f"{_DASHED} g2 >= 0"),
-        hp(1, -1, 0, label=f"{_DASHED} g1 >= g2"),
+        (1, 0, abs(a1 - b1), False, "g1 >= |a1-b1|"),
+        (1, 0, abs(a2 - b2), False, "g1 >= |a2-b2|"),
+        (-1, 0, -(a1 + b1), False, "g1 <= a1+b1"),
+        (0, 1, a2 - b1, False, "g2 >= a2-b1"),
+        (0, 1, b2 - a1, False, "g2 >= b2-a1"),
+        (0, -1, -(a1 + b2), False, "g2 <= a1+b2"),
+        (0, -1, -(a2 + b1), False, "g2 <= a2+b1"),
+        (1, 1, abs(a1 - b1) + abs(a2 - b2), False, "g1+g2 >= |a1-b1|+|a2-b2|"),
+        (-1, -1, -(a1 + a2 + b1 + b2), False, "g1+g2 <= a1+a2+b1+b2"),
+        (1, -1, a1 - a2 - b1 - b2, False, "g1-g2 >= a1-a2-b1-b2"),
+        (1, -1, b1 - b2 - a1 - a2, False, "g1-g2 >= b1-b2-a1-a2"),
+        (-1, 1, -(a1 + b1 - abs(a2 - b2)), False, "g1-g2 <= a1+b1-|a2-b2|"),
+        (0, 1, 0, False, f"{_DASHED} g2 >= 0"),
+        (1, -1, 0, False, f"{_DASHED} g1 >= g2"),
     ]
 
 
 def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
-    """Horn membership by one float test per half-plane of horn_halfplanes.
+    """Horn membership by one float test per constraint of horn_constraints.
 
     horn_contains_float tests each form once against its tightest bound on
     each side; rounding (a g1 + b g2) - c is monotone in c, so the tightest
-    half-plane on a normal fails whenever another on it does, and the two
+    constraint on a normal fails whenever another on it does, and the two
     tests agree bit for bit.
     """
     ok = np.ones_like(g1, dtype=bool)
-    for h in horn_halfplanes(alpha, beta):
-        ok &= float(h.a) * g1 + float(h.b) * g2 - float(h.c) >= -tol
+    for a, b, c, *_ in horn_constraints(alpha, beta):
+        ok &= float(a) * g1 + float(b) * g2 - float(c) >= -tol
     return ok
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hornvol.bzpolytope import (
     DegeneratePolygonError,
-    HalfPlane,
     RationalPolygon,
     UnboundedPolygonError,
     _cramer_hull,
@@ -22,22 +21,35 @@ from hornvol.bzpolytope import (
 )
 from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system, is_compatible
+from hornvol.volume import horn_polygon
 
 B2 = build_root_system("B", 2)
 
 
+def value(h, p):
+    """a*x + b*y - c at p for the constraint h = (a, b, c, strict, label)."""
+    a, b, c, *_ = h
+    return a * p[0] + b * p[1] - c
+
+
+def holds(h, p, closure: bool = False) -> bool:
+    """Whether p meets the constraint h: a*x + b*y >= c, or > c when h is strict and closure is not asked."""
+    v = value(h, p)
+    return v >= 0 if closure or not h[3] else v > 0
+
+
 def reduced_system_563456() -> RationalPolygon:
-    """The symbolically reduced half-plane system for (5,6), (3,4), (5,6), strictness included."""
+    """The symbolically reduced constraint system for (5,6), (3,4), (5,6), strictness included."""
     return RationalPolygon(
         [
-            HalfPlane(1, 0, 0),                      # 0 <= x
-            HalfPlane(-1, 0, -6, strict=True),       # x < 6
-            HalfPlane(0, 1, 0),                      # 0 <= y
-            HalfPlane(0, -1, -3),                    # y <= 3
-            HalfPlane(1, -2, -3),                    # x + 3 >= 2y
-            HalfPlane(1, 2, 3),                      # 3 <= x + 2y
-            HalfPlane(-1, -2, -7),                   # x + 2y <= 7
-            HalfPlane(-1, -1, -5),                   # x + y <= 5
+            (1, 0, 0, False, ""),                    # 0 <= x
+            (-1, 0, -6, True, ""),                   # x < 6
+            (0, 1, 0, False, ""),                    # 0 <= y
+            (0, -1, -3, False, ""),                  # y <= 3
+            (1, -2, -3, False, ""),                  # x + 3 >= 2y
+            (1, 2, 3, False, ""),                    # 3 <= x + 2y
+            (-1, -2, -7, False, ""),                 # x + 2y <= 7
+            (-1, -1, -5, False, ""),                 # x + y <= 5
         ],
         elim=(Q(5), Q(7)),
     )
@@ -104,11 +116,11 @@ def test_dominance_required():
 def test_integrality_filter():
     # compatible triple: counting is plain 2-D counting
     P = bz_polygon_b2((5, 6), (3, 4), (5, 6))
-    assert lattice_point_count(RationalPolygon(P.halfplanes)) == lattice_point_count(P) == 10
+    assert lattice_point_count(RationalPolygon(P.constraints)) == lattice_point_count(P) == 10
     # non-compatible triple: the filter kills every point; the same rows without elim do not
     P2 = bz_polygon_b2((1, 1), (1, 1), (1, 1))
     assert lattice_point_count(P2) == 0 and boundary_interior_counts(P2) == (0, 0)
-    assert lattice_point_count(RationalPolygon(P2.halfplanes)) > 0
+    assert lattice_point_count(RationalPolygon(P2.constraints)) > 0
 
 
 def test_count_matches_klimyk_and_zero_when_incompatible():
@@ -151,8 +163,8 @@ def test_pick_relation_worked_examples():
 
 def test_pick_relation_integral_square():
     square = RationalPolygon([
-        HalfPlane(1, 0, 0), HalfPlane(-1, 0, -1),
-        HalfPlane(0, 1, 0), HalfPlane(0, -1, -1),
+        (1, 0, 0, False, ""), (-1, 0, -1, False, ""),
+        (0, 1, 0, False, ""), (0, -1, -1, False, ""),
     ])
     rep = pick_relation_check(square)
     assert rep.p == 1
@@ -181,7 +193,7 @@ def test_polygon_area_raises_on_degenerate():
 
 
 def test_unbounded_region_rejected():
-    P = RationalPolygon([HalfPlane(1, 0, 0), HalfPlane(0, 1, 0)])
+    P = RationalPolygon([(1, 0, 0, False, ""), (0, 1, 0, False, "")])
     assert not P.is_bounded()
     with pytest.raises(UnboundedPolygonError):
         P.lattice_count()
@@ -189,10 +201,11 @@ def test_unbounded_region_rejected():
 
 def test_vertices_satisfy_two_halfplanes_with_equality():
     P = bz_polygon_b2((5, 6), (3, 4), (5, 6))
+    constraints, _ = reference_bz_b2((5, 6), (3, 4), (5, 6))
     for v in P.vertices:
-        tight = sum(1 for h in P.halfplanes if h.value(v) == 0)
+        tight = sum(1 for h in constraints if value(h, v) == 0)
         assert tight >= 2
-        assert all(h.value(v) >= 0 for h in P.halfplanes)
+        assert all(value(h, v) >= 0 for h in constraints)
 
 
 def test_clip_cell_keeps_exact_and_float_arithmetic():
@@ -299,48 +312,49 @@ def cuts(draw):
     a, b = draw(coefficient), draw(coefficient)
     if a == 0 and b == 0:
         b = Q(1)
-    return HalfPlane(a, b, draw(rationals(-20, 20)), strict=draw(st.booleans()))
+    return (a, b, draw(rationals(-20, 20)), draw(st.booleans()), "")
 
 
 @st.composite
 def boxed_systems(draw):
-    """A box written as four scaled half-planes plus up to five random cuts, shuffled."""
+    """(polygon, constraints, box): a box as four scaled constraints plus up to five random cuts, shuffled."""
     x0, y0 = draw(rationals(-6, 6)), draw(rationals(-6, 6))
     x1, y1 = x0 + draw(rationals(0, 8)), y0 + draw(rationals(0, 8))
     k = draw(rationals(1, 3))
     box = [
-        HalfPlane(k, 0, k * x0, strict=draw(st.booleans())),
-        HalfPlane(-k, 0, -k * x1, strict=draw(st.booleans())),
-        HalfPlane(0, k, k * y0, strict=draw(st.booleans())),
-        HalfPlane(0, -k, -k * y1, strict=draw(st.booleans())),
+        (k, 0, k * x0, draw(st.booleans()), "x >= x0"),
+        (-k, 0, -k * x1, draw(st.booleans()), "x <= x1"),
+        (0, k, k * y0, draw(st.booleans()), "y >= y0"),
+        (0, -k, -k * y1, draw(st.booleans()), "y <= y1"),
     ]
     hps = draw(st.permutations(box + draw(st.lists(cuts(), max_size=5))))
     elim = draw(st.sampled_from([None, (Q(3), Q(-2)), (Q(1, 2), Q(4))]))
-    return RationalPolygon(hps, elim), (x0, x1, y0, y1)
+    return RationalPolygon(hps, elim), hps, (x0, x1, y0, y1)
 
 
-def brute_force_count(P: RationalPolygon, box, strict_all: bool) -> int:
+def brute_force_count(P: RationalPolygon, constraints, box, strict_all: bool) -> int:
+    """Integer points of the box meeting every drawn constraint (strictly, with strict_all); 0 off the filter."""
     if P.elim is not None and any(v.denominator != 1 for v in P.elim):
         return 0
     x0, x1, y0, y1 = box
     points = [(Q(x), Q(y)) for x in range(floor(x0), ceil(x1) + 1) for y in range(floor(y0), ceil(y1) + 1)]
     if strict_all:
-        return sum(all(h.value(p) > 0 for h in P.halfplanes) for p in points)
-    return sum(all(h.holds(p) for h in P.halfplanes) for p in points)
+        return sum(all(value(h, p) > 0 for h in constraints) for p in points)
+    return sum(all(holds(h, p) for h in constraints) for p in points)
 
 
 @settings(max_examples=300, deadline=None)
 @given(boxed_systems())
 def test_lattice_count_matches_brute_force(system):
-    P, box = system
+    P, hps, box = system
     assert P.is_bounded()
-    assert P.lattice_count() == brute_force_count(P, box, strict_all=False)
-    assert P.lattice_count(strict_all=True) == brute_force_count(P, box, strict_all=True)
+    assert P.lattice_count() == brute_force_count(P, hps, box, strict_all=False)
+    assert P.lattice_count(strict_all=True) == brute_force_count(P, hps, box, strict_all=True)
 
 
 @st.composite
 def hull_systems(draw):
-    """The edges of the hull of random rational points as half-planes (no axis rows needed), and the box."""
+    """The edges of the hull of random rational points as constraints (no axis rows needed), and the box."""
     point = st.tuples(rationals(-6, 6), rationals(-6, 6))
     hull = fraction_hull(draw(st.lists(point, min_size=3, max_size=7)))
     if len(hull) < 3:
@@ -348,36 +362,28 @@ def hull_systems(draw):
     hps = []
     for p, q in zip(hull, hull[1:] + hull[:1]):
         a, b = p[1] - q[1], q[0] - p[0]  # inward normal of the CCW edge p -> q
-        hps.append(HalfPlane(a, b, a * p[0] + b * p[1], strict=draw(st.booleans())))
+        hps.append((a, b, a * p[0] + b * p[1], draw(st.booleans()), ""))
     xs, ys = [x for x, _ in hull], [y for _, y in hull]
-    return RationalPolygon(hps), (min(xs), max(xs), min(ys), max(ys))
+    return RationalPolygon(hps), hps, (min(xs), max(xs), min(ys), max(ys))
 
 
 @settings(max_examples=200, deadline=None)
 @given(hull_systems())
 def test_lattice_count_of_hull_systems_matches_brute_force(system):
     # y ranges from the vertices wherever rows with A = 0 do not bound y on both sides
-    P, box = system
-    assert P.lattice_count() == brute_force_count(P, box, strict_all=False)
-    assert P.lattice_count(strict_all=True) == brute_force_count(P, box, strict_all=True)
+    P, hps, box = system
+    assert P.lattice_count() == brute_force_count(P, hps, box, strict_all=False)
+    assert P.lattice_count(strict_all=True) == brute_force_count(P, hps, box, strict_all=True)
 
 
 @settings(max_examples=300, deadline=None)
 @given(boxed_systems())
 def test_vertices_are_the_extreme_line_intersections(system):
-    P, _ = system
-    hs = P.halfplanes
-    corners = []
-    for g, h in itertools.combinations(hs, 2):
-        det = g.a * h.b - h.a * g.b
-        if det:
-            p = ((g.c * h.b - h.c * g.b) / det, (g.a * h.c - h.a * g.c) / det)
-            if all(k.holds(p, closure=True) for k in hs):
-                corners.append(p)
-    assert P.vertices == tuple(fraction_hull(corners))
+    P, hps, _ = system
+    assert P.vertices == fraction_vertices(hps)
     for v in P.vertices:
-        assert sum(1 for h in hs if h.value(v) == 0) >= 2
-        assert all(h.value(v) >= 0 for h in hs)
+        assert sum(1 for h in hps if value(h, v) == 0) >= 2
+        assert all(value(h, v) >= 0 for h in hps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,13 +401,13 @@ def test_bz_count_matches_steinberg_under_dilation(labels, s):
 
 @st.composite
 def unbounded_systems(draw):
-    """Half-planes whose inward normals all make a non-negative product with one direction d."""
+    """Constraints whose inward normals all make a non-negative product with one direction d."""
     dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 1), (3, -2)]))
     hps = []
-    for h in draw(st.lists(cuts(), min_size=1, max_size=6)):
-        if h.a * dx + h.b * dy < 0:
-            h = HalfPlane(-h.a, -h.b, h.c, h.strict)
-        hps.append(h)
+    for a, b, c, strict, label in draw(st.lists(cuts(), min_size=1, max_size=6)):
+        if a * dx + b * dy < 0:
+            a, b = -a, -b
+        hps.append((a, b, c, strict, label))
     return RationalPolygon(hps)
 
 
@@ -416,7 +422,7 @@ def test_unbounded_systems_raise(P, strict_all):
 
 
 # ---------------------------------------------------------------------------
-# properties: the integer half-plane row and the integer BZ construction
+# properties: the integer constraint row and the integer BZ construction
 
 
 def int_if_integral(v: Q):
@@ -427,19 +433,27 @@ def int_if_integral(v: Q):
 @given(coefficient, coefficient, rationals(-20, 20), st.booleans(), st.booleans(),
        st.tuples(rationals(-10, 10), rationals(-10, 10)))
 def test_halfplane_row_round_trips(a, b, c, strict, as_ints, p):
+    # one constraint through the constructor and back through constraints
     if a == 0 and b == 0:
         b = Q(1)
     args = [int_if_integral(v) for v in (a, b, c)] if as_ints else [a, b, c]
-    h = HalfPlane(*args, strict=strict)
-    A, B, C = h.row
-    assert all(type(v) is int for v in (A, B, C, h.den)) and h.den > 0
-    assert (A, B, C) == (h.den * a, h.den * b, h.den * c)
-    assert (h.a, h.b, h.c) == (a, b, c)
-    assert h == HalfPlane(a, b, c, strict=strict)
+    P = RationalPolygon([(*args, strict, "h")])
+    [(A, B, C, s)], [den] = P._rows, P._dens
+    assert all(type(v) is int for v in (A, B, C, den)) and s is strict
+    assert den == lcm(a.denominator, b.denominator, c.denominator)
+    assert (A, B, C) == (den * a, den * b, den * c)
+    assert P.constraints == ((a, b, c, strict, "h"),)
+    assert stored(RationalPolygon(P.constraints)) == stored(RationalPolygon([(a, b, c, strict, "h")])) == stored(P)
     v = a * p[0] + b * p[1] - c
-    assert h.value(p) == v
-    assert h.holds(p) == (v > 0 if strict else v >= 0)
-    assert h.holds(p, closure=True) == (v >= 0)
+    assert P.contains(p) == (v > 0 if strict else v >= 0)
+    assert P.contains(p, strict=True) == (v > 0)
+    assert (A * p[0] + B * p[1] >= C) == (v >= 0)  # the closure, read off the row
+
+
+def test_a_constraint_without_a_normal_raises():
+    for a, b in ((0, 0), (Q(0), Q(0, 3))):
+        with pytest.raises(ValueError, match="degenerate constraint 'zero'"):
+            RationalPolygon([(1, 0, 0, False, "x >= 0"), (a, b, 1, False, "zero")])
 
 
 def reference_bz_b2(lam, mu, nu):
@@ -456,8 +470,8 @@ def reference_bz_b2(lam, mu, nu):
 
 
 def abc(P: RationalPolygon):
-    assert not any(h.strict for h in P.halfplanes)
-    return [(h.a, h.b, h.c) for h in P.halfplanes]
+    assert not any(strict for *_, strict, _ in P.constraints)
+    return [(a, b, c) for a, b, c, *_ in P.constraints]
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,15 +493,15 @@ def test_bz_polygon_matches_a_fraction_reference(labels, s, as_ints):
 # properties: integer dilation against the Fraction constructor
 
 
-def fraction_dilation(P: RationalPolygon, s):
-    """P.dilate(s) as the Fraction constructor builds it: each c times s, elim times s."""
-    hps = [HalfPlane(h.a, h.b, h.c * Q(s), h.strict, h.label) for h in P.halfplanes]
-    elim = None if P.elim is None else (P.elim[0] * s, P.elim[1] * s)
-    return hps, elim
+def fraction_dilation(constraints, elim, s):
+    """The constraints and elim dilated by s in Fractions: each c times s, elim times s."""
+    hps = [(a, b, c * Q(s), strict, label) for a, b, c, strict, label in constraints]
+    return hps, None if elim is None else (elim[0] * s, elim[1] * s)
 
 
-def stored(hps):
-    return [(h.row, h.den, h.strict, h.label) for h in hps]
+def stored(P: RationalPolygon):
+    """What P stores per constraint: the integer row with its strictness, den and label."""
+    return list(zip(P._rows, P._dens, P._labels))
 
 
 @settings(max_examples=200, deadline=None)
@@ -497,10 +511,10 @@ def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
     P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
     for s in range(1, 7):
         D = P.dilate(s)
-        hps, elim = fraction_dilation(P, s)
-        assert stored(D.halfplanes) == stored(hps)
-        assert D.elim == elim
-        assert D.lattice_count() == RationalPolygon(hps, elim).lattice_count()
+        R = RationalPolygon(*fraction_dilation(P.constraints, P.elim, s))
+        assert stored(D) == stored(R)
+        assert D.elim == R.elim
+        assert D.lattice_count() == R.lattice_count()
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,49 +522,47 @@ def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
 def test_rational_dilation_matches_the_fraction_constructor(labels, s):
     P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
     D = P.dilate(s)
-    hps, elim = fraction_dilation(P, s)
-    assert stored(D.halfplanes) == stored(hps)
-    assert D.elim == elim
+    R = RationalPolygon(*fraction_dilation(P.constraints, P.elim, s))
+    assert stored(D) == stored(R)
+    assert D.elim == R.elim
 
 
 # ---------------------------------------------------------------------------
 # properties: the template BZ polygon and the integer hull against the
-# 12-HalfPlane builder and the Fraction hull
+# 12-constraint builder and the Fraction hull
 
 
-def halfplane_bz_b2(lam, mu, nu) -> RationalPolygon:
-    """The B2 BZ polygon built from 12 HalfPlanes, as bz_polygon_b2 built it before the template."""
+def halfplane_bz_b2(lam, mu, nu):
+    """The 12 constraints of the B2 BZ polygon and its elim, as bz_polygon_b2 built them before the template."""
     (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
     s1d, s2d = l1 + m1 - n1, l2 + m2 - n2
     d1 = 2 * s1d + s2d
     sq2 = s1d + s2d
     hps = [
-        HalfPlane(1, 0, 0, label="t0(0) >= 0"),
-        HalfPlane(0, 1, 0, label="t1(1) >= 0"),
-        HalfPlane(-1, -2, -sq2, label="t0(1) >= 2 t1(1)"),
-        HalfPlane(1, -2, sq2 - d1, label="2 t-1(1) >= t0(1)"),
-        HalfPlane(0, -1, -l1, label="lam1 >= t1(1)"),
-        HalfPlane(1, -1, Q(2 * (sq2 - l1) - d1, 2), label="lam1 >= t0(1) - t-1(1)"),
-        HalfPlane(1, 1, Q(d1 - 2 * l1, 2), label="lam1 >= t-1(1) - t0(0)"),
-        HalfPlane(-1, 0, -l2, label="lam2 >= t0(0)"),
-        HalfPlane(-1, -1, Q(d1 - 2 * (sq2 + m1), 2), label="mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
-        HalfPlane(0, -1, -m1, label="mu1 >= t1(1)"),
-        HalfPlane(1, 0, 2 * sq2 - d1 - m2, label="mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
-        HalfPlane(1, 2, sq2 - m2, label="mu2 >= t0(1) - 2 t1(1)"),
+        (1, 0, 0, False, "t0(0) >= 0"),
+        (0, 1, 0, False, "t1(1) >= 0"),
+        (-1, -2, -sq2, False, "t0(1) >= 2 t1(1)"),
+        (1, -2, sq2 - d1, False, "2 t-1(1) >= t0(1)"),
+        (0, -1, -l1, False, "lam1 >= t1(1)"),
+        (1, -1, Q(2 * (sq2 - l1) - d1, 2), False, "lam1 >= t0(1) - t-1(1)"),
+        (1, 1, Q(d1 - 2 * l1, 2), False, "lam1 >= t-1(1) - t0(0)"),
+        (-1, 0, -l2, False, "lam2 >= t0(0)"),
+        (-1, -1, Q(d1 - 2 * (sq2 + m1), 2), False, "mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
+        (0, -1, -m1, False, "mu1 >= t1(1)"),
+        (1, 0, 2 * sq2 - d1 - m2, False, "mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
+        (1, 2, sq2 - m2, False, "mu2 >= t0(1) - 2 t1(1)"),
     ]
-    return RationalPolygon(hps, elim=(Q(d1, 2), sq2))
+    return hps, (Q(d1, 2), sq2)
 
 
-def fraction_vertices(hps) -> tuple:
+def fraction_vertices(constraints) -> tuple:
     """Vertices as Fraction line intersections in the closure, through the Fraction hull."""
     pts = []
-    for g, h in itertools.combinations(hps, 2):
-        A1, B1, C1 = g.row
-        A2, B2, C2 = h.row
-        det = A1 * B2 - A2 * B1
+    for (a1, b1, c1, *_), (a2, b2, c2, *_) in itertools.combinations(constraints, 2):
+        det = Q(a1 * b2 - a2 * b1)
         if det:
-            p = (Q(C1 * B2 - C2 * B1, det), Q(A1 * C2 - A2 * C1, det))
-            if all(k.holds(p, closure=True) for k in hps):
+            p = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+            if all(holds(h, p, closure=True) for h in constraints):
                 pts.append(p)
     return tuple(fraction_hull(pts))
 
@@ -562,18 +574,14 @@ def fraction_area(vertices) -> Q:
     return abs(s) / 2
 
 
-def every_field(hps):
-    return [(h.a, h.b, h.c, h.row, h.den, h.strict, h.label) for h in hps]
-
-
 def box_count(hps, elim, xmax, ymax, filtered: bool, strict_all: bool) -> int:
-    """Integer points of [0, xmax] x [0, ymax] in every half-plane (strictly, with strict_all)."""
+    """Integer points of [0, xmax] x [0, ymax] meeting every constraint (strictly, with strict_all)."""
     if filtered and any(v.denominator != 1 for v in elim):
         return 0
     points = [(x, y) for x in range(floor(xmax) + 1) for y in range(floor(ymax) + 1)]
     if strict_all:
-        return sum(all(h.value(p) > 0 for h in hps) for p in points)
-    return sum(all(h.holds(p) for h in hps) for p in points)
+        return sum(all(value(h, p) > 0 for h in hps) for p in points)
+    return sum(all(holds(h, p) for h in hps) for p in points)
 
 
 halves = st.integers(0, 24).map(lambda k: Q(k, 2))
@@ -586,21 +594,23 @@ label_sets = st.one_of(st.lists(st.integers(0, 12), min_size=6, max_size=6),
 def test_template_polygon_matches_the_halfplane_builder(labels):
     lam, mu, nu = labels[0:2], labels[2:4], labels[4:6]
     P = bz_polygon_b2(lam, mu, nu)
-    R = halfplane_bz_b2(lam, mu, nu)
-    assert every_field(P.halfplanes) == every_field(R.halfplanes)
-    assert P.elim == R.elim and all(type(v) is Q for v in P.elim)
+    hps, elim = halfplane_bz_b2(lam, mu, nu)
+    R = RationalPolygon(hps, elim)
+    assert stored(P) == stored(R)
+    assert P.constraints == tuple((Q(a), Q(b), Q(c), strict, label) for a, b, c, strict, label in hps)
+    assert P.elim == R.elim == elim and all(type(v) is Q for v in P.elim)
     assert P.is_bounded()
-    vertices = fraction_vertices(R.halfplanes)
+    vertices = fraction_vertices(hps)
     assert P.vertices == vertices and all(type(v) is Q for p in P.vertices for v in p)
     assert P.dim == min(len(vertices), 3) - 1
     assert P.area() == fraction_area(vertices) and type(P.area()) is Q
     # x = t0(0) <= lam2 and y = t1(1) <= lam1 bound the polygon; the same rows
     # without elim count with no integrality filter
-    raw = RationalPolygon(P.halfplanes)
+    raw = RationalPolygon(P.constraints)
     assert raw.elim is None
     expected = {}
     for filtered, strict_all in ((True, False), (False, False), (True, True), (False, True)):
-        expected[filtered, strict_all] = box_count(R.halfplanes, R.elim, lam[1], lam[0], filtered, strict_all)
+        expected[filtered, strict_all] = box_count(hps, elim, lam[1], lam[0], filtered, strict_all)
         assert (P if filtered else raw).lattice_count(strict_all) == expected[filtered, strict_all]
     assert lattice_point_count(raw) == expected[False, False]
     assert boundary_interior_counts(P) == boundary_interior_counts(R)
@@ -609,29 +619,50 @@ def test_template_polygon_matches_the_halfplane_builder(labels):
         assert boundary_interior_counts(raw) == (expected[False, False] - interior, interior)
     for s in range(7):
         D = P.dilate(s)
-        hps, elim = fraction_dilation(R, s)
-        assert every_field(D.halfplanes) == every_field(hps)
-        assert D.elim == elim
-        assert D.vertices == fraction_vertices(hps)
-        assert D.lattice_count() == box_count(hps, elim, s * lam[1], s * lam[0], True, False)
+        hps_s, elim_s = fraction_dilation(hps, elim, s)
+        assert stored(D) == stored(RationalPolygon(hps_s, elim_s))
+        assert D.elim == elim_s
+        assert D.vertices == fraction_vertices(hps_s)
+        assert D.lattice_count() == box_count(hps_s, elim_s, s * lam[1], s * lam[0], True, False)
+
+
+@st.composite
+def horn_pairs(draw):
+    """Regular ordered pairs alpha, beta (x1 > x2 > 0) in sixths."""
+    positive = st.integers(1, 36).map(lambda k: Q(k, 6))
+    a2, b2 = draw(positive), draw(positive)
+    return (a2 + draw(positive), a2), (b2 + draw(positive), b2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_sets, horn_pairs(), st.integers(0, 6) | rationals(-6, 6))
+def test_constraints_rebuild_the_polygon(labels, pair, s):
+    # int and half-integer BZ labels, a Horn polygon, and the dilations of both
+    bz = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    horn = horn_polygon(*pair)
+    for P in (bz, bz.dilate(s), horn, horn.dilate(s)):
+        R = RationalPolygon(P.constraints, P.elim)
+        assert stored(R) == stored(P) and R.elim == P.elim
+        assert R.vertices == P.vertices and R.dim == P.dim
+        assert R.lattice_count() == P.lattice_count()
+        assert R.lattice_count(strict_all=True) == P.lattice_count(strict_all=True)
 
 
 def test_counting_a_bz_polygon_builds_no_halfplane(monkeypatch):
-    import hornvol.bzpolytope as bz
-
+    # the BZ polygon and its dilations are integer rows throughout: no Fraction constraint is built or read
     def refuse(*args, **kwargs):
-        raise AssertionError("a HalfPlane was built")
+        raise AssertionError("a Fraction constraint was built")
 
     triples = [((5, 6), (3, 4), (5, 6)), ((4, 7), (5, 3), (2, 4)), ((1, 1), (1, 1), (1, 1))]
     expected = [(lattice_point_count(R), R.area(), lattice_point_count(R.dilate(2)))
-                for R in (halfplane_bz_b2(*t) for t in triples)]
-    monkeypatch.setattr(bz, "_halfplane", refuse)
-    monkeypatch.setattr(bz.HalfPlane, "__init__", refuse)
+                for R in (RationalPolygon(*halfplane_bz_b2(*t)) for t in triples)]
+    monkeypatch.setattr(RationalPolygon, "__init__", refuse)
+    monkeypatch.setattr(RationalPolygon, "constraints", property(refuse))
     for t, (count, area, count2) in zip(triples, expected):
         P = bz_polygon_b2(*t)
         assert (lattice_point_count(P), P.area(), lattice_point_count(P.dilate(2))) == (count, area, count2)
     monkeypatch.undo()
-    assert len(P.halfplanes) == 12
+    assert len(P.constraints) == 12
 
 
 @st.composite
@@ -666,9 +697,9 @@ def test_integer_hull_matches_the_fraction_hull(points, data):
 @given(boxed_systems(), st.integers(-3, 6) | rationals(-6, 6))
 def test_dilating_a_system_matches_the_fraction_constructor(system, s):
     # strict rows, labels and elim survive the row-by-row scaling
-    P, _ = system
+    P, hps, _ = system
     D = P.dilate(s)
-    hps, elim = fraction_dilation(P, s)
-    assert stored(D.halfplanes) == stored(hps)
-    assert D.elim == elim
-    assert D.lattice_count(strict_all=False) == RationalPolygon(hps, elim).lattice_count()
+    R = RationalPolygon(*fraction_dilation(hps, P.elim, s))
+    assert stored(D) == stored(R)
+    assert D.elim == R.elim
+    assert D.lattice_count(strict_all=False) == R.lattice_count()

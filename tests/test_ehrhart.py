@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hornvol import multiplicity
 from hornvol._exact import solve_square
-from hornvol.bzpolytope import HalfPlane, RationalPolygon, bz_polygon_b2
+from hornvol.bzpolytope import RationalPolygon, bz_polygon_b2, reciprocity_check
 from hornvol.ehrhart import (
     InconsistentSamplesError,
     InsufficientSamplesError,
@@ -18,7 +18,6 @@ from hornvol.ehrhart import (
     default_period,
     fit_quasi_polynomial,
     leading_coefficient,
-    reciprocity_check,
     stretching_quasi_polynomial,
     stretching_samples,
 )
@@ -111,8 +110,8 @@ def test_reciprocity_segment_signed():
 
 def test_reciprocity_unit_segment():
     seg = RationalPolygon([
-        HalfPlane(1, 0, 0), HalfPlane(-1, 0, -1),
-        HalfPlane(0, 1, 0), HalfPlane(0, -1, 0),
+        (1, 0, 0, False, ""), (-1, 0, -1, False, ""),
+        (0, 1, 0, False, ""), (0, -1, 0, False, ""),
     ])
     samples = {s: seg.dilate(s).lattice_count() for s in range(1, 4)}
     samples[0] = 1

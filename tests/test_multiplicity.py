@@ -232,6 +232,14 @@ def test_kostant_partition_examples():
     assert kostant_partition(B2, B2.dynkin_to_root((0, 1))) == 0  # omega2 not in the root lattice
 
 
+def test_kostant_partition_refuses_a_wrong_length():
+    # B3 (1, 1, 1, 5) read as (1, 1, 1); the short inputs failed inside the recursion and the B2 closed form
+    for rs, sigma in ((B3, (1, 1, 1, 5)), (B3, (1, 1)), (B2, (1,))):
+        with pytest.raises(ValueError, match=f"needs {rs.rank} simple-root coordinates"):
+            kostant_partition(rs, sigma)
+    assert kostant_partition(B3, (1, 1, 1)) == 4
+
+
 @pytest.mark.parametrize("m,n", [(0, 0), (1, 2), (3, 3), (4, 7), (6, 2), (5, 10)])
 def test_kostant_partition_matches_enumeration(m, n):
     assert kostant_partition(B2, (m, n)) == brute_force_kostant_b2(m, n)

@@ -343,6 +343,7 @@ LENGTH_CHECKED = {
     "ortho_to_dynkin": (lambda rs, v: rs.ortho_to_dynkin(v), "ambient_dim", "orthonormal coordinates"),
     "delta_g": (delta_g, "ambient_dim", "orthonormal coordinates"),
     "apply_weyl": (lambda rs, v: apply_weyl(rs, weyl_group(rs)[-1], v), "ambient_dim", "orthonormal coordinates"),
+    "act_root": (lambda rs, v: weyl_group(rs)[1].act_root(v), "rank", "simple-root coordinates"),
 }
 
 

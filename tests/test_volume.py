@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from hornvol import volume
 from hornvol._exact import InvariantError, p2_integrate_polygon
-from hornvol.bzpolytope import RationalPolygon, _convex_hull, bz_polygon_b2, clip_cell
-from hornvol.ehrhart import leading_coefficient, reciprocity_check, stretching_quasi_polynomial
+from hornvol.bzpolytope import RationalPolygon, _convex_hull, bz_polygon_b2, clip_cell, reciprocity_check
+from hornvol.ehrhart import leading_coefficient, stretching_quasi_polynomial
 from hornvol.multiplicity import SizeGuardError, freudenthal_weights, lr_steinberg
 from hornvol.rootsys import B2_SIGNED_PERMUTATIONS, apply_weyl, build_root_system, is_compatible, weyl_group
 from hornvol.volume import (
@@ -52,7 +52,7 @@ from hornvol.volume import (
     so2_support,
     volume_routes,
 )
-from horn_reference import c1_wall_discrepancies, horn_halfplanes
+from horn_reference import c1_wall_discrepancies, horn_constraints
 from poly2 import p2_add, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
@@ -187,16 +187,17 @@ def test_horn_polygon_is_support_of_j():
 @settings(max_examples=200, deadline=None)
 @given(regular_rational_pairs(), st.lists(rational_points, max_size=8))
 def test_slab_polygon_equals_the_fourteen_inequalities(pair, points):
-    reference = RationalPolygon(horn_halfplanes(*pair))
+    constraints = horn_constraints(*pair)
+    reference = RationalPolygon(constraints)
     poly = horn_polygon(*pair)
     assert poly.vertices == reference.vertices
     assert poly.dim == reference.dim == 2
-    # each slab bound is the tightest half-plane on its side
+    # each slab bound is the tightest constraint on its side
     slabs = horn_slabs(*pair)
     for kind, (a, b) in volume._KINDS.items():
         lo, hi = slabs[kind]
-        assert lo == max(h.c for h in reference.halfplanes if (h.a, h.b) == (a, b))
-        assert hi == min(-h.c for h in reference.halfplanes if (h.a, h.b) == (-a, -b))
+        assert lo == max(c for a_, b_, c, *_ in constraints if (a_, b_) == (a, b))
+        assert hi == min(-c for a_, b_, c, *_ in constraints if (a_, b_) == (-a, -b))
     for p in (*points, *reference.vertices):
         assert horn_contains_b2(*pair, p) == reference.contains(p)
 
@@ -207,11 +208,11 @@ def test_horn_paths_build_no_halfplane(monkeypatch, tmp_path):
     from hornvol.sampler import sample_b2_spectrum
 
     alpha, beta = (17, 4), (15, 9)
-    reference = RationalPolygon(horn_halfplanes(alpha, beta))
+    reference = RationalPolygon(horn_constraints(alpha, beta))
     points = [(Q(x, 4), Q(y, 4)) for x in range(0, 140, 7) for y in range(-4, 60, 5)]
     pw = piecewise_analyze_b2(alpha, beta).to_json_dict()
     hist = sample_b2_spectrum(alpha, beta, 600, seed=5)
-    # the grid of the parent's point loop: J wherever the half-plane polygon contains gamma
+    # the grid of the parent's point loop: J wherever the 14-constraint polygon contains gamma
     res = 6
     xs, ys = ([v[k] for v in reference.vertices] for k in (0, 1))
     rows = [["gamma1", "gamma2", "J", "pdf"]]
@@ -222,10 +223,11 @@ def test_horn_paths_build_no_halfplane(monkeypatch, tmp_path):
             rows.append([str(v) for v in (*g, jval, pdf_b2(alpha, beta, g) if jval else Q(0))])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a HalfPlane was built")
+        raise AssertionError("a Fraction constraint was built")
 
-    monkeypatch.setattr(bz, "_halfplane", refuse)
-    monkeypatch.setattr(bz.HalfPlane, "__init__", refuse)
+    # every Horn path reads the integer rows of horn_polygon: none builds or reads Fraction constraints
+    monkeypatch.setattr(bz.RationalPolygon, "__init__", refuse)
+    monkeypatch.setattr(bz.RationalPolygon, "constraints", property(refuse))
     assert horn_polygon(alpha, beta).vertices == reference.vertices
     assert [horn_contains_b2(alpha, beta, p) for p in points] == [reference.contains(p) for p in points]
     assert piecewise_analyze_b2(alpha, beta).to_json_dict() == pw
@@ -495,7 +497,7 @@ def test_walls_tile_the_cell_edges(pair):
     # every cell edge lies in exactly one wall, and a wall is an edge of each of its cells
     assert Counter((i, frozenset(w.segment)) for w in pw.walls for i in w.cells) == edges
     assert set(edges.values()) == {1}
-    horn = horn_halfplanes(pw.alpha, pw.beta)
+    horn = horn_constraints(pw.alpha, pw.beta)
     for w in pw.walls:
         line = SingularLine(w.kind, w.level, "")
         assert all(line.value(p) == 0 for p in w.segment)
@@ -504,7 +506,7 @@ def test_walls_tile_the_cell_edges(pair):
             assert line.value(hi) > 0 > line.value(lo)
         else:
             # a boundary wall lies on a Horn inequality or a chamber wall
-            assert any(all(h.value(p) == 0 for p in w.segment) for h in horn)
+            assert any(all(a * p[0] + b * p[1] == c for p in w.segment) for a, b, c, *_ in horn)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1115,6 +1117,13 @@ def test_b3_lr_and_ehrhart_routes_agree():
         volume_routes((1, 1, 1), (1, 1, 1), (1, 1, 1), routes=("direct",), rs=b3)
 
 
+def test_volume_routes_refuse_an_empty_or_unknown_route_list():
+    # both used to return an empty VolumeRoutes whose agree() is True
+    for routes in ((), ("bogus",), ("direct", "bogus")):
+        with pytest.raises(ValueError, match="must be a nonempty choice from direct, lr, ehrhart, polytope"):
+            volume_routes((5, 6), (3, 4), (5, 6), routes=routes)
+
+
 def test_route_identities_on_random_sweep():
     rng = random.Random(59)
     checked = 0
@@ -1298,6 +1307,7 @@ def test_lr_route_beyond_the_size_guard_is_skipped_next_to_others():
     vr = volume_routes(big, big, big, routes=("direct", "lr", "polytope"))
     assert vr.values() == {"direct": 600, "polytope": 600}
     assert "exceeds the cap" in vr.skipped["lr"]
-    with pytest.raises(SizeGuardError):
-        volume_routes(big, big, big, routes=("lr",))
+    for routes in (("lr",), ["lr"]):  # a list of one route used to skip it and return nothing
+        with pytest.raises(SizeGuardError):
+            volume_routes(big, big, big, routes=routes)
     assert volume_routes((4, 7), (5, 3), (2, 4)).skipped == {}
