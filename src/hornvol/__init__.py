@@ -16,7 +16,6 @@ from .rootsys import (
     weyl_dimension,
 )
 from .multiplicity import (
-    WeightMultiplicityTable,
     freudenthal_weights,
     kostant_partition,
     lr_klimyk,

@@ -500,16 +500,16 @@ class PickReport:
 def pick_relation_check(P: RationalPolygon) -> PickReport:
     """Check 2C - 2V - L = 2(2p - 1), L = b, and Pick's theorem when p = 1.
 
-    C, b, i come from lattice scans of P; V is the exact area; L is twice the
-    sub-leading coefficient of the stretching quasi-polynomial fitted from
-    the dilations of P.  Violated assumptions (a non-constant sub-leading
-    coefficient) are reported in `notes`, never raised.
+    b and i come from lattice scans of P, C = b + i; V is the exact area; L is
+    twice the sub-leading coefficient of the stretching quasi-polynomial
+    fitted from the dilations of P.  Violated assumptions (a non-constant
+    sub-leading coefficient) are reported in `notes`, never raised.
     """
     if P.dim != 2:
         raise DegeneratePolygonError("pick_relation_check needs a dim-2 polygon")
-    C = lattice_point_count(P)
     V = P.area()
     b, i = boundary_interior_counts(P)
+    C = b + i
     samples = {0: 1}
     for s in range(1, 7):
         samples[s] = lattice_point_count(P.dilate(s))

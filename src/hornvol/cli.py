@@ -92,8 +92,7 @@ def parse_triple(rs, args) -> tuple[tuple[int, ...], ...]:
 
 def _emit_json(payload: dict, stream) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

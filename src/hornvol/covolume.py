@@ -54,9 +54,13 @@ def _nonsimple_in_simple_basis(rs: RootSystem) -> list[tuple[int, ...]]:
 def gram_delta(rs: RootSystem) -> int:
     """det(I + A A^T), A the non-simple positive roots over the simple ones, taken
     as the rank-sized det(I + A^T A) by Sylvester's identity."""
-    A = _nonsimple_in_simple_basis(rs)
-    r = rs.rank
-    G = [[(1 if i == j else 0) + sum(row[i] * row[j] for row in A) for j in range(r)] for i in range(r)]
+    G = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    for k in _nonsimple_in_simple_basis(rs):  # G += k^T k over the nonzero coordinates of k
+        nonzero = [(i, v) for i, v in enumerate(k) if v]
+        for i, a in nonzero:
+            row = G[i]
+            for j, b in nonzero:
+                row[j] += a * b
     d = det_bareiss(G)
     if d < 1:
         raise InvariantError(f"Gram determinant {d} of {rs.name} is below 1")

@@ -16,7 +16,7 @@ coordinates scaled by d through the integer map `RootSystem.root_scale`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -40,20 +40,6 @@ FREUDENTHAL_FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6")
 
 class SizeGuardError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class WeightMultiplicityTable:
-    """Full weight system of an irreducible module, keyed by Dynkin labels."""
-
-    highest_weight: tuple[int, ...]
-    entries: dict[tuple[int, ...], int]
-
-    def dimension(self) -> int:
-        return sum(self.entries.values())
-
-    def multiplicity(self, w: tuple[int, ...]) -> int:
-        return self.entries.get(tuple(w), 0)
 
 
 def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
@@ -95,7 +81,7 @@ def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int,
 
 
 @lru_cache(maxsize=512)
-def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightMultiplicityTable:
+def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The weight system of V_lam by Freudenthal's recursion, in dominant weights by level.
 
     The dominant weights of V_lam are exactly the dominant mu <= lam, and
@@ -168,11 +154,14 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> WeightM
         if rem or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {2 * num}/{den} of {dyn} in V{lam} is not a positive integer")
         entries.update(dict.fromkeys(_weyl_orbit_dynkin(rs, dyn), val))
-    return WeightMultiplicityTable(highest_weight=lam, entries=entries)
+    return entries
 
 
-def freudenthal_weights(rs: RootSystem, lam) -> WeightMultiplicityTable:
-    """Weight system of V_lambda with multiplicities, by Freudenthal recursion."""
+def freudenthal_weights(rs: RootSystem, lam) -> dict[tuple[int, ...], int]:
+    """Weight system {Dynkin labels: multiplicity} of V_lambda, by Freudenthal recursion.
+
+    The dict is shared through the cache: callers must not mutate it.
+    """
     if rs.family not in FREUDENTHAL_FAMILIES:
         raise UnsupportedAlgebraError(f"weight systems not supported for {rs.family}")
     lam = _check_dominant(rs, lam)
@@ -256,11 +245,10 @@ def lr_klimyk(rs: RootSystem, lam, mu, nu) -> int:
     """C_{lam mu}^{nu} by Klimyk's formula over the weight system of V_mu."""
     lam = _check_dominant(rs, lam)
     nu = _check_dominant(rs, nu)
-    table = freudenthal_weights(rs, mu)
     shift = tuple([v + 1 for v in lam])
     target = tuple([v + 1 for v in nu])
     acc = 0
-    for tau, m in table.entries.items():
+    for tau, m in freudenthal_weights(rs, mu).items():
         dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
         if sign and dom == target:
             acc += sign * m
@@ -277,10 +265,9 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     mu = _check_dominant(rs, mu)
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    table = freudenthal_weights(rs, mu)
     shift = tuple([v + 1 for v in lam])
     acc: dict[tuple[int, ...], int] = {}  # keyed by nu + rho
-    for tau, m in table.entries.items():
+    for tau, m in freudenthal_weights(rs, mu).items():
         dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
         if sign:
             acc[dom] = acc.get(dom, 0) + sign * m
@@ -443,23 +430,15 @@ def kostant_values(rs: RootSystem, points) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _covering(table, top: tuple[int, ...]):
-    """The lookup P(*sigma) of a Kostant table, after checking that it covers top.
-
-    A numpy table from kostant_table must contain the box [0, top]; a
-    mapping from kostant_values is read point by point, and a point that it
-    lacks raises ValueError.
-    """
-    if isinstance(table, dict):
-        def value(*sigma):
-            if sigma not in table:
-                raise ValueError(f"the Kostant values do not cover {sigma}")
+def _covering(table: Mapping):
+    """The lookup P(*sigma) of a kostant_values mapping; a point that it lacks raises ValueError."""
+    def value(*sigma):
+        try:
             return table[sigma]
+        except KeyError:
+            raise ValueError(f"the Kostant values do not cover {sigma}") from None
 
-        return value
-    if table.ndim != len(top) or any(t >= n for t, n in zip(top, table.shape)):
-        raise ValueError(f"a Kostant table of shape {table.shape} does not cover {top}")
-    return table.item
+    return value
 
 
 def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
@@ -469,19 +448,20 @@ def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
     partition arguments is large (stretched B3 triples).  Every queried
     argument lies in the box [0, lam + mu - nu] (simple-root coordinates).
     Without `table` one kostant_table is built for that box.  A caller that
-    evaluates many triples passes `table`: either a kostant_table whose box
-    contains lam + mu - nu, or the {point: value} mapping of kostant_values
-    holding every argument the sum reads, as the Ehrhart fit does for all
-    its dilations at once.  A table that does not cover them raises
-    ValueError.
+    evaluates many triples passes `table`, the {point: value} mapping of
+    kostant_values holding every argument the sum reads, as the Ehrhart fit
+    does for all its dilations at once.  A mapping that lacks one of them,
+    and a `table` that is not a mapping, raise ValueError.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
     if table is None:
         acc = _steinberg_sum(rs, lam, mu, nu, lambda top: kostant_table(rs, top).item)
+    elif isinstance(table, Mapping):
+        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _covering(table))
     else:
-        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _covering(table, top))
+        raise ValueError(f"table must be the {{point: value}} mapping of kostant_values, not a {type(table).__name__}")
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
@@ -498,7 +478,7 @@ def tau_sum(rs: RootSystem, decomposition: dict[tuple[int, ...], int], kappa, nu
     if all(v == 0 for v in kappa):
         return decomposition.get(nu, 0)
     total = 0
-    for omega in freudenthal_weights(rs, kappa).entries:
+    for omega in freudenthal_weights(rs, kappa):
         tau = tuple(map(sub, nu, omega))
         c = decomposition.get(tau)
         if c:

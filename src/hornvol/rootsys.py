@@ -260,21 +260,24 @@ def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     The simple roots closed under s_i k = k - <k, alpha_i^vee> alpha_i, with
     <k, alpha_i^vee> = sum_j k_j C[j][i]; s_i permutes the positive roots other
     than alpha_i, and each of them is reached from a simple root this way.
+    Each root carries its pairings with the simple coroots (its Dynkin
+    labels, the Cartan row C[i] for alpha_i), and s_i subtracts
+    <k, alpha_i^vee> C[i] from them.  Only s_i alpha_i = -alpha_i has a
+    negative i-th coordinate.
     """
     rank = len(cartan)
     simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     seen = set(simple)
-    frontier = simple
+    frontier = list(zip(simple, cartan))
     while frontier:
         new = []
-        for k in frontier:
-            for i in range(rank):
-                p = sum(kj * row[i] for kj, row in zip(k, cartan))
-                if p and k != simple[i]:
+        for k, labels in frontier:
+            for i, (p, row) in enumerate(zip(labels, cartan)):
+                if p and k[i] >= p:
                     image = k[:i] + (k[i] - p,) + k[i + 1:]
                     if image not in seen:
                         seen.add(image)
-                        new.append(image)
+                        new.append((image, tuple([a - p * c for a, c in zip(labels, row)])))
         frontier = new
     return sorted(seen, key=lambda k: (sum(k), k))
 

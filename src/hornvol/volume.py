@@ -589,34 +589,34 @@ def kappa_coefficient_sets(rs: RootSystem) -> tuple[dict[tuple[int, ...], Q], di
     raise ValueError(f"no c_kappa table for {rs.name}")
 
 
+def _lr_kappa_sum(rs: RootSystem | None, lam, mu, nu, shift: int) -> Q:
+    """sum_kappa c_kappa C_{lam' mu' kappa}^{nu'}, w' = w - shift rho, over one tensor_decompose of (lam', mu').
+
+    The c_kappa are K for shift 0 and K-hat for shift 1; rs defaults to B2."""
+    if rs is None:
+        rs = b2()
+    if not is_compatible(rs, lam, mu, nu):
+        raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
+    if shift:
+        lam, mu, nu = (tuple(v - 1 for v in rs.labels(w)) for w in (lam, mu, nu))
+        if min(lam + mu + nu) < 0:
+            raise NotShiftableError("lam, mu, nu must all dominate rho")
+    coefficients = kappa_coefficient_sets(rs)[shift]
+    decomposition = tensor_decompose(rs, lam, mu)
+    return sum((c * tau_sum(rs, decomposition, kap, nu) for kap, c in coefficients.items()), Q(0))
+
+
 def j_lr_shifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
     """J(lam', mu'; nu') as  sum_{kappa in K} c_kappa C_{lam mu kappa}^{nu}.
 
     Defaults to B2; works for every algebra with a c_kappa table (B2, B3).
     """
-    if rs is None:
-        rs = b2()
-    if not is_compatible(rs, lam, mu, nu):
-        raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
-    K, _ = kappa_coefficient_sets(rs)
-    decomposition = tensor_decompose(rs, lam, mu)
-    return sum((c * tau_sum(rs, decomposition, kap, nu) for kap, c in K.items()), Q(0))
+    return _lr_kappa_sum(rs, lam, mu, nu, 0)
 
 
 def j_lr_unshifted(lam, mu, nu, rs: RootSystem | None = None) -> Q:
     """J(lam, mu; nu) as  sum_{kappa in K-hat} c-hat_kappa C_{(lam-rho)(mu-rho) kappa}^{nu-rho}."""
-    if rs is None:
-        rs = b2()
-    if not is_compatible(rs, lam, mu, nu):
-        raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
-    lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
-    shifted = [tuple(v - 1 for v in w) for w in (lam, mu, nu)]
-    if any(v < 0 for w in shifted for v in w):
-        raise NotShiftableError("lam, mu, nu must all dominate rho")
-    _, Khat = kappa_coefficient_sets(rs)
-    sl, sm, sn = shifted
-    decomposition = tensor_decompose(rs, sl, sm)
-    return sum((c * tau_sum(rs, decomposition, kap, sn) for kap, c in Khat.items()), Q(0))
+    return _lr_kappa_sum(rs, lam, mu, nu, 1)
 
 
 def kissinger_quasi_polynomial(rs: RootSystem, kappa) -> tuple[QuasiPolynomial, dict[int, int]]:

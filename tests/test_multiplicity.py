@@ -67,39 +67,38 @@ def brute_force_kostant_b2(m, n):
 
 
 def test_spinor_weight_system():
-    table = freudenthal_weights(B2, (0, 1))
+    weights = freudenthal_weights(B2, (0, 1))
     # brute-force oracle: the Weyl orbit of omega2 has 4 elements, all mult 1
     orbit = {weyl_image(B2, w, (0, 1)) for w in weyl_group(B2)}
     assert len(orbit) == 4
-    assert table.entries == dict.fromkeys(orbit, 1)
-    assert table.dimension() == weyl_dimension(B2, (0, 1)) == 4
+    assert weights == dict.fromkeys(orbit, 1)
+    assert sum(weights.values()) == weyl_dimension(B2, (0, 1)) == 4
 
 
 def test_adjoint_zero_weight_multiplicity():
-    table = freudenthal_weights(B2, (0, 2))
-    assert table.multiplicity((0, 0)) == 2
-    assert table.multiplicity((0, 0)) == kostant_multiplicity_oracle(B2, (0, 2), (0, 0))
+    weights = freudenthal_weights(B2, (0, 2))
+    assert weights[(0, 0)] == 2
+    assert weights[(0, 0)] == kostant_multiplicity_oracle(B2, (0, 2), (0, 0))
 
 
 def test_trivial_rep():
-    table = freudenthal_weights(B2, (0, 0))
-    assert table.entries == {(0, 0): 1}
+    assert freudenthal_weights(B2, (0, 0)) == {(0, 0): 1}
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (2, 1), (0, 3), (3, 2)])
 def test_freudenthal_against_kostant_formula(lam):
-    table = freudenthal_weights(B2, lam)
-    assert table.dimension() == weyl_dimension(B2, lam)
-    for kappa, mult in table.entries.items():
+    weights = freudenthal_weights(B2, lam)
+    assert sum(weights.values()) == weyl_dimension(B2, lam)
+    for kappa, mult in weights.items():
         if all(v >= 0 for v in kappa):
             assert mult == kostant_multiplicity_oracle(B2, lam, kappa)
 
 
 def test_weight_system_closed_under_weyl():
-    table = freudenthal_weights(B2, (2, 2))
-    for kappa, mult in table.entries.items():
+    weights = freudenthal_weights(B2, (2, 2))
+    for kappa, mult in weights.items():
         for w in weyl_group(B2):
-            assert table.entries.get(weyl_image(B2, w, kappa)) == mult
+            assert weights.get(weyl_image(B2, w, kappa)) == mult
 
 
 def test_size_guard_and_family_guard():
@@ -201,7 +200,7 @@ REFERENCE_ALGEBRAS = {name: build_root_system(*name) for name in (("A", 2), ("B"
 def test_freudenthal_equals_the_per_lookup_reference(name, data):
     rs = REFERENCE_ALGEBRAS[name]
     lam = data.draw(st.tuples(*[st.integers(0, 9 if rs.rank == 2 else 3)] * rs.rank))
-    assert freudenthal_weights(rs, lam).entries == freudenthal_reference(rs, lam)
+    assert freudenthal_weights(rs, lam) == freudenthal_reference(rs, lam)
 
 
 @pytest.mark.parametrize("algebra, lam", [
@@ -218,9 +217,9 @@ def test_freudenthal_equals_the_reference_on_larger_modules(algebra, lam, monkey
     # B3 (4,4,4) has dimension 1,953,125, above the size guard: lift the guard
     # for one uncached call, so no table beyond it stays in the cache
     monkeypatch.setattr(multiplicity, "DEFAULT_DIM_CAP", max(multiplicity.DEFAULT_DIM_CAP, weyl_dimension(rs, lam)))
-    table = multiplicity._freudenthal_cached.__wrapped__(rs.family, rs.rank, lam)
-    assert table.entries == freudenthal_reference(rs, lam)
-    assert table.dimension() == weyl_dimension(rs, lam)
+    weights = multiplicity._freudenthal_cached.__wrapped__(rs.family, rs.rank, lam)
+    assert weights == freudenthal_reference(rs, lam)
+    assert sum(weights.values()) == weyl_dimension(rs, lam)
 
 
 # -- Kostant partition function ----------------------------------------------
@@ -514,13 +513,13 @@ def test_steinberg_sum_matches_klimyk_and_table(triple):
 def test_freudenthal_sums_to_weyl_dimension_and_is_weyl_invariant(name, data):
     rs = SMALL_ALGEBRAS[name]
     lam = data.draw(st.tuples(*[st.integers(0, 4 if rs.rank == 2 else 2)] * rs.rank))
-    table = freudenthal_weights(rs, lam)
-    assert table.entries[lam] == 1
-    assert table.dimension() == weyl_dimension(rs, lam)
-    for w, m in table.entries.items():
+    weights = freudenthal_weights(rs, lam)
+    assert weights[lam] == 1
+    assert sum(weights.values()) == weyl_dimension(rs, lam)
+    for w, m in weights.items():
         for i in range(rs.rank):
             reflected = tuple(w[j] - w[i] * rs.cartan_matrix[i][j] for j in range(rs.rank))
-            assert table.entries.get(reflected) == m
+            assert weights.get(reflected) == m
 
 
 # -- a caller's Kostant table and the tau range of lr_triple -------------------
@@ -530,21 +529,46 @@ def test_a_table_that_does_not_cover_the_box_raises():
     lam, mu, nu = (1, 2, 1), (2, 1, 1), (1, 1, 2)
     box = tuple(int(v) for v in B3.dynkin_to_root([a + b - c for a, b, c in zip(lam, mu, nu)]))
     expected = lr_steinberg(B3, lam, mu, nu)
-    assert lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(B3, box)) == expected
-    assert lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(B3, tuple(v + 2 for v in box))) == expected
-    for small in ((box[0] - 1, box[1], box[2]), (box[0], box[1], box[2] - 1), box[:2]):
-        with pytest.raises(ValueError, match="does not cover"):
-            lr_steinberg_table(B3, lam, mu, nu, table=kostant_table(build_root_system("B", len(small)), small))
-    # off the root lattice no Kostant value is read, so no table is checked
-    assert lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table=kostant_table(B3, (0, 0, 0))) == 0
+
+    def values_on(top):
+        return kostant_values(B3, itertools.product(*(range(b + 1) for b in top)))
+
+    assert lr_steinberg_table(B3, lam, mu, nu, table=values_on(box)) == expected
+    assert lr_steinberg_table(B3, lam, mu, nu, table=values_on(tuple(v + 2 for v in box))) == expected
+    for small in ((box[0] - 1, box[1], box[2]), (box[0], box[1], box[2] - 1)):
+        with pytest.raises(ValueError, match="do not cover"):
+            lr_steinberg_table(B3, lam, mu, nu, table=values_on(small))
+    # off the root lattice no Kostant value is read, so no point is looked up
     assert lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table={}) == 0
     # a kostant_values mapping must hold every point the sum reads
-    full = kostant_table(B3, box)
-    points = {p: int(full[p]) for p in itertools.product(*(range(b + 1) for b in box))}
-    assert lr_steinberg_table(B3, lam, mu, nu, table=points) == expected
+    points = values_on(box)
     del points[box]
     with pytest.raises(ValueError, match="do not cover"):
         lr_steinberg_table(B3, lam, mu, nu, table=points)
+
+
+def test_a_table_that_is_not_a_mapping_raises():
+    lam, mu, nu = (1, 2, 1), (2, 1, 1), (1, 1, 2)
+    box = tuple(int(v) for v in B3.dynkin_to_root([a + b - c for a, b, c in zip(lam, mu, nu)]))
+    full = kostant_table(B3, box)
+    for table in (full, full.tolist(), list(kostant_values(B3, [box]).items())):
+        with pytest.raises(ValueError, match="mapping of kostant_values"):
+            lr_steinberg_table(B3, lam, mu, nu, table=table)
+        # refused before any Kostant value is read
+        with pytest.raises(ValueError, match="mapping of kostant_values"):
+            lr_steinberg_table(B3, (1, 0, 1), (0, 0, 0), (1, 0, 0), table=table)
+
+
+def test_the_cached_weight_system_is_shared_and_left_unchanged():
+    weights = freudenthal_weights(B2, (1, 2))
+    assert freudenthal_weights(B2, (1, 2)) is weights
+    before = dict(weights)
+    decomposition = tensor_decompose(B2, (2, 1), (1, 2))
+    lr_klimyk(B2, (2, 1), (1, 2), (3, 3))
+    multiplicity.tau_sum(B2, decomposition, (1, 2), (3, 3))
+    lr_triple(B2, (1, 2), (1, 2), (1, 2), (2, 2))
+    assert freudenthal_weights(B2, (1, 2)) is weights
+    assert list(weights.items()) == list(before.items())
 
 
 def full_tau_sum(rs, lam, mu, kappa, nu) -> int:

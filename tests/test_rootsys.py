@@ -50,6 +50,35 @@ def test_closure_count_mismatch_raises_invariant_error(monkeypatch):
         build_root_system.__wrapped__("B", 2)
 
 
+def closure_reference(cartan):
+    """The positive roots, each simple-coroot pairing summed afresh from the Cartan columns."""
+    rank = len(cartan)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    frontier = simple
+    while frontier:
+        new = []
+        for k in frontier:
+            for i in range(rank):
+                p = sum(kj * row[i] for kj, row in zip(k, cartan))
+                if p and k != simple[i]:
+                    image = k[:i] + (k[i] - p,) + k[i + 1:]
+                    if image not in seen:
+                        seen.add(image)
+                        new.append(image)
+        frontier = new
+    return sorted(seen, key=lambda k: (sum(k), k))
+
+
+@pytest.mark.parametrize("family,rank", (
+    [(fam, r) for fam, lo in rootsys.CLASSICAL_MIN_RANK.items() for r in range(lo, 13)]
+    + list(rootsys.EXCEPTIONAL_RANK.items())
+))
+def test_closure_with_stored_pairings_equals_the_reference(family, rank):
+    cartan = build_root_system(family, rank).cartan_matrix
+    assert rootsys._positive_closure(cartan) == closure_reference(cartan)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G2", 2), ("F4", 4), ("E8", 8)])
 def test_positive_roots_are_the_orthonormal_images_of_the_keys(family, rank):
     rs = build_root_system(family, rank)

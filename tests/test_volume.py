@@ -1228,7 +1228,7 @@ def dominant_nus(lam, mu):
     root-lattice coset of lam + mu are lam plus the weights of V_mu, so every
     compatible nu with a non-empty P is among these.
     """
-    for tau in freudenthal_weights(B2, mu).entries:
+    for tau in freudenthal_weights(B2, mu):
         nu = (lam[0] + tau[0], lam[1] + tau[1])
         if min(nu) >= 0:
             yield nu
