@@ -12,7 +12,6 @@ from .rootsys import (
     delta_g,
     is_compatible,
     kappa_constants,
-    kappa_theta,
     weyl_dimension,
 )
 from .multiplicity import (

@@ -510,8 +510,8 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     V = P.area()
     b, i = boundary_interior_counts(P)
     C = b + i
-    samples = {0: 1}
-    for s in range(1, 7):
+    samples = {0: 1, 1: C}
+    for s in range(2, 7):
         samples[s] = lattice_point_count(P.dilate(s))
     quasi = fit_quasi_polynomial(samples, degree=2, period=2)
     notes: list[str] = []

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -317,8 +317,10 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
 
     simple = _simple_roots(family, rank)
-    norms = [dot(a, a) for a in simple]
-    cartan = tuple(tuple(int(2 * dot(a, b) / nb) for b, nb in zip(simple, norms)) for a in simple)
+    # twice the simple roots: integers in every realization (F4 and E6-E8 lose their halves)
+    twice = [tuple(int(2 * v) for v in a) for a in simple]
+    norms = [sum(map(mul, a, a)) for a in twice]
+    cartan = tuple(tuple(2 * sum(map(mul, a, b)) // nb for b, nb in zip(twice, norms)) for a in twice)
     keys = _positive_closure(cartan)
     expected = positive_root_count(family, rank)
     if len(keys) != expected:
@@ -331,7 +333,7 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         cartan_matrix=cartan,
         exponents=_exponents(family, rank),
         dual_coxeter_number=_dual_coxeter(family, rank),
-        half_norms=tuple(int(v / min(norms)) for v in norms),
+        half_norms=tuple(v // min(norms) for v in norms),
         root_scale=_scaled_inverse_transpose(cartan),
     )
 
@@ -489,51 +491,6 @@ def kappa_constants(rs: RootSystem) -> KappaG:
     scale = Q(2) / theta2
     delta_norm = delta_g(rs, rs.rho_ortho) * scale ** rs.n_positive
     return KappaG(prefactor=1 / delta_norm, two_pi_exponent=rs.n_positive, K=int(K))
-
-
-@dataclass(frozen=True)
-class KappaTheta:
-    """kappa_theta = rational * pi**(sqrt_pi_exponent/2) * (2*pi)**two_pi_exponent."""
-
-    rational: Q
-    sqrt_pi_exponent: int
-    two_pi_exponent: Q
-
-
-def _gamma_ratio(theta: Q, j: int) -> tuple[Q, int]:
-    """Gamma(1 + j*theta) / Gamma(1 + theta) as (rational, power of sqrt(pi))."""
-    if theta == 1:
-        return Q(factorial(j)), 0
-    if theta == 2:
-        return Q(factorial(2 * j), 2), 0
-    if theta == Q(1, 2):
-        if j % 2 == 0:
-            m = j // 2
-            return Q(2 * factorial(m)), -1
-        m = (j - 1) // 2
-        dfact = 1
-        for k in range(2 * m + 1, 0, -2):
-            dfact *= k
-        return Q(dfact, 2**m), 0
-    raise ValueError(f"unsupported theta {theta}")
-
-
-def kappa_theta(theta, n: int) -> KappaTheta:
-    """Normalization constant of the diagonalization Jacobian for theta in {1/2, 1, 2}.
-
-    kappa_theta = (2 pi)^{n(n-1) theta / 2} n! / prod_{j=1}^n Gamma(1+j theta)/Gamma(1+theta),
-    kept exact as a (rational, sqrt(pi) power, (2 pi) power) triple.
-    """
-    theta = Q(theta)
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    rat = Q(factorial(n))
-    sqrtpi = 0
-    for j in range(1, n + 1):
-        r, s = _gamma_ratio(theta, j)
-        rat /= r
-        sqrtpi -= s
-    return KappaTheta(rational=rat, sqrt_pi_exponent=sqrtpi, two_pi_exponent=Q(n * (n - 1)) * theta / 2)
 
 
 def is_compatible(rs: RootSystem, lam, mu, nu) -> bool:

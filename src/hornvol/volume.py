@@ -28,7 +28,7 @@ from .ehrhart import (
     stretching_quasi_polynomial,
 )
 from .multiplicity import SizeGuardError, tau_sum, tensor_decompose
-from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible
+from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible, kappa_constants
 
 Pair = tuple[Q, Q]
 
@@ -652,13 +652,19 @@ def delta_b2(x) -> Q:
     return x1 * x2 * (x1 * x1 - x2 * x2)
 
 
+@lru_cache(maxsize=None)
+def _inverse_kappa_b2() -> Q:
+    """1 / the rational prefactor of B2's kappa_g (`kappa_constants`), evaluated once per process."""
+    return 1 / kappa_constants(b2()).prefactor
+
+
 def pdf_scale(alpha, beta) -> Q:
-    """(3/2) / (|Delta(alpha)| |Delta(beta)|): the Horn density at gamma is this times |Delta(gamma)| J."""
-    return Q(3, 2) / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+    """1 / (kappa_g |Delta(alpha)| |Delta(beta)|): the Horn density at gamma is this times |Delta(gamma)| J."""
+    return _inverse_kappa_b2() / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
 
 
 def pdf_b2(alpha, beta, gamma) -> Q:
-    """Horn probability density (3/2) |Delta(gamma)| / (|Delta(alpha)| |Delta(beta)|) J."""
+    """Horn probability density |Delta(gamma)| J / (kappa_g |Delta(alpha)| |Delta(beta)|)."""
     j = j_b2(alpha, beta, gamma)
     if j == 0:
         return Q(0)

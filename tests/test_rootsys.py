@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornvol import rootsys
-from hornvol._exact import InconsistentSystemError, InvariantError, dot, solve_square
+from hornvol._exact import InconsistentSystemError, InvariantError, dot, solve_in_span, solve_square
 from hornvol.rootsys import (
     UnsupportedAlgebraError,
     WeylElement,
@@ -18,7 +18,6 @@ from hornvol.rootsys import (
     delta_g,
     is_compatible,
     kappa_constants,
-    kappa_theta,
     positive_root_count,
     polytope_degree,
     reflect_to_dominant,
@@ -297,26 +296,17 @@ def test_kappa_g_prefactor_formula():
         assert k.two_pi_exponent == rs.n_positive
 
 
-def test_kappa_theta_values():
-    k = kappa_theta(1, 2)
-    assert (k.rational, k.sqrt_pi_exponent, k.two_pi_exponent) == (1, 0, 1)  # 2 pi
-    k = kappa_theta(2, 2)
-    assert (k.rational, k.sqrt_pi_exponent, k.two_pi_exponent) == (Q(1, 6), 0, 2)
-    with pytest.raises(ValueError):
-        kappa_theta(Q(1, 3), 2)
-    with pytest.raises(ValueError):
-        kappa_theta(1, 1)
-
-
-def test_kappa_theta_matches_su_n():
-    # kappa_{su(n)} = kappa_1 for every n
+def test_kappa_g_of_su_n_and_b2():
+    # kappa_{su(n)} = (2 pi)^{n(n-1)/2} / prod_{j<n} j!
     for n in range(2, 7):
-        rs = build_root_system("A", n - 1)
-        kg = kappa_constants(rs)
-        kt = kappa_theta(1, n)
-        assert kt.sqrt_pi_exponent == 0
-        assert kt.two_pi_exponent == kg.two_pi_exponent == Q(n * (n - 1), 2)
-        assert kt.rational == kg.prefactor
+        kg = kappa_constants(build_root_system("A", n - 1))
+        prod = 1
+        for j in range(1, n):
+            prod *= factorial(j)
+        assert kg.prefactor == Q(1, prod)
+        assert kg.two_pi_exponent == n * (n - 1) // 2
+    # the reciprocal of the B2 prefactor is the 3/2 of the Horn density
+    assert kappa_constants(build_root_system("B", 2)).prefactor == Q(2, 3)
 
 
 # -- compatibility and coordinate conversions ----------------------------------
@@ -523,3 +513,131 @@ def test_reflect_to_dominant_matches_a_weyl_group_search(case):
         expected = (image, 0)
     assert reflect_to_dominant(rs, a) == expected
     assert reflect_to_dominant(rs, list(a)) == expected
+
+
+# -- every entry point answers or refuses ---------------------------------------
+
+
+@st.composite
+def algebra_requests(draw):
+    """(family, rank) as a caller may pass them: valid, below the minimum rank,
+    an exceptional algebra with a wrong rank, or an unknown family."""
+    family = draw(st.sampled_from(rootsys.FAMILIES + ("b", "g2", "X", "E9", "H3", "")))
+    return family, draw(st.one_of(st.none(), st.integers(-2, 8)))
+
+
+def expected_rank(family, rank):
+    """The rank build_root_system must give, or None where it must refuse."""
+    family = family.upper()
+    if family in rootsys.EXCEPTIONAL_RANK:
+        fixed = rootsys.EXCEPTIONAL_RANK[family]
+        return fixed if rank in (None, fixed) else None
+    if family in rootsys.CLASSICAL_MIN_RANK and rank is not None and rank >= rootsys.CLASSICAL_MIN_RANK[family]:
+        return rank
+    return None
+
+
+def coordinates(n: int):
+    """n - 1, n or n + 1 entries, all ints in [-1, 4], all ints in [-4, 4] or
+    Fractions of denominator up to 3 (integral ones among them)."""
+    entries = st.sampled_from([st.integers(-1, 4), st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)])
+    sizes = st.integers(max(0, n - 1), n + 1)
+    return st.tuples(entries, sizes).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]).map(tuple))
+
+
+def refuses(call, error=ValueError) -> bool:
+    """True when call raises error; any other exception propagates."""
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_requests(), st.data())
+def test_entry_points_answer_or_refuse(request, data):
+    family, rank = request
+    want = expected_rank(family, rank)
+    if want is None:
+        assert refuses(lambda: build_root_system(family, rank), UnsupportedAlgebraError)
+        return
+    rs = build_root_system(family, rank)
+    assert (rs.rank, rs.n_positive) == (want, positive_root_count(rs.family, want))
+    n, dim = rs.rank, rs.ambient_dim
+    lam, mu, nu = (data.draw(coordinates(n)) for _ in range(3))
+    x = data.draw(coordinates(dim))
+    sized = len(lam) == n
+    integral = all(Q(v).denominator == 1 for v in lam)
+
+    # labels: the count, then integrality
+    if not sized:
+        assert refuses(lambda: rs.labels(lam))
+    elif not integral:
+        assert refuses(lambda: rs.labels(lam), NonDominantWeightError)
+    else:
+        assert rs.labels(lam) == lam and all(type(v) is int for v in rs.labels(lam))
+
+    # the conversions on Dynkin labels and simple-root coordinates
+    for convert in (rs.scaled_root, rs.dynkin_to_root, rs.root_to_dynkin, rs.root_to_ortho):
+        assert refuses(lambda: convert(lam)) == (not sized)
+    if sized:
+        c = reference_dynkin_to_root(rs, lam)
+        assert rs.dynkin_to_root(lam) == c
+        assert rs.scaled_root(lam) == tuple(rs.root_scale[0] * v for v in c)
+        assert rs.root_to_dynkin(c) == lam
+        ortho = rs.root_to_ortho(c)
+        assert tuple(solve_in_span(rs.simple_roots, ortho)) == c
+        assert rs.ortho_to_dynkin(ortho) == lam
+        assert rs.ortho_to_root(ortho) == c
+
+    # the conversions on orthonormal coordinates: the length, then the root span
+    if len(x) != dim:
+        for convert in (rs.ortho_to_dynkin, rs.ortho_to_root, lambda v: delta_g(rs, v)):
+            assert refuses(lambda: convert(x))
+    else:
+        assert rs.ortho_to_dynkin(x) == tuple(2 * dot(x, a) / dot(a, a) for a in rs.simple_roots)
+        in_span = not refuses(lambda: solve_in_span(rs.simple_roots, x), InconsistentSystemError)
+        if in_span:
+            assert rs.ortho_to_root(x) == tuple(solve_in_span(rs.simple_roots, x))
+        else:
+            assert refuses(lambda: rs.ortho_to_root(x), InconsistentSystemError)
+        # <alpha, x> = sum_i c_i <alpha_i, x> for alpha = sum_i c_i alpha_i
+        pairings = [dot(a, x) for a in rs.simple_roots]
+        expected = Q(1)
+        for key in rs.positive_roots_rb:
+            expected *= dot(key, pairings)
+        assert delta_g(rs, x) == expected
+
+    # the Weyl dimension: the count, integrality, then dominance
+    if not (sized and integral and min(lam, default=0) >= 0):
+        assert refuses(lambda: weyl_dimension(rs, lam))
+    else:
+        shifted = rs.root_to_ortho(rs.dynkin_to_root([v + 1 for v in lam]))
+        assert weyl_dimension(rs, lam) == delta_g(rs, shifted) / delta_g(rs, rs.rho_ortho)
+
+    # the dominant image: dominant, above lam, same length, and Delta(lam) = sign Delta(image)
+    if not sized:
+        assert refuses(lambda: reflect_to_dominant(rs, lam))
+    else:
+        image, sign = reflect_to_dominant(rs, lam)
+        assert min(image) >= 0 and (sign == 0) == (min(image) == 0) and sign in (-1, 0, 1)
+        below = rs.dynkin_to_root([p - q for p, q in zip(image, lam)])
+        assert min(below) >= 0
+        here, there = (rs.root_to_ortho(rs.dynkin_to_root(w)) for w in (lam, image))
+        assert dot(here, here) == dot(there, there)
+        assert delta_g(rs, here) == sign * delta_g(rs, there)
+
+    # compatibility: every count, then the root lattice
+    if len(lam) != n or len(mu) != n or len(nu) != n:
+        assert refuses(lambda: is_compatible(rs, lam, mu, nu))
+    else:
+        sigma = reference_dynkin_to_root(rs, [Q(p) + q - r for p, q, r in zip(lam, mu, nu)])
+        assert is_compatible(rs, lam, mu, nu) == all(v.denominator == 1 for v in sigma)
+
+    # kappa_g: K / prod_i (exponent_i!) times (2 pi)^N
+    kg = kappa_constants(rs)
+    prod = 1
+    for e in rs.exponents:
+        prod *= factorial(e)
+    assert kg.K > 0 and kg.prefactor == Q(kg.K, prod) and kg.two_pi_exponent == rs.n_positive

@@ -47,6 +47,7 @@ from hornvol.volume import (
     kissinger_quasi_polynomial,
     pdf_b2,
     pdf_normalization_integral,
+    pdf_scale,
     piecewise_analyze_b2,
     singular_lines_b2,
     so2_support,
@@ -369,6 +370,47 @@ def test_cell_quadratics_equal_j_on_closed_cells(pair, rng):
 @given(regular_half_pairs())
 def test_pdf_normalization_on_random_pairs(pair):
     assert pdf_normalization_integral(*pair) == 1
+
+
+# The J-side sum rules (Schur orthogonality on the adjoint representation of
+# so(5), dim 10): with |A|^2 = |alpha|^2 and B' a Haar conjugate of B,
+# E<A, B'> = 0 and E<A, B'>^2 = |alpha|^2 |beta|^2 / 10, so the Horn density p
+# has int p = 1, int |gamma|^2 p = |alpha|^2 + |beta|^2 and
+# int |gamma|^4 p = (|alpha|^2 + |beta|^2)^2 + (2/5) |alpha|^2 |beta|^2.
+DELTA_B2 = {(3, 1): Q(1), (1, 3): Q(-1)}  # g1^3 g2 - g1 g2^3
+NORM2 = {(2, 0): Q(1), (0, 2): Q(1)}
+
+
+def horn_moments(alpha, beta) -> list:
+    """int |gamma|^(2k) p over the Horn polygon for k = 0, 1, 2, each cell's Delta J integrated exactly."""
+    totals = [Q(0)] * 3
+    for cell in piecewise_analyze_b2(alpha, beta).cells:
+        density = p2_mul(DELTA_B2, poly(cell))
+        for k in range(3):
+            totals[k] += p2_integrate_polygon(density, cell.vertices)
+            density = p2_mul(density, NORM2)
+    return [pdf_scale(alpha, beta) * t for t in totals]
+
+
+def moment_rules(alpha, beta) -> list:
+    na, nb = (Q(x) ** 2 + Q(y) ** 2 for x, y in (alpha, beta))
+    return [1, na + nb, (na + nb) ** 2 + Q(2, 5) * na * nb]
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ((17, 4), (15, 9)),
+    ((5, 2), (3, 1)),
+    ((Q(11, 2), Q(3, 2)), (5, 2)),
+    ((7, 6), (9, 1)),
+])
+def test_j_side_moment_rules(alpha, beta):
+    assert horn_moments(alpha, beta) == moment_rules(alpha, beta)
+
+
+@settings(max_examples=10, deadline=None)
+@given(regular_half_pairs())
+def test_j_side_moment_rules_on_random_pairs(pair):
+    assert horn_moments(*pair) == moment_rules(*pair)
 
 
 _DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (-1, -1), (-1, 1)]
