@@ -2,7 +2,8 @@
 
 * Freudenthal recursion for full weight systems,
 * the Racah-Speiser / Klimyk algorithm (reflect the shifted weight into the
-  dominant chamber, drop walls, apply the sign),
+  dominant chamber, drop walls, apply the sign), run only in tensor_decompose:
+  lr_klimyk reads one entry, tau_sum pairs two decompositions through kappa*,
 * the Steinberg formula: one integer double Weyl sum over the Kostant
   partition function, looked up by closed form or recursion
   (lr_steinberg) or in a batch from one numpy slab sweep
@@ -242,24 +243,16 @@ def _kostant_lookup(rs: RootSystem):
 
 
 def lr_klimyk(rs: RootSystem, lam, mu, nu) -> int:
-    """C_{lam mu}^{nu} by Klimyk's formula over the weight system of V_mu."""
-    lam = _check_dominant(rs, lam)
+    """C_{lam mu}^{nu}, read from tensor_decompose(rs, lam, mu)."""
     nu = _check_dominant(rs, nu)
-    shift = tuple([v + 1 for v in lam])
-    target = tuple([v + 1 for v in nu])
-    acc = 0
-    for tau, m in freudenthal_weights(rs, mu).items():
-        dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
-        if sign and dom == target:
-            acc += sign * m
-    return _checked_multiplicity(acc, "Klimyk", lam, mu, nu)
+    return tensor_decompose(rs, lam, mu).get(nu, 0)
 
 
 def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
-    """All nu with C_{lam mu}^{nu} != 0.
+    """All nu with C_{lam mu}^{nu} != 0: the one Klimyk loop of this module.
 
-    Internally runs Klimyk over the weight system of the smaller factor
-    (C is symmetric in lam, mu).
+    Runs over the weight system of the smaller factor (C is symmetric in
+    lam, mu).
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
@@ -468,22 +461,13 @@ def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
 def tau_sum(rs: RootSystem, decomposition: dict[tuple[int, ...], int], kappa, nu) -> int:
     """sum_tau C_{lam mu}^{tau} C_{tau kappa}^{nu}, given decomposition = tensor_decompose(rs, lam, mu).
 
-    C_{tau kappa}^{nu} is by Klimyk, and it is 0 unless nu - tau is a weight
-    of V_kappa, so tau runs only over nu - omega, omega in the Freudenthal
-    weight system of V_kappa.  A caller that sums over several kappa for one
-    (lam, mu) decomposes once and passes the same decomposition each time.
+    C_{tau kappa}^{nu} = C_{nu kappa*}^{tau}, kappa* = -w0 kappa being the dominant
+    image of -kappa, so tau runs over one tensor_decompose(rs, nu, kappa*).  A
+    caller that sums over several kappa for one (lam, mu) decomposes once and
+    passes the same decomposition each time.
     """
-    kappa = _check_dominant(rs, kappa)
-    nu = _check_dominant(rs, nu)
-    if all(v == 0 for v in kappa):
-        return decomposition.get(nu, 0)
-    total = 0
-    for omega in freudenthal_weights(rs, kappa):
-        tau = tuple(map(sub, nu, omega))
-        c = decomposition.get(tau)
-        if c:
-            total += c * lr_klimyk(rs, tau, kappa, nu)
-    return total
+    kappa_star, _ = reflect_to_dominant(rs, [-v for v in _check_dominant(rs, kappa)])
+    return sum(c * decomposition.get(tau, 0) for tau, c in tensor_decompose(rs, nu, kappa_star).items())
 
 
 def lr_triple(rs: RootSystem, lam, mu, kappa, nu) -> int:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hornvol import multiplicity
+from hornvol._exact import InvariantError
 from hornvol.multiplicity import (
     SizeGuardError,
     freudenthal_weights,
@@ -576,15 +577,146 @@ def full_tau_sum(rs, lam, mu, kappa, nu) -> int:
     return sum(c * lr_klimyk(rs, tau, kappa, nu) for tau, c in tensor_decompose(rs, lam, mu).items())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.data())
-def test_lr_triple_equals_the_full_tau_sum(name, data):
+@st.composite
+def tau_sum_cases(draw):
+    """(algebra, lam, mu, kappa, nu): labels <= 3 (<= 2 on G2, <= 1 in rank 3)."""
+    name = draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))
     rs = SMALL_ALGEBRAS[name]
     labels = st.tuples(*[st.integers(0, {"A2": 3, "B2": 3, "G2": 2}.get(name, 1))] * rs.rank)
-    lam, mu, kappa = (data.draw(labels) for _ in range(3))
-    if data.draw(st.booleans()):
-        nu = data.draw(labels)
+    lam, mu, kappa = (draw(labels) for _ in range(3))
+    if draw(st.booleans()):
+        nu = draw(labels)
     else:  # nu from V_tau x V_kappa for some tau in V_lam x V_mu, so the sum is rarely 0
-        tau = data.draw(st.sampled_from(sorted(tensor_decompose(rs, lam, mu))))
-        nu = data.draw(st.sampled_from(sorted(tensor_decompose(rs, tau, kappa))))
+        tau = draw(st.sampled_from(sorted(tensor_decompose(rs, lam, mu))))
+        nu = draw(st.sampled_from(sorted(tensor_decompose(rs, tau, kappa))))
+    return name, lam, mu, kappa, nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau_sum_cases())
+# A2, where kappa* = -w0 kappa differs from kappa: (1, 0)* = (0, 1), (2, 1)* = (1, 2)
+@example(("A2", (1, 1), (1, 0), (1, 0), (1, 2)))
+@example(("A2", (1, 1), (1, 1), (2, 1), (2, 1)))
+def test_lr_triple_equals_the_full_tau_sum(case):
+    name, lam, mu, kappa, nu = case
+    rs = SMALL_ALGEBRAS[name]
     assert lr_triple(rs, lam, mu, kappa, nu) == full_tau_sum(rs, lam, mu, kappa, nu)
+
+
+# -- Casimir trace sum rules (Schur orthogonality) ----------------------------
+#
+# With C2(w) = <w, w + 2 rho> and d_w = dim V_w, the traces of 1, C2 and C2^2
+# on V_lam x V_mu give, for every algebra,
+#   sum_nu N^nu d_nu C2(nu)^k = d_lam d_mu * [1, C2(lam) + C2(mu),
+#                               (C2(lam) + C2(mu))^2 + 4 C2(lam) C2(mu) / dim g].
+# No multiplicity algorithm reads them, so each algorithm is checked on its own.
+
+
+def casimir(rs, w):
+    """C2(w) = <w, w + 2 rho>, from <x, alpha_i> = h_i x_i on Dynkin labels (half-norm units)."""
+    return sum(c * h * v for c, h, v in zip(rs.dynkin_to_root([v + 2 for v in w]), rs.half_norms, w))
+
+
+def casimir_traces(rs, multiplicities):
+    """sum_nu N^nu dim V_nu C2(nu)^k for k = 0, 1, 2."""
+    return [sum(n * weyl_dimension(rs, nu) * casimir(rs, nu) ** k for nu, n in multiplicities.items())
+            for k in range(3)]
+
+
+def casimir_trace_rules(rs, lam, mu):
+    """The traces of 1, C2 and C2^2 on V_lam x V_mu."""
+    d = weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
+    a, b = casimir(rs, lam), casimir(rs, mu)
+    dim_g = rs.rank + 2 * rs.n_positive
+    return [d, d * (a + b), d * ((a + b) ** 2 + Q(4, dim_g) * a * b)]
+
+
+def weights_below(rs, top):
+    """Every dominant nu with top - nu a nonnegative integer sum of simple roots."""
+    bound = [int(v) for v in rs.dynkin_to_root(top)]
+    out = []
+    for c in itertools.product(*(range(b + 1) for b in bound)):
+        nu = tuple(t - sum(ci * row[j] for ci, row in zip(c, rs.cartan_matrix)) for j, t in enumerate(top))
+        if min(nu) >= 0:
+            out.append(nu)
+    return out
+
+
+@st.composite
+def trace_pairs(draw):
+    """(algebra, lam, mu): labels <= 3 in rank 2 (<= 2 on G2), <= 2 in rank 3."""
+    name = draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))
+    rs = SMALL_ALGEBRAS[name]
+    labels = st.tuples(*[st.integers(0, 2 if name == "G2" or rs.rank == 3 else 3)] * rs.rank)
+    return name, draw(labels), draw(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_pairs())
+def test_tensor_decompose_meets_the_casimir_trace_rules(pair):
+    name, lam, mu = pair
+    rs = SMALL_ALGEBRAS[name]
+    assert casimir_traces(rs, tensor_decompose(rs, lam, mu)) == casimir_trace_rules(rs, lam, mu)
+
+
+@pytest.mark.parametrize("method", ["steinberg", "bz"])
+@settings(max_examples=40, deadline=None)
+@given(lam=st.tuples(st.integers(0, 5), st.integers(0, 5)), mu=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_b2_steinberg_and_bz_each_meet_the_casimir_trace_rules(method, lam, mu):
+    from hornvol.bzpolytope import bz_polygon_b2, lattice_point_count
+
+    count = {
+        "steinberg": lambda nu: lr_steinberg(B2, lam, mu, nu),
+        "bz": lambda nu: lattice_point_count(bz_polygon_b2(lam, mu, nu)),
+    }[method]
+    top = tuple(a + b for a, b in zip(lam, mu))
+    multiplicities = {nu: count(nu) for nu in weights_below(B2, top)}
+    assert casimir_traces(B2, multiplicities) == casimir_trace_rules(B2, lam, mu)
+
+
+# -- the public entry points answer or refuse ---------------------------------
+
+
+def malformed_labels(rank: int):
+    """rank - 1, rank or rank + 1 entries: ints in [-1, 3], or Fractions in [-2, 3] of
+    denominator up to 3 (integral ones among them)."""
+    entries = st.sampled_from([st.integers(-1, 3), st.fractions(-2, 3, max_denominator=3)])
+    sizes = st.integers(rank - 1, rank + 1)
+    return st.tuples(entries, sizes).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]).map(tuple))
+
+
+ENTRY_POINTS = {
+    "tensor_decompose": (2, lambda rs, w: tensor_decompose(rs, *w)),
+    "lr_klimyk": (3, lambda rs, w: lr_klimyk(rs, *w)),
+    "tau_sum": (2, lambda rs, w: multiplicity.tau_sum(rs, tensor_decompose(rs, (1,) * rs.rank, (1,) * rs.rank), *w)),
+    "lr_triple": (4, lambda rs, w: lr_triple(rs, *w)),
+    "lr_steinberg": (3, lambda rs, w: lr_steinberg(rs, *w)),
+    "freudenthal_weights": (1, lambda rs, w: freudenthal_weights(rs, *w)),
+    "kostant_partition": (1, lambda rs, w: kostant_partition(rs, *w)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.sampled_from(sorted(ENTRY_POINTS)), st.data())
+def test_multiplicity_entry_points_answer_or_refuse(name, entry, data):
+    """A malformed weight is refused with a ValueError (or an InvariantError); nothing
+    else escapes, and a well-formed one is answered.
+
+    The Dynkin-label entry points refuse a wrong label count, a negative
+    label and a non-integral one; kostant_partition refuses only a wrong
+    count and reads 0 off the nonnegative root lattice.
+    """
+    rs = SMALL_ALGEBRAS[name]
+    arity, call = ENTRY_POINTS[entry]
+    weights = [data.draw(malformed_labels(rs.rank)) for _ in range(arity)]
+    sized = all(len(w) == rs.rank for w in weights)
+    well_formed = sized and all(v >= 0 and Q(v).denominator == 1 for w in weights for v in w)
+    try:
+        value = call(rs, weights)
+    except (ValueError, InvariantError):
+        assert not (well_formed if entry != "kostant_partition" else sized), weights
+        return
+    if entry == "kostant_partition":
+        assert sized and value >= 0 and (value == 0 or well_formed), (weights, value)
+    else:
+        assert well_formed, (weights, value)

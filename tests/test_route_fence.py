@@ -1,0 +1,79 @@
+"""The lr volume route stays apart from the other routes.
+
+Agreement between the volume routes is the correctness argument, so a route
+that calls into another one would make the agreement prove less.  Each route
+runs alone, through volume_routes(..., routes=(route,)), in a fresh
+interpreter with cold caches, under sys.setprofile; the hornvol functions it
+reaches are recorded, with nested comprehensions and closures folded into the
+function that defines them.  The root system is built before recording.  The
+lr route may share with the other routes only the functions of ALLOWED.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: what the lr route may share with another route, and why that is safe
+ALLOWED = {
+    "volume.volume_routes": "the dispatcher that runs each route",
+    "volume.b2": "the default B2 root system",
+    "multiplicity._check_dominant": "reads the input labels and refuses a non-dominant weight",
+    "multiplicity._checked_multiplicity": "refuses a negative signed sum; computes nothing",
+    "rootsys.RootSystem.labels": "reads Dynkin labels",
+    "rootsys._sized": "the label-count check inside RootSystem.labels",
+    "rootsys.RootSystem.scaled_root": "the fixed integer map from Dynkin labels to simple-root coordinates",
+}
+
+PROBE = r"""
+import json, os, sys
+from hornvol import volume
+from hornvol.rootsys import build_root_system
+
+family, rank, route, lam, mu, nu = json.loads(sys.argv[1])
+rs = build_root_system(family, rank)
+package = os.path.dirname(volume.__file__) + os.sep
+reached = set()
+
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package) and code.co_name != "<module>":
+        module = frame.f_globals["__name__"].removeprefix("hornvol.")
+        reached.add(module + "." + code.co_qualname.split(".<locals>")[0])
+
+
+sys.setprofile(record)
+volume.volume_routes(lam, mu, nu, routes=(route,), rs=rs)
+sys.setprofile(None)
+print(json.dumps(sorted(reached)))
+"""
+
+
+def reached(family, rank, route, lam, mu, nu) -> set[str]:
+    """The hornvol functions that one route reaches on one triple, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    args = json.dumps([family, rank, route, lam, mu, nu])
+    out = subprocess.run([sys.executable, "-c", PROBE, args], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code.co_qualname is new in Python 3.11")
+@pytest.mark.parametrize("family,rank,others,triple", [
+    # the first pinned triple of acceptance criterion 4
+    ("B", 2, ("direct", "ehrhart", "polytope"), ((4, 7), (5, 3), (2, 4))),
+    ("B", 3, ("ehrhart",), ((2, 2, 2),) * 3),
+])
+def test_lr_route_meets_the_other_routes_only_in_the_allowlist(family, rank, others, triple):
+    lr = reached(family, rank, "lr", *triple)
+    assert {"multiplicity.tensor_decompose", "multiplicity.tau_sum"} <= lr
+    for route in others:
+        theirs = reached(family, rank, route, *triple)
+        assert theirs - set(ALLOWED), route
+        assert lr & theirs <= set(ALLOWED), (route, sorted(lr & theirs - set(ALLOWED)))

@@ -1059,6 +1059,9 @@ def criterion_4_triples():
 
 
 def test_each_lr_relation_decomposes_once(monkeypatch):
+    """Each relation decomposes (lam', mu') exactly once; every other
+    decomposition is (nu', kappa*), one for each kappa of K or K-hat, which
+    tau_sum pairs with the first.  w0 = -1 in type B, so there kappa* = kappa."""
     from hornvol import multiplicity
     from hornvol.multiplicity import lr_triple
 
@@ -1066,26 +1069,25 @@ def test_each_lr_relation_decomposes_once(monkeypatch):
     calls = []
 
     def counting(rs, lam, mu):
-        calls.append((lam, mu))
+        calls.append((tuple(lam), tuple(mu)))
         return decompose(rs, lam, mu)
 
     B3 = build_root_system("B", 3)
     cases = [(B2, t) for t in criterion_4_triples()] + [(B3, ((2, 2, 2),) * 3)]
     for rs, (lam, mu, nu) in cases:
         K, Khat = kappa_coefficient_sets(rs)
-        with monkeypatch.context() as m:
-            m.setattr(volume, "tensor_decompose", counting)
-            m.setattr(multiplicity, "tensor_decompose", counting)
-            calls.clear()
-            shifted = j_lr_shifted(lam, mu, nu, rs)
-            assert len(calls) == 1
-            calls.clear()
-            unshifted = j_lr_unshifted(lam, mu, nu, rs)
-            assert len(calls) == 1
-        # the sums of one lr_triple, and so one decomposition, per kappa
         sl, sm, sn = (tuple(v - 1 for v in w) for w in (lam, mu, nu))
-        assert shifted == sum((c * lr_triple(rs, lam, mu, k, nu) for k, c in K.items()), Q(0))
-        assert unshifted == sum((c * lr_triple(rs, sl, sm, k, sn) for k, c in Khat.items()), Q(0))
+        values = {}
+        for relation, kappas, (l, m, n) in ((j_lr_shifted, K, (lam, mu, nu)), (j_lr_unshifted, Khat, (sl, sm, sn))):
+            with monkeypatch.context() as patch:
+                patch.setattr(volume, "tensor_decompose", counting)
+                patch.setattr(multiplicity, "tensor_decompose", counting)
+                calls.clear()
+                values[relation] = relation(lam, mu, nu, rs)
+            assert sorted(calls) == sorted([(l, m)] + [(n, k) for k in kappas])
+        # the sums of one lr_triple per kappa
+        assert values[j_lr_shifted] == sum((c * lr_triple(rs, lam, mu, k, nu) for k, c in K.items()), Q(0))
+        assert values[j_lr_unshifted] == sum((c * lr_triple(rs, sl, sm, k, sn) for k, c in Khat.items()), Q(0))
 
 
 # -- c_kappa ---------------------------------------------------------------------
