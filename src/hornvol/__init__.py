@@ -29,7 +29,6 @@ from .bzpolytope import (
     degeneracy_info,
     lattice_point_count,
     pick_relation_check,
-    polygon_area,
     reciprocity_check,
 )
 from .ehrhart import (

@@ -251,6 +251,7 @@ class RationalPolygon:
         return all(A * x + B * y > C if s or strict else A * x + B * y >= C for A, B, C, s in self._rows)
 
     def area(self) -> Q:
+        """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates."""
         D, v = self._vertex_cycle
         if len(v) < 3:
             return Q(0)
@@ -421,13 +422,6 @@ def lattice_point_count(P: RationalPolygon) -> int:
     2D lattice count.
     """
     return P.lattice_count()
-
-
-def polygon_area(P: RationalPolygon) -> Q:
-    """Exact shoelace area: the relative volume in BZ coordinates."""
-    if P.dim < 2:
-        raise DegeneratePolygonError(f"polygon has dim {P.dim}; see degeneracy_info")
-    return P.area()
 
 
 def _segment_relative_length(v0: Point, v1: Point) -> Q:

@@ -405,7 +405,7 @@ def cmd_sample(args) -> int:
             raise CliError(f"-N {args.n_samples}: KS threshold {threshold:.3f} is above any KS distance; raise -N")
         a12, b12 = _rational(args.alpha12), _rational(args.beta12)
         samples = so2_samples(a12, b12, args.n_samples, args.seed)
-        hist = so2_histogram(samples, a12, b12, args.seed, bins=args.bins)
+        hist = so2_histogram(samples, a12, b12, bins=args.bins)
         ks = ks_distance_so2(samples, a12, b12)
         edges = hist.edges[0]
         with open(prefix + ".csv", "w", newline="") as fh:
@@ -419,7 +419,7 @@ def cmd_sample(args) -> int:
                             f"{c / (args.n_samples * (edges[i+1] - edges[i])):.8g}"])
         report = {
             "mode": "so2", "N": args.n_samples, "seed": args.seed,
-            "support": [str(v) for v in (hist.sample_min[0], hist.sample_max[0])],
+            "support": [str(float(v)) for v in (samples.min(), samples.max())],
             "samples_outside_support": hist.samples_outside_support,
             "ks_distance": ks,
             "ks_threshold": threshold,

@@ -66,14 +66,7 @@ class HornHistogram:
     edges: tuple[np.ndarray, ...]
     counts: np.ndarray
     sample_count: int
-    rng_seed: int
     samples_outside_support: int = 0
-    sample_min: tuple[float, ...] = ()
-    sample_max: tuple[float, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.edges)
 
 
 def haar_frame(z: np.ndarray, k: int) -> np.ndarray:
@@ -103,6 +96,8 @@ def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.n
     same for every k.  The determinant fix negates the last column of each
     matrix with determinant -1, so it applies only when k == n.
     """
+    if not 1 <= k <= n or size < 0:
+        raise ValueError(f"1 <= k <= n and size >= 0 required, got n {n}, k {k}, size {size}")
     q = haar_frame(rng.standard_normal((size, n, n)), k)
     if k == n:
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
@@ -151,32 +146,12 @@ def _b2_chunks(alpha, beta, n_samples: int, seed: int) -> Iterator[tuple[np.ndar
     return (b2_frequencies(alpha, beta, haar_frame(rng.standard_normal((m, 5, 5)), 4)) for m in sizes)
 
 
-def sample_b2_pairs(alpha, beta, n_samples: int, seed: int) -> np.ndarray:
-    """Sorted spectra (gamma1 >= gamma2 >= 0) of N random SO(5) orbit sums, shape (N, 2)."""
-    chunks = _b2_chunks(alpha, beta, n_samples, seed)
-    out = np.empty((n_samples, 2))
-    done = 0
-    for g1, g2 in chunks:
-        out[done:done + len(g1), 0], out[done:done + len(g1), 1] = g1, g2
-        done += len(g1)
-    return out
-
-
 def _inside(slabs: dict[str, tuple[Q, Q]], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
     forms = {"g1": g1, "g2": g2, "g1+g2": g1 + g2, "g1-g2": g1 - g2}
     ok = np.ones_like(g1, dtype=bool)
     for kind, (lo, hi) in slabs.items():
         ok &= (forms[kind] - float(lo) >= -tol) & (float(hi) - forms[kind] >= -tol)
     return ok
-
-
-def horn_contains_float(alpha, beta, g1: np.ndarray, g2: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Vectorized Horn-polygon membership with a floating tolerance.
-
-    Each of the forms g1, g2, g1 + g2 and g1 - g2 may lie at most tol outside
-    its slab of horn_slabs, whose bounds are rounded to floats.
-    """
-    return _inside(horn_slabs(alpha, beta), g1, g2, tol)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -211,23 +186,17 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
     slabs = horn_slabs(alpha, beta)
     counts = np.zeros(bins * bins, dtype=np.intp)
     outside = 0
-    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
     for g1, g2 in chunks:
         outside += len(g1) - int(np.count_nonzero(_inside(slabs, g1, g2, MEMBERSHIP_TOL)))
         ix = _bin_index(np.clip(g1, ex[0], ex[-1]), ex)
         iy = _bin_index(np.clip(g2, ey[0], ey[-1]), ey)
         counts += np.bincount(ix * bins + iy, minlength=bins * bins)
-        np.minimum(lo, (g1.min(), g2.min()), out=lo)
-        np.maximum(hi, (g1.max(), g2.max()), out=hi)
     return HornHistogram(
         pair=(_qpair(alpha), _qpair(beta)),
         edges=(ex, ey),
         counts=counts.reshape(bins, bins).astype(np.float64),
         sample_count=n_samples,
-        rng_seed=seed,
         samples_outside_support=outside,
-        sample_min=tuple(lo),
-        sample_max=tuple(hi),
     )
 
 
@@ -243,8 +212,8 @@ def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
     return np.sqrt(a * a + b * b + 2 * a * b * np.cos(2 * phi))
 
 
-def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 100) -> HornHistogram:
-    """Histogram of SO(2) samples (drawn with seed) over the support of their law."""
+def so2_histogram(samples: np.ndarray, alpha12, beta12, bins: int = 100) -> HornHistogram:
+    """Histogram of SO(2) samples over the support of their law."""
     _check_bins(bins)
     lo, hi = (float(v) for v in so2_support(alpha12, beta12))
     edges = np.linspace(lo, hi, bins + 1)
@@ -255,10 +224,7 @@ def so2_histogram(samples: np.ndarray, alpha12, beta12, seed: int, bins: int = 1
         edges=(edges,),
         counts=counts,
         sample_count=len(samples),
-        rng_seed=seed,
         samples_outside_support=outside,
-        sample_min=(float(samples.min()),),
-        sample_max=(float(samples.max()),),
     )
 
 
@@ -349,6 +315,8 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     cell = cell.astype(np.intp)
     px, py, rx, ry = px / D, py / D, rx / D, ry / D
     for axis, e, v in (("x", ex, px), ("y", ey, py)):
+        if len(e) < 2 or not (np.diff(e) > 0).all():
+            raise ValueError(f"the {axis} edges must be at least two, strictly increasing")
         if not e[0] <= v.min() <= v.max() <= e[-1]:
             raise UncoveredSupportError(f"the {axis} edges [{e[0]}, {e[-1]}] do not span the Horn polygon's "
                                         f"{axis} range [{v.min()}, {v.max()}]")
@@ -427,6 +395,8 @@ def chi2_sf(dof: int, x: float) -> float:
     converges fast, above it the continued fraction of Q does (modified Lentz).
     Both are scaled by x^a e^-x / Gamma(a), taken through logarithms.
     """
+    if dof < 1:
+        raise ValueError(f"dof >= 1 required, got {dof}")
     a, x = dof / 2, x / 2
     if x <= 0:
         return 1.0
@@ -467,8 +437,6 @@ class ChiSquareSummary:
     dof: int
     p_value: float
     bins_used: int
-    pooled_expected: float
-    pooled_observed: float
 
 
 def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic | None = None) -> ChiSquareSummary:
@@ -499,14 +467,15 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic |
         dof=dof,
         p_value=chi2_sf(dof, stat) if dof > 0 else math.nan,
         bins_used=k,
-        pooled_expected=pooled_E,
-        pooled_observed=pooled_O,
     )
 
 
 def ks_distance_so2(samples: np.ndarray, alpha12, beta12) -> float:
     """Kolmogorov-Smirnov distance between the empirical and analytic CDFs."""
+    so2_support(alpha12, beta12)  # refuses a non-positive pair
     a, b = float(alpha12), float(beta12)
+    if len(samples) == 0:
+        raise ValueError("at least one sample required")
     A, B = (a + b) ** 2, (a - b) ** 2
     xs = np.sort(samples)
     n = len(xs)

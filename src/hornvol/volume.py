@@ -297,12 +297,6 @@ class PiecewiseQuadratic:
     def violations(self) -> list[Wall]:
         return [w for w in self.walls if w.classification == "violation"]
 
-    def cell_at(self, p: Pair) -> int | None:
-        for i, c in enumerate(self.cells):
-            if _point_in_cell(c.vertices, p, strict=False):
-                return i
-        return None
-
     def to_json_dict(self) -> dict:
         """Cell diagram as JSON polygon lists (the CLI's SVG emitter draws these)."""
         return {
@@ -327,17 +321,6 @@ class PiecewiseQuadratic:
                 for w in self.walls
             ],
         }
-
-
-def _point_in_cell(verts, p: Pair, strict: bool) -> bool:
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        cr = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-        if cr < 0 or (strict and cr == 0):
-            return False
-    return True
 
 
 @lru_cache(maxsize=64)
@@ -659,16 +642,14 @@ def _inverse_kappa_b2() -> Q:
 
 
 def pdf_scale(alpha, beta) -> Q:
-    """1 / (kappa_g |Delta(alpha)| |Delta(beta)|): the Horn density at gamma is this times |Delta(gamma)| J."""
-    return _inverse_kappa_b2() / (abs(delta_b2(alpha)) * abs(delta_b2(beta)))
+    """1 / (kappa_g Delta(alpha) Delta(beta)) on regular ordered pairs; the density is this times |Delta(gamma)| J."""
+    _check_regular_ordered(alpha, beta)
+    return _inverse_kappa_b2() / (delta_b2(alpha) * delta_b2(beta))
 
 
 def pdf_b2(alpha, beta, gamma) -> Q:
-    """Horn probability density |Delta(gamma)| J / (kappa_g |Delta(alpha)| |Delta(beta)|)."""
-    j = j_b2(alpha, beta, gamma)
-    if j == 0:
-        return Q(0)
-    return pdf_scale(alpha, beta) * abs(delta_b2(gamma)) * j
+    """Horn probability density |Delta(gamma)| J / (kappa_g Delta(alpha) Delta(beta))."""
+    return pdf_scale(alpha, beta) * abs(delta_b2(gamma)) * j_b2(alpha, beta, gamma)
 
 
 def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None) -> Q:
@@ -789,6 +770,8 @@ def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> V
 
 def so2_support(alpha12, beta12) -> tuple[Q, Q]:
     a, b = Q(alpha12), Q(beta12)
+    if a <= 0 or b <= 0:
+        raise ValueError("alpha12 and beta12 must be positive")
     return (abs(a - b), a + b)
 
 
@@ -799,8 +782,6 @@ def j_so2_symmetric(alpha12, beta12, gamma12) -> float:
     its endpoints, where the density has an integrable divergence.
     """
     a, b = Q(alpha12), Q(beta12)
-    if a <= 0 or b <= 0:
-        raise ValueError("alpha12 and beta12 must be positive")
     g = Q(gamma12)
     lo, hi = so2_support(a, b)
     if g < lo or g > hi:

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from hornvol.sampler import MEMBERSHIP_TOL
-from hornvol.volume import _KINDS, PiecewiseQuadratic, Wall, _point_in_cell, _qpair, j_b2
+from hornvol.volume import _KINDS, Pair, PiecewiseQuadratic, Wall, _qpair, j_b2
 
 _DASHED = "chamber"
 
@@ -42,7 +42,7 @@ def horn_constraints(alpha, beta) -> list[tuple]:
 def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
     """Horn membership by one float test per constraint of horn_constraints.
 
-    horn_contains_float tests each form once against its tightest bound on
+    sampler._inside tests each form once against its tightest bound on
     each side; rounding (a g1 + b g2) - c is monotone in c, so the tightest
     constraint on a normal fails whenever another on it does, and the two
     tests agree bit for bit.
@@ -51,6 +51,18 @@ def horn_contains_reference(alpha, beta, g1, g2, tol=MEMBERSHIP_TOL):
     for a, b, c, *_ in horn_constraints(alpha, beta):
         ok &= float(a) * g1 + float(b) * g2 - float(c) >= -tol
     return ok
+
+
+def point_in_cell(verts, p: Pair, strict: bool) -> bool:
+    """p in the convex cell with counterclockwise vertices verts; strict excludes its boundary."""
+    n = len(verts)
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        cr = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
+        if cr < 0 or (strict and cr == 0):
+            return False
+    return True
 
 
 def c1_wall_discrepancies(pw: PiecewiseQuadratic) -> list[tuple[Wall, Q]]:
@@ -73,7 +85,7 @@ def c1_wall_discrepancies(pw: PiecewiseQuadratic) -> list[tuple[Wall, Q]]:
             plus = (m[0] + h * n[0], m[1] + h * n[1])
             minus = (m[0] - h * n[0], m[1] - h * n[1])
             hi, lo = wall.cells
-            if _point_in_cell(pw.cells[hi].vertices, plus, True) and _point_in_cell(
+            if point_in_cell(pw.cells[hi].vertices, plus, True) and point_in_cell(
                 pw.cells[lo].vertices, minus, True
             ):
                 j0 = j_b2(pw.alpha, pw.beta, m)

@@ -1,14 +1,16 @@
-"""The lr volume route stays apart from the other routes.
+"""The volume routes stay apart from each other.
 
 Agreement between the volume routes is the correctness argument, so a route
 that calls into another one would make the agreement prove less.  Each route
 runs alone, through volume_routes(..., routes=(route,)), in a fresh
 interpreter with cold caches, under sys.setprofile; the hornvol functions it
 reaches are recorded, with nested comprehensions and closures folded into the
-function that defines them.  The root system is built before recording.  The
-lr route may share with the other routes only the functions of ALLOWED.
+function that defines them.  The root system is built before recording.  Two
+routes may share only the functions of ALLOWED.
 """
 
+import functools
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: what the lr route may share with another route, and why that is safe
+#: what one route may share with another, and why that is safe
 ALLOWED = {
     "volume.volume_routes": "the dispatcher that runs each route",
     "volume.b2": "the default B2 root system",
@@ -55,19 +57,24 @@ print(json.dumps(sorted(reached)))
 """
 
 
-def reached(family, rank, route, lam, mu, nu) -> set[str]:
+@functools.cache
+def reached(family, rank, route, lam, mu, nu) -> frozenset[str]:
     """The hornvol functions that one route reaches on one triple, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     args = json.dumps([family, rank, route, lam, mu, nu])
     out = subprocess.run([sys.executable, "-c", PROBE, args], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+    return frozenset(json.loads(out.stdout.strip().splitlines()[-1]))
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code.co_qualname is new in Python 3.11")
+#: the first pinned triple of acceptance criterion 4
+B2_TRIPLE = ((4, 7), (5, 3), (2, 4))
+needs_qualname = pytest.mark.skipif(sys.version_info < (3, 11), reason="code.co_qualname is new in Python 3.11")
+
+
+@needs_qualname
 @pytest.mark.parametrize("family,rank,others,triple", [
-    # the first pinned triple of acceptance criterion 4
-    ("B", 2, ("direct", "ehrhart", "polytope"), ((4, 7), (5, 3), (2, 4))),
+    ("B", 2, ("direct", "ehrhart", "polytope"), B2_TRIPLE),
     ("B", 3, ("ehrhart",), ((2, 2, 2),) * 3),
 ])
 def test_lr_route_meets_the_other_routes_only_in_the_allowlist(family, rank, others, triple):
@@ -77,3 +84,18 @@ def test_lr_route_meets_the_other_routes_only_in_the_allowlist(family, rank, oth
         theirs = reached(family, rank, route, *triple)
         assert theirs - set(ALLOWED), route
         assert lr & theirs <= set(ALLOWED), (route, sorted(lr & theirs - set(ALLOWED)))
+
+
+@needs_qualname
+@pytest.mark.parametrize("route,other", itertools.combinations(("direct", "ehrhart", "polytope"), 2))
+def test_b2_routes_meet_each_other_only_in_the_allowlist(route, other):
+    mine, theirs = reached("B", 2, route, *B2_TRIPLE), reached("B", 2, other, *B2_TRIPLE)
+    assert mine - set(ALLOWED) and theirs - set(ALLOWED)
+    assert mine & theirs <= set(ALLOWED), sorted(mine & theirs - set(ALLOWED))
+
+
+@needs_qualname
+def test_polytope_route_reads_no_part_of_j():
+    """The BZ area must equal J without evaluating it: no Weyl sum and no cell quadratic."""
+    j_parts = {"volume.j_b2", "volume._weyl_terms", "volume._cell_quadratics"}
+    assert not reached("B", 2, "polytope", *B2_TRIPLE) & j_parts

@@ -1,6 +1,8 @@
 import math
+import traceback
 import tracemalloc
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,23 +19,25 @@ from hornvol.sampler import (
     UncoveredSupportError,
     _GL4_NODES,
     _GL4_WEIGHTS,
+    _b2_chunks,
     _bin_index,
+    _inside,
     b2_frequencies,
     chi2_sf,
     chi_square_vs_pdf,
     expected_bin_probabilities,
     haar_orthogonal,
-    horn_contains_float,
     ks_distance_so2,
-    sample_b2_pairs,
     sample_b2_spectrum,
     so2_histogram,
     so2_samples,
 )
 from hornvol.volume import (
     _QUAD_KEYS,
+    _qpair,
     delta_b2,
     horn_polygon,
+    horn_slabs,
     j_so2_symmetric,
     piecewise_analyze_b2,
     so2_support,
@@ -41,6 +45,8 @@ from hornvol.volume import (
 from horn_reference import horn_contains_reference
 from poly2 import p2_mul
 from test_volume import regular_third_pairs
+
+PACKAGE = Path(sampler.__file__).parent
 
 
 def test_haar_matrices_are_special_orthogonal():
@@ -103,8 +109,13 @@ def test_haar_frame_leaves_the_random_stream_where_the_full_draw_does():
     assert np.array_equal(rng_frame.standard_normal(10), rng_full.standard_normal(10))
 
 
+def b2_pairs(alpha, beta, n, seed):
+    """The (n, 2) spectra that sample_b2_spectrum bins: the chunks of _b2_chunks, concatenated."""
+    return np.concatenate([np.stack(chunk, axis=1) for chunk in _b2_chunks(alpha, beta, n, seed)])
+
+
 def b2_pairs_reference(alpha, beta, n, seed):
-    """The (n, 2) spectra of sample_b2_pairs, from one full-matrix Haar batch of all n samples."""
+    """The (n, 2) spectra of b2_pairs, from one full-matrix Haar batch of all n samples."""
     return np.stack(b2_frequencies(alpha, beta, full_haar_reference(np.random.default_rng(seed), 5, n)), axis=1)
 
 
@@ -114,7 +125,7 @@ def test_b2_pairs_equal_the_full_matrix_reference(alpha, beta):
     # n in one batch, so the stream must carry over between chunks, and no
     # chunk may round unlike a batch (one of a single sample does)
     for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
-        assert np.array_equal(sample_b2_pairs(alpha, beta, n, 23), b2_pairs_reference(alpha, beta, n, 23)), n
+        assert np.array_equal(b2_pairs(alpha, beta, n, 23), b2_pairs_reference(alpha, beta, n, 23)), n
 
 
 def skew_block(x1, x2):
@@ -213,7 +224,6 @@ def test_histogram_equals_histogram2d(alpha, beta, bins, monkeypatch):
     assert np.array_equal(h.counts, ref)
     outside = np.count_nonzero(~horn_contains_reference(alpha, beta, pairs[:, 0], pairs[:, 1], tol))
     assert 0 < h.samples_outside_support == outside < n
-    assert h.sample_min == tuple(pairs.min(axis=0)) and h.sample_max == tuple(pairs.max(axis=0))
     # every edge, one ulp either side, and the clip extremes of the samples
     for edges in (ex, ey):
         x = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
@@ -229,7 +239,7 @@ def test_histogram_equals_histogram2d(alpha, beta, bins, monkeypatch):
     ((13, 12), (Q(3, 2), Q(1, 2))), ((Q(7, 3), Q(1, 3)), (Q(20, 3), Q(19, 3))),
 ])
 def test_membership_equals_the_half_plane_loop(alpha, beta):
-    pairs = sample_b2_pairs(alpha, beta, 3000, seed=31)
+    pairs = b2_pairs(alpha, beta, 3000, seed=31)
     # points on every Horn edge, and just inside and outside the tolerance band
     verts = [tuple(map(float, v)) for v in horn_polygon(alpha, beta).vertices]
     on_edges = []
@@ -242,15 +252,15 @@ def test_membership_equals_the_half_plane_loop(alpha, beta):
     g = np.concatenate([pairs, np.array(on_edges)])
     # jitter by a few ulps, so that the band's edge is hit from both sides
     g = np.concatenate([g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
-    got = horn_contains_float(alpha, beta, g[:, 0], g[:, 1])
+    got = _inside(horn_slabs(alpha, beta), g[:, 0], g[:, 1], MEMBERSHIP_TOL)
     ref = horn_contains_reference(alpha, beta, g[:, 0], g[:, 1])
     assert np.array_equal(got, ref)
     assert got.any() and not got.all()
 
 
 def test_samples_inside_horn_polygon():
-    pairs = sample_b2_pairs((17, 4), (15, 9), 5000, seed=11)
-    inside = horn_contains_float((17, 4), (15, 9), pairs[:, 0], pairs[:, 1])
+    pairs = b2_pairs((17, 4), (15, 9), 5000, seed=11)
+    inside = _inside(horn_slabs((17, 4), (15, 9)), pairs[:, 0], pairs[:, 1], MEMBERSHIP_TOL)
     assert inside.all()
     assert (pairs[:, 0] >= pairs[:, 1]).all() and (pairs[:, 1] >= 0).all()
 
@@ -261,7 +271,7 @@ def no_draw(*args, **kwargs):
 
 def test_rejects_bad_arguments(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    for sample in (sample_b2_pairs, sample_b2_spectrum):
+    for sample in (b2_pairs, sample_b2_spectrum):
         for n in (0, -1):
             with pytest.raises(ValueError, match="n_samples >= 1"):
                 sample((17, 4), (15, 9), n, seed=1)
@@ -277,7 +287,7 @@ def test_rejects_bins_below_one_before_drawing(bins, monkeypatch):
     with pytest.raises(ValueError, match="bins >= 1 required"):
         sample_b2_spectrum((17, 4), (15, 9), 10, seed=1, bins=bins)
     with pytest.raises(ValueError, match="bins >= 1 required"):
-        so2_histogram(np.array([1.5, 2.0]), 1, 2, seed=1, bins=bins)
+        so2_histogram(np.array([1.5, 2.0]), 1, 2, bins=bins)
 
 
 def test_b2_spectrum_memory_does_not_grow_with_n():
@@ -405,10 +415,11 @@ def test_chi_square_refuses_a_histogram_of_another_pair():
 
 
 def test_so2_support_and_endpoint_mass():
-    hist = so2_histogram(so2_samples(1, 2, 50_000, seed=13), 1, 2, seed=13)
+    samples = so2_samples(1, 2, 50_000, seed=13)
+    hist = so2_histogram(samples, 1, 2)
     lo, hi = so2_support(1, 2)
     assert hist.samples_outside_support == 0
-    assert float(lo) <= hist.sample_min[0] and hist.sample_max[0] <= float(hi) + 1e-9
+    assert float(lo) <= samples.min() and samples.max() <= float(hi) + 1e-9
     # integrable divergence at both endpoints: outer bins dominate
     counts = hist.counts
     assert counts[0] > 2 * counts.mean()
@@ -416,7 +427,7 @@ def test_so2_support_and_endpoint_mass():
 
 
 def test_so2_density_matches_closed_form_midrange():
-    hist = so2_histogram(so2_samples(1, 2, 400_000, seed=17), 1, 2, seed=17, bins=80)
+    hist = so2_histogram(so2_samples(1, 2, 400_000, seed=17), 1, 2, bins=80)
     edges = hist.edges[0]
     mids = (edges[:-1] + edges[1:]) / 2
     width = edges[1] - edges[0]
@@ -440,3 +451,127 @@ def test_so2_samples_reject_bad_arguments():
 def test_so2_ks_distance():
     s = so2_samples(1, 2, 200_000, seed=19)
     assert ks_distance_so2(s, 1, 2) < 1.949 / math.sqrt(200_000)
+
+
+# -- the sampler's entry points answer or refuse --------------------------------
+
+
+labels = st.one_of(st.integers(-1, 4), st.fractions(-1, 4, max_denominator=3))
+weights = st.tuples(labels, labels)
+# B2 pairs, regular ordered about half of the time
+b2_weights = st.one_of(regular_pair(), weights)
+float_samples = st.lists(st.floats(0, 10), max_size=20).map(np.array)
+# random edges, mostly unsorted or short of the polygon, and uniform grids that
+# span it, in a random order (sorted among them)
+grid_edges = st.one_of(st.lists(st.floats(-5, 60), max_size=6),
+                       st.integers(1, 5).flatmap(lambda n: st.permutations(list(np.linspace(-1, 60, n + 1))))
+                       ).map(np.array)
+
+
+def regular_ordered(*pairs) -> bool:
+    return all(x1 > x2 > 0 for x1, x2 in pairs)
+
+
+def answer_or_refuse(call, refused: bool):
+    """call()'s value, or None where it raises a ValueError or an InvariantError, which it must iff refused.
+
+    A refusal must come from hornvol's own code, not from numpy inside it.
+    """
+    try:
+        value = call()
+    except (ValueError, InvariantError) as e:
+        assert refused, e
+        assert Path(traceback.extract_tb(e.__traceback__)[-1].filename).parent == PACKAGE, e
+        return None
+    assert not refused, value
+    return value
+
+
+def check_chi2_sf(data):
+    dof, x = data.draw(st.integers(-2, 2000)), data.draw(st.floats(-10, 1e5))
+    p = answer_or_refuse(lambda: chi2_sf(dof, x), dof < 1)
+    assert p is None or 0 <= p <= 1
+
+
+def check_ks_distance_so2(data):
+    s, a, b = data.draw(float_samples), data.draw(labels), data.draw(labels)
+    d = answer_or_refuse(lambda: ks_distance_so2(s, a, b), a <= 0 or b <= 0 or len(s) == 0)
+    assert d is None or 0 <= d <= 1
+
+
+def check_haar_orthogonal(data):
+    n, k, size = data.draw(st.integers(0, 6)), data.draw(st.integers(-1, 7)), data.draw(st.integers(-1, 4))
+    g = answer_or_refuse(lambda: haar_orthogonal(np.random.default_rng(0), n, k, size), not 1 <= k <= n or size < 0)
+    if g is not None:
+        assert g.shape == (size, n, k)
+        assert np.abs(g.transpose(0, 2, 1) @ g - np.eye(k)).max(initial=0.0) < 1e-12
+        assert k < n or (np.abs(np.linalg.det(g) - 1.0) < 1e-12).all()
+
+
+def check_so2_samples(data):
+    a, b, n = data.draw(labels), data.draw(labels), data.draw(st.integers(-1, 50))
+    s = answer_or_refuse(lambda: so2_samples(a, b, n, seed=1), a <= 0 or b <= 0 or n < 1)
+    if s is not None:
+        lo, hi = (float(v) for v in so2_support(a, b))
+        assert len(s) == n and (lo - MEMBERSHIP_TOL <= s).all() and (s <= hi + MEMBERSHIP_TOL).all()
+
+
+def check_so2_histogram(data):
+    s, a, b, bins = data.draw(float_samples), data.draw(labels), data.draw(labels), data.draw(st.integers(-1, 5))
+    h = answer_or_refuse(lambda: so2_histogram(s, a, b, bins=bins), a <= 0 or b <= 0 or bins < 1)
+    if h is not None:
+        lo, hi = (float(v) for v in so2_support(a, b))
+        assert h.counts.sum() == h.sample_count == len(s) and len(h.edges[0]) == bins + 1
+        assert h.samples_outside_support == np.count_nonzero((s < lo - MEMBERSHIP_TOL) | (s > hi + MEMBERSHIP_TOL))
+
+
+def check_sample_b2_spectrum(data):
+    alpha, beta = data.draw(b2_weights), data.draw(b2_weights)
+    n, bins = data.draw(st.integers(-1, 50)), data.draw(st.integers(-1, 5))
+    refused = not regular_ordered(alpha, beta) or n < 1 or bins < 1
+    h = answer_or_refuse(lambda: sample_b2_spectrum(alpha, beta, n, seed=1, bins=bins), refused)
+    if h is not None:
+        assert h.counts.shape == (bins, bins) and h.counts.sum() == h.sample_count == n
+        assert h.samples_outside_support == 0 and h.pair == (_qpair(alpha), _qpair(beta))
+
+
+def check_expected_bin_probabilities(data):
+    alpha, beta = data.draw(b2_weights), data.draw(b2_weights)
+    edges = (data.draw(grid_edges), data.draw(grid_edges))
+    refused = not regular_ordered(alpha, beta)
+    if not refused:
+        verts = np.array(horn_polygon(alpha, beta).vertices, dtype=float)
+        for e, v in zip(edges, verts.T):
+            refused |= len(e) < 2 or not (np.diff(e) > 0).all() or not e[0] <= v.min() <= v.max() <= e[-1]
+    probs = answer_or_refuse(lambda: expected_bin_probabilities(alpha, beta, edges), refused)
+    if probs is not None:
+        assert probs.shape == (len(edges[0]) - 1, len(edges[1]) - 1)
+        assert probs.min() >= -1e-12 and abs(probs.sum() - 1.0) < 1e-9
+
+
+def check_chi_square_vs_pdf(data):
+    alpha, beta = data.draw(regular_pair()), data.draw(regular_pair())
+    hist = sample_b2_spectrum(alpha, beta, data.draw(st.integers(1, 200)), seed=1, bins=data.draw(st.integers(1, 5)))
+    law = data.draw(st.one_of(st.just((alpha, beta)), st.tuples(weights, weights)))
+    summary = answer_or_refuse(lambda: chi_square_vs_pdf(hist, *law), tuple(map(_qpair, law)) != hist.pair)
+    if summary is not None:
+        assert summary.bins_used == summary.dof + 1
+        assert math.isnan(summary.p_value) if summary.dof < 1 else 0 <= summary.p_value <= 1
+
+
+SAMPLER_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
+    check_chi2_sf, check_ks_distance_so2, check_haar_orthogonal, check_so2_samples, check_so2_histogram,
+    check_sample_b2_spectrum, check_expected_bin_probabilities, check_chi_square_vs_pdf)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SAMPLER_ENTRY_POINTS)), st.data())
+def test_sampler_entry_points_answer_or_refuse(entry, data):
+    """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
+
+    Refused: a non-positive SO(2) pair, a B2 pair that is not regular
+    ordered, N, bins or dof below 1, no samples, a frame wider than its
+    matrix, edges that are short, unsorted or do not span the Horn polygon,
+    and a law other than the histogram's pair.  Nothing else escapes.
+    """
+    SAMPLER_ENTRY_POINTS[entry](data)

@@ -53,7 +53,7 @@ from hornvol.volume import (
     so2_support,
     volume_routes,
 )
-from horn_reference import c1_wall_discrepancies, horn_constraints
+from horn_reference import c1_wall_discrepancies, horn_constraints, point_in_cell
 from poly2 import p2_add, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
@@ -336,11 +336,16 @@ def test_piecewise_swap_normalization():
     assert pw.alpha == (Q(17), Q(4))
 
 
+def cell_at(pw, p):
+    """The index of the first cell of pw whose closure holds p, or None."""
+    return next((i for i, c in enumerate(pw.cells) if point_in_cell(c.vertices, p, strict=False)), None)
+
+
 def test_piecewise_cells_reproduce_j(pw_left):
     rng = random.Random(41)
     for _ in range(200):
         p = (Q(rng.randint(40, 260), 8), Q(rng.randint(0, 152), 8))
-        i = pw_left.cell_at(p)
+        i = cell_at(pw_left, p)
         if i is not None:
             assert p2_eval(poly(pw_left.cells[i]), *p) == j_b2(pw_left.alpha, pw_left.beta, p)
 
@@ -1216,6 +1221,22 @@ def test_pdf_zero_outside_and_on_wall():
     assert pdf_b2((17, 4), (15, 9), (40, 0)) == 0
     assert pdf_b2((17, 4), (15, 9), (20, 0)) == 0  # Delta vanishes on the wall
     assert delta_b2((20, 0)) == 0
+
+
+def test_pdf_refuses_an_unordered_pair():
+    # J flips sign under the Weyl swap of alpha, so this read -35/5508
+    assert pdf_b2((17, 4), (15, 9), (20, 6)) == Q(35, 5508)
+    with pytest.raises(ValueError, match="regular ordered"):
+        pdf_b2((4, 17), (15, 9), (20, 6))
+
+
+@pytest.mark.parametrize("alpha", [(1, 1), (1, 0)])
+def test_pdf_refuses_a_non_regular_pair(alpha):
+    # these read 0 for every gamma, and pdf_scale((1, 1), (2, 1)) divided by 0
+    with pytest.raises(ValueError, match="regular ordered"):
+        pdf_b2(alpha, (2, 1), (2, 1))
+    with pytest.raises(ValueError, match="regular ordered"):
+        pdf_scale(alpha, (2, 1))
 
 
 def test_pdf_normalization_exact():
