@@ -356,6 +356,7 @@ def cmd_covolume(args) -> int:
 
 def cmd_sample(args) -> int:
     from .sampler import (
+        MIN_EXPECTED,
         chi_square_vs_pdf,
         ks_distance_so2,
         sample_b2_spectrum,
@@ -374,8 +375,9 @@ def cmd_sample(args) -> int:
         hist = sample_b2_spectrum(alpha, beta, args.n_samples, args.seed, bins=args.bins)
         summary = chi_square_vs_pdf(hist, alpha, beta)
         if summary.dof < 1:
-            raise CliError(f"-N {args.n_samples} samples on --bins {args.bins} leave the chi-square "
-                           f"test {summary.dof} degrees of freedom; raise -N or lower --bins")
+            raise CliError(f"-N {args.n_samples} samples on --bins {args.bins} leave the chi-square test no "
+                           f"degrees of freedom: only {summary.bins_used} bin classes expect at least "
+                           f"{MIN_EXPECTED:g} samples, and it needs two; raise -N or lower --bins")
         ex, ey = hist.edges
         with open(prefix + ".csv", "w", newline="") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": args.n_samples,

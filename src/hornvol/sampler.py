@@ -1,18 +1,16 @@
 """Monte Carlo cross-validation of the B2 Horn PDF and the SO(2) closed form.
 
-This is the only floating-point module.  B2 samples are spectra of
-A + g B g^T for one Haar-random g in SO(5) per sample and block-diagonal
-skew matrices A, B: the spectrum of g1 A g1^T + g2 B g2^T is that of
-A + (g1^T g2) B (g1^T g2)^T, and g1^T g2 is again Haar.  A and B live in
-the first four coordinates, so only the 5 x 4 frame of the first four
-columns of g is computed (haar_frame with k = 4); the Gaussian draw is
-still the full 5 x 5 one, so samples do not depend on the frame width.  The
-two block frequencies of the 5 x 5 skew matrix M = A + g B g^T solve a quadratic:
-gamma1^2 + gamma2^2 is the sum of the squared upper entries of M, and
-gamma1^2 gamma2^2 is the sum of the squared Pfaffians of its five 4 x 4
-principal minors.  B2 samples go from draw to histogram CHUNK at a time, so
-memory does not grow with N, and the chunk size changes no bit.  Histograms
-are deterministic given (N, seed).
+This is the only floating-point module.  A B2 sample is the spectrum of
+A + X, with A the block-diagonal skew matrix of alpha and X an invariantly
+distributed point of the orbit O_beta in so(5) (the spectrum of
+g1 A g1^T + g2 B g2^T is that of A + g B g^T, g = g1^T g2 again Haar), drawn
+from 11 normals over S^4 x S^2 x S^2 by b2_orbit_points, with no Haar frame.
+The two block frequencies of M = A + X solve a quadratic: gamma1^2 + gamma2^2
+is the sum of the squared upper entries of M, and gamma1^2 gamma2^2 is the
+sum of the squared Pfaffians of its five 4 x 4 principal minors.  B2 samples
+go from draw to histogram CHUNK at a time, so memory does not grow with N;
+sample i reads normals 11 i to 11 i + 10, and every step is elementwise, so
+the chunk size changes no bit.  Histograms are deterministic given (N, seed).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .volume import (
 )
 
 MEMBERSHIP_TOL = 1e-9
-# most B2 samples per chunk: a chunk's Gaussian draw is CHUNK x 25 doubles, 0.8 MB
+# most B2 samples per chunk: a chunk's Gaussian draw is CHUNK x 11 doubles, 0.36 MB
 CHUNK = 4096
 # fewest expected samples of a chi-square bin; bins below it are pooled into one
 MIN_EXPECTED = 20.0
@@ -110,18 +108,58 @@ _UPPER = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 _MINORS = [tuple(i for i in range(5) if i != k) for k in range(5)]
 
 
-def b2_frequencies(alpha, beta, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies gamma1 >= gamma2 >= 0 of A + g B g^T for a batch of g in SO(5).
+def b2_orbit_points(beta, z: np.ndarray) -> np.ndarray:
+    """Invariantly distributed points X of O_beta in so(5), one per row of the normals z, shape (m, 11).
 
-    A and B carry the blocks (x1, x2) of alpha and beta in the planes (0, 1)
-    and (2, 3), so only the first four columns of g enter.
+    O_beta fibres over the sphere S^4 of kernel directions, with fibre the
+    SO(4)-orbit of beta, two 2-spheres of radii s, t = (beta1 +- beta2) / 2 by
+    so(4) = su(2) + su(2).  The fibre point is X0 = s' sum u_k w+_k +
+    t' sum u'_k w-_k, with u, u' uniform on S^2 (normals 5-7, 8-10),
+    w+ = (E01 + E23, E02 - E13, E03 + E12) and w- = (E01 - E23, E02 + E13,
+    E03 - E12).  The kernel direction d is c / |c| for c normals 0-4, negated
+    when c4 > 0, and the Householder H = I - tau v v^T, v = e4 - d,
+    tau = 1 / (1 - d4) (stable, d4 <= 0) maps e4 to d.  H has det -1, so it
+    swaps the radii: the fair coin c4 > 0, independent of the line of d, sets
+    (s', t') = (s, t), and (t, s) otherwise.  With y = X0 d, X = H X0 H^T has
+    X[i, 4] = y_i and X[i, j] = X0[i, j] + tau (d_i y_j - y_i d_j).
+
+    Every step is elementwise, so each X depends on its own row of z alone.
+    X[:, i, j] is contiguous.
     """
-    (a1, a2), (b1, b2) = (tuple(float(v) for v in w) for w in (alpha, beta))
-    c0, c1, c2, c3 = (g[:, :, k] for k in range(4))
-    m = {(i, j): b1 * (c0[:, i] * c1[:, j] - c1[:, i] * c0[:, j])
-         + b2 * (c2[:, i] * c3[:, j] - c3[:, i] * c2[:, j]) for i, j in _UPPER}
-    m[0, 1] += a1
-    m[2, 3] += a2
+    b1, b2 = float(beta[0]), float(beta[1])
+    s, t = (b1 + b2) / 2, (b1 - b2) / 2
+    z = np.ascontiguousarray(z.T)
+    c, u, w = z[:5], z[5:8], z[8:]
+    up = c[4] > 0
+    d = c * (np.where(up, -1.0, 1.0) / np.sqrt(sum(r * r for r in c)))
+    u = u * (np.where(up, s, t) / np.sqrt(sum(r * r for r in u)))
+    w = w * (np.where(up, t, s) / np.sqrt(sum(r * r for r in w)))
+    x0 = dict(zip(((0, 1), (0, 2), (0, 3)), u + w))
+    x0[2, 3], x0[1, 3], x0[1, 2] = u[0] - w[0], w[1] - u[1], u[2] - w[2]
+    d0, d1, d2, d3 = d[:4]
+    y = (x0[0, 1] * d1 + x0[0, 2] * d2 + x0[0, 3] * d3,
+         x0[1, 2] * d2 + x0[1, 3] * d3 - x0[0, 1] * d0,
+         x0[2, 3] * d3 - x0[0, 2] * d0 - x0[1, 2] * d1,
+         -(x0[0, 3] * d0 + x0[1, 3] * d1 + x0[2, 3] * d2))
+    e = d[:4] / (1.0 - d[4])
+    x = np.zeros((5, 5, len(d0)))
+    for i, j in _UPPER:
+        x[i, j] = y[i] if j == 4 else x0[i, j] + (e[i] * y[j] - y[i] * e[j])
+        np.negative(x[i, j], out=x[j, i])
+    return x.transpose(2, 0, 1)
+
+
+def b2_frequencies(alpha, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies gamma1 >= gamma2 >= 0 of A + X for a batch x of skew X, shape (m, 5, 5).
+
+    A carries the blocks (x1, x2) of alpha in the planes (0, 1) and (2, 3).
+    Only the upper entries of each X are read.
+    """
+    a1, a2 = (float(v) for v in alpha)
+    m = {(i, j): x[:, i, j] for i, j in _UPPER}
+    # new arrays, not +=: the entries are views of the caller's x
+    m[0, 1] = m[0, 1] + a1
+    m[2, 3] = m[2, 3] + a2
     p = sum(v * v for v in m.values())
     q = sum((m[a, b] * m[c, d] - m[a, c] * m[b, d] + m[a, d] * m[b, c]) ** 2 for a, b, c, d in _MINORS)
     s1 = (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0
@@ -139,11 +177,9 @@ def _b2_chunks(alpha, beta, n_samples: int, seed: int) -> Iterator[tuple[np.ndar
         raise ValueError("n_samples >= 1 required")
     _check_regular_ordered(alpha, beta)
     rng = np.random.default_rng(seed)
-    # k equal chunks: one of a single sample, whose einsum reductions round
-    # unlike a batch's, arises only for N = 1
     k = -(-n_samples // CHUNK)
     sizes = (n_samples * (i + 1) // k - n_samples * i // k for i in range(k))
-    return (b2_frequencies(alpha, beta, haar_frame(rng.standard_normal((m, 5, 5)), 4)) for m in sizes)
+    return (b2_frequencies(alpha, b2_orbit_points(beta, rng.standard_normal((m, 11)))) for m in sizes)
 
 
 def _inside(slabs: dict[str, tuple[Q, Q]], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
@@ -461,7 +497,8 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic |
     if pooled_E > MIN_EXPECTED:
         stat += (pooled_O - pooled_E) ** 2 / pooled_E
         k += 1
-    dof = k - 1
+    # with fewer than two classes there is nothing to test: dof 0, p nan
+    dof = max(k - 1, 0)
     return ChiSquareSummary(
         statistic=stat,
         dof=dof,

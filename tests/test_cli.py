@@ -316,6 +316,16 @@ def test_sample_b2_without_degrees_of_freedom_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "-N 500" in err and "--bins 40" in err
 
 
+def test_sample_b2_without_any_bin_class_exits_2_naming_the_cause(tmp_path, capsys):
+    # 10 samples: even the pooled class expects too few, so no class is left
+    prefix = tmp_path / "b2"
+    assert main(["sample", "b2", "-N", "10", "--out", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: ") and "-N 10" in err and "--bins 40" in err
+    assert "no degrees of freedom" in err and "-1" not in err
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_sample_so2_below_a_reachable_ks_threshold_exits_2(tmp_path, capsys, n):
     # 1.949 / sqrt(N) >= 1 for N <= 3, and no KS distance exceeds 1
