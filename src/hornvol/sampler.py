@@ -3,14 +3,16 @@
 This is the only floating-point module.  A B2 sample is the spectrum of
 A + X, with A the block-diagonal skew matrix of alpha and X an invariantly
 distributed point of the orbit O_beta in so(5) (the spectrum of
-g1 A g1^T + g2 B g2^T is that of A + g B g^T, g = g1^T g2 again Haar), drawn
-from 11 normals over S^4 x S^2 x S^2 by b2_orbit_points, with no Haar frame.
-The two block frequencies of M = A + X solve a quadratic: gamma1^2 + gamma2^2
-is the sum of the squared upper entries of M, and gamma1^2 gamma2^2 is the
-sum of the squared Pfaffians of its five 4 x 4 principal minors.  B2 samples
-go from draw to histogram CHUNK at a time, so memory does not grow with N;
-sample i reads normals 11 i to 11 i + 10, and every step is elementwise, so
-the chunk size changes no bit.  Histograms are deterministic given (N, seed).
+g1 A g1^T + g2 B g2^T is that of A + g B g^T, g = g1^T g2 again Haar).  The
+spectrum sees X only up to the torus that fixes A, so b2_spectra draws the
+kernel direction of X on the torus quotient of S^4, from two exponentials,
+and the rest from seven normals, and reads the two block frequencies off a
+quadratic: gamma1^2 + gamma2^2 is |A + X|^2, and gamma1^2 gamma2^2 the
+squared norm of the Pfaffian vector of A + X, with no 5 x 5 matrix formed.
+B2 samples go from draw to histogram CHUNK at a time, so memory does not
+grow with N; sample i reads exponentials 2 i, 2 i + 1 of one stream and
+normals 7 i to 7 i + 6 of another, and every step is elementwise, so the
+chunk size changes no bit.  Histograms are deterministic given (N, seed).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .volume import (
 )
 
 MEMBERSHIP_TOL = 1e-9
-# most B2 samples per chunk: a chunk's Gaussian draw is CHUNK x 11 doubles, 0.36 MB
+# most B2 samples per chunk: a chunk's draw is CHUNK x 9 doubles (2 exponentials, 7 normals), 0.29 MB
 CHUNK = 4096
 # fewest expected samples of a chi-square bin; bins below it are pooled into one
 MIN_EXPECTED = 20.0
@@ -56,15 +58,16 @@ class HistogramPairError(ValueError):
 class HornHistogram:
     """Histogram of sampled spectra; 2-D for B2, 1-D for SO(2).
 
-    `pair` is the pair the samples were drawn for: (alpha, beta) as exact
-    pairs for B2, (alpha12, beta12) for SO(2).
+    `pair` is the (alpha, beta) pair, as exact pairs, that B2 samples were
+    drawn for; only the B2 chi-square reads it, and an SO(2) histogram
+    leaves it None.
     """
 
-    pair: tuple
     edges: tuple[np.ndarray, ...]
     counts: np.ndarray
     sample_count: int
     samples_outside_support: int = 0
+    pair: tuple | None = None
 
 
 def haar_frame(z: np.ndarray, k: int) -> np.ndarray:
@@ -102,84 +105,81 @@ def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.n
     return q
 
 
-# the ten upper entries (i, j), i < j, of a 5 x 5 skew matrix, and the index
-# quadruples of its five 4 x 4 principal minors
-_UPPER = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-_MINORS = [tuple(i for i in range(5) if i != k) for k in range(5)]
+def b2_spectra(alpha, beta, e: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies gamma1 >= gamma2 >= 0 of A + X, X invariantly distributed on O_beta, one per row of e and z.
 
+    e holds two standard exponentials per sample, shape (m, 2), and z seven
+    normals, shape (m, 7).  The spectrum of A + X sees X only up to the
+    stabilizer of A, the torus T of rotations in the planes (0, 1) and
+    (2, 3), so the kernel direction of X is drawn on S^4 / T: with
+    c = (r1, 0, r2, 0, c4), r1^2 = 2 e1 and r2^2 = 2 e2 (the squared norm of
+    a Gaussian in a plane is twice a standard exponential) and c4 = z0, it is
+    d = (r1, 0, r2, 0, -|c4|) / |c|.  Over d, O_beta is the SO(4)-orbit of
+    beta, two 2-spheres of radii s, t = (beta1 +- beta2) / 2, with the point
+    X0 = s' sum u_k w+_k + t' sum u'_k w-_k, u and u' uniform on S^2 from
+    normals 1-3 and 4-6, w+ = (E01 + E23, E02 - E13, E03 + E12) and
+    w- = (E01 - E23, E02 + E13, E03 - E12).  The Householder
+    H = I - tau v v^T, v = e4 - d, tau = 1 / (1 - d4), maps e4 to d and X0
+    to X = H X0 H^T; H has det -1 and swaps the radii, so the fair coin
+    c4 > 0 sets (s', t') = (s, t), and (t, s) otherwise.  Only y = X0 d
+    (X[i, 4] = y_i), X01 = X0[0, 1] + tau d0 y1 and X23 = X0[2, 3] + tau d2 y3
+    are formed.
 
-def b2_orbit_points(beta, z: np.ndarray) -> np.ndarray:
-    """Invariantly distributed points X of O_beta in so(5), one per row of the normals z, shape (m, 11).
-
-    O_beta fibres over the sphere S^4 of kernel directions, with fibre the
-    SO(4)-orbit of beta, two 2-spheres of radii s, t = (beta1 +- beta2) / 2 by
-    so(4) = su(2) + su(2).  The fibre point is X0 = s' sum u_k w+_k +
-    t' sum u'_k w-_k, with u, u' uniform on S^2 (normals 5-7, 8-10),
-    w+ = (E01 + E23, E02 - E13, E03 + E12) and w- = (E01 - E23, E02 + E13,
-    E03 - E12).  The kernel direction d is c / |c| for c normals 0-4, negated
-    when c4 > 0, and the Householder H = I - tau v v^T, v = e4 - d,
-    tau = 1 / (1 - d4) (stable, d4 <= 0) maps e4 to d.  H has det -1, so it
-    swaps the radii: the fair coin c4 > 0, independent of the line of d, sets
-    (s', t') = (s, t), and (t, s) otherwise.  With y = X0 d, X = H X0 H^T has
-    X[i, 4] = y_i and X[i, j] = X0[i, j] + tau (d_i y_j - y_i d_j).
-
-    Every step is elementwise, so each X depends on its own row of z alone.
-    X[:, i, j] is contiguous.
-    """
-    b1, b2 = float(beta[0]), float(beta[1])
-    s, t = (b1 + b2) / 2, (b1 - b2) / 2
-    z = np.ascontiguousarray(z.T)
-    c, u, w = z[:5], z[5:8], z[8:]
-    up = c[4] > 0
-    d = c * (np.where(up, -1.0, 1.0) / np.sqrt(sum(r * r for r in c)))
-    u = u * (np.where(up, s, t) / np.sqrt(sum(r * r for r in u)))
-    w = w * (np.where(up, t, s) / np.sqrt(sum(r * r for r in w)))
-    x0 = dict(zip(((0, 1), (0, 2), (0, 3)), u + w))
-    x0[2, 3], x0[1, 3], x0[1, 2] = u[0] - w[0], w[1] - u[1], u[2] - w[2]
-    d0, d1, d2, d3 = d[:4]
-    y = (x0[0, 1] * d1 + x0[0, 2] * d2 + x0[0, 3] * d3,
-         x0[1, 2] * d2 + x0[1, 3] * d3 - x0[0, 1] * d0,
-         x0[2, 3] * d3 - x0[0, 2] * d0 - x0[1, 2] * d1,
-         -(x0[0, 3] * d0 + x0[1, 3] * d1 + x0[2, 3] * d2))
-    e = d[:4] / (1.0 - d[4])
-    x = np.zeros((5, 5, len(d0)))
-    for i, j in _UPPER:
-        x[i, j] = y[i] if j == 4 else x0[i, j] + (e[i] * y[j] - y[i] * e[j])
-        np.negative(x[i, j], out=x[j, i])
-    return x.transpose(2, 0, 1)
-
-
-def b2_frequencies(alpha, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies gamma1 >= gamma2 >= 0 of A + X for a batch x of skew X, shape (m, 5, 5).
-
-    A carries the blocks (x1, x2) of alpha in the planes (0, 1) and (2, 3).
-    Only the upper entries of each X are read.
+    gamma1^2 + gamma2^2 = |A + X|^2 = p = |alpha|^2 + |beta|^2 +
+    2 (a1 X01 + a2 X23), and gamma1^2 gamma2^2 = q = |v(A + X)|^2, v_k the
+    Pfaffian of the 4 x 4 principal minor without k.  v is quadratic:
+    v(A + X) = v(A) + v'(A; X) + v(X), with v(A) = a1 a2 e4,
+    v' = (a2 X14, a2 X04, a1 X34, a1 X24, a1 X23 + a2 X01), and
+    v(X) = (t'^2 - s'^2) d, since v(X0) = (s'^2 - t'^2) e4 and H carries it
+    to det(H) H v(X0).  Every step is elementwise, so each sample depends on
+    its own rows of e and z alone.
     """
     a1, a2 = (float(v) for v in alpha)
-    m = {(i, j): x[:, i, j] for i, j in _UPPER}
-    # new arrays, not +=: the entries are views of the caller's x
-    m[0, 1] = m[0, 1] + a1
-    m[2, 3] = m[2, 3] + a2
-    p = sum(v * v for v in m.values())
-    q = sum((m[a, b] * m[c, d] - m[a, c] * m[b, d] + m[a, d] * m[b, c]) ** 2 for a, b, c, d in _MINORS)
+    b1, b2 = (float(v) for v in beta)
+    s, t = (b1 + b2) / 2, (b1 - b2) / 2
+    e, z = np.ascontiguousarray(e.T), np.ascontiguousarray(z.T)
+    c4, u, w = z[0], z[1:4], z[4:]
+    up = c4 > 0
+    # d0 = r1 / |c|, d2 = r2 / |c|, d4 = -|c4| / |c|
+    inv = 1.0 / (2.0 * (e[0] + e[1]) + c4 * c4)
+    d0, d2 = np.sqrt((2.0 * inv) * e)
+    d4 = -np.abs(c4) * np.sqrt(inv)
+    u = u * (np.where(up, s, t) / np.sqrt((u * u).sum(axis=0)))
+    w = w * (np.where(up, t, s) / np.sqrt((w * w).sum(axis=0)))
+    x01, x02, x03 = u + w
+    x23, x12 = u[0] - w[0], u[2] - w[2]
+    # y = X0 d with d1 = d3 = 0
+    y0, y1 = x02 * d2, x12 * d2 - x01 * d0
+    y2, y3 = -x02 * d0, -(x03 * d0 + x23 * d2)
+    tau = 1.0 / (1.0 - d4)
+    x01 = x01 + (tau * d0) * y1
+    x23 = x23 + (tau * d2) * y3
+    p = (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2) + 2.0 * (a1 * x01 + a2 * x23)
+    pf = np.where(up, -b1 * b2, b1 * b2)
+    q = ((a2 * y1 + pf * d0) ** 2 + (a2 * y0) ** 2 + (a1 * y3 + pf * d2) ** 2 + (a1 * y2) ** 2
+         + (a1 * a2 + a1 * x23 + a2 * x01 + pf * d4) ** 2)
     s1 = (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0))) / 2.0
     # q / s1 rather than the difference of p and s1, which cancels
     return np.sqrt(s1), np.sqrt(np.minimum(q / s1, s1))
 
 
 def _b2_chunks(alpha, beta, n_samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(gamma1, gamma2) of N samples from default_rng(seed), in equal chunks of at most CHUNK.
+    """(gamma1, gamma2) of N samples, in equal chunks of at most CHUNK.
 
-    The arguments are checked on the call, before any draw.
+    The exponentials and the normals of b2_spectra come from one generator
+    each, default_rng of the two children of SeedSequence(seed), read on
+    from chunk to chunk.  The arguments are checked on the call, before any
+    draw.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
     _check_regular_ordered(alpha, beta)
-    rng = np.random.default_rng(seed)
+    exp_rng, normal_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     k = -(-n_samples // CHUNK)
     sizes = (n_samples * (i + 1) // k - n_samples * i // k for i in range(k))
-    return (b2_frequencies(alpha, b2_orbit_points(beta, rng.standard_normal((m, 11)))) for m in sizes)
+    return (b2_spectra(alpha, beta, exp_rng.standard_exponential((m, 2)), normal_rng.standard_normal((m, 7)))
+            for m in sizes)
 
 
 def _inside(slabs: dict[str, tuple[Q, Q]], g1: np.ndarray, g2: np.ndarray, tol: float) -> np.ndarray:
@@ -256,7 +256,6 @@ def so2_histogram(samples: np.ndarray, alpha12, beta12, bins: int = 100) -> Horn
     counts, _ = np.histogram(np.clip(samples, lo, hi), bins=edges)
     outside = int(np.count_nonzero((samples < lo - MEMBERSHIP_TOL) | (samples > hi + MEMBERSHIP_TOL)))
     return HornHistogram(
-        pair=(alpha12, beta12),
         edges=(edges,),
         counts=counts,
         sample_count=len(samples),

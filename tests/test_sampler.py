@@ -22,8 +22,7 @@ from hornvol.sampler import (
     _b2_chunks,
     _bin_index,
     _inside,
-    b2_frequencies,
-    b2_orbit_points,
+    b2_spectra,
     chi2_sf,
     chi_square_vs_pdf,
     expected_bin_probabilities,
@@ -44,6 +43,7 @@ from hornvol.volume import (
     so2_support,
 )
 from horn_reference import horn_contains_reference
+from orbit_reference import b2_frequencies, b2_orbit_points
 from poly2 import p2_mul
 from test_volume import regular_third_pairs
 
@@ -115,17 +115,23 @@ def b2_pairs(alpha, beta, n, seed):
     return np.concatenate([np.stack(chunk, axis=1) for chunk in _b2_chunks(alpha, beta, n, seed)])
 
 
+def two_stream_draw(n, seed):
+    """The (n, 2) exponentials and (n, 7) normals of n samples, each from one child of SeedSequence(seed)."""
+    exp_rng, normal_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return exp_rng.standard_exponential((n, 2)), normal_rng.standard_normal((n, 7))
+
+
 def b2_pairs_reference(alpha, beta, n, seed):
-    """The (n, 2) spectra of b2_pairs, from one (n, 11) normal batch of all n samples through the orbit map."""
-    z = np.random.default_rng(seed).standard_normal((n, 11))
-    return np.stack(b2_frequencies(alpha, b2_orbit_points(beta, z)), axis=1)
+    """The (n, 2) spectra of b2_pairs, from one batch of all n samples' draws through b2_spectra."""
+    return np.stack(b2_spectra(alpha, beta, *two_stream_draw(n, seed)), axis=1)
 
 
 @pytest.mark.parametrize("alpha,beta", [((17, 4), (15, 9)), ((Q(11, 2), Q(3, 2)), (5, 2))])
 def test_b2_pairs_equal_one_batch_through_the_orbit_map(alpha, beta):
     # the sampler draws at most CHUNK samples at a time and the reference all
-    # n in one batch, so the stream must carry over between chunks, and no
-    # chunk, a single sample's included, may round unlike a batch
+    # n in one batch, so both streams, the exponentials' and the normals',
+    # must carry over between chunks, and no chunk, a single sample's
+    # included, may round unlike a batch
     for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
         assert np.array_equal(b2_pairs(alpha, beta, n, 23), b2_pairs_reference(alpha, beta, n, 23)), n
 
@@ -143,11 +149,11 @@ def regular_pair(draw):
     return (Q(hi, 2), Q(draw(st.integers(1, hi - 1)), 2))
 
 
-def assert_frequencies_match_eigvalsh(alpha, beta, x):
-    """b2_frequencies of A + X against eigvalsh of -(A + X)^2."""
+def assert_frequencies_match_eigvalsh(alpha, beta, x, freqs=None):
+    """Frequencies of A + X, by default b2_frequencies, against eigvalsh of -(A + X)^2."""
     M = skew_block(*map(float, alpha)) + x
     ev = np.linalg.eigvalsh(-M @ M)  # ascending: ~0, g2^2, g2^2, g1^2, g1^2
-    g1, g2 = b2_frequencies(alpha, x)
+    g1, g2 = b2_frequencies(alpha, x) if freqs is None else freqs
     tol = 1e-9 * float(alpha[0] + beta[0])
     assert np.abs(g1 - np.sqrt(np.maximum(ev[:, 4], 0.0))).max() < tol
     assert np.abs(g2 - np.sqrt(np.maximum(ev[:, 2], 0.0))).max() < tol
@@ -167,6 +173,20 @@ def test_closed_form_frequencies_match_eigvalsh(alpha, beta, seed):
 def test_orbit_point_frequencies_match_eigvalsh(alpha, beta, seed):
     z = np.random.default_rng(seed).standard_normal((200, 11))
     assert_frequencies_match_eigvalsh(alpha, beta, b2_orbit_points(beta, z))
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_pair(), regular_pair(), st.integers(0, 2**32 - 1))
+def test_torus_quotient_spectra_match_eigvalsh_of_the_reference_orbit_point(alpha, beta, seed):
+    # b2_spectra's sample is the reference orbit point X' of the canonical
+    # normals (sqrt(2 e1), 0, sqrt(2 e2), 0, c4, u, u'), up to a rotation of
+    # the torus that fixes A, which leaves the spectrum of A + X' alone
+    e, z = two_stream_draw(200, seed)
+    canonical = np.zeros((200, 11))
+    canonical[:, [0, 2]] = np.sqrt(2.0 * e)
+    canonical[:, 4:] = z
+    x = b2_orbit_points(beta, canonical)
+    assert_frequencies_match_eigvalsh(alpha, beta, x, freqs=b2_spectra(alpha, beta, e, z))
 
 
 @settings(max_examples=50, deadline=None)
@@ -329,6 +349,7 @@ def no_draw(*args, **kwargs):
 
 def test_rejects_bad_arguments(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     for sample in (b2_pairs, sample_b2_spectrum):
         for n in (0, -1):
             with pytest.raises(ValueError, match="n_samples >= 1"):
@@ -342,6 +363,7 @@ def test_rejects_bad_arguments(monkeypatch):
 @pytest.mark.parametrize("bins", [0, -1])
 def test_rejects_bins_below_one_before_drawing(bins, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
     with pytest.raises(ValueError, match="bins >= 1 required"):
         sample_b2_spectrum((17, 4), (15, 9), 10, seed=1, bins=bins)
     with pytest.raises(ValueError, match="bins >= 1 required"):
@@ -400,6 +422,33 @@ def test_sample_moments_meet_the_exact_moments(pair, seed):
         v = norm2**k
         z = (v.mean() - float(value)) / (v.std(ddof=1) / math.sqrt(n))
         assert abs(z) < 4, (pair, k, z)
+
+
+@pytest.mark.parametrize("alpha,beta", SEVEN_PAIRS)
+def test_torus_quotient_spectra_have_the_law_of_the_reference_sampler(alpha, beta):
+    """Two-sample KS of gamma1 and of gamma2, b2_spectra against the full-matrix orbit map.
+
+    The reference side is the invariant sampler that b2_spectra replaces:
+    11 normals per sample through b2_orbit_points and b2_frequencies, with
+    no torus quotient, so a wrong radius law on the quotient, a lost coin or
+    a wrong Pfaffian sign can show in either marginal.  N = 100,000 a side,
+    the seeds 53 (b2_spectra) and 59 (reference) and the gate
+    D < c sqrt(2 / N), c = sqrt(-ln(level / 2) / 2) = 2.470 at level 1e-5,
+    were fixed before the first run.  By the asymptotic Kolmogorov law each
+    of the 14 tests fails by chance with probability about 1e-5, so about
+    1.4e-4 that any does.  A failure is a finding about the sampler, not a
+    seed to change.
+    """
+    from scipy.stats import ks_2samp
+
+    n, level = 100_000, 1e-5
+    ours = b2_pairs(alpha, beta, n, 53)
+    z = np.random.default_rng(59).standard_normal((n, 11))
+    ref = np.stack(b2_frequencies(alpha, b2_orbit_points(beta, z)), axis=1)
+    gate = math.sqrt(-math.log(level / 2) / 2) * math.sqrt(2 / n)
+    for k in (0, 1):
+        d = ks_2samp(ours[:, k], ref[:, k]).statistic
+        assert d < gate, (alpha, beta, k, d, gate)
 
 
 @pytest.mark.parametrize("alpha,beta", SEVEN_PAIRS)
