@@ -147,51 +147,30 @@ def default_period(rs: RootSystem) -> int:
     raise NoDefaultPeriodError(f"no default period for {rs.family}")
 
 
-def _default_lr(rs: RootSystem, lam, mu, nu, s_values):
-    # stretched weight systems outgrow the Freudenthal size guard quickly;
-    # the Steinberg routes have no such limit: the closed-form Kostant
-    # function for B2, elsewhere the Kostant values of every dilation from
-    # one kostant_values sweep.  Running _steinberg_sum with a lookup that
-    # records its argument collects them: the sum's pruning reads no value.
-    # With a non-dominant weight nothing is collected, and lr_steinberg_table
-    # raises before it reads the empty mapping.
-    if (rs.family, rs.rank) == ("B", 2):
-        return multiplicity.lr_steinberg
-    points: set[tuple[int, ...]] = set()
-
-    def record(*sigma):
-        points.add(sigma)
-        return 0
-
-    if min(lam + mu + nu) >= 0:
-        for s in s_values:
-            sl, sm, sn = (tuple(s * v for v in w) for w in (lam, mu, nu))
-            multiplicity._steinberg_sum(rs, sl, sm, sn, lambda top: record)
-    table = multiplicity.kostant_values(rs, points) if points else {}
-    return lambda rs, lam, mu, nu: multiplicity.lr_steinberg_table(rs, lam, mu, nu, table=table)
-
-
 def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
     """C_{s lam, s mu}^{s nu} for every s in s_values, keyed in their order.
 
-    s = 0 gives 1.  Each other sample is lr_steinberg for B2; for every
-    other algebra it is multiplicity.lr_steinberg_table on the Kostant
-    values that the Steinberg sums of all the dilations read, computed up
-    front by one kostant_values sweep and dropped when this call returns.
+    s = 0 gives 1.  Stretched weight systems outgrow the Freudenthal size
+    guard quickly, so every other sample is a Steinberg sum: lr_steinberg
+    on the closed-form Kostant function for B2, and for every other algebra
+    multiplicity.lr_steinberg_table on the Kostant values at the arguments
+    of all the dilations' sums (_steinberg_terms), computed up front by one
+    kostant_values sweep and dropped when this call returns.  With a
+    non-dominant weight no argument is collected, and lr_steinberg_table
+    raises before it reads the empty mapping.
     """
     lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
-    s_values = list(s_values)
-    lr = _default_lr(rs, lam, mu, nu, s_values)
-    out = {}
-    for s in s_values:
-        if s == 0:
-            out[0] = 1
-            continue
-        sl = tuple(s * v for v in lam)
-        sm = tuple(s * v for v in mu)
-        sn = tuple(s * v for v in nu)
-        out[s] = lr(rs, sl, sm, sn)
-    return out
+    dilations = {s: tuple(tuple(s * v for v in w) for w in (lam, mu, nu)) for s in s_values}
+    if (rs.family, rs.rank) == ("B", 2):
+        return {s: multiplicity.lr_steinberg(rs, *t) if s else 1 for s, t in dilations.items()}
+    points: set[tuple[int, ...]] = set()
+    if min(lam + mu + nu) >= 0:
+        for s, t in dilations.items():
+            if s:
+                for sigmas in multiplicity._steinberg_terms(rs, *t):
+                    points.update(sigmas)
+    table = multiplicity.kostant_values(rs, points) if points else {}
+    return {s: multiplicity.lr_steinberg_table(rs, *t, table=table) if s else 1 for s, t in dilations.items()}
 
 
 def stretching_quasi_polynomial(

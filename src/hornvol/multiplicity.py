@@ -4,9 +4,9 @@
 * the Racah-Speiser / Klimyk algorithm (reflect the shifted weight into the
   dominant chamber, drop walls, apply the sign), run only in tensor_decompose:
   lr_klimyk reads one entry, tau_sum pairs two decompositions through kappa*,
-* the Steinberg formula: one integer double Weyl sum over the Kostant
-  partition function, looked up by closed form or recursion
-  (lr_steinberg) or in a batch from one numpy slab sweep
+* the Steinberg formula: one integer double Weyl sum (_steinberg_terms)
+  whose Kostant arguments, split by sign, are looked up by closed form or
+  recursion (lr_steinberg) or in a batch from one numpy slab sweep
   (lr_steinberg_table).
 
 All arithmetic is in integers: weights enter and leave as Dynkin labels
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import starmap
 from operator import add, mul, sub
 
 from ._exact import InvariantError
@@ -226,18 +227,6 @@ def kostant_partition(rs: RootSystem, sigma) -> int:
     return _kostant_rec(rs.family, rs.rank, 0, vec)
 
 
-def _kostant_lookup(rs: RootSystem):
-    """The Kostant function of rs, called as P(*simple_root_coords) with ints.
-
-    The B2 closed form directly, elsewhere kostant_partition (and through it
-    the recursion); both are read from the module globals when this runs, so
-    a rebinding of either takes effect.
-    """
-    if (rs.family, rs.rank) == ("B", 2):
-        return kostant_partition_b2
-    return lambda *vec: kostant_partition(rs, vec)
-
-
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
 
@@ -291,49 +280,56 @@ def _weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[in
     return tuple(sorted(out, key=lambda t: -t[1][0]))
 
 
-def _steinberg_sum(rs: RootSystem, lam, mu, nu, kostant_for) -> int:
-    """sum_{w, w'} eps(w) eps(w') P(w(lam + rho) + w'(mu + rho) - nu - 2 rho), in integers.
+def _steinberg_terms(rs: RootSystem, lam, mu, nu) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The Kostant arguments of Steinberg's sum, split by sign: (plus, minus).
 
-    The argument of P is top plus the Weyl shifts of lam and mu, where
-    top = lam + mu - nu; its root-lattice membership is tested once, on
-    coordinates scaled by d.  The shifts are nonpositive, so every argument
-    is bounded by top: kostant_for(top) supplies P only when top >= 0, and P
-    is called only at nonnegative arguments.
+    C_{lam mu}^{nu} = sum_{w, w'} eps(w) eps(w') P(w(lam + rho) + w'(mu + rho) - nu - 2 rho)
+    = sum P(plus) - sum P(minus), in integers.  The argument of P is top plus
+    the Weyl shifts of lam and mu, where top = lam + mu - nu; its
+    root-lattice membership is tested once, on coordinates scaled by d.  The
+    shifts are nonpositive, so every argument is bounded by top, and only
+    the nonnegative ones are kept: P vanishes elsewhere.  Both lists are
+    empty off the root lattice or when top is not >= 0.
     """
+    plus: list[tuple[int, ...]] = []
+    minus: list[tuple[int, ...]] = []
     d = rs.root_scale[0]
     top = rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)])
     if any(v % d for v in top):
-        return 0
+        return plus, minus
     top = tuple(v // d for v in top)
     if min(top) < 0:
-        return 0
-    kostant = kostant_for(top)
+        return plus, minus
     right = _weyl_shifts(rs.family, rs.rank, mu)
-    acc = 0
     for s1, a in _weyl_shifts(rs.family, rs.rank, lam):
         a = tuple(map(add, a, top))
         if min(a) < 0:
             continue
+        same, other = (plus, minus) if s1 > 0 else (minus, plus)
         for s2, b in right:
             if a[0] + b[0] < 0:
                 break  # right is sorted by first coordinate: so is every later pair
             sigma = tuple(map(add, a, b))
             if min(sigma) >= 0:
-                acc += s1 * s2 * kostant(*sigma)
-    return acc
+                (same if s2 > 0 else other).append(sigma)
+    return plus, minus
 
 
 def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
     """C_{lam mu}^{nu} by the Steinberg formula.
 
     sum_{w, w'} eps(w) eps(w') P(w(lam + rho) + w'(mu + rho) - nu - 2 rho)
-    with P the Kostant partition function (closed form for B2, recursion
-    elsewhere).
+    over the signed arguments of _steinberg_terms, with P the Kostant
+    partition function (closed form for B2, recursion elsewhere).
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
-    acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _kostant_lookup(rs))
+    plus, minus = _steinberg_terms(rs, lam, mu, nu)
+    if (rs.family, rs.rank) == ("B", 2):
+        acc = sum(starmap(kostant_partition_b2, plus)) - sum(starmap(kostant_partition_b2, minus))
+    else:
+        acc = sum(kostant_partition(rs, s) for s in plus) - sum(kostant_partition(rs, s) for s in minus)
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 
@@ -423,38 +419,31 @@ def kostant_values(rs: RootSystem, points) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _covering(table: Mapping):
-    """The lookup P(*sigma) of a kostant_values mapping; a point that it lacks raises ValueError."""
-    def value(*sigma):
-        try:
-            return table[sigma]
-        except KeyError:
-            raise ValueError(f"the Kostant values do not cover {sigma}") from None
-
-    return value
-
-
 def lr_steinberg_table(rs: RootSystem, lam, mu, nu, *, table=None) -> int:
     """Steinberg's formula backed by a batch of Kostant values.
 
-    Same contract and Weyl sum as lr_steinberg; worthwhile when the box of
-    partition arguments is large (stretched B3 triples).  Every queried
-    argument lies in the box [0, lam + mu - nu] (simple-root coordinates).
-    Without `table` one kostant_table is built for that box.  A caller that
-    evaluates many triples passes `table`, the {point: value} mapping of
-    kostant_values holding every argument the sum reads, as the Ehrhart fit
-    does for all its dilations at once.  A mapping that lacks one of them,
-    and a `table` that is not a mapping, raise ValueError.
+    Same contract and signed arguments (_steinberg_terms) as lr_steinberg;
+    worthwhile when the box of partition arguments is large (stretched B3
+    triples).  Every argument lies in the box [0, lam + mu - nu]
+    (simple-root coordinates).  Without `table` one kostant_values sweep
+    reads them all.  A caller that evaluates many triples passes `table`,
+    the {point: value} mapping of kostant_values holding every argument the
+    sum reads, as the Ehrhart fit does for all its dilations at once.  A
+    mapping that lacks one of them, and a `table` that is not a mapping,
+    raise ValueError.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
     nu = _check_dominant(rs, nu)
-    if table is None:
-        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: kostant_table(rs, top).item)
-    elif isinstance(table, Mapping):
-        acc = _steinberg_sum(rs, lam, mu, nu, lambda top: _covering(table))
-    else:
+    if table is not None and not isinstance(table, Mapping):
         raise ValueError(f"table must be the {{point: value}} mapping of kostant_values, not a {type(table).__name__}")
+    plus, minus = _steinberg_terms(rs, lam, mu, nu)
+    if table is None:
+        table = kostant_values(rs, plus + minus)
+    try:
+        acc = sum(map(table.__getitem__, plus)) - sum(map(table.__getitem__, minus))
+    except KeyError as exc:
+        raise ValueError(f"the Kostant values do not cover {exc.args[0]}") from None
     return _checked_multiplicity(acc, "Steinberg", lam, mu, nu)
 
 

@@ -27,7 +27,7 @@ from .ehrhart import (
     leading_coefficient,
     stretching_quasi_polynomial,
 )
-from .multiplicity import SizeGuardError, tau_sum, tensor_decompose
+from .multiplicity import SizeGuardError, _check_dominant, tau_sum, tensor_decompose
 from .rootsys import B2_SIGNED_PERMUTATIONS, RootSystem, build_root_system, is_compatible, kappa_constants
 
 Pair = tuple[Q, Q]
@@ -727,18 +727,20 @@ ROUTES = ("direct", "lr", "ehrhart", "polytope")
 def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> VolumeRoutes:
     """The BZ-polytope volume of a compatible triple by up to four routes.
 
-    routes is a nonempty choice from ROUTES; anything else raises ValueError.
-    The direct and polytope routes are B2-specific; lr and ehrhart work for
-    every algebra with a c_kappa table.  The lr route needs lam, mu, nu to
-    dominate rho and weight systems within the Freudenthal size guard; when
-    explicitly asked for it raises, but next to other routes it is skipped
-    and the reason kept in `skipped`.
+    routes is a nonempty choice from ROUTES; anything else raises ValueError,
+    and so does a weight that is not dominant and integral with rs.rank
+    labels, before any route runs.  The direct and polytope routes are
+    B2-specific; lr and ehrhart work for every algebra with a c_kappa table.
+    The lr route needs lam, mu, nu to dominate rho and weight systems within
+    the Freudenthal size guard; when explicitly asked for it raises, but
+    next to other routes it is skipped and the reason kept in `skipped`.
     """
     routes = tuple(routes)  # so that a list ["lr"] is the lone lr route below, which raises
     if not routes or not set(routes) <= set(ROUTES):
         raise ValueError(f"routes {tuple(routes)} must be a nonempty choice from {', '.join(ROUTES)}")
     if rs is None:
         rs = b2()
+    lam, mu, nu = (_check_dominant(rs, w) for w in (lam, mu, nu))
     is_b2 = (rs.family, rs.rank) == ("B", 2)
     out = {}
     skipped = {}

@@ -1,0 +1,45 @@
+"""Planted faults: each cross-check is shown able to fail.
+
+Each test plants one fault with monkeypatch, which undoes it when the test
+ends, and runs a CLI command whose exit code is the cross-check.  The CLI
+exits 0 only when every method or route agrees, so a fault that leaves it
+at 0 would be one that no check can see.
+"""
+
+import pytest
+
+from hornvol import multiplicity
+from hornvol.cli import main
+from hornvol.rootsys import build_root_system
+
+B3_ROOTS = build_root_system("B", 3).positive_roots_rb
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_steinberg_missing_one_plus_term_makes_lr_exit_1(which, monkeypatch, capsys):
+    terms = multiplicity._steinberg_terms
+
+    def faulty(*args):
+        plus, minus = terms(*args)
+        del plus[which]
+        return plus, minus
+
+    monkeypatch.setattr(multiplicity, "_steinberg_terms", faulty)
+    assert main(["lr", "B2", "5,6", "3,4", "6,4", "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dropped", B3_ROOTS)
+def test_a_kostant_sweep_missing_one_root_makes_b3_volume_exit_1(dropped, monkeypatch, capsys):
+    """The lr route gives 241/48 on (2,2,2)^3 without Kostant's function; the Ehrhart
+    fit reads it from kostant_values, whose sweep here lacks one positive root."""
+    slabs = multiplicity._kostant_slabs
+
+    def faulty(roots, box):
+        if tuple(roots) == B3_ROOTS:
+            roots = [r for r in roots if r != dropped]
+        return slabs(roots, box)
+
+    monkeypatch.setattr(multiplicity, "_kostant_slabs", faulty)
+    assert main(["volume", "B3", "2,2,2", "2,2,2", "2,2,2"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out

@@ -39,13 +39,14 @@ from hornvol.volume import (
     horn_polygon,
     horn_slabs,
     j_so2_symmetric,
+    pdf_scale,
     piecewise_analyze_b2,
     so2_support,
 )
 from horn_reference import horn_contains_reference
 from orbit_reference import b2_frequencies, b2_orbit_points
 from poly2 import p2_mul
-from test_volume import regular_third_pairs
+from test_volume import DELTA_B2, poly, regular_third_pairs
 
 PACKAGE = Path(sampler.__file__).parent
 
@@ -401,27 +402,41 @@ def test_chi_square_small_run():
 MOMENT_PAIRS = [((17, 4), (15, 9)), ((5, 2), (3, 1)), ((Q(11, 2), Q(3, 2)), (5, 2)), ((7, 6), (9, 1))]
 
 
+def exact_q2_mean(alpha, beta) -> Q:
+    """E[q^2], q = gamma1^2 gamma2^2, under the Horn density: as test_volume.horn_moments
+    integrates, each cell's Delta J times gamma1^4 gamma2^4, exactly."""
+    total = sum(p2_integrate_polygon(p2_mul(p2_mul(DELTA_B2, poly(cell)), {(4, 4): Q(1)}), cell.vertices)
+                for cell in piecewise_analyze_b2(alpha, beta).cells)
+    return pdf_scale(alpha, beta) * total
+
+
 @pytest.mark.parametrize("pair,seed", zip(MOMENT_PAIRS, (41, 42, 43, 44)))
 def test_sample_moments_meet_the_exact_moments(pair, seed):
-    """Mean |gamma|^2 and |gamma|^4 of the samples against their exact values, bin-free.
+    """Mean |gamma|^2, |gamma|^4 and q^2 = gamma1^4 gamma2^4 of the samples against
+    their exact values, bin-free.
 
-    The exact values are the J-side moment rules: |alpha|^2 + |beta|^2 and
-    (|alpha|^2 + |beta|^2)^2 + (2/5) |alpha|^2 |beta|^2.  With s_k the sample
-    standard deviation of |gamma|^(2k), z_k = (mean - exact) / (s_k / sqrt(N)).
-    N = 200,000, the seeds 41-44 (one per pair) and the gate |z_k| < 4 were
+    The exact values of the first two are the J-side moment rules:
+    |alpha|^2 + |beta|^2 and (|alpha|^2 + |beta|^2)^2 + (2/5) |alpha|^2 |beta|^2.
+    They see only p = |gamma|^2, so the Pfaffian side q needs its own
+    moment: E[q^2], integrated exactly over the cells (exact_q2_mean).  With
+    s the sample standard deviation of each, z = (mean - exact) / (s / sqrt(N)).
+    N = 200,000, the seeds 41-44 (one per pair) and the gate |z| < 4 were
     fixed before the first run.  The normal two-sided chance that one z
-    exceeds 4 is 6.3e-5, so 5.1e-4 that any of the eight does.  A failure is
-    a finding about the sampler, not a seed to change.
+    exceeds 4 is 6.3e-5, so 7.6e-4 that any of the twelve does.  A failure
+    is a finding about the sampler, not a seed to change.
     """
     n = 200_000
     a2, b2 = (sum(Q(v) ** 2 for v in w) for w in pair)
-    exact = {1: a2 + b2, 2: (a2 + b2) ** 2 + Q(2, 5) * a2 * b2}
     g = b2_pairs(*pair, n, seed)
     norm2 = g[:, 0] ** 2 + g[:, 1] ** 2
-    for k, value in exact.items():
-        v = norm2**k
+    moments = {
+        "|gamma|^2": (norm2, a2 + b2),
+        "|gamma|^4": (norm2**2, (a2 + b2) ** 2 + Q(2, 5) * a2 * b2),
+        "q^2": ((g[:, 0] * g[:, 1]) ** 4, exact_q2_mean(*pair)),
+    }
+    for name, (v, value) in moments.items():
         z = (v.mean() - float(value)) / (v.std(ddof=1) / math.sqrt(n))
-        assert abs(z) < 4, (pair, k, z)
+        assert abs(z) < 4, (pair, name, z)
 
 
 @pytest.mark.parametrize("alpha,beta", SEVEN_PAIRS)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import itertools
 import random
@@ -1171,6 +1172,52 @@ def test_volume_routes_refuse_an_empty_or_unknown_route_list():
     for routes in ((), ("bogus",), ("direct", "bogus")):
         with pytest.raises(ValueError, match="must be a nonempty choice from direct, lr, ehrhart, polytope"):
             volume_routes((5, 6), (3, 4), (5, 6), routes=routes)
+
+
+#: what a route calls first; a weight refused at entry reaches none of them
+ROUTE_ENTRIES = ("b2_dynkin_to_ortho", "j_b2", "j_lr_unshifted", "stretching_quasi_polynomial", "bz_polygon_b2")
+
+
+def b2_weights():
+    """One, two or three entries: ints in [-1, 3], or Fractions in [-2, 3] of denominator up to 3."""
+    entries = st.sampled_from([st.integers(-1, 3), st.fractions(-2, 3, max_denominator=3)])
+    return st.tuples(entries, st.integers(1, 3)).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(*[st.tuples(st.integers(0, 4), st.integers(0, 4))] * 3), st.tuples(*[b2_weights()] * 3)),
+       st.lists(st.sampled_from(volume.ROUTES), min_size=1, max_size=4, unique=True).map(tuple))
+def test_volume_routes_answer_or_refuse(weights, routes):
+    """A malformed weight is refused with a ValueError before any route runs; a
+    well-formed triple is answered, or refused by the lr route alone.
+
+    About half the draws are triples of dominant labels 0..4.  Malformed
+    means a wrong label count, a negative label or a non-integral one.  The
+    lr route refuses an incompatible triple, and, asked for alone, one that
+    does not dominate rho.  On a compatible triple with every label at least
+    1, the routes that answer agree.
+    """
+    sized = all(len(w) == 2 for w in weights)
+    well_formed = sized and all(v >= 0 and Q(v).denominator == 1 for w in weights for v in w)
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(volume, name, wraps=getattr(volume, name)))
+                 for name in ROUTE_ENTRIES]
+        try:
+            vr = volume_routes(*weights, routes=routes)
+        except IncompatibleTripleError:
+            assert well_formed and "lr" in routes and not is_compatible(volume.b2(), *weights), (weights, routes)
+            return
+        except NotShiftableError:
+            assert well_formed and routes == ("lr",), (weights, routes)
+            return
+        except ValueError as exc:
+            assert not well_formed, (weights, routes, exc)
+            assert not any(spy.called for spy in spies), (weights, routes)
+            return
+    assert well_formed, (weights, routes, vr)
+    assert set(vr.values()) | set(vr.skipped) == set(routes)
+    if is_compatible(volume.b2(), *weights) and min(v for w in weights for v in w) >= 1:
+        assert vr.agree(), (weights, vr)
 
 
 def test_route_identities_on_random_sweep():
