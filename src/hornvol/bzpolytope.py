@@ -267,7 +267,7 @@ class RationalPolygon:
             row, den = _scaled_row((A, B, C), den, p, q)
             rows.append((*row, strict))
             dens.append(den)
-        elim = None if self._elim is None else (self._elim[0] * s, self._elim[1] * s)
+        elim = None if self._elim is None else tuple(_exact_div(e * p, q) for e in self._elim)
         return RationalPolygon._from_rows(tuple(rows), tuple(dens), self._labels, elim, self._bounded)
 
     # -- lattice scans -------------------------------------------------------
@@ -315,12 +315,14 @@ class RationalPolygon:
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
+        """a, b and c from each integer row over its den, the vertices from the cycle over D."""
+        D, cycle = self._vertex_cycle
         return {
             "halfplanes": [
-                {"a": str(a), "b": str(b), "c": str(c), "strict": strict, "label": label}
-                for a, b, c, strict, label in self.constraints
+                {"a": _ratio(A, den), "b": _ratio(B, den), "c": _ratio(C, den), "strict": strict, "label": label}
+                for (A, B, C, strict), den, label in zip(self._rows, self._dens, self._labels)
             ],
-            "vertices": [[str(x), str(y)] for x, y in self.vertices],
+            "vertices": [[_ratio(x, D), _ratio(y, D)] for x, y in cycle],
             "dim": self.dim,
         }
 
@@ -353,6 +355,12 @@ def clip_cell(vertices: Sequence[Point], a, b, c) -> tuple[Point, ...]:
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return tuple(dedup)
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n and d > 0, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _exact_div(num, d):

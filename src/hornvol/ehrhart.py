@@ -93,8 +93,11 @@ def fit_quasi_polynomial(samples: dict[int, int], degree: int, period: int) -> Q
     the class are checked against the fit.  Raises InsufficientSamplesError
     when a class has fewer than degree+1 samples and InconsistentSamplesError
     when redundant samples do not lie on the fitted polynomial (the signature
-    of a wrong degree or period).  A period below 1 raises ValueError.
+    of a wrong degree or period).  A degree below 0 or a period below 1
+    raises ValueError.
     """
+    if degree < 0:
+        raise ValueError(f"the degree must be at least 0, but is {degree}")
     if period < 1:
         raise ValueError(f"the period must be at least 1, but is {period}")
     if 0 in samples and samples[0] != 1:
@@ -155,20 +158,19 @@ def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
     on the closed-form Kostant function for B2, and for every other algebra
     multiplicity.lr_steinberg_table on the Kostant values at the arguments
     of all the dilations' sums (_steinberg_terms), computed up front by one
-    kostant_values sweep and dropped when this call returns.  With a
-    non-dominant weight no argument is collected, and lr_steinberg_table
-    raises before it reads the empty mapping.
+    kostant_values sweep and dropped when this call returns.  A weight that
+    is not dominant raises NonDominantWeightError, and so does a dilation
+    that is not.
     """
-    lam, mu, nu = (rs.labels(w) for w in (lam, mu, nu))
+    lam, mu, nu = (multiplicity._check_dominant(rs, w) for w in (lam, mu, nu))
     dilations = {s: tuple(tuple(s * v for v in w) for w in (lam, mu, nu)) for s in s_values}
     if (rs.family, rs.rank) == ("B", 2):
         return {s: multiplicity.lr_steinberg(rs, *t) if s else 1 for s, t in dilations.items()}
     points: set[tuple[int, ...]] = set()
-    if min(lam + mu + nu) >= 0:
-        for s, t in dilations.items():
-            if s:
-                for sigmas in multiplicity._steinberg_terms(rs, *t):
-                    points.update(sigmas)
+    for s, t in dilations.items():
+        if s:
+            for sigmas in multiplicity._steinberg_terms(rs, *t):
+                points.update(sigmas)
     table = multiplicity.kostant_values(rs, points) if points else {}
     return {s: multiplicity.lr_steinberg_table(rs, *t, table=table) if s else 1 for s, t in dilations.items()}
 

@@ -5,9 +5,10 @@
   dominant chamber, drop walls, apply the sign), run only in tensor_decompose:
   lr_klimyk reads one entry, tau_sum pairs two decompositions through kappa*,
 * the Steinberg formula: one integer double Weyl sum (_steinberg_terms)
-  whose Kostant arguments, split by sign, are looked up by closed form or
-  recursion (lr_steinberg) or in a batch from one numpy slab sweep
-  (lr_steinberg_table).
+  over Weyl shifts read off one integer map per Weyl element
+  (_weyl_shift_maps), whose Kostant arguments, split by sign, are looked up
+  by closed form or recursion (lr_steinberg) or in a batch from one numpy
+  slab sweep (lr_steinberg_table).
 
 All arithmetic is in integers: weights enter and leave as Dynkin labels
 (read by `RootSystem.labels`), Freudenthal takes inner products from the
@@ -259,24 +260,44 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
+def _weyl_shift_maps(family: str, rank: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(eps(w), K_w) for every Weyl element w, in the order of weyl_elements.
+
+    K_w = (M_w - I) C^-T is the integer matrix that takes Dynkin labels to
+    the simple-root coordinates of w(x) - x: its column j holds those of
+    w(omega_j) - omega_j, which lies in the root lattice.  It is computed
+    as (M_w - I) d C^-T over d, and each entry is checked to divide.
+    """
+    rs = build_root_system(family, rank)
+    d, scaled = rs.root_scale
+    cols = tuple(zip(*scaled))
+    out = []
+    for w in weyl_elements((family, rank)):
+        rows = []
+        for i, row in enumerate(w.matrix):
+            k = [sum(map(mul, row, col)) - scaled[i][j] for j, col in enumerate(cols)]
+            if any(v % d for v in k):
+                raise InvariantError(f"Weyl shift row {k}/{d} of {family}{rank} is not in the root lattice")
+            rows.append(tuple([v // d for v in k]))
+        out.append((w.sign, tuple(rows)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=512)
 def _weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(eps(w), w(lam + rho) - (lam + rho)) for every Weyl element w.
 
-    The shifts lie in the root lattice and, lam + rho being dominant, have
-    nonpositive simple-root coordinates.  They are computed on coordinates
-    scaled by d, where the integer Weyl matrices act exactly, and divided
-    back; they are sorted by their first coordinate, largest first.
+    The shift is K_w (lam + rho) in simple-root coordinates, one integer
+    matrix-vector product per element (see _weyl_shift_maps).  The shifts
+    lie in the root lattice and, lam + rho being dominant, have nonpositive
+    simple-root coordinates; they are sorted by their first coordinate,
+    largest first.  The bound is the Freudenthal cache's: an Ehrhart fit
+    reads every dilation of its triple, and the 407-426 distinct weights of
+    a 9-block volume_cli run fit in it.
     """
-    rs = build_root_system(family, rank)
-    d = rs.root_scale[0]
-    x = rs.scaled_root([v + 1 for v in lam])
-    out = []
-    for w in weyl_elements((family, rank)):
-        shift = [sum(map(mul, row, x)) - xi for row, xi in zip(w.matrix, x)]
-        if any(v % d for v in shift):
-            raise InvariantError(f"Weyl shift {shift}/{d} of {lam} is not in the root lattice")
-        out.append((w.sign, tuple(v // d for v in shift)))
+    x = [v + 1 for v in lam]
+    out = [(sign, tuple([sum(map(mul, row, x)) for row in k])) for sign, k in _weyl_shift_maps(family, rank)]
     return tuple(sorted(out, key=lambda t: -t[1][0]))
 
 
@@ -288,8 +309,10 @@ def _steinberg_terms(rs: RootSystem, lam, mu, nu) -> tuple[list[tuple[int, ...]]
     the Weyl shifts of lam and mu, where top = lam + mu - nu; its
     root-lattice membership is tested once, on coordinates scaled by d.  The
     shifts are nonpositive, so every argument is bounded by top, and only
-    the nonnegative ones are kept: P vanishes elsewhere.  Both lists are
-    empty off the root lattice or when top is not >= 0.
+    the nonnegative ones are kept: P vanishes elsewhere.  Both shift lists
+    are sorted by first coordinate, so each loop stops at its first shift
+    whose first coordinate goes below 0.  Both lists are empty off the root
+    lattice or when top is not >= 0.
     """
     plus: list[tuple[int, ...]] = []
     minus: list[tuple[int, ...]] = []
@@ -301,13 +324,17 @@ def _steinberg_terms(rs: RootSystem, lam, mu, nu) -> tuple[list[tuple[int, ...]]
     if min(top) < 0:
         return plus, minus
     right = _weyl_shifts(rs.family, rs.rank, mu)
+    low = -top[0]
     for s1, a in _weyl_shifts(rs.family, rs.rank, lam):
+        if a[0] < low:
+            break  # the left list is sorted by first coordinate: so is every later shift
         a = tuple(map(add, a, top))
         if min(a) < 0:
             continue
         same, other = (plus, minus) if s1 > 0 else (minus, plus)
+        low_b = -a[0]
         for s2, b in right:
-            if a[0] + b[0] < 0:
+            if b[0] < low_b:
                 break  # right is sorted by first coordinate: so is every later pair
             sigma = tuple(map(add, a, b))
             if min(sigma) >= 0:

@@ -21,8 +21,9 @@ from hornvol.ehrhart import (
     stretching_quasi_polynomial,
     stretching_samples,
 )
-from hornvol.multiplicity import lr_klimyk, lr_steinberg
-from hornvol.rootsys import build_root_system
+from hornvol.multiplicity import lr_klimyk, lr_steinberg, tensor_decompose
+from hornvol.rootsys import build_root_system, polytope_degree
+from refusal import answer_or_refuse
 
 B2 = build_root_system("B", 2)
 B3 = build_root_system("B", 3)
@@ -197,15 +198,16 @@ def vandermonde_fit(samples: dict[int, int], degree: int, period: int) -> QuasiP
 
 
 @st.composite
-def integer_samples(draw):
+def integer_samples(draw, spare: int = 0):
     """Samples of an integer-valued quasi-polynomial (binomial basis per class) at random s,
-    so the nodes need not be equally spaced, maybe with one redundant sample off."""
+    so the nodes need not be equally spaced, maybe with one redundant sample off; each
+    class has at least `spare` redundant samples."""
     period, degree = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     smax = period * (degree + 4)
     samples, redundant = {}, []
     for r in range(period):
         a = [draw(st.integers(-50, 50)) for _ in range(degree + 1)]
-        nodes = sorted(draw(st.sets(st.sampled_from(range(r, smax + 1, period)), min_size=degree + 1)))
+        nodes = sorted(draw(st.sets(st.sampled_from(range(r, smax + 1, period)), min_size=degree + 1 + spare)))
         if nodes[0] == 0:
             a[0] = 1  # P(0) = 1, as the fit requires
         samples.update({s: sum(ak * comb(s, k) for k, ak in enumerate(a)) for s in nodes})
@@ -269,3 +271,146 @@ def test_samples_accept_a_one_shot_iterator():
     expected = stretching_samples(B3, lam, mu, nu, [0, 1, 2])
     assert stretching_samples(B3, lam, mu, nu, iter([0, 1, 2])) == expected
     assert list(expected) == [0, 1, 2] and expected[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the public entry points answer or refuse
+
+#: algebra and largest label drawn for the stretching entry points
+STRETCH_ALGEBRAS = {"A2": (build_root_system("A", 2), 2), "B2": (B2, 2), "B3": (B3, 1), "G2": (build_root_system("G2"), 1)}
+#: every family, the exceptional ones included; the default period is fitted on ranks <= 3
+PERIOD_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "G2", "F4", "E6", "E7", "E8")
+
+
+def drawn_labels(rank: int, top: int):
+    """rank entries, or one fewer or one more: ints in [-1, top] or, a quarter of the time,
+    Fractions in [-1, top] of denominator up to 2 (integral ones among them)."""
+    entries = st.sampled_from([st.integers(-1, top)] * 3 + [st.fractions(-1, top, max_denominator=2)])
+    sizes = st.sampled_from([rank] * 4 + [rank - 1, rank + 1])
+    return st.tuples(entries, sizes).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]).map(tuple))
+
+
+def dominant(rs, weights) -> bool:
+    return all(len(w) == rs.rank and all(v >= 0 and Q(v).denominator == 1 for v in w) for w in weights)
+
+
+def klimyk_stretched(rs, weights, s: int) -> int:
+    """C_{s lam, s mu}^{s nu} by Klimyk's route, which reads no Kostant value; 1 at s = 0."""
+    return lr_klimyk(rs, *(tuple(s * int(v) for v in w) for w in weights)) if s else 1
+
+
+def fits(quasi: QuasiPolynomial, samples: dict[int, int], degree: int, period: int) -> bool:
+    """Whether quasi has the declared shape and reproduces every sample."""
+    return (quasi.period == period and sorted(quasi.coeffs) == list(range(period))
+            and all(len(cs) == degree + 1 for cs in quasi.coeffs.values())
+            and all(quasi.evaluate(s) == v for s, v in samples.items()))
+
+
+def fit_refused(samples: dict[int, int], degree: int, period: int) -> bool:
+    """Whether no fit of this degree and period exists, decided by the Vandermonde solve."""
+    if period < 1 or degree < 0 or samples.get(0, 1) != 1:
+        return True
+    if any(sum(s % period == r for s in samples) < degree + 1 for r in range(period)):
+        return True
+    try:
+        vandermonde_fit(samples, degree, period)
+    except InconsistentSamplesError:
+        return True
+    return False
+
+
+def check_fit_quasi_polynomial(data):
+    # a spare sample per class lets a slice with a negative degree reproduce the samples
+    samples, degree, period = data.draw(integer_samples(spare=1))
+    degree = data.draw(st.sampled_from([degree, degree - 1, degree + 1, -2, -1]))
+    period = data.draw(st.one_of(st.just(period), st.integers(-1, 3)))
+    zero = data.draw(st.sampled_from([None, None, None, 0, 2]))
+    if zero is not None:
+        samples[0] = zero
+    quasi = answer_or_refuse(lambda: fit_quasi_polynomial(samples, degree, period), fit_refused(samples, degree, period))
+    assert quasi is None or fits(quasi, samples, degree, period)
+
+
+def check_leading_coefficient(data):
+    period, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    lead = data.draw(st.fractions(-3, 3, max_denominator=4))
+    classes = {}
+    for r in range(period):
+        kind = data.draw(st.sampled_from(["zero", "lead", "other"]))
+        low = tuple(data.draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(degree))
+        if kind == "zero":
+            classes[r] = (Q(0),) * (degree + 1)
+        else:
+            classes[r] = low + (lead if kind == "lead" else data.draw(st.fractions(-3, 3, max_denominator=4)),)
+    leads = {cs[-1] for cs in classes.values() if any(cs)}
+    quasi = QuasiPolynomial(period=period, coeffs=classes)
+    value = answer_or_refuse(lambda: leading_coefficient(quasi), len(leads) > 1)
+    assert value is None or value == (leads.pop() if leads else 0)
+
+
+def check_default_period(data):
+    name = data.draw(st.sampled_from(PERIOD_ALGEBRAS))
+    rs = build_root_system(name[0], int(name[1])) if name[0] in "ABCD" else build_root_system(name)
+    period = answer_or_refuse(lambda: default_period(rs), rs.family not in ("A", "B", "C", "D"))
+    if period is None or rs.rank > 3:
+        return
+    # the default fits every compatible triple: one drawn from a decomposition
+    lam, mu = (data.draw(st.tuples(*[st.integers(0, 1)] * rs.rank)) for _ in range(2))
+    nu = data.draw(st.sampled_from(sorted(tensor_decompose(rs, lam, mu))))
+    quasi, samples = stretching_quasi_polynomial(rs, lam, mu, nu)
+    assert quasi.period == period and fits(quasi, samples, polytope_degree(rs.family, rs.rank), period)
+
+
+def check_stretching_samples(data):
+    rs, top = STRETCH_ALGEBRAS[data.draw(st.sampled_from(sorted(STRETCH_ALGEBRAS)))]
+    weights = [data.draw(drawn_labels(rs.rank, top)) for _ in range(3)]
+    s_values = data.draw(st.one_of(st.lists(st.integers(-1, 3), max_size=4), st.sampled_from([[], [0]])))
+    # a negative s leaves only the zero triple dominant
+    refused = not dominant(rs, weights) or (min(s_values, default=0) < 0 and any(map(any, weights)))
+    got = answer_or_refuse(lambda: stretching_samples(rs, *weights, s_values), refused)
+    if got is not None:
+        assert list(got) == list(dict.fromkeys(s_values))
+        assert got == {s: klimyk_stretched(rs, weights, s) for s in s_values}
+
+
+def check_stretching_quasi_polynomial(data):
+    rs, top = STRETCH_ALGEBRAS[data.draw(st.sampled_from(sorted(STRETCH_ALGEBRAS)))]
+    weights = [data.draw(drawn_labels(rs.rank, top)) for _ in range(3)]
+    period = data.draw(st.one_of(st.none(), st.integers(-1, 2)))
+    smax = data.draw(st.one_of(st.none(), st.integers(-1, 8)))
+    degree = polytope_degree(rs.family, rs.rank)
+    p = period if period is not None else {"A": 1, "B": 2}.get(rs.family)
+    expected = None
+    if dominant(rs, weights) and p is not None and p >= 1:
+        n = smax if smax is not None else p * (degree + 1)
+        expected = stretching_samples(rs, *weights, range(1, n + 1))
+        if any(expected.values()):
+            expected[0] = 1
+    refused = expected is None or fit_refused(expected, degree, p)
+    got = answer_or_refuse(lambda: stretching_quasi_polynomial(rs, *weights, period=period, smax=smax), refused)
+    if got is not None:
+        quasi, samples = got
+        assert samples == expected and fits(quasi, samples, degree, p)
+        assert all(samples[s] == klimyk_stretched(rs, weights, s) for s in samples if s <= 2)
+
+
+EHRHART_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
+    check_fit_quasi_polynomial, check_leading_coefficient, check_default_period,
+    check_stretching_samples, check_stretching_quasi_polynomial)}
+
+
+@pytest.mark.parametrize("entry", sorted(EHRHART_ENTRY_POINTS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_ehrhart_entry_points_answer_or_refuse(entry, data):
+    """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
+
+    Refused: a degree below 0 or a period below 1, P(0) other than 1, a
+    residue class with too few samples, samples no fit of the declared shape
+    reproduces, leading coefficients that differ across nonzero classes, an
+    algebra without a default period, weights that are not dominant integral
+    labels of the algebra's rank, and a dilation that is not.  Answers are
+    checked against Klimyk's multiplicities, a Vandermonde solve and, for the
+    default period, a fit of a compatible triple.  Nothing else escapes.
+    """
+    EHRHART_ENTRY_POINTS[entry](data)

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hornvol.rootsys import (
     build_root_system,
     is_compatible,
     weyl_dimension,
+    weyl_elements,
     weyl_group,
 )
 
@@ -521,6 +524,93 @@ def test_freudenthal_sums_to_weyl_dimension_and_is_weyl_invariant(name, data):
         for i in range(rs.rank):
             reflected = tuple(w[j] - w[i] * rs.cartan_matrix[i][j] for j in range(rs.rank))
             assert weights.get(reflected) == m
+
+
+# -- Steinberg's Weyl shift tables ----------------------------------------------
+
+
+def scaled_root_weyl_shifts(family: str, rank: int, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(eps(w), w(lam + rho) - (lam + rho)) for every Weyl element w.
+
+    The shifts lie in the root lattice and, lam + rho being dominant, have
+    nonpositive simple-root coordinates.  They are computed on coordinates
+    scaled by d, where the integer Weyl matrices act exactly, and divided
+    back; they are sorted by their first coordinate, largest first.
+    """
+    rs = build_root_system(family, rank)
+    d = rs.root_scale[0]
+    x = rs.scaled_root([v + 1 for v in lam])
+    out = []
+    for w in weyl_elements((family, rank)):
+        shift = [sum(map(mul, row, x)) - xi for row, xi in zip(w.matrix, x)]
+        if any(v % d for v in shift):
+            raise InvariantError(f"Weyl shift {shift}/{d} of {lam} is not in the root lattice")
+        out.append((w.sign, tuple(v // d for v in shift)))
+    return tuple(sorted(out, key=lambda t: -t[1][0]))
+
+
+def unpruned_steinberg_terms(rs, lam, mu, nu):
+    """Steinberg's (plus, minus) over every (w, w') pair with no early exit, from the reference shifts."""
+    plus, minus = [], []
+    d = rs.root_scale[0]
+    top = rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)])
+    if any(v % d for v in top):
+        return plus, minus
+    top = [v // d for v in top]
+    right = scaled_root_weyl_shifts(rs.family, rs.rank, mu)
+    for s1, a in scaled_root_weyl_shifts(rs.family, rs.rank, lam):
+        for s2, b in right:
+            sigma = tuple(map(sum, zip(top, a, b)))
+            if min(sigma) >= 0:
+                (plus if s1 * s2 > 0 else minus).append(sigma)
+    return plus, minus
+
+
+SHIFT_ALGEBRAS = {
+    **SMALL_ALGEBRAS,
+    "A3": build_root_system("A", 3),
+    "D4": build_root_system("D", 4),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SHIFT_ALGEBRAS)), st.data())
+def test_weyl_shifts_equal_the_scaled_root_computation(name, data):
+    """The integer shift maps give the scaled-root shifts exactly, in the same order."""
+    rs = SHIFT_ALGEBRAS[name]
+    lam = data.draw(st.tuples(*[st.integers(0, 60)] * rs.rank))
+    assert multiplicity._weyl_shifts(rs.family, rs.rank, lam) == scaled_root_weyl_shifts(rs.family, rs.rank, lam)
+
+
+@st.composite
+def dilated_triples(draw):
+    """(algebra, lam, mu, nu): labels <= 3 dilated by s <= 14, so B3 reaches the Ehrhart fit's largest triples."""
+    name = draw(st.sampled_from(sorted(SHIFT_ALGEBRAS)))
+    rank = SHIFT_ALGEBRAS[name].rank
+    s = draw(st.integers(1, 14))
+    return (name, *(tuple(s * v for v in draw(st.tuples(*[st.integers(0, 3)] * rank))) for _ in range(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dilated_triples())
+@example(("B3", (28, 28, 28), (28, 28, 14), (14, 14, 14)))
+@example(("B3", (14, 14, 14), (14, 14, 14), (28, 28, 28)))
+def test_steinberg_terms_equal_the_unpruned_double_loop(case):
+    name, lam, mu, nu = case
+    rs = SHIFT_ALGEBRAS[name]
+    assert multiplicity._steinberg_terms(rs, lam, mu, nu) == unpruned_steinberg_terms(rs, lam, mu, nu)
+
+
+def test_a_shift_map_off_the_root_lattice_raises(monkeypatch):
+    # a root_scale whose d is doubled claims half the true coordinates
+    d, scaled = B2.root_scale
+    monkeypatch.setattr(multiplicity, "build_root_system", lambda *a: dataclasses.replace(B2, root_scale=(2 * d, scaled)))
+    multiplicity._weyl_shift_maps.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="not in the root lattice"):
+            multiplicity._weyl_shift_maps("B", 2)
+    finally:
+        multiplicity._weyl_shift_maps.cache_clear()
 
 
 # -- a caller's Kostant table and the tau range of lr_triple -------------------

@@ -29,6 +29,51 @@ def test_steinberg_missing_one_plus_term_makes_lr_exit_1(which, monkeypatch, cap
     assert "agree: yes" not in capsys.readouterr().out
 
 
+@pytest.fixture
+def fresh_shift_tables():
+    """Empty the Weyl shift caches before and after the test, so no faulted table outlives it."""
+    for cached in (multiplicity._weyl_shift_maps, multiplicity._weyl_shifts):
+        cached.cache_clear()
+    yield
+    for cached in (multiplicity._weyl_shift_maps, multiplicity._weyl_shifts):
+        cached.cache_clear()
+
+
+def plant_shift_maps(monkeypatch, fault):
+    """Serve the B2 shift maps through fault(list of maps) -> maps."""
+    maps = multiplicity._weyl_shift_maps
+
+    def faulty(family, rank):
+        out = maps(family, rank)
+        return tuple(fault(list(out))) if (family, rank) == ("B", 2) else out
+
+    monkeypatch.setattr(multiplicity, "_weyl_shift_maps", faulty)
+
+
+# The Steinberg sum of this triple reads the terms of the identity and the two
+# simple reflections, the first three Weyl elements; every other element puts
+# an argument below 0 (the property tests of test_multiplicity cover them).
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_a_missing_weyl_shift_map_makes_lr_exit_1(dropped, fresh_shift_tables, monkeypatch, capsys):
+    plant_shift_maps(monkeypatch, lambda maps: maps[:dropped] + maps[dropped + 1:])
+    assert main(["lr", "B2", "5,6", "3,4", "6,4", "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("element,row,col", [(0, 0, 1), (1, 0, 0), (2, 1, 1)])
+def test_a_shift_map_entry_off_by_one_makes_lr_exit_1(element, row, col, fresh_shift_tables, monkeypatch, capsys):
+    def off_by_one(maps):
+        sign, k = maps[element]
+        k = [list(r) for r in k]
+        k[row][col] += 1
+        maps[element] = (sign, tuple(map(tuple, k)))
+        return maps
+
+    plant_shift_maps(monkeypatch, off_by_one)
+    assert main(["lr", "B2", "5,6", "3,4", "6,4", "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("dropped", B3_ROOTS)
 def test_a_kostant_sweep_missing_one_root_makes_b3_volume_exit_1(dropped, monkeypatch, capsys):
     """The lr route gives 241/48 on (2,2,2)^3 without Kostant's function; the Ehrhart

@@ -1,8 +1,6 @@
 import math
-import traceback
 import tracemalloc
 from fractions import Fraction as Q
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +44,8 @@ from hornvol.volume import (
 from horn_reference import horn_contains_reference
 from orbit_reference import b2_frequencies, b2_orbit_points
 from poly2 import p2_mul
+from refusal import answer_or_refuse
 from test_volume import DELTA_B2, poly, regular_third_pairs
-
-PACKAGE = Path(sampler.__file__).parent
 
 
 def test_haar_matrices_are_special_orthogonal():
@@ -641,21 +638,6 @@ grid_edges = st.one_of(st.lists(st.floats(-5, 60), max_size=6),
 
 def regular_ordered(*pairs) -> bool:
     return all(x1 > x2 > 0 for x1, x2 in pairs)
-
-
-def answer_or_refuse(call, refused: bool):
-    """call()'s value, or None where it raises a ValueError or an InvariantError, which it must iff refused.
-
-    A refusal must come from hornvol's own code, not from numpy inside it.
-    """
-    try:
-        value = call()
-    except (ValueError, InvariantError) as e:
-        assert refused, e
-        assert Path(traceback.extract_tb(e.__traceback__)[-1].filename).parent == PACKAGE, e
-        return None
-    assert not refused, value
-    return value
 
 
 def check_chi2_sf(data):
