@@ -31,7 +31,7 @@ from functools import cached_property
 from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
-from .ehrhart import QuasiPolynomial, fit_quasi_polynomial
+from .ehrhart import InconsistentSamplesError, QuasiPolynomial, fit_quasi_polynomial
 
 
 Point = tuple[Q, Q]
@@ -251,7 +251,12 @@ class RationalPolygon:
         return all(A * x + B * y > C if s or strict else A * x + B * y >= C for A, B, C, s in self._rows)
 
     def area(self) -> Q:
-        """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates."""
+        """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates.
+
+        An unbounded region raises UnboundedPolygonError.
+        """
+        if not self.is_bounded():
+            raise UnboundedPolygonError("area of an unbounded region")
         D, v = self._vertex_cycle
         if len(v) < 3:
             return Q(0)
@@ -259,8 +264,15 @@ class RationalPolygon:
         return Q(abs(s), 2 * D * D)
 
     def dilate(self, s) -> "RationalPolygon":
-        """The polygon scaled by s, row by row: each c becomes s*c."""
+        """The polygon scaled by s >= 0, row by row: each c becomes s*c.
+
+        s = 0 gives the point 0 for a bounded polygon, the value the Ehrhart
+        fits count there.  Rows scaled by s < 0 do not cut out s P (the
+        inequalities would have to flip), so s < 0 raises ValueError.
+        """
         s = Q(s)
+        if s < 0:
+            raise ValueError(f"dilation by {s} < 0")
         p, q = s.numerator, s.denominator
         rows, dens = [], []
         for (A, B, C, strict), den in zip(self._rows, self._dens):
@@ -395,12 +407,19 @@ _BZ_B2_LABELS = tuple(label for *_, label in _BZ_B2_TEMPLATE)
 def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     """The B2 BZ polygon of a dominant rational triple.
 
-    The labels are Dynkin labels, ints or Fractions.  An empty intersection
+    The labels are Dynkin labels, two per weight, ints or Fractions;
+    anything else raises ValueError.  An empty intersection
     is a legal result (dim metadata -1).  The rows are those the
     RationalPolygon constructor would store for the 12 constraints of
     _BZ_B2_TEMPLATE.
     """
-    (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
+    try:
+        (l1, l2), (m1, m2), (n1, n2) = lam, mu, nu
+    except (TypeError, ValueError):
+        raise ValueError(f"bz_polygon_b2 needs two Dynkin labels per weight, got {lam}, {mu}, {nu}") from None
+    # one float label makes the sum a float
+    if not isinstance(l1 + l2 + m1 + m2 + n1 + n2, (int, Q)):
+        raise ValueError(f"bz_polygon_b2 needs int or Fraction labels, got {lam}, {mu}, {nu}")
     if min(l1, l2, m1, m2, n1, n2) < 0:
         raise ValueError("bz_polygon_b2 requires dominant weights")
     s1d, s2d = l1 + m1 - n1, l2 + m2 - n2
@@ -443,7 +462,9 @@ def _segment_relative_length(v0: Point, v1: Point) -> Q:
 def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
     """(boundary, interior) lattice point counts; relative interior for dim < 2.
 
-    Both are 0 when P has an elim that is not integral, as lattice_count.
+    Both are 0 when P has an elim that is not integral, as lattice_count.  A
+    segment's boundary points are its lattice ends that P contains (a strict
+    row may leave one out).
     """
     if not P._passes_filter():
         return (0, 0)
@@ -455,7 +476,7 @@ def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
         ends = sum(
             1
             for v in P.vertices
-            if v[0].denominator == 1 and v[1].denominator == 1
+            if v[0].denominator == 1 and v[1].denominator == 1 and P.contains(v)
         )
         return (ends, total - ends)
     if P.dim == 0:
@@ -476,6 +497,9 @@ class Degeneracy:
 
 
 def degeneracy_info(P: RationalPolygon) -> Degeneracy:
+    """The kind of P's closure; an unbounded region, which has no vertex cycle, raises UnboundedPolygonError."""
+    if not P.is_bounded():
+        raise UnboundedPolygonError("degeneracy_info of an unbounded region")
     d = P.dim
     if d == -1:
         return Degeneracy("Empty")
@@ -505,17 +529,25 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     b and i come from lattice scans of P, C = b + i; V is the exact area; L is
     twice the sub-leading coefficient of the stretching quasi-polynomial
     fitted from the dilations of P.  Violated assumptions (a non-constant
-    sub-leading coefficient) are reported in `notes`, never raised.
+    sub-leading coefficient, or no period-2 fit at all, as for vertices off
+    the half-integral lattice) are reported in `notes`, never raised.  The
+    fit takes P(0) = 1, which a polygon with a strict row need not meet, so
+    a strict row raises ValueError.
     """
     if P.dim != 2:
         raise DegeneratePolygonError("pick_relation_check needs a dim-2 polygon")
+    if any(strict for *_, strict in P._rows):
+        raise ValueError("pick_relation_check needs a closed polygon, without strict rows")
     V = P.area()
     b, i = boundary_interior_counts(P)
     C = b + i
     samples = {0: 1, 1: C}
     for s in range(2, 7):
         samples[s] = lattice_point_count(P.dilate(s))
-    quasi = fit_quasi_polynomial(samples, degree=2, period=2)
+    try:
+        quasi = fit_quasi_polynomial(samples, degree=2, period=2)
+    except InconsistentSamplesError as exc:
+        return PickReport(None, False, C, V, b, i, None, (f"no period-2 fit: {exc}",))
     notes: list[str] = []
     sub = {r: quasi.coeffs[r][1] for r in range(2)}
     if sub[0] != sub[1]:

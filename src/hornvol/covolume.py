@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from ._exact import InvariantError, det_bareiss, dot
-from .rootsys import CLASSICAL_MIN_RANK, RootSystem, build_root_system
+from .rootsys import CLASSICAL_MIN_RANK, RootSystem, algebra_key, build_root_system
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,9 @@ def formula_delta(rs: RootSystem) -> Q:
     return Q(rs.dual_coxeter_number) ** rs.rank / detC * ratios
 
 
-def table1_delta(family: str, rank: int) -> int:
-    """The tabulated closed-form squared covolume."""
+def table1_delta(family: str, rank: int | None = None) -> int:
+    """The tabulated closed-form squared covolume; a pair that names no algebra raises UnsupportedAlgebraError."""
+    family, rank = algebra_key(family, rank)
     if family == "A":
         return (rank + 1) ** (rank - 1)
     if family == "B":

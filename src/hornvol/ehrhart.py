@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import multiplicity
 from .rootsys import RootSystem, polytope_degree
@@ -188,10 +188,16 @@ def stretching_quasi_polynomial(
     The degree is that of the BZ polytope.  Samples run over
     s = 0 .. period*(degree+1) by default (one redundancy row per class).
     s = 0 contributes its conventional value 1 only when the polytope is
-    nonempty, i.e. when some positive dilation has a nonzero count.
+    nonempty, i.e. when some positive dilation has a nonzero count.  The
+    default period is default_period(rs) times the order k of lam + mu - nu
+    modulo the root lattice: only every k-th dilation is compatible, and
+    those are the dilations of the compatible triple k (lam, mu, nu).
     """
     if period is None:
         period = default_period(rs)
+        lam, mu, nu = (multiplicity._check_dominant(rs, w) for w in (lam, mu, nu))
+        d = rs.root_scale[0]
+        period *= d // gcd(d, *rs.scaled_root([x + y - z for x, y, z in zip(lam, mu, nu)]))
     degree = polytope_degree(rs.family, rs.rank)
     if smax is None:
         smax = period * (degree + 1)

@@ -293,12 +293,11 @@ def _scaled_inverse_transpose(cartan: Sequence[Sequence[int]]) -> tuple[int, tup
     return det // g, tuple(tuple(row[j] // g for row in adj) for j in range(len(adj)))
 
 
-@lru_cache(maxsize=None)
-def build_root_system(family: str, rank: int | None = None) -> RootSystem:
-    """Construct the root system for a classical family/rank or exceptional name.
+def algebra_key(family: str, rank: int | None = None) -> tuple[str, int]:
+    """(FAMILY, rank) of the algebra that family (any case) and rank name.
 
     Raises UnsupportedAlgebraError for invalid pairs (A: r>=1, B: r>=2,
-    C: r>=2, D: r>=3; exceptional ranks are fixed).
+    C: r>=2, D: r>=3; exceptional ranks are fixed, and may be left None).
     """
     family = family.upper()
     if family in EXCEPTIONAL_RANK:
@@ -315,7 +314,13 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
             raise UnsupportedAlgebraError(f"{family}_r requires r >= {minimum}")
     else:
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
+    return family, rank
 
+
+@lru_cache(maxsize=None)
+def build_root_system(family: str, rank: int | None = None) -> RootSystem:
+    """Construct the root system for a classical family/rank or exceptional name (see algebra_key)."""
+    family, rank = algebra_key(family, rank)
     simple = _simple_roots(family, rank)
     # twice the simple roots: integers in every realization (F4 and E6-E8 lose their halves)
     twice = [tuple(int(2 * v) for v in a) for a in simple]

@@ -13,6 +13,8 @@ B2 samples go from draw to histogram CHUNK at a time, so memory does not
 grow with N; sample i reads exponentials 2 i, 2 i + 1 of one stream and
 normals 7 i to 7 i + 6 of another, and every step is elementwise, so the
 chunk size changes no bit.  Histograms are deterministic given (N, seed).
+The chi-square reads bin masses of the exact density, by Green's theorem and
+Gauss-Legendre rules exact on its polynomial cells (expected_bin_probabilities).
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import numpy as np
 
 from ._exact import InvariantError
 from .volume import (
+    _cells_of,
     _check_regular_ordered,
     horn_polygon,
     horn_slabs,
     pdf_scale,
-    piecewise_analyze_b2,
     so2_support,
     _qpair,
     PiecewiseQuadratic,
@@ -272,45 +274,6 @@ _GL4_NODES = np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848
 _GL4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538])
 
 
-def _poly_mul(p: dict, r: dict) -> dict:
-    """The product of two polynomials stored as {(i, j): coefficient of u^i v^j}."""
-    out: dict = {}
-    for (a, b), s in p.items():
-        for (c, d), t in r.items():
-            k = (a + c, b + d)
-            out[k] = out[k] + s * t if k in out else s * t
-    return out
-
-
-def _local_antiderivatives(cells, scale: Q) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's origin o, its first vertex, and the density's antiderivative about it.
-
-    Returns o, shape (cells, 2), and c, shape (8, 8, cells), such that
-    F(u, v) = sum c[a, b] u^a v^b = int_0^u f(o + (s, v)) ds, f the density
-    scale Delta(gamma) J(gamma) on the cell.  In lattice form (see QuadCell),
-    P = D o + (U, V), f is scale / (32 D^6) times h(U, V) = Delta(P) q(P),
-    an integer polynomial: q and Delta are expanded about D o in Python ints,
-    all cells at once, and each coefficient of F is one int / int ratio,
-    rounded once.  About o the values of F stay of the order of the cell's
-    mass; about the gamma origin they grow with the coordinates, 15 or more
-    on some pairs, and cancel in the sums.
-    """
-    D = cells[0].D
-    X, Y = (np.array([c.lattice[0][k] for c in cells], dtype=object) for k in (0, 1))
-    q0, qx, qy, qxx, qxy, qyy = np.array([c.q for c in cells], dtype=object).T
-    h = {(0, 0): q0 + (qx + qxx * X + qxy * Y) * X + (qy + qyy * Y) * Y,
-         (1, 0): qx + 2 * qxx * X + qxy * Y, (0, 1): qy + qxy * X + 2 * qyy * Y,
-         (2, 0): qxx, (1, 1): qxy, (0, 2): qyy}
-    # Delta(P) = Px Py (Px^2 - Py^2), Px = X + U and Py = Y + V
-    for factor in ({(0, 0): X * Y, (1, 0): Y, (0, 1): X, (1, 1): 1},
-                   {(0, 0): X * X - Y * Y, (1, 0): 2 * X, (0, 1): -2 * Y, (2, 0): 1, (0, 2): -1}):
-        h = _poly_mul(h, factor)
-    coef = np.zeros((8, 8, len(cells)))
-    for (a, b), n in h.items():
-        coef[a + 1, b] = n * scale.numerator / (scale.denominator * 32 * (a + 1) * D ** (6 - a - b))
-    return np.array([c.lattice[0] for c in cells], dtype=float) / D, coef
-
-
 def _index_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, k) for every k in [lo[i], hi[i]), i ascending."""
     n = np.maximum(hi - lo, 0)
@@ -331,17 +294,18 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     dy != 0 and all chords of all cells are cut at the grid lines they
     cross, found by searchsorted, and every piece, which lies in one bin, is
     integrated by 4-point Gauss-Legendre in one pass, exact because F has
-    degree 7 along a line.  F is one coefficient array per cell about its
-    own origin (see _local_antiderivatives), rounded once from the integer
-    cell form, so the only error is roundoff.
+    degree 7 along a line.  F is the same rule on f from the cell's first
+    vertex, exact as f has degree 6 along x.  f = scale / (32 D^6) Delta(P)
+    q(P) in lattice form (see QuadCell), q expanded about that vertex in ints
+    (about the gamma origin its terms grow and cancel), so the only error is roundoff.
 
     The x edges must span the polygon's x range and the y edges its y range,
     compared in floats (sample_b2_spectrum's edges run between the rounded
-    extremes); UncoveredSupportError is raised otherwise.
+    extremes); UncoveredSupportError is raised otherwise, and CellPairError
+    for a pw of another pair.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
-    if pw is None:
-        pw = piecewise_analyze_b2(alpha, beta)
+    pw = _cells_of(alpha, beta, pw)
     ex, ey = edges
     D = pw.cells[0].D
     # every cell edge p -> r, cell by cell
@@ -355,8 +319,14 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
         if not e[0] <= v.min() <= v.max() <= e[-1]:
             raise UncoveredSupportError(f"the {axis} edges [{e[0]}, {e[-1]}] do not span the Horn polygon's "
                                         f"{axis} range [{v.min()}, {v.max()}]")
-    scale = pdf_scale(alpha, beta)
-    origin, coef = _local_antiderivatives(pw.cells, scale)
+    # q(X + U, Y + V) = sum h_ab U^a V^b about each cell's first vertex (X, Y), in ints;
+    # with U = D u, f = scale / 32 Delta(gamma) sum h_ab D^(a+b-2) u^a v^b, each ratio rounded once
+    local = []
+    for c in pw.cells:
+        (X, Y), (q0, qx, qy, qxx, qxy, qyy) = c.lattice[0], c.q
+        local.append((X / D, Y / D, (q0 + (qx + qxx * X + qxy * Y) * X + (qy + qyy * Y) * Y) / (D * D),
+                      (qx + 2 * qxx * X + qxy * Y) / D, (qy + qxy * X + 2 * qyy * Y) / D, qxx, qxy, qyy))
+    local = np.array(local, dtype=float).T
 
     # the chords: each column line strictly inside a cell's x range, from the
     # cell's lower boundary (there the largest line of an edge running right)
@@ -405,18 +375,21 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     nx, ny = len(ex) - 1, len(ey) - 1
     col, band = np.clip(col, 0, nx - 1), np.clip(band, 0, ny - 1)
 
-    # F dy by Gauss-Legendre on each piece, F in its cell's local coordinates
-    tn = mid[:, None] + half[:, None] * _GL4_NODES
-    pc = scell[seg]
-    u = (x0[seg] - origin[pc, 0])[:, None] + tn * dx[seg, None]
-    v = (y0[seg] - origin[pc, 1])[:, None] + tn * dy[seg, None]
-    F = 0.0
-    for a in range(7, 0, -1):
-        p = coef[a, 7 - a][pc, None]
-        for b in range(6 - a, -1, -1):
-            p = p * v + coef[a, b][pc, None]
-        F = (F + p) * u
-    mass = (F @ _GL4_WEIGHTS) * half * dy[seg]
+    # F dy by Gauss-Legendre on each piece, and F by the same rule from the cell's first vertex
+    ox, oy, h00, h10, h01, h20, h11, h02 = local[:, scell[seg]]
+    u0, v0, du, dv = x0[seg] - ox, y0[seg] - oy, dx[seg], dy[seg]
+    mass = 0.0
+    for node, w in zip(_GL4_NODES, _GL4_WEIGHTS):
+        t = mid + half * node
+        u, v = u0 + t * du, v0 + t * dv
+        qv, qu, gy = h00 + (h01 + h02 * v) * v, h10 + h11 * v, oy + v
+        F = 0.0
+        for inner, wi in zip(_GL4_NODES, _GL4_WEIGHTS):
+            s = u * ((1 + inner) / 2)
+            gx = ox + s
+            F = F + wi * (gx * gy * (gx - gy) * (gx + gy)) * (qv + (qu + h20 * s) * s)
+        mass = mass + w * F * u
+    mass = mass * (float(pdf_scale(alpha, beta)) / 64) * half * dv
     # a chord also bounds the column on its right, run down
     ch = seg >= n_edges
     idx = np.r_[col * ny + band, (col[ch] + 1) * ny + band[ch]]

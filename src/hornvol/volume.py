@@ -45,6 +45,10 @@ class PiecewiseFitError(ValueError):
     pass
 
 
+class CellPairError(ValueError):
+    """A cell analysis passed along with a pair it was not made for."""
+
+
 def b2() -> RootSystem:
     return build_root_system("B", 2)
 
@@ -498,6 +502,18 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     return PiecewiseQuadratic(alpha=alpha, beta=beta, swapped=swapped, cells=fitted, walls=tuple(walls))
 
 
+def _cells_of(alpha: Pair, beta: Pair, pw: PiecewiseQuadratic | None) -> PiecewiseQuadratic:
+    """pw, or the cell analysis of (alpha, beta) when pw is None; a pw of another pair raises CellPairError.
+
+    The pairs are compared unordered, since piecewise_analyze_b2 may swap them.
+    """
+    if pw is None:
+        return piecewise_analyze_b2(alpha, beta)
+    if (pw.alpha, pw.beta) not in ((alpha, beta), (beta, alpha)):
+        raise CellPairError(f"the cells of {(pw.alpha, pw.beta)} are not those of {(alpha, beta)}")
+    return pw
+
+
 def _half_delta_squared(a: int, b: int, level: int) -> tuple[int, ...]:
     """(1/2) Delta^2 of the line a Px + b Py = level in lattice form (see QuadCell):
     k (a Px + b Py - level)^2, k = 16 on g1 and g2 lines and 8 on g1 +- g2 lines."""
@@ -658,10 +674,10 @@ def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None
     In lattice form (see QuadCell) Delta(gamma) J(gamma) dgamma is
     Delta(P) q(P) dP / (32 D^8); each cell's integral is one integer over a
     fixed denominator (_delta_moment), and one Fraction is made at the end.
+    A pw of another pair raises CellPairError.
     """
     alpha, beta = _qpair(alpha), _qpair(beta)
-    if pw is None:
-        pw = piecewise_analyze_b2(alpha, beta)
+    pw = _cells_of(alpha, beta, pw)
     total = sum(_delta_moment(c.lattice, c.q) for c in pw.cells)
     D = pw.cells[0].D
     return pdf_scale(alpha, beta) * Q(total, _MOMENT_DEN * 32 * D**8)

@@ -21,6 +21,7 @@ from hornvol.bzpolytope import (
 from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system, is_compatible
 from hornvol.volume import horn_polygon
+from refusal import answer_or_refuse
 
 B2 = build_root_system("B", 2)
 
@@ -518,6 +519,10 @@ def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
 @given(st.lists(rationals(0, 12), min_size=6, max_size=6), rationals(-6, 6))
 def test_rational_dilation_matches_the_fraction_constructor(labels, s):
     P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    if s < 0:  # rows scaled by s < 0 do not cut out s P
+        with pytest.raises(ValueError):
+            P.dilate(s)
+        s = -s
     D = P.dilate(s)
     R = RationalPolygon(*fraction_dilation(P.constraints, P.elim, s))
     assert stored(D) == stored(R)
@@ -637,6 +642,11 @@ def test_constraints_rebuild_the_polygon(labels, pair, s):
     # int and half-integer BZ labels, a Horn polygon, and the dilations of both
     bz = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
     horn = horn_polygon(*pair)
+    if s < 0:  # rows scaled by s < 0 do not cut out s P
+        for P in (bz, horn):
+            with pytest.raises(ValueError):
+                P.dilate(s)
+        s = -s
     for P in (bz, bz.dilate(s), horn, horn.dilate(s)):
         R = RationalPolygon(P.constraints, P.elim)
         assert stored(R) == stored(P) and R.elim == P.elim
@@ -695,8 +705,134 @@ def test_integer_hull_matches_the_fraction_hull(points, data):
 def test_dilating_a_system_matches_the_fraction_constructor(system, s):
     # strict rows, labels and elim survive the row-by-row scaling
     P, hps, _ = system
+    if s < 0:  # rows scaled by s < 0 do not cut out s P
+        with pytest.raises(ValueError):
+            P.dilate(s)
+        s = -s
     D = P.dilate(s)
     R = RationalPolygon(*fraction_dilation(hps, P.elim, s))
     assert stored(D) == stored(R)
     assert D.elim == R.elim
     assert D.lattice_count(strict_all=False) == R.lattice_count()
+
+
+# ---------------------------------------------------------------------------
+# the public entry points answer or refuse
+
+#: labels: ints and Fractions from -1 up, and now and then a float
+bz_labels = st.one_of(st.integers(-1, 6), st.integers(-1, 6), st.fractions(-1, 6, max_denominator=2), st.floats(0, 6))
+#: weights of two labels, one or three a third of the time
+bz_weights = st.sampled_from([2, 2, 2, 2, 1, 3]).flatmap(lambda n: st.tuples(*[bz_labels] * n))
+
+
+@st.composite
+def drawn_polygons(draw):
+    """(P, constraints, box): a boxed system or a B2 BZ polygon with its box, or an unbounded system with box None.
+
+    The BZ polygons, closed with half-integral vertices, are the ones Pick's check answers on.
+    """
+    kind = draw(st.sampled_from(["boxed", "bz", "unbounded"]))
+    if kind == "boxed":
+        return draw(boxed_systems())
+    if kind == "bz":
+        l1, l2, *labels = draw(st.lists(st.integers(0, 6), min_size=6, max_size=6))
+        P = bz_polygon_b2((l1, l2), labels[:2], labels[2:])
+        # x = t0(0) <= lam2 and y = t1(1) <= lam1
+        return P, list(P.constraints), (0, l2, 0, l1)
+    P = draw(unbounded_systems())
+    return P, list(P.constraints), None
+
+
+def check_bz_polygon_b2(data):
+    weights = [data.draw(bz_weights) for _ in range(3)]
+    refused = not all(len(w) == 2 and all(type(v) in (int, Q) and v >= 0 for v in w) for w in weights)
+    P = answer_or_refuse(lambda: bz_polygon_b2(*weights), refused)
+    if P is not None:
+        rows, sigma = reference_bz_b2(*weights)
+        assert abc(P) == rows and P.elim == sigma and P.is_bounded()
+        if all(Q(v).denominator == 1 for w in weights for v in w):
+            assert lattice_point_count(P) == lr_steinberg(B2, *(tuple(int(v) for v in w) for w in weights))
+
+
+def check_rational_polygon(data):
+    hps = data.draw(st.lists(st.tuples(coefficient, coefficient, rationals(-20, 20), st.booleans(), st.just("h")),
+                             max_size=5))
+    elim = data.draw(st.sampled_from([None, (Q(3), Q(-2)), (1, Q(1, 2))]))
+    P = answer_or_refuse(lambda: RationalPolygon(hps, elim), any(a == b == 0 for a, b, *_ in hps))
+    if P is not None:
+        assert P.constraints == tuple(hps)
+        assert P.elim == (None if elim is None else tuple(map(Q, elim)))
+
+
+def check_dilate(data):
+    P, _, box = data.draw(drawn_polygons())
+    s = data.draw(st.integers(-3, 6) | rationals(-6, 6))
+    D = answer_or_refuse(lambda: P.dilate(s), s < 0)
+    if D is not None:
+        assert D.is_bounded() == (box is not None)
+        if s > 0:
+            assert D.vertices == tuple((s * x, s * y) for x, y in P.vertices)
+        elif box is not None:
+            assert D.vertices == ((0, 0),)
+
+
+def check_area(data):
+    P, hps, box = data.draw(drawn_polygons())
+    area = answer_or_refuse(P.area, box is None)
+    assert area is None or area == fraction_area(fraction_vertices(hps))
+
+
+def check_lattice_point_count(data):
+    P, hps, box = data.draw(drawn_polygons())
+    count = answer_or_refuse(lambda: lattice_point_count(P), box is None)
+    assert count is None or count == brute_force_count(P, hps, box, strict_all=False)
+
+
+def check_boundary_interior_counts(data):
+    P, hps, box = data.draw(drawn_polygons())
+    counts = answer_or_refuse(lambda: boundary_interior_counts(P), box is None)
+    if counts is not None:
+        b, i = counts
+        assert b >= 0 and i >= 0 and b + i == brute_force_count(P, hps, box, strict_all=False)
+        if len(fraction_vertices(hps)) >= 3:
+            assert i == brute_force_count(P, hps, box, strict_all=True)
+
+
+def check_degeneracy_info(data):
+    P, hps, box = data.draw(drawn_polygons())
+    info = answer_or_refuse(lambda: degeneracy_info(P), box is None)
+    if info is not None:
+        # the kind of the closure, which the vertices span
+        assert info.kind == ("Empty", "Point", "Segment", "Full")[min(len(fraction_vertices(hps)), 3)]
+
+
+def check_pick_relation_check(data):
+    P, hps, box = data.draw(drawn_polygons())
+    vertices = fraction_vertices(hps)
+    # the fit from P(0) = 1 needs closed rows
+    closed = not any(h[3] for h in hps)
+    rep = answer_or_refuse(lambda: pick_relation_check(P), box is None or len(vertices) < 3 or not closed)
+    if rep is not None:
+        assert rep.count == rep.boundary + rep.interior == brute_force_count(P, hps, box, strict_all=False)
+        assert rep.area == fraction_area(vertices)
+        # Pick's theorem, where the relation finds p = 1, holds on every lattice polygon
+        if rep.p == 1 and all(v.denominator == 1 for p in vertices for v in p):
+            assert rep.holds
+
+
+BZPOLYTOPE_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
+    check_bz_polygon_b2, check_rational_polygon, check_dilate, check_area, check_lattice_point_count,
+    check_boundary_interior_counts, check_degeneracy_info, check_pick_relation_check)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BZPOLYTOPE_ENTRY_POINTS)), st.data())
+def test_bzpolytope_entry_points_answer_or_refuse(entry, data):
+    """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
+
+    Refused: weights that are not two dominant int or Fraction labels, a
+    constraint without a normal, a negative dilation, area, counts and
+    kinds of an unbounded region, and Pick's check of a polygon that is not
+    full or has a strict row.  Nothing else escapes.
+    """
+    BZPOLYTOPE_ENTRY_POINTS[entry](data)

@@ -109,6 +109,12 @@ def test_volume_rejects_incompatible_for_lr_route(capsys):
     assert rc == 2
 
 
+def test_ehrhart_refuses_a_triple_off_the_root_lattice(capsys):
+    # the library fits it with a longer default period; the command keeps refusing it
+    assert main(["ehrhart", "B3", "2,2,1", "2,2,2", "2,2,2"]) == 2
+    assert "not compatible" in capsys.readouterr().err
+
+
 def test_volume_without_c_kappa_table_names_the_algebra_once(capsys):
     assert main(["volume", "G2", "1,1", "1,1", "1,1"]) == 2
     err = capsys.readouterr().err

@@ -11,9 +11,11 @@ from hornvol.covolume import (
     covolume_markdown,
     formula_delta,
     gram_delta,
+    table1_delta,
     _nonsimple_in_simple_basis,
 )
 from hornvol.rootsys import CLASSICAL_MIN_RANK, build_root_system
+from refusal import answer_or_refuse
 
 
 def gram_by_roots(rows, rank):
@@ -131,3 +133,60 @@ def test_one_bareiss_pass_gives_the_determinant_and_the_adjugate(A):
     eye = [[det * (i == j) for j in range(n)] for i in range(n)]
     assert [[sum(A[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
     assert [[sum(adj[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
+
+
+# ---------------------------------------------------------------------------
+# the public entry points answer or refuse
+
+#: the exceptional algebras and their ranks
+FIXED_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+families = st.sampled_from(["A", "B", "C", "D", "a", "d", "G2", "g2", "F4", "E6", "E7", "E8", "E", "X", ""])
+ranks = st.one_of(st.none(), st.integers(-1, 7))
+
+
+def named_algebra(family: str, rank):
+    """(FAMILY, rank) of the algebra that family, in any case, and rank name, or None."""
+    f = family.upper()
+    if f in FIXED_RANK:
+        return (f, FIXED_RANK[f]) if rank in (None, FIXED_RANK[f]) else None
+    if f in CLASSICAL_MIN_RANK and rank is not None and rank >= CLASSICAL_MIN_RANK[f]:
+        return (f, rank)
+    return None
+
+
+def check_covolume_report(data):
+    family, rank = data.draw(families), data.draw(ranks)
+    algebra = named_algebra(family, rank)
+    rep = answer_or_refuse(lambda: covolume_report(family, rank), algebra is None)
+    if rep is not None:
+        assert (rep.family, rep.rank) == algebra and rep.agree and rep.delta_gram == rep.table1_value
+
+
+def check_table1_delta(data):
+    family, rank = data.draw(families), data.draw(ranks)
+    algebra = named_algebra(family, rank)
+    value = answer_or_refuse(lambda: table1_delta(family, rank), algebra is None)
+    if value is not None:
+        assert type(value) is int and value == gram_delta(build_root_system(*algebra))
+
+
+def check_covolume_table(data):
+    max_rank = data.draw(st.integers(-2, 6))
+    reports = answer_or_refuse(lambda: covolume_table(max_rank), False)
+    expected = [(f, r) for f, lo in CLASSICAL_MIN_RANK.items() for r in range(lo, max_rank + 1)]
+    assert [(rep.family, rep.rank) for rep in reports] == expected + [("G2", 2), ("F4", 4), ("E6", 6)]
+    assert all(rep.agree for rep in reports)
+
+
+COVOLUME_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
+    check_covolume_report, check_table1_delta, check_covolume_table)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(COVOLUME_ENTRY_POINTS)), st.data())
+def test_covolume_entry_points_answer_or_refuse(entry, data):
+    """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
+
+    Refused: a family and rank that name no algebra.  Nothing else escapes.
+    """
+    COVOLUME_ENTRY_POINTS[entry](data)

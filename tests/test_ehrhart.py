@@ -22,7 +22,7 @@ from hornvol.ehrhart import (
     stretching_samples,
 )
 from hornvol.multiplicity import lr_klimyk, lr_steinberg, tensor_decompose
-from hornvol.rootsys import build_root_system, polytope_degree
+from hornvol.rootsys import build_root_system, is_compatible, polytope_degree
 from refusal import answer_or_refuse
 
 B2 = build_root_system("B", 2)
@@ -167,6 +167,21 @@ def test_empty_polytope_fit_is_zero():
     assert 0 not in samples
     assert all(quasi.evaluate(s) == 0 for s in range(1, 7))
     assert leading_coefficient(quasi) == 0
+
+
+def test_default_period_covers_a_triple_off_the_root_lattice():
+    # lam + mu - nu = (2, 2, 1) has order 2 modulo the root lattice, so only even
+    # dilations are compatible: those of the doubled triple, of period 2 in its own s
+    lam, mu, nu = (2, 2, 1), (2, 2, 2), (2, 2, 2)
+    with pytest.raises(InconsistentSamplesError):
+        stretching_quasi_polynomial(B3, lam, mu, nu, period=2)
+    quasi, samples = stretching_quasi_polynomial(B3, lam, mu, nu)
+    doubled, _ = stretching_quasi_polynomial(B3, *(tuple(2 * v for v in w) for w in (lam, mu, nu)))
+    assert quasi.period == 4 and doubled.period == 2
+    assert all(v == 0 for s, v in samples.items() if s % 2)
+    assert leading_coefficient(quasi) == Q(35971, 15360) == leading_coefficient(doubled) / 2**6
+    quasi, _ = stretching_quasi_polynomial(B2, (3, 1), (2, 2), (2, 2))
+    assert quasi.period == 4 and leading_coefficient(quasi) == Q(7, 8)
 
 
 def test_non_integral_labels_are_refused():
@@ -380,6 +395,9 @@ def check_stretching_quasi_polynomial(data):
     smax = data.draw(st.one_of(st.none(), st.integers(-1, 8)))
     degree = polytope_degree(rs.family, rs.rank)
     p = period if period is not None else {"A": 1, "B": 2}.get(rs.family)
+    if period is None and p is not None and dominant(rs, weights):
+        # the default period times the order of lam + mu - nu modulo the root lattice
+        p *= next(k for k in range(1, 5) if is_compatible(rs, *(tuple(k * int(v) for v in w) for w in weights)))
     expected = None
     if dominant(rs, weights) and p is not None and p >= 1:
         n = smax if smax is not None else p * (degree + 1)

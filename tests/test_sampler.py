@@ -32,6 +32,7 @@ from hornvol.sampler import (
 )
 from hornvol.volume import (
     _QUAD_KEYS,
+    CellPairError,
     _qpair,
     delta_b2,
     horn_polygon,
@@ -246,7 +247,7 @@ def exact_bin_masses(alpha, beta, edges):
 @pytest.mark.parametrize("alpha,beta", [
     ((17, 4), (15, 9)),
     ((Q(11, 2), Q(3, 2)), (5, 2)),
-    # cells at g1 up to 15, where a density antiderivative about the gamma origin cancels
+    # cells at g1 up to 15, where q evaluated about the gamma origin, not the cell's vertex, cancels
     ((13, 12), (Q(3, 2), Q(1, 2))),
 ])
 def test_bin_masses_match_exact_reference(alpha, beta):
@@ -546,6 +547,26 @@ def test_expected_probabilities_sum_to_one():
     hist = sample_b2_spectrum((17, 4), (15, 9), 100, seed=8, bins=20)
     probs = expected_bin_probabilities((17, 4), (15, 9), hist.edges)
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def test_bin_masses_refuse_the_cells_of_another_pair():
+    # these cells gave bin masses summing to 0.827 for a pair they were not made for
+    pw = piecewise_analyze_b2((17, 4), (15, 9))
+    hist = sample_b2_spectrum((17, 5), (15, 9), 1000, seed=1, bins=10)
+    with pytest.raises(CellPairError):
+        expected_bin_probabilities((17, 5), (15, 9), hist.edges, pw)
+    with pytest.raises(CellPairError):
+        chi_square_vs_pdf(hist, (17, 5), (15, 9), pw)
+
+
+def test_bin_masses_take_their_cells_in_either_order():
+    pw = piecewise_analyze_b2((15, 9), (17, 4))
+    assert pw.swapped
+    hist = sample_b2_spectrum((15, 9), (17, 4), 1000, seed=1, bins=10)
+    probs = expected_bin_probabilities((15, 9), (17, 4), hist.edges)
+    for alpha, beta in (((15, 9), (17, 4)), ((17, 4), (15, 9))):
+        assert np.array_equal(expected_bin_probabilities(alpha, beta, hist.edges, pw), probs)
+    assert chi_square_vs_pdf(hist, (15, 9), (17, 4), pw) == chi_square_vs_pdf(hist, (15, 9), (17, 4))
 
 
 def test_bin_masses_refuse_edges_that_do_not_span_the_horn_polygon():

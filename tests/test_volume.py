@@ -22,6 +22,7 @@ from hornvol.rootsys import B2_SIGNED_PERMUTATIONS, apply_weyl, build_root_syste
 from hornvol.volume import (
     _CHAMBER_WALLS,
     _QUAD_KEYS,
+    CellPairError,
     IncompatibleTripleError,
     NotShiftableError,
     PiecewiseFitError,
@@ -1289,6 +1290,20 @@ def test_pdf_refuses_a_non_regular_pair(alpha):
 def test_pdf_normalization_exact():
     assert pdf_normalization_integral((17, 4), (15, 9)) == 1
     assert pdf_normalization_integral((Q(11, 2), Q(3, 2)), (5, 2)) == 1
+
+
+def test_pdf_normalization_refuses_the_cells_of_another_pair():
+    # these cells used to give 91/75 for a pair they were not made for
+    pw = piecewise_analyze_b2((17, 4), (15, 9))
+    with pytest.raises(CellPairError):
+        pdf_normalization_integral((15, 3), (17, 8), pw)
+
+
+def test_pdf_normalization_takes_its_cells_in_either_order():
+    pw = piecewise_analyze_b2((15, 9), (17, 4))
+    assert pw.swapped and (pw.alpha, pw.beta) == ((17, 4), (15, 9))
+    for alpha, beta in (((15, 9), (17, 4)), ((17, 4), (15, 9))):
+        assert pdf_normalization_integral(alpha, beta, pw) == 1
 
 
 def test_multiplicity_one_fails_to_scale_only_on_segments():
