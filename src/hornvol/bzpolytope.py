@@ -1,4 +1,4 @@
-"""The B2 Berenstein-Zelevinsky polygon in the (t0(0), t1(1)) plane.
+"""Closed, bounded polygons as integer rows, and the B2 Berenstein-Zelevinsky polygon.
 
 Four parameters t0(0), t-1(1), t0(1), t1(1) express sigma = lam + mu - nu
 over the positive roots; the two equality constraints
@@ -11,16 +11,17 @@ point only counts when the two eliminated parameters are integers as well,
 which for B2 is the statement that sigma lies in the root lattice.
 
 All geometry is exact and runs in integers.  A polygon keeps each of its
-constraints a*x + b*y >= c (> c when strict) as one integer row, the
-coefficients times den, the positive lcm of their denominators, and reads
-a, b and c back off the rows (`RationalPolygon.constraints`).  The B2 BZ
-polygon fills the 12 offsets of one fixed template (normals, labels,
-strictness; always bounded) and hands the rows to the polygon.  Lattice scans
-split the rows once per polygon and take their row bounds from integer
-floor division, vertices come from Cramer's rule and an integer convex hull
-on one common denominator, areas from the integer shoelace sum, and a
-dilation scales the integer rows.  Coefficients, vertices and areas are
-returned as Fractions.
+constraints a*x + b*y >= c as one integer row, the coefficients times den,
+the positive lcm of their denominators, and reads a, b and c back off the
+rows (`RationalPolygon.constraints`).  Every polygon is closed and bounded:
+the constructor refuses constraints whose normals leave a recession
+direction (UnboundedPolygonError).  The B2 BZ polygon fills the 12 offsets
+of one fixed template (normals and labels; always bounded) and hands the
+rows to the polygon.  Lattice scans split the rows once per polygon and
+take their row bounds from integer floor division, vertices come from
+Cramer's rule and an integer convex hull on one common denominator, areas
+from the integer shoelace sum, and a dilation scales the integer rows.
+Coefficients, vertices and areas are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .ehrhart import InconsistentSamplesError, QuasiPolynomial, fit_quasi_polyno
 
 
 Point = tuple[Q, Q]
-Row = tuple[int, int, int, bool]
+Row = tuple[int, int, int]
 
 
 class UnboundedPolygonError(ValueError):
@@ -46,7 +47,7 @@ class DegeneratePolygonError(ValueError):
     pass
 
 
-def _scaled_row(row: tuple[int, int, int], den: int, p: int, q: int) -> tuple[tuple[int, int, int], int]:
+def _scaled_row(row: Row, den: int, p: int, q: int) -> tuple[Row, int]:
     """The row and den of a*x + b*y >= (p/q)*c, for q > 0.
 
     The row becomes (q*A, q*B, p*C) over q*den, divided by gcd(q*den, q*A,
@@ -95,18 +96,18 @@ def _cramer_hull(points: list[tuple[int, int, int]]) -> tuple[int, list[tuple[in
     return D, _convex_hull([(xn * (D // det), yn * (D // det)) for xn, yn, det in points])
 
 
-def _normals_bounded(normals: list[tuple[int, int]]) -> bool:
-    """Whether half-planes with these inward normals always cut out a bounded region.
+def _normals_bounded(rows: Sequence[Row]) -> bool:
+    """Whether the rows' half-planes cut out a bounded region, whatever their offsets.
 
     A nonzero recession direction, if any, lies along one of the boundary
-    lines, so only the directions (-b, a) and (b, -a) need testing.  The
+    lines, so only the directions (-B, A) and (B, -A) need testing.  The
     answer ignores the normals' lengths, so a dilation keeps it.
     """
-    if not normals:
+    if not rows:
         return False
-    for a, b in normals:
-        for dx, dy in ((-b, a), (b, -a)):
-            if all(g * dx + h * dy >= 0 for g, h in normals):
+    for A, B, _ in rows:
+        for dx, dy in ((-B, A), (B, -A)):
+            if all(g * dx + h * dy >= 0 for g, h, _ in rows):
                 return False
     return True
 
@@ -114,8 +115,8 @@ def _normals_bounded(normals: list[tuple[int, int]]) -> bool:
 def _split_rows(rows: Sequence[Row], strict_all: bool):
     """The rows as integer bounds for a lattice scan: (ylo, yhi, xlo, xhi, lower, upper).
 
-    On integer points a strict A*x + B*y > C is A*x + B*y >= C + 1, so strict
-    rows (every row under strict_all) enter with C + 1.  Rows with A = 0
+    On integer points a strict A*x + B*y > C is A*x + B*y >= C + 1, so under
+    strict_all (the interior) every row enters with C + 1.  Rows with A = 0
     bound y alone and rows with B = 0 bound x alone: ylo, yhi, xlo and xhi
     are the tightest of those bounds, -inf or inf where there is none.
     lower and upper hold the other rows, with A > 0 and A < 0, as (A, B, C).
@@ -123,8 +124,8 @@ def _split_rows(rows: Sequence[Row], strict_all: bool):
     ylo = xlo = -inf
     yhi = xhi = inf
     lower, upper = [], []
-    for A, B, C, strict in rows:
-        if strict or strict_all:
+    for A, B, C in rows:
+        if strict_all:
             C += 1
         if A == 0:
             if B > 0:
@@ -150,7 +151,7 @@ def _split_rows(rows: Sequence[Row], strict_all: bool):
 
 
 class RationalPolygon:
-    """Intersection of rational constraints with a derived vertex cycle.
+    """A closed, bounded intersection of rational constraints, with a derived vertex cycle.
 
     `elim` carries the simple-root coordinates of sigma for BZ polygons, so
     lattice scans can demand integrality of the eliminated parameters.
@@ -159,33 +160,35 @@ class RationalPolygon:
     """
 
     def __init__(self, constraints: Iterable[tuple], elim: tuple[Q, Q] | None = None):
-        """The polygon of the constraints (a, b, c, strict, label): a*x + b*y >= c, or > c when strict.
+        """The polygon of the constraints (a, b, c, label): a*x + b*y >= c.
 
         a, b and c are ints or Fractions, and a = b = 0 raises ValueError.
-        Each constraint is stored as the integer row den * (a, b, c), den > 0
-        the lcm of the denominators of a, b and c.
+        Constraints that leave an unbounded region, whatever their offsets,
+        raise UnboundedPolygonError.  Each constraint is stored as the
+        integer row den * (a, b, c), den > 0 the lcm of the denominators of
+        a, b and c.
         """
         rows, dens, labels = [], [], []
-        for a, b, c, strict, label in constraints:
+        for a, b, c, label in constraints:
             den = lcm(a.denominator, b.denominator, c.denominator)
             A, B, C = (v.numerator * (den // v.denominator) for v in (a, b, c))
             if A == 0 and B == 0:
                 raise ValueError(f"degenerate constraint {label!r}: a = b = 0")
-            rows.append((A, B, C, strict))
+            rows.append((A, B, C))
             dens.append(den)
             labels.append(label)
+        if not _normals_bounded(rows):
+            raise UnboundedPolygonError(f"the constraints {labels} leave an unbounded region")
         self._set_rows(tuple(rows), tuple(dens), tuple(labels), None if elim is None else (Q(elim[0]), Q(elim[1])))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...],
-                   elim, bounded: bool) -> "RationalPolygon":
-        """A polygon of integer rows in the constructor's normal form, whose boundedness is known.
+    def _from_rows(cls, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...], elim) -> "RationalPolygon":
+        """A polygon of bounded integer rows in the constructor's normal form.
 
         `elim` is None or a pair of ints or Fractions.
         """
         P = object.__new__(cls)
         P._set_rows(rows, dens, labels, elim)
-        P._bounded = bounded
         return P
 
     def _set_rows(self, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...], elim) -> None:
@@ -197,30 +200,23 @@ class RationalPolygon:
         return None if self._elim is None else (Q(self._elim[0]), Q(self._elim[1]))
 
     @property
-    def constraints(self) -> tuple[tuple[Q, Q, Q, bool, str], ...]:
-        """The constraints (a, b, c, strict, label) read off the rows; the constructor rebuilds P from them."""
-        return tuple((Q(A, den), Q(B, den), Q(C, den), strict, label)
-                     for (A, B, C, strict), den, label in zip(self._rows, self._dens, self._labels))
+    def constraints(self) -> tuple[tuple[Q, Q, Q, str], ...]:
+        """The constraints (a, b, c, label) read off the rows; the constructor rebuilds P from them."""
+        return tuple((Q(A, den), Q(B, den), Q(C, den), label)
+                     for (A, B, C), den, label in zip(self._rows, self._dens, self._labels))
 
     # -- geometry ----------------------------------------------------------
-    @cached_property
-    def _bounded(self) -> bool:
-        return _normals_bounded([(A, B) for A, B, _, _ in self._rows])
-
-    def is_bounded(self) -> bool:
-        return self._bounded
-
     @cached_property
     def _vertex_cycle(self) -> tuple[int, list[tuple[int, int]]]:
         """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0.
 
         The candidates are pairwise line intersections by Cramer's rule, kept
-        when in the closure.
+        when in the polygon.
         """
         rows = self._rows
         pts: list[tuple[int, int, int]] = []
-        for i, (A1, B1, C1, _) in enumerate(rows):
-            for A2, B2, C2, _ in rows[i + 1:]:
+        for i, (A1, B1, C1) in enumerate(rows):
+            for A2, B2, C2 in rows[i + 1:]:
                 det = A1 * B2 - A2 * B1
                 if det == 0:
                     continue
@@ -228,8 +224,8 @@ class RationalPolygon:
                 yn = A1 * C2 - A2 * C1
                 if det < 0:
                     det, xn, yn = -det, -xn, -yn
-                # (xn/det, yn/det) lies in the closure iff A*xn + B*yn >= C*det
-                for A, B, C, _ in rows:
+                # (xn/det, yn/det) lies in the polygon iff A*xn + B*yn >= C*det
+                for A, B, C in rows:
                     if A * xn + B * yn < C * det:
                         break
                 else:
@@ -246,17 +242,12 @@ class RationalPolygon:
         return min(len(self._vertex_cycle[1]), 3) - 1
 
     def contains(self, p: Point, strict: bool = False) -> bool:
-        """Whether p meets every constraint: strictly under strict, else as each one's strictness says."""
+        """Whether p lies in P; under strict, whether p meets every constraint strictly (the interior of a full P)."""
         x, y = p  # den > 0, so the row's sign at p is that of a*x + b*y - c
-        return all(A * x + B * y > C if s or strict else A * x + B * y >= C for A, B, C, s in self._rows)
+        return all(A * x + B * y > C if strict else A * x + B * y >= C for A, B, C in self._rows)
 
     def area(self) -> Q:
-        """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates.
-
-        An unbounded region raises UnboundedPolygonError.
-        """
-        if not self.is_bounded():
-            raise UnboundedPolygonError("area of an unbounded region")
+        """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates."""
         D, v = self._vertex_cycle
         if len(v) < 3:
             return Q(0)
@@ -266,21 +257,17 @@ class RationalPolygon:
     def dilate(self, s) -> "RationalPolygon":
         """The polygon scaled by s >= 0, row by row: each c becomes s*c.
 
-        s = 0 gives the point 0 for a bounded polygon, the value the Ehrhart
-        fits count there.  Rows scaled by s < 0 do not cut out s P (the
-        inequalities would have to flip), so s < 0 raises ValueError.
+        s = 0 gives the point 0, the value the Ehrhart fits count there.
+        Rows scaled by s < 0 do not cut out s P (the inequalities would have
+        to flip), so s < 0 raises ValueError.
         """
         s = Q(s)
         if s < 0:
             raise ValueError(f"dilation by {s} < 0")
         p, q = s.numerator, s.denominator
-        rows, dens = [], []
-        for (A, B, C, strict), den in zip(self._rows, self._dens):
-            row, den = _scaled_row((A, B, C), den, p, q)
-            rows.append((*row, strict))
-            dens.append(den)
+        rows, dens = zip(*(_scaled_row(row, den, p, q) for row, den in zip(self._rows, self._dens)))
         elim = None if self._elim is None else tuple(_exact_div(e * p, q) for e in self._elim)
-        return RationalPolygon._from_rows(tuple(rows), tuple(dens), self._labels, elim, self._bounded)
+        return RationalPolygon._from_rows(rows, dens, self._labels, elim)
 
     # -- lattice scans -------------------------------------------------------
     def _passes_filter(self) -> bool:
@@ -290,14 +277,12 @@ class RationalPolygon:
         return self._elim[0].denominator == 1 and self._elim[1].denominator == 1
 
     def _row_counts(self, strict_all: bool) -> Iterable[tuple[int, int, int]]:
-        """Yield (y, xlo, xhi) for integer rows; honors per-constraint strictness.
+        """Yield (y, xlo, xhi) for integer rows of P, or of its interior under strict_all.
 
         Without rows bounding y alone on both sides the vertices bound y too.
         Boundedness guarantees rows with A > 0 and rows with A < 0, so every
         scanned y gets both an x lower and an x upper bound.
         """
-        if not self.is_bounded():
-            raise UnboundedPolygonError("lattice scan of an unbounded region")
         ylo, yhi, xlo, xhi, lower, upper = _split_rows(self._rows, True) if strict_all else self._split
         if ylo == -inf or yhi == inf:
             D, cycle = self._vertex_cycle
@@ -331,8 +316,8 @@ class RationalPolygon:
         D, cycle = self._vertex_cycle
         return {
             "halfplanes": [
-                {"a": _ratio(A, den), "b": _ratio(B, den), "c": _ratio(C, den), "strict": strict, "label": label}
-                for (A, B, C, strict), den, label in zip(self._rows, self._dens, self._labels)
+                {"a": _ratio(A, den), "b": _ratio(B, den), "c": _ratio(C, den), "strict": False, "label": label}
+                for (A, B, C), den, label in zip(self._rows, self._dens, self._labels)
             ],
             "vertices": [[_ratio(x, D), _ratio(y, D)] for x, y in cycle],
             "dim": self.dim,
@@ -385,21 +370,21 @@ def _exact_div(num, d):
 # BZ polygon construction for B2
 
 
-# The 12 constraints a*x + b*y >= c of the B2 BZ polygon as (a, b, strict, label),
+# The 12 constraints a*x + b*y >= c of the B2 BZ polygon as (a, b, label),
 # in the order bz_polygon_b2 gives their offsets c.
 _BZ_B2_TEMPLATE = (
-    (1, 0, False, "t0(0) >= 0"),
-    (0, 1, False, "t1(1) >= 0"),
-    (-1, -2, False, "t0(1) >= 2 t1(1)"),
-    (1, -2, False, "2 t-1(1) >= t0(1)"),
-    (0, -1, False, "lam1 >= t1(1)"),
-    (1, -1, False, "lam1 >= t0(1) - t-1(1)"),
-    (1, 1, False, "lam1 >= t-1(1) - t0(0)"),
-    (-1, 0, False, "lam2 >= t0(0)"),
-    (-1, -1, False, "mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
-    (0, -1, False, "mu1 >= t1(1)"),
-    (1, 0, False, "mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
-    (1, 2, False, "mu2 >= t0(1) - 2 t1(1)"),
+    (1, 0, "t0(0) >= 0"),
+    (0, 1, "t1(1) >= 0"),
+    (-1, -2, "t0(1) >= 2 t1(1)"),
+    (1, -2, "2 t-1(1) >= t0(1)"),
+    (0, -1, "lam1 >= t1(1)"),
+    (1, -1, "lam1 >= t0(1) - t-1(1)"),
+    (1, 1, "lam1 >= t-1(1) - t0(0)"),
+    (-1, 0, "lam2 >= t0(0)"),
+    (-1, -1, "mu1 >= t-1(1) + 2 t1(1) - t0(1)"),
+    (0, -1, "mu1 >= t1(1)"),
+    (1, 0, "mu2 >= t0(0) + 2(t0(1) - t-1(1) - t1(1))"),
+    (1, 2, "mu2 >= t0(1) - 2 t1(1)"),
 )
 _BZ_B2_LABELS = tuple(label for *_, label in _BZ_B2_TEMPLATE)
 
@@ -430,16 +415,16 @@ def bz_polygon_b2(lam, mu, nu) -> RationalPolygon:
     twice = (0, 0, -2 * sq2, 2 * (sq2 - d1), -2 * l1, 2 * (sq2 - l1) - d1, d1 - 2 * l1, -2 * l2,
              d1 - 2 * (sq2 + m1), -2 * m1, 2 * (2 * sq2 - d1 - m2), 2 * (sq2 - m2))  # 2c per row
     rows, dens = [], []
-    for (a, b, strict, _), k in zip(_BZ_B2_TEMPLATE, twice):
+    for (a, b, _), k in zip(_BZ_B2_TEMPLATE, twice):
         # c = n / (2 d) with n / d = k in lowest terms: den is 2 d when n is odd, else d
         n, d = k.numerator, k.denominator
         if n & 1:
             d *= 2
         else:
             n >>= 1
-        rows.append((a * d, b * d, n, strict))
+        rows.append((a * d, b * d, n))
         dens.append(d)
-    return RationalPolygon._from_rows(tuple(rows), tuple(dens), _BZ_B2_LABELS, (_exact_div(d1, 2), sq2), True)
+    return RationalPolygon._from_rows(tuple(rows), tuple(dens), _BZ_B2_LABELS, (_exact_div(d1, 2), sq2))
 
 
 def lattice_point_count(P: RationalPolygon) -> int:
@@ -463,8 +448,7 @@ def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
     """(boundary, interior) lattice point counts; relative interior for dim < 2.
 
     Both are 0 when P has an elim that is not integral, as lattice_count.  A
-    segment's boundary points are its lattice ends that P contains (a strict
-    row may leave one out).
+    segment's boundary points are its lattice ends.
     """
     if not P._passes_filter():
         return (0, 0)
@@ -473,11 +457,7 @@ def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
         interior = P.lattice_count(strict_all=True)
         return (total - interior, interior)
     if P.dim == 1:
-        ends = sum(
-            1
-            for v in P.vertices
-            if v[0].denominator == 1 and v[1].denominator == 1 and P.contains(v)
-        )
+        ends = sum(v[0].denominator == 1 and v[1].denominator == 1 for v in P.vertices)
         return (ends, total - ends)
     if P.dim == 0:
         # the relative interior of a point is the point itself
@@ -497,9 +477,7 @@ class Degeneracy:
 
 
 def degeneracy_info(P: RationalPolygon) -> Degeneracy:
-    """The kind of P's closure; an unbounded region, which has no vertex cycle, raises UnboundedPolygonError."""
-    if not P.is_bounded():
-        raise UnboundedPolygonError("degeneracy_info of an unbounded region")
+    """The kind of P: Empty, Point, Segment (with its relative length) or Full."""
     d = P.dim
     if d == -1:
         return Degeneracy("Empty")
@@ -530,14 +508,10 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     twice the sub-leading coefficient of the stretching quasi-polynomial
     fitted from the dilations of P.  Violated assumptions (a non-constant
     sub-leading coefficient, or no period-2 fit at all, as for vertices off
-    the half-integral lattice) are reported in `notes`, never raised.  The
-    fit takes P(0) = 1, which a polygon with a strict row need not meet, so
-    a strict row raises ValueError.
+    the half-integral lattice) are reported in `notes`, never raised.
     """
     if P.dim != 2:
         raise DegeneratePolygonError("pick_relation_check needs a dim-2 polygon")
-    if any(strict for *_, strict in P._rows):
-        raise ValueError("pick_relation_check needs a closed polygon, without strict rows")
     V = P.area()
     b, i = boundary_interior_counts(P)
     C = b + i

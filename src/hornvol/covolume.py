@@ -109,7 +109,14 @@ def covolume_report(family: str, rank: int | None = None) -> CovolumeReport:
 
 
 def covolume_table(max_rank: int = 8) -> list[CovolumeReport]:
-    """Reports for the classical families A-D up to max_rank, then G2, F4 and E6."""
+    """Reports for the classical families A-D up to max_rank, then G2, F4 and E6.
+
+    A max_rank below every classical family's least rank (1, for A_1)
+    raises ValueError: such a table would hold no classical row.
+    """
+    minimum = min(CLASSICAL_MIN_RANK.values())
+    if max_rank < minimum:
+        raise ValueError(f"max_rank must be at least {minimum}, but is {max_rank}")
     classical = [covolume_report(fam, r) for fam in "ABCD" for r in range(CLASSICAL_MIN_RANK[fam], max_rank + 1)]
     return classical + [covolume_report(fam) for fam in ("G2", "F4", "E6")]
 

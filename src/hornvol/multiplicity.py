@@ -414,15 +414,6 @@ def _kostant_grid(roots, box: tuple[int, ...]):
     return out
 
 
-def kostant_table(rs: RootSystem, box: tuple[int, ...]):
-    """Kostant partition values on the whole box [0, box] as an int64 array.
-
-    The slabs of one sweep along the first simple-root coordinate (see
-    _kostant_slabs), stacked; overflow is checked on every slab.
-    """
-    return _kostant_grid(rs.positive_roots_rb, tuple(box))
-
-
 def kostant_values(rs: RootSystem, points) -> dict[tuple[int, ...], int]:
     """{p: P(p)} for every point p of `points`, in simple-root coordinates.
 

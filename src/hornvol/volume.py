@@ -131,8 +131,8 @@ def horn_polygon(alpha, beta) -> RationalPolygon:
     """The rows <normal, gamma> >= lo and <-normal, gamma> >= -hi of horn_slabs, in RationalPolygon's normal form."""
     slabs = horn_slabs(alpha, beta)
     bounds = [(s * a, s * b, s * c) for kind, (a, b) in _KINDS.items() for s, c in zip((1, -1), slabs[kind])]
-    rows = tuple((a * c.denominator, b * c.denominator, c.numerator, False) for a, b, c in bounds)
-    return RationalPolygon._from_rows(rows, tuple(c.denominator for *_, c in bounds), _HORN_LABELS, None, True)
+    rows = tuple((a * c.denominator, b * c.denominator, c.numerator) for a, b, c in bounds)
+    return RationalPolygon._from_rows(rows, tuple(c.denominator for *_, c in bounds), _HORN_LABELS, None)
 
 
 def horn_contains_b2(alpha, beta, gamma) -> bool:

@@ -2,7 +2,7 @@
 
 The package reads the Horn polygon off one four-slab table (volume.horn_slabs).
 The tests compare it with the fourteen inequalities stated one by one, as
-(a, b, c, strict, label) constraints a*g1 + b*g2 >= c, and with a float
+(a, b, c, label) constraints a*g1 + b*g2 >= c, and with a float
 membership test of each of them.  The finite-difference C1 check is
 criterion 8's measure of smoothness across the internal walls.
 """
@@ -18,24 +18,24 @@ _DASHED = "chamber"
 
 
 def horn_constraints(alpha, beta) -> list[tuple]:
-    """The B2 Horn inequalities plus the chamber walls g1 >= g2 >= 0, as (a, b, c, strict, label)."""
+    """The B2 Horn inequalities plus the chamber walls g1 >= g2 >= 0, as (a, b, c, label)."""
     a1, a2 = _qpair(alpha)
     b1, b2 = _qpair(beta)
     return [
-        (1, 0, abs(a1 - b1), False, "g1 >= |a1-b1|"),
-        (1, 0, abs(a2 - b2), False, "g1 >= |a2-b2|"),
-        (-1, 0, -(a1 + b1), False, "g1 <= a1+b1"),
-        (0, 1, a2 - b1, False, "g2 >= a2-b1"),
-        (0, 1, b2 - a1, False, "g2 >= b2-a1"),
-        (0, -1, -(a1 + b2), False, "g2 <= a1+b2"),
-        (0, -1, -(a2 + b1), False, "g2 <= a2+b1"),
-        (1, 1, abs(a1 - b1) + abs(a2 - b2), False, "g1+g2 >= |a1-b1|+|a2-b2|"),
-        (-1, -1, -(a1 + a2 + b1 + b2), False, "g1+g2 <= a1+a2+b1+b2"),
-        (1, -1, a1 - a2 - b1 - b2, False, "g1-g2 >= a1-a2-b1-b2"),
-        (1, -1, b1 - b2 - a1 - a2, False, "g1-g2 >= b1-b2-a1-a2"),
-        (-1, 1, -(a1 + b1 - abs(a2 - b2)), False, "g1-g2 <= a1+b1-|a2-b2|"),
-        (0, 1, 0, False, f"{_DASHED} g2 >= 0"),
-        (1, -1, 0, False, f"{_DASHED} g1 >= g2"),
+        (1, 0, abs(a1 - b1), "g1 >= |a1-b1|"),
+        (1, 0, abs(a2 - b2), "g1 >= |a2-b2|"),
+        (-1, 0, -(a1 + b1), "g1 <= a1+b1"),
+        (0, 1, a2 - b1, "g2 >= a2-b1"),
+        (0, 1, b2 - a1, "g2 >= b2-a1"),
+        (0, -1, -(a1 + b2), "g2 <= a1+b2"),
+        (0, -1, -(a2 + b1), "g2 <= a2+b1"),
+        (1, 1, abs(a1 - b1) + abs(a2 - b2), "g1+g2 >= |a1-b1|+|a2-b2|"),
+        (-1, -1, -(a1 + a2 + b1 + b2), "g1+g2 <= a1+a2+b1+b2"),
+        (1, -1, a1 - a2 - b1 - b2, "g1-g2 >= a1-a2-b1-b2"),
+        (1, -1, b1 - b2 - a1 - a2, "g1-g2 >= b1-b2-a1-a2"),
+        (-1, 1, -(a1 + b1 - abs(a2 - b2)), "g1-g2 <= a1+b1-|a2-b2|"),
+        (0, 1, 0, f"{_DASHED} g2 >= 0"),
+        (1, -1, 0, f"{_DASHED} g1 >= g2"),
     ]
 
 

@@ -2,7 +2,7 @@
 
 `import numpy` takes about twice as long as `import hornvol`, and most
 subcommands never need it: numpy is imported inside the functions of the
-exact modules that use it (kostant_table, _cell_quadratics), and the CLI
+exact modules that use it (kostant_values, _cell_quadratics), and the CLI
 imports the sampler only when it samples.  scipy is not a runtime
 dependency at all: the chi-square p-value is computed in pure Python
 (sampler.chi2_sf), and only the tests import scipy, as the reference.

