@@ -37,11 +37,14 @@ from .rootsys import (
     is_compatible,
 )
 from .volume import (
+    _CHAMBER_WALLS,
     ROUTES,
+    _edge_line,
     b2_dynkin_to_ortho,
     delta_b2,
     horn_contains_b2,
     horn_polygon,
+    horn_slabs,
     j_b2,
     pdf_scale,
     singular_lines_b2,
@@ -205,11 +208,9 @@ def cmd_grid(args) -> int:
         raise CliError("--res must be >= 1")
     alpha = _gamma_basis_pair(args.alpha, args.basis)
     beta = _gamma_basis_pair(args.beta, args.basis)
-    poly = horn_polygon(alpha, beta)
+    slabs = horn_slabs(alpha, beta)
     lines = singular_lines_b2(alpha, beta, within_horn=True)
-    xs = [v[0] for v in poly.vertices]
-    ys = [v[1] for v in poly.vertices]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    (x0, x1), (y0, y1) = slabs["g1"], slabs["g2"]
     res = args.res
     scale = pdf_scale(alpha, beta)
 
@@ -237,15 +238,13 @@ def cmd_grid(args) -> int:
             _emit_json(cell_diagram, fh)
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(_grid_svg(poly, lines, cell_diagram))
+            fh.write(_grid_svg(horn_polygon(alpha, beta), slabs, lines, cell_diagram))
     return 0
 
 
-def _grid_svg(poly, lines, cell_diagram=None) -> str:
-    xs = [float(v[0]) for v in poly.vertices]
-    ys = [float(v[1]) for v in poly.vertices]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+def _grid_svg(poly, slabs, lines, cell_diagram=None) -> str:
+    """The polygon, its cells, its chamber walls and the singular lines, over its box: the g1 and g2 slabs."""
+    (x0, x1), (y0, y1) = ((float(lo), float(hi)) for lo, hi in (slabs["g1"], slabs["g2"]))
     W, H, M = 600.0, 450.0, 30.0
     sx = (W - 2 * M) / (x1 - x0)
     sy = (H - 2 * M) / (y1 - y0)
@@ -267,34 +266,24 @@ def _grid_svg(poly, lines, cell_diagram=None) -> str:
             )
             out.append(f'<polygon points="{cpts}" fill="none" stroke="#bbbbbb" stroke-width="0.6"/>')
     # dashed chamber walls where they bound the polygon
-    n = len(poly.vertices)
-    for i in range(n):
-        p, q = poly.vertices[i], poly.vertices[(i + 1) % n]
-        on_g2 = p[1] == 0 and q[1] == 0
-        on_diag = p[0] == p[1] and q[0] == q[1]
-        if on_g2 or on_diag:
+    for p, q in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):
+        if _edge_line(p, q) in _CHAMBER_WALLS:
             (xa, ya), (xb, yb) = T(p), T(q)
             out.append(
                 f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
                 'stroke="blue" stroke-width="2" stroke-dasharray="8,5"/>'
             )
+    # each line crosses the interior (within_horn), so its chord has two ends
     for ln in lines:
-        seg = _line_segment_in_polygon(ln, poly)
-        if seg is None:
-            continue
-        (xa, ya), (xb, yb) = T(seg[0]), T(seg[1])
+        a, b = ln.normal
+        chord = clip_cell(clip_cell(poly.vertices, a, b, ln.level), -a, -b, -ln.level)
+        (xa, ya), (xb, yb) = T(min(chord)), T(max(chord))
         out.append(
             f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
             f'stroke="red" stroke-width="1.2"><title>{ln.kind} = {ln.level} ({ln.source})</title></line>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _line_segment_in_polygon(ln, poly):
-    a, b = ln.normal
-    chord = clip_cell(clip_cell(poly.vertices, a, b, ln.level), -a, -b, -ln.level)
-    return (min(chord), max(chord)) if len(chord) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -368,69 +357,53 @@ def cmd_sample(args) -> int:
         raise CliError("N must be >= 1")
     if args.bins < 1:
         raise CliError("--bins must be >= 1")
-    prefix = args.out
+    n = args.n_samples
+    # each mode gives its CSV columns and rows, its report entries and whether its checks pass
     if args.mode == "b2":
         alpha = _gamma_basis_pair(args.alpha, args.basis)
         beta = _gamma_basis_pair(args.beta, args.basis)
-        hist = sample_b2_spectrum(alpha, beta, args.n_samples, args.seed, bins=args.bins)
+        hist = sample_b2_spectrum(alpha, beta, n, args.seed, bins=args.bins)
         summary = chi_square_vs_pdf(hist, alpha, beta)
         if summary.dof < 1:
-            raise CliError(f"-N {args.n_samples} samples on --bins {args.bins} leave the chi-square test no "
+            raise CliError(f"-N {n} samples on --bins {args.bins} leave the chi-square test no "
                            f"degrees of freedom: only {summary.bins_used} bin classes expect at least "
                            f"{MIN_EXPECTED:g} samples, and it needs two; raise -N or lower --bins")
         ex, ey = hist.edges
-        with open(prefix + ".csv", "w", newline="") as fh:
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": args.n_samples,
-                                 "seed": args.seed, "mode": "b2"}) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["gamma1_center", "gamma2_center", "count", "density"])
-            dx = (ex[1] - ex[0]) * (ey[1] - ey[0])
-            for i in range(len(ex) - 1):
-                for j in range(len(ey) - 1):
-                    c = hist.counts[i, j]
-                    w.writerow([
-                        f"{(ex[i] + ex[i+1]) / 2:.6f}", f"{(ey[j] + ey[j+1]) / 2:.6f}",
-                        int(c), f"{c / (args.n_samples * dx):.8g}",
-                    ])
-        report = {
-            "mode": "b2", "N": args.n_samples, "seed": args.seed,
-            "samples_outside_support": hist.samples_outside_support,
-            "chi_square": {"statistic": summary.statistic, "dof": summary.dof,
-                           "p_value": summary.p_value, "bins_used": summary.bins_used},
-        }
-        ok = hist.samples_outside_support == 0 and summary.p_value > 1e-3
+        area = (ex[1] - ex[0]) * (ey[1] - ey[0])
+        columns = ["gamma1_center", "gamma2_center", "count", "density"]
+        rows = [[f"{(ex[i] + ex[i+1]) / 2:.6f}", f"{(ey[j] + ey[j+1]) / 2:.6f}", int(c), f"{c / (n * area):.8g}"]
+                for i, counts in enumerate(hist.counts) for j, c in enumerate(counts)]
+        entries = {"chi_square": {"statistic": summary.statistic, "dof": summary.dof,
+                                  "p_value": summary.p_value, "bins_used": summary.bins_used}}
+        passed = summary.p_value > 1e-3
     else:
         # KS critical value at significance 1e-3, never tighter than the 0.005
         # bound used for N = 10^6 runs; at 1 or more it checks nothing
-        threshold = max(0.005, 1.949 / args.n_samples**0.5)
+        threshold = max(0.005, 1.949 / n**0.5)
         if threshold >= 1:
-            raise CliError(f"-N {args.n_samples}: KS threshold {threshold:.3f} is above any KS distance; raise -N")
+            raise CliError(f"-N {n}: KS threshold {threshold:.3f} is above any KS distance; raise -N")
         a12, b12 = _rational(args.alpha12), _rational(args.beta12)
-        samples = so2_samples(a12, b12, args.n_samples, args.seed)
+        samples = so2_samples(a12, b12, n, args.seed)
         hist = so2_histogram(samples, a12, b12, bins=args.bins)
         ks = ks_distance_so2(samples, a12, b12)
         edges = hist.edges[0]
-        with open(prefix + ".csv", "w", newline="") as fh:
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": args.n_samples,
-                                 "seed": args.seed, "mode": "so2"}) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["gamma12_center", "count", "density"])
-            for i in range(len(edges) - 1):
-                c = int(hist.counts[i])
-                w.writerow([f"{(edges[i] + edges[i+1]) / 2:.6f}", c,
-                            f"{c / (args.n_samples * (edges[i+1] - edges[i])):.8g}"])
-        report = {
-            "mode": "so2", "N": args.n_samples, "seed": args.seed,
-            "support": [str(float(v)) for v in (samples.min(), samples.max())],
-            "samples_outside_support": hist.samples_outside_support,
-            "ks_distance": ks,
-            "ks_threshold": threshold,
-        }
-        ok = hist.samples_outside_support == 0 and ks < threshold
-    with open(prefix + ".json", "w") as fh:
+        columns = ["gamma12_center", "count", "density"]
+        rows = [[f"{(lo + hi) / 2:.6f}", c, f"{c / (n * (hi - lo)):.8g}"]
+                for lo, hi, c in zip(edges, edges[1:], map(int, hist.counts))]
+        entries = {"support": [str(float(v)) for v in (samples.min(), samples.max())],
+                   "ks_distance": ks, "ks_threshold": threshold}
+        passed = ks < threshold
+    with open(args.out + ".csv", "w", newline="") as fh:
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "N": n, "seed": args.seed, "mode": args.mode}) + "\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)
+    report = {"mode": args.mode, "N": n, "seed": args.seed,
+              "samples_outside_support": hist.samples_outside_support, **entries}
+    with open(args.out + ".json", "w") as fh:
         _emit_json(report, fh)
     print(json.dumps(report, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if hist.samples_outside_support == 0 and passed else 1
 
 
 # ---------------------------------------------------------------------------

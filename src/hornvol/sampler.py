@@ -30,7 +30,6 @@ from ._exact import InvariantError
 from .volume import (
     _cells_of,
     _check_regular_ordered,
-    horn_polygon,
     horn_slabs,
     pdf_scale,
     so2_support,
@@ -213,15 +212,14 @@ def _check_bins(bins: int) -> None:
 
 
 def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -> HornHistogram:
-    """Histogram of the B2 Horn measure over the bounding box of the Horn polygon, chunk by chunk."""
+    """Histogram of the B2 Horn measure over the bounding box of the Horn polygon, chunk by chunk.
+
+    The box is the g1 and g2 slabs of horn_slabs, whose bounds are the polygon's extreme coordinates.
+    """
     _check_bins(bins)
     chunks = _b2_chunks(alpha, beta, n_samples, seed)
-    poly = horn_polygon(alpha, beta)
-    xs = [float(v[0]) for v in poly.vertices]
-    ys = [float(v[1]) for v in poly.vertices]
-    ex = np.linspace(min(xs), max(xs), bins + 1)
-    ey = np.linspace(min(ys), max(ys), bins + 1)
     slabs = horn_slabs(alpha, beta)
+    ex, ey = (np.linspace(float(lo), float(hi), bins + 1) for lo, hi in (slabs["g1"], slabs["g2"]))
     counts = np.zeros(bins * bins, dtype=np.intp)
     outside = 0
     for g1, g2 in chunks:

@@ -114,6 +114,9 @@ def horn_slabs(alpha, beta) -> dict[str, tuple[Q, Q]]:
     """The Horn polygon as {kind: (lo, hi)}, the gamma with lo <= <normal, gamma> <= hi for every kind.
 
     Each Horn inequality and chamber wall bounds one of the four forms of _KINDS; lo and hi are the tightest.
+    Every bound is attained at a vertex of horn_polygon, so (lo, hi) is the exact range of its form over
+    the polygon: the g1 and g2 slabs are its bounding box, and a line <normal, gamma> = level crosses
+    its interior iff lo < level < hi.
     """
     a1, a2 = _qpair(alpha)
     b1, b2 = _qpair(beta)
@@ -157,15 +160,6 @@ class SingularLine:
     @property
     def normal(self) -> tuple[int, int]:
         return _KINDS[self.kind]
-
-    def delta_squared(self) -> dict[tuple[int, int], Q]:
-        """Delta^2, Delta the normalized signed distance to the line, as {(i, j): coefficient of x^i y^j}."""
-        a, b = self.normal
-        k = Q(1, 2) if a and b else Q(1)    # a diagonal normal has length sqrt 2
-        c = -self.level
-        sq = {(1, 0): 2 * k * a * c, (0, 1): 2 * k * b * c, (0, 0): k * c * c,
-              (2, 0): k * a * a, (1, 1): 2 * k * a * b, (0, 2): k * b * b}
-        return {key: v for key, v in sq.items() if v}
 
     def value(self, p: Pair) -> Q:
         a, b = self.normal
@@ -217,13 +211,8 @@ def singular_lines_b2(alpha, beta, within_horn: bool = False) -> list[SingularLi
             merged.setdefault((kind, level), []).append(src)
     lines = [SingularLine(kind, level, ",".join(srcs)) for (kind, level), srcs in merged.items()]
     if within_horn:
-        poly = horn_polygon(alpha, beta).vertices
-        kept = []
-        for ln in lines:
-            vals = [ln.value(p) for p in poly]
-            if min(vals) < 0 < max(vals):
-                kept.append(ln)
-        lines = kept
+        slabs = horn_slabs(alpha, beta)
+        lines = [ln for ln in lines if slabs[ln.kind][0] < ln.level < slabs[ln.kind][1]]
     return sorted(lines, key=lambda l: (l.kind, l.level))
 
 
@@ -454,9 +443,10 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     for x0, y0, e in terms[1]:
         for line in (("g1", 2 * x0), ("g2", 2 * y0), ("g1+g2", 2 * (x0 + y0)), ("g1-g2", 2 * (x0 - y0))):
             weight[line] = weight.get(line, 0) + abs(e)
-    horn_forms = {kind: [a * x + b * y for x, y in cells[0]] for kind, (a, b) in _KINDS.items()}
+    # each form's range over the polygon is its slab (see horn_slabs), here in lattice units
+    ranges = {kind: (_on_lattice(lo, D), _on_lattice(hi, D)) for kind, (lo, hi) in horn_slabs(alpha, beta).items()}
     for kind, level in sorted(weight):
-        if not min(horn_forms[kind]) < level < max(horn_forms[kind]):
+        if not ranges[kind][0] < level < ranges[kind][1]:
             continue    # the line misses the Horn polygon's interior, so it cuts no cell
         a, b = _KINDS[kind]
         new: list[tuple[tuple[int, int], ...]] = []
@@ -515,8 +505,8 @@ def _cells_of(alpha: Pair, beta: Pair, pw: PiecewiseQuadratic | None) -> Piecewi
 
 
 def _half_delta_squared(a: int, b: int, level: int) -> tuple[int, ...]:
-    """(1/2) Delta^2 of the line a Px + b Py = level in lattice form (see QuadCell):
-    k (a Px + b Py - level)^2, k = 16 on g1 and g2 lines and 8 on g1 +- g2 lines."""
+    """(1/2) Delta^2 of the line a Px + b Py = level in lattice form (see QuadCell), Delta the distance of P / D
+    to it: k (a Px + b Py - level)^2, k = 16 on g1 and g2 lines and 8 on g1 +- g2 lines."""
     k = 8 if a and b else 16
     return (k * level * level, -2 * k * a * level, -2 * k * b * level, k * a * a, 2 * k * a * b, k * b * b)
 

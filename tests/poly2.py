@@ -57,3 +57,9 @@ def p2_linear(a, b, c) -> Poly2:
         if v:
             out[key] = v
     return out
+
+
+def p2_delta_squared(a, b, level) -> Poly2:
+    """Delta^2 of the line a*x + b*y = level, Delta the signed distance to it: (a*x + b*y - level)^2 / (a^2 + b^2)."""
+    lin = p2_linear(a, b, -Q(level))
+    return p2_scale(Q(1, a * a + b * b), p2_mul(lin, lin))

@@ -1,4 +1,9 @@
-"""The answer-or-refuse oracle of the entry-point properties."""
+"""The answer-or-refuse oracle of the entry-point properties.
+
+It raises AssertionError itself rather than by `assert`: pytest rewrites
+asserts only in test modules, so under `python -O` an `assert` here would be
+stripped and every check of the oracle with it.
+"""
 
 import traceback
 from pathlib import Path
@@ -17,8 +22,12 @@ def answer_or_refuse(call, refused: bool):
     try:
         value = call()
     except (ValueError, InvariantError) as e:
-        assert refused, e
-        assert Path(traceback.extract_tb(e.__traceback__)[-1].filename).parent == PACKAGE, e
+        if not refused:
+            raise AssertionError(f"refused where an answer was due: {e!r}") from e
+        where = Path(traceback.extract_tb(e.__traceback__)[-1].filename)
+        if where.parent != PACKAGE:
+            raise AssertionError(f"refused from {where}, outside hornvol: {e!r}") from e
         return None
-    assert not refused, value
+    if refused:
+        raise AssertionError(f"answered {value!r} where a refusal was due")
     return value

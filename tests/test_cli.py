@@ -418,6 +418,28 @@ def test_sample_b2_files(tmp_path, capsys):
     assert rows[1] == "gamma1_center,gamma2_center,count,density"
 
 
+@pytest.mark.parametrize("mode,columns,n_rows,report_keys", [
+    ("b2", ["gamma1_center", "gamma2_center", "count", "density"], 6 * 6,
+     {"mode", "N", "seed", "samples_outside_support", "chi_square"}),
+    ("so2", ["gamma12_center", "count", "density"], 6,
+     {"mode", "N", "seed", "support", "samples_outside_support", "ks_distance", "ks_threshold"}),
+])
+def test_sample_output_shape(tmp_path, capsys, mode, columns, n_rows, report_keys):
+    prefix = tmp_path / mode
+    rc, out = run(capsys, "sample", mode, "-N", "2000", "--seed", "4", "--bins", "6", "--out", str(prefix))
+    assert rc == 0
+    header, names, *rows = (tmp_path / f"{mode}.csv").read_text().splitlines()
+    assert list(json.loads(header).items()) == [("schema_version", 1), ("N", 2000), ("seed", 4), ("mode", mode)]
+    assert names.split(",") == columns
+    assert len(rows) == n_rows  # one per bin
+    assert sum(int(row.split(",")[columns.index("count")]) for row in rows) == 2000
+    report = json.loads((tmp_path / f"{mode}.json").read_text())
+    assert set(report) == report_keys | {"schema_version"}
+    if mode == "b2":
+        assert set(report["chi_square"]) == {"statistic", "dof", "p_value", "bins_used"}
+    assert out == json.dumps({k: v for k, v in report.items() if k != "schema_version"}, sort_keys=True) + "\n"
+
+
 def test_sample_b2_on_a_histogram_of_another_pair_exits_2(tmp_path, monkeypatch, capsys):
     import hornvol.sampler as sampler
 

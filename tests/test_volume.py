@@ -56,7 +56,7 @@ from hornvol.volume import (
     volume_routes,
 )
 from horn_reference import c1_wall_discrepancies, horn_constraints, point_in_cell
-from poly2 import p2_add, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
+from poly2 import p2_add, p2_delta_squared, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 
 B2 = build_root_system("B", 2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,6 +205,16 @@ def test_slab_polygon_equals_the_fourteen_inequalities(pair, points):
         assert horn_contains_b2(*pair, p) == reference.contains(p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(regular_rational_pairs())
+def test_every_slab_bound_is_attained_at_a_horn_vertex(pair):
+    # so each (lo, hi) is the exact range of its form over the polygon: its box and its interior test
+    vertices, slabs = horn_polygon(*pair).vertices, horn_slabs(*pair)
+    for kind, (a, b) in volume._KINDS.items():
+        values = [a * x + b * y for x, y in vertices]
+        assert slabs[kind] == (min(values), max(values))
+
+
 def test_horn_paths_build_no_halfplane(monkeypatch, tmp_path):
     import hornvol.bzpolytope as bz
     from hornvol.cli import main
@@ -284,13 +294,18 @@ def test_equal_arguments_merge_lines():
     assert "," in zero_lines[0].source
 
 
+def delta_squared(line):
+    """Delta^2 of a SingularLine as a Fraction polynomial in gamma."""
+    return p2_delta_squared(*line.normal, line.level)
+
+
 def test_four_prong_identity():
     # x^2 + y^2 = ((x+y)/sqrt2)^2 + ((x-y)/sqrt2)^2 as exact polynomials
     for c1, c2 in [(Q(26), Q(11)), (Q(19), Q(8))]:
-        g1 = SingularLine("g1", c1, "").delta_squared()
-        g2 = SingularLine("g2", c2, "").delta_squared()
-        gp = SingularLine("g1+g2", c1 + c2, "").delta_squared()
-        gm = SingularLine("g1-g2", c1 - c2, "").delta_squared()
+        g1 = delta_squared(SingularLine("g1", c1, ""))
+        g2 = delta_squared(SingularLine("g2", c2, ""))
+        gp = delta_squared(SingularLine("g1+g2", c1 + c2, ""))
+        gm = delta_squared(SingularLine("g1-g2", c1 - c2, ""))
         assert p2_add(g1, g2) == p2_add(gp, gm)
 
 
@@ -301,7 +316,13 @@ def test_delta_squared_is_the_squared_normalized_distance():
             line = SingularLine(kind, level, "")
             a, b = line.normal
             lin = p2_linear(a, b, -level)
-            assert line.delta_squared() == p2_scale(Q(1, a * a + b * b), p2_mul(lin, lin))
+            assert delta_squared(line) == p2_scale(Q(1, a * a + b * b), p2_mul(lin, lin))
+            # the squared distance to the foot of the perpendicular, which lies on the line
+            for p in ((Q(3), Q(-1, 2)), (Q(-7, 3), Q(5)), (level, level)):
+                t = line.value(p) / (a * a + b * b)
+                foot = (p[0] - t * a, p[1] - t * b)
+                assert line.value(foot) == 0
+                assert p2_eval(delta_squared(line), *p) == (p[0] - foot[0]) ** 2 + (p[1] - foot[1]) ** 2
 
 
 # -- piecewise analysis -----------------------------------------------------------
@@ -609,6 +630,16 @@ def lattice_form(p, D):
     return tuple(int(v) for v in out)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(volume._KINDS)), st.integers(-40, 40), st.integers(1, 12))
+def test_half_delta_squared_is_16_d2_delta_squared(kind, level, D):
+    # the lattice form of (1/2) Delta^2 is 32 D^2 (1/2) Delta^2(P / D), its line at gamma level / D
+    a, b = volume._KINDS[kind]
+    sq = p2_delta_squared(a, b, Q(level, D))
+    expected = tuple(16 * D * D * sq.get(key, 0) / D ** sum(key) for key in _QUAD_KEYS)
+    assert _half_delta_squared(a, b, level) == expected
+
+
 # The Fraction classifiers the lattice-form ones replaced, kept as references.
 def fraction_boundary_class(p, sq, chamber, a, b):
     if chamber:
@@ -633,14 +664,14 @@ def fraction_jump_class(diff, sq, sources):
 def assert_jump_class(diff, line, sources, D, expected):
     unit = _half_delta_squared(*line.normal, int(line.level * D))
     assert _jump_class(lattice_form(diff, D), unit, sources) == expected
-    assert fraction_jump_class(diff, line.delta_squared(), sources) == expected
+    assert fraction_jump_class(diff, delta_squared(line), sources) == expected
 
 
 def test_tampered_jumps_are_violations():
     pw = piecewise_analyze_b2((Q(11, 2), Q(3, 2)), (5, 2))
     D = pw.cells[0].D
     line = next(l for l in singular_lines_b2(pw.alpha, pw.beta) if l.source.count(",") == 2)
-    sq = line.delta_squared()
+    sq = delta_squared(line)
     assert_jump_class(p2_scale(Q(3, 2), sq), line, 3, D, ("quadratic-ramp", 3))
     assert_jump_class(p2_scale(Q(-2, 2), sq), line, 3, D, ("quadratic-ramp", -2))
     # beyond the number of merged sources
@@ -655,7 +686,7 @@ def test_tampered_jumps_are_violations():
 
 def test_tampered_boundaries_are_violations():
     line = SingularLine("g2", Q(0), "")
-    sq = line.delta_squared()
+    sq = delta_squared(line)
     p, q = (Q(1), Q(0)), (Q(3), Q(0))
     D = 2
     unit = _half_delta_squared(0, 1, 0)
@@ -726,7 +757,7 @@ def test_the_cut_reads_no_hand_list(monkeypatch):
 def assert_walls_match_the_fraction_classifier(pw):
     sources = {(l.kind, l.level): l.source.count(",") + 1 for l in singular_lines_b2(pw.alpha, pw.beta)}
     for w in pw.walls:
-        sq = SingularLine(w.kind, w.level, "").delta_squared()
+        sq = delta_squared(SingularLine(w.kind, w.level, ""))
         if len(w.cells) == 2:
             hi, lo = w.cells
             diff = p2_sub(poly(pw.cells[hi]), poly(pw.cells[lo]))
@@ -849,7 +880,7 @@ def test_lattice_classifiers_match_the_fraction_ones_on_tampered_forms(kind, lev
     unit = _half_delta_squared(a, b, level)
     u0, ux, uy = noise[:3]
     vanishing = (-level * u0, a * u0 - level * ux, b * u0 - level * uy, a * ux, a * uy + b * ux, b * uy)
-    sq = SingularLine(kind, Q(level, D), "").delta_squared()
+    sq = delta_squared(SingularLine(kind, Q(level, D), ""))
     # two lattice points on the line a x + b y = level
     start = (level, t0) if b == 0 else (t0, level) if a == 0 else (t0, (level - t0) * b)
     ends = [(start[0] + s * b, start[1] - s * a) for s in (0, dt)]
@@ -870,7 +901,7 @@ def test_piecewise_wall_classes(pw_left):
         if w.classification == "quadratic-ramp":
             hi, lo = w.cells
             diff = p2_sub(poly(pw_left.cells[hi]), poly(pw_left.cells[lo]))
-            expected = p2_scale(Q(w.jump_sign, 2), SingularLine(w.kind, w.level, "").delta_squared())
+            expected = p2_scale(Q(w.jump_sign, 2), delta_squared(SingularLine(w.kind, w.level, "")))
             assert diff == expected
 
 
