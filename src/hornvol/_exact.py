@@ -2,11 +2,12 @@
 
 Everything here works over `fractions.Fraction` or Python ints; no floating
 point.  Matrices are tuples/lists of row sequences.  `det_adj_bareiss`, the
-one elimination kernel, gives the determinant and the adjugate of a Cartan
-matrix; `det_bareiss` reads the determinant off it, for the Cartan matrices
-and the rank-sized covolume Gram matrices.  `solve_square` and
-`solve_in_span` have no caller in the package; the benchmark's traced run
-(perfbench/layers.json) still wraps them.
+integer elimination, gives the determinant and adjugate of a Cartan matrix;
+`det_bareiss` reads the determinant off it, for the Cartan matrices and the
+rank-sized covolume Gram matrices.  `solve_square` and `solve_in_span` share
+one Fraction Gauss-Jordan (`_gauss_jordan`); no package code calls them, the
+tests use them as references independent of `det_adj_bareiss`, and the
+benchmark's traced run (perfbench/layers.json) still wraps them.
 """
 
 from __future__ import annotations
@@ -46,22 +47,34 @@ class InconsistentSystemError(ValueError):
     pass
 
 
-def solve_square(A: Sequence[Sequence], b: Sequence) -> list[Q]:
-    """Solve A x = b exactly for square A (partial pivoting on nonzero)."""
-    n = len(A)
-    M = [[Q(A[i][j]) for j in range(n)] + [Q(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+def _gauss_jordan(M: list[list[Q]], m: int) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form of the augmented rows M over their first m columns, and its pivot columns."""
+    pivots: list[int] = []
+    for col in range(m):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(M)) if M[r][col] != 0), None)
         if piv is None:
-            raise SingularMatrixError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = 1 / M[row][col]
+        M[row] = [v * inv for v in M[row]]
+        for r in range(len(M)):
+            if r != row and M[r][col] != 0:
                 f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[row])]
+        pivots.append(col)
+    return M, pivots
+
+
+def solve_square(A: Sequence[Sequence], b: Sequence) -> list[Q]:
+    """Solve A x = b exactly for square A; SingularMatrixError when A has fewer than n pivots."""
+    n = len(A)
+    if len(b) != n or any(len(row) != n for row in A):
+        raise ValueError(f"A must be n x n and b of length n, got {[len(row) for row in A]} and {len(b)}")
+    M, pivots = _gauss_jordan([[Q(v) for v in row] + [Q(c)] for row, c in zip(A, b)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError("singular system")
+    return [row[n] for row in M]
 
 
 def solve_in_span(vectors: Sequence[Sequence], target: Sequence) -> list[Q]:
@@ -72,31 +85,17 @@ def solve_in_span(vectors: Sequence[Sequence], target: Sequence) -> list[Q]:
     """
     m = len(vectors)          # unknowns
     n = len(target)           # equations
-    M = [[Q(vectors[j][i]) for j in range(m)] + [Q(target[i])] for i in range(n)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [v * inv for v in M[row]]
-        for r in range(n):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if M[r][m] != 0:
-            raise InconsistentSystemError("target not in span")
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"every vector must have the target's {n} coordinates")
+    M, pivots = _gauss_jordan([[Q(v[i]) for v in vectors] + [Q(target[i])] for i in range(n)], m)
+    if any(M[r][m] != 0 for r in range(len(pivots), n)):
+        raise InconsistentSystemError("target not in span")
     coeffs = [Q(0)] * m
     for r, col in enumerate(pivots):
         coeffs[col] = M[r][m]
     # free columns (if any) are left at zero; verify the reconstruction
     for i in range(n):
-        if dot([vectors[j][i] for j in range(m)], coeffs) != Q(target[i]):
+        if dot([v[i] for v in vectors], coeffs) != Q(target[i]):
             raise InconsistentSystemError("target not in span")
     return coeffs
 

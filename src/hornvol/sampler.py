@@ -71,38 +71,26 @@ class HornHistogram:
     pair: tuple | None = None
 
 
-def haar_frame(z: np.ndarray, k: int) -> np.ndarray:
-    """The first k columns of the Q factor, with positive R diagonal, of each z[b].
+def haar_orthogonal(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """A batch of Haar-distributed SO(n) matrices, shape (size, n, n).
 
-    Gram-Schmidt run twice over the columns of the whole batch at once.
-    Column j depends only on the first j + 1 columns of z, so the n x k frame
-    is computed alone, and the batch size changes no bit.
+    The Q factor, with positive R diagonal, of a Gaussian batch (Mezzadri,
+    Notices AMS 54, 2007), by Gram-Schmidt run twice over all its columns at
+    once; then the last column of each matrix with determinant -1 is negated.
     """
+    if n < 1 or size < 0:
+        raise ValueError(f"n >= 1 and size >= 0 required, got n {n}, size {size}")
     # column j of every matrix is the contiguous (n, size) block q[j]
-    q = z[:, :, :k].transpose(2, 1, 0).copy()
-    for j in range(k):
+    q = rng.standard_normal((size, n, n)).transpose(2, 1, 0).copy()
+    for j in range(n):
         v = q[j]
         if j:
             basis = q[:j]
             for _ in range(2):
                 v -= np.einsum("kib,kb->ib", basis, np.einsum("kib,ib->kb", basis, v))
         v /= np.sqrt(np.einsum("ib,ib->b", v, v))
-    return q.transpose(2, 1, 0)
-
-
-def haar_orthogonal(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
-    """The first k columns of a batch of Haar-distributed SO(n) matrices.
-
-    The haar_frame of a Gaussian batch (Mezzadri, Notices AMS 54, 2007).
-    The whole n x n Gaussian batch is drawn, so the random stream is the
-    same for every k.  The determinant fix negates the last column of each
-    matrix with determinant -1, so it applies only when k == n.
-    """
-    if not 1 <= k <= n or size < 0:
-        raise ValueError(f"1 <= k <= n and size >= 0 required, got n {n}, k {k}, size {size}")
-    q = haar_frame(rng.standard_normal((size, n, n)), k)
-    if k == n:
-        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    q = q.transpose(2, 1, 0)
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
@@ -211,6 +199,11 @@ def _check_bins(bins: int) -> None:
         raise ValueError("bins >= 1 required")
 
 
+def _check_not_nan(samples) -> None:
+    if np.isnan(samples).any():
+        raise ValueError("samples must not be NaN")
+
+
 def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -> HornHistogram:
     """Histogram of the B2 Horn measure over the bounding box of the Horn polygon, chunk by chunk.
 
@@ -249,8 +242,9 @@ def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
 
 
 def so2_histogram(samples: np.ndarray, alpha12, beta12, bins: int = 100) -> HornHistogram:
-    """Histogram of SO(2) samples over the support of their law."""
+    """Histogram of SO(2) samples over the support of their law; a sample of +-inf is outside it, one of NaN refused."""
     _check_bins(bins)
+    _check_not_nan(samples)
     lo, hi = (float(v) for v in so2_support(alpha12, beta12))
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(np.clip(samples, lo, hi), bins=edges)
@@ -403,9 +397,13 @@ def chi2_sf(dof: int, x: float) -> float:
     """
     if dof < 1:
         raise ValueError(f"dof >= 1 required, got {dof}")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     a, x = dof / 2, x / 2
     if x <= 0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     eps, tiny = math.ulp(1.0), 1e-300
     scale = math.exp(a * math.log(x) - x - math.lgamma(a))
     if x < a + 1:
@@ -478,15 +476,16 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic |
 
 
 def ks_distance_so2(samples: np.ndarray, alpha12, beta12) -> float:
-    """Kolmogorov-Smirnov distance between the empirical and analytic CDFs."""
+    """Kolmogorov-Smirnov distance between the empirical and analytic CDFs (0 below the support); NaN is refused."""
     so2_support(alpha12, beta12)  # refuses a non-positive pair
     a, b = float(alpha12), float(beta12)
     if len(samples) == 0:
         raise ValueError("at least one sample required")
+    _check_not_nan(samples)
     A, B = (a + b) ** 2, (a - b) ** 2
     xs = np.sort(samples)
     n = len(xs)
-    arg = np.clip((2.0 * xs**2 - A - B) / (A - B), -1.0, 1.0)
+    arg = np.clip((2.0 * np.maximum(xs, 0.0) ** 2 - A - B) / (A - B), -1.0, 1.0)
     cdf = (np.arcsin(arg) + np.pi / 2) / np.pi
     upper = np.abs(np.arange(1, n + 1) / n - cdf).max()
     lower = np.abs(np.arange(0, n) / n - cdf).max()

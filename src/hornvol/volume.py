@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
-from ._exact import InvariantError, qvec
+from ._exact import InvariantError, dot, qvec
 from .bzpolytope import RationalPolygon, bz_polygon_b2, clip_cell
 from .ehrhart import (
     QuasiPolynomial,
@@ -140,9 +140,8 @@ def horn_polygon(alpha, beta) -> RationalPolygon:
 
 def horn_contains_b2(alpha, beta, gamma) -> bool:
     """Membership of gamma in the closed Horn polygon (chamber included)."""
-    g1, g2 = _qpair(gamma)
-    forms = {"g1": g1, "g2": g2, "g1+g2": g1 + g2, "g1-g2": g1 - g2}
-    return all(lo <= forms[kind] <= hi for kind, (lo, hi) in horn_slabs(alpha, beta).items())
+    gamma = _qpair(gamma)
+    return all(lo <= dot(_KINDS[kind], gamma) <= hi for kind, (lo, hi) in horn_slabs(alpha, beta).items())
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +381,12 @@ def _cell_quadratics(terms: tuple[int, tuple], cells, vscale: int) -> list[tuple
 
 
 def _edge_line(p: Pair, q: Pair) -> tuple[str, Q]:
-    """The (kind, level) of the candidate line that the cell edge p -> q lies on."""
+    """The (kind, level) of the candidate line that the cell edge p -> q lies on: its normal is orthogonal to q - p."""
     dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx == 0 and dy:
-        return ("g1", p[0])
-    if dy == 0 and dx:
-        return ("g2", p[1])
-    if dy == -dx and dx:
-        return ("g1+g2", p[0] + p[1])
-    if dy == dx and dx:
-        return ("g1-g2", p[0] - p[1])
+    if dx or dy:
+        for kind, (a, b) in _KINDS.items():
+            if a * dx + b * dy == 0:
+                return kind, a * p[0] + b * p[1]
     raise InvariantError(f"cell edge {p} -> {q} runs along none of the four line directions")
 
 
@@ -441,7 +436,8 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     # each term's four lines at their lattice levels (D / s = 2), weighted by |eps|
     weight: dict[tuple[str, int], int] = {}
     for x0, y0, e in terms[1]:
-        for line in (("g1", 2 * x0), ("g2", 2 * y0), ("g1+g2", 2 * (x0 + y0)), ("g1-g2", 2 * (x0 - y0))):
+        for kind, (a, b) in _KINDS.items():
+            line = (kind, 2 * (a * x0 + b * y0))
             weight[line] = weight.get(line, 0) + abs(e)
     # each form's range over the polygon is its slab (see horn_slabs), here in lattice units
     ranges = {kind: (_on_lattice(lo, D), _on_lattice(hi, D)) for kind, (lo, hi) in horn_slabs(alpha, beta).items()}

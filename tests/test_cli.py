@@ -289,7 +289,7 @@ def test_covolume_table_below_rank_one_exits_2(capsys, max_rank):
     assert main(["covolume", "--max-rank", max_rank]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: --max-rank must be at least 1, but is {max_rank}\n"
+    assert err == f"error: max_rank must be at least 1, but is {max_rank}\n"
 
 
 def test_sample_rejects_zero_n(capsys):
