@@ -101,6 +101,27 @@ def test_haar_is_the_full_gram_schmidt_reference(seed):
     assert np.array_equal(rng.standard_normal(10), rng_reference.standard_normal(10))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_frame_is_the_leading_columns_of_the_full_matrix(seed):
+    # a Haar k-frame is the leading k columns of the full matrix: the
+    # sign-fixed thin QR of the draw's first k columns, untouched by the
+    # det fix, which flips only the last column
+    g = haar_orthogonal(np.random.default_rng(seed), 5, 3000)
+    draw = np.random.default_rng(seed).standard_normal((3000, 5, 5))
+    for k in range(1, 5):
+        q, r = np.linalg.qr(draw[..., :k])
+        frame = q * np.sign(np.einsum("...ii->...i", r))[:, None, :]
+        assert frame.shape == (3000, 5, k)
+        assert np.abs(g[..., :k] - frame).max() < 1e-12, k
+
+
+def test_haar_frame_leaves_the_random_stream_where_the_full_draw_does():
+    rng_haar, rng_draw = np.random.default_rng(5), np.random.default_rng(5)
+    haar_orthogonal(rng_haar, 5, 100)
+    rng_draw.standard_normal((100, 5, 5))
+    assert np.array_equal(rng_haar.standard_normal(10), rng_draw.standard_normal(10))
+
+
 def b2_pairs(alpha, beta, n, seed):
     """The (n, 2) spectra that sample_b2_spectrum bins: the chunks of _b2_chunks, concatenated."""
     return np.concatenate([np.stack(chunk, axis=1) for chunk in _b2_chunks(alpha, beta, n, seed)])
