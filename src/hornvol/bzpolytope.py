@@ -18,17 +18,20 @@ the constructor refuses constraints whose normals leave a recession
 direction (UnboundedPolygonError).  The B2 BZ polygon fills the 12 offsets
 of one fixed template (normals and labels; always bounded) and hands the
 rows to the polygon.  Lattice scans split the rows once per polygon and
-take their row bounds from integer floor division, vertices come from
-Cramer's rule and an integer convex hull on one common denominator, areas
-from the integer shoelace sum, and a dilation scales the integer rows.
-Coefficients, vertices and areas are returned as Fractions.
+take their row bounds from integer floor division; a scan of s P, s an
+int, reads P's own rows with each c times s, so the Pick check counts its
+dilations without building them.  Vertices come from Cramer's rule and an
+integer convex hull on one common denominator (the latest few cycles kept
+by their rows), areas from the integer shoelace sum, and a dilation scales
+the integer rows.  Coefficients, vertices and areas are returned as
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
@@ -96,6 +99,35 @@ def _cramer_hull(points: list[tuple[int, int, int]]) -> tuple[int, list[tuple[in
     return D, _convex_hull([(xn * (D // det), yn * (D // det)) for xn, yn, det in points])
 
 
+@lru_cache(maxsize=4)
+def _vertex_cycle_of(rows: tuple[Row, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(D, cycle): the vertices of the rows' polygon as a CCW cycle of integer points over D > 0.
+
+    The candidates are pairwise line intersections by Cramer's rule, kept
+    when in the polygon.  The few latest cycles are kept, keyed by the rows:
+    the polytope volume route and the polygon report of `hornvol volume`
+    build the same BZ polygon one after the other.
+    """
+    pts: list[tuple[int, int, int]] = []
+    for i, (A1, B1, C1) in enumerate(rows):
+        for A2, B2, C2 in rows[i + 1:]:
+            det = A1 * B2 - A2 * B1
+            if det == 0:
+                continue
+            xn = C1 * B2 - C2 * B1
+            yn = A1 * C2 - A2 * C1
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            # (xn/det, yn/det) lies in the polygon iff A*xn + B*yn >= C*det
+            for A, B, C in rows:
+                if A * xn + B * yn < C * det:
+                    break
+            else:
+                pts.append((xn, yn, det))
+    D, cycle = _cramer_hull(pts)
+    return D, tuple(cycle)
+
+
 def _normals_bounded(rows: Sequence[Row]) -> bool:
     """Whether the rows' half-planes cut out a bounded region, whatever their offsets.
 
@@ -112,21 +144,22 @@ def _normals_bounded(rows: Sequence[Row]) -> bool:
     return True
 
 
-def _split_rows(rows: Sequence[Row], strict_all: bool):
-    """The rows as integer bounds for a lattice scan: (ylo, yhi, xlo, xhi, lower, upper).
+def _split_rows(rows: Sequence[Row], strict_all: bool, s: int = 1):
+    """The rows of s P, s >= 1 an int, as integer bounds for a lattice scan: (ylo, yhi, xlo, xhi, lower, upper).
 
-    On integer points a strict A*x + B*y > C is A*x + B*y >= C + 1, so under
-    strict_all (the interior) every row enters with C + 1.  Rows with A = 0
-    bound y alone and rows with B = 0 bound x alone: ylo, yhi, xlo and xhi
-    are the tightest of those bounds, -inf or inf where there is none.
-    lower and upper hold the other rows, with A > 0 and A < 0, as (A, B, C).
+    s P has the rows (A, B, s*C).  On integer points a strict A*x + B*y > C
+    is A*x + B*y >= C + 1, so under strict_all (the interior) every row
+    enters with s*C + 1.  Rows with A = 0 bound y alone and rows with B = 0
+    bound x alone: ylo, yhi, xlo and xhi are the tightest of those bounds,
+    -inf or inf where there is none.  lower and upper hold the other rows,
+    with A > 0 and A < 0, as (A, B, C).
     """
+    if s != 1 or strict_all:
+        rows = [(A, B, s * C + strict_all) for A, B, C in rows]
     ylo = xlo = -inf
     yhi = xhi = inf
     lower, upper = [], []
     for A, B, C in rows:
-        if strict_all:
-            C += 1
         if A == 0:
             if B > 0:
                 t = -(-C // B)
@@ -207,30 +240,9 @@ class RationalPolygon:
 
     # -- geometry ----------------------------------------------------------
     @cached_property
-    def _vertex_cycle(self) -> tuple[int, list[tuple[int, int]]]:
-        """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0.
-
-        The candidates are pairwise line intersections by Cramer's rule, kept
-        when in the polygon.
-        """
-        rows = self._rows
-        pts: list[tuple[int, int, int]] = []
-        for i, (A1, B1, C1) in enumerate(rows):
-            for A2, B2, C2 in rows[i + 1:]:
-                det = A1 * B2 - A2 * B1
-                if det == 0:
-                    continue
-                xn = C1 * B2 - C2 * B1
-                yn = A1 * C2 - A2 * C1
-                if det < 0:
-                    det, xn, yn = -det, -xn, -yn
-                # (xn/det, yn/det) lies in the polygon iff A*xn + B*yn >= C*det
-                for A, B, C in rows:
-                    if A * xn + B * yn < C * det:
-                        break
-                else:
-                    pts.append((xn, yn, det))
-        return _cramer_hull(pts)
+    def _vertex_cycle(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0."""
+        return _vertex_cycle_of(self._rows)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -270,26 +282,43 @@ class RationalPolygon:
         return RationalPolygon._from_rows(rows, dens, self._labels, elim)
 
     # -- lattice scans -------------------------------------------------------
-    def _passes_filter(self) -> bool:
-        """Integer (x, y) makes the eliminated parameters integral iff sigma is integral."""
+    def _passes_filter(self, s: int = 1) -> bool:
+        """Integer (x, y) of s P makes the eliminated parameters integral iff s sigma is, s >= 1 an int.
+
+        An elim coordinate n/d in lowest terms times s is integral iff d divides s.
+        """
         if self._elim is None:
             return True
-        return self._elim[0].denominator == 1 and self._elim[1].denominator == 1
+        e1, e2 = self._elim
+        return s % e1.denominator == 0 and s % e2.denominator == 0
 
-    def _row_counts(self, strict_all: bool) -> Iterable[tuple[int, int, int]]:
-        """Yield (y, xlo, xhi) for integer rows of P, or of its interior under strict_all.
+    def lattice_count(self, strict_all: bool = False) -> int:
+        """Integer points of the polygon (of its interior, under strict_all); 0 when elim is not integral."""
+        return self._dilated_count(1, strict_all)
 
-        Without rows bounding y alone on both sides the vertices bound y too.
-        Boundedness guarantees rows with A > 0 and rows with A < 0, so every
-        scanned y gets both an x lower and an x upper bound.
+    def _dilated_count(self, s: int, strict_all: bool = False, tight: bool = False) -> int:
+        """lattice_count(strict_all) of self.dilate(s), s >= 1 an int, by one scan of P's own rows.
+
+        The rows of s P are (A, B, s*C) (see _split_rows) and its elim is
+        s * elim (_passes_filter); no dilated polygon is built.  Per integer
+        y the scan adds the integer x between the tightest lower and upper
+        bounds.  The vertices, times s, bound y where no rows bound y alone
+        on both sides, and always under tight: that skips the empty rows of a
+        loose y box, for the price of the vertex cycle where it is not yet at
+        hand.  Boundedness guarantees rows with A > 0 and rows with A < 0, so
+        every scanned y gets both an x lower and an x upper bound.
         """
-        ylo, yhi, xlo, xhi, lower, upper = _split_rows(self._rows, True) if strict_all else self._split
-        if ylo == -inf or yhi == inf:
+        if not self._passes_filter(s):
+            return 0
+        split = self._split if s == 1 and not strict_all else _split_rows(self._rows, strict_all, s)
+        ylo, yhi, xlo, xhi, lower, upper = split
+        if tight or ylo == -inf or yhi == inf:
             D, cycle = self._vertex_cycle
             if not cycle:
-                return
-            ylo = max(ylo, -(-min(y for _, y in cycle) // D))
-            yhi = min(yhi, max(y for _, y in cycle) // D)
+                return 0
+            ylo = max(ylo, -(-s * min(y for _, y in cycle) // D))
+            yhi = min(yhi, s * max(y for _, y in cycle) // D)
+        count = 0
         for y in range(ylo, yhi + 1):
             lo = xlo
             for A, B, C in lower:
@@ -302,13 +331,8 @@ class RationalPolygon:
                 if t < hi:
                     hi = t
             if lo <= hi:
-                yield (y, lo, hi)
-
-    def lattice_count(self, strict_all: bool = False) -> int:
-        """Integer points of the polygon (of its interior, under strict_all); 0 when elim is not integral."""
-        if not self._passes_filter():
-            return 0
-        return sum(hi - lo + 1 for _, lo, hi in self._row_counts(strict_all))
+                count += hi - lo + 1
+        return count
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -452,9 +476,10 @@ def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
     """
     if not P._passes_filter():
         return (0, 0)
-    total = P.lattice_count()
+    # the scans take y from the vertex cycle, which P.dim computes anyway
+    total = P._dilated_count(1, tight=True)
     if P.dim == 2:
-        interior = P.lattice_count(strict_all=True)
+        interior = P._dilated_count(1, strict_all=True, tight=True)
         return (total - interior, interior)
     if P.dim == 1:
         ends = sum(v[0].denominator == 1 and v[1].denominator == 1 for v in P.vertices)
@@ -506,9 +531,11 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
 
     b and i come from lattice scans of P, C = b + i; V is the exact area; L is
     twice the sub-leading coefficient of the stretching quasi-polynomial
-    fitted from the dilations of P.  Violated assumptions (a non-constant
-    sub-leading coefficient, or no period-2 fit at all, as for vertices off
-    the half-integral lattice) are reported in `notes`, never raised.
+    fitted from the counts of the dilations s P, s = 2..6, each a scan of
+    P's own rows (A, B, s*C) with no dilated polygon built.  Violated
+    assumptions (a non-constant sub-leading coefficient, or no period-2 fit
+    at all, as for vertices off the half-integral lattice) are reported in
+    `notes`, never raised.
     """
     if P.dim != 2:
         raise DegeneratePolygonError("pick_relation_check needs a dim-2 polygon")
@@ -517,7 +544,7 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     C = b + i
     samples = {0: 1, 1: C}
     for s in range(2, 7):
-        samples[s] = lattice_point_count(P.dilate(s))
+        samples[s] = P._dilated_count(s, tight=True)
     try:
         quasi = fit_quasi_polynomial(samples, degree=2, period=2)
     except InconsistentSamplesError as exc:

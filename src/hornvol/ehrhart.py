@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from . import multiplicity
@@ -63,25 +64,38 @@ class QuasiPolynomial:
         }
 
 
-def _interpolate(pts: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """(N, D) with N(x) / D the polynomial through the points, N integer, D > 0.
+@lru_cache(maxsize=32)
+def _lagrange_basis(nodes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows): the Lagrange basis of the distinct nodes over one common denominator.
 
-    Lagrange interpolation over the common denominator D, the lcm of the
-    node products w_i = prod_{j != i} (s_i - s_j); N is listed from the
-    constant coefficient up.
+    D is the lcm of the node products w_i = prod_{j != i} (s_i - s_j), and
+    row i lists the coefficients of (D / w_i) prod_{j != i} (x - s_j),
+    constant coefficient first.  It depends on the nodes alone, and every
+    fit of a degree and period reuses the same nodes, so the latest few
+    bases are kept.
     """
-    nodes = [s for s, _ in pts]
     weights = [prod(si - sj for sj in nodes if sj != si) for si in nodes]
     D = lcm(*weights)
-    N = [0] * len(pts)
-    for (si, v), w in zip(pts, weights):
+    rows = []
+    for si, w in zip(nodes, weights):
         basis = [1]  # prod_{j != i} (x - s_j), constant coefficient first
         for sj in nodes:
             if sj != si:
                 basis = [a - sj * b for a, b in zip([0] + basis, basis + [0])]
-        f = v * (D // w)
-        for k, b in enumerate(basis):
-            N[k] += f * b
+        rows.append(tuple(D // w * b for b in basis))
+    return D, tuple(rows)
+
+
+def _interpolate(pts: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(N, D) with N(x) / D the polynomial through the points, N integer, D > 0.
+
+    Lagrange interpolation over the common denominator D of the nodes'
+    basis (_lagrange_basis, computed once per node tuple): N is the sum of
+    the basis rows weighted by the values, listed from the constant
+    coefficient up.
+    """
+    D, rows = _lagrange_basis(tuple(s for s, _ in pts))
+    N = [sum(v * c for (_, v), c in zip(pts, column)) for column in zip(*rows)]
     return N, D
 
 
@@ -155,17 +169,24 @@ def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
 
     s = 0 gives 1.  Stretched weight systems outgrow the Freudenthal size
     guard quickly, so every other sample is a Steinberg sum: lr_steinberg
-    on the closed-form Kostant function for B2, and for every other algebra
-    multiplicity.lr_steinberg_table on the Kostant values at the arguments
-    of all the dilations' sums (_steinberg_terms), computed up front by one
-    kostant_values sweep and dropped when this call returns.  A weight that
-    is not dominant raises NonDominantWeightError, and so does a dilation
-    that is not.
+    on the closed-form Kostant function for B2 (without its weight checks
+    for a dilation by an int s >= 1, which is dominant), and for every
+    other algebra multiplicity.lr_steinberg_table on the Kostant values at
+    the arguments of all the dilations' sums (_steinberg_terms), computed up
+    front by one kostant_values sweep and dropped when this call returns.  A
+    weight that is not dominant raises NonDominantWeightError, and so does a
+    dilation that is not.
     """
     lam, mu, nu = (multiplicity._check_dominant(rs, w) for w in (lam, mu, nu))
-    dilations = {s: tuple(tuple(s * v for v in w) for w in (lam, mu, nu)) for s in s_values}
+    dilations = {s: tuple(tuple([s * v for v in w]) for w in (lam, mu, nu)) for s in s_values}
     if (rs.family, rs.rank) == ("B", 2):
-        return {s: multiplicity.lr_steinberg(rs, *t) if s else 1 for s, t in dilations.items()}
+        def sample(s, t):
+            if not s:
+                return 1
+            if type(s) is int and s > 0:  # a dilation of checked weights: dominant, integral, not checked again
+                return multiplicity._steinberg_sum(rs, *t)
+            return multiplicity.lr_steinberg(rs, *t)  # checks, and refuses, every other dilation
+        return {s: sample(s, t) for s, t in dilations.items()}
     points: set[tuple[int, ...]] = set()
     for s, t in dilations.items():
         if s:

@@ -251,12 +251,17 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     shift = tuple([v + 1 for v in lam])
     acc: dict[tuple[int, ...], int] = {}  # keyed by nu + rho
     for tau, m in freudenthal_weights(rs, mu).items():
-        dom, sign = reflect_to_dominant(rs, tuple(map(add, shift, tau)))
+        a = tuple(map(add, shift, tau))
+        if min(a) > 0:  # already in the open chamber: reflect_to_dominant would give (a, 1)
+            acc[a] = acc.get(a, 0) + m
+            continue
+        dom, sign = reflect_to_dominant(rs, a)
         if sign:
             acc[dom] = acc.get(dom, 0) + sign * m
     out = {tuple([v - 1 for v in dom]): c for dom, c in acc.items() if c}
-    for nu, v in out.items():
-        _checked_multiplicity(v, "Klimyk", lam, mu, nu)
+    if min(out.values(), default=0) < 0:  # _checked_multiplicity raises at the first negative
+        for nu, v in out.items():
+            _checked_multiplicity(v, "Klimyk", lam, mu, nu)
     return out
 
 
@@ -316,13 +321,15 @@ def _steinberg_terms(rs: RootSystem, lam, mu, nu) -> tuple[list[tuple[int, ...]]
     """
     plus: list[tuple[int, ...]] = []
     minus: list[tuple[int, ...]] = []
-    d = rs.root_scale[0]
-    top = rs.scaled_root([a + b - c for a, b, c in zip(lam, mu, nu)])
-    if any(v % d for v in top):
-        return plus, minus
-    top = tuple(v // d for v in top)
-    if min(top) < 0:
-        return plus, minus
+    d, scale = rs.root_scale
+    sigma = [a + b - c for a, b, c in zip(lam, mu, nu)]
+    top = []
+    for row in scale:
+        q, r = divmod(sum(map(mul, row, sigma)), d)
+        if r or q < 0:
+            return plus, minus
+        top.append(q)
+    top = tuple(top)
     right = _weyl_shifts(rs.family, rs.rank, mu)
     low = -top[0]
     for s1, a in _weyl_shifts(rs.family, rs.rank, lam):
@@ -349,9 +356,11 @@ def lr_steinberg(rs: RootSystem, lam, mu, nu) -> int:
     over the signed arguments of _steinberg_terms, with P the Kostant
     partition function (closed form for B2, recursion elsewhere).
     """
-    lam = _check_dominant(rs, lam)
-    mu = _check_dominant(rs, mu)
-    nu = _check_dominant(rs, nu)
+    return _steinberg_sum(rs, _check_dominant(rs, lam), _check_dominant(rs, mu), _check_dominant(rs, nu))
+
+
+def _steinberg_sum(rs: RootSystem, lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """lr_steinberg of weights already checked: tuples of rs.rank nonnegative int labels."""
     plus, minus = _steinberg_terms(rs, lam, mu, nu)
     if (rs.family, rs.rank) == ("B", 2):
         acc = sum(starmap(kostant_partition_b2, plus)) - sum(starmap(kostant_partition_b2, minus))

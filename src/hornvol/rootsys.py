@@ -187,6 +187,16 @@ class RootSystem:
         return len(self.positive_roots_rb)
 
     @cached_property
+    def _dimension_forms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(h c, <alpha, rho>) per positive root alpha = sum_i c_i alpha_i, h the half-norms.
+
+        <alpha, x> = sum_i h_i c_i x_i for x given by its Dynkin labels, and
+        <alpha, rho> = sum_i h_i c_i.
+        """
+        forms = (tuple(map(mul, rb, self.half_norms)) for rb in self.positive_roots_rb)
+        return tuple((hc, sum(hc)) for hc in forms)
+
+    @cached_property
     def positive_roots(self) -> tuple[Vec, ...]:
         """The positive roots in orthonormal coordinates."""
         return tuple(self.root_to_ortho(k) for k in self.positive_roots_rb)
@@ -455,10 +465,9 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     if min(a) < 0:
         raise NonDominantWeightError(f"{a} is not dominant")
     num = den = 1
-    for rb in rs.positive_roots_rb:
-        hc = tuple(map(mul, rb, rs.half_norms))
-        num *= sum(map(mul, hc, a)) + sum(hc)
-        den *= sum(hc)
+    for hc, r in rs._dimension_forms:  # r = <alpha, rho>
+        num *= sum(map(mul, hc, a)) + r
+        den *= r
     if num % den:
         raise InvariantError(f"Weyl dimension {num}/{den} of {a} is not an integer")
     return num // den

@@ -230,12 +230,15 @@ def sample_b2_spectrum(alpha, beta, n_samples: int, seed: int, bins: int = 40) -
 
 
 def so2_samples(alpha12, beta12, n_samples: int, seed: int) -> np.ndarray:
-    """N samples of gamma12 = sqrt(a^2 + b^2 + 2ab cos 2phi), phi uniform."""
-    a, b = float(alpha12), float(beta12)
-    if a <= 0 or b <= 0:
-        raise ValueError("alpha12, beta12 must be positive")
+    """N samples of gamma12 = sqrt(a^2 + b^2 + 2ab cos 2phi), phi uniform.
+
+    A pair that so2_support refuses, not finite or not positive, raises
+    its ValueError before any draw.
+    """
+    so2_support(alpha12, beta12)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
+    a, b = float(alpha12), float(beta12)
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     return np.sqrt(a * a + b * b + 2 * a * b * np.cos(2 * phi))
@@ -477,7 +480,7 @@ def chi_square_vs_pdf(hist: HornHistogram, alpha, beta, pw: PiecewiseQuadratic |
 
 def ks_distance_so2(samples: np.ndarray, alpha12, beta12) -> float:
     """Kolmogorov-Smirnov distance between the empirical and analytic CDFs (0 below the support); NaN is refused."""
-    so2_support(alpha12, beta12)  # refuses a non-positive pair
+    so2_support(alpha12, beta12)  # refuses a pair that is not finite and positive
     a, b = float(alpha12), float(beta12)
     if len(samples) == 0:
         raise ValueError("at least one sample required")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
-from ._exact import InvariantError, dot, qvec
+from ._exact import InvariantError, qvec
 from .bzpolytope import RationalPolygon, bz_polygon_b2, clip_cell
 from .ehrhart import (
     QuasiPolynomial,
@@ -54,6 +54,9 @@ def b2() -> RootSystem:
 
 
 def b2_dynkin_to_ortho(w) -> Pair:
+    a, b = w
+    if type(a) is int and type(b) is int:  # integer labels, as every volume route has them
+        return (Q(2 * a + b, 2), Q(b, 2))
     a, b = qvec(w)
     return (a + b / 2, b / 2)
 
@@ -138,10 +141,20 @@ def horn_polygon(alpha, beta) -> RationalPolygon:
     return RationalPolygon._from_rows(rows, tuple(c.denominator for *_, c in bounds), _HORN_LABELS, None)
 
 
+@lru_cache(maxsize=4)
+def _slab_rows(alpha: Pair, beta: Pair) -> tuple[tuple[int, int, Q, Q], ...]:
+    """horn_slabs of a pair of Fraction pairs as (a, b, lo, hi), the kind's normal (a, b) first.
+
+    The latest few pairs are kept: `hornvol grid` tests membership of the
+    same pair at every grid point.
+    """
+    return tuple((*_KINDS[kind], lo, hi) for kind, (lo, hi) in horn_slabs(alpha, beta).items())
+
+
 def horn_contains_b2(alpha, beta, gamma) -> bool:
     """Membership of gamma in the closed Horn polygon (chamber included)."""
-    gamma = _qpair(gamma)
-    return all(lo <= dot(_KINDS[kind], gamma) <= hi for kind, (lo, hi) in horn_slabs(alpha, beta).items())
+    g1, g2 = _qpair(gamma)
+    return all(lo <= a * g1 + b * g2 <= hi for a, b, lo, hi in _slab_rows(_qpair(alpha), _qpair(beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +786,11 @@ def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> V
 
 
 def so2_support(alpha12, beta12) -> tuple[Q, Q]:
-    a, b = Q(alpha12), Q(beta12)
+    """The support [|a - b|, a + b] of gamma12; a pair that is not finite and positive raises ValueError."""
+    try:
+        a, b = Q(alpha12), Q(beta12)
+    except (ValueError, OverflowError):  # NaN and +-inf have no Fraction
+        raise ValueError(f"alpha12 and beta12 must be finite rationals, but are {alpha12}, {beta12}") from None
     if a <= 0 or b <= 0:
         raise ValueError("alpha12 and beta12 must be positive")
     return (abs(a - b), a + b)

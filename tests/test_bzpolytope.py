@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hornvol.bzpolytope import (
     DegeneratePolygonError,
+    PickReport,
     RationalPolygon,
     UnboundedPolygonError,
     _cramer_hull,
@@ -18,6 +19,7 @@ from hornvol.bzpolytope import (
     lattice_point_count,
     pick_relation_check,
 )
+from hornvol.ehrhart import InconsistentSamplesError, fit_quasi_polynomial
 from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system, is_compatible
 from hornvol.volume import horn_polygon
@@ -514,6 +516,62 @@ def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
         assert stored(D) == stored(R)
         assert D.elim == R.elim
         assert D.lattice_count() == R.lattice_count()
+
+
+def dilate_pick_reference(P: RationalPolygon) -> PickReport:
+    """pick_relation_check with every dilation s P, s = 2..6, built by dilate and counted."""
+    V = P.area()
+    b, i = boundary_interior_counts(P)
+    C = b + i
+    samples = {0: 1, 1: C, **{s: lattice_point_count(P.dilate(s)) for s in range(2, 7)}}
+    try:
+        quasi = fit_quasi_polynomial(samples, degree=2, period=2)
+    except InconsistentSamplesError as exc:
+        return PickReport(None, False, C, V, b, i, None, (f"no period-2 fit: {exc}",))
+    sub = {r: quasi.coeffs[r][1] for r in range(2)}
+    if sub[0] != sub[1]:
+        note = f"sub-leading coefficient not constant: {sub[0]} vs {sub[1]}"
+        return PickReport(None, False, C, V, b, i, None, (note,))
+    L = 2 * sub[0]
+    p = Q(2 * C - 2 * V - L + 2, 4)
+    notes = []
+    if L != b:
+        notes.append(f"L = {L} differs from boundary count b = {b}")
+    if p == 1 and V != i + Q(b, 2) - 1:
+        notes.append("Pick's theorem V = i + b/2 - 1 fails")
+    holds = not notes
+    if quasi.coeffs[1][0] != 2 * p - 1:
+        notes.append(f"odd-class constant {quasi.coeffs[1][0]} differs from 2p-1 = {2 * p - 1}")
+    return PickReport(p, holds, C, V, b, i, L, tuple(notes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals(0, 12), min_size=6, max_size=6), st.booleans())
+def test_dilation_counts_off_the_rows_match_dilate(labels, as_ints):
+    """The row scan of s P (rows (A, B, s*C), elim filter at s) counts what dilate(s) counts, and Pick agrees.
+
+    lattice_count(strict_all) is the scan at s = 1, so s = 1 checks the interior count too.
+    """
+    labels = [int_if_integral(v) for v in labels] if as_ints else labels
+    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    for s in range(1, 9):
+        D = P.dilate(s)
+        for tight in (False, True):  # y from the axis rows, or from the vertices
+            assert P._dilated_count(s, tight=tight) == lattice_point_count(D)
+            assert P._dilated_count(s, strict_all=True, tight=tight) == D.lattice_count(strict_all=True)
+    if P.dim == 2:
+        assert pick_relation_check(P) == dilate_pick_reference(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hull_systems(), st.integers(1, 5))
+def test_dilation_counts_of_hull_systems_match_dilate(system, s):
+    # no rows bound y alone here, so the scan takes y from the vertices times s
+    P, _, _ = system
+    D = P.dilate(s)
+    for tight in (False, True):
+        assert P._dilated_count(s, tight=tight) == D.lattice_count()
+        assert P._dilated_count(s, strict_all=True, tight=tight) == D.lattice_count(strict_all=True)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hornvol.cli import main
+from hornvol.cli import SCHEMA_VERSION, _emit_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -495,10 +499,40 @@ def test_golden_outputs(capsys, tmp_path, name, argv):
     if name.endswith(".svg"):
         assert files["{svg}"].read_bytes() == (GOLDEN / name).read_bytes()
         return
-    if files["{cells}"].exists():
-        out = files["{cells}"].read_text()
-        assert out == (GOLDEN / name).read_text()
-    got = json.loads(out)
-    assert got["schema_version"] == 1
-    expected = json.loads((GOLDEN / name).read_text())
-    assert got == expected
+    # the cells file or stdout, byte for byte
+    got = files["{cells}"].read_bytes() if files["{cells}"].exists() else out.encode()
+    assert got == (GOLDEN / name).read_bytes()
+    assert json.loads(got)["schema_version"] == 1
+
+
+# -- the JSON writer against json.dumps ------------------------------------------
+
+json_leaves = st.one_of(
+    st.text(),                                  # escapes, control characters and non-ASCII among them
+    st.integers(), st.integers(-10**60, 10**60),
+    st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=6))
+def test_emit_json_writes_the_text_of_json_dumps(payload):
+    out = io.StringIO()
+    _emit_json(payload, out)
+    assert out.getvalue() == json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"x": Fraction(1, 2)}, {"x": [object()]}, {"x": {(1, 2): 0}}])
+def test_emit_json_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _emit_json(payload, io.StringIO())
+

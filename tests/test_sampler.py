@@ -650,6 +650,14 @@ def test_so2_samples_reject_bad_arguments():
         so2_samples(1, 2, 0, seed=1)
 
 
+@pytest.mark.parametrize("a,b", [(math.nan, 2), (1, math.inf), (-math.inf, 2)])
+def test_so2_entry_points_refuse_a_pair_that_is_not_finite(a, b):
+    for call in (lambda: so2_samples(a, b, 3, seed=1), lambda: ks_distance_so2(np.ones(3), a, b),
+                 lambda: so2_histogram(np.ones(3), a, b, bins=2)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_so2_ks_distance():
     s = so2_samples(1, 2, 200_000, seed=19)
     assert ks_distance_so2(s, 1, 2) < 1.949 / math.sqrt(200_000)
@@ -664,6 +672,8 @@ weights = st.tuples(labels, labels)
 b2_weights = st.one_of(regular_pair(), weights)
 # samples on and off the SO(2) supports, and the non-finite ones
 non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+# SO(2) pairs: labels and, now and then, a non-finite one
+so2_labels = st.one_of(labels, non_finite)
 float_samples = st.lists(st.one_of(st.floats(-1, 10), non_finite), max_size=20).map(np.array)
 # random edges, mostly unsorted or short of the polygon, and uniform grids that
 # span it, in a random order (sorted among them)
@@ -690,9 +700,14 @@ def so2_cdf(x: float, a: float, b: float) -> float:
     return 1.0 if x >= a + b else math.acos((a * a + b * b - x * x) / (2 * a * b)) / math.pi
 
 
+def so2_pair_refused(a, b) -> bool:
+    """Whether an SO(2) entry point must refuse the pair: one of them not finite and positive."""
+    return not (0 < a < math.inf and 0 < b < math.inf)
+
+
 def check_ks_distance_so2(data):
-    s, a, b = data.draw(float_samples), data.draw(labels), data.draw(labels)
-    d = answer_or_refuse(lambda: ks_distance_so2(s, a, b), a <= 0 or b <= 0 or len(s) == 0 or np.isnan(s).any())
+    s, a, b = data.draw(float_samples), data.draw(so2_labels), data.draw(so2_labels)
+    d = answer_or_refuse(lambda: ks_distance_so2(s, a, b), so2_pair_refused(a, b) or len(s) == 0 or np.isnan(s).any())
     if d is not None:
         # the supremum is reached at a sample, from the left or the right; the CDF has infinite
         # slope at the ends of the support, where roundoff in its argument moves it by about 1e-8
@@ -711,16 +726,16 @@ def check_haar_orthogonal(data):
 
 
 def check_so2_samples(data):
-    a, b, n = data.draw(labels), data.draw(labels), data.draw(st.integers(-1, 50))
-    s = answer_or_refuse(lambda: so2_samples(a, b, n, seed=1), a <= 0 or b <= 0 or n < 1)
+    a, b, n = data.draw(so2_labels), data.draw(so2_labels), data.draw(st.integers(-1, 50))
+    s = answer_or_refuse(lambda: so2_samples(a, b, n, seed=1), so2_pair_refused(a, b) or n < 1)
     if s is not None:
         lo, hi = (float(v) for v in so2_support(a, b))
         assert len(s) == n and (lo - MEMBERSHIP_TOL <= s).all() and (s <= hi + MEMBERSHIP_TOL).all()
 
 
 def check_so2_histogram(data):
-    s, a, b, bins = data.draw(float_samples), data.draw(labels), data.draw(labels), data.draw(st.integers(-1, 5))
-    h = answer_or_refuse(lambda: so2_histogram(s, a, b, bins=bins), a <= 0 or b <= 0 or bins < 1 or np.isnan(s).any())
+    s, a, b, bins = data.draw(float_samples), data.draw(so2_labels), data.draw(so2_labels), data.draw(st.integers(-1, 5))
+    h = answer_or_refuse(lambda: so2_histogram(s, a, b, bins=bins), so2_pair_refused(a, b) or bins < 1 or np.isnan(s).any())
     if h is not None:
         lo, hi = (float(v) for v in so2_support(a, b))
         assert h.counts.sum() == h.sample_count == len(s) and len(h.edges[0]) == bins + 1
@@ -771,7 +786,7 @@ SAMPLER_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check i
 def test_sampler_entry_points_answer_or_refuse(entry, data):
     """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
 
-    Refused: a non-positive SO(2) pair, a B2 pair that is not regular
+    Refused: an SO(2) pair that is not finite and positive, a B2 pair that is not regular
     ordered, N, bins or dof below 1, no samples, a NaN sample or chi-square
     statistic, a Haar n below 1 or size below 0, edges that are short,
     unsorted or do not span the Horn polygon, and a law other than the
