@@ -21,17 +21,16 @@ rows to the polygon.  Lattice scans split the rows once per polygon and
 take their row bounds from integer floor division; a scan of s P, s an
 int, reads P's own rows with each c times s, so the Pick check counts its
 dilations without building them.  Vertices come from Cramer's rule and an
-integer convex hull on one common denominator (the latest few cycles kept
-by their rows), areas from the integer shoelace sum, and a dilation scales
-the integer rows.  Coefficients, vertices and areas are returned as
-Fractions.
+integer convex hull on one common denominator, areas from the integer
+shoelace sum, and a dilation scales the integer rows.  Coefficients,
+vertices and areas are returned as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
@@ -97,35 +96,6 @@ def _cramer_hull(points: list[tuple[int, int, int]]) -> tuple[int, list[tuple[in
     """
     D = lcm(*(det for _, _, det in points))
     return D, _convex_hull([(xn * (D // det), yn * (D // det)) for xn, yn, det in points])
-
-
-@lru_cache(maxsize=4)
-def _vertex_cycle_of(rows: tuple[Row, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(D, cycle): the vertices of the rows' polygon as a CCW cycle of integer points over D > 0.
-
-    The candidates are pairwise line intersections by Cramer's rule, kept
-    when in the polygon.  The few latest cycles are kept, keyed by the rows:
-    the polytope volume route and the polygon report of `hornvol volume`
-    build the same BZ polygon one after the other.
-    """
-    pts: list[tuple[int, int, int]] = []
-    for i, (A1, B1, C1) in enumerate(rows):
-        for A2, B2, C2 in rows[i + 1:]:
-            det = A1 * B2 - A2 * B1
-            if det == 0:
-                continue
-            xn = C1 * B2 - C2 * B1
-            yn = A1 * C2 - A2 * C1
-            if det < 0:
-                det, xn, yn = -det, -xn, -yn
-            # (xn/det, yn/det) lies in the polygon iff A*xn + B*yn >= C*det
-            for A, B, C in rows:
-                if A * xn + B * yn < C * det:
-                    break
-            else:
-                pts.append((xn, yn, det))
-    D, cycle = _cramer_hull(pts)
-    return D, tuple(cycle)
 
 
 def _normals_bounded(rows: Sequence[Row]) -> bool:
@@ -241,8 +211,30 @@ class RationalPolygon:
     # -- geometry ----------------------------------------------------------
     @cached_property
     def _vertex_cycle(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0."""
-        return _vertex_cycle_of(self._rows)
+        """(D, cycle): the vertices as a CCW cycle of integer points over one denominator D > 0.
+
+        The candidates are pairwise line intersections by Cramer's rule, kept
+        when in the polygon.
+        """
+        rows = self._rows
+        pts: list[tuple[int, int, int]] = []
+        for i, (A1, B1, C1) in enumerate(rows):
+            for A2, B2, C2 in rows[i + 1:]:
+                det = A1 * B2 - A2 * B1
+                if det == 0:
+                    continue
+                xn = C1 * B2 - C2 * B1
+                yn = A1 * C2 - A2 * C1
+                if det < 0:
+                    det, xn, yn = -det, -xn, -yn
+                # (xn/det, yn/det) lies in the polygon iff A*xn + B*yn >= C*det
+                for A, B, C in rows:
+                    if A * xn + B * yn < C * det:
+                        break
+                else:
+                    pts.append((xn, yn, det))
+        D, cycle = _cramer_hull(pts)
+        return D, tuple(cycle)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -296,23 +288,23 @@ class RationalPolygon:
         """Integer points of the polygon (of its interior, under strict_all); 0 when elim is not integral."""
         return self._dilated_count(1, strict_all)
 
-    def _dilated_count(self, s: int, strict_all: bool = False, tight: bool = False) -> int:
+    def _dilated_count(self, s: int, strict_all: bool = False) -> int:
         """lattice_count(strict_all) of self.dilate(s), s >= 1 an int, by one scan of P's own rows.
 
         The rows of s P are (A, B, s*C) (see _split_rows) and its elim is
         s * elim (_passes_filter); no dilated polygon is built.  Per integer
         y the scan adds the integer x between the tightest lower and upper
         bounds.  The vertices, times s, bound y where no rows bound y alone
-        on both sides, and always under tight: that skips the empty rows of a
-        loose y box, for the price of the vertex cycle where it is not yet at
-        hand.  Boundedness guarantees rows with A > 0 and rows with A < 0, so
-        every scanned y gets both an x lower and an x upper bound.
+        on both sides, and wherever P holds its vertex cycle already: that
+        skips the empty rows of a loose y box, while a fresh P keeps the box.
+        Boundedness guarantees rows with A > 0 and rows with A < 0, so every
+        scanned y gets both an x lower and an x upper bound.
         """
         if not self._passes_filter(s):
             return 0
         split = self._split if s == 1 and not strict_all else _split_rows(self._rows, strict_all, s)
         ylo, yhi, xlo, xhi, lower, upper = split
-        if tight or ylo == -inf or yhi == inf:
+        if "_vertex_cycle" in self.__dict__ or ylo == -inf or yhi == inf:
             D, cycle = self._vertex_cycle
             if not cycle:
                 return 0
@@ -476,15 +468,15 @@ def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
     """
     if not P._passes_filter():
         return (0, 0)
-    # the scans take y from the vertex cycle, which P.dim computes anyway
-    total = P._dilated_count(1, tight=True)
-    if P.dim == 2:
-        interior = P._dilated_count(1, strict_all=True, tight=True)
+    dim = P.dim  # computes the vertex cycle, so the scans take y from it
+    total = P._dilated_count(1)
+    if dim == 2:
+        interior = P._dilated_count(1, strict_all=True)
         return (total - interior, interior)
-    if P.dim == 1:
+    if dim == 1:
         ends = sum(v[0].denominator == 1 and v[1].denominator == 1 for v in P.vertices)
         return (ends, total - ends)
-    if P.dim == 0:
+    if dim == 0:
         # the relative interior of a point is the point itself
         return (0, total)
     return (0, 0)
@@ -544,7 +536,7 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     C = b + i
     samples = {0: 1, 1: C}
     for s in range(2, 7):
-        samples[s] = P._dilated_count(s, tight=True)
+        samples[s] = P._dilated_count(s)
     try:
         quasi = fit_quasi_polynomial(samples, degree=2, period=2)
     except InconsistentSamplesError as exc:

@@ -214,13 +214,9 @@ def cmd_lr(args) -> int:
 
 def cmd_volume(args) -> int:
     rs = parse_algebra(args.algebra)
-    is_b2 = (rs.family, rs.rank) == ("B", 2)
     lam, mu, nu = parse_triple(rs, args)
-    if args.route == "all":
-        routes = ROUTES if is_b2 else ("lr", "ehrhart")
-    else:
-        routes = (args.route,)
-    if any(r in ("lr", "ehrhart") for r in routes) and not is_compatible(rs, lam, mu, nu):
+    routes = None if args.route == "all" else (args.route,)
+    if args.route in ("all", "lr", "ehrhart") and not is_compatible(rs, lam, mu, nu):
         raise CliError("routes lr and ehrhart need a compatible triple")
     try:
         vr = volume_routes(lam, mu, nu, routes, rs=rs)
@@ -240,8 +236,8 @@ def cmd_volume(args) -> int:
     if vr.skipped:
         payload["skipped"] = vr.skipped
     degen = None
-    if is_b2:
-        P = bz_polygon_b2(lam, mu, nu)
+    if (rs.family, rs.rank) == ("B", 2):
+        P = vr.bz_polygon or bz_polygon_b2(lam, mu, nu)
         degen = degeneracy_info(P)
         payload["polygon"] = {"degeneracy": str(degen), **P.to_json_dict()}
         if degen.kind == "Full":
@@ -483,20 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lr", help="tensor-product multiplicity by one or all methods")
-    p.add_argument("algebra")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    def triple_parser(name: str, help: str) -> argparse.ArgumentParser:
+        """A subcommand that takes the algebra and the triple parse_triple reads."""
+        p = sub.add_parser(name, help=help)
+        for arg in ("algebra", "lam", "mu", "nu"):
+            p.add_argument(arg)
+        return p
+
+    p = triple_parser("lr", "tensor-product multiplicity by one or all methods")
     p.add_argument("--method", choices=["klimyk", "steinberg", "bz", "all"], default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_lr)
 
-    p = sub.add_parser("volume", help="BZ-polytope volume by one or all routes")
-    p.add_argument("algebra")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    p = triple_parser("volume", "BZ-polytope volume by one or all routes")
     p.add_argument("--route", choices=[*ROUTES, "all"], default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_volume)
@@ -512,11 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the piecewise-quadratic cell diagram as JSON and overlay it in the SVG")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("ehrhart", help="fit the stretching quasi-polynomial of a triple")
-    p.add_argument("algebra")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    p = triple_parser("ehrhart", "fit the stretching quasi-polynomial of a triple")
     p.add_argument("--period", type=int, default=None)
     p.add_argument("--smax", type=int, default=None)
     p.set_defaults(func=cmd_ehrhart)

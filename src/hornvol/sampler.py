@@ -29,7 +29,7 @@ import numpy as np
 from ._exact import InvariantError
 from .volume import (
     _cells_of,
-    _check_regular_ordered,
+    _regular_pair,
     horn_slabs,
     pdf_scale,
     so2_support,
@@ -160,10 +160,9 @@ def _b2_chunks(alpha, beta, n_samples: int, seed: int) -> Iterator[tuple[np.ndar
     from chunk to chunk.  The arguments are checked on the call, before any
     draw.
     """
-    alpha, beta = _qpair(alpha), _qpair(beta)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
-    _check_regular_ordered(alpha, beta)
+    alpha, beta = _regular_pair(alpha, beta)
     exp_rng, normal_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     k = -(-n_samples // CHUNK)
     sizes = (n_samples * (i + 1) // k - n_samples * i // k for i in range(k))

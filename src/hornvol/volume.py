@@ -106,11 +106,13 @@ _CHAMBER_WALLS = {("g2", 0), ("g1-g2", 0)}
 _HORN_LABELS = tuple(f"{kind} {side}" for kind in _KINDS for side in (">= lo", "<= hi"))
 
 
-def _check_regular_ordered(alpha: Pair, beta: Pair) -> None:
-    a1, a2 = alpha
-    b1, b2 = beta
+def _regular_pair(alpha, beta) -> tuple[Pair, Pair]:
+    """alpha and beta as Fraction pairs, which must be regular ordered."""
+    alpha, beta = _qpair(alpha), _qpair(beta)
+    (a1, a2), (b1, b2) = alpha, beta
     if not (a1 > a2 > 0 and b1 > b2 > 0):
         raise ValueError("alpha and beta must be regular ordered: x1 > x2 > 0")
+    return alpha, beta
 
 
 def horn_slabs(alpha, beta) -> dict[str, tuple[Q, Q]]:
@@ -121,9 +123,7 @@ def horn_slabs(alpha, beta) -> dict[str, tuple[Q, Q]]:
     the polygon: the g1 and g2 slabs are its bounding box, and a line <normal, gamma> = level crosses
     its interior iff lo < level < hi.
     """
-    a1, a2 = _qpair(alpha)
-    b1, b2 = _qpair(beta)
-    _check_regular_ordered((a1, a2), (b1, b2))
+    (a1, a2), (b1, b2) = _regular_pair(alpha, beta)
     d1, d2 = abs(a1 - b1), abs(a2 - b2)
     return {
         "g1": (max(d1, d2), a1 + b1),
@@ -184,9 +184,7 @@ def singular_lines_b2(alpha, beta, within_horn: bool = False) -> list[SingularLi
     With within_horn=True, keeps only lines that cross the open interior of
     the Horn polygon.
     """
-    a1, a2 = _qpair(alpha)
-    b1, b2 = _qpair(beta)
-    _check_regular_ordered((a1, a2), (b1, b2))
+    (a1, a2), (b1, b2) = _regular_pair(alpha, beta)
     raw = {
         "g1": [
             (a1 + b2, "a1+b2"),
@@ -658,7 +656,7 @@ def _inverse_kappa_b2() -> Q:
 
 def pdf_scale(alpha, beta) -> Q:
     """1 / (kappa_g Delta(alpha) Delta(beta)) on regular ordered pairs; the density is this times |Delta(gamma)| J."""
-    _check_regular_ordered(alpha, beta)
+    alpha, beta = _regular_pair(alpha, beta)
     return _inverse_kappa_b2() / (delta_b2(alpha) * delta_b2(beta))
 
 
@@ -727,9 +725,10 @@ class VolumeRoutes:
     ehrhart: Q | None = None
     polytope: Q | None = None
     skipped: dict[str, str] = field(default_factory=dict)  # route -> reason
+    bz_polygon: RationalPolygon | None = None  # the polygon the polytope route measured
 
     def values(self) -> dict[str, Q]:
-        return {k: v for k, v in self.__dict__.items() if k != "skipped" and v is not None}
+        return {k: v for k in ROUTES if (v := getattr(self, k)) is not None}
 
     def agree(self) -> bool:
         vals = set(self.values().values())
@@ -739,24 +738,27 @@ class VolumeRoutes:
 ROUTES = ("direct", "lr", "ehrhart", "polytope")
 
 
-def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> VolumeRoutes:
+def volume_routes(lam, mu, nu, routes=None, rs: RootSystem | None = None) -> VolumeRoutes:
     """The BZ-polytope volume of a compatible triple by up to four routes.
 
-    routes is a nonempty choice from ROUTES; anything else raises ValueError,
-    and so does a weight that is not dominant and integral with rs.rank
-    labels, before any route runs.  The direct and polytope routes are
-    B2-specific; lr and ehrhart work for every algebra with a c_kappa table.
-    The lr route needs lam, mu, nu to dominate rho and weight systems within
-    the Freudenthal size guard; when explicitly asked for it raises, but
-    next to other routes it is skipped and the reason kept in `skipped`.
+    routes is a nonempty choice from ROUTES, by default every route the
+    algebra has: all four on B2 and lr and ehrhart elsewhere.  Any other
+    choice raises ValueError, and so does a weight that is not dominant and
+    integral with rs.rank labels, before any route runs.  The direct and
+    polytope routes are B2-specific; lr and ehrhart work for every algebra
+    with a c_kappa table.  The lr route needs lam, mu, nu to dominate rho and
+    weight systems within the Freudenthal size guard; when explicitly asked
+    for it raises, but next to other routes it is skipped and the reason
+    kept in `skipped`.  The polytope route's polygon is kept in `bz_polygon`.
     """
-    routes = tuple(routes)  # so that a list ["lr"] is the lone lr route below, which raises
-    if not routes or not set(routes) <= set(ROUTES):
-        raise ValueError(f"routes {tuple(routes)} must be a nonempty choice from {', '.join(ROUTES)}")
     if rs is None:
         rs = b2()
-    lam, mu, nu = (_check_dominant(rs, w) for w in (lam, mu, nu))
     is_b2 = (rs.family, rs.rank) == ("B", 2)
+    # a tuple, so that a list ["lr"] is the lone lr route below, which raises
+    routes = (ROUTES if is_b2 else ("lr", "ehrhart")) if routes is None else tuple(routes)
+    if not routes or not set(routes) <= set(ROUTES):
+        raise ValueError(f"routes {routes} must be a nonempty choice from {', '.join(ROUTES)}")
+    lam, mu, nu = (_check_dominant(rs, w) for w in (lam, mu, nu))
     out = {}
     skipped = {}
     if "direct" in routes:
@@ -776,8 +778,8 @@ def volume_routes(lam, mu, nu, routes=ROUTES, rs: RootSystem | None = None) -> V
     if "polytope" in routes:
         if not is_b2:
             raise ValueError("the BZ polygon construction is B2-specific")
-        P = bz_polygon_b2(lam, mu, nu)
-        out["polytope"] = P.area() if P.dim == 2 else Q(0)
+        out["bz_polygon"] = P = bz_polygon_b2(lam, mu, nu)
+        out["polytope"] = P.area()
     return VolumeRoutes(**out, skipped=skipped)
 
 

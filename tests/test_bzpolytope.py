@@ -545,6 +545,21 @@ def dilate_pick_reference(P: RationalPolygon) -> PickReport:
     return PickReport(p, holds, C, V, b, i, L, tuple(notes))
 
 
+def assert_counts_match_dilate(make, s: int) -> None:
+    """A fresh polygon make() and one whose vertices were read count what dilate(s) counts, with and without the interior.
+
+    A fresh polygon takes y from the rows that bound y alone, where they bound
+    it on both sides; one that holds its vertex cycle takes y from the vertices.
+    """
+    read = make()
+    read.vertices
+    D = read.dilate(s)
+    for strict_all in (False, True):
+        want = D.lattice_count(strict_all=strict_all)
+        assert make()._dilated_count(s, strict_all) == want
+        assert read._dilated_count(s, strict_all) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rationals(0, 12), min_size=6, max_size=6), st.booleans())
 def test_dilation_counts_off_the_rows_match_dilate(labels, as_ints):
@@ -553,12 +568,12 @@ def test_dilation_counts_off_the_rows_match_dilate(labels, as_ints):
     lattice_count(strict_all) is the scan at s = 1, so s = 1 checks the interior count too.
     """
     labels = [int_if_integral(v) for v in labels] if as_ints else labels
-    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
+    make = lambda: bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
     for s in range(1, 9):
-        D = P.dilate(s)
-        for tight in (False, True):  # y from the axis rows, or from the vertices
-            assert P._dilated_count(s, tight=tight) == lattice_point_count(D)
-            assert P._dilated_count(s, strict_all=True, tight=tight) == D.lattice_count(strict_all=True)
+        assert_counts_match_dilate(make, s)
+    P = make()
+    lattice_point_count(P)
+    assert "_vertex_cycle" not in P.__dict__  # the template's axis rows bound y: a fresh count computes no cycle
     if P.dim == 2:
         assert pick_relation_check(P) == dilate_pick_reference(P)
 
@@ -566,12 +581,9 @@ def test_dilation_counts_off_the_rows_match_dilate(labels, as_ints):
 @settings(max_examples=100, deadline=None)
 @given(hull_systems(), st.integers(1, 5))
 def test_dilation_counts_of_hull_systems_match_dilate(system, s):
-    # no rows bound y alone here, so the scan takes y from the vertices times s
-    P, _, _ = system
-    D = P.dilate(s)
-    for tight in (False, True):
-        assert P._dilated_count(s, tight=tight) == D.lattice_count()
-        assert P._dilated_count(s, strict_all=True, tight=tight) == D.lattice_count(strict_all=True)
+    # no rows bound y alone here, so even a fresh polygon takes y from the vertices times s
+    _, hps, _ = system
+    assert_counts_match_dilate(lambda: RationalPolygon(hps), s)
 
 
 @settings(max_examples=100, deadline=None)

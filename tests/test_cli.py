@@ -108,6 +108,21 @@ def test_volume_degenerate_segment(capsys):
     assert "Segment(relative length 2)" in out
 
 
+@pytest.mark.parametrize("route", ["all", "lr"])
+def test_volume_builds_one_bz_polygon(route, monkeypatch, capsys):
+    # --route all reports on the polytope route's polygon; --route lr builds the one it reports on
+    import hornvol.cli as cli
+    import hornvol.volume as volume
+
+    calls = []
+    build = volume.bz_polygon_b2
+    for module in (cli, volume):
+        monkeypatch.setattr(module, "bz_polygon_b2", lambda *a: calls.append(a) or build(*a))
+    rc, out = run(capsys, "volume", "B2", "4,7", "5,3", "2,4", "--route", route)
+    assert rc == 0 and "degeneracy: Full" in out
+    assert calls == [((4, 7), (5, 3), (2, 4))]
+
+
 def test_volume_rejects_incompatible_for_lr_route(capsys):
     rc, _ = run(capsys, "volume", "B2", "0,1", "0,1", "0,1", "--route", "lr")
     assert rc == 2

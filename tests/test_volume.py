@@ -1199,6 +1199,21 @@ def test_b3_lr_and_ehrhart_routes_agree():
         volume_routes((1, 1, 1), (1, 1, 1), (1, 1, 1), routes=("direct",), rs=b3)
 
 
+def test_default_routes_are_those_of_the_algebra():
+    vr = volume_routes((2, 2, 2), (2, 2, 2), (2, 2, 2), rs=build_root_system("B", 3))
+    assert vr.values() == {"lr": Q(241, 48), "ehrhart": Q(241, 48)}
+    assert vr.bz_polygon is None and vr.skipped == {}
+    vr = volume_routes((4, 7), (5, 3), (2, 4))
+    assert list(vr.values()) == list(volume.ROUTES)
+
+
+def test_the_polytope_route_keeps_its_polygon():
+    vr = volume_routes((4, 7), (5, 3), (2, 4), routes=("polytope",))
+    assert vr.values() == {"polytope": vr.bz_polygon.area()} == {"polytope": Q(7, 4)}
+    assert vr.bz_polygon.to_json_dict() == bz_polygon_b2((4, 7), (5, 3), (2, 4)).to_json_dict()
+    assert volume_routes((4, 7), (5, 3), (2, 4), routes=("direct", "lr", "ehrhart")).bz_polygon is None
+
+
 def test_volume_routes_refuse_an_empty_or_unknown_route_list():
     # both used to return an empty VolumeRoutes whose agree() is True
     for routes in ((), ("bogus",), ("direct", "bogus")):
