@@ -14,6 +14,12 @@ All arithmetic is in integers: weights enter and leave as Dynkin labels
 (read by `RootSystem.labels`), Freudenthal takes inner products from the
 integer half-norms on labels, and the Steinberg sum works on simple-root
 coordinates scaled by d through the integer map `RootSystem.root_scale`.
+
+Two bounded per-process tables, keyed by (family, rank, labels), memoize the
+Weyl action that Freudenthal and Klimyk share: _weyl_orbit, the orbit of a
+dominant weight (maxsize 512), and _dominant_image, the (dominant image,
+sign) of labels off the open chamber (maxsize 512).  Steinberg does not read
+them.
 """
 
 from __future__ import annotations
@@ -84,6 +90,31 @@ def _weyl_orbit_dynkin(rs: RootSystem, start: tuple[int, ...]) -> set[tuple[int,
 
 
 @lru_cache(maxsize=512)
+def _weyl_orbit(family: str, rank: int, start: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """_weyl_orbit_dynkin of the dominant weight `start`, kept per process.
+
+    A cold Freudenthal system reads the orbit of lam and of every dominant
+    weight it finishes, and the systems of one run share most of them.  The
+    bound is the Freudenthal cache's: a 30 s perfbench lr_sweep run reaches
+    112 distinct orbits, a 9-block volume_cli run 88-98 (seeds 7 and 3931),
+    and the weight systems of all 81 B2 labels up to 8 reach 129.
+    """
+    return frozenset(_weyl_orbit_dynkin(build_root_system(family, rank), start))
+
+
+@lru_cache(maxsize=512)
+def _dominant_image(family: str, rank: int, a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """reflect_to_dominant of the Dynkin labels a, kept per process.
+
+    The Klimyk loop of tensor_decompose reflects each shifted weight off the
+    open chamber.  A 30 s perfbench lr_sweep run reaches 421-426 distinct
+    ones, a 9-block volume_cli run 405-456 (seeds 7 and 3931), and all 6,561
+    B2 pairs of labels up to 8 reach 493, so 512 holds them.
+    """
+    return reflect_to_dominant(build_root_system(family, rank), a)
+
+
+@lru_cache(maxsize=512)
 def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The weight system of V_lam by Freudenthal's recursion, in dominant weights by level.
 
@@ -136,7 +167,7 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> dict[tu
                     stack.append(off2)
 
     lam_2rho = tuple([v + 2 for v in lam])  # Dynkin labels of lam + 2 rho
-    entries = dict.fromkeys(_weyl_orbit_dynkin(rs, lam), 1)
+    entries = dict.fromkeys(_weyl_orbit(family, rank, lam), 1)
     # by level sum(off), so zero, the highest weight, comes first
     for off in sorted(dominant, key=sum)[1:]:
         dyn = dominant[off]
@@ -156,7 +187,7 @@ def _freudenthal_cached(family: str, rank: int, lam: tuple[int, ...]) -> dict[tu
         val, rem = divmod(2 * num, den)
         if rem or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {2 * num}/{den} of {dyn} in V{lam} is not a positive integer")
-        entries.update(dict.fromkeys(_weyl_orbit_dynkin(rs, dyn), val))
+        entries.update(dict.fromkeys(_weyl_orbit(family, rank, dyn), val))
     return entries
 
 
@@ -249,13 +280,14 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> dict[tuple[int, ...], int]:
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
     shift = tuple([v + 1 for v in lam])
+    family, rank = rs.family, rs.rank
     acc: dict[tuple[int, ...], int] = {}  # keyed by nu + rho
     for tau, m in freudenthal_weights(rs, mu).items():
         a = tuple(map(add, shift, tau))
         if min(a) > 0:  # already in the open chamber: reflect_to_dominant would give (a, 1)
             acc[a] = acc.get(a, 0) + m
             continue
-        dom, sign = reflect_to_dominant(rs, a)
+        dom, sign = _dominant_image(family, rank, a)
         if sign:
             acc[dom] = acc.get(dom, 0) + sign * m
     out = {tuple([v - 1 for v in dom]): c for dom, c in acc.items() if c}

@@ -215,11 +215,14 @@ class RootSystem:
         """The Dynkin labels a (ints or integral Fractions) as a tuple of ints.
 
         Raises ValueError on a wrong number of labels and NonDominantWeightError
-        on a non-integral one.
+        on a non-integral one, NaN and the infinities included.
         """
         a = _sized(a, self.rank, "Dynkin labels")
-        labels = tuple(map(int, a))
-        if labels != a:  # int() truncated a non-integral label
+        try:
+            labels = tuple(map(int, a))
+        except (ValueError, OverflowError):  # int() of NaN or an infinity
+            labels = None
+        if labels != a:  # int() truncated a non-integral label, or had none to take
             raise NonDominantWeightError(f"({', '.join(map(str, a))}) is not an integral weight")
         return labels
 

@@ -298,7 +298,7 @@ def expected_bin_probabilities(alpha, beta, edges, pw: PiecewiseQuadratic | None
     extremes); UncoveredSupportError is raised otherwise, and CellPairError
     for a pw of another pair.
     """
-    alpha, beta = _qpair(alpha), _qpair(beta)
+    alpha, beta = _regular_pair(alpha, beta)
     pw = _cells_of(alpha, beta, pw)
     ex, ey = edges
     D = pw.cells[0].D

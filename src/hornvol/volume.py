@@ -107,7 +107,13 @@ _HORN_LABELS = tuple(f"{kind} {side}" for kind in _KINDS for side in (">= lo", "
 
 
 def _regular_pair(alpha, beta) -> tuple[Pair, Pair]:
-    """alpha and beta as Fraction pairs, which must be regular ordered."""
+    """alpha and beta as Fraction pairs, which must be finite and regular ordered.
+
+    A NaN or infinite label is refused before any Fraction is made, which
+    would raise Fraction's own ValueError or an OverflowError.
+    """
+    if any(v != v or v in (math.inf, -math.inf) for v in (*alpha, *beta)):
+        raise ValueError(f"alpha and beta must have finite labels, not {tuple(alpha)} and {tuple(beta)}")
     alpha, beta = _qpair(alpha), _qpair(beta)
     (a1, a2), (b1, b2) = alpha, beta
     if not (a1 > a2 > 0 and b1 > b2 > 0):
@@ -432,12 +438,12 @@ def piecewise_analyze_b2(alpha, beta) -> PiecewiseQuadratic:
     holds an edge of the convex Horn polygon supports it, so no line carries
     walls of both types.
     """
-    alpha, beta = _qpair(alpha), _qpair(beta)
+    alpha, beta = _regular_pair(alpha, beta)
     swapped = abs(beta[0] - alpha[1]) < abs(alpha[0] - beta[1])
     if swapped:
         alpha, beta = beta, alpha
 
-    horn = horn_polygon(alpha, beta)    # raises unless alpha and beta are regular ordered
+    horn = horn_polygon(alpha, beta)
     if horn.dim != 2:
         raise ValueError("Horn polygon is degenerate; alpha or beta not regular?")
     terms = _weyl_terms(alpha, beta)
@@ -673,7 +679,7 @@ def pdf_normalization_integral(alpha, beta, pw: PiecewiseQuadratic | None = None
     fixed denominator (_delta_moment), and one Fraction is made at the end.
     A pw of another pair raises CellPairError.
     """
-    alpha, beta = _qpair(alpha), _qpair(beta)
+    alpha, beta = _regular_pair(alpha, beta)
     pw = _cells_of(alpha, beta, pw)
     total = sum(_delta_moment(c.lattice, c.q) for c in pw.cells)
     D = pw.cells[0].D

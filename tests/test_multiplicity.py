@@ -26,6 +26,7 @@ from hornvol.rootsys import (
     UnsupportedAlgebraError,
     build_root_system,
     is_compatible,
+    reflect_to_dominant,
     weyl_dimension,
     weyl_elements,
     weyl_group,
@@ -193,6 +194,26 @@ def test_positive_label_orbits_equal_the_all_label_closure(algebra, top):
     rs = build_root_system(*algebra)
     for lam in itertools.product(range(top + 1), repeat=rs.rank):
         assert multiplicity._weyl_orbit_dynkin(rs, lam) == all_label_orbit(rs.cartan_matrix, lam)
+
+
+TABLE_ALGEBRAS = {2: [build_root_system("B", 2), build_root_system("G2")],
+                  3: [build_root_system(*name) for name in (("A", 3), ("B", 3), ("C", 3))]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(TABLE_ALGEBRAS)), st.data())
+def test_the_weyl_tables_equal_their_uncached_functions(rank, data):
+    """The orbit of dominant labels 0..3 and the dominant image of labels -6..6 in every algebra of one rank
+    (B2 and G2; A3, B3 and C3), each read twice, the second time from the table: the same labels in
+    another algebra must not read the first one's entry.  Each table stays within its finite maxsize."""
+    start = data.draw(st.tuples(*[st.integers(0, 3)] * rank))
+    a = data.draw(st.tuples(*[st.integers(-6, 6)] * rank))
+    for rs in TABLE_ALGEBRAS[rank] * 2:
+        assert multiplicity._weyl_orbit(rs.family, rs.rank, start) == multiplicity._weyl_orbit_dynkin(rs, start)
+        assert multiplicity._dominant_image(rs.family, rs.rank, a) == reflect_to_dominant(rs, a)
+    for table in (multiplicity._weyl_orbit, multiplicity._dominant_image):
+        info = table.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 REFERENCE_ALGEBRAS = {name: build_root_system(*name) for name in (("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G2", None))}

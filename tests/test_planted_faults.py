@@ -6,6 +6,8 @@ exits 0 only when every method or route agrees, so a fault that leaves it
 at 0 would be one that no check can see.
 """
 
+import dataclasses
+
 import pytest
 
 from hornvol import bzpolytope, cli, multiplicity, volume
@@ -13,6 +15,7 @@ from hornvol.bzpolytope import RationalPolygon
 from hornvol.cli import main
 from hornvol.rootsys import build_root_system
 
+B2_ROOTS = build_root_system("B", 2).positive_roots_rb
 B3_ROOTS = build_root_system("B", 3).positive_roots_rb
 
 
@@ -72,6 +75,67 @@ def test_a_shift_map_entry_off_by_one_makes_lr_exit_1(element, row, col, fresh_s
 
     plant_shift_maps(monkeypatch, off_by_one)
     assert main(["lr", "B2", "5,6", "3,4", "6,4", "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_weyl_tables():
+    """Empty the Freudenthal cache and the Weyl orbit and dominant image tables before and after the test."""
+    tables = (multiplicity._freudenthal_cached, multiplicity._weyl_orbit, multiplicity._dominant_image)
+    for cached in tables:
+        cached.cache_clear()
+    yield
+    for cached in tables:
+        cached.cache_clear()
+
+
+# Klimyk reads the weight system of (3,4), the smaller factor, built cold here.
+@pytest.mark.parametrize("dropped", B2_ROOTS)
+def test_freudenthal_skipping_one_root_string_makes_lr_exit_1(dropped, fresh_weyl_tables, monkeypatch, capsys):
+    """The recursion's B2 root table lacks one positive root, so its string is skipped (and its descent step)."""
+    build = multiplicity.build_root_system
+
+    def faulty(family, rank=None):
+        rs = build(family, rank)
+        if (rs.family, rs.rank) != ("B", 2):
+            return rs
+        return dataclasses.replace(rs, positive_roots_rb=tuple(r for r in rs.positive_roots_rb if r != dropped))
+
+    monkeypatch.setattr(multiplicity, "build_root_system", faulty)
+    assert main(["lr", "B2", "5,6", "3,4", "6,4", "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
+# (5,6) x (3,4): lam + rho + tau for each weight tau of V_(3,4) below is off the
+# open chamber, and its dominant image minus rho is nu; flipping the sign of
+# that one Klimyk term moves C^nu by twice the weight's multiplicity.
+@pytest.mark.parametrize("shifted,nu", [((-1, 11), "0,8"), ((10, -3), "6,2"), ((13, -1), "11,0")])
+def test_a_dominant_image_with_its_sign_flipped_makes_lr_exit_1(shifted, nu, fresh_weyl_tables, monkeypatch, capsys):
+    reflect = multiplicity.reflect_to_dominant
+
+    def faulty(rs, a):
+        dom, sign = reflect(rs, a)
+        return (dom, -sign) if (rs.rank, tuple(a)) == (2, shifted) else (dom, sign)
+
+    monkeypatch.setattr(multiplicity, "reflect_to_dominant", faulty)
+    assert main(["lr", "B2", "5,6", "3,4", nu, "--method", "all"]) == 1
+    assert "agree: yes" not in capsys.readouterr().out
+
+
+# (5,6) x (3,4): the orbit of the dominant weight d of V_(3,4) lacks one weight.
+# Without -d, the Klimyk term of nu = (5,6) - d is lost; without d, the
+# recursion's strings through d break off too, and nu = (5,6) + d reads them.
+@pytest.mark.parametrize("start,dropped,nu", [
+    ((3, 4), (-3, -4), "2,2"), ((2, 2), (-2, -2), "3,4"), ((2, 2), (2, 2), "7,8"), ((0, 0), (0, 0), "5,6")])
+def test_a_weyl_orbit_missing_one_weight_makes_lr_exit_1(start, dropped, nu, fresh_weyl_tables, monkeypatch, capsys):
+    orbit = multiplicity._weyl_orbit_dynkin
+
+    def faulty(rs, a):
+        out = orbit(rs, a)
+        return out - {dropped} if (rs.rank, a) == (2, start) else out
+
+    monkeypatch.setattr(multiplicity, "_weyl_orbit_dynkin", faulty)
+    assert main(["lr", "B2", "5,6", "3,4", nu, "--method", "all"]) == 1
     assert "agree: yes" not in capsys.readouterr().out
 
 

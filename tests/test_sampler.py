@@ -668,12 +668,12 @@ def test_so2_ks_distance():
 
 labels = st.one_of(st.integers(-1, 4), st.fractions(-1, 4, max_denominator=3))
 weights = st.tuples(labels, labels)
-# B2 pairs, regular ordered about half of the time
-b2_weights = st.one_of(regular_pair(), weights)
 # samples on and off the SO(2) supports, and the non-finite ones
 non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
 # SO(2) pairs: labels and, now and then, a non-finite one
 so2_labels = st.one_of(labels, non_finite)
+# B2 pairs: regular ordered about a third of the time, else labels that may be non-finite
+b2_weights = st.one_of(regular_pair(), weights, st.tuples(so2_labels, so2_labels))
 float_samples = st.lists(st.one_of(st.floats(-1, 10), non_finite), max_size=20).map(np.array)
 # random edges, mostly unsorted or short of the polygon, and uniform grids that
 # span it, in a random order (sorted among them)
@@ -683,7 +683,8 @@ grid_edges = st.one_of(st.lists(st.floats(-5, 60), max_size=6),
 
 
 def regular_ordered(*pairs) -> bool:
-    return all(x1 > x2 > 0 for x1, x2 in pairs)
+    """x1 > x2 > 0 with x1 finite (so x2 is too) in every pair: NaN compares false."""
+    return all(math.inf > x1 > x2 > 0 for x1, x2 in pairs)
 
 
 def check_chi2_sf(data):
@@ -786,8 +787,8 @@ SAMPLER_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check i
 def test_sampler_entry_points_answer_or_refuse(entry, data):
     """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
 
-    Refused: an SO(2) pair that is not finite and positive, a B2 pair that is not regular
-    ordered, N, bins or dof below 1, no samples, a NaN sample or chi-square
+    Refused: an SO(2) pair that is not finite and positive, a B2 pair that is not finite
+    and regular ordered, N, bins or dof below 1, no samples, a NaN sample or chi-square
     statistic, a Haar n below 1 or size below 0, edges that are short,
     unsorted or do not span the Horn polygon, and a law other than the
     histogram's pair.  Nothing else escapes.

@@ -57,6 +57,7 @@ from hornvol.volume import (
 )
 from horn_reference import c1_wall_discrepancies, horn_constraints, point_in_cell
 from poly2 import p2_add, p2_delta_squared, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
+from refusal import answer_or_refuse
 
 B2 = build_root_system("B", 2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -1225,10 +1226,16 @@ def test_volume_routes_refuse_an_empty_or_unknown_route_list():
 ROUTE_ENTRIES = ("b2_dynkin_to_ortho", "j_b2", "j_lr_unshifted", "stretching_quasi_polynomial", "bz_polygon_b2")
 
 
+#: NaN and the infinities, which no label may be
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 def b2_weights():
-    """One, two or three entries: ints in [-1, 3], or Fractions in [-2, 3] of denominator up to 3."""
+    """One, two or three entries: ints in [-1, 3], or Fractions in [-2, 3] of denominator up to 3; or two
+    entries, ints in [0, 3] and non-finite floats."""
     entries = st.sampled_from([st.integers(-1, 3), st.fractions(-2, 3, max_denominator=3)])
-    return st.tuples(entries, st.integers(1, 3)).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]))
+    sized = st.tuples(entries, st.integers(1, 3)).flatmap(lambda es: st.lists(es[0], min_size=es[1], max_size=es[1]))
+    return st.one_of(sized, st.lists(st.one_of(st.integers(0, 3), NON_FINITE), min_size=2, max_size=2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1239,13 +1246,14 @@ def test_volume_routes_answer_or_refuse(weights, routes):
     well-formed triple is answered, or refused by the lr route alone.
 
     About half the draws are triples of dominant labels 0..4.  Malformed
-    means a wrong label count, a negative label or a non-integral one.  The
+    means a wrong label count, a negative label, a non-integral one, NaN or
+    an infinity.  The
     lr route refuses an incompatible triple, and, asked for alone, one that
     does not dominate rho.  On a compatible triple with every label at least
     1, the routes that answer agree.
     """
     sized = all(len(w) == 2 for w in weights)
-    well_formed = sized and all(v >= 0 and Q(v).denominator == 1 for w in weights for v in w)
+    well_formed = sized and all(math.isfinite(v) and v >= 0 and Q(v).denominator == 1 for w in weights for v in w)
     with contextlib.ExitStack() as stack:
         spies = [stack.enter_context(mock.patch.object(volume, name, wraps=getattr(volume, name)))
                  for name in ROUTE_ENTRIES]
@@ -1265,6 +1273,39 @@ def test_volume_routes_answer_or_refuse(weights, routes):
     assert set(vr.values()) | set(vr.skipped) == set(routes)
     if is_compatible(volume.b2(), *weights) and min(v for w in weights for v in w) >= 1:
         assert vr.agree(), (weights, vr)
+
+
+def pair_labels():
+    """B2 pairs: regular ordered halves up to 6 about half of the time, else two labels that may be non-finite."""
+    label = st.one_of(st.integers(-1, 6), st.fractions(-1, 6, max_denominator=3), NON_FINITE)
+    regular = st.integers(2, 12).flatmap(
+        lambda hi: st.tuples(st.just(Q(hi, 2)), st.fractions(Q(1, 2), Q(hi - 1, 2), max_denominator=2)))
+    return st.one_of(regular, st.tuples(label, label))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_labels(), pair_labels(),
+       st.tuples(*[st.fractions(0, 12, max_denominator=3)] * 2).map(lambda g: tuple(sorted(g, reverse=True))),
+       st.sampled_from(["horn_slabs", "singular_lines_b2", "pdf_b2", "pdf_normalization_integral"]))
+def test_pair_entry_points_answer_or_refuse(alpha, beta, gamma, entry):
+    """The entry points that read a pair (alpha, beta) answer on a finite regular ordered pair and refuse
+    any other with hornvol's own ValueError: NaN and the infinities are refused before any Fraction is made.
+    gamma lies in the chamber g1 >= g2 >= 0, where the density is not negative."""
+    refused = not all(math.inf > x1 > x2 > 0 for x1, x2 in (alpha, beta))
+    call = {"horn_slabs": lambda: horn_slabs(alpha, beta), "singular_lines_b2": lambda: singular_lines_b2(alpha, beta),
+            "pdf_b2": lambda: pdf_b2(alpha, beta, gamma),
+            "pdf_normalization_integral": lambda: pdf_normalization_integral(alpha, beta)}[entry]
+    value = answer_or_refuse(call, refused)
+    if value is None:
+        return
+    if entry == "horn_slabs":
+        assert all(lo <= hi for lo, hi in value.values())
+    elif entry == "singular_lines_b2":
+        assert value
+    elif entry == "pdf_b2":
+        assert value >= 0
+    else:
+        assert value == 1
 
 
 def test_route_identities_on_random_sweep():
