@@ -1,7 +1,8 @@
 """Exact rational linear algebra and bivariate polynomial integrals.
 
 Everything here works over `fractions.Fraction` or Python ints; no floating
-point.  Matrices are tuples/lists of row sequences.  `det_adj_bareiss`, the
+point.  Vectors are tuples, read by `qvec` and paired by `dot`; matrices
+are tuples/lists of row sequences.  `det_adj_bareiss`, the
 integer elimination, gives the determinant and adjugate of a Cartan matrix;
 `det_bareiss` reads the determinant off it, for the Cartan matrices and the
 rank-sized covolume Gram matrices.  `solve_square` and `solve_in_span` share
@@ -25,14 +26,6 @@ def qvec(xs: Sequence) -> Vec:
 
 def dot(x: Sequence, y: Sequence) -> Q:
     return sum((a * b for a, b in zip(x, y)), Q(0))
-
-
-def vadd(x: Sequence, y: Sequence) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vscale(c, x: Sequence) -> Vec:
-    return tuple(Q(c) * a for a in x)
 
 
 class InvariantError(ArithmeticError):

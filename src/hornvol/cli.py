@@ -40,9 +40,9 @@ from .volume import (
     _CHAMBER_WALLS,
     ROUTES,
     _edge_line,
+    _in_slabs,
     b2_dynkin_to_ortho,
     delta_b2,
-    horn_contains_b2,
     horn_polygon,
     horn_slabs,
     j_b2,
@@ -288,7 +288,7 @@ def cmd_grid(args) -> int:
         for i in range(res + 1):
             for j in range(res + 1):
                 g = (x0 + (x1 - x0) * Q(i, res), y0 + (y1 - y0) * Q(j, res))
-                jval = j_b2(alpha, beta, g) if horn_contains_b2(alpha, beta, g) else Q(0)
+                jval = j_b2(alpha, beta, g) if _in_slabs(slabs, g) else Q(0)
                 pval = scale * abs(delta_b2(g)) * jval
                 writer.writerow([str(g[0]), str(g[1]), str(jval), str(pval)])
 
@@ -297,19 +297,19 @@ def cmd_grid(args) -> int:
     else:
         with open(args.csv, "w", newline="") as fh:
             write_rows(fh)
-    cell_diagram = None
-    if args.cells:
-        cell_diagram = piecewise_analyze_b2(alpha, beta).to_json_dict()
+    pw = piecewise_analyze_b2(alpha, beta) if args.cells else None
+    if pw is not None:
         with open(args.cells, "w") as fh:
-            _emit_json(cell_diagram, fh)
+            _emit_json(pw.to_json_dict(), fh)
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(_grid_svg(horn_polygon(alpha, beta), slabs, lines, cell_diagram))
+            fh.write(_grid_svg(horn_polygon(alpha, beta), slabs, lines, pw))
     return 0
 
 
-def _grid_svg(poly, slabs, lines, cell_diagram=None) -> str:
-    """The polygon, its cells, its chamber walls and the singular lines, over its box: the g1 and g2 slabs."""
+def _grid_svg(poly, slabs, lines, pw=None) -> str:
+    """The polygon, the cells of pw when given, its chamber walls and the singular lines, over its box: the g1
+    and g2 slabs."""
     (x0, x1), (y0, y1) = ((float(lo), float(hi)) for lo, hi in (slabs["g1"], slabs["g2"]))
     W, H, M = 600.0, 450.0, 30.0
     sx = (W - 2 * M) / (x1 - x0)
@@ -324,12 +324,9 @@ def _grid_svg(poly, slabs, lines, cell_diagram=None) -> str:
     ]
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (T(v) for v in poly.vertices))
     out.append(f'<polygon points="{pts}" fill="#eeeeee" stroke="black" stroke-width="1.5"/>')
-    if cell_diagram is not None:
-        for cell in cell_diagram["cells"]:
-            cpts = " ".join(
-                f"{x:.2f},{y:.2f}"
-                for x, y in (T((Q(vx), Q(vy))) for vx, vy in cell["vertices"])
-            )
+    if pw is not None:
+        for cell in pw.cells:
+            cpts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (T(v) for v in cell.vertices))
             out.append(f'<polygon points="{cpts}" fill="none" stroke="#bbbbbb" stroke-width="0.6"/>')
     # dashed chamber walls where they bound the polygon
     for p, q in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]):

@@ -8,7 +8,8 @@
   over Weyl shifts read off one integer map per Weyl element
   (_weyl_shift_maps), whose Kostant arguments, split by sign, are looked up
   by closed form or recursion (lr_steinberg) or in a batch from one numpy
-  slab sweep (lr_steinberg_table).
+  slab sweep (lr_steinberg_table), whose base slab is the same sweep one
+  dimension lower, stacked (_kostant_slabs).
 
 All arithmetic is in integers: weights enter and leave as Dynkin labels
 (read by `RootSystem.labels`), Freudenthal takes inner products from the
@@ -411,7 +412,8 @@ def _kostant_slabs(roots, box: tuple[int, ...]):
 
     roots are nonzero tuples of nonnegative ints.  Those with first
     coordinate 0 span the slab a = 0 alone: their (rank-1)-dimensional
-    table G comes from the same sweep one dimension lower.  Each root
+    table G is the same sweep one dimension lower, its slabs stacked (the
+    0-dimensional table 1 when box has one coordinate).  Each root
     (r0, r') with r0 >= 1 is one coin-change stage, and stage k holds slab
     a as S_k[a] = S_{k-1}[a] + S_k[a - r0] shifted by r', starting from
     S_0[0] = G and S_0[a] = 0 for a > 0; a ring of the last max r0 slabs
@@ -422,7 +424,8 @@ def _kostant_slabs(roots, box: tuple[int, ...]):
     import numpy as np
 
     rest = box[1:]
-    base = _kostant_grid([r[1:] for r in roots if r[0] == 0], rest)
+    lower = [r[1:] for r in roots if r[0] == 0]
+    base = np.stack(list(_kostant_slabs(lower, rest))) if rest else np.ones((), dtype=np.int64)
     zero = np.zeros_like(base)
     # a root whose shift r' leaves the slab adds nothing on [0, box]
     stages = [
@@ -441,18 +444,6 @@ def _kostant_slabs(roots, box: tuple[int, ...]):
                     raise OverflowError(f"a Kostant value on the box {box} reaches the int64 safety bound 2**62")
             kept[a % depth] = slab
         yield slab
-
-
-def _kostant_grid(roots, box: tuple[int, ...]):
-    """The partition counts over `roots` on the whole box [0, box], stacked from _kostant_slabs."""
-    import numpy as np
-
-    if not box:
-        return np.ones((), dtype=np.int64)
-    out = np.empty(tuple(b + 1 for b in box), dtype=np.int64)
-    for a, slab in enumerate(_kostant_slabs(roots, box)):
-        out[a] = slab
-    return out
 
 
 def kostant_values(rs: RootSystem, points) -> dict[tuple[int, ...], int]:

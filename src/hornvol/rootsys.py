@@ -46,7 +46,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from ._exact import InconsistentSystemError, InvariantError, Vec, det_adj_bareiss, dot, qvec, vadd, vscale
+from ._exact import InconsistentSystemError, InvariantError, Vec, det_adj_bareiss, dot, qvec
 
 #: the classical families with their smallest rank, the exceptional ones with their rank
 CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -245,10 +245,7 @@ class RootSystem:
 
     def root_to_ortho(self, c: Sequence) -> Vec:
         c = qvec(_sized(c, self.rank, "simple-root coordinates"))
-        acc = (Q(0),) * self.ambient_dim
-        for ci, alpha in zip(c, self.simple_roots):
-            acc = vadd(acc, vscale(ci, alpha))
-        return acc
+        return tuple(dot(c, col) for col in zip(*self.simple_roots))
 
     def ortho_to_root(self, x: Sequence) -> Vec:
         """Simple-root coordinates of x; InconsistentSystemError off the root span."""

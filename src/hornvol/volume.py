@@ -1,7 +1,8 @@
 """The B2 volume function and everything attached to it.
 
 * exact Weyl-sum evaluation of J on the gamma-plane,
-* Horn polygon membership and the candidate singular lines,
+* Horn polygon membership, one test of gamma against the slabs of
+  horn_slabs (_in_slabs), and the candidate singular lines,
 * piecewise-quadratic cell analysis, each cell's quadratic read off the
   Weyl sum, with wall-jump classification,
 * the two J-LR relations and the c_kappa / c-hat_kappa coefficients,
@@ -10,7 +11,8 @@
 
 Arguments named alpha/beta/gamma are pairs of rationals in the orthonormal
 basis; lam/mu/nu are weights in Dynkin labels.  The B2 identification is
-(a, b) Dynkin  <->  (a + b/2, b/2) orthonormal.
+(a, b) Dynkin  <->  (a + b/2, b/2) orthonormal.  Every rational label is
+read by _rational, which refuses NaN and +-inf with a ValueError of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
-from ._exact import InvariantError, qvec
+from ._exact import InvariantError
 from .bzpolytope import RationalPolygon, bz_polygon_b2, clip_cell
 from .ehrhart import (
     QuasiPolynomial,
@@ -57,13 +59,21 @@ def b2_dynkin_to_ortho(w) -> Pair:
     a, b = w
     if type(a) is int and type(b) is int:  # integer labels, as every volume route has them
         return (Q(2 * a + b, 2), Q(b, 2))
-    a, b = qvec(w)
+    a, b = _qpair(w)
     return (a + b / 2, b / 2)
+
+
+def _rational(x) -> Q:
+    """x as a Fraction; NaN and +-inf, which have none, raise ValueError here rather than inside fractions."""
+    try:
+        return Q(x)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{x} is not a finite rational") from None
 
 
 def _qpair(x) -> Pair:
     a, b = x
-    return (Q(a), Q(b))
+    return (_rational(a), _rational(b))
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +117,7 @@ _HORN_LABELS = tuple(f"{kind} {side}" for kind in _KINDS for side in (">= lo", "
 
 
 def _regular_pair(alpha, beta) -> tuple[Pair, Pair]:
-    """alpha and beta as Fraction pairs, which must be finite and regular ordered.
-
-    A NaN or infinite label is refused before any Fraction is made, which
-    would raise Fraction's own ValueError or an OverflowError.
-    """
-    if any(v != v or v in (math.inf, -math.inf) for v in (*alpha, *beta)):
-        raise ValueError(f"alpha and beta must have finite labels, not {tuple(alpha)} and {tuple(beta)}")
+    """alpha and beta as Fraction pairs (see _qpair), which must be regular ordered."""
     alpha, beta = _qpair(alpha), _qpair(beta)
     (a1, a2), (b1, b2) = alpha, beta
     if not (a1 > a2 > 0 and b1 > b2 > 0):
@@ -147,20 +151,15 @@ def horn_polygon(alpha, beta) -> RationalPolygon:
     return RationalPolygon._from_rows(rows, tuple(c.denominator for *_, c in bounds), _HORN_LABELS, None)
 
 
-@lru_cache(maxsize=4)
-def _slab_rows(alpha: Pair, beta: Pair) -> tuple[tuple[int, int, Q, Q], ...]:
-    """horn_slabs of a pair of Fraction pairs as (a, b, lo, hi), the kind's normal (a, b) first.
-
-    The latest few pairs are kept: `hornvol grid` tests membership of the
-    same pair at every grid point.
-    """
-    return tuple((*_KINDS[kind], lo, hi) for kind, (lo, hi) in horn_slabs(alpha, beta).items())
+def _in_slabs(slabs: dict[str, tuple[Q, Q]], gamma: Pair) -> bool:
+    """Whether gamma lies in the closed polygon of the horn_slabs `slabs`."""
+    g1, g2 = gamma
+    return all(lo <= _KINDS[kind][0] * g1 + _KINDS[kind][1] * g2 <= hi for kind, (lo, hi) in slabs.items())
 
 
 def horn_contains_b2(alpha, beta, gamma) -> bool:
     """Membership of gamma in the closed Horn polygon (chamber included)."""
-    g1, g2 = _qpair(gamma)
-    return all(lo <= a * g1 + b * g2 <= hi for a, b, lo, hi in _slab_rows(_qpair(alpha), _qpair(beta)))
+    return _in_slabs(horn_slabs(alpha, beta), _qpair(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +794,7 @@ def volume_routes(lam, mu, nu, routes=None, rs: RootSystem | None = None) -> Vol
 
 def so2_support(alpha12, beta12) -> tuple[Q, Q]:
     """The support [|a - b|, a + b] of gamma12; a pair that is not finite and positive raises ValueError."""
-    try:
-        a, b = Q(alpha12), Q(beta12)
-    except (ValueError, OverflowError):  # NaN and +-inf have no Fraction
-        raise ValueError(f"alpha12 and beta12 must be finite rationals, but are {alpha12}, {beta12}") from None
+    a, b = _rational(alpha12), _rational(beta12)
     if a <= 0 or b <= 0:
         raise ValueError("alpha12 and beta12 must be positive")
     return (abs(a - b), a + b)
@@ -808,15 +804,15 @@ def j_so2_symmetric(alpha12, beta12, gamma12) -> float:
     """(2/pi^2) sqrt(a b g / (((a+b)^2 - g^2)(g^2 - (a-b)^2))) on the support.
 
     Returns 0.0 outside the closed support interval and math.inf exactly at
-    its endpoints, where the density has an integrable divergence.
+    its endpoints, where the density has an integrable divergence.  With
+    lo = |a - b| and hi = a + b, a b = (hi^2 - lo^2) / 4.
     """
-    a, b = Q(alpha12), Q(beta12)
-    g = Q(gamma12)
-    lo, hi = so2_support(a, b)
+    lo, hi = so2_support(alpha12, beta12)
+    g = _rational(gamma12)
     if g < lo or g > hi:
         return 0.0
     if g == lo or g == hi:
         return math.inf
-    num = a * b * g
-    den = ((a + b) ** 2 - g * g) * (g * g - (a - b) ** 2)
+    num = (hi * hi - lo * lo) / 4 * g
+    den = (hi * hi - g * g) * (g * g - lo * lo)
     return 2 / math.pi**2 * math.sqrt(num / den)

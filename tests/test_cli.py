@@ -239,7 +239,7 @@ def test_grid_evaluates_j_once_per_point_of_the_horn_polygon(tmp_path, monkeypat
     import hornvol.volume as volume
 
     counts = {"j": 0, "inside": 0}
-    j_b2, contains = volume.j_b2, volume.horn_contains_b2
+    j_b2, contains = volume.j_b2, volume._in_slabs
 
     def counting_j(*args):
         counts["j"] += 1
@@ -252,7 +252,7 @@ def test_grid_evaluates_j_once_per_point_of_the_horn_polygon(tmp_path, monkeypat
 
     for module in (cli, volume):
         monkeypatch.setattr(module, "j_b2", counting_j)
-    monkeypatch.setattr(cli, "horn_contains_b2", counting_contains)
+    monkeypatch.setattr(cli, "_in_slabs", counting_contains)
     assert main(["grid", "17,4", "15,9", "--csv", str(tmp_path / "g.csv")]) == 0
     # 1,681 points, 1,225 of them in the polygon; the PDF reuses their J
     assert counts == {"j": 1225, "inside": 1225}

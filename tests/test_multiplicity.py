@@ -273,7 +273,7 @@ def kostant_table(rs, box):
 
     Overflow is checked on every slab, as in kostant_values.
     """
-    return multiplicity._kostant_grid(rs.positive_roots_rb, tuple(box))
+    return np.stack(list(multiplicity._kostant_slabs(rs.positive_roots_rb, tuple(box))))
 
 
 def test_kostant_table_matches_pointwise():

@@ -743,6 +743,15 @@ def check_so2_histogram(data):
         assert h.samples_outside_support == np.count_nonzero((s < lo - MEMBERSHIP_TOL) | (s > hi + MEMBERSHIP_TOL))
 
 
+def check_j_so2_symmetric(data):
+    a, b = data.draw(so2_labels), data.draw(so2_labels)
+    g = data.draw(st.one_of(st.fractions(-1, 9, max_denominator=3), non_finite))
+    j = answer_or_refuse(lambda: j_so2_symmetric(a, b, g), so2_pair_refused(a, b) or not math.isfinite(g))
+    if j is not None:
+        lo, hi = so2_support(a, b)
+        assert j == 0.0 if not lo <= g <= hi else j == math.inf if g in (lo, hi) else 0 < j < math.inf
+
+
 def check_sample_b2_spectrum(data):
     alpha, beta = data.draw(b2_weights), data.draw(b2_weights)
     n, bins = data.draw(st.integers(-1, 50)), data.draw(st.integers(-1, 5))
@@ -779,7 +788,7 @@ def check_chi_square_vs_pdf(data):
 
 SAMPLER_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
     check_chi2_sf, check_ks_distance_so2, check_haar_orthogonal, check_so2_samples, check_so2_histogram,
-    check_sample_b2_spectrum, check_expected_bin_probabilities, check_chi_square_vs_pdf)}
+    check_j_so2_symmetric, check_sample_b2_spectrum, check_expected_bin_probabilities, check_chi_square_vs_pdf)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -787,9 +796,10 @@ SAMPLER_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check i
 def test_sampler_entry_points_answer_or_refuse(entry, data):
     """Each entry point answers rightly or refuses with a ValueError (or an InvariantError).
 
-    Refused: an SO(2) pair that is not finite and positive, a B2 pair that is not finite
-    and regular ordered, N, bins or dof below 1, no samples, a NaN sample or chi-square
-    statistic, a Haar n below 1 or size below 0, edges that are short,
+    Refused: an SO(2) pair that is not finite and positive, a non-finite SO(2)
+    gamma12, a B2 pair that is not finite and regular ordered, N, bins or dof
+    below 1, no samples, a NaN sample or chi-square statistic, a Haar n below
+    1 or size below 0, edges that are short,
     unsorted or do not span the Horn polygon, and a law other than the
     histogram's pair.  Nothing else escapes.
     """

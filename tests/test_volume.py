@@ -10,7 +10,7 @@ from unittest import mock
 import math
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hornvol import volume
@@ -58,6 +58,7 @@ from hornvol.volume import (
 from horn_reference import c1_wall_discrepancies, horn_constraints, point_in_cell
 from poly2 import p2_add, p2_delta_squared, p2_eval, p2_linear, p2_mul, p2_scale, p2_sub
 from refusal import answer_or_refuse
+import tphi
 
 B2 = build_root_system("B", 2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -143,6 +144,39 @@ def test_j_symmetric_in_alpha_beta():
         b = (Q(rng.randint(5, 20)), Q(rng.randint(1, 4)))
         g = (Q(rng.randint(0, 25)), Q(rng.randint(0, 8)))
         assert j_b2(a, b, g) == j_b2(b, a, g)
+
+
+#: the B2 roots in orthonormal coordinates, up to sign: the directions of the Weyl terms' lines
+B2_ROOT_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+
+@st.composite
+def pairs_and_gammas(draw):
+    """A regular ordered pair of half-integer labels up to 8 and a rational gamma: free, on the line through
+    a Weyl corner w alpha + w' beta along a root (a wall of its term), or at the corner itself."""
+    def point():
+        hi = draw(st.integers(2, 16))
+        return (Q(hi, 2), Q(draw(st.integers(1, hi - 1)), 2))
+
+    alpha, beta = point(), point()
+    where = draw(st.sampled_from(["free", "wall", "corner"]))
+    if where == "free":
+        return alpha, beta, draw(st.tuples(*[st.fractions(-2, 17, max_denominator=6)] * 2))
+    w, w2 = draw(st.sampled_from(tphi.b2_weyl_group())), draw(st.sampled_from(tphi.b2_weyl_group()))
+    corner = [p + q for p, q in zip(tphi.b2_act(w, alpha), tphi.b2_act(w2, beta))]
+    s = draw(st.fractions(-9, 9, max_denominator=6)) if where == "wall" else 0
+    r = draw(st.sampled_from(B2_ROOT_DIRECTIONS))
+    return alpha, beta, (corner[0] + s * r[0], corner[1] + s * r[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs_and_gammas())
+def test_j_b2_is_the_weyl_sum_of_the_continuous_kostant_function(case):
+    """J(alpha, beta; gamma) = sum_{w, w'} eps(w) eps(w') T_Phi(w alpha + w' beta - gamma), T_Phi the
+    continuous Kostant function of the B2 positive roots by the Dahmen-Micchelli recursion (tests/tphi.py),
+    exactly, walls included: this derives j_b2's hand-written kernel."""
+    alpha, beta, gamma = case
+    assert j_b2(alpha, beta, gamma) == tphi.j_b2_by_t_phi(alpha, beta, gamma)
 
 
 def test_j_positive_inside_support():
@@ -1283,27 +1317,53 @@ def pair_labels():
     return st.one_of(regular, st.tuples(label, label))
 
 
+def gamma_labels():
+    """gamma in the chamber g1 >= g2 >= 0, where the density is not negative, about half of the time, else two
+    labels that may be non-finite."""
+    label = st.one_of(st.fractions(-1, 12, max_denominator=3), NON_FINITE)
+    chamber = st.tuples(*[st.fractions(0, 12, max_denominator=3)] * 2).map(lambda g: tuple(sorted(g, reverse=True)))
+    return st.one_of(chamber, st.tuples(label, label))
+
+
+def finite(*pairs) -> bool:
+    return all(math.isfinite(v) for pair in pairs for v in pair)
+
+
 @settings(max_examples=150, deadline=None)
-@given(pair_labels(), pair_labels(),
-       st.tuples(*[st.fractions(0, 12, max_denominator=3)] * 2).map(lambda g: tuple(sorted(g, reverse=True))),
-       st.sampled_from(["horn_slabs", "singular_lines_b2", "pdf_b2", "pdf_normalization_integral"]))
+@given(pair_labels(), pair_labels(), gamma_labels(),
+       st.sampled_from(["horn_slabs", "singular_lines_b2", "pdf_b2", "pdf_normalization_integral", "j_b2",
+                        "horn_contains_b2", "delta_b2"]))
+@example((math.inf, 1), (2, 1), (1, 1), "j_b2")
+@example((math.nan, 1), (2, 1), (1, 1), "horn_contains_b2")
+@example((2, 1), (2, 1), (1, math.nan), "horn_contains_b2")
+@example((2, 1), (2, 1), (math.nan, 1), "delta_b2")
 def test_pair_entry_points_answer_or_refuse(alpha, beta, gamma, entry):
     """The entry points that read a pair (alpha, beta) answer on a finite regular ordered pair and refuse
-    any other with hornvol's own ValueError: NaN and the infinities are refused before any Fraction is made.
-    gamma lies in the chamber g1 >= g2 >= 0, where the density is not negative."""
-    refused = not all(math.inf > x1 > x2 > 0 for x1, x2 in (alpha, beta))
+    any other with hornvol's own ValueError; j_b2 answers on every finite pair.  NaN and the infinities are
+    refused by hornvol's own reader, in gamma too, and delta_b2 reads gamma alone."""
+    regular = all(math.inf > x1 > x2 > 0 for x1, x2 in (alpha, beta))
+    refused = {"j_b2": not finite(alpha, beta, gamma), "delta_b2": not finite(gamma)}.get(
+        entry, not regular or entry in ("pdf_b2", "horn_contains_b2") and not finite(gamma))
     call = {"horn_slabs": lambda: horn_slabs(alpha, beta), "singular_lines_b2": lambda: singular_lines_b2(alpha, beta),
             "pdf_b2": lambda: pdf_b2(alpha, beta, gamma),
-            "pdf_normalization_integral": lambda: pdf_normalization_integral(alpha, beta)}[entry]
+            "pdf_normalization_integral": lambda: pdf_normalization_integral(alpha, beta),
+            "j_b2": lambda: j_b2(alpha, beta, gamma), "horn_contains_b2": lambda: horn_contains_b2(alpha, beta, gamma),
+            "delta_b2": lambda: delta_b2(gamma)}[entry]
     value = answer_or_refuse(call, refused)
     if value is None:
         return
+    in_chamber = gamma[0] >= gamma[1] >= 0
     if entry == "horn_slabs":
         assert all(lo <= hi for lo, hi in value.values())
     elif entry == "singular_lines_b2":
         assert value
-    elif entry == "pdf_b2":
-        assert value >= 0
+    elif entry in ("pdf_b2", "delta_b2"):
+        assert value >= 0 or not in_chamber
+    elif entry == "j_b2":
+        # J vanishes on the chamber outside the Horn polygon
+        assert not (regular and in_chamber) or value >= 0 and (value == 0 or horn_contains_b2(alpha, beta, gamma))
+    elif entry == "horn_contains_b2":
+        assert value in (True, False) and (value or j_b2(alpha, beta, gamma) == 0)
     else:
         assert value == 1
 
