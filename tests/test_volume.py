@@ -1337,6 +1337,7 @@ def finite(*pairs) -> bool:
 @example((math.nan, 1), (2, 1), (1, 1), "horn_contains_b2")
 @example((2, 1), (2, 1), (1, math.nan), "horn_contains_b2")
 @example((2, 1), (2, 1), (math.nan, 1), "delta_b2")
+@example((1, Q(1, 2)), (1, Q(1, 2)), (1, Q(-1, 2)), "horn_contains_b2")
 def test_pair_entry_points_answer_or_refuse(alpha, beta, gamma, entry):
     """The entry points that read a pair (alpha, beta) answer on a finite regular ordered pair and refuse
     any other with hornvol's own ValueError; j_b2 answers on every finite pair.  NaN and the infinities are
@@ -1363,7 +1364,9 @@ def test_pair_entry_points_answer_or_refuse(alpha, beta, gamma, entry):
         # J vanishes on the chamber outside the Horn polygon
         assert not (regular and in_chamber) or value >= 0 and (value == 0 or horn_contains_b2(alpha, beta, gamma))
     elif entry == "horn_contains_b2":
-        assert value in (True, False) and (value or j_b2(alpha, beta, gamma) == 0)
+        # the polygon lies in the chamber; off it J is the alternating extension and need not vanish
+        assert value in (True, False) and (in_chamber or not value)
+        assert value or not in_chamber or j_b2(alpha, beta, gamma) == 0
     else:
         assert value == 1
 
