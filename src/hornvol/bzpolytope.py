@@ -17,9 +17,9 @@ rows (`RationalPolygon.constraints`).  Every polygon is closed and bounded:
 the constructor refuses constraints whose normals leave a recession
 direction (UnboundedPolygonError).  The B2 BZ polygon fills the 12 offsets
 of one fixed template (normals and labels; always bounded) and hands the
-rows to the polygon.  Lattice scans split the rows once per polygon and
-take their row bounds from integer floor division; a scan of s P, s an
-int, reads P's own rows with each c times s, so the Pick check counts its
+rows to the polygon.  A lattice scan splits the rows it reads and takes
+their row bounds from integer floor division; a scan of s P, s an int,
+reads P's own rows with each c times s, so the Pick check counts its
 dilations without building them.  Vertices come from Cramer's rule and an
 integer convex hull on one common denominator, areas from the integer
 shoelace sum, and a dilation scales the integer rows.  Coefficients,
@@ -182,7 +182,8 @@ class RationalPolygon:
             labels.append(label)
         if not _normals_bounded(rows):
             raise UnboundedPolygonError(f"the constraints {labels} leave an unbounded region")
-        self._set_rows(tuple(rows), tuple(dens), tuple(labels), None if elim is None else (Q(elim[0]), Q(elim[1])))
+        self._rows, self._dens, self._labels = tuple(rows), tuple(dens), tuple(labels)
+        self._elim = None if elim is None else (Q(elim[0]), Q(elim[1]))
 
     @classmethod
     def _from_rows(cls, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...], elim) -> "RationalPolygon":
@@ -191,12 +192,8 @@ class RationalPolygon:
         `elim` is None or a pair of ints or Fractions.
         """
         P = object.__new__(cls)
-        P._set_rows(rows, dens, labels, elim)
+        P._rows, P._dens, P._labels, P._elim = rows, dens, labels, elim
         return P
-
-    def _set_rows(self, rows: tuple[Row, ...], dens: tuple[int, ...], labels: tuple[str, ...], elim) -> None:
-        self._rows, self._dens, self._labels, self._elim = rows, dens, labels, elim
-        self._split = _split_rows(rows, False)  # the lattice scan's bounds, split once
 
     @cached_property
     def elim(self) -> tuple[Q, Q] | None:
@@ -284,26 +281,24 @@ class RationalPolygon:
         e1, e2 = self._elim
         return s % e1.denominator == 0 and s % e2.denominator == 0
 
-    def lattice_count(self, strict_all: bool = False) -> int:
-        """Integer points of the polygon (of its interior, under strict_all); 0 when elim is not integral."""
-        return self._dilated_count(1, strict_all)
+    def lattice_count(self, strict_all: bool = False, s: int = 1) -> int:
+        """Integer points of s P (of its interior, under strict_all), s >= 1 an int; 0 when s * elim is not integral.
 
-    def _dilated_count(self, s: int, strict_all: bool = False) -> int:
-        """lattice_count(strict_all) of self.dilate(s), s >= 1 an int, by one scan of P's own rows.
-
-        The rows of s P are (A, B, s*C) (see _split_rows) and its elim is
-        s * elim (_passes_filter); no dilated polygon is built.  Per integer
-        y the scan adds the integer x between the tightest lower and upper
-        bounds.  The vertices, times s, bound y where no rows bound y alone
-        on both sides, and wherever P holds its vertex cycle already: that
-        skips the empty rows of a loose y box, while a fresh P keeps the box.
-        Boundedness guarantees rows with A > 0 and rows with A < 0, so every
-        scanned y gets both an x lower and an x upper bound.
+        One scan of P's own rows: those of s P are (A, B, s*C) (see
+        _split_rows) and its elim is s * elim (_passes_filter), so no dilated
+        polygon is built.  Per integer y the scan adds the integer x between
+        the tightest lower and upper bounds.  The vertices, times s, bound y
+        where no rows bound y alone on both sides, and wherever P holds its
+        vertex cycle already: that skips the empty rows of a loose y box,
+        while a fresh P keeps the box.  Boundedness guarantees rows with
+        A > 0 and rows with A < 0, so every scanned y gets both an x lower
+        and an x upper bound.  Any other s raises ValueError.
         """
+        if type(s) is not int or s < 1:
+            raise ValueError(f"lattice_count scans s P for an int s >= 1, not {s!r}")
         if not self._passes_filter(s):
             return 0
-        split = self._split if s == 1 and not strict_all else _split_rows(self._rows, strict_all, s)
-        ylo, yhi, xlo, xhi, lower, upper = split
+        ylo, yhi, xlo, xhi, lower, upper = _split_rows(self._rows, strict_all, s)
         if "_vertex_cycle" in self.__dict__ or ylo == -inf or yhi == inf:
             D, cycle = self._vertex_cycle
             if not cycle:
@@ -452,29 +447,23 @@ def lattice_point_count(P: RationalPolygon) -> int:
     return P.lattice_count()
 
 
-def _segment_relative_length(v0: Point, v1: Point) -> Q:
-    """Length of the segment in units of the primitive lattice vector along it."""
-    dx, dy = v1[0] - v0[0], v1[1] - v0[1]
-    den = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
-    ix, iy = int(dx * den), int(dy * den)
-    return Q(gcd(abs(ix), abs(iy)), den)
-
-
 def boundary_interior_counts(P: RationalPolygon) -> tuple[int, int]:
     """(boundary, interior) lattice point counts; relative interior for dim < 2.
 
     Both are 0 when P has an elim that is not integral, as lattice_count.  A
-    segment's boundary points are its lattice ends.
+    segment's boundary points are its lattice ends, the vertices (x/D, y/D)
+    of the integer vertex cycle with D dividing x and y.
     """
     if not P._passes_filter():
         return (0, 0)
     dim = P.dim  # computes the vertex cycle, so the scans take y from it
-    total = P._dilated_count(1)
+    total = P.lattice_count()
     if dim == 2:
-        interior = P._dilated_count(1, strict_all=True)
+        interior = P.lattice_count(strict_all=True)
         return (total - interior, interior)
     if dim == 1:
-        ends = sum(v[0].denominator == 1 and v[1].denominator == 1 for v in P.vertices)
+        D, cycle = P._vertex_cycle
+        ends = sum(x % D == y % D == 0 for x, y in cycle)
         return (ends, total - ends)
     if dim == 0:
         # the relative interior of a point is the point itself
@@ -494,15 +483,19 @@ class Degeneracy:
 
 
 def degeneracy_info(P: RationalPolygon) -> Degeneracy:
-    """The kind of P: Empty, Point, Segment (with its relative length) or Full."""
+    """The kind of P: Empty, Point, Segment (with its relative length) or Full.
+
+    A segment from (x0/D, y0/D) to (x1/D, y1/D) on the integer vertex cycle
+    is gcd(x1 - x0, y1 - y0) / D primitive lattice vectors long.
+    """
     d = P.dim
     if d == -1:
         return Degeneracy("Empty")
     if d == 0:
         return Degeneracy("Point")
     if d == 1:
-        v0, v1 = P.vertices
-        return Degeneracy("Segment", _segment_relative_length(v0, v1))
+        D, ((x0, y0), (x1, y1)) = P._vertex_cycle
+        return Degeneracy("Segment", Q(gcd(x1 - x0, y1 - y0), D))
     return Degeneracy("Full")
 
 
@@ -536,7 +529,7 @@ def pick_relation_check(P: RationalPolygon) -> PickReport:
     C = b + i
     samples = {0: 1, 1: C}
     for s in range(2, 7):
-        samples[s] = P._dilated_count(s)
+        samples[s] = P.lattice_count(s=s)
     try:
         quasi = fit_quasi_polynomial(samples, degree=2, period=2)
     except InconsistentSamplesError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction as Q
 from functools import cache
@@ -469,11 +470,25 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token of "-" and a digit, such as the weight -1,4, as a value.
+
+    argparse takes a token that starts with "-" for an option unless its
+    negative-number pattern matches it, and on Python 3.11 that pattern is
+    one plain int or decimal, so -1,4 was read as an unknown option.  No
+    hornvol option starts with a digit.  Subparsers are built from the same
+    class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The hornvol parser, built once per process: parsing never changes it."""
-    ap = argparse.ArgumentParser(prog="hornvol", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="hornvol", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def triple_parser(name: str, help: str) -> argparse.ArgumentParser:

@@ -168,25 +168,19 @@ def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
     """C_{s lam, s mu}^{s nu} for every s in s_values, keyed in their order.
 
     s = 0 gives 1.  Stretched weight systems outgrow the Freudenthal size
-    guard quickly, so every other sample is a Steinberg sum: lr_steinberg
-    on the closed-form Kostant function for B2 (without its weight checks
-    for a dilation by an int s >= 1, which is dominant), and for every
-    other algebra multiplicity.lr_steinberg_table on the Kostant values at
-    the arguments of all the dilations' sums (_steinberg_terms), computed up
-    front by one kostant_values sweep and dropped when this call returns.  A
+    guard quickly, so every other sample is a Steinberg sum: for B2 one
+    multiplicity.lr_steinberg per dilation, on the closed-form Kostant
+    function, and for every other algebra multiplicity.lr_steinberg_table
+    on the Kostant values at the arguments of all the dilations' sums
+    (_steinberg_terms), computed up front by one kostant_values sweep and
+    dropped when this call returns.  Both check each dilation's weights: a
     weight that is not dominant raises NonDominantWeightError, and so does a
     dilation that is not.
     """
     lam, mu, nu = (multiplicity._check_dominant(rs, w) for w in (lam, mu, nu))
     dilations = {s: tuple(tuple([s * v for v in w]) for w in (lam, mu, nu)) for s in s_values}
     if (rs.family, rs.rank) == ("B", 2):
-        def sample(s, t):
-            if not s:
-                return 1
-            if type(s) is int and s > 0:  # a dilation of checked weights: dominant, integral, not checked again
-                return multiplicity._steinberg_sum(rs, *t)
-            return multiplicity.lr_steinberg(rs, *t)  # checks, and refuses, every other dilation
-        return {s: sample(s, t) for s, t in dilations.items()}
+        return {s: multiplicity.lr_steinberg(rs, *t) if s else 1 for s, t in dilations.items()}
     points: set[tuple[int, ...]] = set()
     for s, t in dilations.items():
         if s:

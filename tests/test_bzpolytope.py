@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction as Q
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -556,8 +556,8 @@ def assert_counts_match_dilate(make, s: int) -> None:
     D = read.dilate(s)
     for strict_all in (False, True):
         want = D.lattice_count(strict_all=strict_all)
-        assert make()._dilated_count(s, strict_all) == want
-        assert read._dilated_count(s, strict_all) == want
+        assert make().lattice_count(strict_all, s) == want
+        assert read.lattice_count(strict_all, s) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -786,6 +786,66 @@ def test_dilating_a_system_matches_the_fraction_constructor(system, s):
     assert D.lattice_count(strict_all=False) == R.lattice_count()
 
 
+def segment_relative_length(v0, v1) -> Q:
+    """The length of the segment v0 v1 in primitive lattice vectors along it, in Fractions: the reference."""
+    dx, dy = v1[0] - v0[0], v1[1] - v0[1]
+    den = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
+    ix, iy = int(dx * den), int(dy * den)
+    return Q(gcd(abs(ix), abs(iy)), den)
+
+
+def integers_or_rationals(lo: int, hi: int):
+    """Rationals in [lo, hi], integers two times in three, so that lattice ends and integral directions occur."""
+    return st.one_of(st.integers(lo, hi).map(Q), st.integers(lo, hi).map(Q), rationals(lo, hi))
+
+
+@st.composite
+def segment_systems(draw):
+    """(P, constraints, ends): a segment polygon, its four constraints (shuffled) and its two ends.
+
+    Two opposite rows, each scaled by a factor of its own, pin the line through a point p with normal
+    (a, b).  Two cuts, with normals along the line's direction d = (-b, a) and against it, cut it at
+    the ends p + t0 d and p + t1 d, t0 < t1.
+    """
+    a, b = draw(integers_or_rationals(-3, 3)), draw(integers_or_rationals(-3, 3))
+    if a == b == 0:
+        a = Q(1)
+    p = (draw(integers_or_rationals(-6, 6)), draw(integers_or_rationals(-6, 6)))
+    t0, t1 = sorted(draw(st.lists(integers_or_rationals(-3, 3), min_size=2, max_size=2, unique=True)))
+    d = (-b, a)
+    ends = tuple((p[0] + t * d[0], p[1] + t * d[1]) for t in (t0, t1))
+    c = a * p[0] + b * p[1]
+    k1, k2 = draw(rationals(1, 3)), draw(rationals(1, 3))
+    hps = [(k1 * a, k1 * b, k1 * c, "on the line"), (-k2 * a, -k2 * b, -k2 * c, "on the line")]
+    for end, forward in zip(ends, (True, False)):
+        n = (draw(integers_or_rationals(-3, 3)), draw(integers_or_rationals(-3, 3)))
+        along = n[0] * d[0] + n[1] * d[1]
+        if along == 0:
+            n, along = d, 1
+        if (along > 0) != forward:
+            n = (-n[0], -n[1])
+        hps.append((n[0], n[1], n[0] * end[0] + n[1] * end[1], "an end"))
+    hps = draw(st.permutations(hps))
+    elim = draw(st.sampled_from([None, (Q(3), Q(-2)), (Q(1, 2), Q(4))]))
+    return RationalPolygon(hps, elim), hps, ends
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_systems())
+def test_segment_reports_match_the_fraction_reference_and_a_brute_force_count(system):
+    """degeneracy_info's relative length and boundary_interior_counts' lattice ends, read off the integer
+    vertex cycle, against the Fraction formula and the lattice points of the segment's box."""
+    P, hps, (e0, e1) = system
+    assert P.dim == 1 and set(P.vertices) == {e0, e1}
+    assert degeneracy_info(P).relative_length == segment_relative_length(e0, e1)
+    filtered = P.elim is None or all(v.denominator == 1 for v in P.elim)
+    (x0, x1), (y0, y1) = sorted((e0[0], e1[0])), sorted((e0[1], e1[1]))
+    points = [(x, y) for x in range(floor(x0), ceil(x1) + 1) for y in range(floor(y0), ceil(y1) + 1)
+              if filtered and all(value(h, (x, y)) >= 0 for h in hps)]
+    ends = sum(q in (e0, e1) for q in points)
+    assert boundary_interior_counts(P) == (ends, len(points) - ends)
+
+
 # ---------------------------------------------------------------------------
 # the public entry points answer or refuse
 
@@ -853,6 +913,16 @@ def check_lattice_point_count(data):
     assert count == brute_force_count(P, hps, box, strict_all=False)
 
 
+def check_lattice_count(data):
+    P, hps, (x0, x1, y0, y1) = data.draw(drawn_polygons())
+    strict_all = data.draw(st.booleans())
+    s = data.draw(st.integers(-1, 4) | st.sampled_from([Q(2), 2.0, True]))
+    count = answer_or_refuse(lambda: P.lattice_count(strict_all, s), type(s) is not int or s < 1)
+    if count is not None:
+        dilated = [(a, b, s * c, label) for a, b, c, label in hps]
+        assert count == brute_force_count(P.dilate(s), dilated, (s * x0, s * x1, s * y0, s * y1), strict_all)
+
+
 def check_boundary_interior_counts(data):
     P, hps, box = data.draw(drawn_polygons())
     b, i = answer_or_refuse(lambda: boundary_interior_counts(P), False)
@@ -883,7 +953,7 @@ def check_pick_relation_check(data):
 
 BZPOLYTOPE_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
     check_bz_polygon_b2, check_rational_polygon, check_dilate, check_area, check_lattice_point_count,
-    check_boundary_interior_counts, check_degeneracy_info, check_pick_relation_check)}
+    check_lattice_count, check_boundary_interior_counts, check_degeneracy_info, check_pick_relation_check)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -893,7 +963,8 @@ def test_bzpolytope_entry_points_answer_or_refuse(entry, data):
 
     Refused: weights that are not two dominant int or Fraction labels, a
     constraint without a normal, constraints that leave an unbounded
-    region, a negative dilation, and Pick's check of a polygon that is not
-    full.  Nothing else escapes.
+    region, a negative dilation, a lattice count of s P for an s that is
+    not an int >= 1, and Pick's check of a polygon that is not full.
+    Nothing else escapes.
     """
     BZPOLYTOPE_ENTRY_POINTS[entry](data)

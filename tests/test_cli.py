@@ -485,6 +485,33 @@ def test_ehrhart_period_below_one_exits_2(capsys, period):
     assert err == f"error: the period must be at least 1, but is {period}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lr", "B2", "5,6", "-1,4", "5,6"],
+    ["volume", "B2", "-1,4", "5,6", "5,6"],
+    ["ehrhart", "B2", "5,6", "5,6", "-1,4"],
+], ids=lambda a: "-".join(a))
+def test_a_weight_whose_first_label_is_negative_is_read_as_a_weight(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: (-1, 4) is not dominant\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lr", "A10", *["0,0,0,0,0,0,0,0,0,0"] * 3],
+    ["lr", "E8", *["0,0,0,0,0,0,0,0"] * 3, "--method", "steinberg"],
+    ["ehrhart", "E7", *["0,0,0,0,0,0,0"] * 3, "--period", "1"],
+], ids=lambda a: a[1])
+def test_steinberg_on_a_weyl_group_above_the_cap_exits_2_unbuilt(capsys, monkeypatch, argv):
+    from hornvol import multiplicity
+
+    def unbuilt(*args):
+        raise AssertionError("a Weyl group above the cap was built")
+
+    monkeypatch.setattr(multiplicity, "weyl_elements", unbuilt)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the Weyl group of {argv[1]} has ") and "above the cap 10000" in err
+
+
 def test_bad_algebra_and_weights(capsys):
     assert run(capsys, "lr", "Q9", "1,0", "1,0", "1,0")[0] == 2
     assert run(capsys, "lr", "B2", "1", "1,0", "1,0")[0] == 2

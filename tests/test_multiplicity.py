@@ -641,6 +641,28 @@ def test_a_shift_map_off_the_root_lattice_raises(monkeypatch):
         multiplicity._weyl_shift_maps.cache_clear()
 
 
+@pytest.mark.parametrize("algebra", [("D", 6), ("A", 10), ("E7", None), ("E8", None)])
+def test_steinberg_refuses_a_weyl_group_above_the_cap_before_building_it(algebra, monkeypatch):
+    """|W| is 23,040 for D6, 39,916,800 for A10, 2,903,040 for E7 and 696,729,600 for E8."""
+    def unbuilt(*args):
+        raise AssertionError("a Weyl group above the cap was built")
+
+    monkeypatch.setattr(multiplicity, "weyl_elements", unbuilt)
+    rs = build_root_system(*algebra)
+    zero = (0,) * rs.rank
+    for steinberg in (lr_steinberg, lr_steinberg_table):
+        with pytest.raises(SizeGuardError, match=f"Weyl group of {rs.name} has .* above the cap 10000"):
+            steinberg(rs, zero, zero, zero)
+
+
+def test_the_weyl_order_cap_admits_a_group_of_its_size(monkeypatch):
+    monkeypatch.setattr(multiplicity, "WEYL_ORDER_CAP", 11)
+    with pytest.raises(SizeGuardError, match="G2 has 12 elements"):
+        multiplicity._weyl_shift_maps.__wrapped__("G2", 2)
+    monkeypatch.setattr(multiplicity, "WEYL_ORDER_CAP", 12)
+    assert len(multiplicity._weyl_shift_maps.__wrapped__("G2", 2)) == 12
+
+
 # -- a caller's Kostant table and the tau range of lr_triple -------------------
 
 
