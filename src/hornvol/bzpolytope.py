@@ -21,9 +21,8 @@ rows to the polygon.  A lattice scan splits the rows it reads and takes
 their row bounds from integer floor division; a scan of s P, s an int,
 reads P's own rows with each c times s, so the Pick check counts its
 dilations without building them.  Vertices come from Cramer's rule and an
-integer convex hull on one common denominator, areas from the integer
-shoelace sum, and a dilation scales the integer rows.  Coefficients,
-vertices and areas are returned as Fractions.
+integer convex hull on one common denominator, and areas from the integer
+shoelace sum.  Coefficients, vertices and areas are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -47,18 +46,6 @@ class UnboundedPolygonError(ValueError):
 
 class DegeneratePolygonError(ValueError):
     pass
-
-
-def _scaled_row(row: Row, den: int, p: int, q: int) -> tuple[Row, int]:
-    """The row and den of a*x + b*y >= (p/q)*c, for q > 0.
-
-    The row becomes (q*A, q*B, p*C) over q*den, divided by gcd(q*den, q*A,
-    q*B, p*C): the row and den the RationalPolygon constructor gives.
-    """
-    A, B, C = row
-    A, B, C, den = q * A, q * B, p * C, q * den
-    g = gcd(den, A, B, C)
-    return (A // g, B // g, C // g), den // g
 
 
 def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -242,11 +229,6 @@ class RationalPolygon:
     def dim(self) -> int:
         return min(len(self._vertex_cycle[1]), 3) - 1
 
-    def contains(self, p: Point, strict: bool = False) -> bool:
-        """Whether p lies in P; under strict, whether p meets every constraint strictly (the interior of a full P)."""
-        x, y = p  # den > 0, so the row's sign at p is that of a*x + b*y - c
-        return all(A * x + B * y > C if strict else A * x + B * y >= C for A, B, C in self._rows)
-
     def area(self) -> Q:
         """Exact shoelace area, 0 below dim 2: the relative volume in BZ coordinates."""
         D, v = self._vertex_cycle
@@ -254,21 +236,6 @@ class RationalPolygon:
             return Q(0)
         s = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]))
         return Q(abs(s), 2 * D * D)
-
-    def dilate(self, s) -> "RationalPolygon":
-        """The polygon scaled by s >= 0, row by row: each c becomes s*c.
-
-        s = 0 gives the point 0, the value the Ehrhart fits count there.
-        Rows scaled by s < 0 do not cut out s P (the inequalities would have
-        to flip), so s < 0 raises ValueError.
-        """
-        s = Q(s)
-        if s < 0:
-            raise ValueError(f"dilation by {s} < 0")
-        p, q = s.numerator, s.denominator
-        rows, dens = zip(*(_scaled_row(row, den, p, q) for row, den in zip(self._rows, self._dens)))
-        elim = None if self._elim is None else tuple(_exact_div(e * p, q) for e in self._elim)
-        return RationalPolygon._from_rows(rows, dens, self._labels, elim)
 
     # -- lattice scans -------------------------------------------------------
     def _passes_filter(self, s: int = 1) -> bool:

@@ -173,12 +173,16 @@ def stretching_samples(rs: RootSystem, lam, mu, nu, s_values) -> dict[int, int]:
     function, and for every other algebra multiplicity.lr_steinberg_table
     on the Kostant values at the arguments of all the dilations' sums
     (_steinberg_terms), computed up front by one kostant_values sweep and
-    dropped when this call returns.  Both check each dilation's weights: a
-    weight that is not dominant raises NonDominantWeightError, and so does a
-    dilation that is not.
+    dropped when this call returns.  A weight that is not dominant raises
+    NonDominantWeightError, and an s that is not an int >= 0 raises
+    ValueError, before any sample is computed.
     """
     lam, mu, nu = (multiplicity._check_dominant(rs, w) for w in (lam, mu, nu))
-    dilations = {s: tuple(tuple([s * v for v in w]) for w in (lam, mu, nu)) for s in s_values}
+    dilations = {}
+    for s in s_values:
+        if type(s) is not int or s < 0:
+            raise ValueError(f"stretching_samples dilates by ints s >= 0, not {s!r}")
+        dilations[s] = tuple(tuple([s * v for v in w]) for w in (lam, mu, nu))
     if (rs.family, rs.rank) == ("B", 2):
         return {s: multiplicity.lr_steinberg(rs, *t) if s else 1 for s, t in dilations.items()}
     points: set[tuple[int, ...]] = set()

@@ -22,8 +22,6 @@ ALLOWED_UNBOUNDED = {
     ("cli", "build_parser"): "no arguments: the one parser",
     ("multiplicity", "_kostant_rec"): "known process-long cache (CHANGES.md FOUND line 20); "
                                       "ROADMAP item 2 removes it with the recursion",
-    ("multiplicity", "kostant_partition_b2"): "the B2 closed form: an entry is two ints and one int; "
-                                              "its bound goes with ROADMAP item 2's one Kostant kernel",
 }
 
 CACHE_NAMES = {"cache", "lru_cache"}

@@ -23,6 +23,7 @@ from hornvol.ehrhart import InconsistentSamplesError, fit_quasi_polynomial
 from hornvol.multiplicity import lr_klimyk, lr_steinberg
 from hornvol.rootsys import build_root_system, is_compatible
 from hornvol.volume import horn_polygon
+from polygon_reference import contains, dilate, fraction_dilation
 from refusal import answer_or_refuse
 
 B2 = build_root_system("B", 2)
@@ -152,7 +153,7 @@ def test_area_swap_invariance():
 def test_dilation_scales_vertices():
     P = bz_polygon_b2((5, 6), (3, 4), (5, 6))
     for s in (2, 3, 5):
-        Q1 = P.dilate(s)
+        Q1 = dilate(P, s)
         Q2 = bz_polygon_b2((5 * s, 6 * s), (3 * s, 4 * s), (5 * s, 6 * s))
         assert set(Q1.vertices) == {(s * x, s * y) for x, y in P.vertices}
         assert set(Q1.vertices) == set(Q2.vertices)
@@ -398,7 +399,7 @@ def test_bz_count_matches_steinberg_under_dilation(labels, s):
     stretched = [tuple(s * v for v in w) for w in (lam, mu, nu)]
     expected = lr_steinberg(B2, *stretched)
     assert lattice_point_count(bz_polygon_b2(*stretched)) == expected
-    assert lattice_point_count(bz_polygon_b2(lam, mu, nu).dilate(s)) == expected
+    assert bz_polygon_b2(lam, mu, nu).lattice_count(s=s) == expected
 
 
 @st.composite
@@ -447,8 +448,8 @@ def test_halfplane_row_round_trips(a, b, c, as_ints, p):
     assert stored(RationalPolygon(P.constraints)) == stored(RationalPolygon([(a, b, c, "h"), *box])) == stored(P)
     # p lies strictly inside the box, so the half-plane alone decides
     v = a * p[0] + b * p[1] - c
-    assert P.contains(p) == (v >= 0)
-    assert P.contains(p, strict=True) == (v > 0)
+    assert contains(P, p) == (v >= 0)
+    assert contains(P, p, strict=True) == (v > 0)
     assert (A * p[0] + B * p[1] >= C) == (v >= 0)
 
 
@@ -486,18 +487,12 @@ def test_bz_polygon_matches_a_fraction_reference(labels, s, as_ints):
     stretched = [tuple(s * v for v in w) for w in (lam, mu, nu)]
     rows_s, sigma_s = reference_bz_b2(*stretched)
     assert [(a, b, c * s) for a, b, c in rows] == rows_s
-    for D in (P.dilate(s), bz_polygon_b2(*stretched)):
+    for D in (dilate(P, s), bz_polygon_b2(*stretched)):
         assert abc(D) == rows_s and D.elim == sigma_s
 
 
 # ---------------------------------------------------------------------------
-# properties: integer dilation against the Fraction constructor
-
-
-def fraction_dilation(constraints, elim, s):
-    """The constraints and elim dilated by s in Fractions: each c times s, elim times s."""
-    hps = [(a, b, c * Q(s), label) for a, b, c, label in constraints]
-    return hps, None if elim is None else (elim[0] * s, elim[1] * s)
+# properties: the row scan of s P against s P built by the constructor
 
 
 def stored(P: RationalPolygon):
@@ -505,25 +500,12 @@ def stored(P: RationalPolygon):
     return list(zip(P._rows, P._dens, P._labels))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(rationals(0, 12), min_size=6, max_size=6), st.booleans())
-def test_integer_dilation_matches_the_fraction_constructor(labels, as_ints):
-    labels = [int_if_integral(v) for v in labels] if as_ints else labels
-    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
-    for s in range(1, 7):
-        D = P.dilate(s)
-        R = RationalPolygon(*fraction_dilation(P.constraints, P.elim, s))
-        assert stored(D) == stored(R)
-        assert D.elim == R.elim
-        assert D.lattice_count() == R.lattice_count()
-
-
 def dilate_pick_reference(P: RationalPolygon) -> PickReport:
-    """pick_relation_check with every dilation s P, s = 2..6, built by dilate and counted."""
+    """pick_relation_check with every dilation s P, s = 2..6, built through the constructor and counted."""
     V = P.area()
     b, i = boundary_interior_counts(P)
     C = b + i
-    samples = {0: 1, 1: C, **{s: lattice_point_count(P.dilate(s)) for s in range(2, 7)}}
+    samples = {0: 1, 1: C, **{s: lattice_point_count(dilate(P, s)) for s in range(2, 7)}}
     try:
         quasi = fit_quasi_polynomial(samples, degree=2, period=2)
     except InconsistentSamplesError as exc:
@@ -546,14 +528,14 @@ def dilate_pick_reference(P: RationalPolygon) -> PickReport:
 
 
 def assert_counts_match_dilate(make, s: int) -> None:
-    """A fresh polygon make() and one whose vertices were read count what dilate(s) counts, with and without the interior.
+    """A fresh polygon make() and one whose vertices were read count what dilate(P, s) counts, with and without the interior.
 
     A fresh polygon takes y from the rows that bound y alone, where they bound
     it on both sides; one that holds its vertex cycle takes y from the vertices.
     """
     read = make()
     read.vertices
-    D = read.dilate(s)
+    D = dilate(read, s)
     for strict_all in (False, True):
         want = D.lattice_count(strict_all=strict_all)
         assert make().lattice_count(strict_all, s) == want
@@ -563,7 +545,7 @@ def assert_counts_match_dilate(make, s: int) -> None:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rationals(0, 12), min_size=6, max_size=6), st.booleans())
 def test_dilation_counts_off_the_rows_match_dilate(labels, as_ints):
-    """The row scan of s P (rows (A, B, s*C), elim filter at s) counts what dilate(s) counts, and Pick agrees.
+    """The row scan of s P (rows (A, B, s*C), elim filter at s) counts what dilate(P, s) counts, and Pick agrees.
 
     lattice_count(strict_all) is the scan at s = 1, so s = 1 checks the interior count too.
     """
@@ -584,20 +566,6 @@ def test_dilation_counts_of_hull_systems_match_dilate(system, s):
     # no rows bound y alone here, so even a fresh polygon takes y from the vertices times s
     _, hps, _ = system
     assert_counts_match_dilate(lambda: RationalPolygon(hps), s)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(rationals(0, 12), min_size=6, max_size=6), rationals(-6, 6))
-def test_rational_dilation_matches_the_fraction_constructor(labels, s):
-    P = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
-    if s < 0:  # rows scaled by s < 0 do not cut out s P
-        with pytest.raises(ValueError):
-            P.dilate(s)
-        s = -s
-    D = P.dilate(s)
-    R = RationalPolygon(*fraction_dilation(P.constraints, P.elim, s))
-    assert stored(D) == stored(R)
-    assert D.elim == R.elim
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +658,10 @@ def test_template_polygon_matches_the_halfplane_builder(labels):
         interior = expected[False, True]
         assert boundary_interior_counts(raw) == (expected[False, False] - interior, interior)
     for s in range(7):
-        D = P.dilate(s)
         hps_s, elim_s = fraction_dilation(hps, elim, s)
-        assert stored(D) == stored(RationalPolygon(hps_s, elim_s))
-        assert D.elim == elim_s
-        assert D.vertices == fraction_vertices(hps_s)
-        assert D.lattice_count() == box_count(hps_s, elim_s, s * lam[1], s * lam[0], True, False)
+        assert dilate(P, s).vertices == fraction_vertices(hps_s)
+        if s:
+            assert P.lattice_count(s=s) == box_count(hps_s, elim_s, s * lam[1], s * lam[0], True, False)
 
 
 @st.composite
@@ -707,17 +673,12 @@ def horn_pairs(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(label_sets, horn_pairs(), st.integers(0, 6) | rationals(-6, 6))
+@given(label_sets, horn_pairs(), st.integers(0, 6) | rationals(0, 6))
 def test_constraints_rebuild_the_polygon(labels, pair, s):
     # int and half-integer BZ labels, a Horn polygon, and the dilations of both
     bz = bz_polygon_b2(labels[0:2], labels[2:4], labels[4:6])
     horn = horn_polygon(*pair)
-    if s < 0:  # rows scaled by s < 0 do not cut out s P
-        for P in (bz, horn):
-            with pytest.raises(ValueError):
-                P.dilate(s)
-        s = -s
-    for P in (bz, bz.dilate(s), horn, horn.dilate(s)):
+    for P in (bz, dilate(bz, s), horn, dilate(horn, s)):
         R = RationalPolygon(P.constraints, P.elim)
         assert stored(R) == stored(P) and R.elim == P.elim
         assert R.vertices == P.vertices and R.dim == P.dim
@@ -726,18 +687,18 @@ def test_constraints_rebuild_the_polygon(labels, pair, s):
 
 
 def test_counting_a_bz_polygon_builds_no_halfplane(monkeypatch):
-    # the BZ polygon and its dilations are integer rows throughout: no Fraction constraint is built or read
+    # the BZ polygon and the scan of its dilation read integer rows throughout: no Fraction constraint is built or read
     def refuse(*args, **kwargs):
         raise AssertionError("a Fraction constraint was built")
 
     triples = [((5, 6), (3, 4), (5, 6)), ((4, 7), (5, 3), (2, 4)), ((1, 1), (1, 1), (1, 1))]
-    expected = [(lattice_point_count(R), R.area(), lattice_point_count(R.dilate(2)))
+    expected = [(lattice_point_count(R), R.area(), lattice_point_count(dilate(R, 2)))
                 for R in (RationalPolygon(*halfplane_bz_b2(*t)) for t in triples)]
     monkeypatch.setattr(RationalPolygon, "__init__", refuse)
     monkeypatch.setattr(RationalPolygon, "constraints", property(refuse))
     for t, (count, area, count2) in zip(triples, expected):
         P = bz_polygon_b2(*t)
-        assert (lattice_point_count(P), P.area(), lattice_point_count(P.dilate(2))) == (count, area, count2)
+        assert (lattice_point_count(P), P.area(), P.lattice_count(s=2)) == (count, area, count2)
     monkeypatch.undo()
     assert len(P.constraints) == 12
 
@@ -768,22 +729,6 @@ def test_integer_hull_matches_the_fraction_hull(points, data):
     D, cycle = _cramer_hull(triples)
     assert D > 0 and all(type(v) is int for p in cycle for v in p)
     assert [(Q(x, D), Q(y, D)) for x, y in cycle] == fraction_hull(points)
-
-
-@settings(max_examples=150, deadline=None)
-@given(boxed_systems(), st.integers(-3, 6) | rationals(-6, 6))
-def test_dilating_a_system_matches_the_fraction_constructor(system, s):
-    # labels and elim survive the row-by-row scaling
-    P, hps, _ = system
-    if s < 0:  # rows scaled by s < 0 do not cut out s P
-        with pytest.raises(ValueError):
-            P.dilate(s)
-        s = -s
-    D = P.dilate(s)
-    R = RationalPolygon(*fraction_dilation(hps, P.elim, s))
-    assert stored(D) == stored(R)
-    assert D.elim == R.elim
-    assert D.lattice_count(strict_all=False) == R.lattice_count()
 
 
 def segment_relative_length(v0, v1) -> Q:
@@ -891,17 +836,6 @@ def check_rational_polygon(data):
         assert P.elim == (None if elim is None else tuple(map(Q, elim)))
 
 
-def check_dilate(data):
-    P, _, _ = data.draw(drawn_polygons())
-    s = data.draw(st.integers(-3, 6) | rationals(-6, 6))
-    D = answer_or_refuse(lambda: P.dilate(s), s < 0)
-    if D is not None:
-        if s > 0:
-            assert D.vertices == tuple((s * x, s * y) for x, y in P.vertices)
-        else:
-            assert D.vertices == ((0, 0),)
-
-
 def check_area(data):
     P, hps, _ = data.draw(drawn_polygons())
     assert answer_or_refuse(P.area, False) == fraction_area(fraction_vertices(hps))
@@ -920,7 +854,7 @@ def check_lattice_count(data):
     count = answer_or_refuse(lambda: P.lattice_count(strict_all, s), type(s) is not int or s < 1)
     if count is not None:
         dilated = [(a, b, s * c, label) for a, b, c, label in hps]
-        assert count == brute_force_count(P.dilate(s), dilated, (s * x0, s * x1, s * y0, s * y1), strict_all)
+        assert count == brute_force_count(dilate(P, s), dilated, (s * x0, s * x1, s * y0, s * y1), strict_all)
 
 
 def check_boundary_interior_counts(data):
@@ -935,7 +869,7 @@ def check_degeneracy_info(data):
     P, hps, _ = data.draw(drawn_polygons())
     info = answer_or_refuse(lambda: degeneracy_info(P), False)
     # every vertex lies in P, so the kind the vertices span is that of the set
-    assert all(P.contains(v) for v in P.vertices)
+    assert all(contains(P, v) for v in P.vertices)
     assert info.kind == ("Empty", "Point", "Segment", "Full")[min(len(fraction_vertices(hps)), 3)]
 
 
@@ -952,7 +886,7 @@ def check_pick_relation_check(data):
 
 
 BZPOLYTOPE_ENTRY_POINTS = {check.__name__.removeprefix("check_"): check for check in (
-    check_bz_polygon_b2, check_rational_polygon, check_dilate, check_area, check_lattice_point_count,
+    check_bz_polygon_b2, check_rational_polygon, check_area, check_lattice_point_count,
     check_lattice_count, check_boundary_interior_counts, check_degeneracy_info, check_pick_relation_check)}
 
 
@@ -963,8 +897,8 @@ def test_bzpolytope_entry_points_answer_or_refuse(entry, data):
 
     Refused: weights that are not two dominant int or Fraction labels, a
     constraint without a normal, constraints that leave an unbounded
-    region, a negative dilation, a lattice count of s P for an s that is
-    not an int >= 1, and Pick's check of a polygon that is not full.
+    region, a lattice count of s P for an s that is not an int >= 1, and
+    Pick's check of a polygon that is not full.
     Nothing else escapes.
     """
     BZPOLYTOPE_ENTRY_POINTS[entry](data)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction as Q
 from math import comb
@@ -111,7 +112,7 @@ def test_reciprocity_segment_signed():
 
 def test_reciprocity_unit_segment():
     seg = RationalPolygon([(1, 0, 0, ""), (-1, 0, -1, ""), (0, 1, 0, ""), (0, -1, 0, "")])
-    samples = {s: seg.dilate(s).lattice_count() for s in range(1, 4)}
+    samples = {s: seg.lattice_count(s=s) for s in range(1, 4)}
     samples[0] = 1
     quasi = fit_quasi_polynomial(samples, degree=1, period=1)
     assert quasi.coeffs[0] == (Q(1), Q(1))
@@ -188,6 +189,19 @@ def test_non_integral_labels_are_refused():
     with pytest.raises(ValueError, match="not an integral weight"):
         stretching_quasi_polynomial(B2, (Q(3, 2), 2), (1, 2), (1, 2))
     assert stretching_samples(B2, (Q(1), 2), (1, 2), (1, 2), [1, 2]) == {1: 3, 2: 7}
+
+
+@pytest.mark.parametrize("rs,weights", [(B2, ((5, 6), (3, 4), (5, 6))), (B3, ((1, 0, 1),) * 3)])
+def test_a_dilation_that_is_no_int_at_least_0_is_refused_before_any_steinberg_term(monkeypatch, rs, weights):
+    # B2 and the other algebras build their Steinberg terms on different paths
+    def unbuilt(*args):
+        raise AssertionError("a Steinberg term was built")
+
+    monkeypatch.setattr(multiplicity, "_steinberg_terms", unbuilt)
+    for s_values in ([2.0], [1, 2.0], [Q(2)], [True], [-1], [0, 1, -1]):
+        bad = next(s for s in s_values if type(s) is not int or s < 0)
+        with pytest.raises(ValueError, match=re.escape(f"not {bad!r}") + "$"):
+            stretching_samples(rs, *weights, s_values)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +388,9 @@ def check_default_period(data):
 def check_stretching_samples(data):
     rs, top = STRETCH_ALGEBRAS[data.draw(st.sampled_from(sorted(STRETCH_ALGEBRAS)))]
     weights = [data.draw(drawn_labels(rs.rank, top)) for _ in range(3)]
-    s_values = data.draw(st.one_of(st.lists(st.integers(-1, 3), max_size=4), st.sampled_from([[], [0]])))
-    # a negative s leaves only the zero triple dominant
-    refused = not dominant(rs, weights) or (min(s_values, default=0) < 0 and any(map(any, weights)))
+    dilation = st.one_of(st.integers(0, 3), st.integers(-3, -1), st.sampled_from([2.0, Q(2), True]))
+    s_values = data.draw(st.one_of(st.lists(dilation, max_size=4), st.sampled_from([[], [0]])))
+    refused = not dominant(rs, weights) or any(type(s) is not int or s < 0 for s in s_values)
     got = answer_or_refuse(lambda: stretching_samples(rs, *weights, s_values), refused)
     if got is not None:
         assert list(got) == list(dict.fromkeys(s_values))
@@ -422,8 +436,9 @@ def test_ehrhart_entry_points_answer_or_refuse(entry, data):
     residue class with too few samples, samples no fit of the declared shape
     reproduces, leading coefficients that differ across nonzero classes, an
     algebra without a default period, weights that are not dominant integral
-    labels of the algebra's rank, and a dilation that is not.  Answers are
-    checked against Klimyk's multiplicities, a Vandermonde solve and, for the
-    default period, a fit of a compatible triple.  Nothing else escapes.
+    labels of the algebra's rank, and a dilation s that is not an int >= 0.
+    Answers are checked against Klimyk's multiplicities, a Vandermonde solve
+    and, for the default period, a fit of a compatible triple.  Nothing else
+    escapes.
     """
     EHRHART_ENTRY_POINTS[entry](data)

@@ -1,12 +1,15 @@
-"""The volume routes stay apart from each other.
+"""The volume routes stay apart from each other, and so do the multiplicity algorithms.
 
-Agreement between the volume routes is the correctness argument, so a route
-that calls into another one would make the agreement prove less.  Each route
-runs alone, through volume_routes(..., routes=(route,)), in a fresh
-interpreter with cold caches, under sys.setprofile; the hornvol functions it
-reaches are recorded, with nested comprehensions and closures folded into the
-function that defines them.  The root system is built before recording.  Two
-routes may share only the functions of ALLOWED.
+Agreement between the volume routes, and between the three multiplicity
+algorithms, is the correctness argument, so a route or an algorithm that
+calls into another one would make the agreement prove less.  Each route runs
+alone, through volume_routes(..., routes=(route,)), and each algorithm alone
+(Klimyk's lr_klimyk, lr_steinberg, and the BZ count lattice_point_count of
+bz_polygon_b2), in a fresh interpreter with cold caches, under
+sys.setprofile; the hornvol functions it reaches are recorded, with nested
+comprehensions and closures folded into the function that defines them.  The
+root system is built before recording.  Two routes, or two algorithms, may
+share only the functions of ALLOWED.
 """
 
 import functools
@@ -34,11 +37,17 @@ ALLOWED = {
 
 PROBE = r"""
 import json, os, sys
-from hornvol import volume
+from hornvol import bzpolytope, multiplicity, volume
 from hornvol.rootsys import build_root_system
 
-family, rank, route, lam, mu, nu = json.loads(sys.argv[1])
+family, rank, name, lam, mu, nu = json.loads(sys.argv[1])
 rs = build_root_system(family, rank)
+algorithms = {
+    "klimyk": lambda: multiplicity.lr_klimyk(rs, lam, mu, nu),
+    "steinberg": lambda: multiplicity.lr_steinberg(rs, lam, mu, nu),
+    "bz": lambda: bzpolytope.lattice_point_count(bzpolytope.bz_polygon_b2(lam, mu, nu)),
+}
+run = algorithms.get(name, lambda: volume.volume_routes(lam, mu, nu, routes=(name,), rs=rs))
 package = os.path.dirname(volume.__file__) + os.sep
 reached = set()
 
@@ -51,17 +60,17 @@ def record(frame, event, arg):
 
 
 sys.setprofile(record)
-volume.volume_routes(lam, mu, nu, routes=(route,), rs=rs)
+run()
 sys.setprofile(None)
 print(json.dumps(sorted(reached)))
 """
 
 
 @functools.cache
-def reached(family, rank, route, lam, mu, nu) -> frozenset[str]:
-    """The hornvol functions that one route reaches on one triple, in a fresh interpreter."""
+def reached(family, rank, name, lam, mu, nu) -> frozenset[str]:
+    """The hornvol functions that one route or one algorithm reaches on one triple, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    args = json.dumps([family, rank, route, lam, mu, nu])
+    args = json.dumps([family, rank, name, lam, mu, nu])
     out = subprocess.run([sys.executable, "-c", PROBE, args], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     return frozenset(json.loads(out.stdout.strip().splitlines()[-1]))
@@ -99,3 +108,24 @@ def test_polytope_route_reads_no_part_of_j():
     """The BZ area must equal J without evaluating it: no Weyl sum and no cell quadratic."""
     j_parts = {"volume.j_b2", "volume._weyl_terms", "volume._cell_quadratics"}
     assert not reached("B", 2, "polytope", *B2_TRIPLE) & j_parts
+
+
+#: each multiplicity algorithm of the probe, by the function it is entered through
+ALGORITHMS = {
+    "klimyk": "multiplicity.lr_klimyk",
+    "steinberg": "multiplicity.lr_steinberg",
+    "bz": "bzpolytope.lattice_point_count",
+}
+
+
+@needs_qualname
+@pytest.mark.parametrize("family,rank,pair,triple", [
+    *(pytest.param("B", 2, pair, B2_TRIPLE, id="B2-" + "-".join(pair))
+      for pair in itertools.combinations(ALGORITHMS, 2)),
+    pytest.param("B", 3, ("klimyk", "steinberg"), ((2, 2, 2),) * 3, id="B3-klimyk-steinberg"),
+])
+def test_multiplicity_algorithms_meet_each_other_only_in_the_allowlist(family, rank, pair, triple):
+    mine, theirs = (reached(family, rank, name, *triple) for name in pair)
+    for name, funcs in zip(pair, (mine, theirs)):
+        assert ALGORITHMS[name] in funcs and funcs - set(ALLOWED), name
+    assert mine & theirs <= set(ALLOWED), sorted(mine & theirs - set(ALLOWED))
