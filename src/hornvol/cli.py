@@ -180,20 +180,11 @@ def cmd_lr(args) -> int:
     rs = parse_algebra(args.algebra)
     lam, mu, nu = parse_triple(rs, args)
     is_b2 = (rs.family, rs.rank) == ("B", 2)
-    if args.method == "all":
-        methods = ["klimyk", "steinberg", "bz"] if is_b2 else ["klimyk", "steinberg"]
-    else:
-        methods = [args.method]
+    methods = ["klimyk", "steinberg", *["bz"] * is_b2] if args.method == "all" else [args.method]
     if "bz" in methods and not is_b2:
         raise CliError("the bz method is only available for B2")
-    values = {}
-    for m in methods:
-        if m == "klimyk":
-            values[m] = lr_klimyk(rs, lam, mu, nu)
-        elif m == "steinberg":
-            values[m] = lr_steinberg(rs, lam, mu, nu)
-        else:
-            values[m] = lattice_point_count(bz_polygon_b2(lam, mu, nu))
+    count = {"klimyk": lr_klimyk, "steinberg": lr_steinberg, "bz": lambda rs, *t: lattice_point_count(bz_polygon_b2(*t))}
+    values = {m: count[m](rs, lam, mu, nu) for m in methods}
     agree = len(set(values.values())) == 1
     if args.format == "json":
         _emit_json(

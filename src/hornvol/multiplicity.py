@@ -28,13 +28,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import starmap
-from math import prod
 from operator import add, mul, sub
 
 from ._exact import InvariantError
 from .rootsys import (
+    WEYL_ORDER_CAP,
     NonDominantWeightError,
     RootSystem,
+    SizeGuardError,
     UnsupportedAlgebraError,
     build_root_system,
     reflect_to_dominant,
@@ -44,21 +45,9 @@ from .rootsys import (
 
 DEFAULT_DIM_CAP = 10**6
 
-#: the largest Weyl group, |W| = prod(e_i + 1) over the exponents, whose
-#: elements Steinberg's sum enumerates.  Building the group and its shift
-#: maps took 0.15 s for F4 (|W| = 1,152), 0.44 s for D5 (1,920), 0.66 s for
-#: B5 (3,840), 1.9 s for A6 (5,040) and 17 s for E6 (51,840) on 2 cores,
-#: and the time grows faster than |W|; the cap admits A6 and refuses D6
-#: (23,040) and every larger group (A10: 39,916,800; E8: 696,729,600).
-WEYL_ORDER_CAP = 10**4
-
 #: families accepted by the Freudenthal/Klimyk route (E7/E8 weight systems
 #: are out of scope; their root data is still available for covolumes)
 FREUDENTHAL_FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6")
-
-
-class SizeGuardError(ValueError):
-    pass
 
 
 def _checked_multiplicity(acc: int, method: str, lam, mu, nu) -> int:
@@ -319,15 +308,11 @@ def _weyl_shift_maps(family: str, rank: int) -> tuple[tuple[int, tuple[tuple[int
     K_w = (M_w - I) C^-T is the integer matrix that takes Dynkin labels to
     the simple-root coordinates of w(x) - x: its column j holds those of
     w(omega_j) - omega_j, which lies in the root lattice.  It is computed
-    as (M_w - I) d C^-T over d, and each entry is checked to divide.  A
-    group above WEYL_ORDER_CAP raises SizeGuardError before any element is
-    built.
+    as (M_w - I) d C^-T over d, and each entry is checked to divide.
+    weyl_elements refuses a group above WEYL_ORDER_CAP with SizeGuardError
+    before it builds any element.
     """
     rs = build_root_system(family, rank)
-    order = prod(e + 1 for e in rs.exponents)
-    if order > WEYL_ORDER_CAP:
-        raise SizeGuardError(f"the Weyl group of {rs.name} has {order} elements, above the cap {WEYL_ORDER_CAP} "
-                             "of the Steinberg sum")
     d, scaled = rs.root_scale
     cols = tuple(zip(*scaled))
     out = []

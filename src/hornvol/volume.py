@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 from ._exact import InvariantError
 from .bzpolytope import RationalPolygon, bz_polygon_b2, clip_cell
 from .ehrhart import (
+    NoDefaultPeriodError,
     QuasiPolynomial,
     leading_coefficient,
     stretching_quasi_polynomial,
@@ -564,15 +565,13 @@ def _jump_class(diff: tuple[int, ...], unit: tuple[int, ...], sources: int) -> t
 # J-LR relations and the c_kappa coefficients
 
 
-def kappa_coefficient_sets(rs: RootSystem) -> tuple[dict[tuple[int, ...], Q], dict[tuple[int, ...], Q]]:
-    """(K with c_kappa, K-hat with c-hat_kappa) for the supported algebras."""
-    if rs.family == "B" and rs.rank == 2:
-        return (
-            {(0, 0): Q(3, 8), (1, 0): Q(1, 8)},
-            {(0, 1): Q(1, 4)},
-        )
-    if rs.family == "B" and rs.rank == 3:
-        K = {
+KAPPA_TABLES = {
+    ("B", 2): (
+        {(0, 0): Q(3, 8), (1, 0): Q(1, 8)},
+        {(0, 1): Q(1, 4)},
+    ),
+    ("B", 3): (
+        {
             (0, 0, 0): Q(7230, 92160),
             (1, 0, 0): Q(3995, 92160),
             (0, 1, 0): Q(1651, 92160),
@@ -580,29 +579,36 @@ def kappa_coefficient_sets(rs: RootSystem) -> tuple[dict[tuple[int, ...], Q], di
             (0, 0, 2): Q(479, 92160),
             (1, 1, 0): Q(29, 92160),
             (1, 0, 2): Q(1, 92160),
-        }
-        Khat = {
+        },
+        {
             (0, 0, 1): Q(190, 2880),
             (1, 0, 1): Q(26, 2880),
             (0, 1, 1): Q(1, 2880),
-        }
-        return K, Khat
-    raise ValueError(f"no c_kappa table for {rs.name}")
+        },
+    ),
+}
+
+
+def kappa_coefficient_sets(rs: RootSystem) -> tuple[dict[tuple[int, ...], Q], dict[tuple[int, ...], Q]]:
+    """Copies of (K with c_kappa, K-hat with c-hat_kappa), the KAPPA_TABLES entry of rs's (family, rank)."""
+    if (rs.family, rs.rank) not in KAPPA_TABLES:
+        raise ValueError(f"no c_kappa table for {rs.name}")
+    return tuple(map(dict, KAPPA_TABLES[rs.family, rs.rank]))
 
 
 def _lr_kappa_sum(rs: RootSystem | None, lam, mu, nu, shift: int) -> Q:
     """sum_kappa c_kappa C_{lam' mu' kappa}^{nu'}, w' = w - shift rho, over one tensor_decompose of (lam', mu').
 
-    The c_kappa are K for shift 0 and K-hat for shift 1; rs defaults to B2."""
+    The c_kappa are K for shift 0 and K-hat for shift 1, read first; rs defaults to B2."""
     if rs is None:
         rs = b2()
+    coefficients = kappa_coefficient_sets(rs)[shift]
     if not is_compatible(rs, lam, mu, nu):
         raise IncompatibleTripleError(f"{lam}, {mu}, {nu} is not a compatible triple")
     if shift:
         lam, mu, nu = (tuple(v - 1 for v in rs.labels(w)) for w in (lam, mu, nu))
         if min(lam + mu + nu) < 0:
             raise NotShiftableError("lam, mu, nu must all dominate rho")
-    coefficients = kappa_coefficient_sets(rs)[shift]
     decomposition = tensor_decompose(rs, lam, mu)
     return sum((c * tau_sum(rs, decomposition, kap, nu) for kap, c in coefficients.items()), Q(0))
 
@@ -748,43 +754,45 @@ def volume_routes(lam, mu, nu, routes=None, rs: RootSystem | None = None) -> Vol
 
     routes is a nonempty choice from ROUTES, by default every route the
     algebra has: all four on B2 and lr and ehrhart elsewhere.  Any other
-    choice raises ValueError, and so does a weight that is not dominant and
-    integral with rs.rank labels, before any route runs.  The direct and
-    polytope routes are B2-specific; lr and ehrhart work for every algebra
-    with a c_kappa table.  The lr route needs lam, mu, nu to dominate rho and
-    weight systems within the Freudenthal size guard; when explicitly asked
-    for it raises, but next to other routes it is skipped and the reason
-    kept in `skipped`.  The polytope route's polygon is kept in `bz_polygon`.
+    choice, a weight that is not dominant and integral with rs.rank labels,
+    and the direct or polytope route off B2 raise ValueError before any
+    route runs.  A route that cannot run here (lr with no c_kappa table or
+    on weights that do not dominate rho, a size guard, ehrhart with no
+    default period) raises alone; beside others it is skipped, its reason
+    kept in `skipped`, and if no route runs a ValueError names each reason.
+    The polytope route's polygon is kept in `bz_polygon`.
     """
     if rs is None:
         rs = b2()
     is_b2 = (rs.family, rs.rank) == ("B", 2)
-    # a tuple, so that a list ["lr"] is the lone lr route below, which raises
     routes = (ROUTES if is_b2 else ("lr", "ehrhart")) if routes is None else tuple(routes)
     if not routes or not set(routes) <= set(ROUTES):
         raise ValueError(f"routes {routes} must be a nonempty choice from {', '.join(ROUTES)}")
     lam, mu, nu = (_check_dominant(rs, w) for w in (lam, mu, nu))
-    out = {}
-    skipped = {}
-    if "direct" in routes:
-        if not is_b2:
-            raise ValueError("the direct J evaluation is B2-specific")
-        out["direct"] = j_b2(b2_dynkin_to_ortho(lam), b2_dynkin_to_ortho(mu), b2_dynkin_to_ortho(nu))
-    if "lr" in routes:
+    if "direct" in routes and not is_b2:
+        raise ValueError("the direct J evaluation is B2-specific")
+    if "polytope" in routes and not is_b2:
+        raise ValueError("the BZ polygon construction is B2-specific")
+    out, skipped = {}, {}
+    for route in (r for r in ROUTES if r in routes):
         try:
-            out["lr"] = j_lr_unshifted(lam, mu, nu, rs)
-        except (NotShiftableError, SizeGuardError) as exc:
-            if routes == ("lr",):
+            if route == "direct":
+                out[route] = j_b2(*map(b2_dynkin_to_ortho, (lam, mu, nu)))
+            elif route == "lr" and len(routes) > 1 and (rs.family, rs.rank) not in KAPPA_TABLES:
+                skipped[route] = f"no c_kappa table for {rs.name}"
+            elif route == "lr":
+                out[route] = j_lr_unshifted(lam, mu, nu, rs)
+            elif route == "ehrhart":
+                out[route] = leading_coefficient(stretching_quasi_polynomial(rs, lam, mu, nu)[0])
+            else:
+                out["bz_polygon"] = P = bz_polygon_b2(lam, mu, nu)
+                out[route] = P.area()
+        except (NotShiftableError, SizeGuardError, NoDefaultPeriodError) as exc:
+            if len(routes) == 1:
                 raise
-            skipped["lr"] = str(exc)
-    if "ehrhart" in routes:
-        quasi, _ = stretching_quasi_polynomial(rs, lam, mu, nu)
-        out["ehrhart"] = leading_coefficient(quasi)
-    if "polytope" in routes:
-        if not is_b2:
-            raise ValueError("the BZ polygon construction is B2-specific")
-        out["bz_polygon"] = P = bz_polygon_b2(lam, mu, nu)
-        out["polytope"] = P.area()
+            skipped[route] = str(exc)
+    if len(skipped) == len(set(routes)):
+        raise ValueError(f"no route of {rs.name} runs: " + "; ".join(f"{r}: {why}" for r, why in skipped.items()))
     return VolumeRoutes(**out, skipped=skipped)
 
 

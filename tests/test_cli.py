@@ -135,10 +135,27 @@ def test_ehrhart_refuses_a_triple_off_the_root_lattice(capsys):
 
 
 def test_volume_without_c_kappa_table_names_the_algebra_once(capsys):
+    # neither G2 route runs: lr has no c_kappa table and ehrhart no default period
     assert main(["volume", "G2", "1,1", "1,1", "1,1"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: no c_kappa table for G2\n"
+    assert err == "error: no route of G2 runs: lr: no c_kappa table for G2; ehrhart: no default period for G2\n"
     assert "G22" not in err
+
+
+@pytest.mark.parametrize("algebra,value", [("A2", "2"), ("C2", "9/4")])
+def test_volume_without_c_kappa_table_answers_by_ehrhart_alone(capsys, algebra, value):
+    """lr is skipped with its reason; the one route left checks nothing, prints no agree line and exits 0."""
+    argv = ["volume", algebra, "3,2", "2,3", "3,3"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert out == f"ehrhart: {value}\nlr: skipped (no c_kappa table for {algebra})\n"
+    rc, out = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert rc == 0 and payload["agree"] is True
+    assert payload["volume"] == {"ehrhart": value}
+    assert payload["skipped"] == {"lr": f"no c_kappa table for {algebra}"}
+    assert main([*argv, "--route", "lr"]) == 2
+    assert capsys.readouterr().err == f"error: no c_kappa table for {algebra}\n"
 
 
 def test_volume_b3_lr_and_ehrhart(capsys):
@@ -501,12 +518,12 @@ def test_a_weight_whose_first_label_is_negative_is_read_as_a_weight(capsys, argv
     ["ehrhart", "E7", *["0,0,0,0,0,0,0"] * 3, "--period", "1"],
 ], ids=lambda a: a[1])
 def test_steinberg_on_a_weyl_group_above_the_cap_exits_2_unbuilt(capsys, monkeypatch, argv):
-    from hornvol import multiplicity
+    from hornvol import rootsys
 
     def unbuilt(*args):
         raise AssertionError("a Weyl group above the cap was built")
 
-    monkeypatch.setattr(multiplicity, "weyl_elements", unbuilt)
+    monkeypatch.setattr(rootsys, "_matmul", unbuilt)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: the Weyl group of {argv[1]} has ") and "above the cap 10000" in err

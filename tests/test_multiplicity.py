@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hornvol import multiplicity
+from hornvol import multiplicity, rootsys
 from hornvol._exact import InvariantError
 from hornvol.multiplicity import (
     SizeGuardError,
@@ -647,7 +647,7 @@ def test_steinberg_refuses_a_weyl_group_above_the_cap_before_building_it(algebra
     def unbuilt(*args):
         raise AssertionError("a Weyl group above the cap was built")
 
-    monkeypatch.setattr(multiplicity, "weyl_elements", unbuilt)
+    monkeypatch.setattr(rootsys, "_matmul", unbuilt)
     rs = build_root_system(*algebra)
     zero = (0,) * rs.rank
     for steinberg in (lr_steinberg, lr_steinberg_table):
@@ -656,11 +656,12 @@ def test_steinberg_refuses_a_weyl_group_above_the_cap_before_building_it(algebra
 
 
 def test_the_weyl_order_cap_admits_a_group_of_its_size(monkeypatch):
-    monkeypatch.setattr(multiplicity, "WEYL_ORDER_CAP", 11)
+    # weyl_elements is memoized, so its unwrapped builder is the one that reads the cap on every call
+    monkeypatch.setattr(rootsys, "WEYL_ORDER_CAP", 11)
     with pytest.raises(SizeGuardError, match="G2 has 12 elements"):
-        multiplicity._weyl_shift_maps.__wrapped__("G2", 2)
-    monkeypatch.setattr(multiplicity, "WEYL_ORDER_CAP", 12)
-    assert len(multiplicity._weyl_shift_maps.__wrapped__("G2", 2)) == 12
+        weyl_elements.__wrapped__(("G2", 2))
+    monkeypatch.setattr(rootsys, "WEYL_ORDER_CAP", 12)
+    assert len(weyl_elements.__wrapped__(("G2", 2))) == 12
 
 
 # -- a caller's Kostant table and the tau range of lr_triple -------------------

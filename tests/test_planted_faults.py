@@ -3,7 +3,9 @@
 Each test plants one fault with monkeypatch, which undoes it when the test
 ends, and runs a CLI command whose exit code is the cross-check.  The CLI
 exits 0 only when every method or route agrees, so a fault that leaves it
-at 0 would be one that no check can see.
+at 0 would be one that no check can see.  The c_kappa of K are the one
+exception: no CLI route reads them, so a fault in one is shown by the
+shifted J-LR relation against a route that reads no c_kappa.
 """
 
 import dataclasses
@@ -210,3 +212,44 @@ def test_a_bz_row_offset_off_by_one_makes_lr_exit_1(row, shift, monkeypatch, cap
     monkeypatch.setattr(cli, "bz_polygon_b2", faulty)
     assert main(["lr", "B2", *BZ_ROW_SHIFTS[row, shift], "--method", "all"]) == 1
     assert "agree: yes" not in capsys.readouterr().out
+
+
+def double_one_c_kappa(monkeypatch, key, which, kappa):
+    """Plant the c_kappa of kappa, in K (which 0) or K-hat (which 1) of KAPPA_TABLES[key], doubled."""
+    tables = [dict(t) for t in volume.KAPPA_TABLES[key]]
+    tables[which][kappa] *= 2
+    monkeypatch.setitem(volume.KAPPA_TABLES, key, tuple(tables))
+
+
+def c_kappa_entries(which):
+    """(key, kappa) for every entry of K (which 0) or K-hat (which 1), with ids such as B3-1,0,2."""
+    return [pytest.param(key, kappa, id="".join(map(str, key)) + "-" + ",".join(map(str, kappa)))
+            for key, tables in volume.KAPPA_TABLES.items() for kappa in tables[which]]
+
+
+#: the volume command per algebra; its lr route reads K-hat, and no other route reads a c_kappa
+VOLUME_ARGV = {("B", 2): ["volume", "B2", "5,6", "3,4", "5,6"], ("B", 3): ["volume", "B3", *["2,2,2"] * 3]}
+
+
+@pytest.mark.parametrize("key,kappa", c_kappa_entries(1))
+def test_a_doubled_c_hat_kappa_makes_volume_exit_1(key, kappa, monkeypatch, capsys):
+    double_one_c_kappa(monkeypatch, key, 1, kappa)
+    assert main(VOLUME_ARGV[key]) == 1
+    assert "agree: NO" in capsys.readouterr().out
+
+
+#: one triple per algebra for the shifted J-LR relation, j_lr_shifted(t) = J(t + rho), where J is
+#: read by a route that reads no c_kappa: direct on B2 (criterion 4's first triple), ehrhart on B3
+SHIFTED_RELATION = {("B", 2): ("direct", ((4, 7), (5, 3), (2, 4))), ("B", 3): ("ehrhart", ((1, 1, 2),) * 3)}
+
+
+@pytest.mark.parametrize("key,kappa", c_kappa_entries(0))
+def test_a_doubled_c_kappa_breaks_the_shifted_relation(key, kappa, monkeypatch):
+    """No CLI route reads K, so a fault in it is shown by the relation that does."""
+    rs = build_root_system(*key)
+    route, triple = SHIFTED_RELATION[key]
+    shifted = [tuple(v + 1 for v in w) for w in triple]
+    J = volume.volume_routes(*shifted, routes=(route,), rs=rs).values()[route]
+    assert volume.j_lr_shifted(*triple, rs) == J
+    double_one_c_kappa(monkeypatch, key, 0, kappa)
+    assert volume.j_lr_shifted(*triple, rs) != J

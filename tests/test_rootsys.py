@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hornvol import rootsys
 from hornvol._exact import InconsistentSystemError, InvariantError, dot, solve_in_span, solve_square
 from hornvol.rootsys import (
+    SizeGuardError,
     UnsupportedAlgebraError,
     WeylElement,
     _identity_matrix,
@@ -210,6 +211,18 @@ def test_weyl_group_sizes():
     assert len(weyl_group(build_root_system("B", 3))) == 48
     assert len(weyl_group(build_root_system("A", 3))) == 24
     assert len(weyl_group(build_root_system("G2"))) == 12
+
+
+@pytest.mark.parametrize("algebra", [("D", 6), ("A", 10), ("E7",), ("E8",)], ids=lambda a: "".join(map(str, a)))
+def test_weyl_group_refuses_a_group_above_the_cap_before_building_it(algebra, monkeypatch):
+    """|W| is 23,040 for D6, 39,916,800 for A10, 2,903,040 for E7 and 696,729,600 for E8."""
+    def unbuilt(*args):
+        raise AssertionError("a Weyl group above the cap was built")
+
+    monkeypatch.setattr(rootsys, "_matmul", unbuilt)
+    rs = build_root_system(*algebra)
+    with pytest.raises(SizeGuardError, match=f"Weyl group of {rs.name} has .* above the cap 10000"):
+        weyl_group(rs)
 
 
 # -- dimensions and Delta ----------------------------------------------------

@@ -1063,6 +1063,19 @@ def test_kappa_sum_rules():
     assert sum(c * weyl_dimension(B2, k) for k, c in Khat.items()) == 1
 
 
+def test_kappa_coefficient_sets_hands_out_copies():
+    for rs in (B2, build_root_system("B", 3)):
+        K, Khat = kappa_coefficient_sets(rs)
+        before = (dict(K), dict(Khat))
+        K[next(iter(K))] *= 2
+        K[(9,) * rs.rank] = Q(1)
+        Khat.clear()
+        assert kappa_coefficient_sets(rs) == before
+        assert volume.KAPPA_TABLES[rs.family, rs.rank] == before
+    with pytest.raises(ValueError, match="^no c_kappa table for G2$"):
+        kappa_coefficient_sets(build_root_system("G2"))
+
+
 def test_j_lr_shifted_examples():
     assert j_lr_shifted((0, 0), (0, 0), (0, 0)) == Q(3, 8)
     assert j_b2(RHO, RHO, RHO) == Q(3, 8)
@@ -1309,6 +1322,64 @@ def test_volume_routes_answer_or_refuse(weights, routes):
     assert set(vr.values()) | set(vr.skipped) == set(routes)
     if is_compatible(volume.b2(), *weights) and min(v for w in weights for v in w) >= 1:
         assert vr.agree(), (weights, vr)
+
+
+#: the algebras off B2 of the property below: three without a c_kappa table, and B3 with one
+OFF_B2 = [build_root_system(*a) for a in (("A", 2), ("C", 2), ("G2",), ("B", 3))]
+
+
+@st.composite
+def off_b2_triples(draw):
+    """An algebra of OFF_B2 and a compatible triple of it, labels 0..3 (0..2 on B3)."""
+    rs = draw(st.sampled_from(OFF_B2))
+    top = 2 if rs.rank == 3 else 3
+    triple = draw(st.tuples(*[st.tuples(*[st.integers(0, top)] * rs.rank)] * 3))
+    assume(is_compatible(rs, *triple))
+    return rs, triple
+
+
+@settings(max_examples=80, deadline=None)
+@given(off_b2_triples(), st.one_of(st.none(), st.lists(st.sampled_from(volume.ROUTES), min_size=1, max_size=4,
+                                                      unique=True).map(tuple)))
+def test_volume_routes_off_b2_answer_or_refuse(case, routes):
+    """Off B2 the direct and polytope routes are refused before any route runs; a route that cannot run is
+    refused alone and skipped beside others, only for want of a c_kappa table, a triple that does not dominate
+    rho or a default period; a run where no route runs is refused, naming each reason; the answers agree.
+
+    The oracle below was fixed before the first run.
+    """
+    rs, triple = case
+    asked = [r for r in volume.ROUTES if r in (routes or ("lr", "ehrhart"))]
+    why = {}
+    if (rs.family, rs.rank) not in volume.KAPPA_TABLES:
+        why["lr"] = f"no c_kappa table for {rs.name}"
+    elif min(v for w in triple for v in w) < 1:
+        why["lr"] = "lam, mu, nu must all dominate rho"
+    if rs.family == "G2":
+        why["ehrhart"] = "no default period for G2"
+    if "direct" in asked:
+        refusal = "the direct J evaluation is B2-specific"
+    elif "polytope" in asked:
+        refusal = "the BZ polygon construction is B2-specific"
+    elif len(asked) == 1 and asked[0] in why:
+        refusal = why[asked[0]]
+    elif set(asked) <= set(why):
+        refusal = f"no route of {rs.name} runs: " + "; ".join(f"{r}: {why[r]}" for r in asked)
+    else:
+        refusal = None
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(volume, name, wraps=getattr(volume, name)))
+                 for name in ROUTE_ENTRIES]
+        if refusal is not None:
+            with pytest.raises(ValueError) as info:
+                volume_routes(*triple, routes=routes, rs=rs)
+            assert str(info.value) == refusal, (rs.name, triple, routes)
+            assert not refusal.endswith("B2-specific") or not any(spy.called for spy in spies)
+            return
+        vr = volume_routes(*triple, routes=routes, rs=rs)
+    assert vr.skipped == {r: why[r] for r in asked if r in why}, (rs.name, triple, routes)
+    assert set(vr.values()) == set(asked) - set(why)
+    assert vr.agree(), (rs.name, triple, vr)
 
 
 def pair_labels():
